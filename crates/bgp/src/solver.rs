@@ -272,7 +272,7 @@ impl SolveScratch {
 }
 
 /// Scratch arena for incremental re-solves
-/// ([`RoutingState::with_failed_link`]).
+/// ([`RoutingState::with_failed_link`], [`multi::MultiFailState::apply`]).
 ///
 /// Layers on [`SolveScratch`]: the inner scratch provides the bucket
 /// queue and routed-order arena (delta sweeps run against the table and
@@ -280,7 +280,8 @@ impl SolveScratch {
 /// empty), and the undo log records every invalidated node's base
 /// assignment so the guard can restore the base solve in O(cone).
 /// Consecutive deltas against one base reuse all storage and allocate
-/// nothing in the steady state.
+/// nothing in the steady state; one scratch serves any number of
+/// [`multi::MultiFailState`] engines, so the per-node column is paid once.
 pub struct DeltaScratch {
     /// `(node, base assignment)` for every changed node: the cone in BFS
     /// order, then any downstream nodes reached by the improvement wave.
@@ -289,6 +290,14 @@ pub struct DeltaScratch {
     logged: Vec<u32>,
     logged_gen: u32,
     inner: SolveScratch,
+    /// [`multi::MultiFailState::apply`]'s work lists — the batch's last
+    /// state per link, its net failures and restorations, and the roots
+    /// of the next retirement — kept here so a steady-state `apply`
+    /// allocates nothing.
+    finals: Vec<((NodeId, NodeId), bool)>,
+    net_downs: Vec<(NodeId, NodeId)>,
+    net_ups: Vec<(NodeId, NodeId)>,
+    roots: Vec<NodeId>,
 }
 
 impl DeltaScratch {
@@ -298,6 +307,10 @@ impl DeltaScratch {
             logged: Vec::new(),
             logged_gen: 0,
             inner: SolveScratch::new(),
+            finals: Vec::new(),
+            net_downs: Vec::new(),
+            net_ups: Vec::new(),
+            roots: Vec::new(),
         }
     }
 
@@ -887,9 +900,9 @@ fn delta_apply(
     )
 }
 
-/// The delta-engine core, shared by the single-link what-if
-/// ([`RoutingState::with_failed_link`]) and the batched churn engine
-/// ([`multi::MultiFailState`]): invalidate the routing subtrees hanging
+/// The failure half of the delta engine, shared by the single-link
+/// what-if ([`RoutingState::with_failed_link`]) and the batched churn
+/// engine ([`multi::MultiFailState`]): retire the routing subtrees hanging
 /// under `children` (nodes whose next-hop link just died), re-drain the
 /// three sweeps inside the union cone against the intact boundary, then
 /// relax the provider-class improvement wave. Every change is logged to
@@ -914,36 +927,95 @@ fn redrain_cones(
     scratch: &mut DeltaScratch,
     children: &[NodeId],
 ) -> usize {
-    // --- Cone discovery -------------------------------------------------
-    // The invalidated cone is the union of the routing subtrees rooted at
-    // the children: a node loses its route iff its next-hop chain crosses
-    // a dead link. Walk parent pointers breadth-first (v joins the cone
-    // iff its next hop already did), logging each base assignment and
-    // un-assigning the node by aging its stamp (any value != gen reads as
-    // unrouted).
+    retire_subtrees::<false>(topo, gen, best, slots, scratch, children);
+    let disconnected = redrain_retired(topo, gen, mask, round, best, slots, scratch);
+
+    // --- Improvement wave -----------------------------------------------
+    // Losing a link can *shorten* routes outside the cone: a cone node
+    // demoted across sweeps (e.g. peer-class via the dead link to a
+    // shorter provider-class fallback) now delivers its sweep-3 offers at
+    // an earlier hop level, and nodes below it may switch to the better
+    // offer. Only sweep-3 deliveries can ever improve — customer-class
+    // levels are plain BFS distances over a shrinking edge set, and
+    // peer-class levels derive from them — so the wave is exactly a
+    // bucket-queue relaxation of provider-class routes down customer and
+    // sibling links, seeded by every re-settled cone node and propagated
+    // from every node whose route got strictly shorter. The argument only
+    // uses that the edge set *shrank*, so it holds verbatim for a batch
+    // of simultaneous failures.
+    improve_wave(topo, gen, mask, round, best, slots, scratch);
+
+    disconnected
+}
+
+/// Logged in place of a base assignment for a node that had none when it
+/// was retired. No real route is this long, so the restoration loop's
+/// "did this node's offers change" comparison reads it as "yes".
+const WAS_UNROUTED: BestRoute =
+    BestRoute { class: RouteClass::Provider, len: UNROUTED_HOPS, next: UNROUTED_NEXT };
+
+/// Retire the routing subtrees rooted at `roots`: a node loses its route
+/// iff its next-hop chain crosses a root. Walk parent pointers
+/// breadth-first (`v` joins iff its next hop already did), logging each
+/// base assignment to `scratch.undo` and un-assigning the node by aging
+/// its stamp (any value != gen reads as unrouted). The retired set is
+/// closed under "my next-hop chain crosses it", so every node left
+/// outside still holds a route whose whole chain is outside too.
+///
+/// Failures retire only routed nodes (`ABSORB_UNROUTED = false`).
+/// Restorations may root a retirement at an unrouted node and also pull
+/// in every unrouted neighbor of a retired node, transitively: those
+/// have nothing to lose, and with them inside, a re-drain that hands a
+/// retired node a route it can now export never spills past the log.
+fn retire_subtrees<const ABSORB_UNROUTED: bool>(
+    topo: &Topology,
+    gen: u32,
+    best: &[BestRoute],
+    slots: &mut [Slot],
+    scratch: &mut DeltaScratch,
+    roots: &[NodeId],
+) {
     let dead = gen.wrapping_sub(1);
-    for &child in children {
-        scratch.log(child, best[child as usize]);
-        slots[child as usize].stamp = dead;
+    for &root in roots {
+        let ri = root as usize;
+        let had = !ABSORB_UNROUTED || slots[ri].stamp == gen;
+        scratch.log(root, if had { best[ri] } else { WAS_UNROUTED });
+        slots[ri].stamp = dead;
     }
     let mut head = 0;
     while head < scratch.undo.len() {
         let (x, _) = scratch.undo[head];
         head += 1;
         for &(v, _) in topo.neighbors(x) {
-            if slots[v as usize].stamp == gen && best[v as usize].next == x {
-                scratch.log(v, best[v as usize]);
-                slots[v as usize].stamp = dead;
+            let vi = v as usize;
+            if slots[vi].stamp == gen {
+                if best[vi].next == x {
+                    scratch.log(v, best[vi]);
+                    slots[vi].stamp = dead;
+                }
+            } else if ABSORB_UNROUTED {
+                scratch.log(v, WAS_UNROUTED); // no-op for one already retired
             }
         }
     }
+}
 
-    // --- Cone re-solve --------------------------------------------------
-    // Re-run the three sweeps restricted to the cone. Everything outside
-    // keeps its base assignment and acts as the intact boundary; each
-    // sweep is seeded with exactly the offers the full masked run would
-    // deliver into the cone from settled nodes, so winners and tie-breaks
-    // come out bit-for-bit identical.
+/// Re-run the three sweeps restricted to the retired set (`scratch.undo`).
+/// Everything outside keeps its assignment and acts as the intact
+/// boundary; each sweep is seeded with exactly the offers the full masked
+/// run would deliver into the set from settled nodes, so winners and
+/// tie-breaks come out bit-for-bit identical. Re-settled nodes land in
+/// `scratch.inner.routed`; returns how many retired nodes stayed
+/// unrouted.
+fn redrain_retired(
+    topo: &Topology,
+    gen: u32,
+    mask: Mask<'_>,
+    round: &mut u32,
+    best: &mut [BestRoute],
+    slots: &mut [Slot],
+    scratch: &mut DeltaScratch,
+) -> usize {
     let cone = scratch.undo.len();
     let (undo, inner) = (&scratch.undo, &mut scratch.inner);
     let mut sw = Sweep {
@@ -987,24 +1059,7 @@ fn redrain_cones(
     });
     sw.drain(RouteClass::Provider, Edges::Down);
 
-    let disconnected = cone - sw.routed.len();
-
-    // --- Improvement wave -----------------------------------------------
-    // Losing a link can *shorten* routes outside the cone: a cone node
-    // demoted across sweeps (e.g. peer-class via the dead link to a
-    // shorter provider-class fallback) now delivers its sweep-3 offers at
-    // an earlier hop level, and nodes below it may switch to the better
-    // offer. Only sweep-3 deliveries can ever improve — customer-class
-    // levels are plain BFS distances over a shrinking edge set, and
-    // peer-class levels derive from them — so the wave is exactly a
-    // bucket-queue relaxation of provider-class routes down customer and
-    // sibling links, seeded by every re-settled cone node and propagated
-    // from every node whose route got strictly shorter. The argument only
-    // uses that the edge set *shrank*, so it holds verbatim for a batch
-    // of simultaneous failures.
-    improve_wave(topo, gen, mask, round, best, slots, scratch);
-
-    disconnected
+    cone - sw.routed.len()
 }
 
 /// Phase 2 of the delta re-solve: relax provider-class improvements down
@@ -1027,7 +1082,7 @@ fn improve_wave(
             && best[x as usize].len as usize >= lvl
     };
 
-    let DeltaScratch { undo, logged, logged_gen, inner } = scratch;
+    let DeltaScratch { undo, logged, logged_gen, inner, .. } = scratch;
     let round = next_round(round, slots);
     let mut live = 0usize;
 

@@ -22,15 +22,59 @@
 //!   so an endpoint that upgrades (say peer@2 to customer@9) makes
 //!   every route through it *longer* while better in class, worsening
 //!   its customers' routes. A relaxation that only ever improves nodes
-//!   is therefore unsound for restorations. Instead the engine runs an
-//!   exact **endpoint stability test**: a restored link changes the
-//!   stable state iff one of its endpoints would change its selection
-//!   (candidate sets elsewhere depend only on neighbor selections, so
-//!   if both endpoints hold, the old state is still a stable state —
-//!   and Gao-Rexford stable states are unique, so it is *the* state).
+//!   is therefore unsound for restorations. The cone machinery does not
+//!   need monotonicity, though, so an up costs what a down costs — a
+//!   **retire-and-re-drain worklist**:
+//!
+//!   1. *Seed* with every restored-link endpoint that strictly prefers,
+//!      under `(class, length, next-hop ASN)`, the offer now arriving
+//!      over its link. The table was stable before the batch's ups, and
+//!      the only new offers anywhere are the ones crossing the restored
+//!      links, so these are exactly the unstable nodes.
+//!   2. *Retire* the seeds' routing subtrees — the same parent-pointer
+//!      BFS failures use ([`super::retire_subtrees`]); an unrouted seed
+//!      is a subtree of one, and unrouted neighbors of a retired node
+//!      ride along.
+//!   3. *Re-drain* the three sweeps inside the retired set against the
+//!      intact boundary ([`super::redrain_retired`]). The restored edge
+//!      is simply no longer masked, so its offers arrive by themselves.
+//!   4. *Scan* the export edges of every re-settled node whose offers
+//!      changed for a neighbor that is unrouted or strictly prefers the
+//!      new offer; those neighbors seed the next round. The loop ends
+//!      when a scan finds none. Several ups in a batch share one seed
+//!      set and one re-drain, exactly as several downs do.
+//!
+//!   Three facts make every test in that loop O(1) per edge and the
+//!   result exact:
+//!
+//!   * **Closed under subtree.** A node outside the retired set has its
+//!     whole next-hop chain outside (its next hop would have dragged it
+//!     in otherwise), so its current route is still on offer, unchanged.
+//!     It moves only if a *changed* node's offer is strictly better.
+//!   * **A looped offer is never strictly better.** Walking a selected
+//!     path away from the destination, class never improves (a customer
+//!     or peer edge only carries customer-class routes, a sibling edge
+//!     keeps the class, a provider edge yields provider class). If `u`'s
+//!     path runs through `y`, then `y`'s own route is a suffix of it:
+//!     `u` holds a class no better than `y`'s, the class `u` delivers is
+//!     no better than the class it holds, and the offer is at least two
+//!     hops longer. So the comparison needs no path walk to reject
+//!     loops — they lose on their own.
+//!   * **Uniqueness.** When a scan comes back empty, every node holds a
+//!     route that is exactly its next hop's offer and strictly prefers
+//!     no neighbor's. Selection by class, then length, then ASN admits
+//!     one such table (induct on length within each class: customer
+//!     routes are BFS distances up from the destination, peer routes
+//!     hang one peer hop off those, provider routes are BFS distances
+//!     down from everything routed), and the masked full solve is one.
+//!     The table *is* the full solve's, bit for bit.
+//!
 //!   Off-tree restorations — the overwhelming majority under random
-//!   churn — are thus free; a restoration that does shift an endpoint
-//!   pays one full masked re-solve for the whole batch.
+//!   churn — seed nothing and cost two comparisons. **Work budget:**
+//!   should the nodes retired within one `apply` sum to more than the
+//!   node count, the engine stops iterating and runs one full masked
+//!   re-solve ([`ApplyStats::full_resolve`]); that bounds any `apply` at
+//!   about two full solves and guarantees termination.
 //!
 //! The equivalence contract (proptest-pinned below): after any sequence
 //! of batches, the table is bit-for-bit identical to (a) applying the
@@ -38,11 +82,11 @@
 //! topology rebuilt without the currently-failed links.
 
 use super::{
-    redrain_cones, route_class_code, BestRoute, DeltaScratch, Mask, RoutingState, Slot,
-    SolveScratch, UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT,
+    redrain_cones, redrain_retired, retire_subtrees, route_class_code, BestRoute, DeltaScratch,
+    Mask, RoutingState, Slot, SolveScratch, UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT,
 };
 use crate::route::ExportScope;
-use miro_topology::{NodeId, Topology};
+use miro_topology::{NodeId, Rel, RouteClass, Topology};
 
 /// One link-state transition in a churn stream. Endpoints are dense
 /// node ids; order does not matter (links are normalized low-high).
@@ -79,15 +123,35 @@ pub struct ApplyStats {
     pub cancelled: usize,
     /// Events naming self-loops or links absent from the topology.
     pub ignored: usize,
-    /// Nodes whose table entry the engine rewrote: invalidated-cone +
-    /// improvement-wave nodes, or the whole table on a full re-solve.
+    /// Table entries the engine retired and re-settled, summed over the
+    /// failure phase (cone + improvement-wave nodes) and every
+    /// restoration round, plus the whole table when the work budget
+    /// forced a full re-solve. A node retired twice counts twice.
     pub recomputed: usize,
     /// Cone nodes that lost reachability in the failure phase (before
     /// any restoration processing).
     pub disconnected: usize,
-    /// Did a restoration shift an endpoint's selection and force a full
-    /// masked re-solve?
+    /// Retire-and-re-drain rounds the restorations took: 0 when no
+    /// endpoint wanted its restored link, 1 when the shift stayed inside
+    /// the retired subtrees, more when it rippled outward.
+    pub restore_rounds: usize,
+    /// Did the restoration worklist exhaust its budget (more nodes
+    /// retired than the topology has) and fall back to one full masked
+    /// re-solve?
     pub full_resolve: bool,
+}
+
+/// A route on offer, as its receiver would rank it: `(class, length,
+/// next-hop ASN)`, lowest wins.
+type OfferKey = (RouteClass, u16, u32);
+
+/// What a sender holding `held` (and numbered `asn`) offers a neighbor to
+/// whom it is `rel_from`; `None` when its export rules withhold the route.
+#[inline]
+fn exported(held: BestRoute, asn: u32, rel_from: Rel) -> Option<OfferKey> {
+    // The export decision is keyed on what the receiver is to the sender.
+    ExportScope::allows(held.class, rel_from.reverse())
+        .then(|| (ExportScope::received_class(held.class, rel_from), held.len + 1, asn))
 }
 
 /// A persistent routing table for one destination under an evolving
@@ -187,11 +251,12 @@ impl<'t> MultiFailState<'t> {
     /// sequence into batches yields the identical table.
     pub fn apply(&mut self, events: &[LinkEvent], scratch: &mut DeltaScratch) -> ApplyStats {
         let mut stats = ApplyStats::default();
+        let n = self.topo.num_nodes();
 
         // --- Net effect -------------------------------------------------
         // Last event per link wins within the batch; a final state equal
         // to the current one nets out and is skipped entirely.
-        let mut finals: Vec<((NodeId, NodeId), bool)> = Vec::with_capacity(events.len());
+        scratch.finals.clear();
         for &ev in events {
             let Some((key, down)) = ev.norm() else {
                 stats.ignored += 1;
@@ -201,45 +266,45 @@ impl<'t> MultiFailState<'t> {
                 stats.ignored += 1;
                 continue;
             }
-            match finals.iter_mut().find(|(k, _)| *k == key) {
+            match scratch.finals.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, d)) => *d = down,
-                None => finals.push((key, down)),
+                None => scratch.finals.push((key, down)),
             }
         }
-        let mut net_downs: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut net_ups: Vec<(NodeId, NodeId)> = Vec::new();
-        for (key, down) in finals {
+        scratch.net_downs.clear();
+        scratch.net_ups.clear();
+        for &(key, down) in &scratch.finals {
             if down == self.failed.binary_search(&key).is_ok() {
                 stats.cancelled += 1;
             } else if down {
-                net_downs.push(key);
+                scratch.net_downs.push(key);
             } else {
-                net_ups.push(key);
+                scratch.net_ups.push(key);
             }
         }
-        stats.downs = net_downs.len();
-        stats.ups = net_ups.len();
+        stats.downs = scratch.net_downs.len();
+        stats.ups = scratch.net_ups.len();
 
         // --- Failures: one union-cone recomputation ---------------------
-        if !net_downs.is_empty() {
-            for &key in &net_downs {
+        let mut roots = std::mem::take(&mut scratch.roots);
+        roots.clear();
+        if stats.downs > 0 {
+            for &key in &scratch.net_downs {
                 let at = self.failed.binary_search(&key).unwrap_err();
                 self.failed.insert(at, key);
             }
             // The child endpoint of a dead link is the one routing
             // *through* it (at most one per link: the parent's own path
             // never descends back into the subtree).
-            let gen = self.gen;
-            let mut children: Vec<NodeId> = Vec::new();
-            for &(a, b) in &net_downs {
+            for &(a, b) in &scratch.net_downs {
                 for (c, p) in [(a, b), (b, a)] {
-                    if self.slots[c as usize].stamp == gen && self.best[c as usize].next == p {
-                        children.push(c);
+                    if self.best(c).is_some_and(|r| r.next == p) {
+                        roots.push(c);
                     }
                 }
             }
-            if !children.is_empty() {
-                scratch.begin(self.topo.num_nodes());
+            if !roots.is_empty() {
+                scratch.begin(n);
                 stats.disconnected = redrain_cones(
                     self.topo,
                     self.gen,
@@ -248,40 +313,130 @@ impl<'t> MultiFailState<'t> {
                     &mut self.best,
                     &mut self.slots,
                     scratch,
-                    &children,
+                    &roots,
                 );
                 stats.recomputed = scratch.undo.len();
+                roots.clear();
             }
         }
 
-        // --- Restorations: stability test, then pay once or not at all --
-        if !net_ups.is_empty() {
-            for &key in &net_ups {
+        // --- Restorations: retire, re-drain, rescan until stable --------
+        if stats.ups > 0 {
+            for &key in &scratch.net_ups {
                 let at = self.failed.binary_search(&key).expect("net-up of a failed link");
                 self.failed.remove(at);
             }
-            let shifted = net_ups
-                .iter()
-                .any(|&(a, b)| self.selection_shifts(a) || self.selection_shifts(b));
-            if shifted {
-                self.resolve_full(scratch);
-                stats.full_resolve = true;
-                stats.recomputed = self.best.len();
+            // The table is stable under the old failed set, and the only
+            // new offers are the ones crossing the restored links.
+            for &(a, b) in &scratch.net_ups {
+                let rel_b = self.topo.rel(a, b).expect("restored link is in the topology");
+                for (x, from, rel_from) in [(a, b, rel_b), (b, a, rel_b.reverse())] {
+                    if self.offer(from, rel_from).is_some_and(|o| self.prefers(x, o)) {
+                        roots.push(x);
+                    }
+                }
+            }
+            while !roots.is_empty() {
+                stats.restore_rounds += 1;
+                scratch.begin(n);
+                retire_subtrees::<true>(
+                    self.topo,
+                    self.gen,
+                    &self.best,
+                    &mut self.slots,
+                    scratch,
+                    &roots,
+                );
+                roots.clear();
+                stats.recomputed += scratch.undo.len();
+                if stats.recomputed > n {
+                    // Work budget spent: settle it in one full solve.
+                    self.resolve_full(scratch);
+                    stats.recomputed += n;
+                    stats.full_resolve = true;
+                    break;
+                }
+                redrain_retired(
+                    self.topo,
+                    self.gen,
+                    Mask::Many(&self.failed),
+                    &mut self.round,
+                    &mut self.best,
+                    &mut self.slots,
+                    scratch,
+                );
+                // Inside the retired set the drain left every node with
+                // its best offer. Outside it, a node's own route still
+                // stands, so only a re-settled node whose offers changed
+                // can unsettle a neighbor.
+                for &(v, old) in &scratch.undo {
+                    let Some(bv) = self.best(v) else { continue };
+                    if (bv.class, bv.len) == (old.class, old.len) {
+                        continue; // next hop aside, v offers what it always did
+                    }
+                    let asn_v = self.topo.asn(v).0;
+                    for &(y, rel_y) in self.topo.neighbors(v) {
+                        if exported(bv, asn_v, rel_y.reverse()).is_some_and(|o| self.prefers(y, o))
+                            && !self.is_failed(v, y)
+                        {
+                            roots.push(y);
+                        }
+                    }
+                }
             }
         }
+        scratch.roots = roots;
 
         stats
     }
 
-    /// Would `x` pick a different route than its current one, given its
-    /// neighbors' current selections and the current failed set? Exact:
-    /// reproduces the stable-state selection rule (export scope, loop
-    /// rejection, class > length > lowest-ASN preference).
-    fn selection_shifts(&self, x: NodeId) -> bool {
-        if x == self.dest {
-            return false; // the origin never re-selects
-        }
-        self.best_candidate(x) != self.best(x)
+    /// The route `from` currently offers a neighbor to whom it is
+    /// `rel_from`: `None` when `from` is unrouted or withholds it. The
+    /// link's own state is the caller's business.
+    #[inline]
+    fn offer(&self, from: NodeId, rel_from: Rel) -> Option<OfferKey> {
+        exported(self.best(from)?, self.topo.asn(from).0, rel_from)
+    }
+
+    /// Does `x` strictly prefer `offer` to the route it holds? O(1): an
+    /// offer whose path loops back through `x` needs no rejecting, it
+    /// is never strictly better (module docs).
+    #[inline]
+    fn prefers(&self, x: NodeId, offer: OfferKey) -> bool {
+        let Some(b) = self.best(x) else { return true };
+        let (class, len, asn) = offer;
+        (class, len) < (b.class, b.len)
+            || ((class, len) == (b.class, b.len) && asn < self.topo.asn(b.next).0)
+    }
+
+    /// Full three-sweep re-solve under the current failed set, in place.
+    /// Only the restoration work budget's fallback runs it.
+    fn resolve_full(&mut self, scratch: &mut DeltaScratch) {
+        let inner = &mut scratch.inner;
+        inner.best = std::mem::take(&mut self.best);
+        inner.slots = std::mem::take(&mut self.slots);
+        inner.gen = self.gen;
+        // No live slot tag may outrun the round counter it is used with.
+        inner.round = inner.round.max(self.round);
+        let st =
+            RoutingState::solve_core(self.topo, self.dest, Mask::Many(&self.failed), None, inner);
+        let RoutingState { best, slots, gen, round, .. } = st;
+        self.best = best;
+        self.slots = slots;
+        self.gen = gen;
+        self.round = round;
+    }
+}
+
+/// The selection rule spelled out — every neighbor, export scope, loop
+/// rejection by path walk, class > length > lowest-ASN preference. The
+/// engine's O(1) tests lean on lemmas instead; tests hold them to this.
+#[cfg(test)]
+impl MultiFailState<'_> {
+    /// Does every node hold exactly the route it would select from its
+    /// neighbors' current routes?
+    fn is_stable(&self) -> bool {
+        self.topo.nodes().all(|x| x == self.dest || self.best_candidate(x) == self.best(x))
     }
 
     /// The route `x` would select from its neighbors' current routes.
@@ -326,23 +481,6 @@ impl<'t> MultiFailState<'t> {
         }
         false
     }
-
-    /// Full three-sweep re-solve under the current failed set, in place.
-    fn resolve_full(&mut self, scratch: &mut DeltaScratch) {
-        let inner = &mut scratch.inner;
-        inner.best = std::mem::take(&mut self.best);
-        inner.slots = std::mem::take(&mut self.slots);
-        inner.gen = self.gen;
-        // No live slot tag may outrun the round counter it is used with.
-        inner.round = inner.round.max(self.round);
-        let st =
-            RoutingState::solve_core(self.topo, self.dest, Mask::Many(&self.failed), None, inner);
-        let RoutingState { best, slots, gen, round, .. } = st;
-        self.best = best;
-        self.slots = slots;
-        self.gen = gen;
-        self.round = round;
-    }
 }
 
 #[cfg(test)]
@@ -385,7 +523,10 @@ mod tests {
 
         let stats = st.apply(&[LinkEvent::Up(b, e)], &mut scratch);
         assert_eq!(stats.ups, 1);
-        assert!(stats.full_resolve, "restoring an adopted link shifts its endpoint");
+        // B wants its customer route back: one round retires B and A,
+        // and nobody outside that subtree cares.
+        assert_eq!((stats.restore_rounds, stats.recomputed), (1, 2));
+        assert!(!stats.full_resolve, "a shifting restoration costs its cone, not a re-solve");
         assert!(st.failed_links().is_empty());
         assert_eq!(st.table_fnv(), base);
         assert_eq!(st.path(a), Some(vec![b, e, f]));
@@ -439,12 +580,172 @@ mod tests {
         assert_eq!(stats.cancelled, 1);
         assert!(st.failed_links().is_empty());
     }
+
+    /// A hand-drawn topology from `(provider, customer)` and peer pairs,
+    /// by ASN.
+    fn draw(provider_customer: &[(u32, u32)], peers: &[(u32, u32)]) -> Topology {
+        let mut b = TopologyBuilder::new();
+        for &(x, y) in provider_customer.iter().chain(peers) {
+            b.intern_as(AsId(x));
+            b.intern_as(AsId(y));
+        }
+        for &(p, c) in provider_customer {
+            b.provider_customer(AsId(p), AsId(c));
+        }
+        for &(x, y) in peers {
+            b.peering(AsId(x), AsId(y));
+        }
+        b.build().unwrap()
+    }
+
+    /// `(class, hops, next-hop ASN)` of `asn`'s selected route.
+    fn route(st: &MultiFailState<'_>, asn: u32) -> Option<(RouteClass, u16, u32)> {
+        let x = st.topo.node(AsId(asn)).unwrap();
+        st.best(x).map(|b| (b.class, b.len, st.topo.asn(b.next).0))
+    }
+
+    /// The table must be the full masked solve's and pass the spelled-out
+    /// selection rule at every node.
+    fn assert_is_masked_solve(st: &MultiFailState<'_>) {
+        let masked = RoutingState::solve_core(
+            st.topo,
+            st.dest,
+            Mask::Many(st.failed_links()),
+            None,
+            &mut SolveScratch::new(),
+        );
+        for x in st.topo.nodes() {
+            assert_eq!(st.best(x), masked.best(x), "node AS{}", st.topo.asn(x).0);
+        }
+        assert!(st.is_stable());
+    }
+
+    /// The module docs' case: a restoration upgrades X from a short peer
+    /// route to a long customer route. X's customers get *worse* (one
+    /// finds a better provider elsewhere), while X's peer Q, outside the
+    /// retired subtree, now hears a peer-class route it prefers — the
+    /// second round.
+    #[test]
+    fn class_upgrade_that_lengthens_ripples_to_a_peer() {
+        use RouteClass::*;
+        // Dest 1. P=2 provides 1. X=10 peers with P and heads a customer
+        // chain 10 > 11 > ... > 18 > 1 (nine hops). Y=20 buys from X and
+        // from W=30, which sits four provider hops under P (2 > 31 > 32 >
+        // 30). Z=21 buys from Y. Q=40 peers with X and buys from P; S=42
+        // buys from Q.
+        let mut pc = vec![(2, 1), (18, 1), (10, 20), (30, 20), (20, 21)];
+        pc.extend((10..18).map(|a| (a, a + 1)));
+        pc.extend([(2, 31), (31, 32), (32, 30), (2, 40), (40, 42)]);
+        let topo = draw(&pc, &[(10, 2), (10, 40)]);
+        let n = |asn: u32| topo.node(AsId(asn)).unwrap();
+        let mut st = MultiFailState::solve(&topo, n(1), &mut SolveScratch::new());
+        let mut scratch = DeltaScratch::new();
+
+        st.apply(&[LinkEvent::Down(n(10), n(11))], &mut scratch);
+        assert_eq!(route(&st, 10), Some((Peer, 2, 2)));
+        assert_eq!(route(&st, 20), Some((Provider, 3, 10)));
+        assert_eq!(route(&st, 21), Some((Provider, 4, 20)));
+        assert_eq!(route(&st, 40), Some((Provider, 2, 2)));
+        assert_eq!(route(&st, 42), Some((Provider, 3, 40)));
+
+        let stats = st.apply(&[LinkEvent::Up(n(10), n(11))], &mut scratch);
+        assert_eq!(route(&st, 10), Some((Customer, 9, 11)), "class outranks length");
+        assert_eq!(route(&st, 20), Some((Provider, 5, 30)), "Y leaves the lengthened X for W");
+        assert_eq!(route(&st, 21), Some((Provider, 6, 20)));
+        assert_eq!(route(&st, 40), Some((Peer, 10, 10)), "X now exports to its peer");
+        assert_eq!(route(&st, 42), Some((Provider, 11, 40)));
+        assert_eq!(route(&st, 11), Some((Customer, 8, 12)), "the chain never moved");
+        // Round 1 retires {X, Y, Z}; its scan finds Q; round 2 retires
+        // {Q, S}.
+        assert_eq!((stats.restore_rounds, stats.recomputed), (2, 5));
+        assert!(!stats.full_resolve);
+        assert_is_masked_solve(&st);
+    }
+
+    /// A restoration that reconnects a cut-off subtree: the endpoint is
+    /// unrouted (a retired subtree of one), its unrouted neighbors ride
+    /// along, and one round re-settles everything that can be reached —
+    /// G, a provider the endpoint may not export to, stays dark.
+    #[test]
+    fn up_reconnects_a_disconnected_subtree() {
+        use RouteClass::*;
+        // 1 > 2 > {3 > 5, 4}, and 6 > 2 with no other customer.
+        let topo = draw(&[(1, 2), (2, 3), (2, 4), (3, 5), (6, 2)], &[]);
+        let n = |asn: u32| topo.node(AsId(asn)).unwrap();
+        let mut st = MultiFailState::solve(&topo, n(1), &mut SolveScratch::new());
+        let mut scratch = DeltaScratch::new();
+
+        let stats = st.apply(&[LinkEvent::Down(n(1), n(2))], &mut scratch);
+        assert_eq!((stats.recomputed, stats.disconnected), (4, 4));
+        assert_eq!(st.reachable_count(), 1);
+
+        let stats = st.apply(&[LinkEvent::Up(n(1), n(2))], &mut scratch);
+        assert_eq!(route(&st, 2), Some((Provider, 1, 1)));
+        assert_eq!(route(&st, 3), Some((Provider, 2, 2)));
+        assert_eq!(route(&st, 4), Some((Provider, 2, 2)));
+        assert_eq!(route(&st, 5), Some((Provider, 3, 3)));
+        assert_eq!(route(&st, 6), None, "provider routes are not exported upward");
+        assert_eq!((stats.restore_rounds, stats.recomputed), (1, 5));
+        assert!(!stats.full_resolve);
+        assert_is_masked_solve(&st);
+    }
+
+    /// One batch, a failure and a restoration whose cones overlap: the
+    /// failure phase strands D, the restoration phase retires B's subtree
+    /// and sweeps D up again as an unrouted neighbor.
+    #[test]
+    fn mixed_batch_with_overlapping_cones() {
+        let (topo, [a, b, c, d, e, f]) = figure_1_1();
+        let mut st = MultiFailState::solve(&topo, f, &mut SolveScratch::new());
+        let mut scratch = DeltaScratch::new();
+        st.apply(&[LinkEvent::Down(b, e)], &mut scratch);
+        assert_eq!(st.path(a), Some(vec![b, c, f]));
+        assert_eq!(st.path(d), Some(vec![e, f]));
+
+        let stats = st.apply(&[LinkEvent::Up(b, e), LinkEvent::Down(d, e)], &mut scratch);
+        assert_eq!((stats.downs, stats.ups, stats.disconnected), (1, 1, 1));
+        assert_eq!(st.path(b), Some(vec![e, f]));
+        assert_eq!(st.path(a), Some(vec![b, e, f]));
+        assert_eq!(st.path(d), None, "A's provider route is not exported up to D");
+        // Failure cone {D}; restoration retires {B, A} and absorbs D.
+        assert_eq!((stats.restore_rounds, stats.recomputed), (1, 4));
+        assert!(!stats.full_resolve);
+        assert_is_masked_solve(&st);
+    }
+
+    /// The work budget: a batch whose failure cone and restoration
+    /// subtree together outnumber the topology falls back to one full
+    /// masked re-solve and says so.
+    #[test]
+    fn budget_fallback_resolves_in_full() {
+        use RouteClass::*;
+        // Dest 1 buys from 2 and 3; T=4 provides both and five stubs.
+        let mut pc = vec![(2, 1), (3, 1), (4, 2), (4, 3)];
+        pc.extend((5..10).map(|stub| (4, stub)));
+        let topo = draw(&pc, &[]);
+        let n = |asn: u32| topo.node(AsId(asn)).unwrap();
+        let nodes = topo.num_nodes();
+        let mut st = MultiFailState::solve(&topo, n(1), &mut SolveScratch::new());
+        let mut scratch = DeltaScratch::new();
+        st.apply(&[LinkEvent::Down(n(4), n(2))], &mut scratch);
+        assert_eq!(route(&st, 4), Some((Customer, 2, 3)));
+
+        // The failure strands T and its stubs (6 nodes); the restoration
+        // retires the same 6: 12 > 9 nodes.
+        let stats =
+            st.apply(&[LinkEvent::Down(n(4), n(3)), LinkEvent::Up(n(4), n(2))], &mut scratch);
+        assert!(stats.full_resolve);
+        assert_eq!((stats.restore_rounds, stats.recomputed), (1, 6 + 6 + nodes));
+        assert_eq!(route(&st, 4), Some((Customer, 2, 2)));
+        assert_eq!(route(&st, 9), Some((Provider, 3, 4)));
+        assert_is_masked_solve(&st);
+    }
 }
 
 #[cfg(test)]
 mod equivalence {
     use super::*;
-    use miro_topology::{AsId, Rel, TopologyBuilder};
+    use miro_topology::{AsId, GenParams, Rel, TopologyBuilder};
     use proptest::prelude::*;
 
     const N: u32 = 24;
@@ -507,6 +808,38 @@ mod equivalence {
         }
     }
 
+    /// Replay `events` batched (chopped along `cuts`, cycling, so batch
+    /// boundaries are arbitrary) and serially, holding the batched table
+    /// to the whole contract after every batch.
+    fn replay_and_check(t: &Topology, dest: NodeId, events: &[LinkEvent], cuts: &[u8]) {
+        let n = t.num_nodes();
+        let mut solve = SolveScratch::new();
+        let mut batched = MultiFailState::solve(t, dest, &mut solve);
+        let mut serial = MultiFailState::solve(t, dest, &mut solve);
+        let (mut sb, mut ss) = (DeltaScratch::new(), DeltaScratch::new());
+        let mut sizes = if cuts.is_empty() { &[3][..] } else { cuts }.iter().cycle();
+        let mut rest = events;
+        while !rest.is_empty() {
+            let (batch, tail) = rest.split_at((*sizes.next().unwrap() as usize).min(rest.len()));
+            rest = tail;
+
+            let stats = batched.apply(batch, &mut sb);
+            // The full re-solve is the budget fallback and nothing else.
+            assert_eq!(stats.full_resolve, stats.recomputed > 2 * n);
+            assert!(stats.full_resolve || stats.recomputed <= n);
+            for ev in batch {
+                serial.apply(std::slice::from_ref(ev), &mut ss);
+            }
+            assert_eq!(batched.failed_links(), serial.failed_links());
+            for x in t.nodes() {
+                assert_eq!(batched.best(x), serial.best(x), "serial diverged at {x}");
+            }
+            assert_eq!(batched.table_fnv(), serial.table_fnv());
+            assert!(batched.is_stable(), "a node prefers a neighbor's offer");
+            assert_matches_oracles(&batched, t, dest);
+        }
+    }
+
     /// Strategy: a churn script over the node-pair space, plus how to
     /// chop it into co-temporal batches. Down/up pairs over the same
     /// links recur with high probability at this range, so cancelling
@@ -542,34 +875,51 @@ mod equivalence {
                 })
                 .collect();
 
-            let mut solve = SolveScratch::new();
-            let mut batched = MultiFailState::solve(&t, dest, &mut solve);
-            let mut serial = MultiFailState::solve(&t, dest, &mut solve);
-            let mut sb = DeltaScratch::new();
-            let mut ss = DeltaScratch::new();
+            replay_and_check(&t, dest, &events, &cuts);
+        }
 
-            // Chop the script into batches along the `cuts` sizes
-            // (cycling), so batch boundaries are arbitrary.
-            let mut at = 0usize;
-            let mut cut_i = 0usize;
-            while at < events.len() {
-                let take = if cuts.is_empty() { 3 } else { cuts[cut_i % cuts.len()] as usize };
-                cut_i += 1;
-                let batch = &events[at..(at + take).min(events.len())];
-                at += batch.len();
+        /// The same contract where restorations bite: a generated
+        /// hierarchy, a handful of flappers — half of them links of the
+        /// destination's own routing tree, so their restorations shift an
+        /// endpoint — and a long down/up script over just those links.
+        #[test]
+        fn long_flap_scripts_on_generated_hierarchies(
+            (seed, dest_raw, picks, script, cuts) in (
+                0u64..64,
+                0u32..120,
+                proptest::collection::vec(0u32..100_000, 2..8),
+                proptest::collection::vec((0u8..8, 0u8..2), 100..400),
+                proptest::collection::vec(1u8..6, 1..12),
+            )
+        ) {
+            let t = GenParams::tiny(1_000 + seed).generate();
+            let n = t.num_nodes();
+            let dest = dest_raw % n as u32;
+            let base = RoutingState::solve(&t, dest);
+            let links: Vec<(NodeId, NodeId)> = t
+                .nodes()
+                .flat_map(|x| t.neighbors(x).iter().map(move |&(y, _)| (x, y)))
+                .filter(|&(x, y)| x < y)
+                .collect();
+            let flappers: Vec<(NodeId, NodeId)> = picks
+                .iter()
+                .map(|&p| {
+                    let x = (p / 2) % n as u32;
+                    match base.best(x) {
+                        Some(b) if p % 2 == 0 && x != dest => (x, b.next),
+                        _ => links[(p / 2) as usize % links.len()],
+                    }
+                })
+                .collect();
+            let events: Vec<LinkEvent> = script
+                .iter()
+                .map(|&(which, down)| {
+                    let (a, b) = flappers[which as usize % flappers.len()];
+                    if down == 1 { LinkEvent::Down(a, b) } else { LinkEvent::Up(a, b) }
+                })
+                .collect();
 
-                batched.apply(batch, &mut sb);
-                for &ev in batch {
-                    serial.apply(std::slice::from_ref(&ev), &mut ss);
-                }
-
-                prop_assert_eq!(batched.failed_links(), serial.failed_links());
-                for x in t.nodes() {
-                    prop_assert_eq!(batched.best(x), serial.best(x), "serial diverged at {}", x);
-                }
-                prop_assert_eq!(batched.table_fnv(), serial.table_fnv());
-                assert_matches_oracles(&batched, &t, dest);
-            }
+            replay_and_check(&t, dest, &events, &cuts);
         }
 
         /// An explicit cancellation storm: every event is immediately

@@ -27,7 +27,7 @@
 
 use crate::trace::{EventKind, Trace, TraceError};
 use miro_bgp::sim::{GaoRexford, Outcome, Sim};
-use miro_bgp::solver::multi::{LinkEvent, MultiFailState};
+use miro_bgp::solver::multi::{ApplyStats, LinkEvent, MultiFailState};
 use miro_bgp::solver::{DeltaScratch, SolveScratch};
 use miro_core::tunnel::TunnelManager;
 use miro_topology::{AsId, NodeId, Topology};
@@ -123,8 +123,8 @@ pub struct DeltaReplayReport {
     pub ignored: usize,
     /// Table entries rewritten across the whole replay.
     pub recomputed: usize,
-    /// Batches that forced a full masked re-solve (restoration shifted an
-    /// endpoint's selection).
+    /// Applies whose restoration worklist spent its budget and fell back
+    /// to a full masked re-solve.
     pub full_resolves: usize,
     /// Per-batch recomputed-entry counts: p50.
     pub recompute_p50: u64,
@@ -132,6 +132,13 @@ pub struct DeltaReplayReport {
     pub recompute_p95: u64,
     /// Per-batch recomputed-entry counts: max.
     pub recompute_max: u64,
+    /// Retire-and-re-drain rounds of the batch's deepest `apply` — how
+    /// far a restoration rippled: p50.
+    pub restore_rounds_p50: u64,
+    /// Deepest-apply restoration rounds per batch: p95.
+    pub restore_rounds_p95: u64,
+    /// Deepest-apply restoration rounds per batch: max.
+    pub restore_rounds_max: u64,
     /// MIRO tunnels torn down because churn cut their negotiated path.
     pub tunnel_teardowns: usize,
     /// Torn-down tunnels successfully re-negotiated over a fresh path.
@@ -171,9 +178,12 @@ impl TunnelFleet {
         TunnelFleet { fleet, teardowns: 0, renegotiations: 0 }
     }
 
-    /// After a batch: sweep every owner's tunnels against the failed-link
-    /// set and against route changes, then re-negotiate where the owner
-    /// still has a route.
+    /// After a batch that rewrote some table entry: sweep every owner's
+    /// tunnels against the failed-link set and against route changes,
+    /// then re-negotiate where the owner still has a route. (Tunnels
+    /// follow the owner's current best path, which never crosses a failed
+    /// link, so a batch that recomputed nothing cannot cut one and the
+    /// caller skips the sweep.)
     fn sweep(&mut self, engine: &MultiFailState<'_>, now: u64) {
         for (owner, mgr) in &mut self.fleet {
             let cut = mgr.sweep_failed_links(*owner, |a, b| engine.is_failed(a, b));
@@ -249,45 +259,42 @@ pub fn replay_delta(
     let mut fleets: Vec<TunnelFleet> = engines.iter().map(TunnelFleet::establish).collect();
     let mut scratch = DeltaScratch::new();
 
-    let mut downs = 0usize;
-    let mut ups = 0usize;
-    let mut cancelled = 0usize;
-    let mut ignored = 0usize;
-    let mut recomputed = 0usize;
+    let mut total = ApplyStats::default();
     let mut full_resolves = 0usize;
     let mut per_batch_recompute: Vec<u64> = Vec::with_capacity(batches.len());
+    let mut per_batch_rounds: Vec<u64> = Vec::with_capacity(batches.len());
 
     let start = Instant::now();
     for (bi, evs) in batches.iter().enumerate() {
-        let mut batch_recompute = 0u64;
+        let mut batch_recompute = 0usize;
+        let mut batch_rounds = 0usize;
         for (engine, fleet) in engines.iter_mut().zip(&mut fleets) {
+            let mut engine_recompute = 0usize;
+            let mut tally = |s: ApplyStats| {
+                total.downs += s.downs;
+                total.ups += s.ups;
+                total.cancelled += s.cancelled;
+                total.ignored += s.ignored;
+                full_resolves += s.full_resolve as usize;
+                engine_recompute += s.recomputed;
+                batch_rounds = batch_rounds.max(s.restore_rounds);
+            };
             match mode {
-                BatchMode::Batched => {
-                    let s = engine.apply(evs, &mut scratch);
-                    downs += s.downs;
-                    ups += s.ups;
-                    cancelled += s.cancelled;
-                    ignored += s.ignored;
-                    recomputed += s.recomputed;
-                    full_resolves += s.full_resolve as usize;
-                    batch_recompute += s.recomputed as u64;
-                }
+                BatchMode::Batched => tally(engine.apply(evs, &mut scratch)),
                 BatchMode::Serial => {
-                    for &ev in evs {
-                        let s = engine.apply(std::slice::from_ref(&ev), &mut scratch);
-                        downs += s.downs;
-                        ups += s.ups;
-                        cancelled += s.cancelled;
-                        ignored += s.ignored;
-                        recomputed += s.recomputed;
-                        full_resolves += s.full_resolve as usize;
-                        batch_recompute += s.recomputed as u64;
+                    for ev in evs {
+                        tally(engine.apply(std::slice::from_ref(ev), &mut scratch));
                     }
                 }
             }
-            fleet.sweep(engine, times[bi]);
+            if engine_recompute > 0 {
+                fleet.sweep(engine, times[bi]);
+            }
+            batch_recompute += engine_recompute;
         }
-        per_batch_recompute.push(batch_recompute);
+        total.recomputed += batch_recompute;
+        per_batch_recompute.push(batch_recompute as u64);
+        per_batch_rounds.push(batch_rounds as u64);
     }
     let elapsed_ns = start.elapsed().as_nanos() as u64;
 
@@ -309,15 +316,18 @@ pub fn replay_delta(
         elapsed_ns,
         events_per_sec: applied as f64 / (elapsed_ns.max(1) as f64 / 1e9),
         table_fnv,
-        downs,
-        ups,
-        cancelled,
-        ignored,
-        recomputed,
+        downs: total.downs,
+        ups: total.ups,
+        cancelled: total.cancelled,
+        ignored: total.ignored,
+        recomputed: total.recomputed,
         full_resolves,
         recompute_p50: percentile(&per_batch_recompute, 50),
         recompute_p95: percentile(&per_batch_recompute, 95),
         recompute_max: per_batch_recompute.iter().copied().max().unwrap_or(0),
+        restore_rounds_p50: percentile(&per_batch_rounds, 50),
+        restore_rounds_p95: percentile(&per_batch_rounds, 95),
+        restore_rounds_max: per_batch_rounds.iter().copied().max().unwrap_or(0),
         tunnel_teardowns: fleets.iter().map(|f| f.teardowns).sum(),
         tunnel_renegotiations: fleets.iter().map(|f| f.renegotiations).sum(),
     })

@@ -250,6 +250,11 @@ fn format_delta_report(r: &DeltaReplayReport) -> String {
     );
     let _ = writeln!(
         out,
+        "  restoration rounds (deepest apply per batch): p50 {} / p95 {} / max {}",
+        r.restore_rounds_p50, r.restore_rounds_p95, r.restore_rounds_max
+    );
+    let _ = writeln!(
+        out,
         "  tunnels: {} teardowns, {} re-negotiations; table fnv {:#018x}",
         r.tunnel_teardowns, r.tunnel_renegotiations, r.table_fnv
     );
@@ -338,7 +343,7 @@ pub fn run_bench(args: &[String]) -> Result<String, String> {
         out.push_str("row schemas:\n");
         out.push_str(
             "  rows[] = {mode, events_per_sec, elapsed_ms, downs, ups, cancelled, \
-             recomputed, full_resolves, table_fnv}\n",
+             recomputed, full_resolves, restore_rounds{p50,p95,max}, table_fnv}\n",
         );
         out.push_str(
             "  sim    = {lag_p50, lag_p95, lag_max, converged_batches, diverged_batches, \
@@ -388,12 +393,16 @@ pub fn run_bench(args: &[String]) -> Result<String, String> {
     for r in [&serial, &batched] {
         let _ = writeln!(
             report,
-            "  {:<8} {:>10.0} events/s | {:>8.2} ms | {:>8} recomputed | {:>4} full re-solves",
+            "  {:<8} {:>10.0} events/s | {:>8.2} ms | {:>8} recomputed | {:>4} full re-solves \
+             | restore rounds p50 {} / p95 {} / max {}",
             r.mode.name(),
             r.events_per_sec,
             r.elapsed_ns as f64 / 1e6,
             r.recomputed,
-            r.full_resolves
+            r.full_resolves,
+            r.restore_rounds_p50,
+            r.restore_rounds_p95,
+            r.restore_rounds_max
         );
     }
     let _ = writeln!(
@@ -473,7 +482,8 @@ fn to_json(
             out,
             "    {{\"mode\": \"{}\", \"events_per_sec\": {:.1}, \"elapsed_ms\": {:.3}, \
              \"downs\": {}, \"ups\": {}, \"cancelled\": {}, \"recomputed\": {}, \
-             \"full_resolves\": {}, \"table_fnv\": \"{:#018x}\"}}{comma}",
+             \"full_resolves\": {}, \"restore_rounds\": {{\"p50\": {}, \"p95\": {}, \
+             \"max\": {}}}, \"table_fnv\": \"{:#018x}\"}}{comma}",
             r.mode.name(),
             r.events_per_sec,
             r.elapsed_ns as f64 / 1e6,
@@ -482,6 +492,9 @@ fn to_json(
             r.cancelled,
             r.recomputed,
             r.full_resolves,
+            r.restore_rounds_p50,
+            r.restore_rounds_p95,
+            r.restore_rounds_max,
             r.table_fnv,
         );
     }
