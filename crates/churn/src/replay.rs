@@ -506,6 +506,9 @@ mod tests {
     fn percentile_is_nearest_rank() {
         assert_eq!(percentile(&[], 50), 0);
         assert_eq!(percentile(&[7], 95), 7);
+        // Two samples: the median is the lower one (rank ceil(2 * 0.5) = 1),
+        // where a floor-index percentile would return the larger.
+        assert_eq!((percentile(&[9, 3], 50), percentile(&[9, 3], 99)), (3, 9));
         let v: Vec<u64> = (1..=100).collect();
         assert_eq!(percentile(&v, 50), 50);
         assert_eq!(percentile(&v, 95), 95);

@@ -33,26 +33,36 @@
 //! bench asserts the answers agree. `--check-delta-speedup F` turns the
 //! reported speedup into a hard gate for CI.
 
+use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Rng, TempPath, SEED};
 use miro_bgp::engine::par_over_dests;
 use miro_bgp::solver::{reference, DeltaScratch, RoutingState, SolveScratch};
-use miro_topology::gen::DatasetPreset;
 use miro_topology::{NodeId, Topology};
+use serde::Serialize;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// One benchmark scale. `tiny` exists so tests and smoke scripts can
-/// exercise the full code path in milliseconds; `internet` is the
-/// RouteViews-shaped 70k-AS graph and is run on demand (`--scale
-/// internet`), not as part of `all` — a whole-network bucket sweep over
-/// 70k destinations is minutes of work, not CI material.
+pub static CMD: Cmd = Cmd {
+    name: "bench-solver",
+    positional: &[],
+    flags: &[
+        Flag { name: "--scale", kind: Kind::Str, default: "all", help: "comma-separated scales; `all` is the CI-sized ones" },
+        Flag { name: "--threads", kind: Kind::UsizeList, default: "1,2,4,8,16", help: "bucket-engine thread counts, one row each" },
+        Flag { name: "--out", kind: Kind::Str, default: "BENCH_solver.json", help: "where the JSON lands" },
+        Flag { name: "--check-delta-speedup", kind: Kind::F64, default: "", help: "fail under this incremental-vs-full speedup" },
+        Flag { name: "--check-scaling", kind: Kind::F64, default: "", help: "fail under this multi-thread efficiency" },
+        Flag { name: "--shard-workers", kind: Kind::Num, default: "0", help: "also time the sharded table build over N workers" },
+        Flag { name: "--list", kind: Kind::Switch, default: "", help: "print scales, row schemas and flags; run nothing" },
+    ],
+};
+
+/// What `bench-solver` adds to a [`harness::Scale`]. `internet` is run on
+/// demand (`--scale internet`), not as part of `all` — a whole-network
+/// bucket sweep over 70k destinations is minutes of work, not CI material.
 #[derive(Debug)]
 struct Scale {
     name: &'static str,
-    preset: DatasetPreset,
-    /// Multiplier on the preset's calibrated node count.
-    factor: f64,
     /// Timing repetitions (best-of).
     reps: u32,
     /// Included in `--scale all`.
@@ -66,143 +76,79 @@ struct Scale {
 }
 
 const SCALES: &[Scale] = &[
-    Scale {
-        name: "tiny",
-        preset: DatasetPreset::Gao2005,
-        factor: 0.01,
-        reps: 1,
-        in_all: false,
-        heap_stride: 1,
-    },
-    Scale {
-        name: "small",
-        preset: DatasetPreset::Gao2005,
-        factor: 0.05,
-        reps: 3,
-        in_all: true,
-        heap_stride: 1,
-    },
-    Scale {
-        name: "medium",
-        preset: DatasetPreset::Gao2005,
-        factor: 0.5,
-        reps: 1,
-        in_all: true,
-        heap_stride: 1,
-    },
-    Scale {
-        name: "large",
-        preset: DatasetPreset::Gao2005,
-        factor: 1.0,
-        reps: 1,
-        in_all: true,
-        heap_stride: 1,
-    },
-    Scale {
-        name: "internet",
-        preset: DatasetPreset::InternetScale,
-        factor: 1.0,
-        reps: 1,
-        in_all: false,
-        heap_stride: 64,
-    },
+    Scale { name: "tiny", reps: 1, in_all: false, heap_stride: 1 },
+    Scale { name: "small", reps: 3, in_all: true, heap_stride: 1 },
+    Scale { name: "medium", reps: 1, in_all: true, heap_stride: 1 },
+    Scale { name: "large", reps: 1, in_all: true, heap_stride: 1 },
+    Scale { name: "internet", reps: 1, in_all: false, heap_stride: 64 },
 ];
 
-/// Generation seed: fixed so runs are comparable across machines and PRs.
-const SEED: u64 = 42;
-
-/// One bucket-engine timing at one thread count.
+/// One bucket-engine timing at one thread count. `speedup_vs_1t` and
+/// `efficiency` are `null` when the ladder had no 1-thread reference.
+#[derive(Serialize)]
 struct ThreadRow {
     threads: usize,
-    wall: Duration,
+    ms: f64,
+    speedup_vs_1t: Option<f64>,
+    /// `speedup_vs_1t / min(threads, cores)`: the denominator is capped
+    /// at the machine's available parallelism so rows measured on a
+    /// core-starved host (or oversubscribed thread counts) are judged
+    /// against what the hardware could ever deliver.
+    efficiency: Option<f64>,
 }
 
+/// The 1-thread heap baseline; `sampled` when it was stride-sampled
+/// rather than a full sweep (`dests` is how many it solved).
+#[derive(Serialize)]
+struct HeapRow {
+    threads: usize,
+    dests: usize,
+    sampled: bool,
+    ms: f64,
+    ms_per_dest: f64,
+}
+
+#[derive(Serialize)]
 struct ScaleRow {
-    name: &'static str,
+    scale: &'static str,
     preset: &'static str,
-    factor: f64,
-    reps: u32,
+    preset_scale: f64,
     nodes: usize,
     edges: usize,
+    dests: usize,
+    reps: u32,
     /// Thread-scaling rows, one per `--threads` entry, in list order.
     rows: Vec<ThreadRow>,
-    /// Destinations the heap baseline actually solved (== `nodes` when
-    /// `heap_stride` is 1; fewer means the baseline was stride-sampled).
-    heap_dests: usize,
-    heap: Duration,
-}
-
-impl ScaleRow {
-    /// The 1-thread bucket wall time, if the ladder included one — the
-    /// reference `speedup_vs_1t`/`efficiency` are computed against.
-    fn t1(&self) -> Option<Duration> {
-        self.rows.iter().find(|r| r.threads == 1).map(|r| r.wall)
-    }
-
-    /// Was the heap baseline stride-sampled rather than a full sweep?
-    fn heap_sampled(&self) -> bool {
-        self.heap_dests != self.nodes
-    }
-
-    fn heap_ms_per_dest(&self) -> f64 {
-        self.heap.as_secs_f64() * 1e3 / self.heap_dests.max(1) as f64
-    }
-
+    heap: HeapRow,
     /// 1-thread bucket ms per destination (the single-solve latency the
-    /// frontier packing attacks). Falls back to the first row when the
-    /// ladder skipped 1 thread.
-    fn bucket_ms_per_dest(&self) -> f64 {
-        let wall = self.t1().unwrap_or_else(|| self.rows[0].wall);
-        wall.as_secs_f64() * 1e3 / self.nodes.max(1) as f64
-    }
-
-    /// Per-destination heap/bucket speedup: the honest apples-to-apples
-    /// figure whatever the sampling (`heap_ms_per_dest / bucket_ms_per_dest`).
-    fn speedup_per_dest(&self) -> f64 {
-        self.heap_ms_per_dest() / self.bucket_ms_per_dest().max(1e-12)
-    }
-
-    fn speedup_vs_1t(&self, row: &ThreadRow) -> Option<f64> {
-        self.t1().map(|t1| t1.as_secs_f64() / row.wall.as_secs_f64().max(1e-12))
-    }
-
-    /// Parallel efficiency: `speedup_vs_1t / min(threads, cores)`. The
-    /// denominator is capped at the machine's available parallelism so
-    /// rows measured on a core-starved host (or oversubscribed thread
-    /// counts) are judged against what the hardware could ever deliver.
-    fn efficiency(&self, row: &ThreadRow) -> Option<f64> {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let ideal = row.threads.min(cores).max(1) as f64;
-        self.speedup_vs_1t(row).map(|s| s / ideal)
-    }
+    /// frontier packing attacks); the first row's when the ladder
+    /// skipped 1 thread.
+    bucket_ms_per_dest: f64,
+    heap_ms_per_dest: f64,
+    /// The honest apples-to-apples figure whatever the sampling.
+    speedup_per_dest: f64,
 }
 
 /// The what-if suite result for one scale.
+#[derive(Serialize)]
 struct DeltaRow {
-    name: &'static str,
+    scale: &'static str,
+    threads: usize,
     dests: usize,
     events: usize,
-    /// Total nodes re-routed across every event.
-    recomputed: usize,
-    incremental: Duration,
-    full: Duration,
-}
-
-impl DeltaRow {
-    fn speedup(&self) -> f64 {
-        self.full.as_secs_f64() / self.incremental.as_secs_f64().max(1e-12)
-    }
-
-    fn mean_cone(&self) -> f64 {
-        self.recomputed as f64 / self.events.max(1) as f64
-    }
+    /// Mean nodes re-routed per event.
+    mean_cone: f64,
+    incremental_ms: f64,
+    full_ms: f64,
+    delta_speedup: f64,
 }
 
 /// The sharded whole-table suite result for one scale (only with
 /// `--shard-workers N`, which needs the real `miro` binary on argv[0]
 /// so workers can be spawned — the default 0 skips it).
+#[derive(Serialize)]
 struct ShardRow {
-    name: &'static str,
+    scale: &'static str,
     workers: usize,
     /// Solver threads each worker subprocess runs with (the thread
     /// budget split across workers).
@@ -210,72 +156,46 @@ struct ShardRow {
     dests: usize,
     blocks: usize,
     deaths: usize,
-    sharded: Duration,
-    single: Duration,
-    bytes: usize,
+    table_bytes: usize,
+    sharded_ms: f64,
+    single_ms: f64,
+    shard_speedup: f64,
 }
 
-impl ShardRow {
-    fn speedup(&self) -> f64 {
-        self.single.as_secs_f64() / self.sharded.as_secs_f64().max(1e-12)
-    }
+#[derive(Serialize)]
+struct Report {
+    bench: &'static str,
+    engine: &'static str,
+    baseline: &'static str,
+    seed: u64,
+    scales: Vec<ScaleRow>,
+    delta: Vec<DeltaRow>,
+    shard: Vec<ShardRow>,
 }
 
 /// Hard cap on `--threads`: beyond this the run is certainly a typo, and
 /// `std::thread::scope` would happily spawn them all.
 const MAX_THREADS: usize = 1024;
 
-/// Entry point for `miro bench-solver [--scale S] [--threads LIST]
-/// [--out P] [--check-delta-speedup F] [--check-scaling F] [--list]`.
-/// Returns the human-readable report; the JSON lands in `--out` (default
-/// `BENCH_solver.json`).
+/// Entry point for `miro bench-solver`. Returns the human-readable
+/// report; the JSON lands in `--out`.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let mut scale = "all".to_string();
-    let mut threads_list = "1,2,4,8,16".to_string();
-    let mut out_path = "BENCH_solver.json".to_string();
-    let mut check_delta: Option<f64> = None;
-    let mut check_scaling: Option<f64> = None;
-    let mut shard_workers = 0usize;
-    let mut list = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--list" => list = true,
-            "--scale" => scale = val("--scale")?,
-            "--threads" => threads_list = val("--threads")?,
-            "--out" => out_path = val("--out")?,
-            "--check-delta-speedup" => {
-                check_delta = Some(val("--check-delta-speedup")?.parse().map_err(|_| {
-                    "--check-delta-speedup needs a number".to_string()
-                })?);
-            }
-            "--check-scaling" => {
-                check_scaling = Some(val("--check-scaling")?.parse().map_err(|_| {
-                    "--check-scaling needs a number".to_string()
-                })?);
-            }
-            "--shard-workers" => {
-                shard_workers = val("--shard-workers")?
-                    .parse()
-                    .map_err(|_| "--shard-workers needs a number".to_string())?;
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
+    let a = CMD.parse(args)?;
+    let out_path: String = a.get("--out")?;
+    let (check_delta, check_scaling) = (a.opt("--check-delta-speedup")?, a.opt("--check-scaling")?);
+    let shard_workers: usize = a.get("--shard-workers")?;
+    let thread_counts = a.list("--threads")?;
+    if let Some(t) = thread_counts.iter().find(|&&t| t > MAX_THREADS) {
+        return Err(format!("--threads {t} is absurd (max {MAX_THREADS})"));
     }
-    let thread_counts = select_threads(&threads_list)?;
 
-    if list {
+    if a.on("--list") {
         let mut out = String::from("bench-solver scales:\n");
         for sc in SCALES {
             let _ = writeln!(
                 out,
-                "  {:<8} preset={:<12} factor={:<5} reps={} in_all={} heap_stride={}",
-                sc.name,
-                preset_slug(sc.preset),
-                sc.factor,
+                "{} reps={} in_all={} heap_stride={}",
+                harness::scale(sc.name)?,
                 sc.reps,
                 sc.in_all,
                 sc.heap_stride
@@ -298,133 +218,98 @@ pub fn run(args: &[String]) -> Result<String, String> {
             "  shard[]        = {scale, workers, threads_per_worker, dests, blocks, deaths, \
              table_bytes, sharded_ms, single_ms, shard_speedup}\n",
         );
+        out.push_str(&CMD.usage());
         return Ok(out);
     }
 
-    let selected = select_scales(&scale)?;
+    let selected = select_scales(&a.get::<String>("--scale")?)?;
 
     let mut report = format!(
         "bench-solver: whole-network solves, threads {}\n",
         thread_counts.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",")
     );
-    let mut rows = Vec::new();
-    let mut delta_rows = Vec::new();
-    let mut shard_rows = Vec::new();
+    let mut json = Report {
+        bench: "solver-whole-network",
+        engine: "csr-bucket-queue-packed-frontier",
+        baseline: "heap-per-solve-alloc (1 thread, stride-sampled)",
+        seed: SEED,
+        scales: Vec::new(),
+        delta: Vec::new(),
+        shard: Vec::new(),
+    };
     for sc in selected {
-        let topo = sc.preset.params(sc.factor, SEED).generate();
-        let dests: Vec<NodeId> = topo.nodes().collect();
-        let (thread_rows, heap, heap_dests) =
-            time_engines(&topo, &dests, &thread_counts, sc.reps, sc.heap_stride);
-        let row = ScaleRow {
-            name: sc.name,
-            preset: preset_slug(sc.preset),
-            factor: sc.factor,
-            reps: sc.reps,
-            nodes: topo.num_nodes(),
-            edges: topo.num_edges(),
-            rows: thread_rows,
-            heap_dests,
-            heap,
-        };
-        let sampled = if row.heap_sampled() {
-            format!(" (heap sampled {heap_dests} dests)")
+        let base = harness::scale(sc.name)?;
+        let topo = base.preset.params(base.factor, SEED).generate();
+        let row = time_engines(sc, base, &topo, &thread_counts);
+        let sampled = if row.heap.sampled {
+            format!(" (heap sampled {} dests)", row.heap.dests)
         } else {
             String::new()
         };
         let _ = writeln!(
             report,
             "  {:<8} {:>6} nodes {:>6} links | heap(1t) {:>9.2} ms | {:.2}x per dest{}",
-            row.name,
-            row.nodes,
-            row.edges,
-            row.heap.as_secs_f64() * 1e3,
-            row.speedup_per_dest(),
-            sampled
+            row.scale, row.nodes, row.edges, row.heap.ms, row.speedup_per_dest, sampled
         );
         for tr in &row.rows {
-            let vs = row
-                .speedup_vs_1t(tr)
-                .map_or("     -".to_string(), |s| format!("{s:5.2}x"));
-            let eff = row
-                .efficiency(tr)
-                .map_or("   -".to_string(), |e| format!("{e:4.2}"));
+            let vs = tr.speedup_vs_1t.map_or("     -".to_string(), |s| format!("{s:5.2}x"));
+            let eff = tr.efficiency.map_or("   -".to_string(), |e| format!("{e:4.2}"));
             let _ = writeln!(
                 report,
                 "  {:<8}   bucket {:>2}t | {:>9.2} ms | vs 1t {vs} | eff {eff}",
-                row.name,
-                tr.threads,
-                tr.wall.as_secs_f64() * 1e3,
+                row.scale, tr.threads, tr.ms,
             );
         }
-        rows.push(row);
+        json.scales.push(row);
 
         let drow = time_delta_suite(sc.name, &topo, sc.reps);
         let _ = writeln!(
             report,
             "  {:<8} delta: {} dests x {} failures | incremental {:>9.2} ms | full {:>9.2} ms | {:.2}x | mean cone {:.1}",
-            drow.name,
+            drow.scale,
             drow.dests,
             drow.events / drow.dests.max(1),
-            drow.incremental.as_secs_f64() * 1e3,
-            drow.full.as_secs_f64() * 1e3,
-            drow.speedup(),
-            drow.mean_cone(),
+            drow.incremental_ms,
+            drow.full_ms,
+            drow.delta_speedup,
+            drow.mean_cone,
         );
-        delta_rows.push(drow);
+        json.delta.push(drow);
 
         if shard_workers > 0 {
             let budget = thread_counts.iter().copied().max().unwrap_or(1);
-            let srow = time_shard_suite(sc, &topo, shard_workers, budget)?;
+            let srow = time_shard_suite(base, &topo, shard_workers, budget)?;
             let _ = writeln!(
                 report,
                 "  {:<8} shard: {} dests / {} blocks over {} workers | sharded {:>9.2} ms | single {:>9.2} ms | {:.2}x | deaths {}",
-                srow.name,
+                srow.scale,
                 srow.dests,
                 srow.blocks,
                 srow.workers,
-                srow.sharded.as_secs_f64() * 1e3,
-                srow.single.as_secs_f64() * 1e3,
-                srow.speedup(),
+                srow.sharded_ms,
+                srow.single_ms,
+                srow.shard_speedup,
                 srow.deaths,
             );
-            shard_rows.push(srow);
+            json.shard.push(srow);
         }
     }
 
-    let json = to_json(&rows, &delta_rows, &shard_rows);
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    let _ = writeln!(report, "wrote {out_path}");
+    report.push_str(&harness::emit(&out_path, &json)?);
 
-    if let Some(floor) = check_delta {
-        for d in &delta_rows {
-            if d.speedup() < floor {
-                return Err(format!(
-                    "delta speedup regression at scale {:?}: {:.2}x < required {floor}x",
-                    d.name,
-                    d.speedup()
-                ));
-            }
-        }
+    for d in &json.delta {
+        gate(&format!("scale {}: delta speedup", d.scale), d.delta_speedup, check_delta)?;
     }
-    if let Some(floor) = check_scaling {
+    if check_scaling.is_some() {
         let mut gated = 0;
-        for r in &rows {
-            if r.t1().is_none() {
-                return Err(
-                    "--check-scaling needs a 1-thread reference row (include 1 in --threads)"
-                        .to_string(),
-                );
-            }
+        for r in &json.scales {
             for tr in r.rows.iter().filter(|tr| tr.threads > 1) {
                 gated += 1;
-                let eff = r.efficiency(tr).expect("1t row exists");
-                if eff < floor {
-                    return Err(format!(
-                        "parallel efficiency regression at scale {:?}, {} threads: \
-                         {eff:.2} < required {floor}",
-                        r.name, tr.threads
-                    ));
-                }
+                let eff = tr.efficiency.ok_or(
+                    "--check-scaling needs a 1-thread reference row (include 1 in --threads)",
+                )?;
+                let what = format!("scale {}, {} threads: parallel efficiency", r.scale, tr.threads);
+                gate(&what, eff, check_scaling)?;
             }
         }
         if gated == 0 {
@@ -435,30 +320,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
     }
     Ok(report)
-}
-
-/// Resolve `--threads`: a comma-separated list of thread counts, run in
-/// order (the same dedupe-but-reject-unknowns contract as `--scale`):
-/// repeats collapse, while a zero, unparsable, or absurd entry anywhere
-/// in the list is an error even alongside valid ones.
-fn select_threads(list: &str) -> Result<Vec<usize>, String> {
-    let mut counts: Vec<usize> = Vec::new();
-    for part in list.split(',') {
-        let t: usize = part
-            .trim()
-            .parse()
-            .map_err(|_| format!("--threads: {part:?} is not a thread count"))?;
-        if t == 0 {
-            return Err("--threads must be at least 1".to_string());
-        }
-        if t > MAX_THREADS {
-            return Err(format!("--threads {t} is absurd (max {MAX_THREADS})"));
-        }
-        if !counts.contains(&t) {
-            counts.push(t);
-        }
-    }
-    Ok(counts)
 }
 
 /// Resolve `--scale`: a comma-separated list of scale names, where `all`
@@ -475,56 +336,40 @@ fn select_scales(scale: &str) -> Result<Vec<&'static Scale>, String> {
     };
     for part in scale.split(',') {
         if part == "all" {
-            for sc in SCALES.iter().filter(|sc| sc.in_all) {
-                push(sc);
-            }
+            SCALES.iter().filter(|sc| sc.in_all).for_each(&mut push);
         } else {
-            let found = SCALES.iter().find(|sc| sc.name == part).ok_or_else(|| {
-                let names: Vec<&str> = SCALES.iter().map(|sc| sc.name).collect();
-                format!("unknown scale {part:?} (expected all|{})", names.join("|"))
-            })?;
-            push(found);
+            harness::scale(part)?;
+            push(SCALES.iter().find(|sc| sc.name == part).expect("every harness scale has a row"));
         }
     }
     Ok(selected)
 }
 
-/// JSON/report identifier for a preset, matching the historical
-/// `"preset": "gao2005"` spelling.
-fn preset_slug(preset: DatasetPreset) -> &'static str {
-    match preset {
-        DatasetPreset::Gao2000 => "gao2000",
-        DatasetPreset::Gao2003 => "gao2003",
-        DatasetPreset::Gao2005 => "gao2005",
-        DatasetPreset::Agarwal2004 => "agarwal2004",
-        DatasetPreset::InternetScale => "internet70k",
-    }
-}
-
 /// Time the bucket engine once per thread count in `thread_counts`
 /// (best-of-`reps` each), plus the 1-thread heap baseline over every
-/// `heap_stride`-th destination. Returns the thread-scaling rows, the
-/// heap wall time, and how many destinations the heap run covered.
-/// Panics if any engine/thread-count combination disagrees with another
-/// on a destination both solved.
+/// `heap_stride`-th destination, and fold the timings into the scale's
+/// JSON row: per-thread speedups against the 1-thread wall (if the ladder
+/// had one) and the per-destination bucket-vs-heap figures. Panics if any
+/// engine/thread-count combination disagrees with another on a
+/// destination both solved.
 fn time_engines(
+    sc: &Scale,
+    base: &harness::Scale,
     topo: &Topology,
-    dests: &[NodeId],
     thread_counts: &[usize],
-    reps: u32,
-    heap_stride: usize,
-) -> (Vec<ThreadRow>, Duration, usize) {
-    let heap_dests: Vec<NodeId> =
-        dests.iter().copied().step_by(heap_stride.max(1)).collect();
+) -> ScaleRow {
+    let dests: Vec<NodeId> = topo.nodes().collect();
+    let stride = sc.heap_stride.max(1);
+    let heap_dests: Vec<NodeId> = dests.iter().copied().step_by(stride).collect();
 
-    let mut rows = Vec::with_capacity(thread_counts.len());
+    let mut walls: Vec<(usize, Duration)> = Vec::with_capacity(thread_counts.len());
     let mut reference: Option<Vec<usize>> = None;
     for &threads in thread_counts {
         let mut wall = Duration::MAX;
         let mut fast: Vec<usize> = Vec::new();
-        for _ in 0..reps.max(1) {
+        for _ in 0..sc.reps.max(1) {
             let t0 = Instant::now();
-            fast = par_over_dests(topo, dests, threads, |_, st| st.reachable_count());
+            fast = par_over_dests(topo, &dests, threads, |_, st| st.reachable_count());
             wall = wall.min(t0.elapsed());
         }
         match &reference {
@@ -535,25 +380,63 @@ fn time_engines(
                 thread_counts[0]
             ),
         }
-        rows.push(ThreadRow { threads, wall });
+        walls.push((threads, wall));
     }
     let fast = reference.expect("at least one thread count");
 
     let mut heap = Duration::MAX;
     let mut slow: Vec<usize> = Vec::new();
-    for _ in 0..reps.max(1) {
+    for _ in 0..sc.reps.max(1) {
         let t0 = Instant::now();
         slow = heap_whole_network(topo, &heap_dests, 1);
         heap = heap.min(t0.elapsed());
     }
     for (i, s) in slow.iter().enumerate() {
-        let full_idx = i * heap_stride.max(1);
+        let full_idx = i * stride;
         assert_eq!(
             fast[full_idx], *s,
             "bucket and heap engines disagreed at destination index {full_idx}"
         );
     }
-    (rows, heap, heap_dests.len())
+
+    let t1 = walls.iter().find(|(t, _)| *t == 1).map(|(_, w)| w.as_secs_f64());
+    let cores = host_parallelism();
+    let rows = walls
+        .iter()
+        .map(|&(threads, wall)| {
+            let speedup = t1.map(|t1| t1 / wall.as_secs_f64().max(1e-12));
+            let ideal = threads.min(cores).max(1) as f64;
+            ThreadRow {
+                threads,
+                ms: ms(wall),
+                speedup_vs_1t: speedup,
+                efficiency: speedup.map(|s| s / ideal),
+            }
+        })
+        .collect();
+    let heap_ms_per_dest = ms(heap) / heap_dests.len().max(1) as f64;
+    let bucket_wall = t1.unwrap_or_else(|| walls[0].1.as_secs_f64());
+    let bucket_ms_per_dest = bucket_wall * 1e3 / dests.len().max(1) as f64;
+    ScaleRow {
+        scale: sc.name,
+        preset: base.slug,
+        preset_scale: base.factor,
+        nodes: dests.len(),
+        edges: topo.num_edges(),
+        dests: dests.len(),
+        reps: sc.reps,
+        rows,
+        heap: HeapRow {
+            threads: 1,
+            dests: heap_dests.len(),
+            sampled: heap_dests.len() != dests.len(),
+            ms: ms(heap),
+            ms_per_dest: heap_ms_per_dest,
+        },
+        bucket_ms_per_dest,
+        heap_ms_per_dest,
+        speedup_per_dest: heap_ms_per_dest / bucket_ms_per_dest.max(1e-12),
+    }
 }
 
 /// The pre-CSR driver shape: heap solver, fresh allocations per solve,
@@ -578,16 +461,6 @@ fn heap_whole_network(topo: &Topology, dests: &[NodeId], threads: usize) -> Vec<
     let mut v = results.into_inner().expect("bench mutex");
     v.sort_unstable_by_key(|&(i, _)| i);
     v.into_iter().map(|(_, c)| c).collect()
-}
-
-/// Deterministic, dependency-free PRNG for event sampling.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
 }
 
 /// Failures per destination in the delta suite.
@@ -619,12 +492,12 @@ fn time_delta_suite(name: &'static str, topo: &Topology, reps: u32) -> DeltaRow 
     let mut plan: Vec<(NodeId, Vec<(NodeId, NodeId)>)> = Vec::with_capacity(dests.len());
     for &d in &dests {
         let base = RoutingState::solve_into(topo, d, &mut scratch);
-        let mut rng = SEED ^ (d as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut rng = Rng::new(SEED ^ (d as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut events = Vec::with_capacity(DELTA_EVENTS);
         let mut tries = 0;
         while events.len() < DELTA_EVENTS && tries < DELTA_EVENTS * 8 {
             tries += 1;
-            let v = (xorshift(&mut rng) % n as u64) as NodeId;
+            let v = (rng.raw() % n as u64) as NodeId;
             if v == d {
                 continue;
             }
@@ -687,7 +560,16 @@ fn time_delta_suite(name: &'static str, topo: &Topology, reps: u32) -> DeltaRow 
     }
     let (inc_sig, full_sig) = check.expect("at least one rep");
     assert_eq!(inc_sig, full_sig, "incremental and full what-if answers disagreed");
-    DeltaRow { name, dests: plan.len(), events, recomputed, incremental, full }
+    DeltaRow {
+        scale: name,
+        threads: 1,
+        dests: plan.len(),
+        events,
+        mean_cone: recomputed as f64 / events.max(1) as f64,
+        incremental_ms: ms(incremental),
+        full_ms: ms(full),
+        delta_speedup: full.as_secs_f64() / incremental.as_secs_f64().max(1e-12),
+    }
 }
 
 /// Destinations the shard suite samples per scale (full table on graphs
@@ -699,37 +581,25 @@ const SHARD_DESTS: usize = 512;
 /// through one in-process `par_over_dests` reference, assert the merged
 /// bytes are identical, and report both wall times.
 fn time_shard_suite(
-    sc: &Scale,
+    sc: &harness::Scale,
     topo: &Topology,
     workers: usize,
     threads: usize,
 ) -> Result<ShardRow, String> {
-    use miro_shard::coordinator::{self, JobSpec, ProcessSpawner};
+    use miro_shard::coordinator::{self, JobSpec};
     use miro_shard::format::RouteTableSet;
 
     let sample = SHARD_DESTS.min(topo.num_nodes());
     let dests = miro_shard::sample_dests(topo.num_nodes(), sample);
     let block_size = dests.len().div_ceil(workers * 4).max(1);
     let threads_per_worker = (threads / workers).max(1);
-    let spec_args = miro_shard::TopoSpec::Preset {
-        preset: preset_slug_cli(sc.preset).to_string(),
+    let source = miro_shard::TopoSpec::Preset {
+        preset: sc.preset.cli_name().to_string(),
         factor: sc.factor,
         seed: SEED,
     };
-    let program = std::env::current_exe()
-        .map_err(|e| format!("cannot locate the miro binary for shard workers: {e}"))?;
-    let mut worker_args = vec!["shard-worker".to_string()];
-    worker_args.extend(spec_args.to_args());
-    worker_args.extend([
-        "--dests".into(),
-        sample.to_string(),
-        "--threads".into(),
-        threads_per_worker.to_string(),
-        "--heartbeat-ms".into(),
-        "250".into(),
-    ]);
-    let dir = std::env::temp_dir().join(format!("miro_bench_shard_{}_{}", sc.name, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    // Dropped (and the directory with it) on every way out, errors included.
+    let dir = TempPath::new(&format!("shard_{}", sc.name), "");
     let job = JobSpec {
         dests: dests.clone(),
         num_nodes: topo.num_nodes() as u32,
@@ -737,8 +607,8 @@ fn time_shard_suite(
         block_size,
         block_order: Some(miro_bgp::engine::heavy_blocks_first(topo, &dests, block_size)),
         workers,
-        state_dir: dir.join("state"),
-        out_path: dir.join("table.mirt"),
+        state_dir: dir.0.join("state"),
+        out_path: dir.0.join("table.mirt"),
         resume: false,
         heartbeat_deadline: Duration::from_millis(10_000),
         respawn_budget: workers,
@@ -747,7 +617,7 @@ fn time_shard_suite(
         progress: None,
     };
     let t0 = Instant::now();
-    let mut spawner = ProcessSpawner { program, args: worker_args };
+    let mut spawner = crate::shard_cmd::worker_spawner(&source, sample, threads_per_worker, 250)?;
     let rep = coordinator::run(&job, &mut spawner)?;
     let sharded = t0.elapsed();
 
@@ -765,178 +635,81 @@ fn time_shard_suite(
             sc.name
         ));
     }
-    let _ = std::fs::remove_dir_all(&dir);
     Ok(ShardRow {
-        name: sc.name,
+        scale: sc.name,
         workers,
         threads_per_worker,
         dests: dests.len(),
         blocks: rep.blocks,
         deaths: rep.deaths,
-        sharded,
-        single,
-        bytes: merged.len(),
+        table_bytes: merged.len(),
+        sharded_ms: ms(sharded),
+        single_ms: ms(single),
+        shard_speedup: single.as_secs_f64() / sharded.as_secs_f64().max(1e-12),
     })
-}
-
-/// The preset spelling `miro shard-worker --preset` accepts (the
-/// `internet` scale's JSON slug is `internet70k`, but the CLI spells it
-/// `internet`).
-fn preset_slug_cli(preset: DatasetPreset) -> &'static str {
-    match preset {
-        DatasetPreset::InternetScale => "internet",
-        other => preset_slug(other),
-    }
-}
-
-/// Render an optional float as a JSON number or `null` (rows measured
-/// without a 1-thread reference have no speedup/efficiency).
-fn json_opt(v: Option<f64>) -> String {
-    v.map_or("null".to_string(), |v| format!("{v:.2}"))
-}
-
-fn to_json(rows: &[ScaleRow], delta_rows: &[DeltaRow], shard_rows: &[ShardRow]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"solver-whole-network\",");
-    let _ = writeln!(out, "  \"engine\": \"csr-bucket-queue-packed-frontier\",");
-    let _ = writeln!(out, "  \"baseline\": \"heap-per-solve-alloc (1 thread, stride-sampled)\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(out, "  \"scales\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"scale\": \"{}\", \"preset\": \"{}\", \"preset_scale\": {}, \
-             \"nodes\": {}, \"edges\": {}, \"dests\": {}, \"reps\": {},",
-            r.name, r.preset, r.factor, r.nodes, r.edges, r.nodes, r.reps,
-        );
-        let _ = writeln!(out, "     \"rows\": [");
-        for (j, tr) in r.rows.iter().enumerate() {
-            let tcomma = if j + 1 < r.rows.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "       {{\"threads\": {}, \"ms\": {:.3}, \"speedup_vs_1t\": {}, \
-                 \"efficiency\": {}}}{tcomma}",
-                tr.threads,
-                tr.wall.as_secs_f64() * 1e3,
-                json_opt(r.speedup_vs_1t(tr)),
-                json_opt(r.efficiency(tr)),
-            );
-        }
-        let _ = writeln!(out, "     ],");
-        let _ = writeln!(
-            out,
-            "     \"heap\": {{\"threads\": 1, \"dests\": {}, \"sampled\": {}, \
-             \"ms\": {:.3}, \"ms_per_dest\": {:.4}}},",
-            r.heap_dests,
-            r.heap_sampled(),
-            r.heap.as_secs_f64() * 1e3,
-            r.heap_ms_per_dest(),
-        );
-        let _ = writeln!(
-            out,
-            "     \"bucket_ms_per_dest\": {:.4}, \"heap_ms_per_dest\": {:.4}, \
-             \"speedup_per_dest\": {:.2}}}{comma}",
-            r.bucket_ms_per_dest(),
-            r.heap_ms_per_dest(),
-            r.speedup_per_dest(),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"delta\": [");
-    for (i, r) in delta_rows.iter().enumerate() {
-        let comma = if i + 1 < delta_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"scale\": \"{}\", \"threads\": 1, \"dests\": {}, \"events\": {}, \
-             \"mean_cone\": {:.2}, \"incremental_ms\": {:.3}, \"full_ms\": {:.3}, \
-             \"delta_speedup\": {:.2}}}{comma}",
-            r.name,
-            r.dests,
-            r.events,
-            r.mean_cone(),
-            r.incremental.as_secs_f64() * 1e3,
-            r.full.as_secs_f64() * 1e3,
-            r.speedup()
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"shard\": [");
-    for (i, r) in shard_rows.iter().enumerate() {
-        let comma = if i + 1 < shard_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"scale\": \"{}\", \"workers\": {}, \"threads_per_worker\": {}, \
-             \"dests\": {}, \"blocks\": {}, \
-             \"deaths\": {}, \"table_bytes\": {}, \"sharded_ms\": {:.3}, \"single_ms\": {:.3}, \
-             \"shard_speedup\": {:.2}}}{comma}",
-            r.name,
-            r.workers,
-            r.threads_per_worker,
-            r.dests,
-            r.blocks,
-            r.deaths,
-            r.bytes,
-            r.sharded.as_secs_f64() * 1e3,
-            r.single.as_secs_f64() * 1e3,
-            r.speedup()
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::JsonValue;
+
+    /// Run the bench at `args` plus a scratch `--out`; the report or
+    /// error, and the JSON if the run got as far as writing it.
+    fn bench(args: &str) -> (Result<String, String>, Option<JsonValue>) {
+        let out = TempPath::new("solver_test", ".json");
+        let mut args: Vec<String> = args.split_whitespace().map(str::to_string).collect();
+        args.extend(["--out".to_string(), out.0.display().to_string()]);
+        let result = run(&args);
+        let json = std::fs::read_to_string(&out.0).ok();
+        (result, json.map(|j| serde_json::from_str(&j).expect("valid JSON")))
+    }
 
     #[test]
     fn tiny_scale_end_to_end() {
-        let out_path = std::env::temp_dir().join("miro_bench_solver_test.json");
-        let args: Vec<String> = vec![
-            "--scale".into(),
-            "tiny".into(),
-            "--threads".into(),
-            "1,2".into(),
-            "--out".into(),
-            out_path.display().to_string(),
-        ];
-        let report = run(&args).expect("bench runs");
+        let (report, json) = bench("--scale tiny --threads 1,2");
+        let report = report.expect("bench runs");
         assert!(report.contains("tiny"), "{report}");
         assert!(report.contains("delta:"), "{report}");
         assert!(report.contains("bucket  1t"), "{report}");
         assert!(report.contains("bucket  2t"), "{report}");
-        let json = std::fs::read_to_string(&out_path).expect("json written");
-        assert!(json.contains("\"nodes\": 209"), "{json}");
-        assert!(json.contains("\"threads\": 1"), "{json}");
-        assert!(json.contains("\"threads\": 2"), "{json}");
-        assert!(json.contains("\"speedup_vs_1t\""), "{json}");
-        assert!(json.contains("\"efficiency\""), "{json}");
-        assert!(json.contains("\"heap_ms_per_dest\""), "{json}");
-        assert!(json.contains("\"bucket_ms_per_dest\""), "{json}");
-        assert!(json.contains("\"speedup_per_dest\""), "{json}");
-        assert!(json.contains("\"sampled\": false"), "{json}");
-        // The stale whole-file thread count is gone: `threads` now lives
-        // inside each suite's rows.
-        assert!(!json.contains("\n  \"threads\""), "{json}");
+        let json = json.expect("json written");
+        assert_eq!(json["bench"].as_str(), Some("solver-whole-network"));
+        assert_eq!(json["seed"].as_f64(), Some(42.0));
+        assert!(json["host_parallelism"].as_f64().unwrap() >= 1.0);
+        // `threads` lives inside each suite's rows, not in the header.
+        assert!(json["threads"].is_null());
+        let scale = &json["scales"][0];
+        assert_eq!(scale["scale"].as_str(), Some("tiny"));
+        assert_eq!(scale["preset"].as_str(), Some("gao2005"));
+        assert_eq!(scale["preset_scale"].as_f64(), Some(0.01));
+        assert_eq!(scale["nodes"].as_f64(), Some(209.0));
+        assert_eq!(scale["dests"].as_f64(), Some(209.0));
+        let rows = scale["rows"].as_array().expect("thread rows");
+        assert_eq!(rows.len(), 2);
+        assert_eq!((rows[0]["threads"].as_f64(), rows[1]["threads"].as_f64()), (Some(1.0), Some(2.0)));
+        assert_eq!(rows[0]["speedup_vs_1t"].as_f64(), Some(1.0));
+        assert!(rows[1]["efficiency"].as_f64().unwrap() > 0.0);
+        assert!(rows[1]["ms"].as_f64().unwrap() > 0.0);
+        assert_eq!(scale["heap"]["sampled"].as_bool(), Some(false));
+        assert_eq!(scale["heap"]["dests"].as_f64(), Some(209.0));
+        for key in ["heap_ms_per_dest", "bucket_ms_per_dest", "speedup_per_dest"] {
+            assert!(scale[key].as_f64().unwrap() > 0.0, "{key}");
+        }
+        let delta = &json["delta"][0];
+        assert_eq!(delta["threads"].as_f64(), Some(1.0));
+        assert!(delta["events"].as_f64().unwrap() > 0.0);
+        assert!(delta["delta_speedup"].as_f64().unwrap() > 0.0);
+        assert_eq!(json["shard"].as_array().map(Vec::len), Some(0));
     }
 
     #[test]
     fn no_1t_row_reports_null_speedups() {
-        let out_path = std::env::temp_dir().join("miro_bench_solver_no1t_test.json");
-        let args: Vec<String> = vec![
-            "--scale".into(),
-            "tiny".into(),
-            "--threads".into(),
-            "2".into(),
-            "--out".into(),
-            out_path.display().to_string(),
-        ];
-        run(&args).expect("bench runs");
-        let json = std::fs::read_to_string(&out_path).expect("json written");
-        assert!(json.contains("\"speedup_vs_1t\": null"), "{json}");
-        assert!(json.contains("\"efficiency\": null"), "{json}");
+        let (report, json) = bench("--scale tiny --threads 2");
+        report.expect("bench runs");
+        let row = &json.expect("json written")["scales"][0]["rows"][0];
+        assert_eq!(row["threads"].as_f64(), Some(2.0));
+        assert!(row["speedup_vs_1t"].is_null() && row["efficiency"].is_null(), "{row:?}");
     }
 
     #[test]
@@ -954,21 +727,8 @@ mod tests {
         assert!(report.contains("efficiency"), "{report}");
         assert!(report.contains("threads_per_worker"), "{report}");
         assert!(report.contains("ms_per_dest"), "{report}");
-    }
-
-    #[test]
-    fn thread_lists_dedupe_but_still_reject_bad_entries() {
-        assert_eq!(select_threads("1,2,4").unwrap(), vec![1, 2, 4]);
-        // Repeats collapse, first occurrence wins the position.
-        assert_eq!(select_threads("2,1,2,8,1").unwrap(), vec![2, 1, 8]);
-        assert_eq!(select_threads(" 1 , 2 ").unwrap(), vec![1, 2]);
-        // A bad entry is an error even when valid counts surround it.
-        let err = select_threads("1,0,2").unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = select_threads("1,65536").unwrap_err();
-        assert!(err.contains("absurd"), "{err}");
-        let err = select_threads("1,two").unwrap_err();
-        assert!(err.contains("not a thread count"), "{err}");
+        // The flag half comes from the table.
+        assert!(report.ends_with(&CMD.usage()), "{report}");
     }
 
     #[test]
@@ -996,89 +756,63 @@ mod tests {
         // An unknown name is an error even when valid names surround it.
         let err = select_scales("all,galactic,internet").unwrap_err();
         assert!(err.contains("galactic"), "{err}");
-    }
-
-    #[test]
-    fn zero_threads_is_an_error() {
-        let args: Vec<String> =
-            vec!["--scale".into(), "tiny".into(), "--threads".into(), "0".into()];
-        let err = run(&args).unwrap_err();
-        assert!(err.contains("--threads must be at least 1"), "{err}");
+        // Every harness scale has its extra columns here.
+        for sc in harness::SCALES {
+            assert_eq!(names(select_scales(sc.name).unwrap()), vec![sc.name]);
+        }
     }
 
     #[test]
     fn absurd_threads_is_an_error() {
-        let args: Vec<String> =
-            vec!["--scale".into(), "tiny".into(), "--threads".into(), "65536".into()];
-        let err = run(&args).unwrap_err();
-        assert!(err.contains("absurd"), "{err}");
+        let (err, json) = bench("--scale tiny --threads 1,65536");
+        assert!(err.unwrap_err().contains("absurd"));
+        assert!(json.is_none(), "rejected before any work");
     }
 
     #[test]
     fn unreachable_delta_floor_fails_the_gate() {
-        let out_path = std::env::temp_dir().join("miro_bench_solver_gate_test.json");
-        let args: Vec<String> = vec![
-            "--scale".into(),
-            "tiny".into(),
-            "--threads".into(),
-            "2".into(),
-            "--out".into(),
-            out_path.display().to_string(),
-            "--check-delta-speedup".into(),
-            "1e9".into(),
-        ];
-        let err = run(&args).unwrap_err();
-        assert!(err.contains("delta speedup regression"), "{err}");
+        let (err, json) = bench("--scale tiny --threads 2 --check-delta-speedup 1e9");
+        let err = err.unwrap_err();
+        assert!(err.contains("scale tiny: delta speedup regression"), "{err}");
+        assert!(json.is_some(), "the rows are written before the gate trips");
     }
 
     #[test]
     fn check_scaling_needs_a_1t_reference() {
-        let out_path = std::env::temp_dir().join("miro_bench_scaling_no1t.json");
-        let args: Vec<String> = vec![
-            "--scale".into(),
-            "tiny".into(),
-            "--threads".into(),
-            "2,4".into(),
-            "--out".into(),
-            out_path.display().to_string(),
-            "--check-scaling".into(),
-            "0.0".into(),
-        ];
-        let err = run(&args).unwrap_err();
-        assert!(err.contains("1-thread reference"), "{err}");
+        let (err, _) = bench("--scale tiny --threads 2,4 --check-scaling 0.0");
+        assert!(err.unwrap_err().contains("1-thread reference"));
     }
 
     #[test]
     fn check_scaling_needs_a_parallel_row() {
-        let out_path = std::env::temp_dir().join("miro_bench_scaling_only1t.json");
-        let args: Vec<String> = vec![
-            "--scale".into(),
-            "tiny".into(),
-            "--threads".into(),
-            "1".into(),
-            "--out".into(),
-            out_path.display().to_string(),
-            "--check-scaling".into(),
-            "0.0".into(),
-        ];
-        let err = run(&args).unwrap_err();
-        assert!(err.contains("gated nothing"), "{err}");
+        let (err, _) = bench("--scale tiny --threads 1 --check-scaling 0.0");
+        assert!(err.unwrap_err().contains("gated nothing"));
     }
 
     #[test]
     fn unreachable_scaling_floor_fails_the_gate() {
-        let out_path = std::env::temp_dir().join("miro_bench_scaling_gate.json");
-        let args: Vec<String> = vec![
-            "--scale".into(),
-            "tiny".into(),
-            "--threads".into(),
-            "1,2".into(),
-            "--out".into(),
-            out_path.display().to_string(),
-            "--check-scaling".into(),
-            "1e9".into(),
-        ];
-        let err = run(&args).unwrap_err();
-        assert!(err.contains("parallel efficiency regression"), "{err}");
+        let (err, _) = bench("--scale tiny --threads 1,2 --check-scaling 1e9");
+        let err = err.unwrap_err();
+        assert!(err.contains("scale tiny, 2 threads: parallel efficiency regression"), "{err}");
+    }
+
+    /// Under `cargo test` argv[0] is the test harness, not `miro`: every
+    /// spawned "worker" exits at once, the coordinator gives up, and the
+    /// suite's scratch directory must not outlive that error.
+    #[test]
+    fn shard_suite_error_leaves_no_scratch_directory() {
+        let theirs = |tag: &str| -> Vec<std::path::PathBuf> {
+            let prefix = format!("miro_bench_{tag}_{}_", std::process::id());
+            std::fs::read_dir(std::env::temp_dir())
+                .unwrap()
+                .filter_map(|e| e.ok().map(|e| e.path()))
+                .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with(&prefix)))
+                .collect()
+        };
+        let base = harness::scale("tiny").unwrap();
+        let topo = base.preset.params(base.factor, SEED).generate();
+        let err = time_shard_suite(base, &topo, 1, 1).map(|r| r.blocks).unwrap_err();
+        assert!(!err.is_empty());
+        assert_eq!(theirs("shard_tiny"), Vec::<std::path::PathBuf>::new());
     }
 }

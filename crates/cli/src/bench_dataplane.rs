@@ -37,6 +37,7 @@
 //! [`PrefixTrie::lookup`]: miro_dataplane::lpm::PrefixTrie::lookup
 //! [`lookup_batch_copied`]: miro_dataplane::lpm::PrefixTrie::lookup_batch_copied
 
+use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Rng, Zipf, SEED};
 use bytes::Bytes;
 use miro_bgp::engine::par_over_dests;
 use miro_dataplane::burst::{BurstScratch, Engine, OneVerdict, TunnelSpec, Verdict};
@@ -45,13 +46,31 @@ use miro_dataplane::encap;
 use miro_dataplane::ipv4::{Ipv4Addr4, Ipv4Header};
 use miro_dataplane::lpm::{LookupScratch, Prefix, PrefixTrie};
 use miro_dataplane::pcapng;
-use miro_topology::gen::DatasetPreset;
 use miro_topology::NodeId;
+use serde::Serialize;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// Generation seed: fixed so runs are comparable across machines and PRs.
-const SEED: u64 = 42;
+pub static CMD: Cmd = Cmd {
+    name: "bench-dataplane",
+    positional: &[],
+    flags: &[
+        Flag { name: "--scale", kind: Kind::Str, default: "small", help: "topology the route table is solved from" },
+        Flag { name: "--flows", kind: Kind::Num, default: "4096", help: "distinct flows per stage" },
+        Flag { name: "--packets", kind: Kind::Num, default: "131072", help: "packets per stage" },
+        Flag { name: "--batch", kind: Kind::UsizeList, default: "8,64,512,4096", help: "burst sizes, one row each" },
+        Flag { name: "--out", kind: Kind::Str, default: "BENCH_dataplane.json", help: "where the JSON lands" },
+        Flag { name: "--capture", kind: Kind::Str, default: "", help: "write a pcapng sample of the encapsulated output" },
+        Flag { name: "--check-batch-speedup", kind: Kind::F64, default: "", help: "fail under this batched-vs-single LPM speedup" },
+        Flag { name: "--list", kind: Kind::Switch, default: "", help: "print stages, scales, row schemas and flags; run nothing" },
+    ],
+};
+
+/// Timing repetitions per row (best-of).
+const REPS: u32 = 2;
+
+/// Largest accepted `--batch` entry: beyond this it is certainly a typo.
+const MAX_BATCH: usize = 1 << 20;
 
 /// The engine's local tunnel-endpoint address. Destination prefixes are
 /// `node_id << 12` (/20 per AS), so anything under 200.0.0.0 is spoken
@@ -61,106 +80,81 @@ const LOCAL: Ipv4Addr4 = Ipv4Addr4([200, 0, 0, 1]);
 /// Virtual tunnel id the split group answers to.
 const GROUP: u32 = 1000;
 
-/// Topology scales (the route table is the solved preset at the vantage).
-struct Scale {
-    name: &'static str,
-    preset: DatasetPreset,
-    factor: f64,
-}
-
-const SCALES: &[Scale] = &[
-    Scale { name: "tiny", preset: DatasetPreset::Gao2005, factor: 0.01 },
-    Scale { name: "small", preset: DatasetPreset::Gao2005, factor: 0.05 },
-    Scale { name: "medium", preset: DatasetPreset::Gao2005, factor: 0.5 },
-];
-
 /// One timing row: a stage at a batch size (or the baseline).
+#[derive(Serialize)]
 struct StageRow {
     stage: &'static str,
     batch: usize,
     baseline: bool,
-    wall: Duration,
-    packets: usize,
+    ms: f64,
+    mpps: f64,
+    ns_per_pkt: f64,
 }
 
 impl StageRow {
-    fn mpps(&self) -> f64 {
-        self.packets as f64 / self.wall.as_secs_f64().max(1e-12) / 1e6
-    }
-
-    fn ns_per_pkt(&self) -> f64 {
-        self.wall.as_secs_f64() * 1e9 / self.packets.max(1) as f64
+    fn new(stage: &'static str, batch: usize, baseline: bool, wall: Duration, packets: usize) -> StageRow {
+        let secs = wall.as_secs_f64();
+        StageRow {
+            stage,
+            batch,
+            baseline,
+            ms: ms(wall),
+            mpps: packets as f64 / secs.max(1e-12) / 1e6,
+            ns_per_pkt: secs * 1e9 / packets.max(1) as f64,
+        }
     }
 }
 
 /// The isolated LPM A/B result.
+#[derive(Serialize)]
 struct LookupRow {
     packets: usize,
     batch: usize,
-    single: Duration,
-    batched: Duration,
+    single_ms: f64,
+    batched_ms: f64,
+    speedup: f64,
     descents: usize,
     reused: usize,
+    reused_frac: f64,
 }
 
-impl LookupRow {
-    fn speedup(&self) -> f64 {
-        self.single.as_secs_f64() / self.batched.as_secs_f64().max(1e-12)
-    }
-
-    fn reused_frac(&self) -> f64 {
-        self.reused as f64 / (self.descents + self.reused).max(1) as f64
-    }
+#[derive(Serialize)]
+struct Report {
+    bench: &'static str,
+    engine: &'static str,
+    baseline: &'static str,
+    seed: u64,
+    scale: &'static str,
+    nodes: usize,
+    prefixes: usize,
+    tunnels: usize,
+    flows: usize,
+    packets: usize,
+    stages: Vec<StageRow>,
+    lookup: LookupRow,
 }
 
-/// Entry point for `miro bench-dataplane [--scale S] [--flows N]
-/// [--packets N] [--batch LIST] [--reps N] [--out P] [--capture FILE]
-/// [--check-batch-speedup F] [--list]`.
+/// Entry point for `miro bench-dataplane`.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let mut scale = "small".to_string();
-    let mut flows = 4096usize;
-    let mut packets = 131_072usize;
-    let mut batch_list = "8,64,512,4096".to_string();
-    let mut reps = 2u32;
-    let mut out_path = "BENCH_dataplane.json".to_string();
-    let mut capture: Option<String> = None;
-    let mut check_speedup: Option<f64> = None;
-    let mut list = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{name} needs a value"))
-        };
-        let num = |name: &str, v: String| -> Result<usize, String> {
-            v.parse().map_err(|_| format!("{name} needs a number"))
-        };
-        match arg.as_str() {
-            "--list" => list = true,
-            "--scale" => scale = val("--scale")?,
-            "--flows" => flows = num("--flows", val("--flows")?)?,
-            "--packets" => packets = num("--packets", val("--packets")?)?,
-            "--batch" => batch_list = val("--batch")?,
-            "--reps" => reps = num("--reps", val("--reps")?)?.max(1) as u32,
-            "--out" => out_path = val("--out")?,
-            "--capture" => capture = Some(val("--capture")?),
-            "--check-batch-speedup" => {
-                check_speedup = Some(val("--check-batch-speedup")?.parse().map_err(|_| {
-                    "--check-batch-speedup needs a number".to_string()
-                })?);
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
+    let a = CMD.parse(args)?;
+    let (flows, packets): (usize, usize) = (a.get("--flows")?, a.get("--packets")?);
+    let out_path: String = a.get("--out")?;
+    let capture: Option<String> = a.opt("--capture")?;
+    let check_speedup = a.opt("--check-batch-speedup")?;
+    let batches = a.list("--batch")?;
+    if let Some(b) = batches.iter().find(|&&b| b > MAX_BATCH) {
+        return Err(format!("--batch {b} is absurd (max {MAX_BATCH})"));
     }
 
-    if list {
+    if a.on("--list") {
         let mut out = String::from("bench-dataplane stages:\n");
         out.push_str("  forward  plain LPM forwarding (TTL rewrite, no tunnel)\n");
         out.push_str("  encap    classifier-directed tunnel entry (template stamp)\n");
         out.push_str("  decap    tunnel exit at the local endpoint (outer+shim strip)\n");
         out.push_str("  split    TOS-marked flows hashed across a 2-tunnel group\n");
         out.push_str("scales:\n");
-        for sc in SCALES {
-            let _ = writeln!(out, "  {:<8} gao2005 factor={}", sc.name, sc.factor);
+        for sc in harness::SCALES {
+            let _ = writeln!(out, "{sc}");
         }
         out.push_str("row schemas:\n");
         out.push_str(
@@ -170,17 +164,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
             "  lookup   = {packets, batch, single_ms, batched_ms, speedup, \
              descents, reused, reused_frac}\n",
         );
+        out.push_str(&CMD.usage());
         return Ok(out);
     }
 
     if flows == 0 || packets == 0 {
         return Err("--flows and --packets must be at least 1".to_string());
     }
-    let batches = select_batches(&batch_list)?;
-    let sc = SCALES
-        .iter()
-        .find(|s| s.name == scale)
-        .ok_or(format!("unknown scale {scale:?} (try --list)"))?;
+    let sc = harness::scale(&a.get::<String>("--scale")?)?;
 
     // ---- Route table from the solved topology -------------------------
     let topo = sc.preset.params(sc.factor, SEED).generate();
@@ -189,7 +180,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         .max_by_key(|&n| topo.neighbors(n).len())
         .ok_or("empty topology")?;
     let dests: Vec<NodeId> = topo.nodes().filter(|&d| d != vantage).collect();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
+    let threads = host_parallelism().min(8);
     let next_hops = par_over_dests(&topo, &dests, threads, move |d, st| {
         st.best(vantage).map(|b| (d, b.next))
     });
@@ -270,45 +261,42 @@ pub fn run(args: &[String]) -> Result<String, String> {
         packets
     );
     let mut rows: Vec<StageRow> = Vec::new();
+    let per_stage = batches.len() + 1;
     for (stage, frames) in &streams {
         let views: Vec<&[u8]> = frames.iter().map(|f| &f[..]).collect();
         let mut sinks: Vec<u64> = Vec::new();
         for &batch in &batches {
-            let (wall, sink) = time_burst(&eng, &views, batch, reps);
+            let (wall, sink) = time_burst(&eng, &views, batch);
             sinks.push(sink);
-            rows.push(StageRow { stage, batch, baseline: false, wall, packets: frames.len() });
+            rows.push(StageRow::new(stage, batch, false, wall, frames.len()));
         }
-        let (wall, sink) = time_single(&eng, frames, reps);
+        let (wall, sink) = time_single(&eng, frames);
         sinks.push(sink);
-        rows.push(StageRow { stage, batch: 1, baseline: true, wall, packets: frames.len() });
+        rows.push(StageRow::new(stage, 1, true, wall, frames.len()));
         // Every batch size and the baseline must have produced identical
         // verdict streams (checksummed over next hops, tunnels, lengths).
         if sinks.windows(2).any(|w| w[0] != w[1]) {
             return Err(format!("stage {stage}: verdict checksums diverge: {sinks:?}"));
         }
-        for r in rows.iter().rev().take(batches.len() + 1).collect::<Vec<_>>().into_iter().rev() {
+        for r in &rows[rows.len() - per_stage..] {
             let tag = if r.baseline { "single" } else { " burst" };
             let _ = writeln!(
                 report,
                 "  {:<8} {tag} batch {:>4} | {:>8.2} ms | {:>6.2} Mpps | {:>6.1} ns/pkt",
-                r.stage,
-                r.batch,
-                r.wall.as_secs_f64() * 1e3,
-                r.mpps(),
-                r.ns_per_pkt(),
+                r.stage, r.batch, r.ms, r.mpps, r.ns_per_pkt,
             );
         }
     }
 
     // ---- Isolated LPM A/B ---------------------------------------------
-    let lookup = time_lookup(&eng, &streams[0].1, batches.iter().copied().max().unwrap_or(8), reps);
+    let lookup = time_lookup(&eng, &streams[0].1, batches.iter().copied().max().unwrap_or(8));
     let _ = writeln!(
         report,
         "  lookup   single {:>8.2} ms | batched {:>8.2} ms | {:.2}x | walk reuse {:.0}%",
-        lookup.single.as_secs_f64() * 1e3,
-        lookup.batched.as_secs_f64() * 1e3,
-        lookup.speedup(),
-        lookup.reused_frac() * 100.0,
+        lookup.single_ms,
+        lookup.batched_ms,
+        lookup.speedup,
+        lookup.reused_frac * 100.0,
     );
 
     // ---- Optional pcapng capture of encapsulated output ---------------
@@ -318,91 +306,29 @@ pub fn run(args: &[String]) -> Result<String, String> {
         let _ = writeln!(report, "  captured {written} encapsulated packets to {path}");
     }
 
-    let json = to_json(sc, &topo, routable.len(), flows, packets, &rows, &lookup);
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    let _ = writeln!(report, "wrote {out_path}");
+    let json = Report {
+        bench: "dataplane-burst",
+        engine: "burst-preparse-batch-lpm-flow-cache-arena",
+        baseline: "forward_one-per-packet-alloc",
+        seed: SEED,
+        scale: sc.name,
+        nodes: topo.num_nodes(),
+        prefixes: routable.len(),
+        tunnels: tunnel_dests.len(),
+        flows,
+        packets,
+        stages: rows,
+        lookup,
+    };
+    report.push_str(&harness::emit(&out_path, &json)?);
 
-    if let Some(floor) = check_speedup {
-        if lookup.speedup() < floor {
-            return Err(format!(
-                "batched lookup regression: {:.2}x < required {floor}x",
-                lookup.speedup()
-            ));
-        }
-    }
+    gate("batched lookup", json.lookup.speedup, check_speedup)?;
     Ok(report)
 }
 
 /// Destination AS -> its /20 (dense node ids keep this collision-free).
 fn dest_prefix(d: NodeId) -> Prefix {
     Prefix::new(Ipv4Addr4::from_u32(d << 12), 20)
-}
-
-/// Resolve `--batch`: comma-separated burst sizes, deduped in order;
-/// zero or junk anywhere is an error (the bench-solver `--threads`
-/// contract).
-fn select_batches(list: &str) -> Result<Vec<usize>, String> {
-    let mut out: Vec<usize> = Vec::new();
-    for part in list.split(',') {
-        let b: usize = part
-            .trim()
-            .parse()
-            .map_err(|_| format!("--batch: {part:?} is not a batch size"))?;
-        if b == 0 {
-            return Err("--batch must be at least 1".to_string());
-        }
-        if b > 1 << 20 {
-            return Err(format!("--batch {b} is absurd (max {})", 1 << 20));
-        }
-        if !out.contains(&b) {
-            out.push(b);
-        }
-    }
-    if out.is_empty() {
-        return Err("--batch needs at least one size".to_string());
-    }
-    Ok(out)
-}
-
-/// xorshift64* — the repo's deterministic traffic PRNG.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
-/// Zipf(1.0) sampler over `n` ranks: weight 1/(rank+1), cumulative
-/// table, binary search. Skew makes bursts carry duplicate flows, which
-/// is what the flow cache and the sorted batch lookup amortize.
-struct Zipf {
-    cumulative: Vec<f64>,
-}
-
-impl Zipf {
-    fn new(n: usize) -> Zipf {
-        let mut cumulative = Vec::with_capacity(n);
-        let mut acc = 0.0f64;
-        for i in 0..n {
-            acc += 1.0 / (i + 1) as f64;
-            cumulative.push(acc);
-        }
-        Zipf { cumulative }
-    }
-
-    fn sample(&self, rng: &mut Rng) -> usize {
-        let total = *self.cumulative.last().expect("nonempty");
-        let u = (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * total;
-        self.cumulative.partition_point(|&c| c < u).min(self.cumulative.len() - 1)
-    }
 }
 
 /// Synthesize one stream: `flows` distinct flow keys over `dests`
@@ -422,9 +348,9 @@ fn synth_stream(
     let mut flow_frames: Vec<Bytes> = Vec::with_capacity(flows);
     for _ in 0..flows {
         let d = dests[dest_zipf.sample(rng)];
-        let dst = Ipv4Addr4::from_u32((d << 12) | (rng.next() as u32 & 0xfff));
-        let src = Ipv4Addr4::from_u32(0xC801_0000 | (rng.next() as u32 & 0xffff));
-        let sport = (rng.next() as u16) | 1024;
+        let dst = Ipv4Addr4::from_u32((d << 12) | (rng.next_u64() as u32 & 0xfff));
+        let src = Ipv4Addr4::from_u32(0xC801_0000 | (rng.next_u64() as u32 & 0xffff));
+        let sport = (rng.next_u64() as u16) | 1024;
         let dport = 443u16;
         let mut payload = Vec::with_capacity(26);
         payload.extend_from_slice(&sport.to_be_bytes());
@@ -437,7 +363,7 @@ fn synth_stream(
             None => frame,
             Some(eng) => {
                 let remote = Ipv4Addr4::from_u32((d << 12) | 0x123);
-                encap::encapsulate(&frame, remote, eng.local(), 1 + (rng.next() as u32 % 4))
+                encap::encapsulate(&frame, remote, eng.local(), 1 + (rng.next_u64() as u32 % 4))
                     .expect("small inner fits")
             }
         };
@@ -483,12 +409,12 @@ fn sink_one(v: &OneVerdict) -> u64 {
 }
 
 /// Time the burst pipeline over `views` in chunks of `batch` (best-of
-/// `reps`); returns the wall time and the verdict checksum.
-fn time_burst(eng: &Engine, views: &[&[u8]], batch: usize, reps: u32) -> (Duration, u64) {
+/// [`REPS`]); returns the wall time and the verdict checksum.
+fn time_burst(eng: &Engine, views: &[&[u8]], batch: usize) -> (Duration, u64) {
     let mut scratch = BurstScratch::new();
     let mut best = Duration::MAX;
     let mut sink = 0u64;
-    for _ in 0..reps {
+    for _ in 0..REPS {
         let start = Instant::now();
         let mut s = 0u64;
         for chunk in views.chunks(batch) {
@@ -504,10 +430,10 @@ fn time_burst(eng: &Engine, views: &[&[u8]], batch: usize, reps: u32) -> (Durati
 }
 
 /// Time the packet-at-a-time baseline over the same stream.
-fn time_single(eng: &Engine, frames: &[Bytes], reps: u32) -> (Duration, u64) {
+fn time_single(eng: &Engine, frames: &[Bytes]) -> (Duration, u64) {
     let mut best = Duration::MAX;
     let mut sink = 0u64;
-    for _ in 0..reps {
+    for _ in 0..REPS {
         let start = Instant::now();
         let mut s = 0u64;
         for frame in frames {
@@ -522,7 +448,7 @@ fn time_single(eng: &Engine, frames: &[Bytes], reps: u32) -> (Duration, u64) {
 /// Per-packet `lookup` vs `lookup_batch_copied` over the stream's
 /// destination sequence — the isolated figure `--check-batch-speedup`
 /// gates on.
-fn time_lookup(eng: &Engine, frames: &[Bytes], batch: usize, reps: u32) -> LookupRow {
+fn time_lookup(eng: &Engine, frames: &[Bytes], batch: usize) -> LookupRow {
     let dsts: Vec<Ipv4Addr4> = frames
         .iter()
         .map(|f| Ipv4Addr4([f[16], f[17], f[18], f[19]]))
@@ -530,7 +456,7 @@ fn time_lookup(eng: &Engine, frames: &[Bytes], batch: usize, reps: u32) -> Looku
     let lpm = eng.lpm();
     let mut single = Duration::MAX;
     let mut hits_single = 0usize;
-    for _ in 0..reps {
+    for _ in 0..REPS {
         let start = Instant::now();
         let mut hits = 0usize;
         for &d in &dsts {
@@ -547,7 +473,7 @@ fn time_lookup(eng: &Engine, frames: &[Bytes], batch: usize, reps: u32) -> Looku
     let mut reused = 0usize;
     let mut scratch = LookupScratch::new();
     let mut out: Vec<Option<u32>> = Vec::new();
-    for _ in 0..reps {
+    for _ in 0..REPS {
         let start = Instant::now();
         let mut hits = 0usize;
         let (mut de, mut re) = (0usize, 0usize);
@@ -563,7 +489,16 @@ fn time_lookup(eng: &Engine, frames: &[Bytes], batch: usize, reps: u32) -> Looku
         reused = re;
     }
     assert_eq!(hits_single, hits_batched, "lookup paths disagree");
-    LookupRow { packets: dsts.len(), batch, single, batched, descents, reused }
+    LookupRow {
+        packets: dsts.len(),
+        batch,
+        single_ms: ms(single),
+        batched_ms: ms(batched),
+        speedup: single.as_secs_f64() / batched.as_secs_f64().max(1e-12),
+        descents,
+        reused,
+        reused_frac: reused as f64 / (descents + reused).max(1) as f64,
+    }
 }
 
 /// Byte-for-byte equivalence of the two paths over a stream prefix.
@@ -617,71 +552,10 @@ fn capture_encap(eng: &Engine, frames: &[Bytes], path: &str) -> std::io::Result<
     Ok(written)
 }
 
-fn to_json(
-    sc: &Scale,
-    topo: &miro_topology::Topology,
-    prefixes: usize,
-    flows: usize,
-    packets: usize,
-    rows: &[StageRow],
-    lookup: &LookupRow,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"dataplane-burst\",");
-    let _ = writeln!(
-        out,
-        "  \"engine\": \"burst-preparse-batch-lpm-flow-cache-arena\","
-    );
-    let _ = writeln!(out, "  \"baseline\": \"forward_one-per-packet-alloc\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(
-        out,
-        "  \"scale\": \"{}\", \"nodes\": {}, \"prefixes\": {}, \"tunnels\": 4, \
-         \"flows\": {}, \"packets\": {},",
-        sc.name,
-        topo.num_nodes(),
-        prefixes,
-        flows,
-        packets
-    );
-    let _ = writeln!(out, "  \"stages\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"stage\": \"{}\", \"batch\": {}, \"baseline\": {}, \"ms\": {:.3}, \
-             \"mpps\": {:.3}, \"ns_per_pkt\": {:.1}}}{comma}",
-            r.stage,
-            r.batch,
-            r.baseline,
-            r.wall.as_secs_f64() * 1e3,
-            r.mpps(),
-            r.ns_per_pkt(),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"lookup\": {{\"packets\": {}, \"batch\": {}, \"single_ms\": {:.3}, \
-         \"batched_ms\": {:.3}, \"speedup\": {:.2}, \"descents\": {}, \"reused\": {}, \
-         \"reused_frac\": {:.3}}}",
-        lookup.packets,
-        lookup.batch,
-        lookup.single.as_secs_f64() * 1e3,
-        lookup.batched.as_secs_f64() * 1e3,
-        lookup.speedup(),
-        lookup.descents,
-        lookup.reused,
-        lookup.reused_frac(),
-    );
-    out.push('}');
-    out.push('\n');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::TempPath;
 
     const STAGES: &[&str] = &["forward", "encap", "decap", "split"];
 
@@ -698,33 +572,24 @@ mod tests {
         assert!(out.contains("row schemas:"), "{out}");
         assert!(out.contains("stages[] = {stage, batch, baseline, ms, mpps, ns_per_pkt}"));
         assert!(out.contains("lookup   = {packets, batch, single_ms"));
+        assert!(out.ends_with(&CMD.usage()), "{out}");
     }
 
     #[test]
-    fn bad_options_are_rejected() {
-        assert!(run(&arg("--frobnicate")).is_err());
+    fn bad_values_are_rejected_before_any_work() {
         assert!(run(&arg("--scale nosuch")).unwrap_err().contains("unknown scale"));
-        assert!(run(&arg("--batch 0")).is_err());
-        assert!(run(&arg("--batch 4,x")).is_err());
-        assert!(run(&arg("--packets")).unwrap_err().contains("needs a value"));
-    }
-
-    #[test]
-    fn batch_list_dedupes_but_rejects_junk() {
-        assert_eq!(select_batches("8,64,8,512").unwrap(), vec![8, 64, 512]);
-        assert!(select_batches("8,,64").is_err());
-        assert!(select_batches(&format!("{}", (1usize << 20) + 1)).is_err());
+        assert!(run(&arg("--flows 0")).unwrap_err().contains("--flows"));
+        let err = run(&arg(&format!("--batch 8,{}", MAX_BATCH + 1))).unwrap_err();
+        assert!(err.contains("absurd"), "{err}");
     }
 
     #[test]
     fn tiny_bench_end_to_end() {
-        let out_path = std::env::temp_dir().join("miro_bench_dataplane_test.json");
-        let cap_path = std::env::temp_dir().join("miro_bench_dataplane_test.pcapng");
+        let (out, cap) = (TempPath::new("dataplane_test", ".json"), TempPath::new("dataplane_test", ".pcapng"));
         let report = run(&arg(&format!(
-            "--scale tiny --flows 256 --packets 4000 --batch 4,32 --reps 1 \
-             --out {} --capture {}",
-            out_path.display(),
-            cap_path.display()
+            "--scale tiny --flows 256 --packets 4000 --batch 4,32 --out {} --capture {}",
+            out.0.display(),
+            cap.0.display()
         )))
         .unwrap();
         for stage in STAGES {
@@ -732,28 +597,28 @@ mod tests {
         }
         assert!(report.contains("Mpps"), "{report}");
         assert!(report.contains("captured"), "{report}");
-        let json = std::fs::read_to_string(&out_path).unwrap();
+        let json = std::fs::read_to_string(&out.0).unwrap();
         let v: serde_json::JsonValue = serde_json::from_str(&json).expect("valid JSON");
-        let serde_json::JsonValue::Obj(top) = &v else { panic!("top-level object") };
-        let serde_json::JsonValue::Arr(stages) = &top["stages"] else {
-            panic!("stages array")
-        };
+        assert_eq!(v["bench"].as_str(), Some("dataplane-burst"));
+        assert_eq!(v["scale"].as_str(), Some("tiny"));
+        assert_eq!(v["nodes"].as_f64(), Some(209.0));
+        assert_eq!(v["tunnels"].as_f64(), Some(4.0));
+        assert_eq!((v["flows"].as_f64(), v["packets"].as_f64()), (Some(256.0), Some(4000.0)));
+        assert!(v["host_parallelism"].as_f64().unwrap() >= 1.0);
         // 4 stages x (2 batch sizes + baseline).
+        let stages = v["stages"].as_array().expect("stages array");
         assert_eq!(stages.len(), 4 * 3);
-        for s in stages {
-            let serde_json::JsonValue::Obj(row) = s else { panic!("stage row object") };
-            let serde_json::JsonValue::Num(mpps) = row["mpps"] else { panic!("mpps") };
-            assert!(mpps > 0.0);
+        for (i, row) in stages.iter().enumerate() {
+            assert_eq!(row["stage"].as_str(), Some(STAGES[i / 3]));
+            assert_eq!(row["baseline"].as_bool(), Some(i % 3 == 2));
+            assert_eq!(row["batch"].as_f64(), Some([4.0, 32.0, 1.0][i % 3]));
+            assert!(row["mpps"].as_f64().unwrap() > 0.0);
+            assert!(row["ns_per_pkt"].as_f64().unwrap() > 0.0);
         }
-        let serde_json::JsonValue::Obj(lookup) = &top["lookup"] else {
-            panic!("lookup object")
-        };
-        let serde_json::JsonValue::Num(speedup) = lookup["speedup"] else {
-            panic!("speedup")
-        };
-        assert!(speedup > 0.0);
+        assert_eq!(v["lookup"]["batch"].as_f64(), Some(32.0));
+        assert!(v["lookup"]["speedup"].as_f64().unwrap() > 0.0);
         // The capture is a readable pcapng: SHB magic first.
-        let cap = std::fs::read(&cap_path).unwrap();
+        let cap = std::fs::read(&cap.0).unwrap();
         assert_eq!(&cap[..4], &0x0A0D_0D0Au32.to_le_bytes());
         assert!(cap.len() > 48, "has packet blocks beyond the preamble");
     }

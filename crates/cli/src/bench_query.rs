@@ -22,15 +22,39 @@
 //! in `BENCH_query.json`; `--check-qps F` turns the best round's
 //! throughput into a hard CI gate.
 
+use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Rng, TempPath, Zipf, SEED};
+use miro_churn::replay::percentile;
 use miro_serve::wire::{read_msg, write_msg, WireMsg, QUERY_PROTOCOL_VERSION};
 use miro_shard::format::RouteTableSet;
-use miro_shard::{parse_preset, sample_dests};
+use miro_shard::sample_dests;
+use serde::Serialize;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Generation seed default: fixed so runs are comparable across PRs.
-const SEED: u64 = 42;
+pub static CMD: Cmd = Cmd {
+    name: "bench-query",
+    positional: &[],
+    flags: &[
+        Flag { name: "--scale", kind: Kind::Str, default: "small", help: "self-hosted: solve a sample at this scale and serve it in-process" },
+        Flag { name: "--addr", kind: Kind::Str, default: "", help: "external: drive the `miro serve` daemon at HOST:PORT instead" },
+        Flag { name: "--conns", kind: Kind::UsizeList, default: "4,16,64", help: "client connections, one round each" },
+        Flag { name: "--queries", kind: Kind::Num, default: "20000", help: "queries per round, split across its connections" },
+        Flag { name: "--out", kind: Kind::Str, default: "BENCH_query.json", help: "where the JSON lands" },
+        Flag { name: "--check-qps", kind: Kind::F64, default: "", help: "fail if the best round is under this many queries/s" },
+        Flag { name: "--shutdown", kind: Kind::Switch, default: "", help: "send the external daemon a clean stop afterwards" },
+        Flag { name: "--list", kind: Kind::Switch, default: "", help: "print scales, modes, the row schema and flags; run nothing" },
+    ],
+};
+
+/// Destinations the self-hosted table is solved for.
+const SAMPLE: usize = 256;
+
+/// The self-hosted daemon's answer cache: stripes x slots per stripe
+/// (`miro serve`'s defaults).
+const CACHE: CacheShape = CacheShape { stripes: 16, slots_per_stripe: 1024 };
 
 /// Query mix per 10 queries: 6 next-hop, 3 path, 1 alternate.
 const MIX: &[QueryKind] = &[
@@ -53,86 +77,6 @@ enum QueryKind {
     Alternate,
 }
 
-struct Scale {
-    name: &'static str,
-    preset: &'static str,
-    factor: f64,
-}
-
-const SCALES: &[Scale] = &[
-    Scale { name: "tiny", preset: "gao2005", factor: 0.01 },
-    Scale { name: "small", preset: "gao2005", factor: 0.05 },
-    Scale { name: "medium", preset: "gao2005", factor: 0.5 },
-    Scale { name: "large", preset: "gao2005", factor: 1.0 },
-    Scale { name: "internet", preset: "internet", factor: 1.0 },
-];
-
-struct BenchArgs {
-    scale: String,
-    addr: Option<String>,
-    sample: usize,
-    conns_list: Vec<usize>,
-    queries: usize,
-    seed: u64,
-    out: String,
-    check_qps: Option<f64>,
-    shutdown: bool,
-    stripes: usize,
-    cache_slots: usize,
-}
-
-fn parse(args: &[String]) -> Result<(BenchArgs, bool), String> {
-    let mut a = BenchArgs {
-        scale: "small".to_string(),
-        addr: None,
-        sample: 256,
-        conns_list: vec![4, 16, 64],
-        queries: 20_000,
-        seed: SEED,
-        out: "BENCH_query.json".to_string(),
-        check_qps: None,
-        shutdown: false,
-        stripes: 16,
-        cache_slots: 1024,
-    };
-    let mut list = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = || it.next().cloned().ok_or_else(|| format!("{arg} needs a value"));
-        match arg.as_str() {
-            "--list" => list = true,
-            "--scale" => a.scale = val()?,
-            "--addr" => a.addr = Some(val()?),
-            "--sample" => a.sample = num(&val()?, "--sample")?,
-            "--conns" => {
-                a.conns_list = val()?
-                    .split(',')
-                    .map(|p| num::<usize>(p.trim(), "--conns"))
-                    .collect::<Result<_, _>>()?;
-                if a.conns_list.is_empty() || a.conns_list.contains(&0) {
-                    return Err("--conns needs positive connection counts".into());
-                }
-            }
-            "--queries" => a.queries = num(&val()?, "--queries")?,
-            "--seed" => a.seed = num(&val()?, "--seed")?,
-            "--out" => a.out = val()?,
-            "--check-qps" => a.check_qps = Some(num(&val()?, "--check-qps")?),
-            "--shutdown" => a.shutdown = true,
-            "--stripes" => a.stripes = num(&val()?, "--stripes")?,
-            "--cache-slots" => a.cache_slots = num(&val()?, "--cache-slots")?,
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    if a.queries == 0 {
-        return Err("--queries must be at least 1".into());
-    }
-    Ok((a, list))
-}
-
-fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{flag}: cannot parse {s:?}"))
-}
-
 /// One connection's take-home: latencies and answer-kind tallies.
 #[derive(Default)]
 struct ClientTally {
@@ -143,24 +87,65 @@ struct ClientTally {
 }
 
 /// One round's merged result.
+#[derive(Serialize)]
 struct Round {
     conns: usize,
     queries: usize,
     wall_ms: f64,
     qps: f64,
-    p50_us: f64,
-    p99_us: f64,
+    p50_us: u64,
+    p99_us: u64,
     hit_rate: f64,
     unrouted: u64,
     no_alternate: u64,
 }
 
+#[derive(Serialize)]
+struct Mix {
+    next_hop: f64,
+    path: f64,
+    alternate: f64,
+}
+
+#[derive(Serialize)]
+struct CacheShape {
+    stripes: usize,
+    slots_per_stripe: usize,
+}
+
+#[derive(Serialize)]
+struct Totals {
+    queries: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+}
+
+#[derive(Serialize)]
+struct Report {
+    bench: &'static str,
+    engine: &'static str,
+    mode: &'static str,
+    scale: String,
+    nodes: usize,
+    dests: usize,
+    seed: u64,
+    mix: Mix,
+    cache: CacheShape,
+    rows: Vec<Round>,
+    totals: Totals,
+}
+
 pub fn run(args: &[String]) -> Result<String, String> {
-    let (a, list) = parse(args)?;
-    if list {
+    let a = CMD.parse(args)?;
+    let scale: String = a.get("--scale")?;
+    let queries: usize = a.get("--queries")?;
+    let out_path: String = a.get("--out")?;
+    let check_qps = a.opt("--check-qps")?;
+    let conns_list = a.list("--conns")?;
+    if a.on("--list") {
         let mut out = String::from("bench-query scales (self-hosted mode):\n");
-        for sc in SCALES {
-            let _ = writeln!(out, "  {:<8} preset={} factor={}", sc.name, sc.preset, sc.factor);
+        for sc in harness::SCALES {
+            let _ = writeln!(out, "{sc}");
         }
         out.push_str("modes:\n");
         out.push_str("  --scale S   solve a sample, serve it in-process, drive loopback TCP\n");
@@ -171,14 +156,20 @@ pub fn run(args: &[String]) -> Result<String, String> {
             "  rows[] = {conns, queries, wall_ms, qps, p50_us, p99_us, hit_rate, \
              unrouted, no_alternate}\n",
         );
+        out.push_str(&CMD.usage());
         return Ok(out);
+    }
+    if queries == 0 {
+        return Err("--queries must be at least 1".into());
     }
 
     // ---- Get a server address: external, or spin up the full stack ----
+    // `hosted` stops its daemon and removes its table file when dropped,
+    // so every `?` below leaves nothing behind.
     let mut report;
     let addr: SocketAddr;
     let mut hosted: Option<HostedServer> = None;
-    match &a.addr {
+    match a.opt::<String>("--addr")? {
         Some(s) => {
             addr = s
                 .parse()
@@ -186,11 +177,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
             report = format!("bench-query: external daemon at {addr}\n");
         }
         None => {
-            let sc = SCALES
-                .iter()
-                .find(|s| s.name == a.scale)
-                .ok_or(format!("unknown scale {:?} (try --list)", a.scale))?;
-            let h = HostedServer::start(sc, &a)?;
+            let sc = harness::scale(&scale)?;
+            let h = HostedServer::start(sc)?;
             addr = h.addr;
             report = format!(
                 "bench-query: {} ({} nodes, {} dests solved in {:.2}s, {} byte table) on {addr}\n",
@@ -209,8 +197,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
     // ---- Rounds -------------------------------------------------------
     let mut rounds: Vec<Round> = Vec::new();
-    for &conns in &a.conns_list {
-        let per_conn = (a.queries / conns).max(1);
+    for &conns in &conns_list {
+        let per_conn = (queries / conns).max(1);
         let total = per_conn * conns;
         let before = control.stats()?;
         let start = Instant::now();
@@ -218,7 +206,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let handles: Vec<_> = (0..conns)
                 .map(|c| {
                     let (srcs, dests) = (&src_asns, &dest_asns);
-                    let seed = a.seed ^ (conns as u64) << 32 ^ c as u64;
+                    let seed = SEED ^ (conns as u64) << 32 ^ c as u64;
                     scope.spawn(move || drive_connection(addr, srcs, dests, per_conn, seed))
                 })
                 .collect();
@@ -241,26 +229,21 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 merged.errors
             ));
         }
-        merged.latencies_us.sort_unstable();
-        let pct = |p: f64| -> f64 {
-            let n = merged.latencies_us.len();
-            merged.latencies_us[((n as f64 * p) as usize).min(n - 1)] as f64
-        };
         let (dh, dm) = (after.0 - before.0, after.1 - before.1);
         let round = Round {
             conns,
             queries: total,
-            wall_ms: wall.as_secs_f64() * 1e3,
+            wall_ms: ms(wall),
             qps: total as f64 / wall.as_secs_f64().max(1e-9),
-            p50_us: pct(0.50),
-            p99_us: pct(0.99),
+            p50_us: percentile(&merged.latencies_us, 50),
+            p99_us: percentile(&merged.latencies_us, 99),
             hit_rate: if dh + dm == 0 { 0.0 } else { dh as f64 / (dh + dm) as f64 },
             unrouted: merged.unrouted,
             no_alternate: merged.no_alternate,
         };
         let _ = writeln!(
             report,
-            "  {:>3} conns | {:>7} q | {:>9.0} q/s | p50 {:>6.0} us | p99 {:>6.0} us | \
+            "  {:>3} conns | {:>7} q | {:>9.0} q/s | p50 {:>6} us | p99 {:>6} us | \
              cache {:>4.0}% | {} unrouted",
             round.conns,
             round.queries,
@@ -274,30 +257,39 @@ pub fn run(args: &[String]) -> Result<String, String> {
     }
 
     // ---- Wind down ----------------------------------------------------
-    let final_stats = control.stats()?;
-    if a.shutdown || hosted.is_some() {
+    let (cache_hits, cache_misses, served) = control.stats()?;
+    if a.on("--shutdown") || hosted.is_some() {
         control.shutdown()?;
     }
     drop(control);
-    let (nodes, dests, scale_name, mode) = match hosted {
+    let (nodes, dests, scale, mode) = match hosted {
         Some(h) => {
             let (n, d) = (h.nodes, h.dests);
             h.finish()?;
-            (n, d, a.scale.as_str(), "self-hosted")
+            (n, d, scale, "self-hosted")
         }
-        None => (0, dest_asns.len(), "external", "external"),
+        None => (0, dest_asns.len(), "external".to_string(), "external"),
     };
 
-    let json = to_json(&a, mode, scale_name, nodes, dests, &rounds, final_stats);
-    std::fs::write(&a.out, &json).map_err(|e| format!("cannot write {:?}: {e}", a.out))?;
-    let _ = writeln!(report, "wrote {}", a.out);
+    let best = rounds.iter().map(|r| r.qps).fold(0.0f64, f64::max);
+    let json = Report {
+        bench: "query-serve",
+        engine: "mmap-table-striped-cache-thread-per-conn",
+        mode,
+        scale,
+        nodes,
+        dests,
+        seed: SEED,
+        mix: Mix { next_hop: 0.6, path: 0.3, alternate: 0.1 },
+        cache: CACHE,
+        rows: rounds,
+        totals: Totals { queries: served, cache_hits, cache_misses },
+    };
+    report.push_str(&harness::emit(&out_path, &json)?);
 
-    if let Some(floor) = a.check_qps {
-        let best = rounds.iter().map(|r| r.qps).fold(0.0f64, f64::max);
-        if best < floor {
-            return Err(format!("qps regression: best round {best:.0} q/s < required {floor}"));
-        }
-        let _ = writeln!(report, "check-qps: best {:.0} >= {floor} ok", best);
+    gate("qps (best round)", best, check_qps)?;
+    if let Some(floor) = check_qps {
+        let _ = writeln!(report, "check-qps: best {best:.0} >= {floor} ok");
     }
     Ok(report)
 }
@@ -392,7 +384,7 @@ fn drive_connection(
                 // source is a defined client error we don't want to time).
                 let mut avoid = src_asns[src_zipf.sample(&mut rng)];
                 while avoid == src {
-                    avoid = src_asns[(rng.next() as usize) % src_asns.len()];
+                    avoid = src_asns[(rng.next_u64() as usize) % src_asns.len()];
                 }
                 WireMsg::Alternate { id, src, dest, avoid }
             }
@@ -421,168 +413,75 @@ fn drive_connection(
 // -------------------------------------------------- self-hosted server
 
 /// The in-process serving stack: solved table on disk, mmap'd, served.
+/// Dropping it stops and joins the daemon, then removes the table file.
 struct HostedServer {
     addr: SocketAddr,
     nodes: usize,
     dests: usize,
     table_bytes: usize,
     solve_secs: f64,
-    table_path: std::path::PathBuf,
-    daemon: std::thread::JoinHandle<std::io::Result<miro_serve::server::ServeReport>>,
+    stop: Arc<AtomicBool>,
+    daemon: Option<std::thread::JoinHandle<std::io::Result<miro_serve::server::ServeReport>>>,
+    /// Declared last: the file outlives the daemon thread that maps it.
+    _table: TempPath,
 }
 
 impl HostedServer {
-    fn start(sc: &Scale, a: &BenchArgs) -> Result<HostedServer, String> {
+    fn start(sc: &harness::Scale) -> Result<HostedServer, String> {
         use miro_serve::cache::ShardedCache;
         use miro_serve::mmap::MappedTable;
         use miro_serve::query::Engine;
         use miro_serve::server::Server;
 
-        let topo = parse_preset(sc.preset)?.params(sc.factor, a.seed).generate();
+        let topo = sc.preset.params(sc.factor, SEED).generate();
         let nodes = topo.num_nodes();
-        let dests = sample_dests(topo.num_nodes(), a.sample);
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let dests = sample_dests(topo.num_nodes(), SAMPLE);
         let t0 = Instant::now();
-        let set = RouteTableSet::from_solves(&topo, &dests, threads);
+        let set = RouteTableSet::from_solves(&topo, &dests, host_parallelism());
         let solve_secs = t0.elapsed().as_secs_f64();
         let bytes = set.encode();
-        let table_path = std::env::temp_dir()
-            .join(format!("miro_bench_query_{}_{}.mirt", sc.name, std::process::id()));
-        std::fs::write(&table_path, &bytes)
-            .map_err(|e| format!("cannot write {table_path:?}: {e}"))?;
+        let table = TempPath::new(&format!("query_{}", sc.name), ".mirt");
+        std::fs::write(&table.0, &bytes).map_err(|e| format!("cannot write {:?}: {e}", table.0))?;
         let table_bytes = bytes.len();
         drop(bytes);
         drop(set);
 
-        let table = MappedTable::open(&table_path)?;
-        let engine =
-            Engine::new(table, topo, Some(ShardedCache::new(a.stripes, a.cache_slots)))?;
+        let mapped = MappedTable::open(&table.0)?;
+        let cache = ShardedCache::new(CACHE.stripes, CACHE.slots_per_stripe);
+        let engine = Engine::new(mapped, topo, Some(cache))?;
         let server = Server::bind("127.0.0.1:0", engine)
             .map_err(|e| format!("cannot bind loopback: {e}"))?;
         let addr = server.local_addr().map_err(|e| e.to_string())?;
-        let daemon = std::thread::spawn(move || server.run());
+        let stop = server.stop_handle();
+        let daemon = Some(std::thread::spawn(move || server.run()));
         Ok(HostedServer {
             addr,
             nodes,
             dests: dests.len(),
             table_bytes,
             solve_secs,
-            table_path,
+            stop,
             daemon,
+            _table: table,
         })
     }
 
     /// Join the daemon (a `Shutdown` must already have been sent) and
-    /// remove the table file.
-    fn finish(self) -> Result<(), String> {
-        let report =
-            self.daemon.join().map_err(|_| "daemon thread panicked".to_string())?;
-        report.map_err(|e| format!("daemon failed: {e}"))?;
-        std::fs::remove_file(&self.table_path).ok();
-        Ok(())
+    /// report how it ended.
+    fn finish(mut self) -> Result<(), String> {
+        let daemon = self.daemon.take().expect("finish runs once");
+        let report = daemon.join().map_err(|_| "daemon thread panicked".to_string())?;
+        report.map(|_| ()).map_err(|e| format!("daemon failed: {e}"))
     }
 }
 
-// ---------------------------------------------------------------- misc
-
-/// xorshift64* — the repo's deterministic traffic PRNG.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
-/// Zipf(1.0) sampler (cumulative table + binary search), same shape as
-/// the dataplane bench's traffic skew.
-struct Zipf {
-    cumulative: Vec<f64>,
-}
-
-impl Zipf {
-    fn new(n: usize) -> Zipf {
-        let mut cumulative = Vec::with_capacity(n);
-        let mut acc = 0.0f64;
-        for i in 0..n {
-            acc += 1.0 / (i + 1) as f64;
-            cumulative.push(acc);
+impl Drop for HostedServer {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(daemon) = self.daemon.take() {
+            let _ = daemon.join();
         }
-        Zipf { cumulative }
     }
-
-    fn sample(&self, rng: &mut Rng) -> usize {
-        let total = *self.cumulative.last().expect("nonempty");
-        let u = (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * total;
-        self.cumulative.partition_point(|&c| c < u).min(self.cumulative.len() - 1)
-    }
-}
-
-fn to_json(
-    a: &BenchArgs,
-    mode: &str,
-    scale: &str,
-    nodes: usize,
-    dests: usize,
-    rounds: &[Round],
-    final_stats: (u64, u64, u64),
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"query-serve\",");
-    let _ = writeln!(
-        out,
-        "  \"engine\": \"mmap-table-striped-cache-thread-per-conn\","
-    );
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(
-        out,
-        "  \"scale\": \"{scale}\", \"nodes\": {nodes}, \"dests\": {dests}, \"seed\": {},",
-        a.seed
-    );
-    let _ = writeln!(
-        out,
-        "  \"mix\": {{\"next_hop\": 0.6, \"path\": 0.3, \"alternate\": 0.1}},"
-    );
-    let _ = writeln!(
-        out,
-        "  \"cache\": {{\"stripes\": {}, \"slots_per_stripe\": {}}},",
-        a.stripes, a.cache_slots
-    );
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in rounds.iter().enumerate() {
-        let comma = if i + 1 < rounds.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"conns\": {}, \"queries\": {}, \"wall_ms\": {:.3}, \"qps\": {:.0}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"hit_rate\": {:.4}, \"unrouted\": {}, \
-             \"no_alternate\": {}}}{comma}",
-            r.conns,
-            r.queries,
-            r.wall_ms,
-            r.qps,
-            r.p50_us,
-            r.p99_us,
-            r.hit_rate,
-            r.unrouted,
-            r.no_alternate,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"totals\": {{\"queries\": {}, \"cache_hits\": {}, \"cache_misses\": {}}}",
-        final_stats.2, final_stats.0, final_stats.1
-    );
-    out.push('}');
-    out.push('\n');
-    out
 }
 
 #[cfg(test)]
@@ -596,47 +495,68 @@ mod tests {
     #[test]
     fn list_prints_scales_modes_and_schema() {
         let out = run(&arg("--list")).unwrap();
-        for sc in SCALES {
+        for sc in harness::SCALES {
             assert!(out.contains(sc.name), "{} in {out}", sc.name);
         }
         assert!(out.contains("--addr"), "{out}");
         assert!(out.contains(
             "rows[] = {conns, queries, wall_ms, qps, p50_us, p99_us, hit_rate"
         ));
+        assert!(out.ends_with(&CMD.usage()), "{out}");
     }
 
     #[test]
-    fn bad_options_are_rejected() {
-        assert!(run(&arg("--frobnicate")).is_err());
+    fn bad_values_are_rejected_before_any_work() {
         assert!(run(&arg("--scale nosuch")).unwrap_err().contains("unknown scale"));
-        assert!(run(&arg("--conns 0")).is_err());
-        assert!(run(&arg("--conns 4,x")).is_err());
+        assert!(run(&arg("--conns 0")).unwrap_err().contains("--conns"));
         assert!(run(&arg("--queries 0")).unwrap_err().contains("--queries"));
         assert!(run(&arg("--addr notanaddr")).unwrap_err().contains("--addr"));
     }
 
     #[test]
     fn tiny_self_hosted_bench_end_to_end() {
-        let out_path = std::env::temp_dir().join("miro_bench_query_test.json");
+        let out = TempPath::new("query_test", ".json");
         let report = run(&arg(&format!(
-            "--scale tiny --sample 32 --conns 2,4 --queries 600 --out {}",
-            out_path.display()
+            "--scale tiny --conns 2,4 --queries 600 --out {}",
+            out.0.display()
         )))
         .unwrap();
         assert!(report.contains("q/s"), "{report}");
-        let json = std::fs::read_to_string(&out_path).unwrap();
+        let json = std::fs::read_to_string(&out.0).unwrap();
         let v: serde_json::JsonValue = serde_json::from_str(&json).expect("valid JSON");
-        let serde_json::JsonValue::Obj(top) = &v else { panic!("top-level object") };
-        let serde_json::JsonValue::Arr(rows) = &top["rows"] else { panic!("rows array") };
+        assert_eq!(v["bench"].as_str(), Some("query-serve"));
+        assert_eq!(v["mode"].as_str(), Some("self-hosted"));
+        assert_eq!(v["scale"].as_str(), Some("tiny"));
+        assert_eq!((v["nodes"].as_f64(), v["dests"].as_f64()), (Some(209.0), Some(209.0)));
+        assert_eq!(v["mix"]["next_hop"].as_f64(), Some(0.6));
+        assert_eq!(v["cache"]["slots_per_stripe"].as_f64(), Some(1024.0));
+        let rows = v["rows"].as_array().expect("rows array");
         assert_eq!(rows.len(), 2);
-        for r in rows {
-            let serde_json::JsonValue::Obj(row) = r else { panic!("row object") };
-            let serde_json::JsonValue::Num(qps) = row["qps"] else { panic!("qps") };
-            assert!(qps > 0.0);
-            let serde_json::JsonValue::Num(p99) = row["p99_us"] else { panic!("p99_us") };
-            let serde_json::JsonValue::Num(p50) = row["p50_us"] else { panic!("p50_us") };
-            assert!(p99 >= p50);
+        for (row, conns) in rows.iter().zip([2.0, 4.0]) {
+            assert_eq!(row["conns"].as_f64(), Some(conns));
+            assert_eq!(row["queries"].as_f64(), Some(600.0));
+            assert!(row["qps"].as_f64().unwrap() > 0.0);
+            assert!(row["p99_us"].as_f64().unwrap() >= row["p50_us"].as_f64().unwrap());
+            assert!((0.0..=1.0).contains(&row["hit_rate"].as_f64().unwrap()));
         }
-        std::fs::remove_file(&out_path).ok();
+        // Two rounds of 600 plus nothing else: the control connection's
+        // Universe/Stats traffic is not a query.
+        assert_eq!(v["totals"]["queries"].as_f64(), Some(1200.0));
+    }
+
+    /// What every `?` between `HostedServer::start` and `finish` does:
+    /// drop the server with a client still connected and no wire
+    /// `Shutdown` sent. The drop itself must stop the daemon thread and
+    /// take the table file with it.
+    #[test]
+    fn dropping_a_hosted_server_stops_the_daemon_and_removes_the_table() {
+        let hosted = HostedServer::start(harness::scale("tiny").unwrap()).unwrap();
+        let (addr, table) = (hosted.addr, hosted._table.0.clone());
+        assert!(table.exists());
+        let mut control = Client::connect(addr).unwrap();
+        control.stats().expect("daemon is serving");
+        drop(hosted);
+        assert!(!table.exists(), "table file removed on drop");
+        assert!(Client::connect(addr).is_err(), "listener closed: the daemon thread ended");
     }
 }

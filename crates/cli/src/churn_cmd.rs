@@ -16,21 +16,44 @@
 //! `--check-events-rate` turns the batched events/sec into a hard floor.
 //! Results land in `BENCH_churn.json`.
 
+use crate::harness::{self, gate, Cmd, Flag, Kind, SEED};
 use miro_churn::gen::{generate, GenConfig};
 use miro_churn::replay::{replay_delta, replay_sim, BatchMode, DeltaReplayReport};
 use miro_churn::trace::Trace;
 use miro_topology::gen::DatasetPreset;
+use serde::Serialize;
 use std::fmt::Write as _;
 
-/// Generation seed default: fixed so runs are comparable across PRs.
-const SEED: u64 = 42;
+pub static GEN: Cmd = Cmd {
+    name: "churn gen",
+    positional: &["out.mct"],
+    flags: &[
+        Flag { name: "--preset", kind: Kind::Str, default: "gao2005", help: "topology preset the trace runs over" },
+        Flag { name: "--factor", kind: Kind::F64, default: "0.05", help: "multiple of the preset's node count" },
+        Flag { name: "--fig1.1", kind: Kind::Switch, default: "", help: "use the Figure 1.1 gadget instead of a preset" },
+        Flag { name: "--fig1-1", kind: Kind::Switch, default: "", help: "same as --fig1.1" },
+        Flag { name: "--seed", kind: Kind::Num, default: "42", help: "topology and event-stream seed" },
+        Flag { name: "--events", kind: Kind::Num, default: "", help: "events to generate" },
+        Flag { name: "--mean-gap-ms", kind: Kind::Num, default: "", help: "mean inter-arrival gap" },
+        Flag { name: "--burst", kind: Kind::F64, default: "", help: "share of events that land in a co-temporal burst" },
+        Flag { name: "--flappers", kind: Kind::Num, default: "", help: "links that flap" },
+        Flag { name: "--flap", kind: Kind::F64, default: "", help: "share of link events drawn from the flappers" },
+        Flag { name: "--origin", kind: Kind::F64, default: "", help: "share of events that are origin announce/withdraws" },
+    ],
+};
 
-const CHURN_USAGE: &str = "\
-usage: miro churn <gen|dump|replay> ...
-  gen <out.mct> [--preset P --factor F | --fig1.1] [--seed N] [--events N]
-                [--mean-gap-ms N] [--burst F] [--flappers N] [--flap F] [--origin F]
-  dump <file.mct>
-  replay <file.mct> [--mode serial|batched|sim] [--dests N] [--seed N] [--step-budget N]";
+pub static DUMP: Cmd = Cmd { name: "churn dump", positional: &["file.mct"], flags: &[] };
+
+pub static REPLAY: Cmd = Cmd {
+    name: "churn replay",
+    positional: &["file.mct"],
+    flags: &[
+        Flag { name: "--mode", kind: Kind::Str, default: "batched", help: "serial | batched (delta engine) or sim (message-level simulator)" },
+        Flag { name: "--dests", kind: Kind::Num, default: "4", help: "destinations the delta engine tracks" },
+        Flag { name: "--seed", kind: Kind::Num, default: "42", help: "simulator activation-order seed" },
+        Flag { name: "--step-budget", kind: Kind::Num, default: "1000000", help: "simulator activations per batch before it counts as diverged" },
+    ],
+};
 
 /// Entry point for `miro churn`.
 pub fn run_churn(args: &[String]) -> Result<String, String> {
@@ -38,82 +61,33 @@ pub fn run_churn(args: &[String]) -> Result<String, String> {
         Some((cmd, rest)) if cmd == "gen" => churn_gen(rest),
         Some((cmd, rest)) if cmd == "dump" => churn_dump(rest),
         Some((cmd, rest)) if cmd == "replay" => churn_replay(rest),
-        _ => Err(CHURN_USAGE.to_string()),
-    }
-}
-
-fn parse_preset(name: &str) -> Result<DatasetPreset, String> {
-    match name {
-        "gao2000" => Ok(DatasetPreset::Gao2000),
-        "gao2003" => Ok(DatasetPreset::Gao2003),
-        "gao2005" => Ok(DatasetPreset::Gao2005),
-        "agarwal2004" => Ok(DatasetPreset::Agarwal2004),
-        "internet" => Ok(DatasetPreset::InternetScale),
-        other => Err(format!("unknown preset {other:?}")),
+        _ => Err([&GEN, &DUMP, &REPLAY].map(Cmd::usage).concat()),
     }
 }
 
 fn churn_gen(args: &[String]) -> Result<String, String> {
-    let mut out_path: Option<String> = None;
-    let mut preset = "gao2005".to_string();
-    let mut factor = 0.05f64;
-    let mut fig = false;
-    let mut cfg = GenConfig { seed: SEED, ..GenConfig::default() };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |n: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{n} needs a value"))
-        };
-        match arg.as_str() {
-            "--preset" => preset = val("--preset")?,
-            "--factor" => {
-                factor = val("--factor")?.parse().map_err(|_| "bad --factor".to_string())?
-            }
-            "--fig1.1" | "--fig1-1" => fig = true,
-            "--seed" => cfg.seed = val("--seed")?.parse().map_err(|_| "bad --seed".to_string())?,
-            "--events" => {
-                cfg.events = val("--events")?.parse().map_err(|_| "bad --events".to_string())?
-            }
-            "--mean-gap-ms" => {
-                cfg.mean_gap_ms =
-                    val("--mean-gap-ms")?.parse().map_err(|_| "bad --mean-gap-ms".to_string())?
-            }
-            "--burst" => {
-                cfg.burst_fraction =
-                    val("--burst")?.parse().map_err(|_| "bad --burst".to_string())?
-            }
-            "--flappers" => {
-                cfg.flappers =
-                    val("--flappers")?.parse().map_err(|_| "bad --flappers".to_string())?
-            }
-            "--flap" => {
-                cfg.flap_fraction = val("--flap")?.parse().map_err(|_| "bad --flap".to_string())?
-            }
-            "--origin" => {
-                cfg.origin_fraction =
-                    val("--origin")?.parse().map_err(|_| "bad --origin".to_string())?
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}\n{CHURN_USAGE}"))
-            }
-            other => {
-                if out_path.is_some() {
-                    return Err(format!("more than one output file\n{CHURN_USAGE}"));
-                }
-                out_path = Some(other.to_string());
-            }
-        }
-    }
-    let out_path = out_path.ok_or(CHURN_USAGE.to_string())?;
+    let a = GEN.parse(args)?;
+    let out_path = &a.positional[0];
+    let defaults = GenConfig::default();
+    let cfg = GenConfig {
+        seed: a.get("--seed")?,
+        events: a.opt("--events")?.unwrap_or(defaults.events),
+        mean_gap_ms: a.opt("--mean-gap-ms")?.unwrap_or(defaults.mean_gap_ms),
+        burst_fraction: a.opt("--burst")?.unwrap_or(defaults.burst_fraction),
+        flappers: a.opt("--flappers")?.unwrap_or(defaults.flappers),
+        flap_fraction: a.opt("--flap")?.unwrap_or(defaults.flap_fraction),
+        origin_fraction: a.opt("--origin")?.unwrap_or(defaults.origin_fraction),
+    };
 
-    let topo = if fig {
+    let topo = if a.on("--fig1.1") || a.on("--fig1-1") {
         miro_topology::gen::figure_1_1().0
     } else {
-        parse_preset(&preset)?.params(factor, cfg.seed).generate()
+        let preset: DatasetPreset = a.get::<String>("--preset")?.parse()?;
+        preset.params(a.get("--factor")?, cfg.seed).generate()
     };
     let trace = generate(&topo, &cfg);
     let bytes = trace.encode().map_err(|e| e.to_string())?;
-    std::fs::write(&out_path, &bytes).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
+    std::fs::write(out_path, &bytes).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
     let (downs, ups, withdraws, announces) = trace.kind_counts();
     Ok(format!(
         "wrote {out_path}: {} events over {} ASes / {} links ({} bytes)\n  \
@@ -134,7 +108,7 @@ fn load_trace(path: &str) -> Result<Trace, String> {
 }
 
 fn churn_dump(args: &[String]) -> Result<String, String> {
-    let [path] = args else { return Err(CHURN_USAGE.to_string()) };
+    let path = &DUMP.parse(args)?.positional[0];
     let trace = load_trace(path)?;
     let topo = trace.topology().map_err(|e| e.to_string())?;
     let (downs, ups, withdraws, announces) = trace.kind_counts();
@@ -164,37 +138,10 @@ fn churn_dump(args: &[String]) -> Result<String, String> {
 }
 
 fn churn_replay(args: &[String]) -> Result<String, String> {
-    let mut path: Option<String> = None;
-    let mut mode = "batched".to_string();
-    let mut dests = 4usize;
-    let mut seed = SEED;
-    let mut step_budget = 1_000_000usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |n: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{n} needs a value"))
-        };
-        match arg.as_str() {
-            "--mode" => mode = val("--mode")?,
-            "--dests" => dests = val("--dests")?.parse().map_err(|_| "bad --dests".to_string())?,
-            "--seed" => seed = val("--seed")?.parse().map_err(|_| "bad --seed".to_string())?,
-            "--step-budget" => {
-                step_budget =
-                    val("--step-budget")?.parse().map_err(|_| "bad --step-budget".to_string())?
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}\n{CHURN_USAGE}"))
-            }
-            other => {
-                if path.is_some() {
-                    return Err(format!("more than one input file\n{CHURN_USAGE}"));
-                }
-                path = Some(other.to_string());
-            }
-        }
-    }
-    let path = path.ok_or(CHURN_USAGE.to_string())?;
-    let trace = load_trace(&path)?;
+    let a = REPLAY.parse(args)?;
+    let mode: String = a.get("--mode")?;
+    let (dests, seed, step_budget) = (a.get("--dests")?, a.get("--seed")?, a.get("--step-budget")?);
+    let trace = load_trace(&a.positional[0])?;
 
     match mode.as_str() {
         "serial" | "batched" => {
@@ -265,80 +212,93 @@ fn format_delta_report(r: &DeltaReplayReport) -> String {
 // miro bench-churn
 // ---------------------------------------------------------------------
 
-/// Bench scales: preset factor plus trace size. The bench's generator
+/// Trace size per bench scale (`large` and `internet` are not offered:
+/// the simulator replay alone would run for hours). The bench's generator
 /// settings are burst-heavy (RouteViews updates cluster inside MRAI
 /// windows), which is exactly the workload batching exists for.
-struct Scale {
-    name: &'static str,
-    factor: f64,
-    events: usize,
+const EVENTS: &[(&str, usize)] = &[("tiny", 4_000), ("small", 20_000), ("medium", 60_000)];
+
+/// Destinations the delta engines track.
+const DESTS: usize = 4;
+
+pub static BENCH: Cmd = Cmd {
+    name: "bench-churn",
+    positional: &[],
+    flags: &[
+        Flag { name: "--scale", kind: Kind::Str, default: "small", help: "topology and trace size: tiny|small|medium" },
+        Flag { name: "--out", kind: Kind::Str, default: "BENCH_churn.json", help: "where the JSON lands" },
+        Flag { name: "--check-events-rate", kind: Kind::F64, default: "", help: "fail under this many batched events/s" },
+        Flag { name: "--check-speedup", kind: Kind::F64, default: "", help: "fail under this batched-vs-serial speedup" },
+        Flag { name: "--list", kind: Kind::Switch, default: "", help: "print scales, row schemas and flags; run nothing" },
+    ],
+};
+
+#[derive(Serialize)]
+struct Quantiles {
+    p50: u64,
+    p95: u64,
+    max: u64,
 }
 
-const SCALES: &[Scale] = &[
-    Scale { name: "tiny", factor: 0.01, events: 4_000 },
-    Scale { name: "small", factor: 0.05, events: 20_000 },
-    Scale { name: "medium", factor: 0.5, events: 60_000 },
-];
+/// One delta replay (serial or batched).
+#[derive(Serialize)]
+struct ModeRow {
+    mode: &'static str,
+    events_per_sec: f64,
+    elapsed_ms: f64,
+    downs: usize,
+    ups: usize,
+    cancelled: usize,
+    recomputed: usize,
+    full_resolves: usize,
+    restore_rounds: Quantiles,
+    table_fnv: String,
+}
 
-const BENCH_USAGE: &str = "\
-usage: miro bench-churn [--scale tiny|small|medium] [--events N] [--dests N]
-  [--seed N] [--burst F] [--out BENCH_churn.json] [--check-events-rate F]
-  [--check-speedup F] [--list]";
+#[derive(Serialize)]
+struct SimRow {
+    lag_p50: u64,
+    lag_p95: u64,
+    lag_max: u64,
+    converged_batches: usize,
+    diverged_batches: usize,
+    events_per_sec: f64,
+}
+
+#[derive(Serialize)]
+struct Tunnels {
+    teardowns: usize,
+    renegotiations: usize,
+}
+
+#[derive(Serialize)]
+struct Report {
+    bench: &'static str,
+    engine: &'static str,
+    baseline: &'static str,
+    seed: u64,
+    scale: &'static str,
+    nodes: usize,
+    links: usize,
+    events: usize,
+    batches: usize,
+    dests: usize,
+    rows: Vec<ModeRow>,
+    speedup: f64,
+    sim: SimRow,
+    tunnels: Tunnels,
+}
 
 /// Entry point for `miro bench-churn`.
 pub fn run_bench(args: &[String]) -> Result<String, String> {
-    let mut scale = "small".to_string();
-    let mut events: Option<usize> = None;
-    let mut dests = 4usize;
-    let mut seed = SEED;
-    let mut burst = 0.7f64;
-    let mut out_path = "BENCH_churn.json".to_string();
-    let mut check_rate: Option<f64> = None;
-    let mut check_speedup: Option<f64> = None;
-    let mut list = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |n: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{n} needs a value"))
-        };
-        match arg.as_str() {
-            "--list" => list = true,
-            "--scale" => scale = val("--scale")?,
-            "--events" => {
-                events = Some(val("--events")?.parse().map_err(|_| "bad --events".to_string())?)
-            }
-            "--dests" => dests = val("--dests")?.parse().map_err(|_| "bad --dests".to_string())?,
-            "--seed" => seed = val("--seed")?.parse().map_err(|_| "bad --seed".to_string())?,
-            "--burst" => {
-                burst = val("--burst")?.parse().map_err(|_| "bad --burst".to_string())?
-            }
-            "--out" => out_path = val("--out")?,
-            "--check-events-rate" => {
-                check_rate = Some(
-                    val("--check-events-rate")?
-                        .parse()
-                        .map_err(|_| "--check-events-rate needs a number".to_string())?,
-                )
-            }
-            "--check-speedup" => {
-                check_speedup = Some(
-                    val("--check-speedup")?
-                        .parse()
-                        .map_err(|_| "--check-speedup needs a number".to_string())?,
-                )
-            }
-            other => return Err(format!("unknown option {other:?}\n{BENCH_USAGE}")),
-        }
-    }
+    let a = BENCH.parse(args)?;
+    let out_path: String = a.get("--out")?;
+    let (check_rate, check_speedup) = (a.opt("--check-events-rate")?, a.opt("--check-speedup")?);
 
-    if list {
+    if a.on("--list") {
         let mut out = String::from("bench-churn scales:\n");
-        for sc in SCALES {
-            let _ = writeln!(
-                out,
-                "  {:<8} gao2005 factor={} events={}",
-                sc.name, sc.factor, sc.events
-            );
+        for (name, events) in EVENTS {
+            let _ = writeln!(out, "{} events={events}", harness::scale(name)?);
         }
         out.push_str("row schemas:\n");
         out.push_str(
@@ -350,23 +310,23 @@ pub fn run_bench(args: &[String]) -> Result<String, String> {
              events_per_sec}\n",
         );
         out.push_str("  tunnels = {teardowns, renegotiations}\n");
+        out.push_str(&BENCH.usage());
         return Ok(out);
     }
 
-    let sc = SCALES
+    let scale: String = a.get("--scale")?;
+    let &(_, events) = EVENTS
         .iter()
-        .find(|s| s.name == scale)
+        .find(|(name, _)| *name == scale)
         .ok_or(format!("unknown scale {scale:?} (try --list)"))?;
-    if dests == 0 {
-        return Err("--dests must be at least 1".to_string());
-    }
+    let sc = harness::scale(&scale)?;
 
     // ---- Workload ------------------------------------------------------
-    let topo = DatasetPreset::Gao2005.params(sc.factor, seed).generate();
+    let topo = sc.preset.params(sc.factor, SEED).generate();
     let cfg = GenConfig {
-        seed,
-        events: events.unwrap_or(sc.events),
-        burst_fraction: burst,
+        seed: SEED,
+        events,
+        burst_fraction: 0.7,
         flap_fraction: 0.7,
         ..GenConfig::default()
     };
@@ -377,12 +337,12 @@ pub fn run_bench(args: &[String]) -> Result<String, String> {
         topo.num_edges(),
         trace.events.len(),
         trace.batches().count(),
-        dests
+        DESTS
     );
 
     // ---- Serial vs batched delta replay -------------------------------
-    let serial = replay_delta(&trace, BatchMode::Serial, dests).map_err(|e| e.to_string())?;
-    let batched = replay_delta(&trace, BatchMode::Batched, dests).map_err(|e| e.to_string())?;
+    let serial = replay_delta(&trace, BatchMode::Serial, DESTS).map_err(|e| e.to_string())?;
+    let batched = replay_delta(&trace, BatchMode::Batched, DESTS).map_err(|e| e.to_string())?;
     if serial.table_fnv != batched.table_fnv {
         return Err(format!(
             "equivalence contract broken: serial table {:#018x} != batched {:#018x}",
@@ -417,7 +377,7 @@ pub fn run_bench(args: &[String]) -> Result<String, String> {
     );
 
     // ---- Simulator convergence lag ------------------------------------
-    let sim = replay_sim(&trace, seed, 2_000_000).map_err(|e| e.to_string())?;
+    let sim = replay_sim(&trace, SEED, 2_000_000).map_err(|e| e.to_string())?;
     let _ = writeln!(
         report,
         "  sim lag (activations): p50 {} / p95 {} / max {}; {} of {} batches diverged",
@@ -425,100 +385,56 @@ pub fn run_bench(args: &[String]) -> Result<String, String> {
     );
 
     // ---- JSON + gates --------------------------------------------------
-    let json = to_json(sc, seed, &topo, &trace, dests, &serial, &batched, speedup, &sim);
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    let _ = writeln!(report, "wrote {out_path}");
+    let json = Report {
+        bench: "churn-replay",
+        engine: "batched-cone-delta",
+        baseline: "serial-one-event-apply",
+        seed: SEED,
+        scale: sc.name,
+        nodes: topo.num_nodes(),
+        links: topo.num_edges(),
+        events: trace.events.len(),
+        batches: trace.batches().count(),
+        dests: DESTS,
+        rows: [&serial, &batched].map(mode_row).into(),
+        speedup,
+        sim: SimRow {
+            lag_p50: sim.lag_p50,
+            lag_p95: sim.lag_p95,
+            lag_max: sim.lag_max,
+            converged_batches: sim.converged_batches,
+            diverged_batches: sim.diverged_batches,
+            events_per_sec: sim.events_per_sec,
+        },
+        tunnels: Tunnels {
+            teardowns: batched.tunnel_teardowns,
+            renegotiations: batched.tunnel_renegotiations,
+        },
+    };
+    report.push_str(&harness::emit(&out_path, &json)?);
 
-    if let Some(floor) = check_rate {
-        if batched.events_per_sec < floor {
-            return Err(format!(
-                "churn rate regression: batched {:.0} events/s < required {floor}",
-                batched.events_per_sec
-            ));
-        }
-    }
-    if let Some(floor) = check_speedup {
-        if speedup < floor {
-            return Err(format!(
-                "batching regression: {speedup:.2}x < required {floor}x"
-            ));
-        }
-    }
+    gate("churn rate (batched events/s)", batched.events_per_sec, check_rate)?;
+    gate("batching speedup", speedup, check_speedup)?;
     Ok(report)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn to_json(
-    sc: &Scale,
-    seed: u64,
-    topo: &miro_topology::Topology,
-    trace: &Trace,
-    dests: usize,
-    serial: &DeltaReplayReport,
-    batched: &DeltaReplayReport,
-    speedup: f64,
-    sim: &miro_churn::replay::SimReplayReport,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"churn-replay\",");
-    let _ = writeln!(out, "  \"engine\": \"batched-cone-delta\",");
-    let _ = writeln!(out, "  \"baseline\": \"serial-one-event-apply\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(
-        out,
-        "  \"scale\": \"{}\", \"nodes\": {}, \"links\": {}, \"events\": {}, \
-         \"batches\": {}, \"dests\": {},",
-        sc.name,
-        topo.num_nodes(),
-        topo.num_edges(),
-        trace.events.len(),
-        trace.batches().count(),
-        dests
-    );
-    let _ = writeln!(out, "  \"rows\": [");
-    for (i, r) in [serial, batched].into_iter().enumerate() {
-        let comma = if i == 0 { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"mode\": \"{}\", \"events_per_sec\": {:.1}, \"elapsed_ms\": {:.3}, \
-             \"downs\": {}, \"ups\": {}, \"cancelled\": {}, \"recomputed\": {}, \
-             \"full_resolves\": {}, \"restore_rounds\": {{\"p50\": {}, \"p95\": {}, \
-             \"max\": {}}}, \"table_fnv\": \"{:#018x}\"}}{comma}",
-            r.mode.name(),
-            r.events_per_sec,
-            r.elapsed_ns as f64 / 1e6,
-            r.downs,
-            r.ups,
-            r.cancelled,
-            r.recomputed,
-            r.full_resolves,
-            r.restore_rounds_p50,
-            r.restore_rounds_p95,
-            r.restore_rounds_max,
-            r.table_fnv,
-        );
+fn mode_row(r: &DeltaReplayReport) -> ModeRow {
+    ModeRow {
+        mode: r.mode.name(),
+        events_per_sec: r.events_per_sec,
+        elapsed_ms: r.elapsed_ns as f64 / 1e6,
+        downs: r.downs,
+        ups: r.ups,
+        cancelled: r.cancelled,
+        recomputed: r.recomputed,
+        full_resolves: r.full_resolves,
+        restore_rounds: Quantiles {
+            p50: r.restore_rounds_p50,
+            p95: r.restore_rounds_p95,
+            max: r.restore_rounds_max,
+        },
+        table_fnv: format!("{:#018x}", r.table_fnv),
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"speedup\": {speedup:.2},");
-    let _ = writeln!(
-        out,
-        "  \"sim\": {{\"lag_p50\": {}, \"lag_p95\": {}, \"lag_max\": {}, \
-         \"converged_batches\": {}, \"diverged_batches\": {}, \"events_per_sec\": {:.1}}},",
-        sim.lag_p50,
-        sim.lag_p95,
-        sim.lag_max,
-        sim.converged_batches,
-        sim.diverged_batches,
-        sim.events_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "  \"tunnels\": {{\"teardowns\": {}, \"renegotiations\": {}}}",
-        batched.tunnel_teardowns, batched.tunnel_renegotiations
-    );
-    out.push('}');
-    out.push('\n');
-    out
 }
 
 #[cfg(test)]
@@ -531,6 +447,14 @@ mod tests {
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(name)
+    }
+
+    /// `bench-churn` at `args` plus a scratch `--out`, and what it wrote.
+    fn bench(args: &str) -> (Result<String, String>, Option<serde_json::JsonValue>) {
+        let out = harness::TempPath::new("churn_test", ".json");
+        let result = run_bench(&arg(&format!("{args} --out {}", out.0.display())));
+        let json = std::fs::read_to_string(&out.0).ok();
+        (result, json.map(|j| serde_json::from_str(&j).expect("valid JSON")))
     }
 
     #[test]
@@ -568,6 +492,7 @@ mod tests {
         assert!(run_churn(&arg("frob")).unwrap_err().contains("usage:"));
         assert!(run_churn(&arg("gen")).unwrap_err().contains("usage:"));
         assert!(run_churn(&arg("gen x.mct --preset nosuch")).unwrap_err().contains("unknown preset"));
+        assert!(run_churn(&arg("replay a.mct b.mct")).unwrap_err().contains("usage: miro churn replay"));
         assert!(run_churn(&arg("replay nosuchfile.mct")).unwrap_err().contains("cannot read"));
         assert!(run_churn(&arg("dump nosuchfile.mct")).unwrap_err().contains("cannot read"));
     }
@@ -590,55 +515,49 @@ mod tests {
     }
 
     #[test]
-    fn bench_bad_args_are_rejected() {
-        assert!(run_bench(&arg("--frob")).is_err());
+    fn bench_rejects_scales_it_has_no_trace_size_for() {
         assert!(run_bench(&arg("--scale nosuch")).unwrap_err().contains("unknown scale"));
-        assert!(run_bench(&arg("--dests 0")).unwrap_err().contains("--dests"));
-        assert!(run_bench(&arg("--check-events-rate x")).is_err());
+        assert!(run_bench(&arg("--scale internet")).unwrap_err().contains("unknown scale"));
     }
 
     #[test]
     fn tiny_bench_end_to_end() {
-        let out_path = tmp("miro_bench_churn_test.json");
-        let report = run_bench(&arg(&format!(
-            "--scale tiny --events 2000 --dests 2 --out {}",
-            out_path.display()
-        )))
-        .unwrap();
+        let (report, json) = bench("--scale tiny");
+        let report = report.unwrap();
         assert!(report.contains("serial"), "{report}");
         assert!(report.contains("batched"), "{report}");
         assert!(report.contains("speedup"), "{report}");
         assert!(report.contains("tables agree"), "{report}");
-        let json = std::fs::read_to_string(&out_path).unwrap();
-        let v: serde_json::JsonValue = serde_json::from_str(&json).expect("valid JSON");
-        let serde_json::JsonValue::Obj(top) = &v else { panic!("top-level object") };
-        let serde_json::JsonValue::Arr(rows) = &top["rows"] else { panic!("rows array") };
+        let v = json.expect("json written");
+        assert_eq!(v["bench"].as_str(), Some("churn-replay"));
+        assert_eq!(v["scale"].as_str(), Some("tiny"));
+        assert_eq!((v["nodes"].as_f64(), v["events"].as_f64()), (Some(209.0), Some(4000.0)));
+        assert_eq!(v["dests"].as_f64(), Some(4.0));
+        assert!(v["host_parallelism"].as_f64().unwrap() >= 1.0);
+        let rows = v["rows"].as_array().expect("rows array");
         assert_eq!(rows.len(), 2);
-        let serde_json::JsonValue::Num(speedup) = top["speedup"] else { panic!("speedup") };
-        assert!(speedup > 0.0);
-        let serde_json::JsonValue::Obj(sim) = &top["sim"] else { panic!("sim object") };
-        assert!(matches!(sim["lag_p50"], serde_json::JsonValue::Num(_)));
+        assert_eq!((rows[0]["mode"].as_str(), rows[1]["mode"].as_str()), (Some("serial"), Some("batched")));
+        for row in rows {
+            assert!(row["events_per_sec"].as_f64().unwrap() > 0.0);
+            assert!(row["restore_rounds"]["max"].as_f64().unwrap() >= row["restore_rounds"]["p50"].as_f64().unwrap());
+        }
         // The two rows carry the same table digest — the bench hard-fails
         // before writing JSON otherwise, but pin it here too.
-        let digests: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                let serde_json::JsonValue::Obj(row) = r else { panic!("row object") };
-                let serde_json::JsonValue::Str(s) = &row["table_fnv"] else { panic!("fnv") };
-                s.clone()
-            })
-            .collect();
-        assert_eq!(digests[0], digests[1]);
+        let digest = rows[0]["table_fnv"].as_str().expect("fnv string");
+        assert!(digest.starts_with("0x") && digest.len() == 18, "{digest}");
+        assert_eq!(rows[1]["table_fnv"].as_str(), Some(digest));
+        assert!(v["speedup"].as_f64().unwrap() > 0.0);
+        assert!(v["sim"]["lag_max"].as_f64().unwrap() >= v["sim"]["lag_p50"].as_f64().unwrap());
+        assert_eq!(v["sim"]["diverged_batches"].as_f64(), Some(0.0));
+        assert!(v["tunnels"]["teardowns"].as_f64().is_some());
     }
 
     #[test]
-    fn check_rate_gate_fires_on_absurd_floor() {
-        let out_path = tmp("miro_bench_churn_gate_test.json");
-        let err = run_bench(&arg(&format!(
-            "--scale tiny --events 1000 --dests 1 --out {} --check-events-rate 1e18",
-            out_path.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("churn rate regression"), "{err}");
+    fn check_gates_fire_on_absurd_floors() {
+        let (err, json) = bench("--scale tiny --check-events-rate 1e18");
+        assert!(err.unwrap_err().contains("churn rate (batched events/s) regression"));
+        assert!(json.is_some(), "the rows are written before the gate trips");
+        let (err, _) = bench("--scale tiny --check-speedup 1e9");
+        assert!(err.unwrap_err().contains("batching speedup regression"));
     }
 }

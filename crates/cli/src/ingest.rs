@@ -18,40 +18,27 @@
 //! (checksums and all) and streams the embedded topology through the
 //! exact same parser — one ingest verb for snapshots and churn workloads.
 
+use crate::harness::{Cmd, Flag, Kind};
 use miro_topology::io::stream::{self, IngestCache};
 use miro_topology::io::TopologyDoc;
 use std::fmt::Write as _;
 use std::io::BufReader;
 
-const USAGE: &str = "usage: miro ingest <file> [--out cache.json] [--name LABEL] [--check]";
+pub static CMD: Cmd = Cmd {
+    name: "ingest",
+    positional: &["file"],
+    flags: &[
+        Flag { name: "--out", kind: Kind::Str, default: "", help: "cache to write (default <file>.cache.json)" },
+        Flag { name: "--name", kind: Kind::Str, default: "", help: "dataset label (default the file's name)" },
+        Flag { name: "--check", kind: Kind::Switch, default: "", help: "parse and validate, write nothing" },
+    ],
+};
 
 /// Entry point for `miro ingest`. Returns the human-readable report.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let mut file: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut name: Option<String> = None;
-    let mut check = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |n: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{n} needs a value"))
-        };
-        match arg.as_str() {
-            "--out" => out_path = Some(val("--out")?),
-            "--name" => name = Some(val("--name")?),
-            "--check" => check = true,
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}\n{USAGE}"))
-            }
-            other => {
-                if file.is_some() {
-                    return Err(format!("more than one input file\n{USAGE}"));
-                }
-                file = Some(other.to_string());
-            }
-        }
-    }
-    let path = file.ok_or(USAGE.to_string())?;
+    let a = CMD.parse(args)?;
+    let path = a.positional[0].clone();
+    let (out_path, name): (Option<String>, Option<String>) = (a.opt("--out")?, a.opt("--name")?);
 
     // Sniff the churn-trace magic; everything else goes straight to the
     // line-oriented streaming parser.
@@ -101,7 +88,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         census.multihomed_stubs
     );
 
-    if check {
+    if a.on("--check") {
         let _ = writeln!(report, "check ok (no cache written)");
         return Ok(report);
     }
@@ -203,8 +190,8 @@ mod tests {
 
     #[test]
     fn missing_file_and_bad_flags_are_errors() {
-        assert!(run(&[]).unwrap_err().contains("usage:"));
-        let err = run(&["--frob".into()]).unwrap_err();
-        assert!(err.contains("unknown option"), "{err}");
+        assert_eq!(run(&[]).unwrap_err(), CMD.usage());
+        assert_eq!(run(&["a.txt".into(), "b.txt".into()]).unwrap_err(), CMD.usage());
+        assert!(run(&["/nonexistent/a.txt".into()]).unwrap_err().contains("cannot open"));
     }
 }

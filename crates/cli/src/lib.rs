@@ -24,6 +24,7 @@ pub mod bench;
 pub mod bench_dataplane;
 pub mod bench_query;
 pub mod churn_cmd;
+pub mod harness;
 pub mod ingest;
 pub mod serve_cmd;
 pub mod shard_cmd;
@@ -87,18 +88,10 @@ impl Repl {
             [] | ["#", ..] => Ok(String::new()),
             ["help"] => Ok(HELP.to_string()),
             ["gen", preset, scale, seed] => {
-                let preset = match *preset {
-                    "gao2000" => DatasetPreset::Gao2000,
-                    "gao2003" => DatasetPreset::Gao2003,
-                    "gao2005" => DatasetPreset::Gao2005,
-                    "agarwal2004" => DatasetPreset::Agarwal2004,
-                    "internet" => DatasetPreset::InternetScale,
-                    "fig1.1" | "fig1-1" => {
-                        let (t, _) = miro_topology::gen::figure_1_1();
-                        return Ok(self.install(t));
-                    }
-                    other => return Err(format!("unknown preset {other:?}")),
-                };
+                if matches!(*preset, "fig1.1" | "fig1-1") {
+                    return Ok(self.install(miro_topology::gen::figure_1_1().0));
+                }
+                let preset: DatasetPreset = preset.parse()?;
                 let scale: f64 = scale.parse().map_err(|_| "bad scale".to_string())?;
                 let seed: u64 = seed.parse().map_err(|_| "bad seed".to_string())?;
                 Ok(self.install(preset.params(scale, seed).generate()))

@@ -1,138 +1,55 @@
 //! The `miro` binary: a thin stdin/stdout loop around [`miro_cli::Repl`],
-//! plus the `bench-solver` performance smoke.
+//! plus one dispatch table for the verbs.
 //!
 //! Interactive: `miro`. Scripted: `miro scenario.txt` or `miro < script`.
-//! Benchmark: `miro bench-solver [--scale tiny|small|medium|large|internet|all]
-//! [--threads N] [--out BENCH_solver.json] [--list]`.
-//! Data plane: `miro bench-dataplane [--scale tiny|small|medium] [--flows N]
-//! [--packets N] [--batch LIST] [--out BENCH_dataplane.json] [--capture FILE]
-//! [--check-batch-speedup F] [--list]`.
-//! Robustness: `miro resilience [--seed N] [--scale F] [--pairs N]
-//! [--outage-ticks N] [--out RESILIENCE.json] [--check-floor PCT]
-//! [--check-recovery-floor PCT]`.
-//! Ingest: `miro ingest <file> [--out cache.json] [--name LABEL] [--check]`
-//! (`.mct` churn traces are sniffed by magic; their embedded topology is
-//! ingested).
-//! Churn: `miro churn <gen|dump|replay> [options]` and `miro bench-churn
-//! [--scale S] [--events N] [--dests N] [--out BENCH_churn.json]
-//! [--check-events-rate F] [--check-speedup F] [--list]`.
-//! Serving: `miro serve <table> (--preset P --factor F --seed S | --cache C)
-//! [--addr HOST:PORT] [--port-file P] [--stripes N] [--cache-slots N]
-//! [--no-verify-file]`, and `miro bench-query [--scale S | --addr A]
-//! [--sample N] [--conns LIST] [--queries N] [--out BENCH_query.json]
-//! [--check-qps F] [--shutdown] [--list]`.
+//! Everything else is `miro <verb> [options]`; each verb's flags live in
+//! its [`Cmd`](miro_cli::harness::Cmd) table, and `miro` with arguments it
+//! cannot place prints the usage generated from them.
 
+use miro_cli::harness::Verb;
+use miro_cli::{bench, bench_dataplane, bench_query, churn_cmd, ingest, serve_cmd, shard_cmd};
 use std::io::{BufRead, Write};
 
+/// Every verb. `shard-worker` is the worker half of `shard-solve`,
+/// spawned by the coordinator with the protocol on stdin/stdout;
+/// `resilience` parses its own flags in `miro-eval`.
+static VERBS: &[Verb] = &[
+    Verb { name: "bench-solver", run: bench::run, exit_code: 2, cmds: &[&bench::CMD] },
+    Verb { name: "bench-dataplane", run: bench_dataplane::run, exit_code: 2, cmds: &[&bench_dataplane::CMD] },
+    Verb { name: "bench-query", run: bench_query::run, exit_code: 2, cmds: &[&bench_query::CMD] },
+    Verb { name: "bench-churn", run: churn_cmd::run_bench, exit_code: 2, cmds: &[&churn_cmd::BENCH] },
+    Verb { name: "churn", run: churn_cmd::run_churn, exit_code: 2, cmds: &[&churn_cmd::GEN, &churn_cmd::DUMP, &churn_cmd::REPLAY] },
+    Verb { name: "ingest", run: ingest::run, exit_code: 2, cmds: &[&ingest::CMD] },
+    Verb { name: "shard-solve", run: shard_cmd::run_solve, exit_code: 2, cmds: &[&shard_cmd::SOLVE] },
+    Verb { name: "shard-worker", run: shard_cmd::run_worker, exit_code: 3, cmds: &[&shard_cmd::WORKER] },
+    Verb { name: "serve", run: serve_cmd::run, exit_code: 2, cmds: &[&serve_cmd::CMD] },
+    Verb { name: "resilience", run: miro_eval::resilience::run, exit_code: 2, cmds: &[] },
+];
+
 fn main() {
-    let mut repl = miro_cli::Repl::new();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
-        [] => interactive(&mut repl),
-        [cmd, rest @ ..] if cmd == "bench-solver" => {
-            match miro_cli::bench::run(rest) {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("bench-solver: {e}");
-                    std::process::exit(2);
-                }
+    let verb = args.first().and_then(|name| VERBS.iter().find(|v| v.name == name));
+    match (verb, args.as_slice()) {
+        (Some(verb), [_, rest @ ..]) => match (verb.run)(rest) {
+            Ok(report) => print!("{report}"),
+            Err(e) => {
+                eprintln!("{}: {e}", verb.name);
+                std::process::exit(verb.exit_code);
             }
-        }
-        [cmd, rest @ ..] if cmd == "bench-dataplane" => {
-            match miro_cli::bench_dataplane::run(rest) {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("bench-dataplane: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        [cmd, rest @ ..] if cmd == "churn" => {
-            match miro_cli::churn_cmd::run_churn(rest) {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("churn: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        [cmd, rest @ ..] if cmd == "bench-churn" => {
-            match miro_cli::churn_cmd::run_bench(rest) {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("bench-churn: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        [cmd, rest @ ..] if cmd == "ingest" => {
-            match miro_cli::ingest::run(rest) {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("ingest: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        [cmd, rest @ ..] if cmd == "shard-solve" => {
-            match miro_cli::shard_cmd::run_solve(rest) {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("shard-solve: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        // Hidden: the worker half of shard-solve, spawned by the
-        // coordinator with the protocol on stdin/stdout.
-        [cmd, rest @ ..] if cmd == "shard-worker" => {
-            if let Err(e) = miro_cli::shard_cmd::run_worker(rest) {
-                eprintln!("shard-worker: {e}");
-                std::process::exit(3);
-            }
-        }
-        [cmd, rest @ ..] if cmd == "serve" => {
-            match miro_cli::serve_cmd::run(rest) {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("serve: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        [cmd, rest @ ..] if cmd == "bench-query" => {
-            match miro_cli::bench_query::run(rest) {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("bench-query: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        [cmd, rest @ ..] if cmd == "resilience" => {
-            match miro_eval::resilience::run(rest) {
-                Ok(report) => print!("{report}"),
-                Err(e) => {
-                    eprintln!("resilience: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        [path] => match std::fs::read_to_string(path) {
-            Ok(script) => print!("{}", repl.run_script(&script)),
+        },
+        (_, []) => interactive(&mut miro_cli::Repl::new()),
+        (_, [path]) => match std::fs::read_to_string(path) {
+            Ok(script) => print!("{}", miro_cli::Repl::new().run_script(&script)),
             Err(e) => {
                 eprintln!("cannot read {path:?}: {e}");
                 std::process::exit(2);
             }
         },
         _ => {
-            eprintln!(
-                "usage: miro [script-file | bench-solver [options] | \
-                 bench-dataplane [options] | bench-query [options] | \
-                 bench-churn [options] | churn <gen|dump|replay> [options] | \
-                 resilience [options] | ingest <file> [options] | \
-                 shard-solve [options] | serve <table> [options]]"
-            );
+            eprintln!("usage: miro [script-file]\n       miro resilience [options]");
+            for cmd in VERBS.iter().flat_map(|v| v.cmds) {
+                eprint!("{}", cmd.usage());
+            }
             std::process::exit(2);
         }
     }
@@ -162,6 +79,49 @@ fn interactive(repl: &mut miro_cli::Repl) {
         }
         if trimmed == "quit" || trimmed == "exit" {
             break;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use miro_cli::harness::Kind;
+
+    /// Every verb rejects a flag it does not have, a flag missing its
+    /// value and a number that does not parse — each time naming the
+    /// flag — whichever table (or, for `resilience`, parser) it uses.
+    #[test]
+    fn every_verb_names_the_flag_it_rejects() {
+        for verb in VERBS {
+            // `miro churn gen <out.mct> ...`: the sub-verb and placeholders
+            // for the positionals come before the probe.
+            let lines: Vec<(Vec<String>, Option<&str>)> = match verb.cmds {
+                [] => vec![(Vec::new(), Some("--seed"))],
+                cmds => cmds
+                    .iter()
+                    .map(|cmd| {
+                        let sub = cmd.name.split(' ').skip(1).map(str::to_string);
+                        let placeholders = cmd.positional.iter().map(|p| format!("/nonexistent/{p}"));
+                        let numeric = cmd.flags.iter().find(|f| matches!(f.kind, Kind::Num | Kind::F64));
+                        (sub.chain(placeholders).collect(), numeric.map(|f| f.name))
+                    })
+                    .collect(),
+            };
+            for (prefix, numeric) in lines {
+                let run = |probe: &[&str]| {
+                    let mut args = prefix.clone();
+                    args.extend(probe.iter().map(|s| s.to_string()));
+                    (verb.run)(&args).expect_err(&format!("{} {args:?} must fail", verb.name))
+                };
+                let err = run(&["--no-such-flag"]);
+                assert!(err.contains("--no-such-flag"), "{} {prefix:?}: {err}", verb.name);
+                let Some(flag) = numeric else { continue };
+                let err = run(&[flag]);
+                assert!(err.contains(flag) && err.contains("needs a value"), "{}: {err}", verb.name);
+                let err = run(&[flag, "12abc"]);
+                assert!(err.contains(flag), "{} {prefix:?}: {err}", verb.name);
+            }
         }
     }
 }

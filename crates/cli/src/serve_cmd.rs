@@ -13,103 +13,60 @@
 //! table file stores only routes. `--port-file` publishes the bound
 //! address (useful with port 0) so scripts don't have to parse logs.
 
+use crate::harness::{Cmd, Flag, Kind};
+use crate::shard_cmd::topo_spec;
 use miro_serve::cache::ShardedCache;
 use miro_serve::mmap::MappedTable;
 use miro_serve::query::Engine;
 use miro_serve::server::Server;
-use miro_shard::TopoSpec;
-use std::path::PathBuf;
 
-#[derive(Debug)]
-struct ServeArgs {
-    table: PathBuf,
-    spec: TopoSpec,
-    addr: String,
-    port_file: Option<PathBuf>,
-    stripes: usize,
-    cache_slots: usize,
-    verify_file: bool,
-    quiet: bool,
-}
-
-fn parse(args: &[String]) -> Result<ServeArgs, String> {
-    let mut table = None;
-    let (mut preset, mut factor, mut seed, mut cache) = (None, None, None, None);
-    let mut addr = "127.0.0.1:4179".to_string(); // 4179: BGP's 179, one plane up
-    let mut port_file = None;
-    let mut stripes = 16usize;
-    let mut cache_slots = 1024usize;
-    let mut verify_file = true;
-    let mut quiet = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = || it.next().cloned().ok_or_else(|| format!("{arg} needs a value"));
-        match arg.as_str() {
-            "--preset" => preset = Some(val()?),
-            "--factor" => factor = Some(num(&val()?, "--factor")?),
-            "--seed" => seed = Some(num(&val()?, "--seed")?),
-            "--cache" => cache = Some(val()?),
-            "--addr" => addr = val()?,
-            "--port-file" => port_file = Some(PathBuf::from(val()?)),
-            "--stripes" => stripes = num(&val()?, "--stripes")?,
-            "--cache-slots" => cache_slots = num(&val()?, "--cache-slots")?,
-            "--no-verify-file" => verify_file = false,
-            "--quiet" => quiet = true,
-            other if !other.starts_with('-') && table.is_none() => {
-                table = Some(PathBuf::from(other));
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    let table = table.ok_or("serve needs a table file (from shard-solve)")?;
-    let spec = match (cache, preset) {
-        (Some(_), Some(_)) => return Err("--cache and --preset are mutually exclusive".into()),
-        (Some(path), None) => {
-            if factor.is_some() || seed.is_some() {
-                return Err("--factor/--seed only apply to --preset topologies".into());
-            }
-            TopoSpec::Cache { path }
-        }
-        (None, preset) => TopoSpec::Preset {
-            preset: preset.unwrap_or_else(|| "gao2005".into()),
-            factor: factor.unwrap_or(1.0),
-            seed: seed.unwrap_or(42),
-        },
-    };
-    Ok(ServeArgs { table, spec, addr, port_file, stripes, cache_slots, verify_file, quiet })
-}
-
-fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{flag}: cannot parse {s:?}"))
-}
+pub static CMD: Cmd = Cmd {
+    name: "serve",
+    positional: &["table.mirt"],
+    flags: &[
+        Flag { name: "--preset", kind: Kind::Str, default: "", help: "topology the table was solved over (default gao2005)" },
+        Flag { name: "--factor", kind: Kind::F64, default: "", help: "multiple of the preset's node count (default 1)" },
+        Flag { name: "--seed", kind: Kind::Num, default: "", help: "generation seed (default 42)" },
+        Flag { name: "--cache", kind: Kind::Str, default: "", help: "a `miro ingest` cache instead of a preset" },
+        // 4179: BGP's 179, one plane up.
+        Flag { name: "--addr", kind: Kind::Str, default: "127.0.0.1:4179", help: "listen address; port 0 lets the kernel pick" },
+        Flag { name: "--port-file", kind: Kind::Str, default: "", help: "publish the bound address here" },
+        Flag { name: "--stripes", kind: Kind::Num, default: "16", help: "answer-cache stripes" },
+        Flag { name: "--cache-slots", kind: Kind::Num, default: "1024", help: "answer-cache slots per stripe" },
+        Flag { name: "--no-verify-file", kind: Kind::Switch, default: "", help: "skip the whole-file checksum at open" },
+        Flag { name: "--quiet", kind: Kind::Switch, default: "", help: "no start-up line on stderr" },
+    ],
+};
 
 /// Run the daemon until a wire `Shutdown` arrives. Returns the lifetime
 /// report.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let a = parse(args)?;
-    let table = if a.verify_file {
-        MappedTable::open(&a.table)?
+    let a = CMD.parse(args)?;
+    let path = std::path::Path::new(&a.positional[0]);
+    let spec = topo_spec(&a)?;
+    let bind: String = a.get("--addr")?;
+    let port_file: Option<String> = a.opt("--port-file")?;
+    let (stripes, cache_slots): (usize, usize) = (a.get("--stripes")?, a.get("--cache-slots")?);
+    let table = if a.on("--no-verify-file") {
+        MappedTable::open_unverified(path)?
     } else {
-        MappedTable::open_unverified(&a.table)?
+        MappedTable::open(path)?
     };
     let bytes = table.file_bytes();
     let dests = miro_serve::TableSource::dests(&table).len();
-    let topo = a.spec.build()?;
-    let engine = Engine::new(table, topo, Some(ShardedCache::new(a.stripes, a.cache_slots)))?;
-    let server = Server::bind(a.addr.as_str(), engine)
-        .map_err(|e| format!("cannot bind {}: {e}", a.addr))?;
+    let topo = spec.build()?;
+    let engine = Engine::new(table, topo, Some(ShardedCache::new(stripes, cache_slots)))?;
+    let server = Server::bind(bind.as_str(), engine)
+        .map_err(|e| format!("cannot bind {bind}: {e}"))?;
     let addr = server.local_addr().map_err(|e| format!("cannot read bound address: {e}"))?;
-    if let Some(path) = &a.port_file {
+    if let Some(path) = &port_file {
         std::fs::write(path, format!("{addr}\n"))
             .map_err(|e| format!("cannot write port file {path:?}: {e}"))?;
     }
-    if !a.quiet {
+    if !a.on("--quiet") {
         eprintln!(
-            "serve: {} ({bytes} bytes, {dests} dests) on {addr}, cache {}x{} slots",
-            a.table.display(),
-            a.stripes,
-            a.cache_slots
+            "serve: {} ({bytes} bytes, {dests} dests) on {addr}, cache {stripes}x{cache_slots} slots",
+            path.display()
         );
     }
     let report = server.run().map_err(|e| format!("serve loop failed: {e}"))?;
@@ -132,24 +89,14 @@ mod tests {
     }
 
     #[test]
-    fn args_parse_and_validate() {
-        let a = parse(&s(&[
-            "t.mirt", "--preset", "gao2005", "--factor", "0.05", "--addr", "127.0.0.1:0",
-            "--port-file", "p.txt", "--stripes", "8", "--cache-slots", "256",
-            "--no-verify-file",
-        ]))
-        .unwrap();
-        assert_eq!(a.table, PathBuf::from("t.mirt"));
-        assert_eq!(a.addr, "127.0.0.1:0");
-        assert_eq!((a.stripes, a.cache_slots), (8, 256));
-        assert!(!a.verify_file);
-        assert!(matches!(a.spec, TopoSpec::Preset { ref preset, .. } if preset == "gao2005"));
-
-        assert!(parse(&s(&[])).unwrap_err().contains("needs a table"));
-        assert!(parse(&s(&["t.mirt", "--cache", "c.json", "--preset", "gao2005"]))
+    fn bad_command_lines_are_rejected_before_the_table_is_opened() {
+        assert_eq!(run(&s(&[])).unwrap_err(), CMD.usage(), "no table file");
+        assert!(run(&s(&["t.mirt", "--cache", "c.json", "--preset", "gao2005"]))
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(parse(&s(&["t.mirt", "--bogus"])).unwrap_err().contains("unknown option"));
+        assert!(run(&s(&["t.mirt", "--cache", "c.json", "--seed", "7"]))
+            .unwrap_err()
+            .contains("only apply to --preset"));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!     --dests 2048 --block-size 64 --out table.mirt --verify
 //! ```
 
+use crate::harness::{host_parallelism, Args, Cmd, Flag, Kind};
 use miro_bgp::engine::heavy_blocks_first;
 use miro_shard::coordinator::{self, JobSpec, ProcessSpawner};
 use miro_shard::format::RouteTableSet;
@@ -21,40 +22,53 @@ use miro_shard::{sample_dests, TopoSpec};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Topology + destination-sample options shared by both verbs.
-#[derive(Debug)]
-struct TopoArgs {
-    spec: TopoSpec,
-    dests: usize,
-}
+pub static SOLVE: Cmd = Cmd {
+    name: "shard-solve",
+    positional: &[],
+    flags: &[
+        Flag { name: "--preset", kind: Kind::Str, default: "", help: "generated topology (default gao2005)" },
+        Flag { name: "--factor", kind: Kind::F64, default: "", help: "multiple of the preset's node count (default 1)" },
+        Flag { name: "--seed", kind: Kind::Num, default: "", help: "generation seed (default 42)" },
+        Flag { name: "--cache", kind: Kind::Str, default: "", help: "a `miro ingest` cache instead of a preset" },
+        Flag { name: "--dests", kind: Kind::Num, default: "0", help: "destinations to sample; 0 is all of them" },
+        Flag { name: "--workers", kind: Kind::Num, default: "4", help: "worker subprocesses" },
+        Flag { name: "--block-size", kind: Kind::Num, default: "64", help: "destinations per assignment" },
+        Flag { name: "--threads", kind: Kind::Num, default: "0", help: "solver threads per worker; 0 divides the machine" },
+        Flag { name: "--out", kind: Kind::Str, default: "shard_table.mirt", help: "the merged table" },
+        Flag { name: "--state", kind: Kind::Str, default: "", help: "checkpoint directory (default <out>.state)" },
+        Flag { name: "--resume", kind: Kind::Switch, default: "", help: "pick up from the manifest under --state" },
+        Flag { name: "--heartbeat-ms", kind: Kind::Num, default: "250", help: "worker heartbeat period" },
+        Flag { name: "--deadline-ms", kind: Kind::Num, default: "10000", help: "silence after which a worker is killed" },
+        Flag { name: "--respawn", kind: Kind::Num, default: "", help: "worker respawn budget (default --workers)" },
+        Flag { name: "--verify", kind: Kind::Switch, default: "", help: "compare the merged bytes to an in-process solve" },
+        Flag { name: "--quiet", kind: Kind::Switch, default: "", help: "no per-block progress on stderr" },
+        Flag { name: "--chaos-kill-after", kind: Kind::Num, default: "", help: "SIGKILL a worker after N blocks (fault drill)" },
+        Flag { name: "--chaos-stop-after", kind: Kind::Num, default: "", help: "abort the coordinator after N blocks (fault drill)" },
+    ],
+};
 
-/// Everything `shard-solve` accepts.
-#[derive(Debug)]
-struct SolveArgs {
-    topo: TopoArgs,
-    workers: usize,
-    block_size: usize,
-    threads: usize,
-    out: PathBuf,
-    state: Option<PathBuf>,
-    resume: bool,
-    heartbeat_ms: u64,
-    deadline_ms: u64,
-    respawn: Option<usize>,
-    verify: bool,
-    quiet: bool,
-    chaos_kill_after: Option<u32>,
-    chaos_stop_after: Option<u32>,
-}
+pub static WORKER: Cmd = Cmd {
+    name: "shard-worker",
+    positional: &[],
+    flags: &[
+        Flag { name: "--preset", kind: Kind::Str, default: "", help: "as shard-solve" },
+        Flag { name: "--factor", kind: Kind::F64, default: "", help: "as shard-solve" },
+        Flag { name: "--seed", kind: Kind::Num, default: "", help: "as shard-solve" },
+        Flag { name: "--cache", kind: Kind::Str, default: "", help: "as shard-solve" },
+        Flag { name: "--dests", kind: Kind::Num, default: "0", help: "as shard-solve" },
+        Flag { name: "--threads", kind: Kind::Num, default: "1", help: "solver threads" },
+        Flag { name: "--heartbeat-ms", kind: Kind::Num, default: "250", help: "heartbeat period" },
+        Flag { name: "--worker-id", kind: Kind::Num, default: "0", help: "id echoed in every frame" },
+    ],
+};
 
-fn parse_topo(
-    preset: Option<String>,
-    factor: Option<f64>,
-    seed: Option<u64>,
-    cache: Option<String>,
-    dests: usize,
-) -> Result<TopoArgs, String> {
-    let spec = match (cache, preset) {
+/// The topology `--preset/--factor/--seed` or `--cache` name — the flags
+/// `shard-solve`, `shard-worker` and `serve` share, because all three
+/// must rebuild exactly the same graph.
+pub fn topo_spec(a: &Args) -> Result<TopoSpec, String> {
+    let (preset, cache): (Option<String>, Option<String>) = (a.opt("--preset")?, a.opt("--cache")?);
+    let (factor, seed): (Option<f64>, Option<u64>) = (a.opt("--factor")?, a.opt("--seed")?);
+    Ok(match (cache, preset) {
         (Some(_), Some(_)) => return Err("--cache and --preset are mutually exclusive".into()),
         (Some(path), None) => {
             if factor.is_some() || seed.is_some() {
@@ -67,53 +81,31 @@ fn parse_topo(
             factor: factor.unwrap_or(1.0),
             seed: seed.unwrap_or(42),
         },
-    };
-    Ok(TopoArgs { spec, dests })
+    })
 }
 
-fn parse_solve(args: &[String]) -> Result<SolveArgs, String> {
-    let (mut preset, mut factor, mut seed, mut cache) = (None, None, None, None);
-    let mut dests = 0usize;
-    let mut workers = 4usize;
-    let mut block_size = 64usize;
-    let mut threads = 0usize;
-    let mut out = PathBuf::from("shard_table.mirt");
-    let mut state = None;
-    let mut resume = false;
-    let mut heartbeat_ms = 250u64;
-    let mut deadline_ms = 10_000u64;
-    let mut respawn = None;
-    let mut verify = false;
-    let mut quiet = false;
-    let (mut chaos_kill_after, mut chaos_stop_after) = (None, None);
+/// A spawner of `shard-worker` copies of this binary over `source`,
+/// spelled with the flags [`WORKER`] parses.
+pub fn worker_spawner(
+    source: &TopoSpec,
+    sample: usize,
+    threads: usize,
+    heartbeat_ms: u64,
+) -> Result<ProcessSpawner, String> {
+    let program = std::env::current_exe()
+        .map_err(|e| format!("cannot locate the miro binary for worker spawns: {e}"))?;
+    let mut args = vec!["shard-worker".to_string()];
+    args.extend(source.to_args());
+    let tail = [("--dests", sample as u64), ("--threads", threads as u64), ("--heartbeat-ms", heartbeat_ms)];
+    args.extend(tail.iter().flat_map(|(flag, value)| [flag.to_string(), value.to_string()]));
+    Ok(ProcessSpawner { program, args })
+}
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = || {
-            it.next().cloned().ok_or_else(|| format!("{arg} needs a value"))
-        };
-        match arg.as_str() {
-            "--preset" => preset = Some(val()?),
-            "--factor" => factor = Some(parse_num(&val()?, "--factor")?),
-            "--seed" => seed = Some(parse_num(&val()?, "--seed")?),
-            "--cache" => cache = Some(val()?),
-            "--dests" => dests = parse_num(&val()?, "--dests")?,
-            "--workers" => workers = parse_num(&val()?, "--workers")?,
-            "--block-size" => block_size = parse_num(&val()?, "--block-size")?,
-            "--threads" => threads = parse_num(&val()?, "--threads")?,
-            "--out" => out = PathBuf::from(val()?),
-            "--state" => state = Some(PathBuf::from(val()?)),
-            "--resume" => resume = true,
-            "--heartbeat-ms" => heartbeat_ms = parse_num(&val()?, "--heartbeat-ms")?,
-            "--deadline-ms" => deadline_ms = parse_num(&val()?, "--deadline-ms")?,
-            "--respawn" => respawn = Some(parse_num(&val()?, "--respawn")?),
-            "--verify" => verify = true,
-            "--quiet" => quiet = true,
-            "--chaos-kill-after" => chaos_kill_after = Some(parse_num(&val()?, "--chaos-kill-after")?),
-            "--chaos-stop-after" => chaos_stop_after = Some(parse_num(&val()?, "--chaos-stop-after")?),
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
+/// Run the coordinator verb. Returns the human-readable report.
+pub fn run_solve(args: &[String]) -> Result<String, String> {
+    let a = SOLVE.parse(args)?;
+    let (workers, block_size): (usize, usize) = (a.get("--workers")?, a.get("--block-size")?);
+    let (heartbeat_ms, deadline_ms): (u64, u64) = (a.get("--heartbeat-ms")?, a.get("--deadline-ms")?);
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
@@ -126,78 +118,42 @@ fn parse_solve(args: &[String]) -> Result<SolveArgs, String> {
              or every healthy worker looks hung"
         ));
     }
-    Ok(SolveArgs {
-        topo: parse_topo(preset, factor, seed, cache, dests)?,
-        workers,
-        block_size,
-        threads,
-        out,
-        state,
-        resume,
-        heartbeat_ms,
-        deadline_ms,
-        respawn,
-        verify,
-        quiet,
-        chaos_kill_after,
-        chaos_stop_after,
-    })
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{flag}: cannot parse {s:?}"))
-}
-
-/// Run the coordinator verb. Returns the human-readable report.
-pub fn run_solve(args: &[String]) -> Result<String, String> {
-    let a = parse_solve(args)?;
-    let topo = a.topo.spec.build()?;
-    let dests = sample_dests(topo.num_nodes(), a.topo.dests);
-    let state_dir = a.state.clone().unwrap_or_else(|| {
-        let mut s = a.out.as_os_str().to_owned();
-        s.push(".state");
-        PathBuf::from(s)
-    });
+    let source = topo_spec(&a)?;
+    let sample: usize = a.get("--dests")?;
+    let out = PathBuf::from(a.get::<String>("--out")?);
+    let state_dir =
+        PathBuf::from(a.opt("--state")?.unwrap_or_else(|| format!("{}.state", out.display())));
+    let respawn_budget = a.opt("--respawn")?.unwrap_or(workers);
+    let (chaos_kill_after, chaos_stop_after) =
+        (a.opt("--chaos-kill-after")?, a.opt("--chaos-stop-after")?);
     // Divide the machine between workers unless told otherwise.
-    let threads = if a.threads > 0 {
-        a.threads
-    } else {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        (cores / a.workers).max(1)
+    let threads = match a.get("--threads")? {
+        0 => (host_parallelism() / workers).max(1),
+        n => n,
     };
 
-    let program = std::env::current_exe()
-        .map_err(|e| format!("cannot locate the miro binary for worker spawns: {e}"))?;
-    let mut worker_args = vec!["shard-worker".to_string()];
-    worker_args.extend(a.topo.spec.to_args());
-    worker_args.extend([
-        "--dests".into(),
-        a.topo.dests.to_string(),
-        "--threads".into(),
-        threads.to_string(),
-        "--heartbeat-ms".into(),
-        a.heartbeat_ms.to_string(),
-    ]);
-    let mut spawner = ProcessSpawner { program, args: worker_args };
+    let topo = source.build()?;
+    let dests = sample_dests(topo.num_nodes(), sample);
+    let mut spawner = worker_spawner(&source, sample, threads, heartbeat_ms)?;
 
     // Heavy blocks first: the expensive assignments go out early so the
     // job's tail drains over cheap ones (output bytes are unaffected).
-    let block_order = Some(heavy_blocks_first(&topo, &dests, a.block_size));
+    let block_order = Some(heavy_blocks_first(&topo, &dests, block_size));
     let spec = JobSpec {
         dests,
         num_nodes: topo.num_nodes() as u32,
         num_edges: topo.num_edges() as u32,
-        block_size: a.block_size,
+        block_size,
         block_order,
-        workers: a.workers,
+        workers,
         state_dir,
-        out_path: a.out.clone(),
-        resume: a.resume,
-        heartbeat_deadline: Duration::from_millis(a.deadline_ms),
-        respawn_budget: a.respawn.unwrap_or(a.workers),
-        chaos_kill_after: a.chaos_kill_after,
-        chaos_stop_after: a.chaos_stop_after,
-        progress: if a.quiet {
+        out_path: out.clone(),
+        resume: a.on("--resume"),
+        heartbeat_deadline: Duration::from_millis(deadline_ms),
+        respawn_budget,
+        chaos_kill_after,
+        chaos_stop_after,
+        progress: if a.on("--quiet") {
             None
         } else {
             Some(Box::new(move |done, total| {
@@ -213,7 +169,7 @@ pub fn run_solve(args: &[String]) -> Result<String, String> {
     let dests_done = spec.dests.len();
     text.push_str(&format!(
         "shard-solve: {} blocks ({} resumed) over {} workers in {:.2}s\n",
-        report.blocks, report.resumed, a.workers, secs
+        report.blocks, report.resumed, workers, secs
     ));
     text.push_str(&format!(
         "  dests: {dests_done}  nodes: {}  throughput: {:.0} dests/s\n",
@@ -224,11 +180,11 @@ pub fn run_solve(args: &[String]) -> Result<String, String> {
         "  dispatches: {}  deaths: {}  respawns: {}  deadline kills: {}  corrupt frames: {}\n",
         report.dispatches, report.deaths, report.respawns, report.deadline_kills, report.corrupt_events
     ));
-    text.push_str(&format!("  merged: {} ({} bytes)\n", a.out.display(), report.merged_bytes));
+    text.push_str(&format!("  merged: {} ({} bytes)\n", out.display(), report.merged_bytes));
 
-    if a.verify {
-        let reference = RouteTableSet::from_solves(&topo, &spec.dests, threads * a.workers).encode();
-        let merged = std::fs::read(&a.out).map_err(|e| format!("cannot re-read {:?}: {e}", a.out))?;
+    if a.on("--verify") {
+        let reference = RouteTableSet::from_solves(&topo, &spec.dests, threads * workers).encode();
+        let merged = std::fs::read(&out).map_err(|e| format!("cannot re-read {out:?}: {e}"))?;
         if merged != reference {
             return Err(format!(
                 "VERIFY FAILED: merged table ({} bytes) differs from single-process solve ({} bytes)",
@@ -241,40 +197,20 @@ pub fn run_solve(args: &[String]) -> Result<String, String> {
     Ok(text)
 }
 
-/// Run the hidden worker verb over this process's stdin/stdout.
-pub fn run_worker(args: &[String]) -> Result<(), String> {
-    let (mut preset, mut factor, mut seed, mut cache) = (None, None, None, None);
-    let mut dests = 0usize;
-    let mut threads = 1usize;
-    let mut heartbeat_ms = 250u64;
-    let mut worker_id = 0u32;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = || {
-            it.next().cloned().ok_or_else(|| format!("{arg} needs a value"))
-        };
-        match arg.as_str() {
-            "--preset" => preset = Some(val()?),
-            "--factor" => factor = Some(parse_num(&val()?, "--factor")?),
-            "--seed" => seed = Some(parse_num(&val()?, "--seed")?),
-            "--cache" => cache = Some(val()?),
-            "--dests" => dests = parse_num(&val()?, "--dests")?,
-            "--threads" => threads = parse_num(&val()?, "--threads")?,
-            "--heartbeat-ms" => heartbeat_ms = parse_num(&val()?, "--heartbeat-ms")?,
-            "--worker-id" => worker_id = parse_num(&val()?, "--worker-id")?,
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    let topo = parse_topo(preset, factor, seed, cache, dests)?;
-    let graph = topo.spec.build()?;
-    let dest_list = sample_dests(graph.num_nodes(), topo.dests);
+/// Run the hidden worker verb over this process's stdin/stdout (the
+/// report is empty: stdout carries the protocol).
+pub fn run_worker(args: &[String]) -> Result<String, String> {
+    let a = WORKER.parse(args)?;
     let cfg = WorkerConfig {
-        worker: worker_id,
-        threads: threads.max(1),
-        heartbeat: Duration::from_millis(heartbeat_ms.max(1)),
+        worker: a.get("--worker-id")?,
+        threads: a.get::<usize>("--threads")?.max(1),
+        heartbeat: Duration::from_millis(a.get::<u64>("--heartbeat-ms")?.max(1)),
     };
-    worker::run(&graph, &dest_list, cfg, std::io::stdin().lock(), std::io::stdout())
+    let sample: usize = a.get("--dests")?;
+    let graph = topo_spec(&a)?.build()?;
+    let dest_list = sample_dests(graph.num_nodes(), sample);
+    worker::run(&graph, &dest_list, cfg, std::io::stdin().lock(), std::io::stdout())?;
+    Ok(String::new())
 }
 
 #[cfg(test)]
@@ -286,35 +222,35 @@ mod tests {
     }
 
     #[test]
-    fn solve_args_parse_and_validate() {
-        let a = parse_solve(&s(&[
-            "--preset", "gao2005", "--factor", "0.05", "--workers", "3", "--block-size", "16",
-            "--dests", "100", "--out", "/tmp/t.mirt", "--resume", "--verify",
-        ]))
-        .unwrap();
-        assert_eq!(a.workers, 3);
-        assert_eq!(a.block_size, 16);
-        assert!(a.resume && a.verify);
-        assert_eq!(a.topo.dests, 100);
-        assert!(matches!(a.topo.spec, TopoSpec::Preset { ref preset, .. } if preset == "gao2005"));
-
-        assert!(parse_solve(&s(&["--workers", "0"])).unwrap_err().contains("--workers"));
-        assert!(parse_solve(&s(&["--bogus"])).unwrap_err().contains("unknown option"));
-        assert!(parse_solve(&s(&["--cache", "x.json", "--preset", "gao2005"]))
+    fn topology_flags_resolve_to_one_spec() {
+        let spec = |args: &[&str]| topo_spec(&SOLVE.parse(&s(args)).unwrap());
+        assert_eq!(
+            spec(&[]).unwrap(),
+            TopoSpec::Preset { preset: "gao2005".into(), factor: 1.0, seed: 42 }
+        );
+        assert_eq!(
+            spec(&["--preset", "internet", "--factor", "0.05", "--seed", "7"]).unwrap(),
+            TopoSpec::Preset { preset: "internet".into(), factor: 0.05, seed: 7 }
+        );
+        assert_eq!(spec(&["--cache", "x.json"]).unwrap(), TopoSpec::Cache { path: "x.json".into() });
+        assert!(spec(&["--cache", "x.json", "--preset", "gao2005"])
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(parse_solve(&s(&["--heartbeat-ms", "500", "--deadline-ms", "100"]))
-            .unwrap_err()
-            .contains("must exceed"));
+        assert!(spec(&["--cache", "x.json", "--factor", "2"]).unwrap_err().contains("only apply"));
+        // The worker takes the same flags, so `TopoSpec::to_args` round-trips.
+        let preset = TopoSpec::Preset { preset: "gao2003".into(), factor: 0.5, seed: 9 };
+        assert_eq!(topo_spec(&WORKER.parse(&preset.to_args()).unwrap()).unwrap(), preset);
     }
 
     #[test]
-    fn default_state_dir_rides_next_to_the_output() {
-        let a = parse_solve(&s(&["--out", "/tmp/xyz.mirt"])).unwrap();
-        assert!(a.state.is_none());
-        // run_solve derives <out>.state; mirror that derivation here.
-        let mut s = a.out.as_os_str().to_owned();
-        s.push(".state");
-        assert_eq!(PathBuf::from(s), PathBuf::from("/tmp/xyz.mirt.state"));
+    fn solve_validates_before_building_anything() {
+        assert!(run_solve(&s(&["--workers", "0"])).unwrap_err().contains("--workers"));
+        assert!(run_solve(&s(&["--block-size", "0"])).unwrap_err().contains("--block-size"));
+        assert!(run_solve(&s(&["--heartbeat-ms", "500", "--deadline-ms", "100"]))
+            .unwrap_err()
+            .contains("must exceed"));
+        assert!(run_solve(&s(&["--preset", "nosuch", "--factor", "0.01"]))
+            .unwrap_err()
+            .contains("unknown preset"));
     }
 }

@@ -88,7 +88,6 @@ fn daemon_serves_bench_query_and_shuts_down_cleanly() {
         "--addr", &addr,
         "--conns", "2",
         "--queries", "400",
-        "--sample", "32",
         "--out", out_json.to_str().unwrap(),
         "--check-qps", "1",
         "--shutdown",
@@ -136,17 +135,15 @@ fn daemon_serves_bench_query_and_shuts_down_cleanly() {
 
     // The written report has the pinned schema.
     let json = std::fs::read_to_string(&out_json).unwrap();
-    for key in [
-        "\"bench\": \"query-serve\"",
-        "\"mode\": \"external\"",
-        "\"rows\"",
-        "\"conns\": 2",
-        "\"qps\"",
-        "\"hit_rate\"",
-        "\"p50_us\"",
-        "\"p99_us\"",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
+    let v: serde_json::JsonValue = serde_json::from_str(&json).expect("valid JSON");
+    assert_eq!(v["bench"].as_str(), Some("query-serve"));
+    assert_eq!(v["mode"].as_str(), Some("external"));
+    assert_eq!(v["dests"].as_f64(), Some(32.0), "learned from the daemon's Universe reply");
+    let rows = v["rows"].as_array().expect("rows array");
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0]["conns"].as_f64(), Some(2.0));
+    for key in ["qps", "hit_rate", "p50_us", "p99_us"] {
+        assert!(rows[0][key].as_f64().is_some(), "missing {key} in {json}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -62,13 +62,7 @@ fn run(args: &[String]) -> Result<(), String> {
             "--srcs" => cfg.src_samples = next("--srcs")?.parse().map_err(|e| format!("--srcs: {e}"))?,
             "--threads" => cfg.threads = next("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?,
             "--dataset" => {
-                only = Some(match next("--dataset")?.as_str() {
-                    "gao2000" => DatasetPreset::Gao2000,
-                    "gao2003" => DatasetPreset::Gao2003,
-                    "gao2005" => DatasetPreset::Gao2005,
-                    "agarwal2004" => DatasetPreset::Agarwal2004,
-                    other => return Err(format!("unknown dataset {other:?}")),
-                })
+                only = Some(next("--dataset")?.parse().map_err(|e| format!("--dataset: {e}"))?)
             }
             "--cache" => cache = Some(next("--cache")?),
             "--table" => table = Some(next("--table")?),
@@ -405,7 +399,7 @@ mod tests {
         assert!(run(&args("--bogus 3 help")).unwrap_err().contains("unknown argument"));
         assert!(run(&args("--scale")).unwrap_err().contains("needs a value"));
         assert!(run(&args("--scale xyz help")).unwrap_err().contains("--scale"));
-        assert!(run(&args("--dataset mars help")).unwrap_err().contains("unknown dataset"));
+        assert!(run(&args("--dataset mars help")).unwrap_err().contains("--dataset: unknown preset"));
     }
 
     #[test]

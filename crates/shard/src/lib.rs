@@ -78,18 +78,7 @@ pub enum TopoSpec {
 
 /// Preset names as spelled on the `miro` command line.
 pub fn parse_preset(name: &str) -> Result<DatasetPreset, String> {
-    Ok(match name {
-        "gao2000" => DatasetPreset::Gao2000,
-        "gao2003" => DatasetPreset::Gao2003,
-        "gao2005" => DatasetPreset::Gao2005,
-        "agarwal2004" => DatasetPreset::Agarwal2004,
-        "internet" => DatasetPreset::InternetScale,
-        other => {
-            return Err(format!(
-                "unknown preset {other:?} (expected gao2000|gao2003|gao2005|agarwal2004|internet)"
-            ))
-        }
-    })
+    name.parse()
 }
 
 impl TopoSpec {

@@ -43,6 +43,18 @@ pub enum DatasetPreset {
     InternetScale,
 }
 
+impl std::str::FromStr for DatasetPreset {
+    type Err = String;
+
+    /// Parse a preset as spelled by [`DatasetPreset::cli_name`].
+    fn from_str(name: &str) -> Result<DatasetPreset, String> {
+        let mut all = Self::ALL.into_iter().chain([Self::InternetScale]);
+        all.find(|p| p.cli_name() == name).ok_or_else(|| {
+            format!("unknown preset {name:?} (expected gao2000|gao2003|gao2005|agarwal2004|internet)")
+        })
+    }
+}
+
 impl DatasetPreset {
     /// All presets, in the order Table 5.1 lists them.
     pub const ALL: [DatasetPreset; 4] = [
@@ -51,6 +63,18 @@ impl DatasetPreset {
         DatasetPreset::Gao2005,
         DatasetPreset::Agarwal2004,
     ];
+
+    /// The preset's spelling on every command line and in the REPL's
+    /// `gen`; [`FromStr`](std::str::FromStr) is its inverse.
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            DatasetPreset::Gao2000 => "gao2000",
+            DatasetPreset::Gao2003 => "gao2003",
+            DatasetPreset::Gao2005 => "gao2005",
+            DatasetPreset::Agarwal2004 => "agarwal2004",
+            DatasetPreset::InternetScale => "internet",
+        }
+    }
 
     /// Dataset name as printed in Table 5.1.
     pub fn name(self) -> &'static str {

@@ -34,6 +34,66 @@ pub enum Value {
     Obj(BTreeMap<String, Value>),
 }
 
+/// Read-side accessors with `serde_json::Value`'s names and semantics:
+/// indexing never panics (a missing key or index yields `Null`), and the
+/// `as_*` views return `None` on a type mismatch.
+impl Value {
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(map) => map.get(key),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    pub fn as_array(&self) -> Option<&Vec<Value>> {
+        match self {
+            Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    pub fn is_null(&self) -> bool {
+        matches!(self, Value::Null)
+    }
+}
+
+static NULL: Value = Value::Null;
+
+impl std::ops::Index<&str> for Value {
+    type Output = Value;
+    fn index(&self, key: &str) -> &Value {
+        self.get(key).unwrap_or(&NULL)
+    }
+}
+
+impl std::ops::Index<usize> for Value {
+    type Output = Value;
+    fn index(&self, i: usize) -> &Value {
+        self.as_array().and_then(|items| items.get(i)).unwrap_or(&NULL)
+    }
+}
+
 /// Deserialization error: what was expected, and a rendering of what was
 /// found.
 #[derive(Clone, Debug, PartialEq)]

@@ -1,0 +1,106 @@
+//! The four `BENCH_*.json` writers, end to end at `tiny`: each verb runs
+//! through its public entry point into a scratch directory, the file is
+//! parsed back, and every key that CI greps for or that the verb's
+//! `--list` schema promises is looked up at its place in the document —
+//! so a renamed, dropped or re-nested key fails Tier-1 before it fails CI.
+
+use miro_cli::harness::TempPath;
+use serde_json::JsonValue;
+
+/// Run `verb` at `args` with `--out` pointed into a scratch directory
+/// (removed again on return) and parse what it wrote.
+fn bench(verb: fn(&[String]) -> Result<String, String>, args: &str) -> JsonValue {
+    let dir = TempPath::new("json_test", "");
+    std::fs::create_dir_all(&dir.0).expect("scratch dir");
+    let out = dir.0.join("bench.json");
+    let mut args: Vec<String> = args.split_whitespace().map(str::to_string).collect();
+    args.extend(["--out".to_string(), out.display().to_string()]);
+    let report = verb(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+    assert!(report.contains(&format!("wrote {}", out.display())), "{report}");
+    let text = std::fs::read_to_string(&out).expect("report written");
+    let v: JsonValue = serde_json::from_str(&text).expect("valid JSON");
+    // The one emitter's stamp, on every file.
+    assert!(v["host_parallelism"].as_f64().expect("host_parallelism") >= 1.0, "{text}");
+    assert!(v["bench"].as_str().is_some() && v["engine"].as_str().is_some(), "{text}");
+    v
+}
+
+/// Every key in `keys` is present (and not `null`) in object `v`.
+fn assert_keys(what: &str, v: &JsonValue, keys: &[&str]) {
+    for key in keys {
+        assert!(!v[*key].is_null(), "{what} has no {key:?}: {v:?}");
+    }
+}
+
+#[test]
+fn bench_solver_json_keeps_its_schema() {
+    let v = bench(miro_cli::bench::run, "--scale tiny --threads 1,2");
+    assert_keys("header", &v, &["baseline", "seed", "scales", "delta", "shard"]);
+    let scale = &v["scales"][0];
+    assert_keys("scales[]", scale, &[
+        "scale", "preset", "preset_scale", "nodes", "edges", "dests", "reps", "rows", "heap",
+        "bucket_ms_per_dest", "heap_ms_per_dest", "speedup_per_dest",
+    ]);
+    assert_eq!(scale["rows"].as_array().map(Vec::len), Some(2));
+    assert_keys("scales[].rows[]", &scale["rows"][1], &["threads", "ms", "speedup_vs_1t", "efficiency"]);
+    assert_keys("scales[].heap", &scale["heap"], &["threads", "dests", "sampled", "ms", "ms_per_dest"]);
+    assert_keys("delta[]", &v["delta"][0], &[
+        "scale", "threads", "dests", "events", "mean_cone", "incremental_ms", "full_ms",
+        "delta_speedup",
+    ]);
+}
+
+#[test]
+fn bench_dataplane_json_keeps_its_schema() {
+    let v = bench(
+        miro_cli::bench_dataplane::run,
+        "--scale tiny --flows 256 --packets 4000 --batch 4,32",
+    );
+    assert_keys("header", &v, &[
+        "baseline", "seed", "scale", "nodes", "prefixes", "tunnels", "flows", "packets", "stages",
+        "lookup",
+    ]);
+    assert_eq!(v["stages"].as_array().map(Vec::len), Some(4 * 3));
+    assert_keys("stages[]", &v["stages"][0], &["stage", "batch", "baseline", "ms", "mpps", "ns_per_pkt"]);
+    assert_keys("lookup", &v["lookup"], &[
+        "packets", "batch", "single_ms", "batched_ms", "speedup", "descents", "reused",
+        "reused_frac",
+    ]);
+}
+
+#[test]
+fn bench_query_json_keeps_its_schema() {
+    let v = bench(miro_cli::bench_query::run, "--scale tiny --conns 2 --queries 400");
+    assert_keys("header", &v, &["mode", "scale", "nodes", "dests", "seed", "mix", "cache", "rows", "totals"]);
+    assert_keys("mix", &v["mix"], &["next_hop", "path", "alternate"]);
+    assert_keys("cache", &v["cache"], &["stripes", "slots_per_stripe"]);
+    assert_keys("rows[]", &v["rows"][0], &[
+        "conns", "queries", "wall_ms", "qps", "p50_us", "p99_us", "hit_rate", "unrouted",
+        "no_alternate",
+    ]);
+    assert_keys("totals", &v["totals"], &["queries", "cache_hits", "cache_misses"]);
+}
+
+#[test]
+fn bench_churn_json_keeps_its_schema() {
+    let v = bench(miro_cli::churn_cmd::run_bench, "--scale tiny");
+    // ci.yml's grep list: bench engine baseline rows speedup sim tunnels
+    // table_fnv events_per_sec restore_rounds lag_p50 lag_p95
+    // diverged_batches teardowns.
+    assert_keys("header", &v, &[
+        "baseline", "seed", "scale", "nodes", "links", "events", "batches", "dests", "rows",
+        "speedup", "sim", "tunnels",
+    ]);
+    assert_eq!(v["rows"].as_array().map(Vec::len), Some(2));
+    for row in v["rows"].as_array().unwrap() {
+        assert_keys("rows[]", row, &[
+            "mode", "events_per_sec", "elapsed_ms", "downs", "ups", "cancelled", "recomputed",
+            "full_resolves", "restore_rounds", "table_fnv",
+        ]);
+        assert_keys("rows[].restore_rounds", &row["restore_rounds"], &["p50", "p95", "max"]);
+    }
+    assert_keys("sim", &v["sim"], &[
+        "lag_p50", "lag_p95", "lag_max", "converged_batches", "diverged_batches", "events_per_sec",
+    ]);
+    assert_keys("tunnels", &v["tunnels"], &["teardowns", "renegotiations"]);
+}
