@@ -8,28 +8,30 @@
 //! Work is claimed one destination at a time off an atomic cursor, which
 //! load-balances the skewed solve times of high-degree destinations.
 //!
-//! Dispatch is **degree-descending by default**: the claim schedule sorts
+//! Dispatch is **degree-descending**: the claim schedule sorts
 //! destination indices by descending degree (ties by index), so the
 //! slow, high-degree destinations start first and the end of the run
 //! drains over cheap stub ASes instead of stalling every thread behind
 //! one late tier-1 solve. The merge is by original index, so the
-//! schedule never changes the output — byte-identical across thread
-//! counts and orderings (see [`DestOrder`]).
+//! schedule never changes the output — byte-identical to the 1-thread
+//! path, which claims in slice order and is the determinism reference.
 //!
-//! Each worker also owns one [`SolveScratch`] arena for its whole run, so
-//! after the first destination a worker allocates nothing per solve: the
-//! routing table, stamps, and bucket storage are recycled between
-//! destinations (generation-stamped, so there is no O(V) clear either).
-//! A [`ScratchPool`] extends that reuse across *calls*: shard workers
-//! solving many blocks against one topology park their per-thread arenas
-//! in the pool between blocks instead of reallocating them.
+//! There is one implementation, [`ScratchPool::over_dests`]. Each worker
+//! draws one [`SolveScratch`] + [`DeltaScratch`] pair from the pool for
+//! its whole run, so after the first destination a worker allocates
+//! nothing per solve: the routing table, stamps, and bucket storage are
+//! recycled between destinations (generation-stamped, so there is no
+//! O(V) clear either). A pool that outlives the call extends that reuse
+//! across *calls*: shard workers solving many blocks against one
+//! topology park their arenas between blocks instead of reallocating
+//! them. [`par_over_dests_whatif`] and [`par_over_dests`] are its two
+//! closure shapes over a pool built for the call.
 //!
-//! [`par_over_dests_whatif`] layers the what-if cache on top: each worker
-//! additionally owns a [`DeltaScratch`], and the per-destination closure
-//! can answer failed-link variants through the incremental delta path
-//! instead of full re-solves.
+//! The per-destination closure gets a [`WhatIf`]: the destination's base
+//! solve, plus failed-link variants answered through the delta engine
+//! (fail one link, look, revert) instead of full re-solves.
 
-use crate::solver::{DeltaScratch, FailedLink, RoutingState, SolveScratch};
+use crate::solver::{DeltaScratch, RoutingState, SolveScratch};
 use miro_topology::{NodeId, Topology};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,18 +42,50 @@ use std::sync::Mutex;
 pub struct WhatIfStats {
     /// What-if variants answered against this base solve.
     pub what_ifs: usize,
-    /// Variants whose link the base routing tree never used — answered
-    /// straight from the cached base with zero recomputation.
+    /// Variants that moved no route — the link is one the base routing
+    /// tree never used, or names no link at all — answered straight from
+    /// the cached base with zero recomputation.
     pub skipped: usize,
     /// Total nodes recomputed across all variants.
     pub recomputed: usize,
 }
 
+/// What a [`WhatIf::without_link`] closure sees: the base state re-solved
+/// without the link (through `Deref`), plus what the delta cost.
+pub struct FailedLink<'a, 't> {
+    st: &'a RoutingState<'t>,
+    recomputed: usize,
+    disconnected: usize,
+}
+
+impl<'t> std::ops::Deref for FailedLink<'_, 't> {
+    type Target = RoutingState<'t>;
+
+    fn deref(&self) -> &RoutingState<'t> {
+        self.st
+    }
+}
+
+impl FailedLink<'_, '_> {
+    /// Nodes whose base route the failure changed: the invalidated cone
+    /// plus any downstream nodes the improvement wave reached. Zero when
+    /// the link was off the base routing tree — the skip case where the
+    /// answer is served straight from the base solve.
+    pub fn recomputed(&self) -> usize {
+        self.recomputed
+    }
+
+    /// Cone nodes that lost reachability entirely under the failure.
+    pub fn disconnected(&self) -> usize {
+        self.disconnected
+    }
+}
+
 /// The what-if cache: one unmasked base solve per destination, with every
-/// failed-link variant answered through the incremental delta path
-/// ([`RoutingState::with_failed_link`]). Variants whose link the base
-/// solution never touches — the common case in Table 5.2-style sweeps —
-/// cost O(1) beyond candidate suppression.
+/// failed-link variant answered by the delta engine — fail the link,
+/// show the closure the re-solved state, revert. Variants whose link the
+/// base solution never touches — the common case in Table 5.2-style
+/// sweeps — cost O(1) beyond candidate suppression.
 pub struct WhatIf<'s, 't> {
     base: RoutingState<'t>,
     delta: &'s mut DeltaScratch,
@@ -59,7 +93,10 @@ pub struct WhatIf<'s, 't> {
 }
 
 impl<'s, 't> WhatIf<'s, 't> {
+    /// Panics unless `base` is a solve with no link failed: a variant
+    /// fails one link and un-fails it afterwards.
     pub fn new(base: RoutingState<'t>, delta: &'s mut DeltaScratch) -> WhatIf<'s, 't> {
+        assert!(base.failed_links().is_empty(), "what-if requires an unmasked base solve");
         WhatIf { base, delta, stats: WhatIfStats::default() }
     }
 
@@ -70,17 +107,19 @@ impl<'s, 't> WhatIf<'s, 't> {
 
     /// Answer one failed-link variant: `f` sees the incrementally
     /// re-solved state (plus its cone statistics) and the base is
-    /// restored before this returns.
+    /// restored, bit for bit, before this returns. A self-loop or an
+    /// endpoint outside the topology fails nothing: `f` sees the base.
     pub fn without_link<R>(
         &mut self,
         a: NodeId,
         b: NodeId,
         f: impl FnOnce(&FailedLink<'_, 't>) -> R,
     ) -> R {
-        let guard = self.base.with_failed_link(a, b, self.delta);
-        let recomputed = guard.recomputed();
-        let out = f(&guard);
-        drop(guard);
+        let link = self.base.link(a, b);
+        let disconnected = self.base.fail(link.as_slice(), self.delta);
+        let recomputed = self.delta.changed();
+        let out = f(&FailedLink { st: &self.base, recomputed, disconnected });
+        self.base.revert(link.as_slice(), self.delta);
         self.stats.what_ifs += 1;
         self.stats.recomputed += recomputed;
         if recomputed == 0 {
@@ -116,8 +155,8 @@ pub fn dest_blocks(
     (0..blocks).map(move |b| (b * bs)..((b + 1) * bs).min(num_dests))
 }
 
-/// Block-granularity counterpart of [`DestOrder::DegreeDescending`]:
-/// the [`dest_blocks`] ids reordered so the blocks with the most total
+/// Block-granularity counterpart of the engine's claim schedule: the
+/// [`dest_blocks`] ids reordered so the blocks with the most total
 /// adjacency (the slow ones) dispatch first, ties by block id. Feeding
 /// this to the shard coordinator keeps the last assignments of a job
 /// cheap, so a straggling worker holds up the tail as little as
@@ -132,41 +171,25 @@ pub fn heavy_blocks_first(topo: &Topology, dests: &[NodeId], block_size: usize) 
     ids
 }
 
-/// How a parallel whole-table solve orders destination *dispatch*.
-/// Purely a scheduling knob: results always merge back in slice order,
-/// so the output is byte-identical under every variant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DestOrder {
-    /// Claim destinations in slice order.
-    Natural,
-    /// Claim high-degree (slow) destinations first, ties by index — the
-    /// default, so the tail of the run never straggles behind one
-    /// late-dispatched tier-1 solve.
-    DegreeDescending,
+/// The claim schedule: `schedule[k]` is the destination index the `k`-th
+/// claim takes — high-degree (slow) destinations first, ties by index,
+/// so the tail of the run never straggles behind one late-dispatched
+/// tier-1 solve.
+fn claim_schedule(topo: &Topology, dests: &[NodeId]) -> Vec<u32> {
+    let mut idx: Vec<u32> = (0..dests.len() as u32).collect();
+    idx.sort_by_key(|&i| (Reverse(topo.degree(dests[i as usize])), i));
+    idx
 }
 
-/// The claim schedule for `order`: `schedule[k]` is the destination
-/// index the `k`-th claim takes. `None` means claim in slice order.
-fn claim_schedule(topo: &Topology, dests: &[NodeId], order: DestOrder) -> Option<Vec<u32>> {
-    match order {
-        DestOrder::Natural => None,
-        DestOrder::DegreeDescending => {
-            let mut idx: Vec<u32> = (0..dests.len() as u32).collect();
-            idx.sort_by_key(|&i| (Reverse(topo.degree(dests[i as usize])), i));
-            Some(idx)
-        }
-    }
-}
-
-/// Pool of per-thread solve arenas shared across whole-table calls.
+/// Pool of per-thread solve arenas, and the engine that runs against it.
 ///
-/// A single [`par_over_dests`] call already reuses one scratch per
-/// thread for its whole run; a `ScratchPool` extends that reuse across
-/// calls against the same topology — a shard worker solving hundreds of
-/// blocks parks its arenas here between blocks, so the steady state of a
-/// long job allocates nothing at all. Arenas are presized to the
-/// topology ([`SolveScratch::for_nodes`]), so even the pool's first use
-/// is allocation-free inside the solve loop.
+/// One [`ScratchPool::over_dests`] call reuses one scratch pair per
+/// thread for its whole run; a pool kept across calls against the same
+/// topology — a shard worker solving hundreds of blocks — parks the
+/// arenas between them, so the steady state of a long job allocates
+/// nothing at all. Arenas are presized to the topology
+/// ([`SolveScratch::for_nodes`]), so even the pool's first use is
+/// allocation-free inside the solve loop.
 pub struct ScratchPool {
     nodes: usize,
     slots: Mutex<Vec<(SolveScratch, DeltaScratch)>>,
@@ -193,39 +216,74 @@ impl ScratchPool {
     fn give(&self, pair: (SolveScratch, DeltaScratch)) {
         self.slots.lock().expect("scratch pool poisoned").push(pair);
     }
+
+    /// Solve each destination's routing state and map `f` over them, each
+    /// worker thread drawing its arenas from (and returning them to) this
+    /// pool; results come back in destination order regardless of thread
+    /// count. `f` gets a mutable [`WhatIf`] holding the destination's base
+    /// solve, and can answer any number of failed-link variants through
+    /// the per-thread delta scratch.
+    pub fn over_dests<T, F>(&self, topo: &Topology, dests: &[NodeId], threads: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(NodeId, &mut WhatIf<'_, '_>) -> T + Sync,
+    {
+        let solve = |d: NodeId, scratch: &mut SolveScratch, delta: &mut DeltaScratch| {
+            let mut wi = WhatIf::new(RoutingState::solve_into(topo, d, scratch), delta);
+            let out = f(d, &mut wi);
+            wi.into_base().recycle(scratch);
+            out
+        };
+
+        let threads = threads.max(1).min(dests.len().max(1));
+        if threads == 1 {
+            let (mut scratch, mut delta) = self.take();
+            let out = dests.iter().map(|&d| solve(d, &mut scratch, &mut delta)).collect();
+            self.give((scratch, delta));
+            return out;
+        }
+
+        let schedule = claim_schedule(topo, dests);
+        let next = AtomicUsize::new(0);
+        let buffers: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local: Vec<(usize, T)> = Vec::new();
+                        let (mut scratch, mut delta) = self.take();
+                        while let Some(&i) = schedule.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let i = i as usize;
+                            local.push((i, solve(dests[i], &mut scratch, &mut delta)));
+                        }
+                        self.give((scratch, delta));
+                        local
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .collect()
+        });
+
+        // Deterministic merge: every index is produced exactly once,
+        // regardless of which thread claimed it or in what order.
+        let mut slots: Vec<Option<T>> = Vec::with_capacity(dests.len());
+        slots.resize_with(dests.len(), || None);
+        for buf in buffers {
+            for (i, out) in buf {
+                debug_assert!(slots[i].is_none(), "destination solved twice");
+                slots[i] = Some(out);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every destination produced a result"))
+            .collect()
+    }
 }
 
-/// Solve each destination's routing state and map `f` over them; results
-/// come back in destination order regardless of thread count or schedule.
-pub fn par_over_dests<T, F>(topo: &Topology, dests: &[NodeId], threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(NodeId, &RoutingState<'_>) -> T + Sync,
-{
-    par_over_dests_whatif(topo, dests, threads, |d, wi| f(d, wi.base()))
-}
-
-/// [`par_over_dests`] drawing per-thread arenas from (and returning them
-/// to) `pool`: the shard-worker fast path, allocation-free across blocks.
-pub fn par_over_dests_pooled<T, F>(
-    topo: &Topology,
-    dests: &[NodeId],
-    threads: usize,
-    pool: &ScratchPool,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(NodeId, &RoutingState<'_>) -> T + Sync,
-{
-    par_over_dests_scheduled(topo, dests, threads, DestOrder::DegreeDescending, Some(pool), |d, wi| {
-        f(d, wi.base())
-    })
-}
-
-/// [`par_over_dests`] with the what-if cache: `f` gets a mutable
-/// [`WhatIf`] holding the destination's base solve, and can answer any
-/// number of failed-link variants through the per-thread delta scratch.
+/// [`ScratchPool::over_dests`] against a pool built for this call.
 pub fn par_over_dests_whatif<T, F>(
     topo: &Topology,
     dests: &[NodeId],
@@ -236,100 +294,16 @@ where
     T: Send,
     F: Fn(NodeId, &mut WhatIf<'_, '_>) -> T + Sync,
 {
-    par_over_dests_scheduled(topo, dests, threads, DestOrder::DegreeDescending, None, f)
+    ScratchPool::for_nodes(topo.num_nodes()).over_dests(topo, dests, threads, f)
 }
 
-/// The fully-general engine entry: explicit dispatch [`DestOrder`] and an
-/// optional [`ScratchPool`]. The determinism suite drives this directly
-/// to prove the schedule never leaks into the output.
-pub fn par_over_dests_scheduled<T, F>(
-    topo: &Topology,
-    dests: &[NodeId],
-    threads: usize,
-    order: DestOrder,
-    pool: Option<&ScratchPool>,
-    f: F,
-) -> Vec<T>
+/// [`par_over_dests_whatif`] for closures that only read the base solve.
+pub fn par_over_dests<T, F>(topo: &Topology, dests: &[NodeId], threads: usize, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(NodeId, &mut WhatIf<'_, '_>) -> T + Sync,
+    F: Fn(NodeId, &RoutingState<'_>) -> T + Sync,
 {
-    let take = |n: usize| match pool {
-        Some(p) => p.take(),
-        None => (SolveScratch::for_nodes(n), DeltaScratch::for_nodes(n)),
-    };
-    let park = |pair: (SolveScratch, DeltaScratch)| {
-        if let Some(p) = pool {
-            p.give(pair);
-        }
-    };
-    let n = topo.num_nodes();
-
-    let threads = threads.max(1).min(dests.len().max(1));
-    if threads == 1 {
-        let (mut scratch, mut delta) = take(n);
-        let out = dests
-            .iter()
-            .map(|&d| {
-                let st = RoutingState::solve_into(topo, d, &mut scratch);
-                let mut wi = WhatIf::new(st, &mut delta);
-                let out = f(d, &mut wi);
-                wi.into_base().recycle(&mut scratch);
-                out
-            })
-            .collect();
-        park((scratch, delta));
-        return out;
-    }
-
-    let schedule = claim_schedule(topo, dests, order);
-    let next = AtomicUsize::new(0);
-    let buffers: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    let (mut scratch, mut delta) = take(n);
-                    loop {
-                        let claim = next.fetch_add(1, Ordering::Relaxed);
-                        if claim >= dests.len() {
-                            break;
-                        }
-                        let i = match &schedule {
-                            Some(s) => s[claim] as usize,
-                            None => claim,
-                        };
-                        let d = dests[i];
-                        let st = RoutingState::solve_into(topo, d, &mut scratch);
-                        let mut wi = WhatIf::new(st, &mut delta);
-                        local.push((i, f(d, &mut wi)));
-                        wi.into_base().recycle(&mut scratch);
-                    }
-                    park((scratch, delta));
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-
-    // Deterministic merge: every index is produced exactly once,
-    // regardless of which thread claimed it or in what order.
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(dests.len());
-    slots.resize_with(dests.len(), || None);
-    for buf in buffers {
-        for (i, out) in buf {
-            debug_assert!(slots[i].is_none(), "destination solved twice");
-            slots[i] = Some(out);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every destination produced a result"))
-        .collect()
+    par_over_dests_whatif(topo, dests, threads, |d, wi| f(d, wi.base()))
 }
 
 #[cfg(test)]
@@ -350,6 +324,10 @@ mod tests {
             sig
         };
         let base = par_over_dests(&t, &dests, 1, probe);
+        assert_eq!(base.len(), dests.len());
+        for (row, &d) in base.iter().zip(&dests) {
+            assert_eq!(row[0].0, d, "results in destination order");
+        }
         for threads in [2, 4, 8] {
             assert_eq!(
                 par_over_dests(&t, &dests, threads, probe),
@@ -418,15 +396,16 @@ mod tests {
 
         // Spot-check against the full masked solve.
         let d = dests[0];
-        let mut delta = crate::solver::DeltaScratch::new();
-        let mut base = RoutingState::solve(&t, d);
+        let mut delta = DeltaScratch::new();
+        let mut wi = WhatIf::new(RoutingState::solve(&t, d), &mut delta);
         let v = t.nodes().find(|&v| v != d).unwrap();
-        let hop = base.best(v).unwrap().next;
+        let hop = wi.base().best(v).unwrap().next;
         let full = RoutingState::solve_without_link(&t, d, v, hop);
-        let failed = base.with_failed_link(v, hop, &mut delta);
-        for x in t.nodes() {
-            assert_eq!(failed.best(x), full.best(x));
-        }
+        wi.without_link(v, hop, |failed| {
+            for x in t.nodes() {
+                assert_eq!(failed.best(x), full.best(x));
+            }
+        });
     }
 
     #[test]
@@ -446,7 +425,7 @@ mod tests {
                         && wi.base().best(y).is_some_and(|b| b.next != x)
                 })
                 .expect("some edge is off the routing tree");
-            wi.without_link(off.0, off.1, |failed| assert!(failed.is_noop()));
+            wi.without_link(off.0, off.1, |failed| assert_eq!(failed.recomputed(), 0));
             let _ = d;
             wi.stats()
         });
@@ -456,49 +435,44 @@ mod tests {
     }
 
     /// The full route table for every destination: the byte-for-byte
-    /// signature the scheduling policy must never change.
+    /// signature the schedule and the pool must never change.
     fn full_tables(
         t: &Topology,
         dests: &[NodeId],
         threads: usize,
-        order: DestOrder,
         pool: Option<&ScratchPool>,
     ) -> Vec<Vec<Option<crate::solver::BestRoute>>> {
-        par_over_dests_scheduled(t, dests, threads, order, pool, |_, st| {
-            t.nodes().map(|x| st.base().best(x)).collect()
-        })
+        let row = |_, wi: &mut WhatIf<'_, '_>| t.nodes().map(|x| wi.base().best(x)).collect();
+        match pool {
+            Some(pool) => pool.over_dests(t, dests, threads, row),
+            None => par_over_dests_whatif(t, dests, threads, row),
+        }
     }
 
     #[test]
     fn schedule_and_threads_never_change_the_table() {
         let t = GenParams::tiny(13).generate();
         let dests: Vec<NodeId> = t.nodes().take(24).collect();
-        let base = full_tables(&t, &dests, 1, DestOrder::Natural, None);
+        // One thread claims in slice order: the determinism reference.
+        let base = full_tables(&t, &dests, 1, None);
         let pool = ScratchPool::for_nodes(t.num_nodes());
         for threads in [1, 2, 8] {
-            for order in [DestOrder::Natural, DestOrder::DegreeDescending] {
-                assert_eq!(
-                    full_tables(&t, &dests, threads, order, None),
-                    base,
-                    "{threads} threads / {order:?} diverged"
-                );
-                assert_eq!(
-                    full_tables(&t, &dests, threads, order, Some(&pool)),
-                    base,
-                    "{threads} threads / {order:?} (pooled) diverged"
-                );
-            }
+            assert_eq!(full_tables(&t, &dests, threads, None), base, "{threads} threads diverged");
+            assert_eq!(
+                full_tables(&t, &dests, threads, Some(&pool)),
+                base,
+                "{threads} threads (pooled) diverged"
+            );
         }
         // The pool really parked scratch for reuse across those runs.
         assert!(pool.parked() >= 1, "pool never parked a scratch pair");
     }
 
     #[test]
-    fn degree_descending_schedule_is_a_permutation_by_degree() {
+    fn claim_schedule_is_a_permutation_by_degree() {
         let t = GenParams::tiny(14).generate();
         let dests: Vec<NodeId> = t.nodes().take(16).collect();
-        let sched = claim_schedule(&t, &dests, DestOrder::DegreeDescending)
-            .expect("degree order has a schedule");
+        let sched = claim_schedule(&t, &dests);
         let mut seen = sched.clone();
         seen.sort_unstable();
         assert_eq!(seen, (0..dests.len() as u32).collect::<Vec<_>>());
@@ -509,7 +483,6 @@ mod tests {
                 "schedule not degree-descending with index tie-break"
             );
         }
-        assert!(claim_schedule(&t, &dests, DestOrder::Natural).is_none());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! O(E log E). Within one level, the heap's `(len, asn, node, next)`
 //! ordering reduces to "the offer with the lowest next-hop AS number wins"
 //! — the bucket engine is bit-for-bit equivalent to the heap
-//! (property-tested against the retained [`reference`] implementation
+//! (property-tested against the retained [`mod@reference`] implementation
 //! below).
 //!
 //! The frontier is **packed**: a bucket holds one `u32` node id per
@@ -54,6 +54,18 @@
 //! [`RoutingState::recycle`] and allocate nothing in the steady state;
 //! [`SolveScratch::for_nodes`] presizes the arena so even the first
 //! solve of a pooled worker thread allocates nothing.
+//!
+//! # Delta engine
+//!
+//! A [`RoutingState`] also owns the set of administratively failed links
+//! its table is solved without (empty for a plain solve), and changes
+//! that set incrementally with one kernel — retire the routing subtrees
+//! the change unsettles, re-drain the three sweeps inside the retired
+//! set against the intact boundary — behind three crate-internal
+//! methods: `fail` (what-if sweeps and churn downs), `restore` (churn
+//! ups, see [`multi`]) and `revert` (undo the last `fail` from its log).
+//! [`crate::engine::WhatIf`] is fail-one / look / revert;
+//! [`multi::MultiFailState::apply`] is coalesce / fail / restore.
 
 use crate::route::{CandidateRoute, ExportScope};
 use miro_topology::{NodeId, Rel, RouteClass, Topology};
@@ -161,6 +173,21 @@ fn next_round(round: &mut u32, slots: &mut [Slot]) -> u32 {
     *round
 }
 
+/// Open the next generation over `slots`: every assignment stamped under
+/// an earlier one reads as unrouted at once. On `u32` wrap (after ~4e9
+/// solves over one slot table) pay one O(V) stamp clear.
+#[inline]
+fn next_gen(gen: u32, slots: &mut [Slot]) -> u32 {
+    let gen = gen.wrapping_add(1);
+    if gen != 0 {
+        return gen;
+    }
+    for s in slots.iter_mut() {
+        s.stamp = 0;
+    }
+    1
+}
+
 /// Fold `offer` (a pre-tagged `u -> v` candidate) into `v`'s slot,
 /// pushing `v` onto the frontier on first touch (per level). The caller
 /// builds `offer.tag` once per offerer, so the level comparisons here
@@ -215,8 +242,6 @@ pub struct SolveScratch {
     /// Packed bucket queue: `buckets[len]` holds each node with a live
     /// pending offer at hop `len` (once — the winner lives in its slot).
     buckets: Vec<Vec<NodeId>>,
-    /// Frontier entries outstanding across all buckets.
-    live: usize,
     /// Sweep counter: bumped once per sweep so stale offer tags die
     /// without a clear. Travels with `slots` into the [`RoutingState`]
     /// (delta re-solves keep bumping it there) and is folded back by
@@ -233,7 +258,6 @@ impl SolveScratch {
             gen: 0,
             routed: Vec::new(),
             buckets: Vec::new(),
-            live: 0,
             round: 0,
         }
     }
@@ -249,7 +273,7 @@ impl SolveScratch {
     }
 
     /// Resize to topology size `n` and open a fresh generation.
-    fn begin(&mut self, n: usize) -> u32 {
+    fn begin(&mut self, n: usize) {
         if self.slots.len() != n {
             self.best.clear();
             self.best.resize(n, UNROUTED);
@@ -257,47 +281,39 @@ impl SolveScratch {
             self.slots.resize(n, SLOT_EMPTY);
             self.gen = 0;
         }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // u32 wrap after ~4e9 solves on one scratch: pay one clear.
-            for s in self.slots.iter_mut() {
-                s.stamp = 0;
-            }
-            self.gen = 1;
-        }
-        self.routed.clear();
-        self.live = 0;
-        self.gen
+        self.gen = next_gen(self.gen, &mut self.slots);
     }
 }
 
-/// Scratch arena for incremental re-solves
-/// ([`RoutingState::with_failed_link`], [`multi::MultiFailState::apply`]).
+/// Scratch arena for the delta engine ([`crate::engine::WhatIf`],
+/// [`multi::MultiFailState::apply`]).
 ///
 /// Layers on [`SolveScratch`]: the inner scratch provides the bucket
 /// queue and routed-order arena (delta sweeps run against the table and
-/// slot table owned by the base state — the inner scratch's own stay
-/// empty), and the undo log records every invalidated node's base
-/// assignment so the guard can restore the base solve in O(cone).
-/// Consecutive deltas against one base reuse all storage and allocate
-/// nothing in the steady state; one scratch serves any number of
-/// [`multi::MultiFailState`] engines, so the per-node column is paid once.
+/// slot table owned by the state — the inner scratch's own stay empty),
+/// and the change log records every retired or improved node's previous
+/// assignment. After a `fail` that log is an undo log (`revert` replays
+/// it in O(cone)); a restoration round reads it as the changed set.
+/// Consecutive deltas reuse all storage and allocate nothing in the
+/// steady state; one scratch serves any number of states, so the
+/// per-node column is paid once.
 pub struct DeltaScratch {
-    /// `(node, base assignment)` for every changed node: the cone in BFS
-    /// order, then any downstream nodes reached by the improvement wave.
+    /// `(node, previous assignment)` for every changed node: the cone in
+    /// BFS order, then any downstream nodes the improvement wave reached.
     undo: Vec<(NodeId, BestRoute)>,
     /// `logged[v] == logged_gen` iff `v` is already in the undo log.
     logged: Vec<u32>,
     logged_gen: u32,
     inner: SolveScratch,
-    /// [`multi::MultiFailState::apply`]'s work lists — the batch's last
-    /// state per link, its net failures and restorations, and the roots
-    /// of the next retirement — kept here so a steady-state `apply`
-    /// allocates nothing.
+    /// Roots of the next retirement; the retirement consumes them, so
+    /// this is empty between deltas.
+    roots: Vec<NodeId>,
+    /// [`multi::MultiFailState::apply`]'s coalescing lists — the batch's
+    /// last state per link, its net failures and restorations — kept
+    /// here so a steady-state `apply` allocates nothing.
     finals: Vec<((NodeId, NodeId), bool)>,
     net_downs: Vec<(NodeId, NodeId)>,
     net_ups: Vec<(NodeId, NodeId)>,
-    roots: Vec<NodeId>,
 }
 
 impl DeltaScratch {
@@ -307,23 +323,24 @@ impl DeltaScratch {
             logged: Vec::new(),
             logged_gen: 0,
             inner: SolveScratch::new(),
+            roots: Vec::new(),
             finals: Vec::new(),
             net_downs: Vec::new(),
             net_ups: Vec::new(),
-            roots: Vec::new(),
         }
     }
 
     /// Presized arena for an `n`-node topology (see
     /// [`SolveScratch::for_nodes`]). Delta sweeps borrow the slot table
-    /// from the base state, so only the undo-dedup column needs sizing.
+    /// from the state, so only the log-dedup column needs sizing.
     pub fn for_nodes(n: usize) -> DeltaScratch {
         let mut s = DeltaScratch::new();
         s.logged.resize(n, 0);
         s
     }
 
-    /// Open a fresh undo generation sized for `n` nodes.
+    /// Open a fresh (empty) change log sized for `n` nodes.
+    #[inline]
     fn begin(&mut self, n: usize) {
         self.undo.clear();
         if self.logged.len() != n {
@@ -339,13 +356,19 @@ impl DeltaScratch {
         self.inner.routed.clear();
     }
 
-    /// Record `v`'s pre-delta assignment (once) so the guard can restore it.
+    /// Record `v`'s pre-delta assignment (once).
     #[inline]
     fn log(&mut self, v: NodeId, old: BestRoute) {
         if self.logged[v as usize] != self.logged_gen {
             self.logged[v as usize] = self.logged_gen;
             self.undo.push((v, old));
         }
+    }
+
+    /// Entries the last delta changed: the retired cone plus any nodes
+    /// the improvement wave reached. Zero when it touched no route.
+    pub(crate) fn changed(&self) -> usize {
+        self.undo.len()
     }
 }
 
@@ -361,43 +384,16 @@ impl Default for SolveScratch {
     }
 }
 
-/// The set of links a sweep must treat as administratively dead. The
-/// single-failure paths ([`RoutingState::solve_without_link`],
-/// [`RoutingState::with_failed_link`]) mask `None` or `One`; the batched
-/// churn engine ([`multi::MultiFailState`]) masks a whole sorted,
-/// low-high-normalized set.
-#[derive(Clone, Copy)]
-pub(crate) enum Mask<'m> {
-    None,
-    One((NodeId, NodeId)),
-    Many(&'m [(NodeId, NodeId)]),
-}
-
-impl Mask<'_> {
-    /// Is the link between `x` and `y` masked out?
-    #[inline]
-    pub(crate) fn banned(&self, x: NodeId, y: NodeId) -> bool {
-        match *self {
-            Mask::None => false,
-            Mask::One(l) => l == (x.min(y), x.max(y)),
-            Mask::Many(set) => set.binary_search(&(x.min(y), x.max(y))).is_ok(),
-        }
-    }
-
-    /// Does the mask provably suppress nothing?
-    #[inline]
-    fn is_empty(&self) -> bool {
-        matches!(self, Mask::None) || matches!(self, Mask::Many(s) if s.is_empty())
-    }
-}
-
-/// The mask equivalent of an optional single failed link.
+/// Low-high normalized key of the link between `x` and `y`.
 #[inline]
-fn mask_of(banned: Option<(NodeId, NodeId)>) -> Mask<'static> {
-    match banned {
-        None => Mask::None,
-        Some(l) => Mask::One(l),
-    }
+fn link_key(x: NodeId, y: NodeId) -> (NodeId, NodeId) {
+    (x.min(y), x.max(y))
+}
+
+/// Is the link between `x` and `y` in the sorted, normalized `failed` set?
+#[inline]
+fn is_failed(failed: &[(NodeId, NodeId)], x: NodeId, y: NodeId) -> bool {
+    !failed.is_empty() && failed.binary_search(&link_key(x, y)).is_ok()
 }
 
 /// Which CSR partition a sweep propagates over (see
@@ -429,10 +425,11 @@ impl Edges {
     }
 }
 
-/// One in-flight solve: scratch fields borrowed disjointly.
+/// One in-flight run of sweeps: a state's table and a scratch's queue,
+/// borrowed disjointly (built only by [`RoutingState::sweep`]).
 struct Sweep<'a> {
     topo: &'a Topology,
-    mask: Mask<'a>,
+    failed: &'a [(NodeId, NodeId)],
     gen: u32,
     best: &'a mut [BestRoute],
     slots: &'a mut [Slot],
@@ -443,11 +440,6 @@ struct Sweep<'a> {
 }
 
 impl Sweep<'_> {
-    #[inline]
-    fn is_banned(&self, x: NodeId, y: NodeId) -> bool {
-        self.mask.banned(x, y)
-    }
-
     /// Open a fresh round: every live offer tag from earlier sweeps (or
     /// earlier solves sharing this slot table) goes stale at once.
     fn new_round(&mut self) {
@@ -456,8 +448,8 @@ impl Sweep<'_> {
 
     /// Offer `u`'s route (extended by one hop) to its `edges` neighbors
     /// that are still unrouted. The offerer's ASN is read once here, not
-    /// once per offer at settle time; the no-mask case (every whole-table
-    /// solve) skips the banned test in the inner loop entirely.
+    /// once per offer at settle time; with no link failed (every
+    /// whole-table solve) the inner loop skips the failed test entirely.
     fn offer_from(&mut self, u: NodeId, edges: Edges) {
         let lvl = self.best[u as usize].len as usize + 1;
         debug_assert!(lvl <= LVL_MASK as usize, "hop level exceeds the 16-bit tag field");
@@ -467,7 +459,7 @@ impl Sweep<'_> {
             next: u,
         };
         let neigh = edges.slice(self.topo, u);
-        if self.mask.is_empty() {
+        if self.failed.is_empty() {
             for &v in neigh {
                 if self.slots[v as usize].stamp != self.gen {
                     push_offer(self.slots, self.buckets, &mut self.live, v, offer);
@@ -475,7 +467,7 @@ impl Sweep<'_> {
             }
         } else {
             for &v in neigh {
-                if self.slots[v as usize].stamp != self.gen && !self.is_banned(u, v) {
+                if self.slots[v as usize].stamp != self.gen && !is_failed(self.failed, u, v) {
                     push_offer(self.slots, self.buckets, &mut self.live, v, offer);
                 }
             }
@@ -496,7 +488,7 @@ impl Sweep<'_> {
             for &(u, rel) in self.topo.neighbors(v) {
                 if self.slots[u as usize].stamp == self.gen
                     && from(rel, self.best[u as usize])
-                    && !self.is_banned(u, v)
+                    && !is_failed(self.failed, u, v)
                 {
                     let lvl = self.best[u as usize].len as usize + 1;
                     let offer = Offer {
@@ -574,15 +566,16 @@ pub struct RoutingState<'t> {
     /// bumping it); folded back into the scratch by
     /// [`RoutingState::recycle`].
     round: u32,
-    /// Administratively failed link this state was solved without
-    /// (normalized low-high); candidates over it are suppressed too.
-    banned: Option<(NodeId, NodeId)>,
+    /// Administratively failed links this table is solved without —
+    /// sorted, low-high normalized, empty for a plain solve. Candidates
+    /// over them are suppressed too.
+    failed: Vec<(NodeId, NodeId)>,
 }
 
 impl<'t> RoutingState<'t> {
     /// Solve the stable state for destination `dest`.
     pub fn solve(topo: &'t Topology, dest: NodeId) -> RoutingState<'t> {
-        Self::solve_masked(topo, dest, None, &mut SolveScratch::new())
+        Self::solve_core(topo, dest, Vec::new(), &mut SolveScratch::new())
     }
 
     /// Solve reusing a scratch arena: the allocation-free fast path for
@@ -593,20 +586,21 @@ impl<'t> RoutingState<'t> {
         dest: NodeId,
         scratch: &mut SolveScratch,
     ) -> RoutingState<'t> {
-        Self::solve_masked(topo, dest, None, scratch)
+        Self::solve_core(topo, dest, Vec::new(), scratch)
     }
 
     /// Solve as if the link between `a` and `b` had failed — the
     /// what-if the MIRO control plane runs when it observes a withdrawal
     /// and must decide which tunnels to tear down (section 4.3), without
-    /// rebuilding the topology.
+    /// rebuilding the topology. The from-scratch oracle for the delta
+    /// engine, which answers the same question in O(cone).
     pub fn solve_without_link(
         topo: &'t Topology,
         dest: NodeId,
         a: NodeId,
         b: NodeId,
     ) -> RoutingState<'t> {
-        Self::solve_masked(topo, dest, Some((a.min(b), a.max(b))), &mut SolveScratch::new())
+        Self::solve_core(topo, dest, vec![link_key(a, b)], &mut SolveScratch::new())
     }
 
     /// Scratch-reusing variant of [`RoutingState::solve_without_link`].
@@ -617,7 +611,7 @@ impl<'t> RoutingState<'t> {
         b: NodeId,
         scratch: &mut SolveScratch,
     ) -> RoutingState<'t> {
-        Self::solve_masked(topo, dest, Some((a.min(b), a.max(b))), scratch)
+        Self::solve_core(topo, dest, vec![link_key(a, b)], scratch)
     }
 
     /// Give this state's table storage back to `scratch` so the next
@@ -625,87 +619,90 @@ impl<'t> RoutingState<'t> {
     pub fn recycle(self, scratch: &mut SolveScratch) {
         scratch.best = self.best;
         scratch.slots = self.slots;
-        // Delta re-solves bump the state's round past the scratch's;
-        // fold it back so no live tag in the slot table can outrun the
-        // counter it is next used with.
+        // The counters travel with the slot table: in-place re-solves
+        // and delta sweeps bump the state's past the scratch's, and no
+        // stamp or live tag may outrun the counter it is next used with.
+        scratch.gen = self.gen;
         scratch.round = scratch.round.max(self.round);
     }
 
-    fn solve_masked(
+    /// The three-sweep solve without the (sorted, normalized) `failed`
+    /// links, taking the table storage out of `scratch`.
+    fn solve_core(
         topo: &'t Topology,
         dest: NodeId,
-        banned: Option<(NodeId, NodeId)>,
+        failed: Vec<(NodeId, NodeId)>,
         scratch: &mut SolveScratch,
     ) -> RoutingState<'t> {
-        Self::solve_core(topo, dest, mask_of(banned), banned, scratch)
+        scratch.begin(topo.num_nodes());
+        let mut st = RoutingState {
+            topo,
+            dest,
+            best: std::mem::take(&mut scratch.best),
+            slots: std::mem::take(&mut scratch.slots),
+            gen: scratch.gen,
+            round: scratch.round,
+            failed,
+        };
+        st.run_sweeps(scratch);
+        st
     }
 
-    /// The three-sweep solve under an arbitrary link mask. `banned` is
-    /// what the returned state *records* (the single-failure API);
-    /// [`multi::MultiFailState`] passes `Mask::Many` with `banned: None`
-    /// and immediately disassembles the state into its own storage.
-    pub(crate) fn solve_core(
-        topo: &'t Topology,
-        dest: NodeId,
-        mask: Mask<'_>,
-        banned: Option<(NodeId, NodeId)>,
-        scratch: &mut SolveScratch,
-    ) -> RoutingState<'t> {
-        let n = topo.num_nodes();
-        let gen = scratch.begin(n);
-        let mut best = std::mem::take(&mut scratch.best);
-        let mut slots = std::mem::take(&mut scratch.slots);
-
-        best[dest as usize] = BestRoute { class: RouteClass::Customer, len: 0, next: dest };
-        slots[dest as usize].stamp = gen;
-        scratch.routed.push(dest);
-
-        {
-            let mut sw = Sweep {
-                topo,
-                mask,
-                gen,
-                best: &mut best,
-                slots: &mut slots,
-                routed: &mut scratch.routed,
-                buckets: &mut scratch.buckets,
-                live: 0,
-                round: &mut scratch.round,
-            };
-
-            // --- Sweep 1: customer-class routes -------------------------
-            // Climb provider and sibling links from the destination.
-            sw.new_round();
-            sw.offer_from(dest, Edges::Up);
-            sw.drain(RouteClass::Customer, Edges::Up);
-            let customer_routed = sw.routed.len();
-
-            // --- Sweep 2: peer-class routes -----------------------------
-            // Seed: one peer hop off a customer-routed AS (peers export
-            // only customer routes), then propagate along sibling links.
-            debug_assert_eq!(sw.live, 0);
-            sw.new_round();
-            for i in 0..customer_routed {
-                let p = sw.routed[i];
-                sw.offer_from(p, Edges::Peer);
-            }
-            sw.drain(RouteClass::Peer, Edges::Sibling);
-            let routed = sw.routed.len();
-
-            // --- Sweep 3: provider-class routes -------------------------
-            // Seed: every routed AS offers its route to its customers
-            // (everything is exportable to customers); then propagate down
-            // customer links and across sibling links among the unrouted.
-            debug_assert_eq!(sw.live, 0);
-            sw.new_round();
-            for i in 0..routed {
-                let x = sw.routed[i];
-                sw.offer_from(x, Edges::Customer);
-            }
-            sw.drain(RouteClass::Provider, Edges::Down);
+    /// Borrow the table and `q`'s queue as one in-flight [`Sweep`].
+    fn sweep<'a>(&'a mut self, q: &'a mut SolveScratch) -> Sweep<'a> {
+        Sweep {
+            topo: self.topo,
+            failed: &self.failed,
+            gen: self.gen,
+            best: &mut self.best,
+            slots: &mut self.slots,
+            routed: &mut q.routed,
+            buckets: &mut q.buckets,
+            live: 0,
+            round: &mut self.round,
         }
+    }
 
-        RoutingState { topo, dest, best, slots, gen, round: scratch.round, banned }
+    /// Fill a table in which no node is assigned under `self.gen`: the
+    /// full solve without the currently failed links.
+    fn run_sweeps(&mut self, q: &mut SolveScratch) {
+        let dest = self.dest;
+        self.best[dest as usize] = BestRoute { class: RouteClass::Customer, len: 0, next: dest };
+        self.slots[dest as usize].stamp = self.gen;
+        q.routed.clear();
+        q.routed.push(dest);
+        let mut sw = self.sweep(q);
+
+        // --- Sweep 1: customer-class routes -----------------------------
+        // Climb provider and sibling links from the destination.
+        sw.new_round();
+        sw.offer_from(dest, Edges::Up);
+        sw.drain(RouteClass::Customer, Edges::Up);
+        let customer_routed = sw.routed.len();
+
+        // --- Sweep 2: peer-class routes ---------------------------------
+        // Seed: one peer hop off a customer-routed AS (peers export only
+        // customer routes), then propagate along sibling links.
+        debug_assert_eq!(sw.live, 0);
+        sw.new_round();
+        for i in 0..customer_routed {
+            let p = sw.routed[i];
+            sw.offer_from(p, Edges::Peer);
+        }
+        sw.drain(RouteClass::Peer, Edges::Sibling);
+        let routed = sw.routed.len();
+
+        // --- Sweep 3: provider-class routes -----------------------------
+        // Seed: every routed AS offers its route to its customers
+        // (everything is exportable to customers); then propagate down
+        // customer links and across sibling links among the unrouted.
+        debug_assert_eq!(sw.live, 0);
+        sw.new_round();
+        for i in 0..routed {
+            let x = sw.routed[i];
+            sw.offer_from(x, Edges::Customer);
+        }
+        sw.drain(RouteClass::Provider, Edges::Down);
     }
 
     /// The destination this state routes toward.
@@ -716,6 +713,18 @@ impl<'t> RoutingState<'t> {
     /// The underlying topology.
     pub fn topology(&self) -> &'t Topology {
         self.topo
+    }
+
+    /// The links this table is solved without (sorted, low-high
+    /// normalized; empty for a plain solve).
+    pub fn failed_links(&self) -> &[(NodeId, NodeId)] {
+        &self.failed
+    }
+
+    /// Is the link between `a` and `b` currently failed?
+    #[inline]
+    pub fn is_failed(&self, a: NodeId, b: NodeId) -> bool {
+        is_failed(&self.failed, a, b)
     }
 
     /// The selected route of `x`, if `x` can reach the destination.
@@ -755,7 +764,7 @@ impl<'t> RoutingState<'t> {
     /// conventional export rules, and is it loop-free at `x`?
     /// Returns the candidate as `x` would install it.
     pub fn learned_from(&self, x: NodeId, n: NodeId) -> Option<CandidateRoute> {
-        if self.banned == Some((x.min(n), x.max(n))) {
+        if self.is_failed(x, n) {
             return None; // the session over a failed link is down
         }
         let bn = self.best(n)?;
@@ -833,386 +842,295 @@ impl<'t> RoutingState<'t> {
             }
         }
     }
-
-    /// Incremental what-if: view this state as if the link between `a`
-    /// and `b` had failed, recomputing only the routing subtree that
-    /// hung off the dead link (the *cone*) plus the downstream nodes its
-    /// re-routing improves, instead of re-running the full three-sweep
-    /// solve.
-    ///
-    /// Returns an RAII guard that dereferences to the re-solved state;
-    /// dropping it restores the base solve in O(cone). When the link is
-    /// not on the base routing tree the delta is a no-op (the base
-    /// solution provably cannot change — non-winning offers have no side
-    /// effects) and only candidate suppression over the dead session is
-    /// applied.
-    ///
-    /// The base must be an unmasked solve, and one failure is viewed at
-    /// a time. Leaking the guard (`std::mem::forget`) leaves the state
-    /// in the failed configuration permanently.
-    pub fn with_failed_link<'a>(
-        &'a mut self,
-        a: NodeId,
-        b: NodeId,
-        scratch: &'a mut DeltaScratch,
-    ) -> FailedLink<'a, 't> {
-        assert!(self.banned.is_none(), "delta re-solve requires an unmasked base solve");
-        assert_ne!(a, b, "a link joins two distinct ASes");
-        let disconnected = delta_apply(self, a, b, scratch);
-        FailedLink { st: self, scratch, disconnected }
-    }
 }
 
-/// Apply the failed-link delta to `st` in place, logging every change to
-/// `scratch.undo`. Returns how many cone nodes lost reachability.
-fn delta_apply(
-    st: &mut RoutingState<'_>,
-    a: NodeId,
-    b: NodeId,
-    scratch: &mut DeltaScratch,
-) -> usize {
-    scratch.begin(st.topo.num_nodes());
-    st.banned = Some((a.min(b), a.max(b)));
-
-    // Which endpoint routes *through* the dead link? At most one can:
-    // its parent's own path never descends back into the subtree. If
-    // neither does, the base run never used the link and the solution is
-    // unchanged — the mask set above suppresses candidates over the dead
-    // session, which is all `solve_without_link` would differ by.
-    let gen = st.gen;
-    let child = if st.slots[a as usize].stamp == gen && st.best[a as usize].next == b {
-        a
-    } else if st.slots[b as usize].stamp == gen && st.best[b as usize].next == a {
-        b
-    } else {
-        return 0;
-    };
-
-    redrain_cones(
-        st.topo,
-        gen,
-        mask_of(st.banned),
-        &mut st.round,
-        &mut st.best,
-        &mut st.slots,
-        scratch,
-        &[child],
-    )
-}
-
-/// The failure half of the delta engine, shared by the single-link
-/// what-if ([`RoutingState::with_failed_link`]) and the batched churn
-/// engine ([`multi::MultiFailState`]): retire the routing subtrees hanging
-/// under `children` (nodes whose next-hop link just died), re-drain the
-/// three sweeps inside the union cone against the intact boundary, then
-/// relax the provider-class improvement wave. Every change is logged to
-/// `scratch.undo` (caller decides whether that log is an undo log or
-/// just a changed-set record). Returns how many cone nodes lost
-/// reachability.
-///
-/// Batching is what makes `children` a slice: co-temporal link failures
-/// whose cones overlap are invalidated and re-drained **once**, where
-/// serial application would re-settle the shared subtree per event. With
-/// disjoint cones the union re-drain degenerates to exactly the serial
-/// work (each seed only reaches its own cone), so batching never costs
-/// correctness — only the per-event sweep setup is amortized.
-#[allow(clippy::too_many_arguments)]
-fn redrain_cones(
-    topo: &Topology,
-    gen: u32,
-    mask: Mask<'_>,
-    round: &mut u32,
-    best: &mut [BestRoute],
-    slots: &mut [Slot],
-    scratch: &mut DeltaScratch,
-    children: &[NodeId],
-) -> usize {
-    retire_subtrees::<false>(topo, gen, best, slots, scratch, children);
-    let disconnected = redrain_retired(topo, gen, mask, round, best, slots, scratch);
-
-    // --- Improvement wave -----------------------------------------------
-    // Losing a link can *shorten* routes outside the cone: a cone node
-    // demoted across sweeps (e.g. peer-class via the dead link to a
-    // shorter provider-class fallback) now delivers its sweep-3 offers at
-    // an earlier hop level, and nodes below it may switch to the better
-    // offer. Only sweep-3 deliveries can ever improve — customer-class
-    // levels are plain BFS distances over a shrinking edge set, and
-    // peer-class levels derive from them — so the wave is exactly a
-    // bucket-queue relaxation of provider-class routes down customer and
-    // sibling links, seeded by every re-settled cone node and propagated
-    // from every node whose route got strictly shorter. The argument only
-    // uses that the edge set *shrank*, so it holds verbatim for a batch
-    // of simultaneous failures.
-    improve_wave(topo, gen, mask, round, best, slots, scratch);
-
-    disconnected
-}
-
-/// Logged in place of a base assignment for a node that had none when it
-/// was retired. No real route is this long, so the restoration loop's
+/// Logged in place of a previous assignment for a node that had none when
+/// it was retired. No real route is this long, so the restoration loop's
 /// "did this node's offers change" comparison reads it as "yes".
 const WAS_UNROUTED: BestRoute =
     BestRoute { class: RouteClass::Provider, len: UNROUTED_HOPS, next: UNROUTED_NEXT };
 
-/// Retire the routing subtrees rooted at `roots`: a node loses its route
-/// iff its next-hop chain crosses a root. Walk parent pointers
-/// breadth-first (`v` joins iff its next hop already did), logging each
-/// base assignment to `scratch.undo` and un-assigning the node by aging
-/// its stamp (any value != gen reads as unrouted). The retired set is
-/// closed under "my next-hop chain crosses it", so every node left
-/// outside still holds a route whose whole chain is outside too.
-///
-/// Failures retire only routed nodes (`ABSORB_UNROUTED = false`).
-/// Restorations may root a retirement at an unrouted node and also pull
-/// in every unrouted neighbor of a retired node, transitively: those
-/// have nothing to lose, and with them inside, a re-drain that hands a
-/// retired node a route it can now export never spills past the log.
-fn retire_subtrees<const ABSORB_UNROUTED: bool>(
-    topo: &Topology,
-    gen: u32,
-    best: &[BestRoute],
-    slots: &mut [Slot],
-    scratch: &mut DeltaScratch,
-    roots: &[NodeId],
-) {
-    let dead = gen.wrapping_sub(1);
-    for &root in roots {
-        let ri = root as usize;
-        let had = !ABSORB_UNROUTED || slots[ri].stamp == gen;
-        scratch.log(root, if had { best[ri] } else { WAS_UNROUTED });
-        slots[ri].stamp = dead;
+/// The delta kernel: change the failed-link set of a solved table in
+/// O(what moved) instead of re-running the three sweeps. Every entry
+/// point leaves the table bit-for-bit equal to a from-scratch solve
+/// without the failed set; [`multi`] holds the restoration half.
+impl RoutingState<'_> {
+    /// The one validation step for a link named from outside: its
+    /// low-high normalized key, or `None` for a self-loop or an endpoint
+    /// that is not a node of the topology.
+    #[inline]
+    pub(crate) fn link(&self, a: NodeId, b: NodeId) -> Option<(NodeId, NodeId)> {
+        (a != b && (a.max(b) as usize) < self.topo.num_nodes()).then(|| link_key(a, b))
     }
-    let mut head = 0;
-    while head < scratch.undo.len() {
-        let (x, _) = scratch.undo[head];
-        head += 1;
-        for &(v, _) in topo.neighbors(x) {
-            let vi = v as usize;
-            if slots[vi].stamp == gen {
-                if best[vi].next == x {
-                    scratch.log(v, best[vi]);
-                    slots[vi].stamp = dead;
+
+    /// Take one (currently failed) link out of the failed set.
+    #[inline]
+    fn unfail(&mut self, key: (NodeId, NodeId)) {
+        let at = self.failed.binary_search(&key).expect("un-failing a link that is up");
+        self.failed.remove(at);
+    }
+
+    /// Fail `links` (validated keys, none failed yet): retire the routing
+    /// subtrees hanging off them as one union cone, re-drain the three
+    /// sweeps inside it against the intact boundary, then relax the
+    /// provider-class improvement wave. Every change is logged to
+    /// `scratch` ([`DeltaScratch::changed`] counts them), so until the
+    /// scratch or the state is used again [`RoutingState::revert`] can
+    /// undo the failure. Returns how many cone nodes lost reachability.
+    ///
+    /// A link off the routing tree costs two comparisons: the solution
+    /// provably cannot change (non-winning offers have no side effects),
+    /// and membership in the failed set suppresses candidates over the
+    /// dead session, which is all a full solve without it would differ by.
+    ///
+    /// Co-temporal failures whose cones overlap are invalidated and
+    /// re-drained **once**, where serial application would re-settle the
+    /// shared subtree per link; disjoint cones degenerate to exactly the
+    /// serial work (each seed only reaches its own cone).
+    ///
+    /// `#[inline]` (here, on `revert` and on `DeltaScratch::begin`) puts
+    /// the off-tree path in the what-if closure's own frame; the three
+    /// phases below stay calls.
+    #[inline]
+    pub(crate) fn fail(&mut self, links: &[(NodeId, NodeId)], scratch: &mut DeltaScratch) -> usize {
+        scratch.begin(self.topo.num_nodes());
+        for &(a, b) in links {
+            let at = self.failed.binary_search(&(a, b)).expect_err("failing a link twice");
+            self.failed.insert(at, (a, b));
+            // The child endpoint of a dead link is the one routing
+            // *through* it (at most one per link: the parent's own path
+            // never descends back into the subtree).
+            for (c, p) in [(a, b), (b, a)] {
+                if self.best(c).is_some_and(|r| r.next == p) {
+                    scratch.roots.push(c);
                 }
-            } else if ABSORB_UNROUTED {
-                scratch.log(v, WAS_UNROUTED); // no-op for one already retired
             }
         }
+        if scratch.roots.is_empty() {
+            return 0;
+        }
+        self.retire::<false>(scratch);
+        let disconnected = self.redrain(scratch);
+        self.improve_wave(scratch);
+        disconnected
     }
-}
 
-/// Re-run the three sweeps restricted to the retired set (`scratch.undo`).
-/// Everything outside keeps its assignment and acts as the intact
-/// boundary; each sweep is seeded with exactly the offers the full masked
-/// run would deliver into the set from settled nodes, so winners and
-/// tie-breaks come out bit-for-bit identical. Re-settled nodes land in
-/// `scratch.inner.routed`; returns how many retired nodes stayed
-/// unrouted.
-fn redrain_retired(
-    topo: &Topology,
-    gen: u32,
-    mask: Mask<'_>,
-    round: &mut u32,
-    best: &mut [BestRoute],
-    slots: &mut [Slot],
-    scratch: &mut DeltaScratch,
-) -> usize {
-    let cone = scratch.undo.len();
-    let (undo, inner) = (&scratch.undo, &mut scratch.inner);
-    let mut sw = Sweep {
-        topo,
-        mask,
-        gen,
-        best,
-        slots,
-        routed: &mut inner.routed,
-        buckets: &mut inner.buckets,
-        live: 0,
-        round,
-    };
+    /// Undo the [`RoutingState::fail`] of `links` that `scratch` last
+    /// logged: replay the log in O(cone), then un-fail the links. Only a
+    /// pure failure can be reverted — a restoration's log is a changed
+    /// set, not a history.
+    #[inline]
+    pub(crate) fn revert(&mut self, links: &[(NodeId, NodeId)], scratch: &mut DeltaScratch) {
+        for &(v, old) in &scratch.undo {
+            self.best[v as usize] = old;
+            self.slots[v as usize].stamp = self.gen;
+        }
+        scratch.undo.clear();
+        for &key in links {
+            self.unfail(key);
+        }
+    }
 
-    // Sweep 1: every customer-routed AS climbs provider/sibling links, so
-    // a settled u offers into cone node v iff u is v's customer or
-    // sibling and holds a customer-class route.
-    sw.new_round();
-    sw.seed(undo, |rel, bu| {
-        matches!(rel, Rel::Customer | Rel::Sibling) && bu.class == RouteClass::Customer
-    });
-    sw.drain(RouteClass::Customer, Edges::Up);
+    /// Full three-sweep re-solve under the current failed set, in place.
+    fn resolve(&mut self, q: &mut SolveScratch) {
+        self.gen = next_gen(self.gen, &mut self.slots);
+        self.run_sweeps(q);
+    }
 
-    // Sweep 2: customer-routed ASes offer one peer hop; peer-class routes
-    // then propagate along sibling links.
-    sw.new_round();
-    sw.seed(undo, |rel, bu| match rel {
-        Rel::Peer => bu.class == RouteClass::Customer,
-        Rel::Sibling => bu.class == RouteClass::Peer,
-        _ => false,
-    });
-    sw.drain(RouteClass::Peer, Edges::Sibling);
-
-    // Sweep 3: every routed AS offers to its customers (any class);
-    // provider-class routes then descend customer and sibling links.
-    sw.new_round();
-    sw.seed(undo, |rel, bu| match rel {
-        Rel::Provider => true,
-        Rel::Sibling => bu.class == RouteClass::Provider,
-        _ => false,
-    });
-    sw.drain(RouteClass::Provider, Edges::Down);
-
-    cone - sw.routed.len()
-}
-
-/// Phase 2 of the delta re-solve: relax provider-class improvements down
-/// customer/sibling links, starting from the re-settled cone nodes
-/// (`scratch.inner.routed`).
-fn improve_wave(
-    topo: &Topology,
-    gen: u32,
-    mask: Mask<'_>,
-    round: &mut u32,
-    best: &mut [BestRoute],
-    slots: &mut [Slot],
-    scratch: &mut DeltaScratch,
-) {
-    // A node can take a sweep-3 offer at level `lvl` only if it already
-    // holds a provider-class route no shorter than `lvl`.
-    let eligible = |best: &[BestRoute], slots: &[Slot], x: NodeId, lvl: usize| {
-        slots[x as usize].stamp == gen
-            && best[x as usize].class == RouteClass::Provider
-            && best[x as usize].len as usize >= lvl
-    };
-
-    let DeltaScratch { undo, logged, logged_gen, inner, .. } = scratch;
-    let round = next_round(round, slots);
-    let mut live = 0usize;
-
-    // Seeds: the sweep-3 deliveries of every re-settled cone node — to
-    // its customers at any class, to its siblings when provider-class.
-    // Deliveries identical to the base solve's are rejected by the
-    // incumbent test at settle time, so seeding unconditionally is safe.
-    for i in 0..inner.routed.len() {
-        let v = inner.routed[i];
-        let bv = best[v as usize];
-        let lvl = bv.len as usize + 1;
-        let asn_v = topo.asn(v).0;
-        for &(x, rel) in topo.neighbors(v) {
-            let delivers = match rel {
-                Rel::Customer => true, // x is v's customer
-                Rel::Sibling => bv.class == RouteClass::Provider,
-                _ => false,
-            };
-            if delivers && !mask.banned(v, x) && eligible(best, slots, x, lvl) {
-                let offer = Offer { tag: (round << LVL_BITS) | lvl as u32, asn: asn_v, next: v };
-                push_offer(slots, &mut inner.buckets, &mut live, x, offer);
+    /// Retire the routing subtrees rooted at `scratch.roots` (consumed):
+    /// a node loses its route iff its next-hop chain crosses a root. Walk
+    /// parent pointers breadth-first (`v` joins iff its next hop already
+    /// did), logging each assignment and un-assigning the node by aging
+    /// its stamp (any value != gen reads as unrouted). The retired set is
+    /// closed under "my next-hop chain crosses it", so every node left
+    /// outside still holds a route whose whole chain is outside too.
+    ///
+    /// Failures retire only routed nodes (`ABSORB_UNROUTED = false`).
+    /// Restorations may root a retirement at an unrouted node and also
+    /// pull in every unrouted neighbor of a retired node, transitively:
+    /// those have nothing to lose, and with them inside, a re-drain that
+    /// hands a retired node a route it can now export never spills past
+    /// the log.
+    fn retire<const ABSORB_UNROUTED: bool>(&mut self, scratch: &mut DeltaScratch) {
+        let (gen, dead) = (self.gen, self.gen.wrapping_sub(1));
+        for i in 0..scratch.roots.len() {
+            let root = scratch.roots[i];
+            let ri = root as usize;
+            let had = !ABSORB_UNROUTED || self.slots[ri].stamp == gen;
+            scratch.log(root, if had { self.best[ri] } else { WAS_UNROUTED });
+            self.slots[ri].stamp = dead;
+        }
+        scratch.roots.clear();
+        let mut head = 0;
+        while head < scratch.undo.len() {
+            let (x, _) = scratch.undo[head];
+            head += 1;
+            for &(v, _) in self.topo.neighbors(x) {
+                let vi = v as usize;
+                if self.slots[vi].stamp == gen {
+                    if self.best[vi].next == x {
+                        scratch.log(v, self.best[vi]);
+                        self.slots[vi].stamp = dead;
+                    }
+                } else if ABSORB_UNROUTED {
+                    scratch.log(v, WAS_UNROUTED); // no-op for one already retired
+                }
             }
         }
     }
 
-    let mut lvl = 1;
-    while live > 0 {
-        debug_assert!(lvl < inner.buckets.len(), "live offers beyond last bucket");
-        if inner.buckets[lvl].is_empty() {
-            lvl += 1;
-            continue;
-        }
-        let mut bucket = std::mem::take(&mut inner.buckets[lvl]);
-        live -= bucket.len();
-        let tag = (round << LVL_BITS) | lvl as u32;
-        for &x in &bucket {
-            let xi = x as usize;
-            if !eligible(best, slots, x, lvl) {
-                continue; // stale: x already improved past this level
-            }
-            if slots[xi].tag != tag {
-                continue; // superseded by an earlier-level entry
-            }
-            // The lowest-ASN offerer (already folded into the slot)
-            // must also beat the incumbent route — which competes on ASN
-            // when it has this exact length (the full run's bucket would
-            // contain it too) and wins ties.
-            let bx = best[xi];
-            if bx.len as usize == lvl && topo.asn(bx.next).0 <= slots[xi].asn {
-                continue; // the incumbent won
-            }
-            if logged[xi] != *logged_gen {
-                logged[xi] = *logged_gen;
-                undo.push((x, bx));
-            }
-            let shortened = bx.len as usize > lvl;
-            best[xi] = BestRoute {
-                class: RouteClass::Provider,
-                len: lvl as u16,
-                next: slots[xi].next,
-            };
-            if shortened {
-                let nxt = lvl + 1;
-                let offer = Offer {
-                    tag: (round << LVL_BITS) | nxt as u32,
-                    asn: topo.asn(x).0,
-                    next: x,
+    /// Re-run the three sweeps restricted to the retired set (the log).
+    /// Everything outside keeps its assignment and acts as the intact
+    /// boundary; each sweep is seeded with exactly the offers the full
+    /// run would deliver into the set from settled nodes, so winners and
+    /// tie-breaks come out bit-for-bit identical. Re-settled nodes land
+    /// in `scratch.inner.routed`; returns how many retired nodes stayed
+    /// unrouted.
+    fn redrain(&mut self, scratch: &mut DeltaScratch) -> usize {
+        let undo = &scratch.undo;
+        let mut sw = self.sweep(&mut scratch.inner);
+
+        // Sweep 1: every customer-routed AS climbs provider/sibling links,
+        // so a settled u offers into cone node v iff u is v's customer or
+        // sibling and holds a customer-class route.
+        sw.new_round();
+        sw.seed(undo, |rel, bu| {
+            matches!(rel, Rel::Customer | Rel::Sibling) && bu.class == RouteClass::Customer
+        });
+        sw.drain(RouteClass::Customer, Edges::Up);
+
+        // Sweep 2: customer-routed ASes offer one peer hop; peer-class
+        // routes then propagate along sibling links.
+        sw.new_round();
+        sw.seed(undo, |rel, bu| match rel {
+            Rel::Peer => bu.class == RouteClass::Customer,
+            Rel::Sibling => bu.class == RouteClass::Peer,
+            _ => false,
+        });
+        sw.drain(RouteClass::Peer, Edges::Sibling);
+
+        // Sweep 3: every routed AS offers to its customers (any class);
+        // provider-class routes then descend customer and sibling links.
+        sw.new_round();
+        sw.seed(undo, |rel, bu| match rel {
+            Rel::Provider => true,
+            Rel::Sibling => bu.class == RouteClass::Provider,
+            _ => false,
+        });
+        sw.drain(RouteClass::Provider, Edges::Down);
+
+        undo.len() - sw.routed.len()
+    }
+
+    /// Relax provider-class improvements down customer/sibling links,
+    /// starting from the re-settled cone nodes (`scratch.inner.routed`).
+    ///
+    /// Losing a link can *shorten* routes outside the cone: a cone node
+    /// demoted across sweeps (e.g. peer-class via the dead link to a
+    /// shorter provider-class fallback) now delivers its sweep-3 offers
+    /// at an earlier hop level, and nodes below it may switch to the
+    /// better offer. Only sweep-3 deliveries can ever improve —
+    /// customer-class levels are plain BFS distances over a shrinking
+    /// edge set, and peer-class levels derive from them — so the wave is
+    /// exactly a bucket-queue relaxation of provider-class routes down
+    /// customer and sibling links, seeded by every re-settled cone node
+    /// and propagated from every node whose route got strictly shorter.
+    /// The argument only uses that the edge set *shrank*, so it holds
+    /// verbatim for a batch of simultaneous failures.
+    fn improve_wave(&mut self, scratch: &mut DeltaScratch) {
+        let RoutingState { topo, best, slots, gen, round, failed, .. } = self;
+        let (topo, gen) = (*topo, *gen);
+        let DeltaScratch { undo, logged, logged_gen, inner, .. } = scratch;
+
+        // A node can take a sweep-3 offer at level `lvl` only if it
+        // already holds a provider-class route no shorter than `lvl`.
+        let eligible = |best: &[BestRoute], slots: &[Slot], x: NodeId, lvl: usize| {
+            slots[x as usize].stamp == gen
+                && best[x as usize].class == RouteClass::Provider
+                && best[x as usize].len as usize >= lvl
+        };
+        let round = next_round(round, slots);
+        let mut live = 0usize;
+
+        // Seeds: the sweep-3 deliveries of every re-settled cone node — to
+        // its customers at any class, to its siblings when provider-class.
+        // Deliveries identical to the base solve's are rejected by the
+        // incumbent test at settle time, so seeding unconditionally is safe.
+        for i in 0..inner.routed.len() {
+            let v = inner.routed[i];
+            let bv = best[v as usize];
+            let lvl = bv.len as usize + 1;
+            let asn_v = topo.asn(v).0;
+            for &(x, rel) in topo.neighbors(v) {
+                let delivers = match rel {
+                    Rel::Customer => true, // x is v's customer
+                    Rel::Sibling => bv.class == RouteClass::Provider,
+                    _ => false,
                 };
-                for &(y, rel) in topo.neighbors(x) {
-                    if matches!(rel, Rel::Customer | Rel::Sibling)
-                        && !mask.banned(x, y)
-                        && eligible(best, slots, y, nxt)
-                    {
-                        push_offer(slots, &mut inner.buckets, &mut live, y, offer);
+                if delivers && !is_failed(failed, v, x) && eligible(best, slots, x, lvl) {
+                    let offer = Offer { tag: (round << LVL_BITS) | lvl as u32, asn: asn_v, next: v };
+                    push_offer(slots, &mut inner.buckets, &mut live, x, offer);
+                }
+            }
+        }
+
+        let mut lvl = 1;
+        while live > 0 {
+            debug_assert!(lvl < inner.buckets.len(), "live offers beyond last bucket");
+            if inner.buckets[lvl].is_empty() {
+                lvl += 1;
+                continue;
+            }
+            let mut bucket = std::mem::take(&mut inner.buckets[lvl]);
+            live -= bucket.len();
+            let tag = (round << LVL_BITS) | lvl as u32;
+            for &x in &bucket {
+                let xi = x as usize;
+                if !eligible(best, slots, x, lvl) {
+                    continue; // stale: x already improved past this level
+                }
+                if slots[xi].tag != tag {
+                    continue; // superseded by an earlier-level entry
+                }
+                // The lowest-ASN offerer (already folded into the slot)
+                // must also beat the incumbent route — which competes on ASN
+                // when it has this exact length (the full run's bucket would
+                // contain it too) and wins ties.
+                let bx = best[xi];
+                if bx.len as usize == lvl && topo.asn(bx.next).0 <= slots[xi].asn {
+                    continue; // the incumbent won
+                }
+                if logged[xi] != *logged_gen {
+                    logged[xi] = *logged_gen;
+                    undo.push((x, bx));
+                }
+                let shortened = bx.len as usize > lvl;
+                best[xi] = BestRoute {
+                    class: RouteClass::Provider,
+                    len: lvl as u16,
+                    next: slots[xi].next,
+                };
+                if shortened {
+                    let nxt = lvl + 1;
+                    let offer = Offer {
+                        tag: (round << LVL_BITS) | nxt as u32,
+                        asn: topo.asn(x).0,
+                        next: x,
+                    };
+                    for &(y, rel) in topo.neighbors(x) {
+                        if matches!(rel, Rel::Customer | Rel::Sibling)
+                            && !is_failed(failed, x, y)
+                            && eligible(best, slots, y, nxt)
+                        {
+                            push_offer(slots, &mut inner.buckets, &mut live, y, offer);
+                        }
                     }
                 }
             }
+            bucket.clear();
+            inner.buckets[lvl] = bucket;
+            lvl += 1;
         }
-        bucket.clear();
-        inner.buckets[lvl] = bucket;
-        lvl += 1;
-    }
-}
-
-/// RAII view of a [`RoutingState`] with one link incrementally failed
-/// (see [`RoutingState::with_failed_link`]). Dereferences to the
-/// re-solved state; dropping it restores the base solve.
-pub struct FailedLink<'a, 't> {
-    st: &'a mut RoutingState<'t>,
-    scratch: &'a mut DeltaScratch,
-    disconnected: usize,
-}
-
-impl<'t> std::ops::Deref for FailedLink<'_, 't> {
-    type Target = RoutingState<'t>;
-
-    fn deref(&self) -> &RoutingState<'t> {
-        self.st
-    }
-}
-
-impl FailedLink<'_, '_> {
-    /// Nodes whose base route the failure changed: the invalidated cone
-    /// plus any downstream nodes the improvement wave reached. Zero when
-    /// the link was off the base routing tree — the skip case where the
-    /// answer is served straight from the base solve.
-    pub fn recomputed(&self) -> usize {
-        self.scratch.undo.len()
-    }
-
-    /// Was the failed link absent from the base routing tree?
-    pub fn is_noop(&self) -> bool {
-        self.scratch.undo.is_empty()
-    }
-
-    /// Cone nodes that lost reachability entirely under the failure.
-    pub fn disconnected(&self) -> usize {
-        self.disconnected
-    }
-}
-
-impl Drop for FailedLink<'_, '_> {
-    fn drop(&mut self) {
-        let gen = self.st.gen;
-        for &(v, old) in &self.scratch.undo {
-            self.st.best[v as usize] = old;
-            self.st.slots[v as usize].stamp = gen;
-        }
-        self.scratch.undo.clear();
-        self.st.banned = None;
     }
 }
 
@@ -1356,7 +1274,8 @@ pub mod reference {
             .map(|b| super::Slot { stamp: u32::from(b.is_some()), ..super::SLOT_EMPTY })
             .collect();
         let best: Vec<BestRoute> = best.into_iter().map(|b| b.unwrap_or(UNROUTED)).collect();
-        RoutingState { topo, dest, best, slots, gen: 1, round: 0, banned }
+        let failed = banned.into_iter().collect();
+        RoutingState { topo, dest, best, slots, gen: 1, round: 0, failed }
     }
 }
 
@@ -1387,6 +1306,7 @@ pub fn as_paths_to(topo: &Topology, dests: &[NodeId]) -> Vec<Vec<miro_topology::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::WhatIf;
     use miro_topology::gen::figure_1_1;
     use miro_topology::{AsId, GenParams, TopologyBuilder};
 
@@ -1695,15 +1615,14 @@ mod tests {
         // Figure 2.1: A routes to F via B,E, so (B,E) is on the routing
         // tree. Failing it invalidates the subtree under B (B and A); E
         // keeps its direct customer route.
-        let (t, [a, b, _c, d, e, f]) = figure_1_1();
+        let (t, [a, b, _c, _d, e, f]) = figure_1_1();
         let mut delta = DeltaScratch::new();
-        let mut base = RoutingState::solve(&t, f);
-        {
-            let failed = base.with_failed_link(b, e, &mut delta);
+        let mut wi = WhatIf::new(RoutingState::solve(&t, f), &mut delta);
+        wi.without_link(b, e, |failed| {
             let full = RoutingState::solve_without_link(&t, f, b, e);
-            assert!(!failed.is_noop());
             assert!(failed.recomputed() >= 1);
             assert_eq!(failed.disconnected(), 0);
+            assert_eq!(failed.failed_links(), full.failed_links());
             for x in t.nodes() {
                 assert_eq!(failed.best(x), full.best(x), "node {x}");
             }
@@ -1711,14 +1630,14 @@ mod tests {
             // or B re-routes via its peer — either way paths agree).
             assert_eq!(failed.path(a), full.path(a));
             assert_eq!(failed.path(e), Some(vec![f]));
-            let _ = d;
-        }
-        // The guard restored the base solve bit-for-bit.
+        });
+        // The revert restored the base solve bit-for-bit.
         let fresh = RoutingState::solve(&t, f);
         for x in t.nodes() {
-            assert_eq!(base.best(x), fresh.best(x));
+            assert_eq!(wi.base().best(x), fresh.best(x));
         }
-        assert_eq!(base.path(a), Some(vec![b, e, f]));
+        assert_eq!(wi.base().path(a), Some(vec![b, e, f]));
+        assert!(wi.base().failed_links().is_empty());
     }
 
     #[test]
@@ -1728,15 +1647,19 @@ mod tests {
         // session exactly like the full masked solve.
         let (t, [_a, b, c, _d, _e, f]) = figure_1_1();
         let mut delta = DeltaScratch::new();
-        let mut base = RoutingState::solve(&t, f);
-        let failed = base.with_failed_link(b, c, &mut delta);
-        assert!(failed.is_noop());
-        assert_eq!(failed.recomputed(), 0);
-        let full = RoutingState::solve_without_link(&t, f, b, c);
-        for x in t.nodes() {
-            assert_eq!(failed.best(x), full.best(x));
-            assert_eq!(failed.candidates(x), full.candidates(x));
-        }
+        let mut wi = WhatIf::new(RoutingState::solve(&t, f), &mut delta);
+        let base_candidates = wi.base().candidates(b);
+        wi.without_link(b, c, |failed| {
+            assert_eq!(failed.recomputed(), 0);
+            let full = RoutingState::solve_without_link(&t, f, b, c);
+            for x in t.nodes() {
+                assert_eq!(failed.best(x), full.best(x));
+                assert_eq!(failed.candidates(x), full.candidates(x));
+            }
+            assert_eq!(failed.candidates(b).len() + 1, base_candidates.len());
+        });
+        assert_eq!(wi.stats().skipped, 1);
+        assert_eq!(wi.base().candidates(b), base_candidates, "the session is back up");
     }
 
     #[test]
@@ -1756,18 +1679,17 @@ mod tests {
             t.node(AsId(3)).unwrap(),
         );
         let mut delta = DeltaScratch::new();
-        let mut base = RoutingState::solve(&t, n1);
-        assert_eq!(base.reachable_count(), 3);
-        {
-            let failed = base.with_failed_link(n1, n2, &mut delta);
+        let mut wi = WhatIf::new(RoutingState::solve(&t, n1), &mut delta);
+        assert_eq!(wi.base().reachable_count(), 3);
+        wi.without_link(n1, n2, |failed| {
             assert_eq!(failed.recomputed(), 2);
             assert_eq!(failed.disconnected(), 2);
             assert_eq!(failed.best(n2), None);
             assert_eq!(failed.best(n3), None);
             assert_eq!(failed.reachable_count(), 1);
-        }
-        assert_eq!(base.reachable_count(), 3);
-        assert_eq!(base.path(n3), Some(vec![n2, n1]));
+        });
+        assert_eq!(wi.base().reachable_count(), 3);
+        assert_eq!(wi.base().path(n3), Some(vec![n2, n1]));
     }
 
     #[test]
@@ -1780,27 +1702,27 @@ mod tests {
         let mut full_scratch = SolveScratch::new();
         let mut delta = DeltaScratch::new();
         for d in t.nodes().step_by(9) {
-            let mut base = RoutingState::solve_into(&t, d, &mut scratch);
+            let mut wi = WhatIf::new(RoutingState::solve_into(&t, d, &mut scratch), &mut delta);
             for x in t.nodes() {
                 for &(y, _) in t.neighbors(x) {
                     if x >= y {
                         continue; // each undirected edge once
                     }
-                    let failed = base.with_failed_link(x, y, &mut delta);
                     let full =
                         RoutingState::solve_without_link_into(&t, d, x, y, &mut full_scratch);
-                    for v in t.nodes() {
-                        assert_eq!(
-                            failed.best(v),
-                            full.best(v),
-                            "dest {d} edge ({x},{y}) node {v}"
-                        );
-                    }
-                    drop(failed);
+                    wi.without_link(x, y, |failed| {
+                        for v in t.nodes() {
+                            assert_eq!(
+                                failed.best(v),
+                                full.best(v),
+                                "dest {d} edge ({x},{y}) node {v}"
+                            );
+                        }
+                    });
                     full.recycle(&mut full_scratch);
                 }
             }
-            base.recycle(&mut scratch);
+            wi.into_base().recycle(&mut scratch);
         }
     }
 
@@ -1809,8 +1731,25 @@ mod tests {
     fn delta_rejects_masked_base() {
         let (t, [_a, b, _c, _d, e, f]) = figure_1_1();
         let mut delta = DeltaScratch::new();
-        let mut masked = RoutingState::solve_without_link(&t, f, b, e);
-        let _ = masked.with_failed_link(b, e, &mut delta);
+        let _ = WhatIf::new(RoutingState::solve_without_link(&t, f, b, e), &mut delta);
+    }
+
+    #[test]
+    fn delta_ignores_links_that_cannot_exist() {
+        // A self-loop or an endpoint that is no node of the topology
+        // fails nothing: the closure sees the base, counted as skipped.
+        let (t, [a, b, _c, _d, e, f]) = figure_1_1();
+        let n = t.num_nodes() as NodeId;
+        let mut delta = DeltaScratch::new();
+        let mut wi = WhatIf::new(RoutingState::solve(&t, f), &mut delta);
+        for (x, y) in [(e, e), (9999, 10000), (b, n), (n, b)] {
+            wi.without_link(x, y, |failed| {
+                assert_eq!((failed.recomputed(), failed.disconnected()), (0, 0));
+                assert!(failed.failed_links().is_empty());
+                assert_eq!(failed.path(a), Some(vec![b, e, f]));
+            });
+        }
+        assert_eq!((wi.stats().what_ifs, wi.stats().skipped), (4, 4));
     }
 
     #[test]
@@ -1907,8 +1846,8 @@ mod equivalence {
         /// graphs and arbitrary failed links — including cut links that
         /// disconnect the destination and links absent from the base
         /// routing tree (which must be recompute-free no-ops). Consecutive
-        /// deltas share one base and one scratch; every drop must restore
-        /// the base solve exactly.
+        /// deltas share one base and one scratch; every revert must
+        /// restore the base solve exactly.
         #[test]
         fn delta_matches_oracle_and_full_masked_solve(
             edges in proptest::collection::vec((0u32..N, 0u32..N, 0u8..4), 0..90),
@@ -1919,24 +1858,25 @@ mod equivalence {
             let dest = dest_raw % t.num_nodes() as u32;
             let mut scratch = SolveScratch::new();
             let mut delta = DeltaScratch::new();
-            let mut base = RoutingState::solve_into(&t, dest, &mut scratch);
+            let base = RoutingState::solve_into(&t, dest, &mut scratch);
+            let mut wi = crate::engine::WhatIf::new(base, &mut delta);
             for (a, b) in links {
                 if a == b {
                     continue;
                 }
-                let on_tree = base.best(a).is_some_and(|r| r.next == b)
-                    || base.best(b).is_some_and(|r| r.next == a);
-                {
-                    let failed = base.with_failed_link(a, b, &mut delta);
+                let on_tree = wi.base().best(a).is_some_and(|r| r.next == b)
+                    || wi.base().best(b).is_some_and(|r| r.next == a);
+                let recomputed = wi.without_link(a, b, |failed| {
                     let full = RoutingState::solve_without_link(&t, dest, a, b);
                     let slow = reference::solve_without_link(&t, dest, a, b);
-                    assert_identical(&failed, &full);
-                    assert_identical(&failed, &slow);
-                    prop_assert_eq!(failed.is_noop(), !on_tree);
-                }
-                // Dropping the guard restored the base bit-for-bit.
+                    assert_identical(failed, &full);
+                    assert_identical(failed, &slow);
+                    failed.recomputed()
+                });
+                prop_assert_eq!(recomputed == 0, !on_tree);
+                // The revert restored the base bit-for-bit.
                 let fresh = RoutingState::solve(&t, dest);
-                assert_identical(&base, &fresh);
+                assert_identical(wi.base(), &fresh);
             }
         }
 

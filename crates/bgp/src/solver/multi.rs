@@ -1,22 +1,22 @@
-//! Batched multi-link delta engine — the churn-replay workhorse.
+//! Churn replay over the delta engine: event batches and restorations.
 //!
-//! [`RoutingState::with_failed_link`] answers one what-if at a time and
-//! undoes it; a churn stream is the opposite shape: an open-ended
-//! sequence of link events whose effects must *persist*, arriving in
-//! co-temporal bursts (a router reboot takes every session on the box
-//! down in one tick; a flap announces and withdraws faster than the
-//! control plane reacts). [`MultiFailState`] owns a routing table that
-//! tracks an arbitrary failed-link set and applies whole event batches:
+//! [`crate::engine::WhatIf`] fails one link, looks, and reverts; a churn
+//! stream is the opposite shape: an open-ended sequence of link events
+//! whose effects must *persist*, arriving in co-temporal bursts (a
+//! router reboot takes every session on the box down in one tick; a flap
+//! announces and withdraws faster than the control plane reacts).
+//! [`MultiFailState`] is a [`RoutingState`] that applies whole event
+//! batches to its failed-link set:
 //!
 //! * **Coalescing** — events are netted per link first, so a flap that
 //!   cancels within a batch (down then up, or up then down on a dead
 //!   link) costs nothing at all. This is where batching beats serial
 //!   replay even before any cone overlap.
 //! * **Batched failures** — all net link-downs are applied as one
-//!   union-cone invalidation and a single boundary-seeded re-drain
-//!   ([`super::redrain_cones`]): overlapping cones are recomputed once
-//!   instead of once per event, and disjoint cones degenerate to
-//!   exactly the serial work.
+//!   union-cone invalidation and a single boundary-seeded re-drain (the
+//!   same `RoutingState::fail` a what-if runs with one link):
+//!   overlapping cones are recomputed once instead of once per event,
+//!   and disjoint cones degenerate to exactly the serial work.
 //! * **Restorations** — a link coming back *up* is not a monotone
 //!   improvement under Gao-Rexford preference: class outranks length,
 //!   so an endpoint that upgrades (say peer@2 to customer@9) makes
@@ -32,12 +32,11 @@
 //!      the only new offers anywhere are the ones crossing the restored
 //!      links, so these are exactly the unstable nodes.
 //!   2. *Retire* the seeds' routing subtrees — the same parent-pointer
-//!      BFS failures use ([`super::retire_subtrees`]); an unrouted seed
-//!      is a subtree of one, and unrouted neighbors of a retired node
-//!      ride along.
+//!      BFS failures use; an unrouted seed is a subtree of one, and
+//!      unrouted neighbors of a retired node ride along.
 //!   3. *Re-drain* the three sweeps inside the retired set against the
-//!      intact boundary ([`super::redrain_retired`]). The restored edge
-//!      is simply no longer masked, so its offers arrive by themselves.
+//!      intact boundary. The restored edge is simply no longer failed,
+//!      so its offers arrive by themselves.
 //!   4. *Scan* the export edges of every re-settled node whose offers
 //!      changed for a neighbor that is unrouted or strictly prefers the
 //!      new offer; those neighbors seed the next round. The loop ends
@@ -72,8 +71,8 @@
 //!   Off-tree restorations — the overwhelming majority under random
 //!   churn — seed nothing and cost two comparisons. **Work budget:**
 //!   should the nodes retired within one `apply` sum to more than the
-//!   node count, the engine stops iterating and runs one full masked
-//!   re-solve ([`ApplyStats::full_resolve`]); that bounds any `apply` at
+//!   node count, the engine stops iterating and re-solves the table in
+//!   place ([`ApplyStats::full_resolve`]); that bounds any `apply` at
 //!   about two full solves and guarantees termination.
 //!
 //! The equivalence contract (proptest-pinned below): after any sequence
@@ -82,8 +81,8 @@
 //! topology rebuilt without the currently-failed links.
 
 use super::{
-    redrain_cones, redrain_retired, retire_subtrees, route_class_code, BestRoute, DeltaScratch,
-    Mask, RoutingState, Slot, SolveScratch, UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT,
+    route_class_code, BestRoute, DeltaScratch, RoutingState, SolveScratch, UNROUTED_CLASS,
+    UNROUTED_HOPS, UNROUTED_NEXT,
 };
 use crate::route::ExportScope;
 use miro_topology::{NodeId, Rel, RouteClass, Topology};
@@ -98,18 +97,6 @@ pub enum LinkEvent {
     Up(NodeId, NodeId),
 }
 
-impl LinkEvent {
-    /// `(normalized link, is-down)` — `None` for a degenerate self-loop.
-    #[inline]
-    fn norm(self) -> Option<((NodeId, NodeId), bool)> {
-        let (a, b, down) = match self {
-            LinkEvent::Down(a, b) => (a, b, true),
-            LinkEvent::Up(a, b) => (a, b, false),
-        };
-        (a != b).then_some(((a.min(b), a.max(b)), down))
-    }
-}
-
 /// What one [`MultiFailState::apply`] call did.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ApplyStats {
@@ -121,7 +108,8 @@ pub struct ApplyStats {
     /// pairs that cancel inside the batch, repeated downs of a dead
     /// link, ups of a live one. Skipped entirely.
     pub cancelled: usize,
-    /// Events naming self-loops or links absent from the topology.
+    /// Events naming self-loops, endpoints that are not nodes, or links
+    /// absent from the topology.
     pub ignored: usize,
     /// Table entries the engine retired and re-settled, summed over the
     /// failure phase (cone + improvement-wave nodes) and every
@@ -136,7 +124,7 @@ pub struct ApplyStats {
     /// the retired subtrees, more when it rippled outward.
     pub restore_rounds: usize,
     /// Did the restoration worklist exhaust its budget (more nodes
-    /// retired than the topology has) and fall back to one full masked
+    /// retired than the topology has) and fall back to one full
     /// re-solve?
     pub full_resolve: bool,
 }
@@ -155,73 +143,25 @@ fn exported(held: BestRoute, asn: u32, rel_from: Rel) -> Option<OfferKey> {
 }
 
 /// A persistent routing table for one destination under an evolving
-/// failed-link set. See the module docs for the batching strategy and
-/// the equivalence contract.
-pub struct MultiFailState<'t> {
-    topo: &'t Topology,
-    dest: NodeId,
-    best: Vec<BestRoute>,
-    /// `best[x]` is assigned iff `slots[x].stamp == gen`.
-    slots: Vec<Slot>,
-    gen: u32,
-    round: u32,
-    /// Currently failed links, sorted, low-high normalized.
-    failed: Vec<(NodeId, NodeId)>,
+/// failed-link set: a [`RoutingState`] (every read accessor, including
+/// `failed_links` and `is_failed`, comes through `Deref`) that event
+/// batches mutate in place. See the module docs for the batching
+/// strategy and the equivalence contract.
+pub struct MultiFailState<'t>(RoutingState<'t>);
+
+impl<'t> std::ops::Deref for MultiFailState<'t> {
+    type Target = RoutingState<'t>;
+
+    fn deref(&self) -> &RoutingState<'t> {
+        &self.0
+    }
 }
 
 impl<'t> MultiFailState<'t> {
     /// Solve the all-links-up base state for `dest`, taking ownership of
     /// the table (the scratch is drained and will re-grow on next use).
     pub fn solve(topo: &'t Topology, dest: NodeId, scratch: &mut SolveScratch) -> Self {
-        let st = RoutingState::solve_into(topo, dest, scratch);
-        let RoutingState { best, slots, gen, round, .. } = st;
-        MultiFailState { topo, dest, best, slots, gen, round, failed: Vec::new() }
-    }
-
-    /// The destination this table routes toward.
-    pub fn dest(&self) -> NodeId {
-        self.dest
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &'t Topology {
-        self.topo
-    }
-
-    /// The currently failed links (sorted, low-high normalized).
-    pub fn failed_links(&self) -> &[(NodeId, NodeId)] {
-        &self.failed
-    }
-
-    /// Is the link between `a` and `b` currently failed?
-    #[inline]
-    pub fn is_failed(&self, a: NodeId, b: NodeId) -> bool {
-        self.failed.binary_search(&(a.min(b), a.max(b))).is_ok()
-    }
-
-    /// The selected route of `x`, if `x` can currently reach the
-    /// destination.
-    #[inline]
-    pub fn best(&self, x: NodeId) -> Option<BestRoute> {
-        (self.slots[x as usize].stamp == self.gen).then(|| self.best[x as usize])
-    }
-
-    /// The selected AS path of `x` (next hop first, destination last).
-    pub fn path(&self, x: NodeId) -> Option<Vec<NodeId>> {
-        let mut b = self.best(x)?;
-        let mut out = Vec::with_capacity(b.len as usize);
-        let mut at = x;
-        while at != self.dest {
-            at = b.next;
-            out.push(at);
-            b = self.best(at).expect("next hop of a routed AS is routed");
-        }
-        Some(out)
-    }
-
-    /// Number of ASes that can currently reach the destination.
-    pub fn reachable_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.stamp == self.gen).count()
+        MultiFailState(RoutingState::solve_into(topo, dest, scratch))
     }
 
     /// Order-independent FNV-1a digest of the whole table (per-node
@@ -234,8 +174,8 @@ impl<'t> MultiFailState<'t> {
             h ^= byte as u64;
             h = h.wrapping_mul(PRIME);
         };
-        for x in 0..self.best.len() {
-            let (c, l, nx) = match self.best(x as NodeId) {
+        for x in self.topo.nodes() {
+            let (c, l, nx) = match self.best(x) {
                 Some(b) => (route_class_code(b.class), b.len, b.next),
                 None => (UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT),
             };
@@ -251,143 +191,110 @@ impl<'t> MultiFailState<'t> {
     /// sequence into batches yields the identical table.
     pub fn apply(&mut self, events: &[LinkEvent], scratch: &mut DeltaScratch) -> ApplyStats {
         let mut stats = ApplyStats::default();
-        let n = self.topo.num_nodes();
 
         // --- Net effect -------------------------------------------------
         // Last event per link wins within the batch; a final state equal
         // to the current one nets out and is skipped entirely.
         scratch.finals.clear();
         for &ev in events {
-            let Some((key, down)) = ev.norm() else {
+            let (a, b, down) = match ev {
+                LinkEvent::Down(a, b) => (a, b, true),
+                LinkEvent::Up(a, b) => (a, b, false),
+            };
+            let Some(key) = self.link(a, b).filter(|k| self.topo.rel(k.0, k.1).is_some()) else {
                 stats.ignored += 1;
                 continue;
             };
-            if self.topo.rel(key.0, key.1).is_none() {
-                stats.ignored += 1;
-                continue;
-            }
             match scratch.finals.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, d)) => *d = down,
                 None => scratch.finals.push((key, down)),
             }
         }
-        scratch.net_downs.clear();
-        scratch.net_ups.clear();
+        let mut downs = std::mem::take(&mut scratch.net_downs);
+        let mut ups = std::mem::take(&mut scratch.net_ups);
+        downs.clear();
+        ups.clear();
         for &(key, down) in &scratch.finals {
-            if down == self.failed.binary_search(&key).is_ok() {
+            if down == self.is_failed(key.0, key.1) {
                 stats.cancelled += 1;
             } else if down {
-                scratch.net_downs.push(key);
+                downs.push(key);
             } else {
-                scratch.net_ups.push(key);
+                ups.push(key);
             }
         }
-        stats.downs = scratch.net_downs.len();
-        stats.ups = scratch.net_ups.len();
+        stats.downs = downs.len();
+        stats.ups = ups.len();
 
         // --- Failures: one union-cone recomputation ---------------------
-        let mut roots = std::mem::take(&mut scratch.roots);
-        roots.clear();
         if stats.downs > 0 {
-            for &key in &scratch.net_downs {
-                let at = self.failed.binary_search(&key).unwrap_err();
-                self.failed.insert(at, key);
-            }
-            // The child endpoint of a dead link is the one routing
-            // *through* it (at most one per link: the parent's own path
-            // never descends back into the subtree).
-            for &(a, b) in &scratch.net_downs {
-                for (c, p) in [(a, b), (b, a)] {
-                    if self.best(c).is_some_and(|r| r.next == p) {
-                        roots.push(c);
-                    }
-                }
-            }
-            if !roots.is_empty() {
-                scratch.begin(n);
-                stats.disconnected = redrain_cones(
-                    self.topo,
-                    self.gen,
-                    Mask::Many(&self.failed),
-                    &mut self.round,
-                    &mut self.best,
-                    &mut self.slots,
-                    scratch,
-                    &roots,
-                );
-                stats.recomputed = scratch.undo.len();
-                roots.clear();
-            }
+            stats.disconnected = self.0.fail(&downs, scratch);
+            stats.recomputed = scratch.changed();
         }
-
         // --- Restorations: retire, re-drain, rescan until stable --------
         if stats.ups > 0 {
-            for &key in &scratch.net_ups {
-                let at = self.failed.binary_search(&key).expect("net-up of a failed link");
-                self.failed.remove(at);
-            }
-            // The table is stable under the old failed set, and the only
-            // new offers are the ones crossing the restored links.
-            for &(a, b) in &scratch.net_ups {
-                let rel_b = self.topo.rel(a, b).expect("restored link is in the topology");
-                for (x, from, rel_from) in [(a, b, rel_b), (b, a, rel_b.reverse())] {
-                    if self.offer(from, rel_from).is_some_and(|o| self.prefers(x, o)) {
-                        roots.push(x);
-                    }
+            self.0.restore(&ups, scratch, &mut stats);
+        }
+        scratch.net_downs = downs;
+        scratch.net_ups = ups;
+        stats
+    }
+}
+
+/// The restoration half of the delta kernel (module docs).
+impl RoutingState<'_> {
+    /// Restore `links` (validated keys, all currently failed), adding the
+    /// rounds and re-settled nodes to `stats`.
+    fn restore(
+        &mut self,
+        links: &[(NodeId, NodeId)],
+        scratch: &mut DeltaScratch,
+        stats: &mut ApplyStats,
+    ) {
+        let n = self.topo.num_nodes();
+        // The table is stable under the old failed set, and the only new
+        // offers are the ones crossing the restored links.
+        for &(a, b) in links {
+            self.unfail((a, b));
+            let rel_b = self.topo.rel(a, b).expect("restored link is in the topology");
+            for (x, from, rel_from) in [(a, b, rel_b), (b, a, rel_b.reverse())] {
+                if self.offer(from, rel_from).is_some_and(|o| self.prefers(x, o)) {
+                    scratch.roots.push(x);
                 }
             }
-            while !roots.is_empty() {
-                stats.restore_rounds += 1;
-                scratch.begin(n);
-                retire_subtrees::<true>(
-                    self.topo,
-                    self.gen,
-                    &self.best,
-                    &mut self.slots,
-                    scratch,
-                    &roots,
-                );
-                roots.clear();
-                stats.recomputed += scratch.undo.len();
-                if stats.recomputed > n {
-                    // Work budget spent: settle it in one full solve.
-                    self.resolve_full(scratch);
-                    stats.recomputed += n;
-                    stats.full_resolve = true;
-                    break;
+        }
+        while !scratch.roots.is_empty() {
+            stats.restore_rounds += 1;
+            scratch.begin(n);
+            self.retire::<true>(scratch);
+            stats.recomputed += scratch.changed();
+            if stats.recomputed > n {
+                // Work budget spent: settle it in one full solve.
+                self.resolve(&mut scratch.inner);
+                stats.recomputed += n;
+                stats.full_resolve = true;
+                break;
+            }
+            self.redrain(scratch);
+            // Inside the retired set the drain left every node with its
+            // best offer. Outside it, a node's own route still stands, so
+            // only a re-settled node whose offers changed can unsettle a
+            // neighbor.
+            for &(v, old) in &scratch.undo {
+                let Some(bv) = self.best(v) else { continue };
+                if (bv.class, bv.len) == (old.class, old.len) {
+                    continue; // next hop aside, v offers what it always did
                 }
-                redrain_retired(
-                    self.topo,
-                    self.gen,
-                    Mask::Many(&self.failed),
-                    &mut self.round,
-                    &mut self.best,
-                    &mut self.slots,
-                    scratch,
-                );
-                // Inside the retired set the drain left every node with
-                // its best offer. Outside it, a node's own route still
-                // stands, so only a re-settled node whose offers changed
-                // can unsettle a neighbor.
-                for &(v, old) in &scratch.undo {
-                    let Some(bv) = self.best(v) else { continue };
-                    if (bv.class, bv.len) == (old.class, old.len) {
-                        continue; // next hop aside, v offers what it always did
-                    }
-                    let asn_v = self.topo.asn(v).0;
-                    for &(y, rel_y) in self.topo.neighbors(v) {
-                        if exported(bv, asn_v, rel_y.reverse()).is_some_and(|o| self.prefers(y, o))
-                            && !self.is_failed(v, y)
-                        {
-                            roots.push(y);
-                        }
+                let asn_v = self.topo.asn(v).0;
+                for &(y, rel_y) in self.topo.neighbors(v) {
+                    if exported(bv, asn_v, rel_y.reverse()).is_some_and(|o| self.prefers(y, o))
+                        && !self.is_failed(v, y)
+                    {
+                        scratch.roots.push(y);
                     }
                 }
             }
         }
-        scratch.roots = roots;
-
-        stats
     }
 
     /// The route `from` currently offers a neighbor to whom it is
@@ -407,24 +314,6 @@ impl<'t> MultiFailState<'t> {
         let (class, len, asn) = offer;
         (class, len) < (b.class, b.len)
             || ((class, len) == (b.class, b.len) && asn < self.topo.asn(b.next).0)
-    }
-
-    /// Full three-sweep re-solve under the current failed set, in place.
-    /// Only the restoration work budget's fallback runs it.
-    fn resolve_full(&mut self, scratch: &mut DeltaScratch) {
-        let inner = &mut scratch.inner;
-        inner.best = std::mem::take(&mut self.best);
-        inner.slots = std::mem::take(&mut self.slots);
-        inner.gen = self.gen;
-        // No live slot tag may outrun the round counter it is used with.
-        inner.round = inner.round.max(self.round);
-        let st =
-            RoutingState::solve_core(self.topo, self.dest, Mask::Many(&self.failed), None, inner);
-        let RoutingState { best, slots, gen, round, .. } = st;
-        self.best = best;
-        self.slots = slots;
-        self.gen = gen;
-        self.round = round;
     }
 }
 
@@ -563,12 +452,14 @@ mod tests {
         assert_eq!(st.table_fnv(), base);
     }
 
-    /// Self-loops and links absent from the topology are counted and
-    /// skipped, never applied.
+    /// Self-loops, endpoints that are not nodes, and links absent from the
+    /// topology are counted and skipped, never applied.
     #[test]
     fn bogus_events_are_ignored() {
-        let (topo, [_a, _b, _c, _d, e, f]) = figure_1_1();
+        let (topo, [_a, b, _c, _d, e, f]) = figure_1_1();
+        let n = topo.num_nodes() as NodeId;
         let mut st = MultiFailState::solve(&topo, f, &mut SolveScratch::new());
+        let base = st.table_fnv();
         let mut scratch = DeltaScratch::new();
         let stats = st.apply(
             &[LinkEvent::Down(e, e), LinkEvent::Down(0, 5), LinkEvent::Up(1, 4)],
@@ -579,6 +470,21 @@ mod tests {
         assert_eq!(stats.ignored, 2);
         assert_eq!(stats.cancelled, 1);
         assert!(st.failed_links().is_empty());
+
+        // Both endpoints out of range, then one in and one out, both ways.
+        let stats = st.apply(
+            &[
+                LinkEvent::Down(9999, 10000),
+                LinkEvent::Up(10000, 9999),
+                LinkEvent::Down(b, n),
+                LinkEvent::Up(n, e),
+                LinkEvent::Down(u32::MAX, b),
+            ],
+            &mut scratch,
+        );
+        assert_eq!(stats, ApplyStats { ignored: 5, ..ApplyStats::default() });
+        assert!(st.failed_links().is_empty());
+        assert_eq!(st.table_fnv(), base);
     }
 
     /// A hand-drawn topology from `(provider, customer)` and peer pairs,
@@ -610,8 +516,7 @@ mod tests {
         let masked = RoutingState::solve_core(
             st.topo,
             st.dest,
-            Mask::Many(st.failed_links()),
-            None,
+            st.failed_links().to_vec(),
             &mut SolveScratch::new(),
         );
         for x in st.topo.nodes() {
@@ -793,15 +698,11 @@ mod equivalence {
         // Oracle 1: from-scratch solve of the physically pruned graph.
         let pruned = rebuilt_without(t, st.failed_links());
         let oracle = RoutingState::solve(&pruned, dest);
-        // Oracle 2: full masked solve over the original graph — pins the
-        // Mask::Many fast path against the rebuild at the same time.
-        let masked = RoutingState::solve_core(
-            t,
-            dest,
-            Mask::Many(st.failed_links()),
-            None,
-            &mut SolveScratch::new(),
-        );
+        // Oracle 2: full solve of the original graph without the failed
+        // set — pins the sweeps' failed-link test against the rebuild at
+        // the same time.
+        let masked =
+            RoutingState::solve_core(t, dest, st.failed_links().to_vec(), &mut SolveScratch::new());
         for x in t.nodes() {
             assert_eq!(st.best(x), oracle.best(x), "pruned-rebuild diverged at node {x}");
             assert_eq!(st.best(x), masked.best(x), "masked solve diverged at node {x}");
@@ -861,8 +762,8 @@ mod equivalence {
         /// Batched application over arbitrary event interleavings —
         /// including flap sequences that cancel out — is byte-identical
         /// to serial one-event-at-a-time application, to a from-scratch
-        /// solve of the pruned topology, and to a full Mask::Many solve,
-        /// after every single batch.
+        /// solve of the pruned topology, and to a full solve without the
+        /// failed set, after every single batch.
         #[test]
         fn batched_equals_serial_and_oracles((edges, dest_raw, script, cuts) in script()) {
             let t = build(edges);

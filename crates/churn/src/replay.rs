@@ -4,8 +4,8 @@
 //!
 //! * [`replay_delta`] — the offline solver's persistent delta path
 //!   ([`miro_bgp::solver::multi::MultiFailState`]), in serial mode (one
-//!   `apply` per event, what `with_failed_link` callers effectively do
-//!   today) or batched mode (one `apply` per co-temporal batch, one cone
+//!   `apply` per event, the cost a what-if sweep pays per variant) or
+//!   batched mode (one `apply` per co-temporal batch, one cone
 //!   recomputation per affected subtree). Both modes end with the exact
 //!   same routing tables — the equivalence contract proptested in
 //!   `miro_bgp::solver::multi` — so their [`DeltaReplayReport::table_fnv`]

@@ -27,14 +27,14 @@
 //! The `delta` suite times the what-if workload on top: for each sampled
 //! destination, one cached base solve plus N random single-link tree
 //! failures answered via the incremental delta engine
-//! ([`RoutingState::with_failed_link`]), against the same failures
+//! ([`WhatIf::without_link`]), against the same failures
 //! answered by full masked re-solves (`solve_without_link_into`, itself
 //! allocation-free). Both paths answer the same query per event and the
 //! bench asserts the answers agree. `--check-delta-speedup F` turns the
 //! reported speedup into a hard gate for CI.
 
 use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Rng, TempPath, SEED};
-use miro_bgp::engine::par_over_dests;
+use miro_bgp::engine::{par_over_dests, WhatIf};
 use miro_bgp::solver::{reference, DeltaScratch, RoutingState, SolveScratch};
 use miro_topology::{NodeId, Topology};
 use serde::Serialize;
@@ -515,15 +515,15 @@ fn time_delta_suite(name: &'static str, topo: &Topology, reps: u32) -> DeltaRow 
     // Untimed equivalence spot-checks: delta answers == full answers.
     let mut delta = DeltaScratch::new();
     for (d, evs) in plan.iter().take(4) {
-        let mut base = RoutingState::solve_into(topo, *d, &mut scratch);
+        let mut wi = WhatIf::new(RoutingState::solve_into(topo, *d, &mut scratch), &mut delta);
         let (a, b) = evs[0];
         let full = RoutingState::solve_without_link(topo, *d, a, b);
-        let failed = base.with_failed_link(a, b, &mut delta);
-        for x in topo.nodes() {
-            assert_eq!(failed.best(x), full.best(x), "delta diverged from full re-solve");
-        }
-        drop(failed);
-        base.recycle(&mut scratch);
+        wi.without_link(a, b, |failed| {
+            for x in topo.nodes() {
+                assert_eq!(failed.best(x), full.best(x), "delta diverged from full re-solve");
+            }
+        });
+        wi.into_base().recycle(&mut scratch);
     }
 
     let mut incremental = Duration::MAX;
@@ -535,14 +535,12 @@ fn time_delta_suite(name: &'static str, topo: &Topology, reps: u32) -> DeltaRow 
         let mut inc_sig = 0u64;
         recomputed = 0;
         for (d, evs) in &plan {
-            let mut base = RoutingState::solve_into(topo, *d, &mut scratch);
+            let mut wi = WhatIf::new(RoutingState::solve_into(topo, *d, &mut scratch), &mut delta);
             for &(a, b) in evs {
-                let failed = base.with_failed_link(a, b, &mut delta);
-                recomputed += failed.recomputed();
-                inc_sig = inc_sig.wrapping_add(query_sig(&failed, a));
-                drop(failed);
+                inc_sig = inc_sig.wrapping_add(wi.without_link(a, b, |failed| query_sig(failed, a)));
             }
-            base.recycle(&mut scratch);
+            recomputed += wi.stats().recomputed;
+            wi.into_base().recycle(&mut scratch);
         }
         incremental = incremental.min(t0.elapsed());
 

@@ -162,7 +162,7 @@ pub fn strategy_comparison(ds: &Dataset, cfg: &EvalConfig) -> Vec<AblationRow> {
         TargetStrategy::OneHop,
         TargetStrategy::OnPathThenNeighbors,
     ];
-    let results = driver::par_over_dests(&ds.topo, &dests, cfg.threads, |d, st| {
+    let results = miro_bgp::engine::par_over_dests(&ds.topo, &dests, cfg.threads, |d, st| {
         let mut rng = driver::rng_for(cfg.seed, d, 0xCD1);
         let mut counts = [0usize; 3];
         let mut total = 0usize;

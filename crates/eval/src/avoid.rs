@@ -154,7 +154,7 @@ pub fn probe_triple(
 /// eligible AS to avoid.
 pub fn sample_probes(ds: &Dataset, cfg: &EvalConfig) -> Vec<TripleProbe> {
     let dests = driver::sample_dests(&ds.topo, cfg.dest_samples, cfg.seed);
-    let per_dest = driver::par_over_dests_whatif(&ds.topo, &dests, cfg.threads, |d, wi| {
+    let per_dest = miro_bgp::engine::par_over_dests_whatif(&ds.topo, &dests, cfg.threads, |d, wi| {
         let mut rng = driver::rng_for(cfg.seed, d, 0x5_301);
         let mut out = Vec::new();
         for src in driver::sample_srcs(&ds.topo, d, cfg.src_samples, cfg.seed ^ 0xabc) {

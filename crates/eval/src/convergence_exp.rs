@@ -106,7 +106,7 @@ pub fn failure_sweep(
     events_per_dest: usize,
 ) -> FailureSweepRow {
     let dests = driver::sample_dests(&ds.topo, cfg.dest_samples, cfg.seed);
-    let per_dest = driver::par_over_dests_whatif(&ds.topo, &dests, cfg.threads, |d, wi| {
+    let per_dest = miro_bgp::engine::par_over_dests_whatif(&ds.topo, &dests, cfg.threads, |d, wi| {
         let mut rng = driver::rng_for(cfg.seed, d, 0xFA11);
         let routed: Vec<NodeId> = ds
             .topo

@@ -1,13 +1,10 @@
-//! Shared experiment plumbing: seeded sampling and per-destination
-//! parallel sharding.
+//! Shared experiment plumbing: seeded sampling.
 //!
 //! Every Chapter 5 experiment has the same outer shape — pick sample
-//! destinations, solve the BGP stable state once per destination, then
-//! evaluate many sources against it. Destinations are independent, so we
-//! shard them over scoped threads (no async runtime: this is pure
-//! CPU-bound work).
+//! destinations, solve the BGP stable state once per destination
+//! ([`miro_bgp::engine::par_over_dests`] shards them over scoped
+//! threads), then evaluate many sources against it.
 
-use miro_bgp::solver::RoutingState;
 use miro_topology::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -34,37 +31,6 @@ pub fn sample_srcs(topo: &Topology, dest: NodeId, n: usize, seed: u64) -> Vec<No
 /// Derive a per-destination RNG deterministically.
 pub fn rng_for(seed: u64, dest: NodeId, salt: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ (dest as u64).wrapping_mul(0x0100_0000_01b3) ^ salt)
-}
-
-/// Solve each destination's routing state and map `f` over them in
-/// parallel; results come back in destination order.
-pub fn par_over_dests<T, F>(
-    topo: &Topology,
-    dests: &[NodeId],
-    threads: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(NodeId, &RoutingState<'_>) -> T + Sync,
-{
-    miro_bgp::engine::par_over_dests(topo, dests, threads, f)
-}
-
-/// [`par_over_dests`] with the what-if cache: the closure can answer any
-/// number of failed-link variants per destination through the
-/// incremental delta path instead of full re-solves.
-pub fn par_over_dests_whatif<T, F>(
-    topo: &Topology,
-    dests: &[NodeId],
-    threads: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(NodeId, &mut miro_bgp::engine::WhatIf<'_, '_>) -> T + Sync,
-{
-    miro_bgp::engine::par_over_dests_whatif(topo, dests, threads, f)
 }
 
 /// Uniform random element (seeded) — tiny convenience used by samplers.
@@ -101,18 +67,5 @@ mod tests {
         let srcs = sample_srcs(&t, d, 1000, 9);
         assert!(!srcs.contains(&d));
         assert_eq!(srcs.len(), t.num_nodes() - 1);
-    }
-
-    #[test]
-    fn par_over_dests_matches_serial() {
-        let t = GenParams::tiny(3).generate();
-        let dests = sample_dests(&t, 8, 5);
-        let par = par_over_dests(&t, &dests, 4, |d, st| (d, st.reachable_count()));
-        let ser = par_over_dests(&t, &dests, 1, |d, st| (d, st.reachable_count()));
-        assert_eq!(par, ser);
-        assert_eq!(par.len(), 8);
-        for (i, &(d, _)) in par.iter().enumerate() {
-            assert_eq!(d, dests[i], "results in destination order");
-        }
     }
 }

@@ -226,7 +226,7 @@ pub fn fig5_6(ds: &Dataset, cfg: &EvalConfig) -> InboundResult {
     stubs.truncate(cfg.dest_samples);
     let sim_budget = 200 * ds.topo.num_nodes();
     let outcomes: Vec<Option<StubOutcome>> =
-        driver::par_over_dests(&ds.topo, &stubs, cfg.threads, |d, _st| {
+        miro_bgp::engine::par_over_dests(&ds.topo, &stubs, cfg.threads, |d, _st| {
             evaluate_stub(&ds.topo, d, 6, 2, sim_budget)
         });
     let outcomes: Vec<StubOutcome> = outcomes.into_iter().flatten().collect();

@@ -48,7 +48,7 @@ pub fn fig5_2(ds: &Dataset, cfg: &EvalConfig) -> RoutesResult {
     let dests = driver::sample_dests(&ds.topo, cfg.dest_samples, cfg.seed ^ 0x52);
     let strategies = [TargetStrategy::OneHop, TargetStrategy::OnPath];
     // counts[strategy][policy] accumulated across pairs.
-    let per_dest = driver::par_over_dests(&ds.topo, &dests, cfg.threads, |d, st| {
+    let per_dest = miro_bgp::engine::par_over_dests(&ds.topo, &dests, cfg.threads, |d, st| {
         let mut counts: Vec<Vec<u32>> = vec![Vec::new(); 6];
         for src in driver::sample_srcs(&ds.topo, d, cfg.src_samples, cfg.seed ^ 0x52a) {
             if st.path(src).is_none() {

@@ -27,8 +27,7 @@
 //! and encodes once.
 
 use crate::fnv1a;
-use miro_bgp::engine::{par_over_dests, par_over_dests_pooled, ScratchPool};
-use miro_bgp::solver::RoutingState;
+use miro_bgp::engine::ScratchPool;
 use miro_topology::{NodeId, Topology};
 
 /// File magic: "MIRO Route Table".
@@ -63,26 +62,16 @@ impl RouteTableSet {
     }
 
     /// Solve every destination and extract its row — the single-process
-    /// reference the sharded service must reproduce byte for byte, and
-    /// the workhorse each shard worker runs on its own block.
+    /// reference the sharded service must reproduce byte for byte.
     pub fn from_solves(topo: &Topology, dests: &[NodeId], threads: usize) -> RouteTableSet {
-        let v = topo.num_nodes();
-        let rows = par_over_dests(topo, dests, threads, |_, st: &RoutingState<'_>| {
-            let (mut next, mut hops, mut class) = (vec![0u32; v], vec![0u16; v], vec![0u8; v]);
-            st.write_table_row(&mut next, &mut hops, &mut class);
-            (next, hops, class)
-        });
-        let mut set = RouteTableSet::with_dests(v as u32, dests.to_vec());
-        for (i, (next, hops, class)) in rows.into_iter().enumerate() {
-            set.set_row(i, &next, &hops, &class);
-        }
-        set
+        let pool = ScratchPool::for_nodes(topo.num_nodes());
+        RouteTableSet::from_solves_pooled(topo, dests, threads, &pool)
     }
 
     /// [`RouteTableSet::from_solves`] drawing per-thread solve arenas
-    /// from `pool` — the shard-worker path, where one pool spans every
-    /// block of a job so the steady state allocates no scratch at all.
-    /// Byte-identical to `from_solves` by construction.
+    /// from `pool` — the workhorse each shard worker runs on its blocks,
+    /// where one pool spans every block of a job so the steady state
+    /// allocates no scratch at all.
     pub fn from_solves_pooled(
         topo: &Topology,
         dests: &[NodeId],
@@ -90,9 +79,9 @@ impl RouteTableSet {
         pool: &ScratchPool,
     ) -> RouteTableSet {
         let v = topo.num_nodes();
-        let rows = par_over_dests_pooled(topo, dests, threads, pool, |_, st: &RoutingState<'_>| {
+        let rows = pool.over_dests(topo, dests, threads, |_, wi| {
             let (mut next, mut hops, mut class) = (vec![0u32; v], vec![0u16; v], vec![0u8; v]);
-            st.write_table_row(&mut next, &mut hops, &mut class);
+            wi.base().write_table_row(&mut next, &mut hops, &mut class);
             (next, hops, class)
         });
         let mut set = RouteTableSet::with_dests(v as u32, dests.to_vec());
@@ -253,6 +242,7 @@ impl RouteTableSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miro_bgp::solver::RoutingState;
     use miro_topology::GenParams;
 
     fn sample() -> (Topology, RouteTableSet) {

@@ -5,8 +5,10 @@
 //! the flapping links sit on the destination's routing tree, so their
 //! restorations shift an endpoint and run the retire-and-re-drain loop.
 //! (The exhaustive versions are the proptests in `miro_bgp::solver::multi`,
-//! which only `cargo test --workspace` runs.)
+//! which only `cargo test --workspace` runs.) The second test holds the
+//! what-if sweep and the churn replay to each other: they are one engine.
 
+use miro_bgp::engine::WhatIf;
 use miro_bgp::solver::multi::{LinkEvent, MultiFailState};
 use miro_bgp::solver::{DeltaScratch, RoutingState, SolveScratch};
 use miro_topology::{GenParams, NodeId, Topology, TopologyBuilder};
@@ -75,4 +77,50 @@ fn table_equals_fresh_solve_after_every_batch() {
     // loop — not the budget fallback — must be what answers it.
     assert!(shifting_restorations >= 50, "only {shifting_restorations} shifting restorations");
     assert!(full_resolves * 10 <= shifting_restorations, "{full_resolves} fallbacks");
+}
+
+/// Every edge of a tiny graph, several destinations, one `DeltaScratch`
+/// throughout: the what-if view of a failed link, the churn engine's table
+/// after the same `Down`, and the from-scratch solve without the link are
+/// one table; the what-if leaves its base untouched and the `Up` brings
+/// the churn table back to it.
+#[test]
+fn whatif_view_equals_churn_table_equals_masked_solve() {
+    let topo = GenParams::tiny(7).generate();
+    let edges: Vec<(NodeId, NodeId)> = topo
+        .nodes()
+        .flat_map(|x| topo.neighbors(x).iter().map(move |&(y, _)| (x, y)))
+        .filter(|&(x, y)| x < y)
+        .collect();
+    let mut solve = SolveScratch::new();
+    let mut delta = DeltaScratch::new();
+    let row = |st: &RoutingState<'_>| topo.nodes().map(|x| st.best(x)).collect::<Vec<_>>();
+
+    for dest in topo.nodes().step_by(23) {
+        let mut wi = WhatIf::new(RoutingState::solve_into(&topo, dest, &mut solve), &mut delta);
+        let base = row(wi.base());
+        let views: Vec<_> = edges
+            .iter()
+            .map(|&(x, y)| {
+                let view = wi.without_link(x, y, |f| (row(f), f.recomputed()));
+                assert_eq!(row(wi.base()), base, "dest {dest}: base after ({x},{y})");
+                view
+            })
+            .collect();
+        assert!(views.iter().any(|(_, recomputed)| *recomputed > 0), "no edge was on the tree");
+        wi.into_base().recycle(&mut solve);
+
+        let mut churn = MultiFailState::solve(&topo, dest, &mut solve);
+        let base_fnv = churn.table_fnv();
+        assert_eq!(row(&churn), base);
+        for (&(x, y), (view, recomputed)) in edges.iter().zip(&views) {
+            let oracle = row(&RoutingState::solve_without_link(&topo, dest, x, y));
+            assert_eq!(*view, oracle, "dest {dest}: what-if view without ({x},{y})");
+            let down = churn.apply(&[LinkEvent::Down(x, y)], &mut delta);
+            assert_eq!(row(&churn), oracle, "dest {dest}: churn table without ({x},{y})");
+            assert_eq!(down.recomputed, *recomputed, "one kernel, one cone");
+            churn.apply(&[LinkEvent::Up(x, y)], &mut delta);
+            assert_eq!(churn.table_fnv(), base_fnv, "dest {dest}: ({x},{y}) back up");
+        }
+    }
 }
