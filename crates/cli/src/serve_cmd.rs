@@ -47,14 +47,21 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let bind: String = a.get("--addr")?;
     let port_file: Option<String> = a.opt("--port-file")?;
     let (stripes, cache_slots): (usize, usize) = (a.get("--stripes")?, a.get("--cache-slots")?);
-    let table = if a.on("--no-verify-file") {
-        MappedTable::open_unverified(path)?
-    } else {
-        MappedTable::open(path)?
-    };
+    // The two halves of start-up share nothing: build the topology on a
+    // second thread while this one maps and checksums the table. A bad
+    // table is still the error reported first.
+    let (table, topo) = std::thread::scope(|scope| {
+        let topo = scope.spawn(|| spec.build());
+        let table = if a.on("--no-verify-file") {
+            MappedTable::open_unverified(path)
+        } else {
+            MappedTable::open(path)
+        };
+        (table, topo.join().expect("topology build panicked"))
+    });
+    let (table, topo) = (table?, topo?);
     let bytes = table.file_bytes();
     let dests = miro_serve::TableSource::dests(&table).len();
-    let topo = spec.build()?;
     let engine = Engine::new(table, topo, Some(ShardedCache::new(stripes, cache_slots)))?;
     let server = Server::bind(bind.as_str(), engine)
         .map_err(|e| format!("cannot bind {bind}: {e}"))?;

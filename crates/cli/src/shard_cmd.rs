@@ -3,10 +3,12 @@
 //!
 //! `shard-solve` runs the coordinator: it spawns `--workers` copies of
 //! this same binary as `shard-worker` subprocesses (a hidden verb),
-//! speaks the framed protocol over their stdin/stdout, checkpoints every
-//! completed block under `--state`, and merges the result into one
-//! binary `RouteTableSet` at `--out`. Kill it mid-run and
-//! `shard-solve --resume` picks up where the manifest left off.
+//! speaks the framed protocol over their stdin/stdout, and has them
+//! write their blocks' rows straight into `<out>.partial` — the final
+//! binary `RouteTableSet`, pre-sized — which it verifies block by block
+//! (journal under `--state`) and renames to `--out` when complete. Kill
+//! it mid-run and `shard-solve --resume` picks up where the journal and
+//! the partial file left off.
 //!
 //! ```text
 //! miro shard-solve --preset gao2005 --factor 0.5 --workers 4 \
@@ -34,13 +36,13 @@ pub static SOLVE: Cmd = Cmd {
         Flag { name: "--workers", kind: Kind::Num, default: "4", help: "worker subprocesses" },
         Flag { name: "--block-size", kind: Kind::Num, default: "64", help: "destinations per assignment" },
         Flag { name: "--threads", kind: Kind::Num, default: "0", help: "solver threads per worker; 0 divides the machine" },
-        Flag { name: "--out", kind: Kind::Str, default: "shard_table.mirt", help: "the merged table" },
-        Flag { name: "--state", kind: Kind::Str, default: "", help: "checkpoint directory (default <out>.state)" },
+        Flag { name: "--out", kind: Kind::Str, default: "shard_table.mirt", help: "the finished table (built as <out>.partial)" },
+        Flag { name: "--state", kind: Kind::Str, default: "", help: "resume-journal directory (default <out>.state)" },
         Flag { name: "--resume", kind: Kind::Switch, default: "", help: "pick up from the manifest under --state" },
         Flag { name: "--heartbeat-ms", kind: Kind::Num, default: "250", help: "worker heartbeat period" },
         Flag { name: "--deadline-ms", kind: Kind::Num, default: "10000", help: "silence after which a worker is killed" },
         Flag { name: "--respawn", kind: Kind::Num, default: "", help: "worker respawn budget (default --workers)" },
-        Flag { name: "--verify", kind: Kind::Switch, default: "", help: "compare the merged bytes to an in-process solve" },
+        Flag { name: "--verify", kind: Kind::Switch, default: "", help: "compare the table's bytes to an in-process solve" },
         Flag { name: "--quiet", kind: Kind::Switch, default: "", help: "no per-block progress on stderr" },
         Flag { name: "--chaos-kill-after", kind: Kind::Num, default: "", help: "SIGKILL a worker after N blocks (fault drill)" },
         Flag { name: "--chaos-stop-after", kind: Kind::Num, default: "", help: "abort the coordinator after N blocks (fault drill)" },
@@ -158,7 +160,6 @@ pub fn run_solve(args: &[String]) -> Result<String, String> {
         } else {
             Some(Box::new(move |done, total| {
                 eprintln!("shard-solve: {done}/{total} blocks");
-                let _ = (done, total);
             }))
         },
     };

@@ -33,7 +33,7 @@ use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use miro_shard::fnv1a;
-use miro_shard::format::{TABLE_FORMAT_VERSION, TABLE_MAGIC};
+use miro_shard::format::{le_u64, Layout};
 use miro_topology::NodeId;
 
 use crate::{RowRead, TableSource};
@@ -131,29 +131,14 @@ mod map {
 
 // --------------------------------------------------------- MappedTable
 
-/// A [`RouteTableSet`] file served in place.
-///
-/// [`miro_shard::format::RouteTableSet`]'s layout, recalled:
-///
-/// ```text
-/// 0        magic "MIRT"
-/// 4        format version (u32)
-/// 8        num_nodes V (u32)
-/// 12       num_dests D (u32)
-/// 16       destination ids          u32 × D
-/// 16+4D    per-row checksums        u64 × D
-/// 16+12D   rows:                    next u32 × V | hops u16 × V | class u8 × V
-/// end-8    whole-file checksum      u64
-/// ```
+/// A [`miro_shard::format::RouteTableSet`] file served in place; where
+/// its parts sit is [`Layout`]'s business.
 pub struct MappedTable {
     map: map::Map,
-    num_nodes: u32,
+    layout: Layout,
     /// Decoded destination index (the only copied region: `4D` bytes of
     /// lookup structure, not row data).
     dests: Vec<NodeId>,
-    sums_at: usize,
-    rows_at: usize,
-    row_bytes: usize,
     /// One bit per row, set once that row's checksum has been verified.
     verified: Vec<AtomicU64>,
     rows_verified: AtomicU64,
@@ -192,55 +177,26 @@ impl MappedTable {
         let map = map::Map::of(&file, len).map_err(|e| format!("cannot map {path:?}: {e}"))?;
         let bytes = map.bytes();
 
-        if bytes[..4] != TABLE_MAGIC[..] {
-            return Err(format!("table {path:?}: bad magic (not a RouteTableSet)"));
-        }
-        let u32_at =
-            |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let version = u32_at(4);
-        if version != TABLE_FORMAT_VERSION {
-            return Err(format!(
-                "table {path:?}: format version {version}, but this build reads version \
-                 {TABLE_FORMAT_VERSION}"
-            ));
-        }
-        let v = u32_at(8) as usize;
-        let d = u32_at(12) as usize;
-        if d == 0 {
+        let layout = Layout::parse(bytes).map_err(|e| format!("table {path:?}: {e}"))?;
+        if layout.num_dests() == 0 {
             return Err(format!("table {path:?} holds zero destinations — nothing to serve"));
         }
-        if v == 0 {
+        if layout.num_nodes() == 0 {
             return Err(format!("table {path:?} claims a zero-node topology"));
         }
-        let row_bytes = 7 * v;
-        let expect = (16usize)
-            .checked_add(d.checked_mul(12).ok_or("geometry overflow")?)
-            .and_then(|n| n.checked_add(d.checked_mul(row_bytes)?))
-            .and_then(|n| n.checked_add(8))
-            .ok_or(format!("table {path:?}: geometry overflow"))?;
-        if len != expect {
-            return Err(format!(
-                "table {path:?}: wrong length: {len} bytes, geometry says {expect}"
-            ));
+        layout.check_len(len).map_err(|e| format!("table {path:?}: {e}"))?;
+        if verify_whole_file && fnv1a(&bytes[..len - 8]) != le_u64(&bytes[len - 8..]) {
+            return Err(format!("table {path:?}: whole-file checksum mismatch"));
         }
-        if verify_whole_file {
-            let want = u64::from_le_bytes(bytes[len - 8..].try_into().unwrap());
-            if fnv1a(&bytes[..len - 8]) != want {
-                return Err(format!("table {path:?}: whole-file checksum mismatch"));
-            }
-        }
-        let mut dests = Vec::with_capacity(d);
-        for i in 0..d {
-            dests.push(u32_at(16 + 4 * i));
-        }
+        let dests = bytes[16..layout.sums_at()]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("four bytes")))
+            .collect();
         Ok(MappedTable {
             map,
-            num_nodes: v as u32,
+            layout,
             dests,
-            sums_at: 16 + 4 * d,
-            rows_at: 16 + 12 * d,
-            row_bytes,
-            verified: (0..d.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            verified: (0..(layout.num_dests() as usize).div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             rows_verified: AtomicU64::new(0),
         })
     }
@@ -260,16 +216,10 @@ impl MappedTable {
     /// and the bitmap is monotonic); a mismatch fails every touch, set
     /// bit or not, because the bit is only set after success.
     fn checked_row(&self, i: usize) -> Result<MappedRow<'_>, String> {
-        let at = self.rows_at + i * self.row_bytes;
-        let row = &self.map.bytes()[at..at + self.row_bytes];
+        let row = &self.map.bytes()[self.layout.row_at(i)..self.layout.row_at(i + 1)];
         let (word, bit) = (i / 64, 1u64 << (i % 64));
         if self.verified[word].load(Ordering::Acquire) & bit == 0 {
-            let want = u64::from_le_bytes(
-                self.map.bytes()[self.sums_at + 8 * i..self.sums_at + 8 * (i + 1)]
-                    .try_into()
-                    .unwrap(),
-            );
-            if fnv1a(row) != want {
+            if fnv1a(row) != le_u64(&self.map.bytes()[self.layout.sums_at() + 8 * i..]) {
                 return Err(format!(
                     "row {i} (destination {}) checksum mismatch — table corrupt on disk",
                     self.dests[i]
@@ -278,7 +228,7 @@ impl MappedTable {
             self.verified[word].fetch_or(bit, Ordering::AcqRel);
             self.rows_verified.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(MappedRow { bytes: row, v: self.num_nodes as usize })
+        Ok(MappedRow { bytes: row, v: self.layout.num_nodes() as usize })
     }
 }
 
@@ -286,7 +236,7 @@ impl TableSource for MappedTable {
     type Row<'a> = MappedRow<'a>;
 
     fn num_nodes(&self) -> u32 {
-        self.num_nodes
+        self.layout.num_nodes()
     }
 
     fn dests(&self) -> &[NodeId] {

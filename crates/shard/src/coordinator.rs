@@ -1,42 +1,49 @@
 //! The shard coordinator: crash-tolerant block dispatch over a fleet of
-//! workers, with checkpoint/resume and a deterministic merge.
+//! workers filling one pre-sized table file in place, resumable.
 //!
-//! The coordinator is written against two small traits ([`Spawner`],
-//! [`WorkerLink`]) rather than `std::process` directly: production uses
-//! [`ProcessSpawner`] (real subprocesses over stdin/stdout pipes), tests
-//! use in-process workers with scripted failures — same dispatch state
-//! machine, same protocol, milliseconds instead of process spawns.
+//! Written against two small traits ([`Spawner`], [`WorkerLink`]) rather
+//! than `std::process`: production uses [`ProcessSpawner`] (subprocesses
+//! over stdin/stdout pipes), tests use in-process workers with scripted
+//! failures — same state machine and protocol, no process spawns.
 //!
 //! Per-worker lifecycle, as the dispatch loop sees it:
 //!
 //! ```text
-//!             Hello                    Assign
-//!   spawned ────────► idle ──────────────────────► working
-//!      ▲               ▲                              │
-//!      │respawn        │ BlockResult (validated,      │ EOF / corrupt frame /
-//!      │(budget        │ spooled, manifest C line)    │ heartbeat deadline /
-//!      │ permitting)   └──────────────────────────────┤ bad block
-//!      │                                              ▼
-//!      └───────────────────────────────────────────  dead
+//!             Hello (→ Output: the             Assign
+//!   spawned ───────── table file's path) ► idle ─────────────► working
+//!      ▲                                    ▲                     │
+//!      │respawn         BlockResult (next   │                     │ EOF / corrupt frame /
+//!      │(budget         Assign sent first,  │                     │ heartbeat deadline /
+//!      │ permitting)    then rows re-hashed ┴─────────────────────┤ rows ≠ reported checksums /
+//!      │                in the file, checksums                    │ not its block / wrong length
+//!      │                stored, manifest C line)                  ▼
+//!      └────────────────────────────────────────────────────────  dead
 //!                      (in-flight block → front of queue, D line on redispatch)
 //! ```
 //!
-//! Every completed block is spooled to `state_dir/block_NNNNNN.bin`
-//! (written to a temp name, then renamed) *before* its `C` line is
-//! appended to the manifest, so a manifest claim is never ahead of the
-//! data. The final merge reads only the spool, in canonical block order —
-//! which workers produced which blocks, in what order, with how many
-//! deaths in between, cannot affect the output bytes.
+//! Row bytes live in one place: `<out>.partial`, created beside
+//! `out_path` at its final size. A block's worker writes its rows into
+//! the block's byte range and reports only their checksums; the
+//! coordinator re-hashes the range through one bounded buffer, and only
+//! rows that hash to the reported values get their checksums stored in
+//! the file and a `C` line in the manifest — a manifest claim is never
+//! ahead of the data. When every block is in, one sequential pass yields
+//! the whole-file checksum and the file is renamed to `out_path`. Every
+//! byte is a pure function of the job, so who produced which block, in
+//! what order, after how many deaths, cannot affect the output.
 
-use crate::format::{RouteTableSet, TABLE_FORMAT_VERSION};
+use crate::format::{le_u64, Layout, TABLE_FORMAT_VERSION};
 use crate::manifest::{self, JobFingerprint, ManifestWriter};
 use crate::protocol::{read_frame, write_frame, FrameError, Msg, PROTOCOL_VERSION};
 use miro_bgp::engine::dest_blocks;
 use miro_topology::NodeId;
 use std::collections::{HashMap, VecDeque};
+use std::fs::File;
 use std::io::Read;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{RecvTimeoutError, Sender};
+use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 /// What a worker's event stream can deliver to the dispatch loop.
@@ -150,16 +157,15 @@ pub struct JobSpec {
     pub block_size: usize,
     /// Dispatch order over block ids (e.g.
     /// [`miro_bgp::engine::heavy_blocks_first`], so the expensive blocks
-    /// go out first); `None` dispatches in canonical ascending order.
-    /// Must be a permutation of the block ids. Purely a scheduling knob:
-    /// the merge reads the spool in canonical order, so dispatch order
-    /// can never affect the output bytes.
+    /// go out first); `None` dispatches in ascending order. Must be a
+    /// permutation of the block ids. Purely a scheduling knob: a block's
+    /// bytes and place in the file are fixed, whatever the order.
     pub block_order: Option<Vec<u32>>,
     /// Worker fleet size.
     pub workers: usize,
-    /// Spool + manifest directory.
+    /// Where the resume journal (`manifest.log`) lives.
     pub state_dir: PathBuf,
-    /// Where the merged table lands.
+    /// Where the finished table lands (`<out_path>.partial` until then).
     pub out_path: PathBuf,
     /// Trust a pre-existing manifest and skip verified blocks.
     pub resume: bool,
@@ -171,8 +177,7 @@ pub struct JobSpec {
     /// N-th completed block (exercises reassignment end to end).
     pub chaos_kill_after: Option<u32>,
     /// Fault injection: abort the coordinator (workers killed, state
-    /// checkpointed, error return) once N blocks are done — the setup
-    /// half of a `--resume` test.
+    /// checkpointed, error return) once N blocks are done, to `--resume`.
     pub chaos_stop_after: Option<u32>,
     /// Progress hook, called with `(blocks_done, blocks_total)` once at
     /// startup and after every completed block.
@@ -183,7 +188,7 @@ pub struct JobSpec {
 #[derive(Clone, Debug, Default)]
 pub struct JobReport {
     pub blocks: usize,
-    /// Blocks skipped because a resumed manifest + spool already had them.
+    /// Blocks skipped because a resumed manifest + partial table had them.
     pub resumed: usize,
     /// Assignments sent (= manifest `D` lines written by this run).
     pub dispatches: usize,
@@ -191,28 +196,70 @@ pub struct JobReport {
     pub respawns: usize,
     pub deadline_kills: usize,
     pub corrupt_events: usize,
+    /// Length of the finished table file.
     pub merged_bytes: usize,
     pub elapsed: Duration,
 }
 
-fn dests_fingerprint(dests: &[NodeId]) -> u64 {
-    let mut bytes = Vec::with_capacity(dests.len() * 4);
-    for &d in dests {
-        bytes.extend_from_slice(&d.to_le_bytes());
+/// Largest single read while re-hashing the table file.
+const HASH_BUF: usize = 1 << 20;
+
+/// The table file while the fleet fills it: `<out>.partial`, pre-sized,
+/// header in place. Never read whole: every hash goes through `buf`.
+struct Partial {
+    file: File,
+    layout: Layout,
+    buf: Vec<u8>,
+}
+
+impl Partial {
+    /// Open `path`. With `keep`, a file of this job's size and `header`
+    /// survives (second return value); else it is laid out afresh.
+    fn open(path: &str, layout: Layout, header: &[u8], keep: bool) -> std::io::Result<(Partial, bool)> {
+        let file = File::options().read(true).write(true).create(true).truncate(!keep).open(path)?;
+        let mut have = vec![0u8; header.len()];
+        let kept = keep
+            && file.metadata()?.len() == layout.file_len() as u64
+            && file.read_exact_at(&mut have, 0).is_ok()
+            && have == header;
+        if !kept {
+            file.set_len(0)?;
+            file.set_len(layout.file_len() as u64)?;
+            file.write_all_at(header, 0)?;
+        }
+        let buf = vec![0u8; HASH_BUF.min(layout.file_len())];
+        Ok((Partial { file, layout, buf }, kept))
     }
-    crate::fnv1a(&bytes)
-}
 
-fn spool_path(state_dir: &Path, block: u32) -> PathBuf {
-    state_dir.join(format!("block_{block:06}.bin"))
-}
+    /// FNV-1a of `range` of the file.
+    fn fnv(&mut self, range: Range<usize>) -> std::io::Result<u64> {
+        let (mut at, mut h) = (range.start, crate::FNV_OFFSET);
+        while at < range.end {
+            let n = self.buf.len().min(range.end - at);
+            self.file.read_exact_at(&mut self.buf[..n], at as u64)?;
+            h = crate::fnv1a_from(h, &self.buf[..n]);
+            at += n;
+        }
+        Ok(h)
+    }
 
-/// Write-then-rename so a crash can never leave a half-written file under
-/// the final name the manifest vouches for.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| format!("cannot write {tmp:?}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {tmp:?}: {e}"))
+    /// Do the bytes of `rows` in the file hash to `sums`, one `u64` per row?
+    fn rows_match(&mut self, rows: Range<usize>, sums: &[u8]) -> std::io::Result<bool> {
+        for (i, want) in rows.zip(sums.chunks_exact(8)) {
+            if self.fnv(self.layout.row_at(i)..self.layout.row_at(i + 1))? != le_u64(want) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Every block is in: whole-file checksum, trailer, rename into place.
+    fn seal(mut self, path: &str, out: &Path) -> std::io::Result<()> {
+        let end = self.layout.file_len() - 8;
+        let total = self.fnv(0..end)?;
+        self.file.write_all_at(&total.to_le_bytes(), end as u64)?;
+        std::fs::rename(path, out)
+    }
 }
 
 struct WorkerState {
@@ -220,13 +267,67 @@ struct WorkerState {
     assigned: Option<u32>,
     last_seen: Instant,
     blocks_done: u32,
-    /// The first-spawned worker is the chaos-kill victim.
-    first: bool,
+}
+
+/// What the dispatch loop keeps between events.
+struct Dispatch {
+    blocks: Vec<Range<usize>>,
+    pending: VecDeque<u32>,
+    /// Keyed by worker id; ids count up from 0 and are never reused, so
+    /// worker 0 — the chaos-kill victim — exists at most once.
+    fleet: HashMap<u32, WorkerState>,
+    next_worker_id: u32,
+    writer: ManifestWriter,
+    report: JobReport,
+}
+
+impl Dispatch {
+    fn spawn(&mut self, spawner: &mut dyn Spawner, events: &Sender<Event>) -> Result<(), String> {
+        let link = spawner.spawn(self.next_worker_id, events.clone())?;
+        let st = WorkerState { link, assigned: None, last_seen: Instant::now(), blocks_done: 0 };
+        self.fleet.insert(self.next_worker_id, st);
+        self.next_worker_id += 1;
+        Ok(())
+    }
+
+    /// One worker's death: kill it, requeue its block.
+    fn bury(&mut self, worker: u32) {
+        let Some(mut st) = self.fleet.remove(&worker) else { return };
+        st.link.kill();
+        self.report.deaths += 1;
+        if let Some(block) = st.assigned {
+            self.pending.push_front(block);
+        }
+    }
+
+    /// A worker that broke the protocol or lied about its block dies too.
+    fn corrupt(&mut self, worker: u32) {
+        self.report.corrupt_events += 1;
+        self.bury(worker);
+    }
+
+    /// Hand an idle worker the next pending block. Only a block's holder
+    /// can complete it and a buried holder's events are dropped, so
+    /// nothing in `pending` is ever already done.
+    fn assign(&mut self, worker: u32) -> Result<(), String> {
+        let Some(st) = self.fleet.get_mut(&worker).filter(|st| st.assigned.is_none()) else {
+            return Ok(());
+        };
+        let Some(block) = self.pending.pop_front() else { return Ok(()) };
+        self.writer.dispatch(block, worker).map_err(|e| format!("cannot append manifest: {e}"))?;
+        self.report.dispatches += 1;
+        st.assigned = Some(block);
+        let rows = &self.blocks[block as usize];
+        // The send can fail if the worker died between events; the reader
+        // thread's Closed event will then requeue the block.
+        let _ = st.link.send(&Msg::Assign { block, start: rows.start as u32, len: rows.len() as u32 });
+        Ok(())
+    }
 }
 
 /// Run a shard job to completion (or checkpointed abort). On success the
-/// merged [`RouteTableSet`] is at `spec.out_path` and the report says how
-/// rough the ride was.
+/// finished table file is at `spec.out_path`; the report says how rough
+/// the ride was.
 pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, String> {
     let t0 = Instant::now();
     if spec.workers == 0 {
@@ -238,126 +339,87 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
     std::fs::create_dir_all(&spec.state_dir)
         .map_err(|e| format!("cannot create state dir {:?}: {e}", spec.state_dir))?;
 
-    let blocks: Vec<std::ops::Range<usize>> =
-        dest_blocks(spec.dests.len(), spec.block_size).collect();
+    let blocks: Vec<Range<usize>> = dest_blocks(spec.dests.len(), spec.block_size).collect();
     let nblocks = blocks.len();
+    let order = spec.block_order.clone().unwrap_or_else(|| (0..nblocks as u32).collect());
+    let mut sorted = order.clone();
+    sorted.sort_unstable();
+    if !sorted.into_iter().eq(0..nblocks as u32) {
+        return Err(format!("block_order is not a permutation of the job's {nblocks} block ids"));
+    }
+    let layout = Layout::new(spec.num_nodes, spec.dests.len() as u32)?;
+    let header = layout.header(&spec.dests);
     let fingerprint = JobFingerprint {
         table_format: TABLE_FORMAT_VERSION,
         num_nodes: spec.num_nodes,
         num_edges: spec.num_edges,
-        num_dests: spec.dests.len() as u32,
+        num_dests: layout.num_dests(),
         block_size: spec.block_size.max(1) as u32,
-        dests_fnv: dests_fingerprint(&spec.dests),
+        dests_fnv: crate::fnv1a(&header[16..]),
     };
 
+    // Resume: trust the manifest only as far as a kept partial table backs
+    // it up — a claimed block's rows must hash to the file's checksum
+    // slice, and that slice to the `C` line.
     let manifest_path = spec.state_dir.join("manifest.log");
-    let mut report = JobReport { blocks: nblocks, ..JobReport::default() };
-    let mut done = vec![false; nblocks];
-
-    // Resume: trust the manifest only as far as the spool backs it up.
-    let mut writer = if spec.resume && manifest_path.exists() {
+    let resuming = spec.resume && manifest_path.exists();
+    let claims = if resuming {
         let state = manifest::read(&manifest_path)?;
         fingerprint.ensure_matches(&state.job)?;
-        for (&block, &(bytes, checksum)) in &state.completed {
-            let b = block as usize;
-            if b >= nblocks {
-                continue;
-            }
-            let ok = std::fs::read(spool_path(&spec.state_dir, block))
-                .map(|data| data.len() as u64 == bytes && crate::fnv1a(&data) == checksum)
-                .unwrap_or(false);
-            if ok {
-                done[b] = true;
-                report.resumed += 1;
-            }
-        }
-        ManifestWriter::append(&manifest_path)
-            .map_err(|e| format!("cannot reopen manifest {manifest_path:?}: {e}"))?
+        state.completed
     } else {
-        ManifestWriter::create(&manifest_path, &fingerprint)
-            .map_err(|e| format!("cannot create manifest {manifest_path:?}: {e}"))?
+        HashMap::new()
     };
+    // `.partial` is appended, never swapped for the extension: `a.mirt` and
+    // `a.json` must not share a temporary name.
+    let out_path = spec.out_path.to_str().ok_or("the output path is not UTF-8")?;
+    let table_path = format!("{out_path}.partial");
+    let table_err = |e: std::io::Error| format!("table file {table_path:?}: {e}");
+    let (mut table, kept) = Partial::open(&table_path, layout, &header, resuming).map_err(table_err)?;
+    let sums_at = |rows: &Range<usize>| (layout.sums_at() + 8 * rows.start) as u64;
+    let mut done = vec![false; nblocks];
+    for (&block, &(bytes, checksum)) in claims.iter().filter(|_| kept) {
+        let Some(rows) = blocks.get(block as usize) else { continue };
+        let mut sums = vec![0u8; 8 * rows.len()];
+        table.file.read_exact_at(&mut sums, sums_at(rows)).map_err(table_err)?;
+        done[block as usize] = bytes == (rows.len() * layout.row_bytes()) as u64
+            && crate::fnv1a(&sums) == checksum
+            && table.rows_match(rows.clone(), &sums).map_err(table_err)?;
+    }
+    let writer = ManifestWriter::open(&manifest_path, &fingerprint, resuming)
+        .map_err(|e| format!("cannot open manifest {manifest_path:?}: {e}"))?;
 
-    let order: Vec<u32> = match &spec.block_order {
-        Some(order) => {
-            if order.len() != nblocks {
-                return Err(format!(
-                    "block_order lists {} block(s), job has {nblocks}",
-                    order.len()
-                ));
-            }
-            let mut seen = vec![false; nblocks];
-            for &b in order {
-                if b as usize >= nblocks || std::mem::replace(&mut seen[b as usize], true) {
-                    return Err(format!("block_order is not a permutation: block {b}"));
-                }
-            }
-            order.clone()
-        }
-        None => (0..nblocks as u32).collect(),
+    let mut job = Dispatch {
+        pending: order.into_iter().filter(|&b| !done[b as usize]).collect(),
+        blocks,
+        fleet: HashMap::new(),
+        next_worker_id: 0,
+        writer,
+        report: JobReport { blocks: nblocks, ..JobReport::default() },
     };
-    let mut pending: VecDeque<u32> = order.into_iter().filter(|&b| !done[b as usize]).collect();
-    let mut done_count = nblocks - pending.len();
-
-    let (tx, rx) = std::sync::mpsc::channel::<Event>();
-    let mut fleet: HashMap<u32, WorkerState> = HashMap::new();
-    let mut next_worker_id = 0u32;
-
-    let spawn_one = |spawner: &mut dyn Spawner,
-                         fleet: &mut HashMap<u32, WorkerState>,
-                         next_worker_id: &mut u32,
-                         first: bool|
-     -> Result<(), String> {
-        let id = *next_worker_id;
-        *next_worker_id += 1;
-        let link = spawner.spawn(id, tx.clone())?;
-        fleet.insert(
-            id,
-            WorkerState { link, assigned: None, last_seen: Instant::now(), blocks_done: 0, first },
-        );
-        Ok(())
-    };
-
+    let mut done_count = nblocks - job.pending.len();
+    job.report.resumed = done_count;
     if let Some(progress) = &spec.progress {
         progress(done_count, nblocks);
     }
-    if done_count < nblocks {
-        for i in 0..spec.workers.min(pending.len()) {
-            spawn_one(spawner, &mut fleet, &mut next_worker_id, i == 0)?;
-        }
-    }
 
+    let (tx, rx) = std::sync::mpsc::channel::<Event>();
+    for _ in 0..spec.workers.min(job.pending.len()) {
+        job.spawn(spawner, &tx)?;
+    }
     let tick = (spec.heartbeat_deadline / 4).clamp(Duration::from_millis(10), Duration::from_millis(500));
-    let mut chaos_killed = false;
-
-    // One worker's death: requeue its block, replace it if the budget
-    // allows. Returns the requeued block, if any.
-    fn bury(
-        report: &mut JobReport,
-        pending: &mut VecDeque<u32>,
-        fleet: &mut HashMap<u32, WorkerState>,
-        worker: u32,
-    ) {
-        let Some(mut st) = fleet.remove(&worker) else { return };
-        st.link.kill();
-        report.deaths += 1;
-        if let Some(block) = st.assigned {
-            pending.push_front(block);
-        }
-    }
 
     while done_count < nblocks {
         // Replace the fallen while the budget lasts. The fleet is sized to
-        // the remaining work (pending + in flight), capped at the
-        // configured worker count, so draining a short tail never burns
-        // respawn budget on workers with nothing to do.
-        let in_flight = fleet.values().filter(|st| st.assigned.is_some()).count();
-        let desired = spec.workers.min(pending.len() + in_flight).max(1);
-        while fleet.len() < desired && report.respawns < spec.respawn_budget {
-            spawn_one(spawner, &mut fleet, &mut next_worker_id, false)?;
-            report.respawns += 1;
+        // the remaining work (pending + in flight), capped at the worker
+        // count, so a short tail never burns respawn budget on idle workers.
+        let in_flight = job.fleet.values().filter(|st| st.assigned.is_some()).count();
+        let desired = spec.workers.min(job.pending.len() + in_flight).max(1);
+        while job.fleet.len() < desired && job.report.respawns < spec.respawn_budget {
+            job.spawn(spawner, &tx)?;
+            job.report.respawns += 1;
         }
-        if fleet.is_empty() {
+        if job.fleet.is_empty() {
             return Err(format!(
                 "all workers dead with {} block(s) unfinished (respawn budget {} exhausted); \
                  state checkpointed in {:?} — re-run with --resume",
@@ -367,186 +429,104 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
             ));
         }
 
-        let event = match rx.recv_timeout(tick) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err("event channel closed with work outstanding".to_string())
-            }
-        };
+        // Timeout is the only error: `tx` above keeps the channel open.
+        let event = rx.recv_timeout(tick).ok();
 
         // Deadline scan runs every iteration, not just on timeouts — a
         // chatty healthy worker delivering events faster than the tick
         // must not keep the loop from noticing a silent one.
-        let overdue: Vec<u32> = fleet
+        let overdue: Vec<u32> = job
+            .fleet
             .iter()
             .filter(|(_, st)| st.last_seen.elapsed() > spec.heartbeat_deadline)
             .map(|(&id, _)| id)
             .collect();
         for id in overdue {
-            report.deadline_kills += 1;
-            bury(&mut report, &mut pending, &mut fleet, id);
+            job.report.deadline_kills += 1;
+            job.bury(id);
         }
 
-        match event {
-            None => {}
-            Some(Event { worker, kind }) => {
-                if !fleet.contains_key(&worker) {
-                    continue; // stragglers from already-buried workers
+        let Some(Event { worker, kind }) = event else { continue };
+        // Stragglers from already-buried workers are dropped here.
+        let Some(st) = job.fleet.get_mut(&worker) else { continue };
+        st.last_seen = Instant::now();
+        match kind {
+            EventKind::Frame(Msg::Hello { protocol, worker: claimed })
+                if protocol == PROTOCOL_VERSION && claimed == worker =>
+            {
+                // Like an assignment, this send may fail on a worker that
+                // just died; its Closed event cleans up.
+                let _ = st.link.send(&Msg::Output { path: table_path.clone() });
+                job.assign(worker)?;
+            }
+            // An idle heartbeat is also a work request: a block requeued
+            // by a deadline kill after this worker drained the queue would
+            // otherwise never be dispatched again.
+            EventKind::Frame(Msg::Heartbeat { .. }) => job.assign(worker)?,
+            EventKind::Frame(Msg::BlockResult { block, table: sums }) => {
+                // A worker completes only the block it holds, with one
+                // checksum per row.
+                let rows = match job.blocks.get(block as usize) {
+                    Some(r) if st.assigned == Some(block) && sums.len() == 8 * r.len() => r.clone(),
+                    _ => {
+                        job.corrupt(worker);
+                        continue;
+                    }
+                };
+                st.assigned = None;
+                st.blocks_done += 1;
+                let kill_due = worker == 0 && spec.chaos_kill_after.is_some_and(|n| st.blocks_done >= n);
+                let stop_due = spec
+                    .chaos_stop_after
+                    .filter(|&n| done_count + 1 >= n as usize && done_count + 1 < nblocks);
+                if !kill_due && stop_due.is_none() {
+                    // Next block first: the worker solves it while this
+                    // one is verified.
+                    job.assign(worker)?;
                 }
-                match kind {
-                    EventKind::Frame(Msg::Hello { protocol, worker: claimed }) => {
-                        if protocol != PROTOCOL_VERSION || claimed != worker {
-                            report.corrupt_events += 1;
-                            bury(&mut report, &mut pending, &mut fleet, worker);
-                            continue;
-                        }
-                        let st = fleet.get_mut(&worker).expect("checked above");
-                        st.last_seen = Instant::now();
-                        assign(&mut report, &mut writer, &mut pending, &blocks, &done, st, worker)?;
+                if !table.rows_match(rows.clone(), &sums).map_err(table_err)? {
+                    // Never written, torn, or not what was reported.
+                    job.corrupt(worker);
+                    job.pending.push_front(block);
+                    continue;
+                }
+                table.file.write_all_at(&sums, sums_at(&rows)).map_err(table_err)?;
+                job.writer
+                    .complete(block, (rows.len() * layout.row_bytes()) as u64, crate::fnv1a(&sums))
+                    .map_err(|e| format!("cannot append manifest: {e}"))?;
+                done_count += 1;
+                if let Some(progress) = &spec.progress {
+                    progress(done_count, nblocks);
+                }
+                if kill_due {
+                    job.bury(worker);
+                } else if let Some(n) = stop_due {
+                    for st in job.fleet.values_mut() {
+                        st.link.kill();
                     }
-                    EventKind::Frame(Msg::Heartbeat { .. }) => {
-                        let st = fleet.get_mut(&worker).expect("checked above");
-                        st.last_seen = Instant::now();
-                        // An idle heartbeat is also a work request: a block
-                        // requeued by a deadline kill after this worker
-                        // drained the queue would otherwise never be
-                        // dispatched again.
-                        assign(&mut report, &mut writer, &mut pending, &blocks, &done, st, worker)?;
-                    }
-                    EventKind::Frame(Msg::BlockResult { block, table }) => {
-                        let st = fleet.get_mut(&worker).expect("checked above");
-                        st.last_seen = Instant::now();
-                        let b = block as usize;
-                        let expected: Option<&[NodeId]> =
-                            blocks.get(b).map(|r| &spec.dests[r.clone()]);
-                        let valid = expected.is_some_and(|want| {
-                            RouteTableSet::decode(&table).is_ok_and(|t| {
-                                t.num_nodes() == spec.num_nodes && t.dests() == want
-                            })
-                        });
-                        if !valid {
-                            report.corrupt_events += 1;
-                            bury(&mut report, &mut pending, &mut fleet, worker);
-                            continue;
-                        }
-                        if st.assigned == Some(block) {
-                            st.assigned = None;
-                        }
-                        st.blocks_done += 1;
-                        let (first, worker_done) = (st.first, st.blocks_done);
-                        if !done[b] {
-                            write_atomic(&spool_path(&spec.state_dir, block), &table)?;
-                            writer
-                                .complete(block, table.len() as u64, crate::fnv1a(&table))
-                                .map_err(|e| format!("cannot append manifest: {e}"))?;
-                            done[b] = true;
-                            done_count += 1;
-                            if let Some(progress) = &spec.progress {
-                                progress(done_count, nblocks);
-                            }
-                        }
-                        if let Some(n) = spec.chaos_kill_after {
-                            if first && !chaos_killed && worker_done >= n {
-                                chaos_killed = true;
-                                bury(&mut report, &mut pending, &mut fleet, worker);
-                                continue;
-                            }
-                        }
-                        if let Some(n) = spec.chaos_stop_after {
-                            if done_count >= n as usize && done_count < nblocks {
-                                for (_, st) in fleet.iter_mut() {
-                                    st.link.kill();
-                                }
-                                return Err(format!(
-                                    "aborted by --chaos-stop-after {n}: {done_count}/{nblocks} \
-                                     blocks checkpointed in {:?}",
-                                    spec.state_dir
-                                ));
-                            }
-                        }
-                        let st = fleet.get_mut(&worker).expect("still here");
-                        assign(&mut report, &mut writer, &mut pending, &blocks, &done, st, worker)?;
-                    }
-                    EventKind::Frame(Msg::Bye { .. }) => {
-                        // Clean exits only happen after Shutdown, which is
-                        // only sent after all blocks are done.
-                        fleet.remove(&worker);
-                    }
-                    EventKind::Frame(other) => {
-                        // A worker speaking coordinator verbs is confused.
-                        let _ = other;
-                        report.corrupt_events += 1;
-                        bury(&mut report, &mut pending, &mut fleet, worker);
-                    }
-                    EventKind::Corrupt(_why) => {
-                        report.corrupt_events += 1;
-                        bury(&mut report, &mut pending, &mut fleet, worker);
-                    }
-                    EventKind::Closed => {
-                        bury(&mut report, &mut pending, &mut fleet, worker);
-                    }
+                    return Err(format!(
+                        "aborted by --chaos-stop-after {n}: {done_count}/{nblocks} \
+                         blocks checkpointed in {:?}",
+                        spec.state_dir
+                    ));
                 }
             }
+            // Clean exits only happen after Shutdown, which is only sent
+            // after all blocks are done.
+            EventKind::Frame(Msg::Bye { .. }) => drop(job.fleet.remove(&worker)),
+            EventKind::Closed => job.bury(worker),
+            // A wrong Hello, a coordinator verb, or bytes that are no frame.
+            EventKind::Frame(_) | EventKind::Corrupt(_) => job.corrupt(worker),
         }
     }
 
-    for (_, st) in fleet.iter_mut() {
+    for st in job.fleet.values_mut() {
         let _ = st.link.send(&Msg::Shutdown);
     }
-    drop(fleet); // kills any worker that ignores the drain
+    drop(job.fleet); // kills any worker that ignores the drain
 
-    // Deterministic merge straight from the spool.
-    let mut parts = Vec::with_capacity(nblocks);
-    for b in 0..nblocks as u32 {
-        let path = spool_path(&spec.state_dir, b);
-        let bytes =
-            std::fs::read(&path).map_err(|e| format!("spool file {path:?} vanished: {e}"))?;
-        parts.push(
-            RouteTableSet::decode(&bytes).map_err(|e| format!("spool file {path:?}: {e}"))?,
-        );
-    }
-    let merged = RouteTableSet::merge(spec.num_nodes, &spec.dests, parts)?;
-    let encoded = merged.encode();
-    write_atomic(&spec.out_path, &encoded)?;
-    report.merged_bytes = encoded.len();
-    report.elapsed = t0.elapsed();
-    Ok(report)
-}
-
-/// Hand the next pending block to an idle worker. A killed worker's block
-/// can get requeued after a twin finished it (kill race); those are
-/// dropped here so a finished block is never re-dispatched.
-fn assign(
-    report: &mut JobReport,
-    writer: &mut ManifestWriter,
-    pending: &mut VecDeque<u32>,
-    blocks: &[std::ops::Range<usize>],
-    done: &[bool],
-    st: &mut WorkerState,
-    worker: u32,
-) -> Result<(), String> {
-    if st.assigned.is_some() {
-        return Ok(());
-    }
-    let block = loop {
-        let Some(block) = pending.pop_front() else { return Ok(()) };
-        if !done[block as usize] {
-            break block;
-        }
-    };
-    writer
-        .dispatch(block, worker)
-        .map_err(|e| format!("cannot append manifest: {e}"))?;
-    report.dispatches += 1;
-    st.assigned = Some(block);
-    let range = &blocks[block as usize];
-    // The send can fail if the worker died between events; the reader
-    // thread's Closed event will then requeue the block.
-    let _ = st.link.send(&Msg::Assign {
-        block,
-        start: range.start as u32,
-        len: range.len() as u32,
-    });
-    Ok(())
+    table.seal(&table_path, &spec.out_path).map_err(table_err)?;
+    job.report.merged_bytes = layout.file_len();
+    job.report.elapsed = t0.elapsed();
+    Ok(job.report)
 }

@@ -4,7 +4,7 @@
 //! One file holds, for a set of destinations, the full per-AS route row
 //! of each: next-hop AS, business-class code, and AS-hop count (the
 //! sentinels and class codes are [`miro_bgp::solver`]'s
-//! `UNROUTED_*`/[`route_class_code`] contract). Layout, all
+//! `UNROUTED_*`/[`route_class_code`](miro_bgp::solver::route_class_code) contract). Layout, all
 //! little-endian:
 //!
 //! ```text
@@ -18,22 +18,159 @@
 //! end-8    whole-file checksum      u64        (FNV-1a of everything above)
 //! ```
 //!
+//! That arithmetic is [`Layout`] and a row's bytes are [`encode_row`]:
+//! this module, the shard worker and coordinator, and `miro-serve`'s mmap
+//! reader all go through them.
+//!
 //! The checksum granularity is the *row* (one destination's columns), not
-//! the dispatch block: dispatch blocking is a runtime knob, and the merged
-//! file must be byte-identical whatever block size, worker count, or
-//! failure history produced it. Rows are stored in the job's canonical
-//! destination order, so [`RouteTableSet::merge`] is order-independent by
-//! construction — it places each partial table's rows by destination id
-//! and encodes once.
+//! the dispatch block: dispatch blocking is a runtime knob, and the
+//! sharded file must be byte-identical whatever block size, worker count,
+//! or failure history produced it. Rows sit in the job's canonical
+//! destination order, so a dispatch block is one contiguous byte range.
 
 use crate::fnv1a;
 use miro_bgp::engine::ScratchPool;
+use miro_bgp::solver::RoutingState;
 use miro_topology::{NodeId, Topology};
 
 /// File magic: "MIRO Route Table".
 pub const TABLE_MAGIC: [u8; 4] = *b"MIRT";
 /// On-disk format version; bump on any layout or encoding change.
 pub const TABLE_FORMAT_VERSION: u32 = 1;
+
+/// The first 8 bytes of `bytes` as a little-endian `u64`.
+pub fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"))
+}
+
+/// Where everything sits in a table file. Exists only for a geometry
+/// whose file length fits `usize`, so the offset getters cannot overflow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Layout {
+    num_nodes: u32,
+    num_dests: u32,
+}
+
+impl Layout {
+    pub fn new(num_nodes: u32, num_dests: u32) -> Result<Layout, String> {
+        let (v, d) = (num_nodes as usize, num_dests as usize);
+        v.checked_mul(7)
+            .and_then(|row| row.checked_mul(d))
+            .and_then(|rows| rows.checked_add(d.checked_mul(12)?))
+            .and_then(|n| n.checked_add(24))
+            .map(|_| Layout { num_nodes, num_dests })
+            .ok_or_else(|| format!("geometry overflow: {num_nodes} nodes x {num_dests} destinations"))
+    }
+
+    /// Read magic, version and geometry off the front of a table file;
+    /// the caller checks the length with [`Layout::check_len`].
+    pub fn parse(bytes: &[u8]) -> Result<Layout, String> {
+        if bytes.len() < 24 {
+            return Err(format!("{} bytes is too short for even an empty RouteTableSet", bytes.len()));
+        }
+        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"));
+        if bytes[..4] != TABLE_MAGIC {
+            return Err("bad magic (not a RouteTableSet)".to_string());
+        }
+        let version = u32_at(4);
+        if version != TABLE_FORMAT_VERSION {
+            return Err(format!(
+                "format version {version}, but this build reads version {TABLE_FORMAT_VERSION}"
+            ));
+        }
+        Layout::new(u32_at(8), u32_at(12))
+    }
+
+    pub fn check_len(&self, len: usize) -> Result<(), String> {
+        let expect = self.file_len();
+        if len != expect {
+            return Err(format!("wrong length: {len} bytes, geometry says {expect}"));
+        }
+        Ok(())
+    }
+
+    pub fn num_nodes(&self) -> u32 {
+        self.num_nodes
+    }
+
+    pub fn num_dests(&self) -> u32 {
+        self.num_dests
+    }
+
+    /// Offset of the per-row checksum table (the destination ids end here).
+    pub fn sums_at(&self) -> usize {
+        16 + 4 * self.num_dests as usize
+    }
+
+    pub fn rows_at(&self) -> usize {
+        16 + 12 * self.num_dests as usize
+    }
+
+    pub fn row_bytes(&self) -> usize {
+        7 * self.num_nodes as usize
+    }
+
+    /// Offset of row `i`; `row_at(num_dests)` is where the trailer starts.
+    pub fn row_at(&self, i: usize) -> usize {
+        self.rows_at() + i * self.row_bytes()
+    }
+
+    pub fn file_len(&self) -> usize {
+        self.row_at(self.num_dests as usize) + 8
+    }
+
+    /// Everything before the checksum table, destination ids included.
+    pub fn header(&self, dests: &[NodeId]) -> Vec<u8> {
+        assert_eq!(dests.len(), self.num_dests as usize, "one id per row");
+        let mut out = Vec::with_capacity(self.sums_at());
+        out.extend_from_slice(&TABLE_MAGIC);
+        for word in [TABLE_FORMAT_VERSION, self.num_nodes, self.num_dests].iter().chain(dests) {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+}
+
+/// Serialise one row's columns into `out` (exactly `7 × next.len()`
+/// bytes) and return the row's FNV-1a — the one row serialiser.
+pub fn encode_row(next: &[u32], hops: &[u16], class: &[u8], out: &mut [u8]) -> u64 {
+    let v = next.len();
+    assert!(hops.len() == v && class.len() == v && out.len() == 7 * v, "row columns sized alike");
+    let (next_out, rest) = out.split_at_mut(4 * v);
+    let (hops_out, class_out) = rest.split_at_mut(2 * v);
+    for (cell, x) in next_out.chunks_exact_mut(4).zip(next) {
+        cell.copy_from_slice(&x.to_le_bytes());
+    }
+    for (cell, x) in hops_out.chunks_exact_mut(2).zip(hops) {
+        cell.copy_from_slice(&x.to_le_bytes());
+    }
+    class_out.copy_from_slice(class);
+    fnv1a(out)
+}
+
+/// One solved destination's columns, extracted from its routing state.
+fn columns(state: &RoutingState<'_>) -> (Vec<u32>, Vec<u16>, Vec<u8>) {
+    let v = state.topology().num_nodes();
+    let (mut next, mut hops, mut class) = (vec![0u32; v], vec![0u16; v], vec![0u8; v]);
+    state.write_table_row(&mut next, &mut hops, &mut class);
+    (next, hops, class)
+}
+
+/// Solve `dests` and serialise each row once: `(row bytes, row FNV-1a)`
+/// in order — a shard worker's block, against one `pool` for the whole job.
+pub fn solve_rows(
+    topo: &Topology,
+    dests: &[NodeId],
+    threads: usize,
+    pool: &ScratchPool,
+) -> Vec<(Vec<u8>, u64)> {
+    pool.over_dests(topo, dests, threads, |_, wi| {
+        let (next, hops, class) = columns(wi.base());
+        let mut row = vec![0u8; 7 * next.len()];
+        let sum = encode_row(&next, &hops, &class, &mut row);
+        (row, sum)
+    })
+}
 
 /// Whole-table solve results for a set of destinations, columnar per
 /// destination. Row `i` covers `dests[i]`; within a row, index `x` is the
@@ -64,26 +201,9 @@ impl RouteTableSet {
     /// Solve every destination and extract its row — the single-process
     /// reference the sharded service must reproduce byte for byte.
     pub fn from_solves(topo: &Topology, dests: &[NodeId], threads: usize) -> RouteTableSet {
-        let pool = ScratchPool::for_nodes(topo.num_nodes());
-        RouteTableSet::from_solves_pooled(topo, dests, threads, &pool)
-    }
-
-    /// [`RouteTableSet::from_solves`] drawing per-thread solve arenas
-    /// from `pool` — the workhorse each shard worker runs on its blocks,
-    /// where one pool spans every block of a job so the steady state
-    /// allocates no scratch at all.
-    pub fn from_solves_pooled(
-        topo: &Topology,
-        dests: &[NodeId],
-        threads: usize,
-        pool: &ScratchPool,
-    ) -> RouteTableSet {
         let v = topo.num_nodes();
-        let rows = pool.over_dests(topo, dests, threads, |_, wi| {
-            let (mut next, mut hops, mut class) = (vec![0u32; v], vec![0u16; v], vec![0u8; v]);
-            wi.base().write_table_row(&mut next, &mut hops, &mut class);
-            (next, hops, class)
-        });
+        let rows = ScratchPool::for_nodes(v)
+            .over_dests(topo, dests, threads, |_, wi| columns(wi.base()));
         let mut set = RouteTableSet::with_dests(v as u32, dests.to_vec());
         for (i, (next, hops, class)) in rows.into_iter().enumerate() {
             set.set_row(i, &next, &hops, &class);
@@ -116,133 +236,56 @@ impl RouteTableSet {
     /// Serialize. The output is a pure function of the logical content:
     /// same destinations + same rows ⇒ same bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let v = self.num_nodes as usize;
-        let d = self.dests.len();
-        let row_bytes = 7 * v;
-        let mut out = Vec::with_capacity(16 + 12 * d + d * row_bytes + 8);
-        out.extend_from_slice(&TABLE_MAGIC);
-        out.extend_from_slice(&TABLE_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.num_nodes.to_le_bytes());
-        out.extend_from_slice(&(d as u32).to_le_bytes());
-        for &dest in &self.dests {
-            out.extend_from_slice(&dest.to_le_bytes());
+        let layout = Layout::new(self.num_nodes, self.dests.len() as u32)
+            .expect("a table held in memory has a geometry that fits");
+        let mut out = layout.header(&self.dests);
+        out.resize(layout.file_len(), 0);
+        let (head, rows) = out.split_at_mut(layout.rows_at());
+        for i in 0..self.dests.len() {
+            let (next, hops, class) = self.row(i);
+            let at = i * layout.row_bytes();
+            let sum = encode_row(next, hops, class, &mut rows[at..at + layout.row_bytes()]);
+            head[layout.sums_at() + 8 * i..][..8].copy_from_slice(&sum.to_le_bytes());
         }
-        // Checksum table placeholder; filled after the rows are written.
-        let sums_at = out.len();
-        out.resize(out.len() + 8 * d, 0);
-        for i in 0..d {
-            let row_at = out.len();
-            for x in i * v..(i + 1) * v {
-                out.extend_from_slice(&self.next[x].to_le_bytes());
-            }
-            for x in i * v..(i + 1) * v {
-                out.extend_from_slice(&self.hops[x].to_le_bytes());
-            }
-            out.extend_from_slice(&self.class[i * v..(i + 1) * v]);
-            let sum = fnv1a(&out[row_at..]).to_le_bytes();
-            out[sums_at + 8 * i..sums_at + 8 * (i + 1)].copy_from_slice(&sum);
-        }
-        let total = fnv1a(&out);
-        out.extend_from_slice(&total.to_le_bytes());
+        let end = out.len() - 8;
+        let total = fnv1a(&out[..end]);
+        out[end..].copy_from_slice(&total.to_le_bytes());
         out
     }
 
     /// Parse and fully verify an encoded table: magic, version, geometry,
     /// the whole-file checksum, and every per-row checksum.
     pub fn decode(bytes: &[u8]) -> Result<RouteTableSet, String> {
-        let rd = |at: usize, n: usize| -> Result<&[u8], String> {
-            bytes.get(at..at + n).ok_or_else(|| format!("truncated at byte {at}"))
-        };
-        let u32_at = |at: usize| -> Result<u32, String> {
-            Ok(u32::from_le_bytes(rd(at, 4)?.try_into().unwrap()))
-        };
-        if rd(0, 4)? != TABLE_MAGIC {
-            return Err("bad magic (not a RouteTableSet)".to_string());
-        }
-        let version = u32_at(4)?;
-        if version != TABLE_FORMAT_VERSION {
-            return Err(format!(
-                "table format version {version}, but this build reads version {TABLE_FORMAT_VERSION}"
-            ));
-        }
-        let v = u32_at(8)? as usize;
-        let d = u32_at(12)? as usize;
-        let row_bytes = 7 * v;
-        let expect = 16 + 12 * d + d * row_bytes + 8;
-        if bytes.len() != expect {
-            return Err(format!("wrong length: {} bytes, geometry says {expect}", bytes.len()));
-        }
-        let total = u64::from_le_bytes(bytes[expect - 8..].try_into().unwrap());
-        if fnv1a(&bytes[..expect - 8]) != total {
+        let layout = Layout::parse(bytes)?;
+        layout.check_len(bytes.len())?;
+        let end = bytes.len() - 8;
+        if fnv1a(&bytes[..end]) != le_u64(&bytes[end..]) {
             return Err("whole-file checksum mismatch".to_string());
         }
-        let mut dests = Vec::with_capacity(d);
-        for i in 0..d {
-            dests.push(u32_at(16 + 4 * i)?);
-        }
-        let sums_at = 16 + 4 * d;
-        let rows_at = 16 + 12 * d;
-        let mut set = RouteTableSet::with_dests(v as u32, dests);
-        for i in 0..d {
-            let row = &bytes[rows_at + i * row_bytes..rows_at + (i + 1) * row_bytes];
-            let want = u64::from_le_bytes(bytes[sums_at + 8 * i..sums_at + 8 * (i + 1)].try_into().unwrap());
-            if fnv1a(row) != want {
+        let u32_of = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("four bytes"));
+        let v = layout.num_nodes() as usize;
+        let dests = bytes[16..layout.sums_at()].chunks_exact(4).map(u32_of).collect();
+        let mut set = RouteTableSet::with_dests(layout.num_nodes(), dests);
+        for i in 0..set.dests.len() {
+            let row = &bytes[layout.row_at(i)..layout.row_at(i + 1)];
+            if fnv1a(row) != le_u64(&bytes[layout.sums_at() + 8 * i..]) {
                 return Err(format!("row {i} checksum mismatch"));
             }
-            for x in 0..v {
-                set.next[i * v + x] = u32::from_le_bytes(row[4 * x..4 * x + 4].try_into().unwrap());
+            for (cell, c) in set.next[i * v..(i + 1) * v].iter_mut().zip(row.chunks_exact(4)) {
+                *cell = u32_of(c);
             }
-            let hops_at = 4 * v;
-            for x in 0..v {
-                set.hops[i * v + x] =
-                    u16::from_le_bytes(row[hops_at + 2 * x..hops_at + 2 * x + 2].try_into().unwrap());
+            for (cell, c) in set.hops[i * v..(i + 1) * v].iter_mut().zip(row[4 * v..].chunks_exact(2)) {
+                *cell = u16::from_le_bytes(c.try_into().expect("two bytes"));
             }
             set.class[i * v..(i + 1) * v].copy_from_slice(&row[6 * v..]);
         }
         Ok(set)
-    }
-
-    /// Assemble partial tables (one per completed dispatch block, in any
-    /// order) into the full table over `dests`. Every destination must be
-    /// covered exactly once and every partial must share `num_nodes`.
-    pub fn merge(
-        num_nodes: u32,
-        dests: &[NodeId],
-        parts: impl IntoIterator<Item = RouteTableSet>,
-    ) -> Result<RouteTableSet, String> {
-        let index: std::collections::HashMap<NodeId, usize> =
-            dests.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-        let mut out = RouteTableSet::with_dests(num_nodes, dests.to_vec());
-        let mut filled = vec![false; dests.len()];
-        for part in parts {
-            if part.num_nodes != num_nodes {
-                return Err(format!(
-                    "partial table solved over {} nodes, job has {num_nodes}",
-                    part.num_nodes
-                ));
-            }
-            for (j, &dest) in part.dests.iter().enumerate() {
-                let &i = index
-                    .get(&dest)
-                    .ok_or_else(|| format!("partial table covers unknown destination {dest}"))?;
-                if std::mem::replace(&mut filled[i], true) {
-                    return Err(format!("destination {dest} covered twice"));
-                }
-                let (next, hops, class) = part.row(j);
-                out.set_row(i, next, hops, class);
-            }
-        }
-        if let Some(i) = filled.iter().position(|&f| !f) {
-            return Err(format!("destination {} missing from every partial table", dests[i]));
-        }
-        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use miro_bgp::solver::RoutingState;
     use miro_topology::GenParams;
 
     fn sample() -> (Topology, RouteTableSet) {
@@ -302,25 +345,27 @@ mod tests {
         assert!(RouteTableSet::decode(&bad).unwrap_err().contains("version"));
     }
 
+    /// `Layout` + `encode_row` + `solve_rows` rebuild `encode`'s bytes
+    /// piece by piece — what the worker and coordinator do between them.
     #[test]
-    fn merge_is_order_independent_and_strict() {
-        let (t, whole) = sample();
-        let dests = whole.dests().to_vec();
-        let mk = |range: std::ops::Range<usize>| {
-            RouteTableSet::from_solves(&t, &dests[range], 1)
-        };
-        let (a, b, c) = (mk(0..5), mk(5..6), mk(6..12));
-        let v = t.num_nodes() as u32;
-        let m1 = RouteTableSet::merge(v, &dests, [a.clone(), b.clone(), c.clone()]).unwrap();
-        let m2 = RouteTableSet::merge(v, &dests, [c.clone(), a.clone(), b.clone()]).unwrap();
-        assert_eq!(m1.encode(), whole.encode());
-        assert_eq!(m2.encode(), whole.encode());
+    fn layout_and_row_serialiser_reproduce_encode() {
+        let (t, set) = sample();
+        let bytes = set.encode();
+        let layout = Layout::parse(&bytes).expect("header parses");
+        assert_eq!(layout, Layout::new(set.num_nodes(), 12).unwrap());
+        layout.check_len(bytes.len()).unwrap();
+        assert!(layout.check_len(bytes.len() - 1).unwrap_err().contains("wrong length"));
+        assert_eq!(&bytes[..layout.sums_at()], &layout.header(set.dests())[..]);
+        assert_eq!(layout.row_at(12) + 8, layout.file_len());
 
-        let err = RouteTableSet::merge(v, &dests, [a.clone(), c.clone()]).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
-        let err = RouteTableSet::merge(v, &dests, [a.clone(), a.clone(), b, c]).unwrap_err();
-        assert!(err.contains("covered twice"), "{err}");
-        let err = RouteTableSet::merge(v + 1, &dests, [a]).unwrap_err();
-        assert!(err.contains("nodes"), "{err}");
+        let pool = ScratchPool::for_nodes(t.num_nodes());
+        for (i, (row, sum)) in solve_rows(&t, set.dests(), 2, &pool).iter().enumerate() {
+            assert_eq!(&bytes[layout.row_at(i)..layout.row_at(i + 1)], &row[..]);
+            assert_eq!(le_u64(&bytes[layout.sums_at() + 8 * i..]), *sum);
+            assert_eq!(fnv1a(row), *sum);
+        }
+        // Geometry that cannot be a file is refused, not wrapped.
+        assert!(Layout::new(u32::MAX, u32::MAX).unwrap_err().contains("overflow"));
+        assert!(Layout::parse(&bytes[..20]).unwrap_err().contains("too short"));
     }
 }

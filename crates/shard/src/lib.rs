@@ -9,11 +9,13 @@
 //! The shape is deliberately boring: a coordinator partitions the
 //! destination space into fixed-size blocks ([`miro_bgp::engine::dest_blocks`]),
 //! spawns N worker subprocesses, and speaks a small length-prefixed
-//! framed protocol ([`protocol`]) over each worker's stdin/stdout. Every
-//! completed block lands in a spool directory and is recorded in an
-//! append-only [`manifest`]; the final merge assembles the spool into one
-//! columnar [`format::RouteTableSet`] whose bytes are identical no matter
-//! how many blocks, workers, or worker deaths the run saw.
+//! framed protocol ([`protocol`]) over each worker's stdin/stdout. Row
+//! bytes never travel over it: the coordinator pre-sizes the final
+//! columnar [`format::RouteTableSet`] file as `<out>.partial`, a worker
+//! writes its block's rows straight into the block's slice of it and
+//! reports only their checksums, and the coordinator re-hashes the slice
+//! before recording the block in the append-only [`manifest`]. The file's
+//! bytes are identical whatever blocks, workers, or deaths the run saw.
 //!
 //! Robustness is first-class, not bolted on:
 //!
@@ -22,11 +24,12 @@
 //!   respawn budget lasts;
 //! * a worker that **hangs** past the heartbeat deadline is killed and
 //!   treated as crashed;
-//! * a worker that returns a **corrupt frame** (checksum mismatch) or a
-//!   block that fails validation is killed and treated as crashed;
+//! * a worker that sends a **corrupt frame** or reports a block whose
+//!   bytes in the file do not hash to the checksums it reported (never
+//!   written, torn) is killed and treated as crashed;
 //! * a coordinator that dies mid-run leaves a valid manifest behind —
-//!   `--resume` re-verifies every checkpointed block against its spool
-//!   file and re-dispatches only what is missing.
+//!   `--resume` re-verifies every checkpointed block inside
+//!   `<out>.partial` and re-dispatches only what is missing.
 
 pub mod coordinator;
 pub mod format;
@@ -37,12 +40,19 @@ pub mod worker;
 use miro_topology::gen::DatasetPreset;
 use miro_topology::{NodeId, Topology};
 
-/// 64-bit FNV-1a: the checksum used by the wire frames, the spool
+/// 64-bit FNV-1a: the checksum used by the wire frames, the resume
 /// manifest, and the route-table format. Not cryptographic — it guards
 /// against truncation, bit rot, and torn writes, which is what a batch
 /// service on one machine actually faces.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// The FNV-1a state before any byte.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue a running FNV-1a, to hash a file through a bounded buffer.
+pub fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -69,16 +79,11 @@ pub fn sample_dests(num_nodes: usize, sample: usize) -> Vec<NodeId> {
 /// 350k-edge graph through a pipe.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TopoSpec {
-    /// A generated preset: name as accepted by [`parse_preset`], scale
-    /// factor, and seed.
+    /// A generated preset — name as [`DatasetPreset`] parses it, i.e. as
+    /// spelled on the `miro` command line — scale factor, and seed.
     Preset { preset: String, factor: f64, seed: u64 },
     /// A `miro ingest` JSON cache on disk.
     Cache { path: String },
-}
-
-/// Preset names as spelled on the `miro` command line.
-pub fn parse_preset(name: &str) -> Result<DatasetPreset, String> {
-    name.parse()
 }
 
 impl TopoSpec {
@@ -86,7 +91,7 @@ impl TopoSpec {
     pub fn build(&self) -> Result<Topology, String> {
         match self {
             TopoSpec::Preset { preset, factor, seed } => {
-                Ok(parse_preset(preset)?.params(*factor, *seed).generate())
+                Ok(preset.parse::<DatasetPreset>()?.params(*factor, *seed).generate())
             }
             TopoSpec::Cache { path } => {
                 let json = std::fs::read_to_string(path)
@@ -128,6 +133,7 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"miro"), fnv1a(b"miro"));
         assert_ne!(fnv1a(b"miro"), fnv1a(b"mirp"));
+        assert_eq!(fnv1a_from(fnv1a(b"mi"), b"ro"), fnv1a(b"miro"));
     }
 
     #[test]

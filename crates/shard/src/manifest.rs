@@ -1,4 +1,6 @@
-//! The append-only checkpoint manifest that makes a shard job resumable.
+//! The append-only resume journal that makes a shard job resumable. It
+//! holds no row data — that lives only in the table file
+//! (`<out>.partial` until the job completes).
 //!
 //! The coordinator appends one line per event, flushing after each, so
 //! the on-disk state is never more than one torn line behind reality:
@@ -6,34 +8,36 @@
 //! ```text
 //! H <manifest_version> <table_format> <nodes> <edges> <dests> <block_size> <dests_fnv>
 //! D <block> <worker>                  block dispatched to worker
-//! C <block> <bytes> <checksum>        block's spool file fully written
+//! C <block> <bytes> <checksum>        block's rows verified in the table file
 //! ```
 //!
 //! `D` lines are the block-execution counters: a block dispatched twice
 //! (worker death, deadline kill, corrupt result) has two `D` lines, and a
 //! resumed run adds `D` lines only for blocks it actually re-runs — which
 //! is how the resume tests *prove* finished work is skipped. A `C` line
-//! is written only after the block's spool file is atomically in place;
-//! on resume every `C` claim is re-verified against the spool before the
-//! block is trusted.
+//! (`bytes` of rows, `checksum` = FNV-1a of the block's slice of the
+//! file's per-row checksum table) is written only after the coordinator
+//! has re-hashed the block's rows in the file and stored their checksums
+//! there; on resume every `C` claim is re-verified the same way — line
+//! against checksum slice, slice against rows — before it is trusted.
 //!
 //! A torn final line (coordinator killed mid-append) is expected and
 //! ignored; a malformed line anywhere *else* means the file is not a
 //! manifest, and the job refuses to trust it.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
 /// Manifest schema revision.
-pub const MANIFEST_VERSION: u32 = 1;
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// Everything that must match for a manifest to be resumable into a job:
-/// the table format it spooled, the topology's shape, and the exact
+/// the table format it writes, the topology's shape, and the exact
 /// destination partition. `dests_fnv` fingerprints the canonical
 /// destination list (ids in order), so a job resumed with a different
-/// sample or block size is rejected instead of merged wrong.
+/// sample or block size is rejected instead of resumed wrong.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobFingerprint {
     pub table_format: u32,
@@ -72,22 +76,19 @@ pub struct ManifestWriter {
 }
 
 impl ManifestWriter {
-    /// Start a fresh manifest (truncating any previous one) with the
-    /// job's header line.
-    pub fn create(path: &Path, job: &JobFingerprint) -> std::io::Result<ManifestWriter> {
-        let mut file = File::create(path)?;
-        writeln!(
-            file,
-            "H {MANIFEST_VERSION} {} {} {} {} {} {}",
-            job.table_format, job.num_nodes, job.num_edges, job.num_dests, job.block_size, job.dests_fnv
-        )?;
-        file.flush()?;
+    /// Reopen an existing manifest for appending when `resume`; else
+    /// start a fresh one (truncating any previous) with `job`'s header line.
+    pub fn open(path: &Path, job: &JobFingerprint, resume: bool) -> std::io::Result<ManifestWriter> {
+        let mut file = File::options().create(!resume).append(resume).write(true).truncate(!resume).open(path)?;
+        if !resume {
+            writeln!(
+                file,
+                "H {MANIFEST_VERSION} {} {} {} {} {} {}",
+                job.table_format, job.num_nodes, job.num_edges, job.num_dests, job.block_size, job.dests_fnv
+            )?;
+            file.flush()?;
+        }
         Ok(ManifestWriter { file })
-    }
-
-    /// Reopen an existing manifest for appending (resume).
-    pub fn append(path: &Path) -> std::io::Result<ManifestWriter> {
-        Ok(ManifestWriter { file: OpenOptions::new().append(true).open(path)? })
     }
 
     /// Record a block assignment — one execution attempt.
@@ -96,7 +97,7 @@ impl ManifestWriter {
         self.file.flush()
     }
 
-    /// Record a block whose spool file is durably in place.
+    /// Record a block whose rows and checksums are verified in the table file.
     pub fn complete(&mut self, block: u32, bytes: u64, checksum: u64) -> std::io::Result<()> {
         writeln!(self.file, "C {block} {bytes} {checksum}")?;
         self.file.flush()
@@ -109,7 +110,7 @@ pub struct ManifestState {
     pub job: JobFingerprint,
     /// Execution attempts per block (count of `D` lines).
     pub dispatches: HashMap<u32, u32>,
-    /// Completed blocks: `block → (spool bytes, spool checksum)`.
+    /// Completed blocks: `block → (row bytes, checksum of the row checksums)`.
     pub completed: HashMap<u32, (u64, u64)>,
     /// Whether a torn trailing line was discarded.
     pub torn_tail: bool,
@@ -208,7 +209,7 @@ mod tests {
     #[test]
     fn events_round_trip_with_attempt_counters() {
         let path = tmp("miro_shard_manifest_rt.log");
-        let mut w = ManifestWriter::create(&path, &fp()).unwrap();
+        let mut w = ManifestWriter::open(&path, &fp(), false).unwrap();
         w.dispatch(0, 0).unwrap();
         w.dispatch(1, 1).unwrap();
         w.complete(0, 100, 7).unwrap();
@@ -217,7 +218,7 @@ mod tests {
         w.complete(1, 100, 8).unwrap();
         drop(w);
         // Appending after reopen (resume) keeps prior state.
-        let mut w = ManifestWriter::append(&path).unwrap();
+        let mut w = ManifestWriter::open(&path, &fp(), true).unwrap();
         w.dispatch(2, 0).unwrap();
         w.complete(2, 90, 9).unwrap();
         drop(w);
@@ -235,12 +236,12 @@ mod tests {
     #[test]
     fn torn_tail_is_ignored_but_interior_garbage_is_not() {
         let path = tmp("miro_shard_manifest_torn.log");
-        let mut w = ManifestWriter::create(&path, &fp()).unwrap();
+        let mut w = ManifestWriter::open(&path, &fp(), false).unwrap();
         w.complete(0, 10, 1).unwrap();
         drop(w);
         // Simulate a coordinator killed mid-append: partial line, no newline.
         use std::io::Write as _;
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        let mut f = File::options().append(true).open(&path).unwrap();
         f.write_all(b"C 1 55").unwrap();
         drop(f);
         let st = read(&path).unwrap();
@@ -248,12 +249,12 @@ mod tests {
         assert_eq!(st.completed.len(), 1, "torn completion is not trusted");
 
         // Garbage with more lines after it is corruption, not a torn tail.
-        std::fs::write(&path, "H 1 1 209 430 209 16 5\nwhat even\nC 0 10 1\n").unwrap();
+        std::fs::write(&path, "H 2 1 209 430 209 16 5\nwhat even\nC 0 10 1\n").unwrap();
         let err = read(&path).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
 
         // A complete (newline-terminated) garbage last line is also corruption.
-        std::fs::write(&path, "H 1 1 209 430 209 16 5\nC 0 10 1\nnope\n").unwrap();
+        std::fs::write(&path, "H 2 1 209 430 209 16 5\nC 0 10 1\nnope\n").unwrap();
         assert!(read(&path).is_err());
     }
 

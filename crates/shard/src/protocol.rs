@@ -28,11 +28,10 @@ use crate::fnv1a;
 use std::io::{Read, Write};
 
 /// Protocol revision spoken in [`Msg::Hello`]; both sides must agree.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
-/// Largest acceptable payload: a block result is the dominant frame, and
-/// 256 MiB of columnar rows is ~38k destinations of a 70k-AS table —
-/// far above any sane block size.
+/// Largest acceptable payload, far above anything either protocol built
+/// on this framing sends.
 pub const MAX_FRAME: u32 = 256 << 20;
 
 /// One protocol message.
@@ -46,8 +45,12 @@ pub enum Msg {
     /// Worker → coordinator, periodically: still alive; `block` is the
     /// assignment in progress (`u32::MAX` when idle).
     Heartbeat { worker: u32, block: u32 },
-    /// Worker → coordinator: one completed block, as an encoded
-    /// [`crate::format::RouteTableSet`] restricted to the block's dests.
+    /// Coordinator → worker, once after `Hello`: the pre-sized table file
+    /// the worker writes its blocks' rows into.
+    Output { path: String },
+    /// Worker → coordinator: the block's rows are in the table file;
+    /// `table` is their checksum table, one little-endian FNV-1a `u64`
+    /// per row (any other length is corrupt).
     BlockResult { block: u32, table: Vec<u8> },
     /// Coordinator → worker: drain and exit.
     Shutdown,
@@ -82,16 +85,13 @@ const KIND_HEARTBEAT: u8 = 3;
 const KIND_BLOCK_RESULT: u8 = 4;
 const KIND_SHUTDOWN: u8 = 5;
 const KIND_BYE: u8 = 6;
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+const KIND_OUTPUT: u8 = 7;
 
 /// Wrap an opaque payload as a frame: `u32` length, the payload, an
 /// FNV-1a trailer. The message-set-agnostic half of the codec.
 pub fn encode_raw_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + payload.len());
-    push_u32(&mut out, payload.len() as u32);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     out.extend_from_slice(&fnv1a(payload).to_le_bytes());
     out
@@ -129,38 +129,22 @@ pub fn read_raw_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
 
 /// Serialize one message as a frame.
 pub fn encode_frame(msg: &Msg) -> Vec<u8> {
-    let mut payload = Vec::new();
+    // A kind byte, then little-endian words, then the variable tail.
+    let payload = |kind: u8, words: &[u32], tail: &[u8]| {
+        let mut out = vec![kind];
+        out.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        out.extend_from_slice(tail);
+        encode_raw_frame(&out)
+    };
     match msg {
-        Msg::Hello { protocol, worker } => {
-            payload.push(KIND_HELLO);
-            push_u32(&mut payload, *protocol);
-            push_u32(&mut payload, *worker);
-        }
-        Msg::Assign { block, start, len } => {
-            payload.push(KIND_ASSIGN);
-            push_u32(&mut payload, *block);
-            push_u32(&mut payload, *start);
-            push_u32(&mut payload, *len);
-        }
-        Msg::Heartbeat { worker, block } => {
-            payload.push(KIND_HEARTBEAT);
-            push_u32(&mut payload, *worker);
-            push_u32(&mut payload, *block);
-        }
-        Msg::BlockResult { block, table } => {
-            payload.reserve(5 + table.len());
-            payload.push(KIND_BLOCK_RESULT);
-            push_u32(&mut payload, *block);
-            payload.extend_from_slice(table);
-        }
-        Msg::Shutdown => payload.push(KIND_SHUTDOWN),
-        Msg::Bye { worker, blocks_done } => {
-            payload.push(KIND_BYE);
-            push_u32(&mut payload, *worker);
-            push_u32(&mut payload, *blocks_done);
-        }
+        Msg::Hello { protocol, worker } => payload(KIND_HELLO, &[*protocol, *worker], &[]),
+        Msg::Assign { block, start, len } => payload(KIND_ASSIGN, &[*block, *start, *len], &[]),
+        Msg::Heartbeat { worker, block } => payload(KIND_HEARTBEAT, &[*worker, *block], &[]),
+        Msg::Output { path } => payload(KIND_OUTPUT, &[], path.as_bytes()),
+        Msg::BlockResult { block, table } => payload(KIND_BLOCK_RESULT, &[*block], table),
+        Msg::Shutdown => payload(KIND_SHUTDOWN, &[], &[]),
+        Msg::Bye { worker, blocks_done } => payload(KIND_BYE, &[*worker, *blocks_done], &[]),
     }
-    encode_raw_frame(&payload)
 }
 
 /// Write one message as a frame and flush (frames carry control flow, so
@@ -189,12 +173,6 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], start_of_frame: bool) -> Res
     Ok(())
 }
 
-fn body_u32(body: &[u8], at: usize) -> Result<u32, FrameError> {
-    body.get(at..at + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        .ok_or_else(|| FrameError::Corrupt("short body".to_string()))
-}
-
 /// Read one message. Blocks until a full frame (or EOF) arrives.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Msg, FrameError> {
     decode_payload(&read_raw_frame(r)?)
@@ -207,42 +185,28 @@ pub fn decode_payload(payload: &[u8]) -> Result<Msg, FrameError> {
         return Err(FrameError::Corrupt("zero-length payload".to_string()));
     }
     let (kind, body) = (payload[0], &payload[1..]);
-    let fixed = |want: usize| -> Result<(), FrameError> {
-        (body.len() == want)
-            .then_some(())
-            .ok_or_else(|| FrameError::Corrupt(format!("kind {kind}: bad body length")))
+    // The body as exactly `n` little-endian words.
+    let words = |n: usize| -> Result<Vec<u32>, FrameError> {
+        if body.len() != 4 * n {
+            return Err(FrameError::Corrupt(format!("kind {kind}: bad body length")));
+        }
+        Ok(body.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().expect("four bytes"))).collect())
     };
     match kind {
-        KIND_HELLO => {
-            fixed(8)?;
-            Ok(Msg::Hello { protocol: body_u32(body, 0)?, worker: body_u32(body, 4)? })
-        }
-        KIND_ASSIGN => {
-            fixed(12)?;
-            Ok(Msg::Assign {
-                block: body_u32(body, 0)?,
-                start: body_u32(body, 4)?,
-                len: body_u32(body, 8)?,
-            })
-        }
-        KIND_HEARTBEAT => {
-            fixed(8)?;
-            Ok(Msg::Heartbeat { worker: body_u32(body, 0)?, block: body_u32(body, 4)? })
-        }
-        KIND_BLOCK_RESULT => {
-            if body.len() < 4 {
-                return Err(FrameError::Corrupt("block result without header".to_string()));
+        KIND_HELLO => words(2).map(|w| Msg::Hello { protocol: w[0], worker: w[1] }),
+        KIND_ASSIGN => words(3).map(|w| Msg::Assign { block: w[0], start: w[1], len: w[2] }),
+        KIND_HEARTBEAT => words(2).map(|w| Msg::Heartbeat { worker: w[0], block: w[1] }),
+        KIND_OUTPUT => String::from_utf8(body.to_vec())
+            .map(|path| Msg::Output { path })
+            .map_err(|_| FrameError::Corrupt("output path is not UTF-8".to_string())),
+        KIND_BLOCK_RESULT => match body.split_first_chunk::<4>() {
+            Some((block, table)) => {
+                Ok(Msg::BlockResult { block: u32::from_le_bytes(*block), table: table.to_vec() })
             }
-            Ok(Msg::BlockResult { block: body_u32(body, 0)?, table: body[4..].to_vec() })
-        }
-        KIND_SHUTDOWN => {
-            fixed(0)?;
-            Ok(Msg::Shutdown)
-        }
-        KIND_BYE => {
-            fixed(8)?;
-            Ok(Msg::Bye { worker: body_u32(body, 0)?, blocks_done: body_u32(body, 4)? })
-        }
+            None => Err(FrameError::Corrupt("block result without header".to_string())),
+        },
+        KIND_SHUTDOWN => words(0).map(|_| Msg::Shutdown),
+        KIND_BYE => words(2).map(|w| Msg::Bye { worker: w[0], blocks_done: w[1] }),
         other => Err(FrameError::Corrupt(format!("unknown message kind {other}"))),
     }
 }
@@ -256,6 +220,7 @@ mod tests {
             Msg::Hello { protocol: PROTOCOL_VERSION, worker: 3 },
             Msg::Assign { block: 7, start: 448, len: 64 },
             Msg::Heartbeat { worker: 3, block: u32::MAX },
+            Msg::Output { path: "/tmp/table.mirt.partial".to_string() },
             Msg::BlockResult { block: 7, table: vec![1, 2, 3, 250, 0, 9] },
             Msg::Shutdown,
             Msg::Bye { worker: 3, blocks_done: 12 },

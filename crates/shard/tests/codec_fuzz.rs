@@ -13,9 +13,10 @@ use miro_shard::protocol::{
 use proptest::prelude::*;
 use std::io::Cursor;
 
-fn all_msgs(worker: u32, block: u32, table: Vec<u8>) -> Vec<Msg> {
+fn all_msgs(worker: u32, block: u32, table: Vec<u8>, path: String) -> Vec<Msg> {
     vec![
         Msg::Hello { protocol: PROTOCOL_VERSION, worker },
+        Msg::Output { path },
         Msg::Assign { block, start: block.wrapping_mul(64), len: 64 },
         Msg::Heartbeat { worker, block },
         Msg::BlockResult { block, table },
@@ -65,8 +66,9 @@ proptest! {
         worker in any::<u32>(),
         block in any::<u32>(),
         table in proptest::collection::vec(any::<u8>(), 0..80),
+        path in proptest::collection::vec(any::<u8>(), 0..40),
     ) {
-        let msgs = all_msgs(worker, block, table);
+        let msgs = all_msgs(worker, block, table, String::from_utf8_lossy(&path).into_owned());
         let mut stream = Vec::new();
         for msg in &msgs {
             write_frame(&mut stream, msg).unwrap();
@@ -81,9 +83,13 @@ proptest! {
     /// One flipped byte anywhere in a frame is caught by the length
     /// check, the FNV trailer, or the payload parser.
     #[test]
-    fn single_byte_flip_is_always_caught(pick in any::<u16>(), flip in 0u8..255) {
+    fn single_byte_flip_is_always_caught(pick in any::<u16>(), flip in 0u8..255, output in any::<bool>()) {
         let flip = flip.wrapping_add(1); // 1..=255: never a no-op flip
-        let frame = encode_frame(&Msg::BlockResult { block: 9, table: vec![5, 0, 250, 17] });
+        let frame = encode_frame(&if output {
+            Msg::Output { path: "/tmp/été/table.mirt.partial".to_string() }
+        } else {
+            Msg::BlockResult { block: 9, table: vec![5, 0, 250, 17] }
+        });
         let mut bad = frame.clone();
         let at = pick as usize % bad.len();
         bad[at] ^= flip;
@@ -110,13 +116,29 @@ proptest! {
 
 #[test]
 fn truncation_at_every_cut_errors_cleanly() {
-    let frame = encode_frame(&Msg::Assign { block: 2, start: 128, len: 64 });
-    for cut in 0..frame.len() {
-        match read_frame(&mut Cursor::new(&frame[..cut])) {
-            Err(FrameError::Eof) => assert!(cut < 4, "Eof mid-frame at cut {cut}"),
-            Err(FrameError::Corrupt(_)) => {}
-            other => panic!("cut {cut}: unexpected {other:?}"),
+    for msg in [
+        Msg::Assign { block: 2, start: 128, len: 64 },
+        Msg::Output { path: "out/table.mirt.partial".to_string() },
+    ] {
+        let frame = encode_frame(&msg);
+        for cut in 0..frame.len() {
+            match read_frame(&mut Cursor::new(&frame[..cut])) {
+                Err(FrameError::Eof) => assert!(cut < 4, "Eof mid-frame at cut {cut}"),
+                Err(FrameError::Corrupt(_)) => {}
+                other => panic!("{msg:?} cut {cut}: unexpected {other:?}"),
+            }
         }
+    }
+}
+
+/// The one variable-length text body: bytes that are not UTF-8 are a
+/// corrupt frame, not a lossy path.
+#[test]
+fn output_path_must_be_utf8() {
+    let payload = [7u8, b'/', 0xFF, 0xFE];
+    match decode_payload(&payload) {
+        Err(FrameError::Corrupt(why)) => assert!(why.contains("UTF-8"), "{why}"),
+        other => panic!("unexpected: {other:?}"),
     }
 }
 

@@ -3,23 +3,28 @@
 //! The fleet runs the *real* [`miro_shard::worker::run`] loop over
 //! in-memory byte pipes, wired into the coordinator through the same
 //! [`Spawner`]/[`WorkerLink`] traits the subprocess spawner uses — so the
-//! dispatch state machine, protocol, manifest, and merge are exercised
-//! end to end without any process spawning. Misbehaving workers
-//! (mid-job death, hangs, garbage frames) are scripted doubles.
+//! dispatch state machine, protocol, manifest, and the shared table file
+//! are exercised end to end without any process spawning. Misbehaving
+//! workers (mid-job death, hangs, garbage frames, lies about what they
+//! wrote) are scripted doubles.
 //!
-//! The headline property (ISSUE 5 satellite): the merged table's bytes
+//! The headline property (ISSUE 5 satellite): the finished table's bytes
 //! are identical to a single-process `par_over_dests` reference no matter
 //! how the destination space is blocked, how many workers run, or whether
-//! one of them dies mid-job.
+//! one of them dies mid-job. The trust boundary (ISSUE 17): workers write
+//! rows into the coordinator's file themselves, so the coordinator
+//! believes a completion only after re-hashing the rows it names.
 
 use miro_shard::coordinator::{self, Event, JobSpec, Spawner, WorkerLink};
-use miro_shard::format::RouteTableSet;
-use miro_shard::protocol::{read_frame, write_frame, FrameError, Msg, PROTOCOL_VERSION};
+use miro_bgp::engine::ScratchPool;
+use miro_shard::format::{solve_rows, Layout, RouteTableSet};
+use miro_shard::protocol::{read_frame, write_frame, Msg, PROTOCOL_VERSION};
 use miro_shard::worker::{self, WorkerConfig};
 use miro_shard::{manifest, sample_dests};
 use miro_topology::{GenParams, NodeId, Topology};
 use proptest::prelude::*;
 use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -80,7 +85,7 @@ impl Read for PipeReader {
 // ---------------------------------------------------------- worker fleet
 
 /// What the n-th spawned worker does with its life.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Behavior {
     /// Run the real worker loop.
     Good,
@@ -92,6 +97,16 @@ enum Behavior {
     Hang,
     /// Say hello, then write garbage bytes instead of a frame.
     Garbage,
+    /// Report the first block done, checksums and all, without writing it.
+    Unwritten,
+    /// Write half of the first block's bytes and report it done.
+    HalfWritten,
+    /// Write the first block, report one checksum too few.
+    WrongLength,
+    /// Go silent like `Hang`, but once killed still write the block and
+    /// report it — a process racing its own SIGKILL while the replacement
+    /// writes the same range.
+    Straggler,
 }
 
 struct LocalSpawner {
@@ -147,49 +162,57 @@ impl WorkerLink for LocalLink {
     }
 }
 
-/// A worker that solves correctly but crashes after `n` blocks.
-fn die_after(
+/// The scripted worker: speaks the protocol like [`worker::run`] (minus
+/// heartbeats) and misbehaves as `behavior` says.
+fn double(
     topo: &Topology,
     dests: &[NodeId],
     worker: u32,
-    n: u32,
+    behavior: Behavior,
     mut input: PipeReader,
     mut output: PipeWriter,
 ) {
+    let layout = Layout::new(topo.num_nodes() as u32, dests.len() as u32).unwrap();
+    let pool = ScratchPool::for_nodes(topo.num_nodes());
     let _ = write_frame(&mut output, &Msg::Hello { protocol: PROTOCOL_VERSION, worker });
+    let mut table = None;
     let mut done = 0;
     loop {
         match read_frame(&mut input) {
+            Ok(Msg::Output { path }) => {
+                table = Some(std::fs::OpenOptions::new().write(true).open(path).unwrap());
+            }
             Ok(Msg::Assign { block, start, len }) => {
-                if done == n {
+                match behavior {
                     // Crash with the assignment in flight: both pipes drop,
                     // the coordinator must requeue this block.
-                    return;
+                    Behavior::DieAfter(n) if done == n => return,
+                    Behavior::Hang => continue,
+                    // Silent until the kill closes stdin.
+                    Behavior::Straggler => while read_frame(&mut input).is_ok() {},
+                    _ => {}
                 }
                 let (start, len) = (start as usize, len as usize);
-                let table = RouteTableSet::from_solves(topo, &dests[start..start + len], 1);
-                if write_frame(&mut output, &Msg::BlockResult { block, table: table.encode() })
-                    .is_err()
-                {
+                let rows = solve_rows(topo, &dests[start..start + len], 1, &pool);
+                let bytes: Vec<u8> = rows.iter().flat_map(|(row, _)| row.iter().copied()).collect();
+                let mut sums: Vec<u8> = rows.iter().flat_map(|(_, sum)| sum.to_le_bytes()).collect();
+                let lying = done == 0;
+                let write = match behavior {
+                    Behavior::Unwritten if lying => 0,
+                    Behavior::HalfWritten if lying => bytes.len() / 2,
+                    _ => bytes.len(),
+                };
+                if behavior == Behavior::WrongLength && lying {
+                    sums.truncate(sums.len() - 8);
+                }
+                let file = table.as_ref().expect("Output precedes Assign");
+                file.write_all_at(&bytes[..write], layout.row_at(start) as u64).unwrap();
+                if write_frame(&mut output, &Msg::BlockResult { block, table: sums }).is_err() {
                     return;
                 }
                 done += 1;
             }
             _ => return,
-        }
-    }
-}
-
-/// A worker that takes an assignment and then never says anything again
-/// (until its stdin is closed by the kill).
-fn hang(worker: u32, mut input: PipeReader, mut output: PipeWriter) {
-    let _ = write_frame(&mut output, &Msg::Hello { protocol: PROTOCOL_VERSION, worker });
-    let _ = read_frame(&mut input); // the assignment
-    loop {
-        match read_frame(&mut input) {
-            Err(FrameError::Eof) => return,
-            Err(_) => return,
-            Ok(_) => {}
         }
     }
 }
@@ -220,9 +243,8 @@ impl Spawner for LocalSpawner {
                     WorkerConfig { worker, threads: 1, heartbeat: Duration::from_millis(20) };
                 let _ = worker::run(&topo, &dests, cfg, stdin_r, stdout_w);
             }
-            Behavior::DieAfter(n) => die_after(&topo, &dests, worker, n, stdin_r, stdout_w),
-            Behavior::Hang => hang(worker, stdin_r, stdout_w),
             Behavior::Garbage => garbage(worker, stdin_r, stdout_w),
+            other => double(&topo, &dests, worker, other, stdin_r, stdout_w),
         });
         std::thread::spawn(move || coordinator::pump_events(worker, stdout_r, &events));
         let arm_after = match behavior {
@@ -265,6 +287,24 @@ fn spec(dests: &[NodeId], topo: &Topology, block_size: usize, workers: usize, di
     }
 }
 
+/// The `.partial` and any file besides the journal in the state dir: a
+/// successful run leaves neither.
+fn leftovers(job: &JobSpec) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(&job.state_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| !p.ends_with("manifest.log"))
+        .collect();
+    found.extend(Some(partial_of(job)).filter(|p| p.exists()));
+    found
+}
+
+fn partial_of(job: &JobSpec) -> PathBuf {
+    let mut name = job.out_path.clone().into_os_string();
+    name.push(".partial");
+    name.into()
+}
+
 // --------------------------------------------------------------- tests
 
 proptest! {
@@ -275,7 +315,7 @@ proptest! {
     /// worker dying mid-job, and an arbitrary `block_order` dispatch
     /// permutation — produce byte-identical output to the unsharded
     /// reference. The fleet runs the real worker loop, so this also pins
-    /// the pooled-scratch solve path ([`RouteTableSet::from_solves_pooled`]).
+    /// the pooled-scratch solve path ([`solve_rows`]).
     #[test]
     fn sharded_solve_bytes_match_unsharded_reference(
         nblocks in (0usize..3).prop_map(|i| [1usize, 2, 8][i]),
@@ -314,6 +354,8 @@ proptest! {
 
         let merged = std::fs::read(&job.out_path).unwrap();
         prop_assert_eq!(&merged, &reference, "merged bytes differ from unsharded reference");
+        prop_assert_eq!(report.merged_bytes, reference.len());
+        prop_assert_eq!(leftovers(&job), Vec::<PathBuf>::new());
         prop_assert_eq!(report.blocks, dests.len().div_ceil(block_size));
         // If the victim was sent its fatal assignment, the job cannot have
         // finished without observing the crash and reassigning the block.
@@ -415,7 +457,7 @@ fn bad_block_order_is_rejected() {
     let dir = fresh_dir("order");
 
     for (order, want) in [
-        (vec![0u32, 1, 2], "block_order lists 3 block(s)"),
+        (vec![0u32, 1, 2], "not a permutation of the job's 4 block ids"),
         (vec![0, 1, 2, 9], "not a permutation"),
         (vec![0, 1, 2, 2], "not a permutation"),
     ] {
@@ -447,5 +489,136 @@ fn resume_rejects_foreign_manifest() {
     let mut spawner = LocalSpawner::new(&topo, &dests, Vec::new());
     let err = coordinator::run(&job, &mut spawner).expect_err("fingerprint mismatch");
     assert!(err.contains("different job"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The trust boundary: a worker that reports a block it never wrote, wrote
+/// half of, or reports with a wrong-length checksum table is caught by the
+/// coordinator's own re-hash (or length check), counted, buried, and the
+/// block is redone by its replacement.
+#[test]
+fn lying_and_torn_writers_are_caught_and_their_blocks_redone() {
+    let topo = Arc::new(GenParams::tiny(29).generate());
+    let dests = Arc::new(sample_dests(topo.num_nodes(), 16));
+    let reference = RouteTableSet::from_solves(&topo, &dests, 2).encode();
+
+    for liar in [Behavior::Unwritten, Behavior::HalfWritten, Behavior::WrongLength] {
+        let dir = fresh_dir("liar");
+        // One worker at a time: the liar is certain to get the first block.
+        let job = spec(&dests, &topo, 4, 1, &dir);
+        let mut spawner = LocalSpawner::new(&topo, &dests, vec![liar]);
+        let report = coordinator::run(&job, &mut spawner).expect("job survives the liar");
+
+        assert_eq!((report.corrupt_events, report.deaths, report.respawns), (1, 1, 1), "{liar:?}");
+        // The bad block runs twice — and so does the block the liar was
+        // handed next, while its rows were still being re-hashed (the
+        // length check needs no hashing, so it fires before that).
+        let redone = if liar == Behavior::WrongLength { 1 } else { 2 };
+        assert_eq!(report.dispatches, report.blocks + redone, "{liar:?}");
+        assert_eq!(std::fs::read(&job.out_path).unwrap(), reference, "{liar:?}");
+        assert_eq!(leftovers(&job), Vec::<PathBuf>::new(), "{liar:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A deadline-killed worker that still gets its write and report out
+/// while the replacement writes the same range: both write the same
+/// bytes, the straggler's report is ignored, the table is correct.
+#[test]
+fn kill_race_twins_leave_correct_bytes() {
+    let topo = Arc::new(GenParams::tiny(31).generate());
+    let dests = Arc::new(sample_dests(topo.num_nodes(), 16));
+    let reference = RouteTableSet::from_solves(&topo, &dests, 2).encode();
+
+    let dir = fresh_dir("twins");
+    let mut job = spec(&dests, &topo, 4, 2, &dir);
+    job.heartbeat_deadline = Duration::from_millis(150);
+    let mut spawner = LocalSpawner::new(&topo, &dests, vec![Behavior::Straggler]);
+    let report = coordinator::run(&job, &mut spawner).expect("job survives the race");
+
+    assert!(report.deadline_kills >= 1, "{report:?}");
+    assert_eq!(report.corrupt_events, 0, "a straggler's late report is not corruption");
+    assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resume trusts a `C` line only as far as the rows in `<out>.partial`
+/// back it up: flip one byte inside a checkpointed block and exactly that
+/// block is solved again.
+#[test]
+fn resume_reruns_a_block_corrupted_in_the_partial_table() {
+    let topo = Arc::new(GenParams::tiny(37).generate());
+    let dests = Arc::new(sample_dests(topo.num_nodes(), 24));
+    let reference = RouteTableSet::from_solves(&topo, &dests, 2).encode();
+
+    let dir = fresh_dir("rot");
+    let mut job = spec(&dests, &topo, 3, 1, &dir);
+    job.chaos_stop_after = Some(3);
+    let mut spawner = LocalSpawner::new(&topo, &dests, Vec::new());
+    coordinator::run(&job, &mut spawner).expect_err("chaos stop aborts the run");
+    assert!(!job.out_path.exists(), "no table under its final name before the job completes");
+
+    let manifest_path = job.state_dir.join("manifest.log");
+    let before = manifest::read(&manifest_path).unwrap();
+    assert_eq!(before.completed.len(), 3);
+    let victim = *before.completed.keys().min().unwrap();
+    let layout = Layout::new(topo.num_nodes() as u32, dests.len() as u32).unwrap();
+    let partial = std::fs::OpenOptions::new().read(true).write(true).open(partial_of(&job)).unwrap();
+    let at = layout.row_at(victim as usize * 3 + 1) as u64 + 5;
+    let mut byte = [0u8];
+    partial.read_exact_at(&mut byte, at).unwrap();
+    partial.write_all_at(&[byte[0] ^ 0x10], at).unwrap();
+    drop(partial);
+
+    job.chaos_stop_after = None;
+    job.resume = true;
+    let mut spawner = LocalSpawner::new(&topo, &dests, Vec::new());
+    let report = coordinator::run(&job, &mut spawner).expect("resume finishes");
+    assert_eq!(report.resumed, 2, "the corrupted block must not be trusted");
+
+    let after = manifest::read(&manifest_path).unwrap();
+    for b in before.completed.keys() {
+        let grew = after.dispatches[b] - before.dispatches[b];
+        assert_eq!(grew, (*b == victim) as u32, "block {b}");
+    }
+    assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
+    assert_eq!(leftovers(&job), Vec::<PathBuf>::new());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// When the respawn budget runs out the job stops with its progress
+/// checkpointed, and a resumed run with a healthy fleet finishes it. A
+/// stale `.partial` is only ever reused by `--resume`.
+#[test]
+fn exhausted_respawn_budget_is_a_checkpointed_error() {
+    let topo = Arc::new(GenParams::tiny(41).generate());
+    let dests = Arc::new(sample_dests(topo.num_nodes(), 16));
+    let reference = RouteTableSet::from_solves(&topo, &dests, 2).encode();
+
+    let dir = fresh_dir("budget");
+    let mut job = spec(&dests, &topo, 4, 1, &dir);
+    job.respawn_budget = 1;
+    // One good block, then two workers in a row die on the next one.
+    let behaviors = vec![Behavior::DieAfter(1), Behavior::DieAfter(0)];
+    let mut spawner = LocalSpawner::new(&topo, &dests, behaviors);
+    let err = coordinator::run(&job, &mut spawner).expect_err("nobody left to work");
+    assert!(err.contains("respawn budget 1 exhausted") && err.contains("--resume"), "{err}");
+    assert!(partial_of(&job).exists() && !job.out_path.exists());
+
+    job.resume = true;
+    let mut spawner = LocalSpawner::new(&topo, &dests, Vec::new());
+    let report = coordinator::run(&job, &mut spawner).expect("resume finishes");
+    assert_eq!((report.resumed, report.dispatches), (1, 3));
+    assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
+
+    // Without --resume a leftover `.partial` (here: garbage of the right
+    // size) is truncated, never trusted.
+    std::fs::write(partial_of(&job), vec![0xAB; reference.len()]).unwrap();
+    job.resume = false;
+    let mut spawner = LocalSpawner::new(&topo, &dests, Vec::new());
+    let report = coordinator::run(&job, &mut spawner).expect("fresh run");
+    assert_eq!(report.resumed, 0);
+    assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
+    assert_eq!(leftovers(&job), Vec::<PathBuf>::new());
     let _ = std::fs::remove_dir_all(&dir);
 }
