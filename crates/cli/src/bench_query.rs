@@ -30,8 +30,6 @@ use miro_shard::sample_dests;
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 pub static CMD: Cmd = Cmd {
@@ -420,7 +418,7 @@ struct HostedServer {
     dests: usize,
     table_bytes: usize,
     solve_secs: f64,
-    stop: Arc<AtomicBool>,
+    stop: miro_serve::server::StopHandle,
     daemon: Option<std::thread::JoinHandle<std::io::Result<miro_serve::server::ServeReport>>>,
     /// Declared last: the file outlives the daemon thread that maps it.
     _table: TempPath,
@@ -477,7 +475,7 @@ impl HostedServer {
 
 impl Drop for HostedServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.stop();
         if let Some(daemon) = self.daemon.take() {
             let _ = daemon.join();
         }

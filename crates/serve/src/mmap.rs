@@ -213,8 +213,9 @@ impl MappedTable {
 
     /// Borrow row `i`, checksumming it on first touch. Concurrent first
     /// touches may both verify (harmless — verification is idempotent
-    /// and the bitmap is monotonic); a mismatch fails every touch, set
-    /// bit or not, because the bit is only set after success.
+    /// and the bitmap is monotonic), but only the one whose `fetch_or`
+    /// found the bit clear counts the row; a mismatch fails every
+    /// touch, set bit or not, because the bit is only set after success.
     fn checked_row(&self, i: usize) -> Result<MappedRow<'_>, String> {
         let row = &self.map.bytes()[self.layout.row_at(i)..self.layout.row_at(i + 1)];
         let (word, bit) = (i / 64, 1u64 << (i % 64));
@@ -225,8 +226,9 @@ impl MappedTable {
                     self.dests[i]
                 ));
             }
-            self.verified[word].fetch_or(bit, Ordering::AcqRel);
-            self.rows_verified.fetch_add(1, Ordering::Relaxed);
+            if self.verified[word].fetch_or(bit, Ordering::AcqRel) & bit == 0 {
+                self.rows_verified.fetch_add(1, Ordering::Relaxed);
+            }
         }
         Ok(MappedRow { bytes: row, v: self.layout.num_nodes() as usize })
     }

@@ -1,45 +1,82 @@
-//! The TCP daemon behind `miro serve`: thread-per-connection over a
+//! The TCP daemon behind `miro serve`: one thread per connection over a
 //! shared [`Engine`], speaking the [`wire`](crate::wire) protocol.
 //!
 //! The engine (table + topology + cache) is immutable after startup, so
 //! connection threads share one `Arc` and contend only on the cache's
-//! mutex stripes. Each thread owns its [`QueryScratch`], so the hot
-//! query path allocates nothing beyond the answer vectors themselves.
+//! mutex stripes; each owns its [`QueryScratch`], one fixed read buffer
+//! and one reply buffer. `read` takes whatever the socket holds — one
+//! request from a depth-1 client, a whole pipelined window from a
+//! batching one. Every complete frame in the buffer is verified
+//! ([`split_frame`]), decoded and answered in order, its reply appended
+//! to the reply buffer, and **the reply buffer is written immediately
+//! before every socket read** (any of which may block), when it passes
+//! `FLUSH_AT`, and when the connection ends. That one rule makes a
+//! window of N requests cost one `read` and one `write`, serves a depth-1
+//! client as an unbuffered loop would, and never leaves a client waiting
+//! on bytes the daemon holds.
 //!
-//! Shutdown is cooperative: an `AtomicBool` stop flag, a nonblocking
-//! accept loop that polls it, and per-connection read timeouts so every
-//! thread re-checks the flag a few times a second. A wire `Shutdown`
-//! message (used by CI and `bench-query --shutdown`) sets the flag; so
-//! can the embedding process via [`Server::stop_handle`].
+//! What a client can make the daemon hold:
+//!
+//! | | bound |
+//! |---|---|
+//! | request bytes | `READ_BUF` per connection; a length prefix above [`MAX_REQUEST`] closes the connection before its payload is buffered |
+//! | reply bytes | `FLUSH_AT` plus one reply per connection (the largest, `RUniverse`, is 4 bytes per AS) |
+//! | threads | `MAX_CONNS` live connections; the next socket reads `RErr { id: 0, msg: "busy" }` and is closed |
+//! | seconds | a frame left half-sent, or replies left unread, for `STALL` closes the connection; idling between frames is allowed |
+//!
+//! Shutdown is cooperative: a stop flag that connection threads check
+//! before each read and every `POLL` while blocked in a read or write,
+//! and a blocking `accept` that whoever sets the flag wakes with a
+//! loopback connect ([`StopHandle::stop`]): a wire `Shutdown` message,
+//! or the embedding process via [`Server::stop_handle`].
 
-use std::io::{ErrorKind, Read};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use miro_shard::protocol::FrameError;
+use miro_shard::protocol::{encode_raw_frame, FrameError};
 use miro_topology::AsId;
 
 use crate::query::{Answer, Engine, Query, QueryScratch};
-use crate::wire::{read_msg, write_msg, WireMsg, QUERY_PROTOCOL_VERSION};
+use crate::wire::{
+    decode_payload, encode_payload, split_frame, WireMsg, MAX_REQUEST, QUERY_PROTOCOL_VERSION,
+};
 use crate::TableSource;
 
-/// How long a connection read blocks before re-checking the stop flag.
-const READ_POLL: Duration = Duration::from_millis(250);
+/// How long a connection blocks in a read or a write before it
+/// re-checks the stop flag and its deadline.
+const POLL: Duration = Duration::from_millis(250);
 
-/// How long the accept loop sleeps between polls when idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Per-connection read buffer: hundreds of pipelined requests per `read`.
+const READ_BUF: usize = 16 << 10;
+
+/// Pending replies are written once they pass this size, so a client
+/// that pipelines without limit cannot grow the reply buffer.
+const FLUSH_AT: usize = 64 << 10;
+
+/// Live connections (and so connection threads) the daemon carries.
+const MAX_CONNS: usize = 256;
+
+/// How long a peer may leave a frame half-sent, or leave replies unread
+/// with its receive window shut, before the connection is dropped.
+const STALL: Duration = Duration::from_secs(10);
 
 /// What the daemon did over its lifetime, returned by [`Server::run`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeReport {
-    /// Connections accepted.
+    /// Connections accepted and served.
     pub connections: u64,
+    /// Connections refused with `busy` at the `MAX_CONNS` cap.
+    pub shed: u64,
+    /// Connections dropped because the peer stalled past `STALL`.
+    pub timed_out: u64,
+    /// Connections dropped for bytes that fail framing or decoding.
+    pub corrupt: u64,
     /// Queries answered (successfully or as `RErr`), across connections.
     pub queries: u64,
-    /// [`ShardedCache`](crate::cache::ShardedCache) hits (0 when the
-    /// engine runs cacheless).
+    /// Answer-cache hits (0 when the engine runs cacheless).
     pub cache_hits: u64,
     /// Cache misses.
     pub cache_misses: u64,
@@ -47,10 +84,37 @@ pub struct ServeReport {
     pub cache_evictions: u64,
 }
 
+/// Stops a running daemon: [`Server::stop_handle`].
+#[derive(Clone)]
+pub struct StopHandle {
+    flag: Arc<AtomicBool>,
+    /// The listener's address as a local client reaches it.
+    wake: SocketAddr,
+}
+
+impl StopHandle {
+    /// Set the stop flag, then connect to the listener so a loop blocked
+    /// in `accept` returns and sees it (a failed connect found no listener).
+    pub fn stop(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, 4 * POLL);
+    }
+
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
 struct Shared<T: TableSource> {
     engine: Engine<T>,
-    stop: Arc<AtomicBool>,
+    stop: StopHandle,
+    /// `MAX_CONNS` and `STALL`; fields so in-crate tests can shrink them.
+    max_conns: usize,
+    stall: Duration,
     connections: AtomicU64,
+    shed: AtomicU64,
+    timed_out: AtomicU64,
+    corrupt: AtomicU64,
 }
 
 /// A bound, not-yet-running query daemon.
@@ -59,92 +123,87 @@ pub struct Server<T: TableSource> {
     shared: Arc<Shared<T>>,
 }
 
-/// A `Read` adapter that converts the stream's read-timeout expiries
-/// into "check the stop flag and keep waiting", so `read_exact` inside
-/// the frame codec can never desynchronize on a mid-frame timeout: the
-/// only errors that escape are real ones (or the stop sentinel).
-struct PatientReader<'a> {
-    stream: &'a TcpStream,
-    stop: &'a AtomicBool,
-}
-
-impl Read for PatientReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            match Read::read(&mut &*self.stream, buf) {
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if self.stop.load(Ordering::Relaxed) {
-                        return Err(std::io::Error::new(
-                            ErrorKind::ConnectionAborted,
-                            "server stopping",
-                        ));
-                    }
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
 impl<T: TableSource + Send + Sync + 'static> Server<T> {
     /// Bind the daemon. `addr` may use port 0; [`Server::local_addr`]
     /// reports the kernel's pick.
     pub fn bind<A: ToSocketAddrs>(addr: A, engine: Engine<T>) -> std::io::Result<Server<T>> {
         let listener = TcpListener::bind(addr)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            let loopback = if wake.is_ipv4() { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() };
+            wake.set_ip(loopback);
+        }
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
                 engine,
-                stop: Arc::new(AtomicBool::new(false)),
+                stop: StopHandle { flag: Arc::new(AtomicBool::new(false)), wake },
+                max_conns: MAX_CONNS,
+                stall: STALL,
                 connections: AtomicU64::new(0),
+                shed: AtomicU64::new(0),
+                timed_out: AtomicU64::new(0),
+                corrupt: AtomicU64::new(0),
             }),
         })
     }
 
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
     /// A handle the embedding process can use to stop the daemon (the
-    /// wire `Shutdown` message sets the same flag).
-    pub fn stop_handle(&self) -> Arc<AtomicBool> {
+    /// wire `Shutdown` message does the same).
+    pub fn stop_handle(&self) -> StopHandle {
         self.shared.stop.clone()
     }
 
-    /// Run the accept loop until the stop flag is set, then join every
+    /// Accept connections until the daemon is stopped, then join every
     /// connection thread and report.
     pub fn run(self) -> std::io::Result<ServeReport> {
-        self.listener.set_nonblocking(true)?;
+        let shared = &self.shared;
         let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shared.stop.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.shared.connections.fetch_add(1, Ordering::Relaxed);
-                    let shared = self.shared.clone();
-                    handles.push(std::thread::spawn(move || {
-                        // A connection failing (broken pipe, corrupt
-                        // frame) must not take the daemon down.
-                        let _ = serve_connection(stream, &shared);
-                    }));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+        let accepting = loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => break Err(e),
+            };
+            // The stopper's wake-up connect, or a client that raced it.
+            if shared.stop.is_set() {
+                break Ok(());
             }
-            // Reap finished threads so a long-lived daemon doesn't
-            // accumulate handles.
+            // Reap: the threads still running are the live connections.
             handles.retain(|h| !h.is_finished());
-        }
+            if handles.len() >= shared.max_conns {
+                shared.shed.fetch_add(1, Ordering::Relaxed);
+                // A few bytes into a fresh socket's send buffer: cannot block.
+                let _ = (&stream).write_all(&frame(&WireMsg::RErr { id: 0, msg: "busy".to_string() }));
+                continue;
+            }
+            shared.connections.fetch_add(1, Ordering::Relaxed);
+            let shared = self.shared.clone();
+            handles.push(std::thread::spawn(move || {
+                // A connection failing (broken pipe, corrupt frame,
+                // stalled peer) must not take the daemon down.
+                if let Err(FrameError::Corrupt(_)) = serve_connection(&stream, &shared) {
+                    shared.corrupt.fetch_add(1, Ordering::Relaxed);
+                }
+            }));
+        };
+        // Set already unless `accept` failed: the threads must end either way.
+        shared.stop.flag.store(true, Ordering::SeqCst);
         for h in handles {
             let _ = h.join();
         }
-        let cache = self.shared.engine.cache();
+        accepting?;
+        let cache = shared.engine.cache();
         Ok(ServeReport {
-            connections: self.shared.connections.load(Ordering::Relaxed),
-            queries: self.shared.engine.stats.queries()
-                + self.shared.engine.stats.errors.load(Ordering::Relaxed),
+            connections: shared.connections.load(Ordering::Relaxed),
+            shed: shared.shed.load(Ordering::Relaxed),
+            timed_out: shared.timed_out.load(Ordering::Relaxed),
+            corrupt: shared.corrupt.load(Ordering::Relaxed),
+            queries: shared.engine.stats.queries() + shared.engine.stats.errors.load(Ordering::Relaxed),
             cache_hits: cache.map_or(0, |c| c.stats.hits.load(Ordering::Relaxed)),
             cache_misses: cache.map_or(0, |c| c.stats.misses.load(Ordering::Relaxed)),
             cache_evictions: cache.map_or(0, |c| c.stats.evictions.load(Ordering::Relaxed)),
@@ -152,171 +211,218 @@ impl<T: TableSource + Send + Sync + 'static> Server<T> {
     }
 }
 
+fn frame(msg: &WireMsg) -> Vec<u8> {
+    encode_raw_frame(&encode_payload(msg))
+}
+
+/// A read or write that timed out (both spellings) or was interrupted.
+fn retry(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted)
+}
+
+/// One connection's state beyond its read buffer.
+struct Conn<'a, T: TableSource> {
+    stream: &'a TcpStream,
+    shared: &'a Shared<T>,
+    scratch: QueryScratch,
+    /// Replies not yet written, as frames in request order.
+    out: Vec<u8>,
+    /// Whether a version-matching `Hello` has been answered.
+    greeted: bool,
+}
+
 /// Serve one connection to completion. Any returned error just drops
 /// the connection — the daemon keeps running.
 fn serve_connection<T: TableSource>(
-    stream: TcpStream,
+    stream: &TcpStream,
     shared: &Shared<T>,
 ) -> Result<(), FrameError> {
-    stream.set_read_timeout(Some(READ_POLL)).map_err(FrameError::Io)?;
+    stream.set_read_timeout(Some(POLL)).map_err(FrameError::Io)?;
+    stream.set_write_timeout(Some(POLL)).map_err(FrameError::Io)?;
     stream.set_nodelay(true).ok();
-    let engine = &shared.engine;
-    let mut writer = &stream;
-    let mut reader = PatientReader { stream: &stream, stop: &shared.stop };
-    let mut scratch = QueryScratch::new();
+    let mut conn =
+        Conn { stream, shared, scratch: QueryScratch::new(), out: Vec::new(), greeted: false };
+    let mut buf = vec![0u8; READ_BUF];
+    // Received and not yet answered: `buf[..end]`.
+    let mut end = 0;
+    // When the frame at the head of the buffer was first seen incomplete.
+    let mut partial_since: Option<Instant> = None;
+    loop {
+        let mut start = 0;
+        while let Some((payload, used)) = split_frame(&buf[start..end], MAX_REQUEST)? {
+            start += used;
+            partial_since = None;
+            if !conn.answer(decode_payload(payload)?)? {
+                return conn.flush();
+            }
+            if conn.out.len() >= FLUSH_AT {
+                conn.flush()?;
+            }
+        }
+        buf.copy_within(start..end, 0);
+        end -= start;
+        // The read below may block: nothing is held back across it.
+        conn.flush()?;
+        if shared.stop.is_set() {
+            return Ok(());
+        }
+        if end > 0 && partial_since.get_or_insert_with(Instant::now).elapsed() > shared.stall {
+            return Err(conn.stalled("frame left unfinished"));
+        }
+        match Read::read(&mut &*stream, &mut buf[end..]) {
+            Ok(0) if end == 0 => return Ok(()), // client hung up cleanly
+            Ok(0) => return Err(FrameError::Corrupt("stream ended mid-frame".to_string())),
+            Ok(n) => end += n,
+            Err(e) if retry(&e) => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
+}
 
-    // Handshake: the first frame must be a version-matching Hello.
-    match read_msg(&mut reader)? {
-        WireMsg::Hello { protocol } if protocol == QUERY_PROTOCOL_VERSION => {
-            write_msg(
-                &mut writer,
-                &WireMsg::Welcome {
+impl<T: TableSource> Conn<'_, T> {
+    /// Count and name a peer being given up on after `STALL`.
+    fn stalled(&self, what: &str) -> FrameError {
+        self.shared.timed_out.fetch_add(1, Ordering::Relaxed);
+        FrameError::Io(std::io::Error::new(ErrorKind::TimedOut, what.to_string()))
+    }
+
+    /// Write every pending reply. A peer that takes nothing for
+    /// `STALL`, or at all once the daemon is stopping, is given up on.
+    fn flush(&mut self) -> Result<(), FrameError> {
+        let (mut at, mut stuck_since) = (0, None::<Instant>);
+        while at < self.out.len() {
+            match Write::write(&mut &*self.stream, &self.out[at..]) {
+                Ok(0) => return Err(FrameError::Io(ErrorKind::WriteZero.into())),
+                Ok(n) => (at, stuck_since) = (at + n, None),
+                Err(e) if retry(&e) => {
+                    if self.shared.stop.is_set() {
+                        return Err(FrameError::Io(ErrorKind::ConnectionAborted.into()));
+                    }
+                    if stuck_since.get_or_insert_with(Instant::now).elapsed() > self.shared.stall {
+                        return Err(self.stalled("replies left unread"));
+                    }
+                }
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+        self.out.clear();
+        Ok(())
+    }
+
+    /// Append the reply to one request; `Ok(false)` ends the connection
+    /// once the replies so far are written.
+    fn answer(&mut self, msg: WireMsg) -> Result<bool, FrameError> {
+        let engine = &self.shared.engine;
+        let reply = match msg {
+            // Handshake: the first frame must be a version-matching Hello.
+            WireMsg::Hello { protocol } if !self.greeted => {
+                self.greeted = protocol == QUERY_PROTOCOL_VERSION;
+                if !self.greeted {
+                    // Version mismatch: refuse politely so old clients get
+                    // a parseable goodbye instead of a dropped socket.
+                    self.out.extend_from_slice(&frame(&WireMsg::RBye));
+                    return Ok(false);
+                }
+                WireMsg::Welcome {
                     protocol: QUERY_PROTOCOL_VERSION,
                     num_nodes: engine.table().num_nodes(),
                     num_dests: engine.table().dests().len() as u32,
-                },
-            )
-            .map_err(FrameError::Io)?;
-        }
-        WireMsg::Hello { .. } => {
-            // Version mismatch: refuse politely so old clients get a
-            // parseable goodbye instead of a dropped socket.
-            let _ = write_msg(&mut writer, &WireMsg::RBye);
-            return Ok(());
-        }
-        _ => return Err(FrameError::Corrupt("expected Hello".to_string())),
-    }
-
-    loop {
-        let msg = match read_msg(&mut reader) {
-            Ok(m) => m,
-            Err(FrameError::Eof) => return Ok(()), // client hung up cleanly
-            Err(e) => return Err(e),
-        };
-        match msg {
+                }
+            }
+            _ if !self.greeted => return Err(FrameError::Corrupt("expected Hello".to_string())),
             WireMsg::Shutdown => {
-                shared.stop.store(true, Ordering::Relaxed);
-                let _ = write_msg(&mut writer, &WireMsg::RBye);
-                return Ok(());
+                self.shared.stop.stop();
+                self.out.extend_from_slice(&frame(&WireMsg::RBye));
+                return Ok(false);
             }
             WireMsg::Universe { id } => {
                 let topo = engine.topology();
-                let src_asns: Vec<u32> =
-                    (0..topo.num_nodes() as u32).map(|n| topo.asn(n).0).collect();
-                let dest_asns: Vec<u32> =
-                    engine.table().dests().iter().map(|&d| topo.asn(d).0).collect();
-                write_msg(&mut writer, &WireMsg::RUniverse { id, src_asns, dest_asns })
-                    .map_err(FrameError::Io)?;
+                let src_asns = topo.nodes().map(|n| topo.asn(n).0).collect();
+                let dest_asns = engine.table().dests().iter().map(|&d| topo.asn(d).0).collect();
+                WireMsg::RUniverse { id, src_asns, dest_asns }
             }
             WireMsg::Stats { id } => {
                 let cache = engine.cache();
-                write_msg(
-                    &mut writer,
-                    &WireMsg::RStats {
-                        id,
-                        queries: engine.stats.queries(),
-                        cache_hits: cache.map_or(0, |c| c.stats.hits.load(Ordering::Relaxed)),
-                        cache_misses: cache.map_or(0, |c| c.stats.misses.load(Ordering::Relaxed)),
-                        cache_evictions: cache
-                            .map_or(0, |c| c.stats.evictions.load(Ordering::Relaxed)),
-                        rows_verified: engine.table().rows_verified(),
-                        connections: shared.connections.load(Ordering::Relaxed),
-                    },
-                )
-                .map_err(FrameError::Io)?;
+                WireMsg::RStats {
+                    id,
+                    queries: engine.stats.queries(),
+                    cache_hits: cache.map_or(0, |c| c.stats.hits.load(Ordering::Relaxed)),
+                    cache_misses: cache.map_or(0, |c| c.stats.misses.load(Ordering::Relaxed)),
+                    cache_evictions: cache.map_or(0, |c| c.stats.evictions.load(Ordering::Relaxed)),
+                    rows_verified: engine.table().rows_verified(),
+                    connections: self.shared.connections.load(Ordering::Relaxed),
+                }
             }
-            WireMsg::NextHop { id, src, dest } => {
-                let reply = answer_query(engine, &mut scratch, id, src, dest, None, QueryKind::NextHop);
-                write_msg(&mut writer, &reply).map_err(FrameError::Io)?;
-            }
-            WireMsg::Path { id, src, dest } => {
-                let reply = answer_query(engine, &mut scratch, id, src, dest, None, QueryKind::Path);
-                write_msg(&mut writer, &reply).map_err(FrameError::Io)?;
-            }
+            WireMsg::NextHop { id, src, dest } => self.query(id, src, dest, Kind::NextHop),
+            WireMsg::Path { id, src, dest } => self.query(id, src, dest, Kind::Path),
             WireMsg::Alternate { id, src, dest, avoid } => {
-                let reply =
-                    answer_query(engine, &mut scratch, id, src, dest, Some(avoid), QueryKind::Alternate);
-                write_msg(&mut writer, &reply).map_err(FrameError::Io)?;
+                self.query(id, src, dest, Kind::Alternate { avoid })
             }
             other => {
                 // A reply kind (or second Hello) from a client is a
                 // protocol violation; tell it and drop the connection.
-                let _ = write_msg(
-                    &mut writer,
-                    &WireMsg::RErr { id: 0, msg: format!("unexpected message: {other:?}") },
-                );
-                return Ok(());
+                let msg = format!("unexpected message: {other:?}");
+                self.out.extend_from_slice(&frame(&WireMsg::RErr { id: 0, msg }));
+                return Ok(false);
+            }
+        };
+        self.out.extend_from_slice(&frame(&reply));
+        Ok(true)
+    }
+
+    /// Translate ASN operands, run the query, translate the answer back.
+    fn query(&mut self, id: u64, src_asn: u32, dest_asn: u32, kind: Kind) -> WireMsg {
+        let engine = &self.shared.engine;
+        let topo = engine.topology();
+        let node = |asn: u32| topo.node(AsId(asn));
+        let Some(src) = node(src_asn) else {
+            return WireMsg::RErr { id, msg: format!("unknown source AS {src_asn}") };
+        };
+        let Some(dest) = node(dest_asn) else {
+            return WireMsg::RErr { id, msg: format!("unknown destination AS {dest_asn}") };
+        };
+        let q = match kind {
+            Kind::NextHop => Query::NextHop { src, dest },
+            Kind::Path => Query::Path { src, dest },
+            Kind::Alternate { avoid: avoid_asn } => {
+                let Some(avoid) = node(avoid_asn) else {
+                    return WireMsg::RErr { id, msg: format!("unknown AS to avoid {avoid_asn}") };
+                };
+                Query::Alternate { src, dest, avoid }
+            }
+        };
+        let asn = |n: miro_topology::NodeId| topo.asn(n).0;
+        match engine.answer(q, &mut self.scratch) {
+            Err(e) => WireMsg::RErr { id, msg: e.to_string() },
+            Ok(Answer::Unrouted) => WireMsg::RUnrouted { id },
+            Ok(Answer::NoAlternate) => WireMsg::RNoAlternate { id },
+            Ok(Answer::NextHop { next, hops, class }) => {
+                WireMsg::RNextHop { id, next: asn(next), hops, class }
+            }
+            Ok(Answer::Path { path }) => {
+                WireMsg::RPath { id, path: path.into_iter().map(asn).collect() }
+            }
+            Ok(Answer::Alternate { via, path }) => {
+                let path: Vec<u32> = path.into_iter().map(asn).collect();
+                let (splice_at, next) = via.map_or((0, 0), |(v, n)| (asn(v), asn(n)));
+                WireMsg::RAlternate { id, deviates: via.is_some(), splice_at, via: next, path }
             }
         }
     }
 }
 
-enum QueryKind {
+/// Which query a request asks for; its operands are still AS numbers.
+enum Kind {
     NextHop,
     Path,
-    Alternate,
-}
-
-/// Translate ASN operands, run the query, translate the answer back.
-fn answer_query<T: TableSource>(
-    engine: &Engine<T>,
-    scratch: &mut QueryScratch,
-    id: u64,
-    src_asn: u32,
-    dest_asn: u32,
-    avoid_asn: Option<u32>,
-    kind: QueryKind,
-) -> WireMsg {
-    let topo = engine.topology();
-    let node = |asn: u32| topo.node(AsId(asn));
-    let Some(src) = node(src_asn) else {
-        return WireMsg::RErr { id, msg: format!("unknown source AS {src_asn}") };
-    };
-    let Some(dest) = node(dest_asn) else {
-        return WireMsg::RErr { id, msg: format!("unknown destination AS {dest_asn}") };
-    };
-    let q = match kind {
-        QueryKind::NextHop => Query::NextHop { src, dest },
-        QueryKind::Path => Query::Path { src, dest },
-        QueryKind::Alternate => {
-            let avoid_asn = avoid_asn.expect("alternate carries avoid");
-            let Some(avoid) = node(avoid_asn) else {
-                return WireMsg::RErr { id, msg: format!("unknown AS to avoid {avoid_asn}") };
-            };
-            Query::Alternate { src, dest, avoid }
-        }
-    };
-    let asn = |n: miro_topology::NodeId| topo.asn(n).0;
-    match engine.answer(q, scratch) {
-        Err(e) => WireMsg::RErr { id, msg: e.to_string() },
-        Ok(Answer::Unrouted) => WireMsg::RUnrouted { id },
-        Ok(Answer::NoAlternate) => WireMsg::RNoAlternate { id },
-        Ok(Answer::NextHop { next, hops, class }) => {
-            WireMsg::RNextHop { id, next: asn(next), hops, class }
-        }
-        Ok(Answer::Path { path }) => {
-            WireMsg::RPath { id, path: path.into_iter().map(asn).collect() }
-        }
-        Ok(Answer::Alternate { via, path }) => {
-            let path: Vec<u32> = path.into_iter().map(asn).collect();
-            match via {
-                Some((v, n)) => WireMsg::RAlternate {
-                    id,
-                    deviates: true,
-                    splice_at: asn(v),
-                    via: asn(n),
-                    path,
-                },
-                None => WireMsg::RAlternate { id, deviates: false, splice_at: 0, via: 0, path },
-            }
-        }
-    }
+    Alternate { avoid: u32 },
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::ShardedCache;
+    use crate::wire::{read_msg, write_msg};
     use miro_shard::format::RouteTableSet;
     use miro_topology::GenParams;
     use std::net::TcpStream;
@@ -418,8 +524,10 @@ mod tests {
         let dests: Vec<u32> = vec![0, 1, 2];
         let table = RouteTableSet::from_solves(&topo, &dests, 1);
         let engine = Engine::new(table, topo, None).unwrap();
-        let server = Server::bind("127.0.0.1:0", engine).unwrap();
-        let addr = server.local_addr().unwrap();
+        // Bound to the unspecified address: the stop handle must still
+        // find a way in to wake the accept loop.
+        let server = Server::bind("0.0.0.0:0", engine).unwrap();
+        let addr = SocketAddr::from(([127, 0, 0, 1], server.local_addr().unwrap().port()));
         let stop = server.stop_handle();
         let daemon = std::thread::spawn(move || server.run().unwrap());
 
@@ -430,7 +538,83 @@ mod tests {
         assert_eq!(read_msg(&mut r).unwrap(), WireMsg::RBye);
         assert!(matches!(read_msg(&mut r), Err(FrameError::Eof)));
 
-        stop.store(true, Ordering::Relaxed);
+        stop.stop();
         daemon.join().unwrap();
+    }
+
+    /// A daemon over three rows of a tiny table whose stall deadline is
+    /// 300 ms instead of [`STALL`].
+    fn impatient_daemon() -> (SocketAddr, std::thread::JoinHandle<ServeReport>, u32) {
+        let topo = GenParams::tiny(9).generate();
+        let asn = topo.asn(0).0;
+        let table = RouteTableSet::from_solves(&topo, &[0, 1, 2], 1);
+        let mut server = Server::bind("127.0.0.1:0", Engine::new(table, topo, None).unwrap()).unwrap();
+        Arc::get_mut(&mut server.shared).unwrap().stall = Duration::from_millis(300);
+        let addr = server.local_addr().unwrap();
+        (addr, std::thread::spawn(move || server.run().unwrap()), asn)
+    }
+
+    fn greeted(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_msg(&mut &stream, &WireMsg::Hello { protocol: QUERY_PROTOCOL_VERSION }).unwrap();
+        assert!(matches!(read_msg(&mut &stream).unwrap(), WireMsg::Welcome { .. }));
+        stream
+    }
+
+    fn shut_down(addr: SocketAddr, daemon: std::thread::JoinHandle<ServeReport>) -> ServeReport {
+        let stream = greeted(addr);
+        write_msg(&mut &stream, &WireMsg::Shutdown).unwrap();
+        assert_eq!(read_msg(&mut &stream).unwrap(), WireMsg::RBye);
+        daemon.join().unwrap()
+    }
+
+    /// Slowloris: a frame left half-sent past the deadline closes the
+    /// connection, however steadily its bytes dribble in; a connection
+    /// idle *between* frames for as long stays.
+    #[test]
+    fn a_frame_left_unfinished_past_the_deadline_closes_the_connection() {
+        let (addr, daemon, asn) = impatient_daemon();
+        let idle = greeted(addr);
+        let slow = greeted(addr);
+        let request = frame(&WireMsg::Path { id: 1, src: asn, dest: asn });
+        let started = Instant::now();
+        let mut sent = 0;
+        // A byte every 50 ms would finish the 33-byte frame in 1.6 s.
+        while sent < request.len() && (&slow).write_all(&request[sent..sent + 1]).is_ok() {
+            sent += 1;
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let mut rest = Vec::new();
+        let end = (&slow).read_to_end(&mut rest);
+        assert!(rest.is_empty() && !matches!(&end, Err(e) if retry(e)), "{end:?} {rest:?}");
+        assert!(started.elapsed() < Duration::from_millis(1500), "closed at the deadline, not at the last byte");
+
+        write_msg(&mut &idle, &WireMsg::Path { id: 2, src: asn, dest: asn }).unwrap();
+        assert_eq!(read_msg(&mut &idle).unwrap(), WireMsg::RPath { id: 2, path: vec![asn] });
+        let report = shut_down(addr, daemon);
+        assert_eq!((report.timed_out, report.corrupt), (1, 0));
+    }
+
+    /// A client that pipelines requests and reads nothing is dropped once
+    /// its unread replies have blocked the daemon's writes for the
+    /// deadline, so it cannot hold a thread and a reply buffer for good.
+    #[test]
+    fn a_client_that_never_reads_is_dropped_at_the_deadline() {
+        let (addr, daemon, asn) = impatient_daemon();
+        let glutton = greeted(addr);
+        glutton.set_write_timeout(Some(Duration::from_millis(200))).unwrap();
+        let window: Vec<u8> = (0..512).flat_map(|id| frame(&WireMsg::Path { id, src: asn, dest: asn })).collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match (&glutton).write(&window) {
+                Ok(_) => {}                // socket buffers still filling
+                Err(e) if retry(&e) => {} // full both ways: the daemon is stuck in `write`
+                Err(_) => break,           // reset: the daemon gave up on us
+            }
+            assert!(Instant::now() < deadline, "the daemon is still holding the connection");
+        }
+        let report = shut_down(addr, daemon);
+        assert_eq!(report.timed_out, 1);
     }
 }

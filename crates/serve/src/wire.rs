@@ -16,11 +16,18 @@
 //!
 //! [`write_raw_frame`]: miro_shard::protocol::write_raw_frame
 
+use miro_shard::fnv1a;
 use miro_shard::protocol::{encode_raw_frame, read_raw_frame, FrameError};
 use std::io::{Read, Write};
 
 /// Protocol revision spoken in `Hello`/`Welcome`; both sides must agree.
 pub const QUERY_PROTOCOL_VERSION: u32 = 1;
+
+/// The largest payload the daemon accepts from a client. Requests are
+/// fixed-size and the biggest (`Alternate`: kind, id, three ASNs) is 21
+/// bytes, so a longer length prefix is refused before a byte of it is
+/// buffered.
+pub const MAX_REQUEST: usize = 32;
 
 /// One protocol message (either direction; `R`-prefixed = server reply).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -218,6 +225,30 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &WireMsg) -> std::io::Result<()> {
 /// Read one message. Blocks until a full frame (or EOF) arrives.
 pub fn read_msg<R: Read>(r: &mut R) -> Result<WireMsg, FrameError> {
     decode_payload(&read_raw_frame(r)?)
+}
+
+/// Split the first frame off a buffer of received bytes: the daemon's
+/// side of [`read_raw_frame`], for a reader that takes whatever the
+/// socket holds and finds frames in it afterwards. `Ok(None)` means the
+/// frame is not all there yet; otherwise the verified payload and the
+/// bytes it took. A zero or over-`max_payload` length prefix is corrupt
+/// as soon as its four bytes are in, a checksum mismatch once the
+/// trailer is — the verdicts `read_raw_frame` reaches on the same bytes.
+pub fn split_frame(buf: &[u8], max_payload: usize) -> Result<Option<(&[u8], usize)>, FrameError> {
+    let Some(len4) = buf.first_chunk::<4>() else { return Ok(None) };
+    let len = u32::from_le_bytes(*len4) as usize;
+    if len == 0 {
+        return Err(FrameError::Corrupt("zero-length payload".to_string()));
+    }
+    if len > max_payload {
+        return Err(FrameError::Corrupt(format!("{len}-byte payload exceeds {max_payload}")));
+    }
+    let Some(sum8) = buf.get(4 + len..12 + len) else { return Ok(None) };
+    let payload = &buf[4..4 + len];
+    if fnv1a(payload) != u64::from_le_bytes(sum8.try_into().expect("eight bytes")) {
+        return Err(FrameError::Corrupt("checksum mismatch".to_string()));
+    }
+    Ok(Some((payload, 12 + len)))
 }
 
 struct Body<'a> {
@@ -425,6 +456,27 @@ mod tests {
             assert_eq!(&read_msg(&mut r).unwrap(), m);
         }
         assert!(matches!(read_msg(&mut r), Err(FrameError::Eof)));
+    }
+
+    /// Every request fits [`MAX_REQUEST`], and `split_frame` refuses a
+    /// longer one on its length prefix alone — nothing of the payload
+    /// has to arrive, let alone be buffered.
+    #[test]
+    fn requests_fit_max_request_and_longer_prefixes_are_refused_at_once() {
+        let requests = all_msgs().into_iter().filter(|m| {
+            use WireMsg::*;
+            matches!(m, Hello { .. } | Universe { .. } | NextHop { .. } | Path { .. } | Alternate { .. } | Stats { .. } | Shutdown)
+        });
+        let longest = requests.map(|m| encode_payload(&m).len()).max().unwrap();
+        assert_eq!(longest, 21);
+        assert!(longest <= MAX_REQUEST);
+
+        let frame = encode_raw_frame(&[7u8; MAX_REQUEST + 1]);
+        assert!(matches!(split_frame(&frame[..3], MAX_REQUEST), Ok(None)));
+        let err = split_frame(&frame[..4], MAX_REQUEST).unwrap_err();
+        assert!(matches!(err, FrameError::Corrupt(ref w) if w.contains("exceeds")), "{err}");
+        let (payload, used) = split_frame(&frame, MAX_REQUEST + 1).unwrap().expect("whole frame");
+        assert_eq!((payload, used), (&[7u8; MAX_REQUEST + 1][..], frame.len()));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use miro_shard::sample_dests;
 use miro_topology::gen::GenParams;
 use miro_topology::NodeId;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// xorshift64* — deterministic query traffic.
 struct Rng(u64);
@@ -82,13 +82,18 @@ fn eight_threads_match_single_threaded_ground_truth() {
     let engine =
         Arc::new(Engine::new(mapped, topo, Some(ShardedCache::new(2, 8))).unwrap());
 
+    // All eight threads leave the barrier together, so their first
+    // touches of the 24 rows collide on purpose: `rows_verified` below
+    // must count each row once however many threads verified it.
+    let start = Barrier::new(THREADS);
     let results: Vec<Vec<Result<Answer, QueryError>>> = std::thread::scope(|scope| {
         (0..THREADS)
             .map(|t| {
                 let engine = engine.clone();
-                let queries = &queries;
+                let (queries, start) = (&queries, &start);
                 scope.spawn(move || {
                     let mut scratch = QueryScratch::new();
+                    start.wait();
                     // Each thread walks the same list from a different
                     // offset, maximizing cache interleaving; answers are
                     // collected back in list order for comparison.

@@ -5,12 +5,17 @@
 //!
 //! This is the serve-side half of the shared-codec satellite; the raw
 //! frame layer itself (length cap, FNV trailer) is fuzzed from
-//! `miro-shard`'s side in `crates/shard/tests/codec_fuzz.rs`.
+//! `miro-shard`'s side in `crates/shard/tests/codec_fuzz.rs`. The
+//! daemon's own frame splitter ([`split_frame`], which finds frames in
+//! bytes already received) must reach `read_msg`'s verdict on the same
+//! bytes: [`same_verdict`] rides along in the soup, flip and truncate
+//! cases.
 
 use miro_serve::wire::{
-    decode_payload, encode_payload, read_msg, write_msg, WireMsg, QUERY_PROTOCOL_VERSION,
+    decode_payload, encode_payload, read_msg, split_frame, write_msg, WireMsg,
+    QUERY_PROTOCOL_VERSION,
 };
-use miro_shard::protocol::{encode_raw_frame, FrameError};
+use miro_shard::protocol::{encode_raw_frame, FrameError, MAX_FRAME};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -45,6 +50,32 @@ fn all_msgs(id: u64, v: u32, asns: Vec<u32>, text: String) -> Vec<WireMsg> {
     ]
 }
 
+/// The buffer-side splitter against the stream-side reader on the same
+/// bytes: a message from one is the same message (and length) from the
+/// other, "not all here yet" is the reader running out of stream, and
+/// corrupt is corrupt. Returns the reader's result for the caller's own
+/// checks.
+fn same_verdict(bytes: &[u8]) -> Result<WireMsg, FrameError> {
+    let mut cursor = Cursor::new(bytes);
+    let read = read_msg(&mut cursor);
+    let split = split_frame(bytes, MAX_FRAME as usize)
+        .and_then(|frame| frame.map(|(payload, used)| Ok((decode_payload(payload)?, used))).transpose());
+    match (&read, &split) {
+        (Ok(a), Ok(Some((b, used)))) => {
+            assert_eq!(a, b);
+            assert_eq!(*used as u64, cursor.position());
+        }
+        (Err(FrameError::Eof), Ok(None)) => assert!(bytes.is_empty()),
+        (Err(FrameError::Corrupt(why)), Ok(None)) => assert!(why.contains("mid-frame"), "{why}"),
+        (Err(FrameError::Corrupt(a)), Err(FrameError::Corrupt(b))) => {
+            // Same failure, apart from how the over-long length is worded.
+            assert!(a == b || (a.contains("exceeds") && b.contains("exceeds")), "{a} / {b}");
+        }
+        _ => panic!("read_msg: {read:?}, split_frame: {split:?}"),
+    }
+    read
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -68,7 +99,7 @@ proptest! {
     /// fabricates a message from garbage that fails its checksum.
     #[test]
     fn framed_byte_soup_errors_cleanly(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        match read_msg(&mut Cursor::new(&bytes)) {
+        match same_verdict(&bytes) {
             Ok(msg) => {
                 // Only possible if the soup happened to be a valid frame;
                 // re-framing the message must reproduce a prefix of it.
@@ -119,7 +150,7 @@ proptest! {
         let mut frame = encode_raw_frame(&encode_payload(&msg));
         let at = pick as usize % frame.len();
         frame[at] ^= flip;
-        match read_msg(&mut Cursor::new(&frame)) {
+        match same_verdict(&frame) {
             Err(FrameError::Corrupt(_)) | Err(FrameError::Io(_)) | Err(FrameError::Eof) => {}
             Ok(got) => prop_assert!(false, "flipped frame decoded as {got:?}"),
         }
@@ -131,7 +162,7 @@ fn truncated_frames_error_cleanly_at_every_cut() {
     let msg = WireMsg::RPath { id: 3, path: vec![100, 103, 106] };
     let frame = encode_raw_frame(&encode_payload(&msg));
     for cut in 0..frame.len() {
-        match read_msg(&mut Cursor::new(&frame[..cut])) {
+        match same_verdict(&frame[..cut]) {
             Err(FrameError::Eof) => assert!(cut < 4, "Eof only between frames, cut={cut}"),
             Err(FrameError::Corrupt(_)) | Err(FrameError::Io(_)) => {}
             Ok(got) => panic!("truncated frame (cut={cut}) decoded as {got:?}"),
