@@ -6,7 +6,7 @@
 //! with `#` comments, auto-detected per line. The parse is allocation-free
 //! per line and single-pass; ASNs are remapped to dense node ids as they
 //! are first seen. The output is an [`IngestCache`] JSON document —
-//! topology plus provenance plus the [`ParseStats`] counters — which
+//! topology plus provenance plus the [`stream::ParseStats`] counters — which
 //! `miro-eval --cache` loads in place of a generated preset.
 //!
 //! `--check` parses and validates without writing anything, which is what

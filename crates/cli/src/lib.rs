@@ -24,10 +24,12 @@ pub mod bench;
 pub mod bench_dataplane;
 pub mod bench_query;
 pub mod churn_cmd;
-pub mod harness;
 pub mod ingest;
 pub mod serve_cmd;
 pub mod shard_cmd;
+
+/// The command harness, shared with `miro-eval`'s own front ends.
+pub use miro_eval::harness;
 
 use miro_bgp::show;
 use miro_bgp::solver::RoutingState;

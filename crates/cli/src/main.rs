@@ -12,7 +12,7 @@ use std::io::{BufRead, Write};
 
 /// Every verb. `shard-worker` is the worker half of `shard-solve`,
 /// spawned by the coordinator with the protocol on stdin/stdout;
-/// `resilience` parses its own flags in `miro-eval`.
+/// `resilience` is `miro-eval`'s fault-injection sweep.
 static VERBS: &[Verb] = &[
     Verb { name: "bench-solver", run: bench::run, exit_code: 2, cmds: &[&bench::CMD] },
     Verb { name: "bench-dataplane", run: bench_dataplane::run, exit_code: 2, cmds: &[&bench_dataplane::CMD] },
@@ -23,7 +23,7 @@ static VERBS: &[Verb] = &[
     Verb { name: "shard-solve", run: shard_cmd::run_solve, exit_code: 2, cmds: &[&shard_cmd::SOLVE] },
     Verb { name: "shard-worker", run: shard_cmd::run_worker, exit_code: 3, cmds: &[&shard_cmd::WORKER] },
     Verb { name: "serve", run: serve_cmd::run, exit_code: 2, cmds: &[&serve_cmd::CMD] },
-    Verb { name: "resilience", run: miro_eval::resilience::run, exit_code: 2, cmds: &[] },
+    Verb { name: "resilience", run: miro_eval::resilience::run, exit_code: 2, cmds: &[&miro_eval::resilience::CMD] },
 ];
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
             }
         },
         _ => {
-            eprintln!("usage: miro [script-file]\n       miro resilience [options]");
+            eprintln!("usage: miro [script-file]");
             for cmd in VERBS.iter().flat_map(|v| v.cmds) {
                 eprint!("{}", cmd.usage());
             }
@@ -89,26 +89,19 @@ mod tests {
     use miro_cli::harness::Kind;
 
     /// Every verb rejects a flag it does not have, a flag missing its
-    /// value and a number that does not parse — each time naming the
-    /// flag — whichever table (or, for `resilience`, parser) it uses.
+    /// value, a number that does not parse and a negative or non-finite
+    /// share / floor / scale factor — each time naming the flag.
     #[test]
     fn every_verb_names_the_flag_it_rejects() {
         for verb in VERBS {
-            // `miro churn gen <out.mct> ...`: the sub-verb and placeholders
-            // for the positionals come before the probe.
-            let lines: Vec<(Vec<String>, Option<&str>)> = match verb.cmds {
-                [] => vec![(Vec::new(), Some("--seed"))],
-                cmds => cmds
-                    .iter()
-                    .map(|cmd| {
-                        let sub = cmd.name.split(' ').skip(1).map(str::to_string);
-                        let placeholders = cmd.positional.iter().map(|p| format!("/nonexistent/{p}"));
-                        let numeric = cmd.flags.iter().find(|f| matches!(f.kind, Kind::Num | Kind::F64));
-                        (sub.chain(placeholders).collect(), numeric.map(|f| f.name))
-                    })
-                    .collect(),
-            };
-            for (prefix, numeric) in lines {
+            assert!(!verb.cmds.is_empty(), "{} has no flag table", verb.name);
+            for cmd in verb.cmds {
+                // `miro churn gen <out.mct> ...`: the sub-verb and placeholders
+                // for the positionals come before the probe.
+                let sub = cmd.name.split(' ').skip(1).map(str::to_string);
+                let placeholders = cmd.positional.iter().map(|p| format!("/nonexistent/{p}"));
+                let prefix: Vec<String> = sub.chain(placeholders).collect();
+                let numeric = cmd.flags.iter().find(|f| matches!(f.kind, Kind::Num | Kind::F64));
                 let run = |probe: &[&str]| {
                     let mut args = prefix.clone();
                     args.extend(probe.iter().map(|s| s.to_string()));
@@ -116,11 +109,17 @@ mod tests {
                 };
                 let err = run(&["--no-such-flag"]);
                 assert!(err.contains("--no-such-flag"), "{} {prefix:?}: {err}", verb.name);
-                let Some(flag) = numeric else { continue };
+                let Some(flag) = numeric.map(|f| f.name) else { continue };
                 let err = run(&[flag]);
                 assert!(err.contains(flag) && err.contains("needs a value"), "{}: {err}", verb.name);
                 let err = run(&[flag, "12abc"]);
                 assert!(err.contains(flag), "{} {prefix:?}: {err}", verb.name);
+                for f in cmd.flags.iter().filter(|f| f.kind == Kind::F64) {
+                    for bad in ["-1", "nan"] {
+                        let err = run(&[f.name, bad]);
+                        assert!(err.contains(f.name), "{} {prefix:?} {bad}: {err}", verb.name);
+                    }
+                }
             }
         }
     }

@@ -29,7 +29,7 @@ impl Default for EvalConfig {
             seed: 20060911, // SIGCOMM 2006 week
             dest_samples: 120,
             src_samples: 60,
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            threads: crate::harness::host_parallelism(),
         }
     }
 }

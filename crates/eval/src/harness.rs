@@ -1,4 +1,6 @@
-//! The command harness every `miro` verb shares.
+//! The command harness every front end shares: each `miro` verb
+//! (`miro-cli` re-exports this module), `miro-eval`, and
+//! [`resilience`](crate::resilience).
 //!
 //! A verb keeps what is its own — timing loops, report text, row structs —
 //! and takes the rest from here:
@@ -29,6 +31,8 @@ pub enum Kind {
     Str,
     /// An unsigned integer.
     Num,
+    /// A finite, non-negative number: every one in tree is a share, a
+    /// floor or a scale factor.
     F64,
     /// Comma-separated positive integers, deduplicated in order.
     UsizeList,
@@ -85,7 +89,10 @@ impl Cmd {
                     let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
                     match kind {
                         Kind::Num => parse_as::<u64>(arg, v).map(|_| ())?,
-                        Kind::F64 => parse_as::<f64>(arg, v).map(|_| ())?,
+                        Kind::F64 => match parse_as::<f64>(arg, v)? {
+                            x if x.is_finite() && x >= 0.0 => {}
+                            _ => return Err(format!("{arg}: {v:?} is not a finite, non-negative number")),
+                        },
                         Kind::UsizeList => parse_list(arg, v).map(|_| ())?,
                         Kind::Str | Kind::Switch => {}
                     }
@@ -384,6 +391,10 @@ mod tests {
         assert!(DEMO.parse(&arg("f --count two")).unwrap_err().contains("--count: cannot parse \"two\""));
         assert!(DEMO.parse(&arg("f --count -1")).unwrap_err().contains("--count"));
         assert!(DEMO.parse(&arg("f --floor x")).unwrap_err().contains("--floor"));
+        for bad in ["-1", "-0.5", "nan", "inf", "-inf"] {
+            let err = DEMO.parse(&arg(&format!("f --floor {bad}"))).unwrap_err();
+            assert!(err.contains("--floor") && err.contains(bad), "{err}");
+        }
         // A bad list entry is an error even when valid ones surround it.
         for bad in ["1,0,2", "1,two", "8,,64", ""] {
             let err = DEMO.parse(&["f".into(), "--sizes".into(), bad.into()]).unwrap_err();

@@ -12,6 +12,7 @@
 //! | Figures 5.6/5.7 (inbound traffic control) | [`inbound`] | `fig5-6` |
 //! | Figure 7.1 / 7.2 gadget runs | [`convergence_exp`] | `fig7-1`, `fig7-2` |
 //! | Control-plane robustness sweep | [`resilience`] | `miro resilience` |
+//! | Flag tables, `--check-*` gate, JSON emitter of every front end | [`harness`] | every `miro <verb>`, `miro-eval` |
 //!
 //! Experiments are seeded and deterministic; sample sizes and the
 //! topology scale are configurable (the paper's full-size topologies and
@@ -26,6 +27,7 @@ pub mod datasets;
 pub mod deploy;
 pub mod driver;
 pub mod dynamics;
+pub mod harness;
 pub mod inbound;
 pub mod report;
 pub mod resilience;

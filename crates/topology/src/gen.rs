@@ -107,7 +107,7 @@ impl DatasetPreset {
         let s = |v: usize| ((v as f64 * scale).round() as usize).max(4);
         GenParams {
             name: self.name().to_string(),
-            num_nodes: s(nodes),
+            num_nodes: s(nodes).max(MIN_NODES),
             target_pc_links: s(pc),
             target_peer_links: s(peer).max(8),
             target_sibling_links: (sib as f64 * scale).round() as usize,
@@ -118,6 +118,16 @@ impl DatasetPreset {
         }
     }
 }
+
+/// The fewest nodes each transit tier of [`GenParams::generate`] gets.
+const MIN_TIER1: usize = 3;
+const MIN_TIER2: usize = 4;
+const MIN_TIER3: usize = 4;
+
+/// The smallest graph [`GenParams::generate`] can build: its three tier
+/// floors, with no stub fringe. [`DatasetPreset::params`] never asks for
+/// less, whatever scale (tiny, zero, negative, NaN) it is handed.
+pub const MIN_NODES: usize = MIN_TIER1 + MIN_TIER2 + MIN_TIER3;
 
 /// Parameters of one synthetic topology.
 ///
@@ -181,9 +191,9 @@ impl GenParams {
     pub fn generate(&self) -> Topology {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x4d49_524f); // "MIRO"
         let n = self.num_nodes;
-        let n_t1 = ((n as f64 * 0.0015).round() as usize).clamp(3, 16);
-        let n_t2 = ((n as f64 * 0.07).round() as usize).max(4);
-        let n_t3 = ((n as f64 * 0.23).round() as usize).max(4);
+        let n_t1 = ((n as f64 * 0.0015).round() as usize).clamp(MIN_TIER1, 16);
+        let n_t2 = ((n as f64 * 0.07).round() as usize).max(MIN_TIER2);
+        let n_t3 = ((n as f64 * 0.23).round() as usize).max(MIN_TIER3);
         let n_stub = n.saturating_sub(n_t1 + n_t2 + n_t3);
         debug_assert!(n_stub > 0 || n <= n_t1 + n_t2 + n_t3);
 
@@ -521,6 +531,21 @@ mod tests {
             (got as f64) > 0.75 * target as f64 && (got as f64) < 1.25 * target as f64,
             "edges {got} vs target {target}"
         );
+    }
+
+    /// Scales that round below the tier floors once indexed past the end
+    /// of a 4-node builder; they now get the smallest buildable graph.
+    #[test]
+    fn every_preset_generates_at_degenerate_scales() {
+        for preset in DatasetPreset::ALL.into_iter().chain([DatasetPreset::InternetScale]) {
+            for scale in [0.0, 1e-9, 0.001, -1.0, f64::NAN] {
+                let p = preset.params(scale, 42);
+                assert!(p.num_nodes >= MIN_NODES, "{preset:?} @ {scale}");
+                let t = p.generate();
+                assert_eq!(t.num_nodes(), p.num_nodes);
+                assert!(t.is_connected(), "{preset:?} @ {scale}");
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! The four `BENCH_*.json` writers, end to end at `tiny`: each verb runs
-//! through its public entry point into a scratch directory, the file is
-//! parsed back, and every key that CI greps for or that the verb's
-//! `--list` schema promises is looked up at its place in the document —
-//! so a renamed, dropped or re-nested key fails Tier-1 before it fails CI.
+//! The four `BENCH_*.json` writers and `RESILIENCE.json`, end to end at
+//! their smallest: each verb runs through its public entry point into a
+//! scratch directory, the file is parsed back, and every key that CI greps
+//! for or that the verb's `--list` schema promises is looked up at its
+//! place in the document — so a renamed, dropped or re-nested key fails
+//! Tier-1 before it fails CI.
 
 use miro_cli::harness::TempPath;
 use serde_json::JsonValue;
 
 /// Run `verb` at `args` with `--out` pointed into a scratch directory
 /// (removed again on return) and parse what it wrote.
-fn bench(verb: fn(&[String]) -> Result<String, String>, args: &str) -> JsonValue {
+fn report(verb: fn(&[String]) -> Result<String, String>, args: &str) -> JsonValue {
     let dir = TempPath::new("json_test", "");
     std::fs::create_dir_all(&dir.0).expect("scratch dir");
     let out = dir.0.join("bench.json");
@@ -19,9 +20,16 @@ fn bench(verb: fn(&[String]) -> Result<String, String>, args: &str) -> JsonValue
     assert!(report.contains(&format!("wrote {}", out.display())), "{report}");
     let text = std::fs::read_to_string(&out).expect("report written");
     let v: JsonValue = serde_json::from_str(&text).expect("valid JSON");
-    // The one emitter's stamp, on every file.
+    // The one emitter's stamp, first on every file.
+    assert!(text.starts_with("{\"host_parallelism\":"), "{text}");
     assert!(v["host_parallelism"].as_f64().expect("host_parallelism") >= 1.0, "{text}");
-    assert!(v["bench"].as_str().is_some() && v["engine"].as_str().is_some(), "{text}");
+    v
+}
+
+/// [`report`] for a bench verb: the header names the bench and its engine.
+fn bench(verb: fn(&[String]) -> Result<String, String>, args: &str) -> JsonValue {
+    let v = report(verb, args);
+    assert!(v["bench"].as_str().is_some() && v["engine"].as_str().is_some(), "{v:?}");
     v
 }
 
@@ -103,4 +111,24 @@ fn bench_churn_json_keeps_its_schema() {
         "lag_p50", "lag_p95", "lag_max", "converged_batches", "diverged_batches", "events_per_sec",
     ]);
     assert_keys("tunnels", &v["tunnels"], &["teardowns", "renegotiations"]);
+}
+
+#[test]
+fn resilience_json_keeps_its_schema() {
+    let v = report(miro_eval::resilience::run, "--pairs 4 --seed 9");
+    assert_keys("header", &v, &["seed", "scale", "nodes", "pairs", "outage_ticks", "points"]);
+    assert_eq!(v["points"].as_array().map(Vec::len), Some(5));
+    // ci.yml's grep list: outage_recovery outage_recovery_static
+    // crash_recovery mean_recovery_ticks p95_recovery_ticks
+    // orphaned_tunnels recovery_rate retry_attempts rto srtt_mean rto_peak.
+    for point in v["points"].as_array().unwrap() {
+        assert_keys("points[]", point, &["drop_permille", "success_rate", "rto"]);
+        assert_keys("points[].rto", &point["rto"], &["srtt_mean", "rto_mean", "rto_peak"]);
+        for scenario in ["outage_recovery", "outage_recovery_static", "crash_recovery"] {
+            assert_keys(scenario, &point[scenario], &[
+                "episodes", "recovery_rate", "mean_recovery_ticks", "p95_recovery_ticks",
+                "retry_attempts", "orphaned_tunnels",
+            ]);
+        }
+    }
 }
