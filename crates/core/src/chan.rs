@@ -22,7 +22,7 @@ use miro_topology::NodeId;
 use std::collections::BTreeMap;
 
 /// Finalizer of the splitmix64 generator — one well-mixed word per input.
-fn mix(x: u64) -> u64 {
+pub(crate) fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -20,17 +20,17 @@
 //!
 //! [`strategy`] hosts the requester side: whom to ask (on-path vs 1-hop,
 //! section 6.2.1) and the avoid-AS search loop whose success rates are
-//! Table 5.2. [`node`] wires everything into a small control-plane
-//! message-passing harness with a virtual clock — over a perfect channel.
-//! [`chan`] provides the seeded unreliable channel (drop / duplicate /
-//! reorder / delay) and [`reliable`] reruns the Figure-4.2 handshake over
-//! it with sequence numbers, retransmit/backoff timers, duplicate-safe
-//! handlers, and graceful fallback to the BGP default path.
+//! Table 5.2. The Figure-4.2 handshake is written once, in [`handshake`],
+//! and run by two drivers on a virtual clock: [`node`], the synchronous
+//! reference, and [`reliable`], the only message-level state machine —
+//! over [`chan`]'s seeded unreliable channel it adds sequence numbers,
+//! retransmit/backoff timers, duplicate-safe handlers, and graceful
+//! fallback to the BGP default path.
 
 pub mod chan;
 pub mod config;
-pub mod endpoint;
 pub mod export;
+pub mod handshake;
 pub mod negotiate;
 pub mod node;
 pub mod reliable;

@@ -11,9 +11,9 @@
 //! ```
 //!
 //! plus `Reject`, `Keepalive` (soft state, section 4.3) and `Teardown`.
-//! The message types are plain data so the same definitions drive the
-//! in-process harness in [`crate::node`], the tests, and the examples'
-//! printed transcripts.
+//! The message types are plain data so the same definitions drive both
+//! handshake drivers ([`crate::node`], [`crate::reliable`]), the tests, and
+//! the examples' printed transcripts.
 
 use crate::export::Offer;
 use miro_topology::NodeId;
@@ -114,6 +114,8 @@ pub enum NegotiationError {
     NoneAcceptable,
     /// Requester and responder are the same AS.
     SelfNegotiation,
+    /// The requester or responder id names no node of the topology.
+    UnknownNode(NodeId),
 }
 
 impl std::fmt::Display for NegotiationError {
@@ -122,6 +124,7 @@ impl std::fmt::Display for NegotiationError {
             NegotiationError::Rejected(r) => write!(f, "responder rejected: {r:?}"),
             NegotiationError::NoneAcceptable => write!(f, "no acceptable offer"),
             NegotiationError::SelfNegotiation => write!(f, "cannot negotiate with self"),
+            NegotiationError::UnknownNode(n) => write!(f, "node {n} is not in the topology"),
         }
     }
 }

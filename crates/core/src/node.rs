@@ -6,15 +6,20 @@
 //! control, pricing, the four-message handshake, soft-state keepalives,
 //! and teardown on route change — end to end, the way a deployment would
 //! run it. The examples print its message log as a negotiation transcript.
+//!
+//! The handshake has two drivers over one [`NetState`] (state and the
+//! transport-independent steps, [`crate::handshake`]): [`MiroNetwork`] here
+//! resolves it synchronously — every message delivered instantly, exactly
+//! once — and is the short reference; [`crate::reliable::ReliableNet`] is
+//! the only message-level state machine and is tested against it.
 
-use crate::export::ExportPolicy;
-use crate::negotiate::{
-    admissible, Constraint, Message, NegotiationError, NegotiationId, RejectReason,
-};
-use crate::strategy::export_rel_toward;
-use crate::tunnel::{Tunnel, TunnelId, TunnelManager};
+use crate::export::{ExportPolicy, Offer};
+use crate::handshake::NetState;
+use crate::negotiate::{Constraint, Message, NegotiationError};
+use crate::tunnel::TunnelId;
 use miro_bgp::solver::RoutingState;
 use miro_topology::{NodeId, Topology};
+use std::ops::{Deref, DerefMut};
 
 /// Responder-side configuration (section 6.2.1's negotiation rules).
 #[derive(Clone, Debug)]
@@ -72,98 +77,39 @@ pub struct Lease {
     pub constraints: Vec<Constraint>,
 }
 
-/// Responder-side decision, shared by this synchronous harness and the
-/// unreliable-channel harness in [`crate::reliable`]: admission control
-/// (section 6.2.1), then the policy-filtered, markup-priced,
-/// constraint-admissible offer set (section 6.2.2). `live_tunnels` is the
-/// responder's current tunnel count for the `tunnel_number < N` gate.
-pub fn responder_offers(
-    cfg: &ResponderConfig,
-    live_tunnels: usize,
-    st: &RoutingState<'_>,
-    requester: NodeId,
-    responder: NodeId,
-    constraints: &[Constraint],
-    switch: bool,
-) -> Result<Vec<crate::export::Offer>, RejectReason> {
-    if !cfg.accept_any && !cfg.allow.contains(&requester) {
-        return Err(RejectReason::NotAllowed);
-    }
-    if live_tunnels >= cfg.max_tunnels {
-        return Err(RejectReason::TunnelLimit);
-    }
-    let pool = if switch {
-        cfg.policy.switch_offers(st, responder)
-    } else {
-        let toward = export_rel_toward(st, requester, responder);
-        cfg.policy.offers(st, responder, toward)
-    };
-    let pool: Vec<_> = pool
-        .into_iter()
-        .map(|mut o| {
-            o.price += cfg.price_markup;
-            o
-        })
-        .collect();
-    let offers = admissible(&pool, constraints);
-    if offers.is_empty() {
-        return Err(RejectReason::NoCandidates);
-    }
-    Ok(offers)
-}
-
-/// Requester-side choice, shared with [`crate::reliable`]: the best offer
-/// by (class, length, price) whose price fits the budget, as an index into
-/// `offers`.
-pub fn choose_offer(offers: &[crate::export::Offer], max_price: u32) -> Option<usize> {
+/// Requester-side choice, shared by both drivers: the best offer by
+/// (class, length, price) that fits the budget *and* the requester's own
+/// constraints — re-checked on receipt, since it need not trust the
+/// responder to have filtered — as an index into `offers`.
+pub fn choose_offer(offers: &[Offer], constraints: &[Constraint], max_price: u32) -> Option<usize> {
     offers
         .iter()
         .enumerate()
-        .filter(|(_, o)| o.price <= max_price)
+        .filter(|(_, o)| o.price <= max_price && constraints.iter().all(|c| c.admits(o)))
         .min_by_key(|(_, o)| (o.route.class, o.route.len(), o.price))
         .map(|(i, _)| i)
 }
 
-/// The whole-network control-plane harness.
-pub struct MiroNetwork<'t> {
-    topo: &'t Topology,
-    /// Virtual clock, advanced by [`MiroNetwork::tick`].
-    pub clock: u64,
-    configs: Vec<ResponderConfig>,
-    managers: Vec<TunnelManager>,
-    leases: Vec<Lease>,
-    next_neg: u64,
-    /// Transcript of every message "sent": (from, to, message).
-    pub log: Vec<(NodeId, NodeId, Message)>,
+/// The whole-network control-plane harness: the synchronous reference
+/// driver of the handshake.
+pub struct MiroNetwork<'t>(NetState<'t>);
+
+impl<'t> Deref for MiroNetwork<'t> {
+    type Target = NetState<'t>;
+    fn deref(&self) -> &NetState<'t> {
+        &self.0
+    }
+}
+
+impl DerefMut for MiroNetwork<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl<'t> MiroNetwork<'t> {
     pub fn new(topo: &'t Topology) -> Self {
-        let n = topo.num_nodes();
-        MiroNetwork {
-            topo,
-            clock: 0,
-            configs: vec![ResponderConfig::default(); n],
-            managers: (0..n).map(|_| TunnelManager::new()).collect(),
-            leases: Vec::new(),
-            next_neg: 0,
-            log: Vec::new(),
-        }
-    }
-
-    /// Replace one AS's responder configuration.
-    pub fn configure(&mut self, node: NodeId, config: ResponderConfig) {
-        self.configs[node as usize] = config;
-    }
-
-    /// The live leases ledger (id order).
-    pub fn leases(&self) -> &[Lease] {
-        &self.leases
-    }
-
-    /// A node's tunnel table.
-    pub fn tunnels(&self, node: NodeId) -> &TunnelManager {
-        &self.managers[node as usize]
+        MiroNetwork(NetState::new(topo))
     }
 
     /// Run one full negotiation (Figure 4.2) between `requester` and
@@ -210,75 +156,37 @@ impl<'t> MiroNetwork<'t> {
         max_price: u32,
         switch: bool,
     ) -> Result<TunnelId, NegotiationError> {
-        if requester == responder {
-            return Err(NegotiationError::SelfNegotiation);
-        }
-        let id = NegotiationId(self.next_neg);
-        self.next_neg += 1;
-        self.log.push((
+        let net = &mut self.0;
+        net.check_pair(requester, responder)?;
+        let id = net.next_id();
+        net.log.push((
             requester,
             responder,
             Message::Request { id, dest: st.dest(), constraints: constraints.clone() },
         ));
 
-        // Responder decides: admission (section 6.2.1), then policy- and
-        // constraint-filtered offers (section 6.2.2). Shared verbatim with
-        // the unreliable-channel harness in [`crate::reliable`].
-        let cfg = self.configs[responder as usize].clone();
-        let offers = match responder_offers(
-            &cfg,
-            self.managers[responder as usize].len(),
-            st,
-            requester,
-            responder,
-            &constraints,
-            switch,
-        ) {
+        // Responder decides: admission, then policy- and constraint-
+        // filtered offers.
+        let offers = match net.responder_offers(st, requester, responder, &constraints, switch) {
             Ok(offers) => offers,
             Err(reason) => {
-                self.log.push((responder, requester, Message::Reject { id, reason }));
+                net.log.push((responder, requester, Message::Reject { id, reason }));
                 return Err(NegotiationError::Rejected(reason));
             }
         };
-        self.log.push((responder, requester, Message::Offers { id, offers: offers.clone() }));
+        net.log.push((responder, requester, Message::Offers { id, offers: offers.clone() }));
 
         // Requester evaluates: best by (class, length, price), within budget.
-        let Some(choice) = choose_offer(&offers, max_price) else {
+        let Some(choice) = choose_offer(&offers, &constraints, max_price) else {
             return Err(NegotiationError::NoneAcceptable);
         };
-        self.log.push((requester, responder, Message::Accept { id, choice }));
+        net.log.push((requester, responder, Message::Accept { id, choice }));
 
         // Handshake completes: downstream allocates the id, both install.
-        let offer = &offers[choice];
-        let now = self.clock;
-        let tid = self.managers[responder as usize].establish(
-            requester,
-            st.dest(),
-            offer.route.path.clone(),
-            offer.price,
-            now,
-        );
-        let adopted = self.managers[requester as usize].adopt(Tunnel {
-            id: tid,
-            peer: responder,
-            dest: st.dest(),
-            path: offer.route.path.clone(),
-            price: offer.price,
-            last_heartbeat: now,
-        });
-        debug_assert!(adopted || requester == responder);
-        self.leases.push(Lease {
-            id: tid,
-            downstream: responder,
-            upstream: requester,
-            dest: st.dest(),
-            path: offer.route.path.clone(),
-            upstream_path: st.path(requester).unwrap_or_default(),
-            price: offer.price,
-            budget: max_price,
-            constraints,
-        });
-        self.log.push((responder, requester, Message::Established { id, tunnel: tid }));
+        let tid = net.establish(st, requester, responder, &offers[choice], max_price, constraints);
+        let adopted = net.adopt(requester, responder, st.dest(), tid);
+        debug_assert!(adopted);
+        net.log.push((responder, requester, Message::Established { id, tunnel: tid }));
         Ok(tid)
     }
 
@@ -286,22 +194,7 @@ impl<'t> MiroNetwork<'t> {
     /// (section 4.3's heartbeat), then both sides expire anything stale —
     /// so in the healthy case this is a no-op apart from time moving.
     pub fn tick(&mut self, dt: u64, keepalive_timeout: u64) {
-        self.clock += dt;
-        let clock = self.clock;
-        for lease in &self.leases {
-            // Upstream pings downstream; both refresh.
-            self.log.push((lease.upstream, lease.downstream, Message::Keepalive {
-                tunnel: lease.id,
-            }));
-            self.managers[lease.downstream as usize].keepalive(lease.id, clock);
-            self.managers[lease.upstream as usize].keepalive(lease.id, clock);
-        }
-        for m in &mut self.managers {
-            m.expire(clock, keepalive_timeout);
-        }
-        self.leases.retain(|l| {
-            self.managers[l.downstream as usize].get(l.id).is_some()
-        });
+        self.advance(dt, keepalive_timeout, None);
     }
 
     /// Simulate a silent upstream failure: the upstream stops sending
@@ -309,21 +202,34 @@ impl<'t> MiroNetwork<'t> {
     /// tunnel (the "idle tunnels in the downstream ASes" scenario of
     /// section 4.3 where the teardown message itself cannot be delivered).
     pub fn silence(&mut self, lease_id: TunnelId, dt: u64, keepalive_timeout: u64) {
-        self.clock += dt;
-        let clock = self.clock;
-        for lease in &self.leases {
-            if lease.id == lease_id {
-                continue;
-            }
-            self.managers[lease.downstream as usize].keepalive(lease.id, clock);
-            self.managers[lease.upstream as usize].keepalive(lease.id, clock);
+        self.advance(dt, keepalive_timeout, Some(lease_id));
+    }
+
+    fn advance(&mut self, dt: u64, keepalive_timeout: u64, silent: Option<TunnelId>) {
+        let net = &mut self.0;
+        net.clock += dt;
+        let clock = net.clock;
+        for lease in net.leases.iter().filter(|l| Some(l.id) != silent) {
+            // Upstream pings downstream; both refresh.
+            net.log.push((lease.upstream, lease.downstream, Message::Keepalive {
+                tunnel: lease.id,
+            }));
+            net.managers[lease.downstream as usize].keepalive(lease.id, clock);
+            net.managers[lease.upstream as usize].keepalive(lease.id, clock);
         }
-        for m in &mut self.managers {
+        for m in &mut net.managers {
             m.expire(clock, keepalive_timeout);
         }
-        self.leases.retain(|l| {
-            self.managers[l.downstream as usize].get(l.id).is_some()
-        });
+        net.leases.retain(|l| net.managers[l.downstream as usize].get(l.id).is_some());
+    }
+
+    /// Active teardown of a lease already struck from the ledger: both
+    /// tunnel tables drop it and the downstream says so.
+    fn tear_down(&mut self, lease: &Lease) {
+        let net = &mut self.0;
+        net.managers[lease.downstream as usize].teardown(lease.id);
+        net.managers[lease.upstream as usize].teardown(lease.id);
+        net.log.push((lease.downstream, lease.upstream, Message::Teardown { tunnel: lease.id }));
     }
 
     /// Routes changed (e.g. a link failed and BGP reconverged): re-check
@@ -350,18 +256,9 @@ impl<'t> MiroNetwork<'t> {
             }
         }
         for &i in dead.iter().rev() {
-            let lease = self.leases.remove(i);
-            self.managers[lease.downstream as usize].teardown(lease.id);
-            self.managers[lease.upstream as usize].teardown(lease.id);
-            self.log.push((lease.downstream, lease.upstream, Message::Teardown {
-                tunnel: lease.id,
-            }));
+            let lease = self.0.leases.remove(i);
+            self.tear_down(&lease);
         }
-    }
-
-    /// The topology this network runs over.
-    pub fn topology(&self) -> &'t Topology {
-        self.topo
     }
 
     /// The section 6.2.2 economic lifecycle: `responder` changes its price
@@ -380,7 +277,7 @@ impl<'t> MiroNetwork<'t> {
         new_markup: u32,
     ) -> Vec<(TunnelId, Option<TunnelId>)> {
         let old_markup = self.configs[responder as usize].price_markup;
-        self.configs[responder as usize].price_markup = new_markup;
+        self.0.configs[responder as usize].price_markup = new_markup;
         let affected: Vec<Lease> = self
             .leases
             .iter()
@@ -393,7 +290,7 @@ impl<'t> MiroNetwork<'t> {
             let new_price = base + new_markup;
             if new_price <= lease.budget {
                 // Both parties accept the adjustment; no teardown.
-                for l in &mut self.leases {
+                for l in &mut self.0.leases {
                     if l.id == lease.id && l.downstream == responder {
                         l.price = new_price;
                     }
@@ -401,12 +298,8 @@ impl<'t> MiroNetwork<'t> {
                 continue;
             }
             // Dissatisfied party: terminate, then re-negotiate.
-            self.leases.retain(|l| !(l.id == lease.id && l.downstream == responder));
-            self.managers[lease.downstream as usize].teardown(lease.id);
-            self.managers[lease.upstream as usize].teardown(lease.id);
-            self.log.push((lease.downstream, lease.upstream, Message::Teardown {
-                tunnel: lease.id,
-            }));
+            self.0.leases.retain(|l| !(l.id == lease.id && l.downstream == responder));
+            self.tear_down(&lease);
             let replacement = self
                 .negotiate(st, lease.upstream, responder, lease.constraints.clone(), lease.budget)
                 .ok();
@@ -419,6 +312,7 @@ impl<'t> MiroNetwork<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::negotiate::RejectReason;
     use miro_topology::gen::figure_1_1;
 
     fn setup() -> (miro_topology::Topology, [NodeId; 6]) {
@@ -602,6 +496,48 @@ mod tests {
             net.negotiate(&st, a, a, vec![], 100),
             Err(NegotiationError::SelfNegotiation)
         );
+    }
+
+    /// Ids the per-node tables cannot index are refused up front, on either
+    /// side of the pair, instead of panicking on `configs[responder]`.
+    #[test]
+    fn unknown_node_refused() {
+        let (t, [a, ..]) = setup();
+        let st = RoutingState::solve(&t, a);
+        let mut net = MiroNetwork::new(&t);
+        let ghost = t.num_nodes() as NodeId;
+        assert_eq!(
+            net.negotiate(&st, a, ghost, vec![], 100),
+            Err(NegotiationError::UnknownNode(ghost))
+        );
+        assert_eq!(
+            net.negotiate_switch(&st, ghost + 7, a, vec![], 100),
+            Err(NegotiationError::UnknownNode(ghost + 7))
+        );
+        assert!(net.log.is_empty() && net.leases().is_empty());
+    }
+
+    /// The requester need not trust the responder: an `Offers` whose best
+    /// and cheapest entry runs through the avoided AS (a responder that did
+    /// not filter) is passed over for the admissible one — or for nothing.
+    #[test]
+    fn choose_offer_rechecks_the_requesters_constraints() {
+        use miro_bgp::route::CandidateRoute;
+        use miro_topology::RouteClass;
+        let offer = |path: Vec<NodeId>, class, price| Offer {
+            route: CandidateRoute { path, class },
+            price,
+        };
+        let offers = vec![
+            offer(vec![7, 9], RouteClass::Customer, 10), // through the avoided AS 7
+            offer(vec![3, 4, 9], RouteClass::Peer, 180),
+        ];
+        let avoid = [Constraint::AvoidAs(7)];
+        assert_eq!(choose_offer(&offers, &[], 250), Some(0), "unconstrained: best wins");
+        assert_eq!(choose_offer(&offers, &avoid, 250), Some(1));
+        assert_eq!(choose_offer(&offers, &avoid, 100), None, "never the inadmissible one");
+        assert_eq!(choose_offer(&offers[..1], &avoid, 250), None);
+        assert_eq!(choose_offer(&offers, &[Constraint::MaxPrice(50), Constraint::MaxLen(2)], 250), Some(0));
     }
 
     #[test]

@@ -1,29 +1,34 @@
 //! The Figure-4.2 negotiation made correct over an unreliable control
-//! channel (the §4.3 soft-state design, finally exercised under failure).
+//! channel (the §4.3 soft-state design, exercised under failure) — the one
+//! message-level state machine of the crate.
 //!
-//! [`MiroNetwork`](crate::node::MiroNetwork) delivers every message
-//! instantly and exactly once; this module reruns the same protocol over a
-//! [`FaultyChannel`] that drops, duplicates, reorders, delays — and, since
-//! the lifecycle-resilience work, blacks out entire windows and survives a
-//! responder crash-restart. The reliability layer on top is classical:
+//! [`MiroNetwork`](crate::node::MiroNetwork) is the synchronous reference:
+//! every message delivered instantly and exactly once. [`ReliableNet`]
+//! drives the same [`NetState`] — same admission and offer decision, same
+//! offer choice, same establish → adopt → lease steps — one message at a
+//! time over a [`FaultyChannel`] that drops, duplicates, reorders, delays,
+//! blacks out entire windows, and survives a responder crash-restart; on a
+//! perfect channel the two agree on tunnel id, path and price. The
+//! reliability layer on top is classical:
 //!
 //! * **sequence numbers** — every transmission carries a fresh sequence
 //!   number; receivers suppress exact duplicates (the channel's
 //!   duplication fault) while retransmissions get new numbers and are
 //!   absorbed by idempotent handlers instead;
 //! * **adaptive retransmission timers** — each Seq→Ack exchange of the
-//!   handshake (`Request`→`Offers`, `Accept`→`Established`,
-//!   `Established`→`Ack`) is an RTT echo on the virtual clock. Per-peer
-//!   [`RtoEstimator`]s fold the unambiguous echoes (Karn's algorithm:
-//!   retransmitted exchanges never feed the estimator) into RFC 6298
-//!   SRTT/RTTVAR, and fresh sends start their backoff from the learned
-//!   RTO instead of a static base. Retries still double the timer, now
-//!   clamped to [`ReliabilityConfig::rto_max`];
+//!   handshake (`Request`→`Offers`, `Offers`→`Accept`,
+//!   `Accept`→`Established`, `Established`→`Ack`) is one `Exchange`: the
+//!   message awaiting its answer, its retransmit timer, and an RTT echo on
+//!   the virtual clock. Per-peer [`RtoEstimator`]s fold the unambiguous
+//!   echoes (Karn's algorithm: retransmitted exchanges never feed the
+//!   estimator) into RFC 6298 SRTT/RTTVAR, and fresh sends start their
+//!   backoff from the learned RTO instead of a static base. Retries still
+//!   double the timer, clamped to [`ReliabilityConfig::rto_max`];
 //!   [`RtoMode::StaticLadder`] recovers the old fixed ladder for A/B runs;
-//! * **idempotent handlers** — a replayed `Accept` never allocates a
-//!   second tunnel (the responder replays the recorded `Established`), a
-//!   replayed `Established` is re-`Ack`ed, and a replayed `Teardown` is a
-//!   no-op;
+//! * **idempotent handlers** — a replayed `Request` or `Accept` is
+//!   answered with what the session already said (a replayed `Accept`
+//!   never allocates a second tunnel), a replayed `Established` is
+//!   re-`Ack`ed, and a replayed `Teardown` is a no-op;
 //! * **graceful fallback with paced re-negotiation** — when retries are
 //!   exhausted, or an established tunnel's session later dies, the
 //!   requester degrades to the BGP default path (the paper's core
@@ -53,25 +58,18 @@
 //! downstream ASes" scenario §4.3 designed for. [`ReliableNet::orphan_count`]
 //! measures the invariant directly.
 
-use crate::chan::{Envelope, FaultConfig, FaultyChannel};
+use crate::chan::{mix, Envelope, FaultConfig, FaultyChannel};
 use crate::config::ConfigError;
+use crate::export::Offer;
+use crate::handshake::NetState;
 use crate::negotiate::{Constraint, Message, NegotiationError, NegotiationId, RejectReason};
-use crate::node::{choose_offer, responder_offers, Lease, ResponderConfig};
+use crate::node::choose_offer;
 use crate::rto::RtoEstimator;
-use crate::tunnel::{Tunnel, TunnelId, TunnelManager};
+use crate::tunnel::TunnelId;
 use miro_bgp::solver::RoutingState;
 use miro_topology::{NodeId, Topology};
 use std::collections::{BTreeMap, HashSet};
-
-/// Finalizer of the splitmix64 generator — one well-mixed word per input,
-/// used to derive retry-schedule jitter as a pure function of
-/// (seed, episode, attempt).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use std::ops::{Deref, DerefMut};
 
 /// How retransmission timeouts are chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -271,29 +269,71 @@ struct RetryCtx {
 }
 
 /// A re-negotiation waiting for its jittered launch time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct PendingRetry {
     ctx: RetryCtx,
-    requester: NodeId,
-    responder: NodeId,
-    dest: NodeId,
-    constraints: Vec<Constraint>,
-    max_price: u32,
+    /// Index of the requester session whose request is repeated.
+    session: usize,
     next_at: u64,
 }
 
+/// One Seq→Ack exchange of the handshake, either side: the message that
+/// awaits an answer, its retransmit timer, and its standing as an RTT echo.
 #[derive(Clone, Debug)]
+struct Exchange {
+    /// Retransmitted when the timer fires; replayed verbatim when a
+    /// duplicate of the message it answered arrives — the negotiation
+    /// never moves backwards.
+    msg: Message,
+    sent_at: u64,
+    backoff: u64,
+    retries: u32,
+    /// Karn: once retransmitted (or, for `Offers`, replayed) the answer
+    /// cannot be matched to one send, so it never feeds the estimator.
+    ambiguous: bool,
+}
+
+/// What [`Exchange::poll`] asks of its session.
+enum Timer {
+    Idle,
+    Resend,
+    Exhausted,
+}
+
+impl Exchange {
+    /// One retransmit-timer step: nothing until `backoff` ticks of silence,
+    /// then a resend with the backoff doubled (clamped to `rto_max`), until
+    /// `max_retries` are spent.
+    fn poll(&mut self, now: u64, rel: &ReliabilityConfig) -> Timer {
+        if now.saturating_sub(self.sent_at) < self.backoff {
+            return Timer::Idle;
+        }
+        if self.retries >= rel.max_retries {
+            return Timer::Exhausted;
+        }
+        self.retries += 1;
+        self.ambiguous = true;
+        self.backoff = (self.backoff * 2).min(rel.rto_max);
+        self.sent_at = now;
+        Timer::Resend
+    }
+
+    /// The RTT this exchange measured if its answer arrives `now`.
+    fn echo(&self, now: u64) -> Option<u64> {
+        (!self.ambiguous).then(|| now - self.sent_at)
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
 enum ReqState {
     AwaitOffers,
     AwaitEstablished,
     Done(TunnelId),
-    /// Terminal failure; the reason lives in the recorded
-    /// [`NegotiationOutcome`].
+    /// Terminal. Either the handshake never completed (the reason lives in
+    /// the recorded [`NegotiationOutcome`]) or it was `Done` and the
+    /// tunnel's session later died (expiry or peer teardown); recovery
+    /// happens in a *new* session launched by the pacing machinery.
     Failed,
-    /// Was `Done`, but the tunnel's session later died (expiry or peer
-    /// teardown). Terminal for this session; recovery happens in a *new*
-    /// session launched by the pacing machinery.
-    Lost,
 }
 
 struct ReqSession {
@@ -304,42 +344,39 @@ struct ReqSession {
     constraints: Vec<Constraint>,
     max_price: u32,
     state: ReqState,
-    /// What to retransmit (the last handshake message we sent).
-    last_msg: Message,
-    last_send: u64,
-    retries: u32,
-    backoff: u64,
+    /// The `Request`, then the `Accept`, awaiting its answer.
+    xchg: Exchange,
     retransmits_total: u32,
     started_at: u64,
     /// `Some` when this session *is* a paced retry of an earlier episode.
     retry: Option<RetryCtx>,
 }
 
-#[derive(Clone, Debug)]
+impl ReqSession {
+    fn in_flight(&self) -> bool {
+        matches!(self.state, ReqState::AwaitOffers | ReqState::AwaitEstablished)
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum RespState {
     /// Replied with `Offers` (or a terminal `Reject`); waiting for
     /// `Accept` — the requester's retransmit timer drives this stage.
     Offered,
     /// Tunnel allocated; retransmitting `Established` until `Ack`.
-    Established(TunnelId),
-    /// `Ack` seen, or retries exhausted (soft state covers the rest).
+    Established,
+    /// `Ack` seen, retries exhausted (soft state covers the rest), or the
+    /// `Accept` was refused.
     Closed,
 }
 
 struct RespSession {
-    id: NegotiationId,
     requester: NodeId,
     responder: NodeId,
     state: RespState,
-    /// Replayed verbatim when the session sees a duplicate of the message
-    /// it already answered — the negotiation never moves backwards.
-    last_reply: Message,
-    last_send: u64,
-    retries: u32,
-    backoff: u64,
-    /// Times `last_reply` was replayed — a replayed exchange is ambiguous
-    /// as an RTT echo (Karn), so `replays > 0` disables sampling on it.
-    replays: u32,
+    /// The `Offers`/`Reject`, then the `Established`, this session last
+    /// answered with.
+    xchg: Exchange,
 }
 
 /// Aggregate view of the per-peer RTO estimators, for metrics exports.
@@ -359,22 +396,20 @@ pub struct RtoSnapshot {
 
 /// The whole-network harness over the unreliable bus. One instance drives
 /// negotiations and tunnel soft state for the destination of the
-/// [`RoutingState`] passed to [`ReliableNet::tick`].
+/// [`RoutingState`] passed to [`ReliableNet::tick`]. Derefs to the
+/// [`NetState`] it shares with the synchronous reference (`configure`,
+/// `leases`, `tunnels`, `topology`, `clock`, and `log` — here the
+/// transcript of every message handed to the bus, pre-fault).
 pub struct ReliableNet<'t> {
-    topo: &'t Topology,
-    /// Virtual clock, advanced one tick per [`ReliableNet::tick`].
-    pub clock: u64,
+    net: NetState<'t>,
     bus: FaultyChannel<SeqMessage>,
     rel: ReliabilityConfig,
-    configs: Vec<ResponderConfig>,
-    managers: Vec<TunnelManager>,
-    leases: Vec<Lease>,
+    /// Indexed by negotiation id: sessions are never removed.
     req_sessions: Vec<ReqSession>,
     resp_sessions: BTreeMap<NegotiationId, RespSession>,
     /// Every tunnel id ever allocated per negotiation — more than one
     /// entry for the same id would be a double-establish.
     session_tunnels: BTreeMap<NegotiationId, Vec<TunnelId>>,
-    next_neg: u64,
     next_seq: u64,
     /// Per-receiver sets of sequence numbers already processed.
     seen: Vec<HashSet<u64>>,
@@ -391,24 +426,27 @@ pub struct ReliableNet<'t> {
     pending_retries: Vec<PendingRetry>,
     outcomes: Vec<NegotiationOutcome>,
     fallbacks: Vec<FallbackEvent>,
-    /// Transcript of every message handed to the bus (pre-fault).
-    pub log: Vec<(NodeId, NodeId, Message)>,
+}
+
+impl<'t> Deref for ReliableNet<'t> {
+    type Target = NetState<'t>;
+    fn deref(&self) -> &NetState<'t> {
+        &self.net
+    }
+}
+
+impl DerefMut for ReliableNet<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.net
+    }
 }
 
 impl<'t> ReliableNet<'t> {
+    /// Default reliability knobs; panics on an invalid `fault` (see
+    /// [`ReliableNet::try_with_reliability`] for the fallible form).
     pub fn new(topo: &'t Topology, fault: FaultConfig, seed: u64) -> Self {
-        Self::with_reliability(topo, fault, seed, ReliabilityConfig::default())
-    }
-
-    /// Panicking constructor; see [`ReliableNet::try_with_reliability`]
-    /// for the fallible form.
-    pub fn with_reliability(
-        topo: &'t Topology,
-        fault: FaultConfig,
-        seed: u64,
-        rel: ReliabilityConfig,
-    ) -> Self {
-        Self::try_with_reliability(topo, fault, seed, rel).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_with_reliability(topo, fault, seed, ReliabilityConfig::default())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build a network, rejecting invalid fault or reliability knobs with
@@ -420,35 +458,22 @@ impl<'t> ReliableNet<'t> {
         rel: ReliabilityConfig,
     ) -> Result<Self, ConfigError> {
         rel.validate()?;
-        let bus = FaultyChannel::try_new(seed, fault)?;
-        let n = topo.num_nodes();
         Ok(ReliableNet {
-            topo,
-            clock: 0,
-            bus,
+            net: NetState::new(topo),
+            bus: FaultyChannel::try_new(seed, fault)?,
             rel,
-            configs: vec![ResponderConfig::default(); n],
-            managers: (0..n).map(|_| TunnelManager::new()).collect(),
-            leases: Vec::new(),
             req_sessions: Vec::new(),
             resp_sessions: BTreeMap::new(),
             session_tunnels: BTreeMap::new(),
-            next_neg: 0,
             next_seq: 0,
-            seen: vec![HashSet::new(); n],
+            seen: vec![HashSet::new(); topo.num_nodes()],
             duplicates_suppressed: 0,
             rtt: BTreeMap::new(),
             jitter_seed: seed ^ 0x9e37_79b9_7f4a_7c15,
             pending_retries: Vec::new(),
             outcomes: Vec::new(),
             fallbacks: Vec::new(),
-            log: Vec::new(),
         })
-    }
-
-    /// Replace one AS's responder configuration.
-    pub fn configure(&mut self, node: NodeId, config: ResponderConfig) {
-        self.configs[node as usize] = config;
     }
 
     /// Change the channel fault model mid-run (e.g. start an outage after
@@ -467,16 +492,6 @@ impl<'t> ReliableNet<'t> {
     /// Channel accounting (drops, duplicates, reorders, in-flight).
     pub fn channel_stats(&self) -> crate::chan::ChannelStats {
         self.bus.stats
-    }
-
-    /// The live leases ledger (establishment order).
-    pub fn leases(&self) -> &[Lease] {
-        &self.leases
-    }
-
-    /// A node's tunnel table.
-    pub fn tunnels(&self, node: NodeId) -> &TunnelManager {
-        &self.managers[node as usize]
     }
 
     /// Terminal negotiation records, in settlement order.
@@ -506,10 +521,11 @@ impl<'t> ReliableNet<'t> {
     /// meaningful at quiescence over a healed channel: mid-outage, a
     /// half-expired tunnel is legitimately one-sided for a few ticks.
     pub fn orphan_count(&self) -> usize {
+        let managers = &self.net.managers;
         let mut orphans = 0;
-        for n in 0..self.managers.len() {
-            for t in self.managers[n].iter() {
-                match self.managers[t.peer as usize].get(t.id) {
+        for n in 0..managers.len() {
+            for t in managers[n].iter() {
+                match managers[t.peer as usize].get(t.id) {
                     Some(peer_side) if peer_side.peer == n as NodeId => {}
                     _ => orphans += 1,
                 }
@@ -535,11 +551,6 @@ impl<'t> ReliableNet<'t> {
         }
     }
 
-    /// The topology this network runs over.
-    pub fn topology(&self) -> &'t Topology {
-        self.topo
-    }
-
     /// The node's process restarts: tunnel table, teardown history,
     /// responder sessions, and the duplicate-suppression window all
     /// vanish (soft state is exactly the state you may lose). In-flight
@@ -552,15 +563,14 @@ impl<'t> ReliableNet<'t> {
     /// tunnels with `Teardown`, which marks the peer's session dead and
     /// feeds the paced re-negotiation machinery.
     pub fn crash_restart(&mut self, node: NodeId) -> Vec<TunnelId> {
-        let lost = self.managers[node as usize].crash();
+        let lost = self.net.managers[node as usize].crash();
         self.seen[node as usize].clear();
         self.resp_sessions.retain(|_, s| s.responder != node);
-        for s in self.req_sessions.iter_mut().filter(|s| s.requester == node) {
-            if matches!(s.state, ReqState::AwaitOffers | ReqState::AwaitEstablished) {
-                s.state = ReqState::Failed;
-            }
+        for s in self.req_sessions.iter_mut().filter(|s| s.requester == node && s.in_flight()) {
+            s.state = ReqState::Failed;
         }
-        self.pending_retries.retain(|p| p.requester != node);
+        let sessions = &self.req_sessions;
+        self.pending_retries.retain(|p| sessions[p.session].requester != node);
         self.rtt.retain(|(local, _), _| *local != node);
         lost
     }
@@ -568,29 +578,32 @@ impl<'t> ReliableNet<'t> {
     fn post(&mut self, from: NodeId, to: NodeId, msg: Message) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.log.push((from, to, msg.clone()));
-        self.bus.send(self.clock, from, to, SeqMessage { seq, msg });
+        self.net.log.push((from, to, msg.clone()));
+        self.bus.send(self.net.clock, from, to, SeqMessage { seq, msg });
     }
 
-    /// The RTO a fresh exchange from `local` to `peer` should start at.
-    fn rto_for(&self, local: NodeId, peer: NodeId) -> u64 {
-        match self.rel.rto_mode {
-            RtoMode::StaticLadder => self.rel.rto_initial,
-            RtoMode::Adaptive => self
-                .rtt
-                .get(&(local, peer))
-                .map(|e| e.rto())
-                .unwrap_or(self.rel.rto_initial),
+    /// Send `msg` as a fresh exchange whose timer starts at the RTO learned
+    /// for the pair (the configured initial RTO before any sample, and
+    /// always under [`RtoMode::StaticLadder`]).
+    fn open(&mut self, from: NodeId, to: NodeId, msg: Message) -> Exchange {
+        self.post(from, to, msg.clone());
+        let backoff = match self.rel.rto_mode {
+            RtoMode::StaticLadder => None,
+            RtoMode::Adaptive => self.rtt.get(&(from, to)).map(|e| e.rto()),
+        };
+        Exchange {
+            msg,
+            sent_at: self.net.clock,
+            backoff: backoff.unwrap_or(self.rel.rto_initial),
+            retries: 0,
+            ambiguous: false,
         }
     }
 
-    /// Fold one unambiguous RTT echo into the (local, peer) estimator.
-    /// Callers enforce Karn's algorithm: only exchanges that were never
-    /// retransmitted/replayed reach this.
-    fn sample_rtt(&mut self, local: NodeId, peer: NodeId, rtt: u64) {
-        if self.rel.rto_mode == RtoMode::StaticLadder {
-            return;
-        }
+    /// Fold the echo of an answered exchange (`None`: Karn disqualified it)
+    /// into the (local, peer) estimator.
+    fn sample_rtt(&mut self, local: NodeId, peer: NodeId, echo: Option<u64>) {
+        let (Some(rtt), RtoMode::Adaptive) = (echo, self.rel.rto_mode) else { return };
         let (initial, min, max) = (self.rel.rto_initial, self.rel.rto_min, self.rel.rto_max);
         self.rtt
             .entry((local, peer))
@@ -609,9 +622,7 @@ impl<'t> ReliableNet<'t> {
         constraints: Vec<Constraint>,
         max_price: u32,
     ) -> Result<NegotiationId, NegotiationError> {
-        if requester == responder {
-            return Err(NegotiationError::SelfNegotiation);
-        }
+        self.net.check_pair(requester, responder)?;
         Ok(self.launch(st.dest(), requester, responder, constraints, max_price, None))
     }
 
@@ -625,11 +636,10 @@ impl<'t> ReliableNet<'t> {
         max_price: u32,
         retry: Option<RetryCtx>,
     ) -> NegotiationId {
-        let id = NegotiationId(self.next_neg);
-        self.next_neg += 1;
-        let msg = Message::Request { id, dest, constraints: constraints.clone() };
-        self.post(requester, responder, msg.clone());
-        let backoff = self.rto_for(requester, responder);
+        let id = self.net.next_id();
+        debug_assert_eq!(id.0 as usize, self.req_sessions.len());
+        let request = Message::Request { id, dest, constraints: constraints.clone() };
+        let xchg = self.open(requester, responder, request);
         self.req_sessions.push(ReqSession {
             id,
             requester,
@@ -638,12 +648,9 @@ impl<'t> ReliableNet<'t> {
             constraints,
             max_price,
             state: ReqState::AwaitOffers,
-            last_msg: msg,
-            last_send: self.clock,
-            retries: 0,
-            backoff,
+            xchg,
             retransmits_total: 0,
-            started_at: self.clock,
+            started_at: self.net.clock,
             retry,
         });
         id
@@ -654,12 +661,8 @@ impl<'t> ReliableNet<'t> {
     /// re-negotiations may still be pending (see
     /// [`ReliableNet::quiescent`]).
     pub fn handshakes_settled(&self) -> bool {
-        self.req_sessions.iter().all(|s| {
-            matches!(s.state, ReqState::Done(_) | ReqState::Failed | ReqState::Lost)
-        }) && self
-            .resp_sessions
-            .values()
-            .all(|s| matches!(s.state, RespState::Offered | RespState::Closed))
+        !self.req_sessions.iter().any(ReqSession::in_flight)
+            && self.resp_sessions.values().all(|s| s.state != RespState::Established)
             && self.bus.is_idle()
     }
 
@@ -674,29 +677,29 @@ impl<'t> ReliableNet<'t> {
     /// this loop open — use [`ReliableNet::run_until_quiescent`] to also
     /// drain the recovery machinery.
     pub fn run_until_settled(&mut self, st: &RoutingState<'_>, max_ticks: u64) -> u64 {
-        let start = self.clock;
-        while !self.handshakes_settled() && self.clock - start < max_ticks {
+        let start = self.net.clock;
+        while !self.handshakes_settled() && self.net.clock - start < max_ticks {
             self.tick(st);
         }
-        self.clock - start
+        self.net.clock - start
     }
 
     /// Tick until [`ReliableNet::quiescent`] (or `max_ticks` elapse);
     /// returns the number of ticks consumed.
     pub fn run_until_quiescent(&mut self, st: &RoutingState<'_>, max_ticks: u64) -> u64 {
-        let start = self.clock;
-        while !self.quiescent() && self.clock - start < max_ticks {
+        let start = self.net.clock;
+        while !self.quiescent() && self.net.clock - start < max_ticks {
             self.tick(st);
         }
-        self.clock - start
+        self.net.clock - start
     }
 
     /// One tick of virtual time: deliver due messages (duplicate-
     /// suppressed), run retransmit timers, launch due re-negotiations,
     /// heartbeat live tunnels, expire stale soft state.
     pub fn tick(&mut self, st: &RoutingState<'_>) {
-        self.clock += 1;
-        let due = self.bus.deliver_due(self.clock);
+        self.net.clock += 1;
+        let due = self.bus.deliver_due(self.net.clock);
         for Envelope { from, to, msg } in due {
             if !self.seen[to as usize].insert(msg.seq) {
                 self.duplicates_suppressed += 1;
@@ -704,8 +707,7 @@ impl<'t> ReliableNet<'t> {
             }
             self.handle(st, from, to, msg.msg);
         }
-        self.requester_timers(st);
-        self.responder_timers();
+        self.run_timers(st);
         self.pace_retries();
         self.heartbeat();
         self.expire_soft_state(st);
@@ -717,69 +719,62 @@ impl<'t> ReliableNet<'t> {
                 self.on_request(st, from, to, id, dest, &constraints)
             }
             Message::Offers { id, offers } => self.on_offers(st, from, to, id, offers),
-            Message::Reject { id, reason } => self.on_reject(st, to, id, reason),
+            Message::Reject { id, reason } => self.on_reject(st, from, to, id, reason),
             Message::Accept { id, choice } => self.on_accept(st, from, to, id, choice),
             Message::Established { id, tunnel } => self.on_established(st, from, to, id, tunnel),
             Message::Ack { id } => {
-                if let Some(sess) = self.resp_sessions.get_mut(&id) {
-                    if sess.responder == to {
-                        // Established→Ack is the responder's RTT echo
-                        // (Karn: only when Established was never resent).
-                        if matches!(sess.state, RespState::Established(_)) && sess.retries == 0 {
-                            let (requester, rtt) =
-                                (sess.requester, self.clock - sess.last_send);
-                            sess.state = RespState::Closed;
-                            self.sample_rtt(to, requester, rtt);
-                        } else {
-                            sess.state = RespState::Closed;
-                        }
-                    }
-                }
+                let Some(sess) = self.resp_sessions.get_mut(&id).filter(|s| s.responder == to)
+                else {
+                    return;
+                };
+                // Established→Ack is the responder's RTT echo. Only its own
+                // timer disqualifies it: an `Established` replayed to a
+                // duplicate `Accept` keeps the clock of the first send.
+                let echo = match sess.state {
+                    RespState::Established => sess.xchg.echo(self.net.clock),
+                    _ => None,
+                };
+                sess.state = RespState::Closed;
+                let requester = sess.requester;
+                self.sample_rtt(to, requester, echo);
             }
             Message::Keepalive { tunnel } => {
                 // Refresh on *receipt* only: a heartbeat that the channel
                 // eats refreshes nobody, which is the whole point.
-                if !self.managers[to as usize].keepalive(tunnel, self.clock) {
+                if !self.net.managers[to as usize].keepalive(tunnel, self.net.clock) {
                     // The peer pings state we do not hold — we crashed, or
                     // already expired it. Answer with Teardown so the peer
                     // learns of the death within one heartbeat round
                     // instead of a full soft-state timeout. Exception: a
                     // handshake with this peer is still in flight, so the
                     // tunnel may be adopted a tick from now.
-                    if !self.handshake_pending(to, from) {
+                    let pending = self
+                        .req_sessions
+                        .iter()
+                        .any(|s| s.requester == to && s.responder == from && s.in_flight());
+                    if !pending {
                         self.post(to, from, Message::Teardown { tunnel });
                     }
                 }
             }
             Message::Teardown { tunnel } => {
                 // Idempotent: unknown or replayed ids are a no-op.
-                let held_peer =
-                    self.managers[to as usize].get(tunnel).map(|t| t.peer);
-                self.managers[to as usize].teardown(tunnel);
-                self.leases.retain(|l| {
-                    !(l.id == tunnel
-                        && ((l.downstream == from && l.upstream == to)
-                            || (l.downstream == to && l.upstream == from)))
-                });
+                let held_peer = self.net.managers[to as usize].get(tunnel).map(|t| t.peer);
+                self.net.managers[to as usize].teardown(tunnel);
+                self.net.drop_lease(tunnel, from, to);
                 // If that tunnel backed one of our Done requester
-                // sessions, the session is dead: fall back and enter the
-                // paced re-negotiation machinery.
+                // sessions, the session is dead.
                 if held_peer == Some(from) {
-                    self.note_session_death(st, to, from, tunnel);
+                    self.session_died(st, to, from, tunnel);
                 }
             }
         }
     }
 
-    /// Any requester-side handshake between `local` and `peer` still in
-    /// flight? Used to suppress the keepalive-death fast path while an
-    /// `Established` may legitimately still be on the wire.
-    fn handshake_pending(&self, local: NodeId, peer: NodeId) -> bool {
-        self.req_sessions.iter().any(|s| {
-            s.requester == local
-                && s.responder == peer
-                && matches!(s.state, ReqState::AwaitOffers | ReqState::AwaitEstablished)
-        })
+    /// The requester session `id` names, if `requester` owns it.
+    fn req_index(&self, id: NegotiationId, requester: NodeId) -> Option<usize> {
+        let i = id.0 as usize;
+        (self.req_sessions.get(i)?.requester == requester).then_some(i)
     }
 
     /// Responder, step 1 -> 2: answer a `Request` with `Offers` or
@@ -797,38 +792,21 @@ impl<'t> ReliableNet<'t> {
         debug_assert_eq!(dest, st.dest(), "one ReliableNet drives one destination");
         if let Some(sess) = self.resp_sessions.get_mut(&id) {
             if sess.responder == to {
-                sess.replays += 1; // Karn: this exchange is now ambiguous
-                let replay = sess.last_reply.clone();
+                // Karn: a replayed Offers makes the Offers→Accept echo
+                // ambiguous.
+                sess.xchg.ambiguous |= sess.state == RespState::Offered;
+                let replay = sess.xchg.msg.clone();
                 self.post(to, from, replay);
             }
             return;
         }
-        let cfg = self.configs[to as usize].clone();
-        let reply = match responder_offers(
-            &cfg,
-            self.managers[to as usize].len(),
-            st,
-            from,
-            to,
-            constraints,
-            false,
-        ) {
+        let reply = match self.net.responder_offers(st, from, to, constraints, false) {
             Ok(offers) => Message::Offers { id, offers },
             Err(reason) => Message::Reject { id, reason },
         };
-        let backoff = self.rto_for(to, from);
-        self.resp_sessions.insert(id, RespSession {
-            id,
-            requester: from,
-            responder: to,
-            state: RespState::Offered,
-            last_reply: reply.clone(),
-            last_send: self.clock,
-            retries: 0,
-            backoff,
-            replays: 0,
-        });
-        self.post(to, from, reply);
+        let xchg = self.open(to, from, reply);
+        let sess = RespSession { requester: from, responder: to, state: RespState::Offered, xchg };
+        self.resp_sessions.insert(id, sess);
     }
 
     /// Requester, step 2 -> 3: pick an offer and `Accept` it.
@@ -838,67 +816,56 @@ impl<'t> ReliableNet<'t> {
         from: NodeId,
         to: NodeId,
         id: NegotiationId,
-        offers: Vec<crate::export::Offer>,
+        offers: Vec<Offer>,
     ) {
-        let Some(i) = self.req_sessions.iter().position(|s| s.id == id && s.requester == to)
-        else {
-            return;
-        };
-        if !matches!(self.req_sessions[i].state, ReqState::AwaitOffers) {
+        let Some(i) = self.req_index(id, to) else { return };
+        let s = &self.req_sessions[i];
+        if !matches!(s.state, ReqState::AwaitOffers) {
             // Duplicate of an Offers we already answered: the Accept
             // retransmit timer (or the established tunnel) covers us.
             return;
         }
-        // Request→Offers is the requester's first RTT echo (Karn: only
-        // when the Request was never retransmitted).
-        if self.req_sessions[i].retries == 0 {
-            let rtt = self.clock - self.req_sessions[i].last_send;
-            self.sample_rtt(to, from, rtt);
-        }
-        let max_price = self.req_sessions[i].max_price;
-        match choose_offer(&offers, max_price) {
+        // Request→Offers is the requester's first RTT echo.
+        let echo = s.xchg.echo(self.net.clock);
+        let choice = choose_offer(&offers, &s.constraints, s.max_price);
+        self.sample_rtt(to, from, echo);
+        match choice {
             Some(choice) => {
-                let msg = Message::Accept { id, choice };
-                self.post(to, from, msg.clone());
-                let backoff = self.rto_for(to, from);
+                let xchg = self.open(to, from, Message::Accept { id, choice });
                 let s = &mut self.req_sessions[i];
                 s.state = ReqState::AwaitEstablished;
-                s.last_msg = msg;
-                s.last_send = self.clock;
-                s.retries = 0;
-                s.backoff = backoff;
+                s.xchg = xchg;
             }
-            None => {
-                // Semantic failure: budget too small. No retry can fix it.
-                self.fail_requester(i, FailReason::NoneAcceptable, Some(st));
-            }
+            // Semantic failure: nothing fits the budget and the
+            // constraints. No retry can fix it.
+            None => self.fall_back(st, i, FailReason::NoneAcceptable),
         }
     }
 
-    fn on_reject(&mut self, st: &RoutingState<'_>, to: NodeId, id: NegotiationId, reason: RejectReason) {
-        let Some(i) = self.req_sessions.iter().position(|s| s.id == id && s.requester == to)
-        else {
-            return;
-        };
-        if !matches!(self.req_sessions[i].state, ReqState::AwaitOffers | ReqState::AwaitEstablished)
-        {
+    fn on_reject(
+        &mut self,
+        st: &RoutingState<'_>,
+        from: NodeId,
+        to: NodeId,
+        id: NegotiationId,
+        reason: RejectReason,
+    ) {
+        let Some(i) = self.req_index(id, to) else { return };
+        if !self.req_sessions[i].in_flight() {
             return;
         }
-        // A Reject answers our Request just as an Offers would: still an
-        // RTT echo when unretransmitted.
-        if matches!(self.req_sessions[i].state, ReqState::AwaitOffers)
-            && self.req_sessions[i].retries == 0
-        {
-            let (responder, rtt) =
-                (self.req_sessions[i].responder, self.clock - self.req_sessions[i].last_send);
-            self.sample_rtt(to, responder, rtt);
-        }
-        self.fail_requester(i, FailReason::Rejected(reason), Some(st));
+        // A Reject answers our message just as an Offers would: still an
+        // RTT echo.
+        let echo = self.req_sessions[i].xchg.echo(self.net.clock);
+        self.sample_rtt(to, from, echo);
+        self.fall_back(st, i, FailReason::Rejected(reason));
     }
 
     /// Responder, step 3 -> 4: allocate the tunnel exactly once and report
-    /// `Established`. A replayed `Accept` for an established session
-    /// replays the recorded `Established` — it never double-establishes.
+    /// `Established`. The first `Accept` to arrive wins; any later one —
+    /// or one for a session that answered `Reject` — replays what the
+    /// session already said, so the tunnel it allocated (if any) is
+    /// reported again with the SAME id, never a new allocation.
     fn on_accept(
         &mut self,
         st: &RoutingState<'_>,
@@ -911,73 +878,30 @@ impl<'t> ReliableNet<'t> {
         if sess.responder != to || sess.requester != from {
             return;
         }
-        match sess.state {
-            // Idempotent replay paths: the tunnel this session allocated
-            // (if any) is reported again with the SAME id — never a new
-            // allocation.
-            RespState::Established(tid) => {
-                self.resp_sessions.get_mut(&id).expect("session exists").replays += 1;
-                self.post(to, from, Message::Established { id, tunnel: tid });
+        let offer = match (sess.state, &sess.xchg.msg) {
+            (RespState::Offered, Message::Offers { offers, .. }) => offers.get(choice).cloned(),
+            _ => {
+                let replay = sess.xchg.msg.clone();
+                self.post(to, from, replay);
                 return;
             }
-            RespState::Closed => {
-                if let Some(&tid) = self.session_tunnels.get(&id).and_then(|v| v.first()) {
-                    self.post(to, from, Message::Established { id, tunnel: tid });
-                }
-                return;
+        };
+        // Offers→Accept is the responder's RTT echo.
+        let echo = sess.xchg.echo(self.net.clock);
+        self.sample_rtt(to, from, echo);
+        let (reply, state) = match offer {
+            Some(offer) => {
+                // The requester's budget and constraints stay on its side.
+                let tid = self.net.establish(st, from, to, &offer, 0, Vec::new());
+                self.session_tunnels.entry(id).or_default().push(tid);
+                (Message::Established { id, tunnel: tid }, RespState::Established)
             }
-            RespState::Offered => {}
-        }
-        // Offers→Accept is the responder's RTT echo (Karn: only when the
-        // Offers was never replayed).
-        if sess.replays == 0 {
-            let rtt = self.clock - sess.last_send;
-            self.sample_rtt(to, from, rtt);
-        }
-        // State is Offered: the first Accept to arrive wins.
-        let sess = self.resp_sessions.get(&id).expect("session exists");
-        let Message::Offers { offers, .. } = sess.last_reply.clone() else {
-            // Session was rejected; a (stale) Accept replays the Reject.
-            let replay = sess.last_reply.clone();
-            self.post(to, from, replay);
-            return;
+            None => (Message::Reject { id, reason: RejectReason::BadChoice }, RespState::Closed),
         };
-        let Some(offer) = offers.get(choice) else {
-            let reply = Message::Reject { id, reason: RejectReason::BadChoice };
-            let sess = self.resp_sessions.get_mut(&id).expect("session exists");
-            sess.last_reply = reply.clone();
-            self.post(to, from, reply);
-            return;
-        };
-        let now = self.clock;
-        let tid = self.managers[to as usize].establish(
-            from,
-            st.dest(),
-            offer.route.path.clone(),
-            offer.price,
-            now,
-        );
-        self.session_tunnels.entry(id).or_default().push(tid);
-        self.leases.push(Lease {
-            id: tid,
-            downstream: to,
-            upstream: from,
-            dest: st.dest(),
-            path: offer.route.path.clone(),
-            upstream_path: st.path(from).unwrap_or_default(),
-            price: offer.price,
-            budget: 0, // unknown to the responder; requester-side record
-            constraints: Vec::new(),
-        });
-        let reply = Message::Established { id, tunnel: tid };
-        let backoff = self.rto_for(to, from);
+        let xchg = self.open(to, from, reply);
         let sess = self.resp_sessions.get_mut(&id).expect("session exists");
-        sess.state = RespState::Established(tid);
-        sess.last_reply = reply.clone();
-        sess.last_send = now;
-        sess.retries = 0;
-        sess.backoff = backoff;
-        self.post(to, from, reply);
+        sess.state = state;
+        sess.xchg = xchg;
     }
 
     /// Requester, step 4: adopt the tunnel (once) and `Ack`. Duplicates
@@ -991,265 +915,164 @@ impl<'t> ReliableNet<'t> {
         id: NegotiationId,
         tunnel: TunnelId,
     ) {
-        let Some(i) = self.req_sessions.iter().position(|s| s.id == id && s.requester == to)
-        else {
-            return;
-        };
+        let Some(i) = self.req_index(id, to) else { return };
         match self.req_sessions[i].state {
             ReqState::AwaitEstablished => {}
-            ReqState::Done(adopted) => {
-                if adopted == tunnel {
-                    self.post(to, from, Message::Ack { id });
-                } else {
-                    // A different id for the same session can only be a
-                    // confused responder; decline the stray allocation.
-                    self.post(to, from, Message::Teardown { tunnel });
-                }
-                return;
+            ReqState::Done(adopted) if adopted == tunnel => {
+                return self.post(to, from, Message::Ack { id });
             }
-            ReqState::Failed | ReqState::Lost => {
-                self.post(to, from, Message::Teardown { tunnel });
-                return;
+            // Fallen back already — or a different id for the same session,
+            // which can only be a confused responder: decline the stray
+            // allocation.
+            ReqState::Done(_) | ReqState::Failed => {
+                return self.post(to, from, Message::Teardown { tunnel });
             }
             ReqState::AwaitOffers => return, // impossible per causality; ignore
         }
-        // Accept→Established is the requester's second RTT echo (Karn:
-        // only when the Accept was never retransmitted).
-        if self.req_sessions[i].retries == 0 {
-            let rtt = self.clock - self.req_sessions[i].last_send;
-            self.sample_rtt(to, from, rtt);
-        }
-        // Find what was sold from the responder's lease record.
-        let lease = self
-            .leases
-            .iter()
-            .find(|l| l.id == tunnel && l.downstream == from && l.upstream == to)
-            .cloned();
-        let (path, price) = match lease {
-            Some(l) => (l.path, l.price),
-            None => (Vec::new(), 0), // responder restarted; adopt id only
-        };
-        if self.managers[to as usize].get(tunnel).is_none() {
-            self.managers[to as usize].adopt(Tunnel {
-                id: tunnel,
-                peer: from,
-                dest: st.dest(),
-                path,
-                price,
-                last_heartbeat: self.clock,
-            });
-        }
+        // Accept→Established is the requester's second RTT echo.
+        let echo = self.req_sessions[i].xchg.echo(self.net.clock);
+        self.sample_rtt(to, from, echo);
+        self.net.adopt(to, from, st.dest(), tunnel);
         let s = &mut self.req_sessions[i];
         s.state = ReqState::Done(tunnel);
-        let outcome = NegotiationOutcome {
-            id,
-            requester: s.requester,
-            responder: s.responder,
-            dest: s.dest,
-            result: Ok(tunnel),
-            started_at: s.started_at,
-            finished_at: self.clock,
-            retransmits: s.retransmits_total,
-        };
         // A successful paced retry closes its origin episode; the session
         // then carries no retry context forward — if this tunnel dies
         // later, that is a fresh episode with a fresh budget.
         if let Some(ctx) = s.retry.take() {
-            self.fallbacks[ctx.fallback].recovered_at = Some(self.clock);
+            self.fallbacks[ctx.fallback].recovered_at = Some(self.net.clock);
         }
-        self.outcomes.push(outcome);
+        self.settle(i, Ok(tunnel));
         self.post(to, from, Message::Ack { id });
     }
 
-    /// Terminal failure on the requester side: record the outcome and the
-    /// graceful degrade to the BGP default path; channel failures are
-    /// handed to the pacing machinery for a jittered re-negotiation.
-    fn fail_requester(&mut self, i: usize, reason: FailReason, st: Option<&RoutingState<'_>>) {
-        let s = &mut self.req_sessions[i];
-        s.state = ReqState::Failed;
-        let retry_ctx = s.retry.take();
-        let outcome = NegotiationOutcome {
+    /// Record the terminal outcome of requester session `i`.
+    fn settle(&mut self, i: usize, result: Result<TunnelId, FailReason>) {
+        let s = &self.req_sessions[i];
+        self.outcomes.push(NegotiationOutcome {
             id: s.id,
             requester: s.requester,
             responder: s.responder,
             dest: s.dest,
-            result: Err(reason),
+            result,
             started_at: s.started_at,
-            finished_at: self.clock,
+            finished_at: self.net.clock,
             retransmits: s.retransmits_total,
-        };
-        let fallback = FallbackEvent {
+        });
+    }
+
+    /// The one fall-back path: the requester of session `i` degrades to
+    /// its BGP default path. A handshake that never completed settles its
+    /// outcome with `reason`; an established session whose tunnel died
+    /// (`SessionDied`) already has one. Channel failures are handed to the
+    /// pacing machinery for a jittered re-negotiation.
+    fn fall_back(&mut self, st: &RoutingState<'_>, i: usize, reason: FailReason) {
+        if self.req_sessions[i].in_flight() {
+            self.settle(i, Err(reason));
+        }
+        let s = &mut self.req_sessions[i];
+        s.state = ReqState::Failed;
+        let retry_ctx = s.retry.take();
+        self.fallbacks.push(FallbackEvent {
             id: s.id,
             requester: s.requester,
             dest: s.dest,
             reason,
-            default_path: st.and_then(|st| st.path(s.requester)).unwrap_or_default(),
-            at: self.clock,
+            default_path: st.path(s.requester).unwrap_or_default(),
+            at: self.net.clock,
             recovered_at: None,
             retry_attempts: 0,
             retry_of: retry_ctx.map(|c| c.origin),
-        };
-        let (requester, responder, dest, constraints, max_price, session_id) = (
-            s.requester,
-            s.responder,
-            s.dest,
-            s.constraints.clone(),
-            s.max_price,
-            s.id,
-        );
-        self.outcomes.push(outcome);
-        self.fallbacks.push(fallback);
+        });
         if !reason.is_retryable() {
             return;
         }
-        // RFC 6298 §5.7: after enough timeouts to kill the session, the
-        // learned SRTT/RTTVAR are likely bogus — drop them so the retry
+        // RFC 6298 §5.7: after enough timeouts to kill a session — or
+        // silence long enough to expire soft state — what the estimators
+        // learned is likely bogus. Drop both directions so the retry
         // handshake probes from the configured initial RTO.
-        self.clear_estimators(requester, responder);
+        self.rtt.remove(&(s.requester, s.responder));
+        self.rtt.remove(&(s.responder, s.requester));
         // A failed fresh episode opens a retry budget; a failed retry
         // attempt continues spending its origin's.
         let ctx = retry_ctx.unwrap_or(RetryCtx {
             fallback: self.fallbacks.len() - 1,
             prev_sleep: 0,
             attempts: 0,
-            origin: session_id,
+            origin: s.id,
         });
-        self.schedule_retry(ctx, requester, responder, dest, constraints, max_price);
+        self.schedule_retry(ctx, i);
     }
 
-    /// An established tunnel's session died under `local` (peer teardown
-    /// or soft-state expiry): mark the session Lost, record the fallback,
-    /// and enter the paced re-negotiation machinery.
-    fn note_session_death(
-        &mut self,
-        st: &RoutingState<'_>,
-        local: NodeId,
-        peer: NodeId,
-        tunnel: TunnelId,
-    ) {
-        let Some(i) = self.req_sessions.iter().position(|s| {
+    /// The tunnel behind an established session died under `local` (peer
+    /// teardown or soft-state expiry): if `local` was its requester, fall
+    /// back.
+    fn session_died(&mut self, st: &RoutingState<'_>, local: NodeId, peer: NodeId, tunnel: TunnelId) {
+        let died = self.req_sessions.iter().position(|s| {
             s.requester == local
                 && s.responder == peer
                 && matches!(s.state, ReqState::Done(t) if t == tunnel)
-        }) else {
-            return;
-        };
-        let s = &mut self.req_sessions[i];
-        s.state = ReqState::Lost;
-        let retry_ctx = s.retry.take();
-        let fallback = FallbackEvent {
-            id: s.id,
-            requester: s.requester,
-            dest: s.dest,
-            reason: FailReason::SessionDied,
-            default_path: st.path(s.requester).unwrap_or_default(),
-            at: self.clock,
-            recovered_at: None,
-            retry_attempts: 0,
-            retry_of: retry_ctx.map(|c| c.origin),
-        };
-        let (requester, responder, dest, constraints, max_price, session_id) = (
-            s.requester,
-            s.responder,
-            s.dest,
-            s.constraints.clone(),
-            s.max_price,
-            s.id,
-        );
-        self.fallbacks.push(fallback);
-        // The peer went silent long enough to expire soft state: whatever
-        // the estimators learned predates the disruption (RFC 6298 §5.7).
-        self.clear_estimators(requester, responder);
-        let ctx = retry_ctx.unwrap_or(RetryCtx {
-            fallback: self.fallbacks.len() - 1,
-            prev_sleep: 0,
-            attempts: 0,
-            origin: session_id,
         });
-        self.schedule_retry(ctx, requester, responder, dest, constraints, max_price);
+        if let Some(i) = died {
+            self.fall_back(st, i, FailReason::SessionDied);
+        }
     }
 
-    /// Forget both directions' RTT state for a peer pair whose session
-    /// just died — stale estimates must not pace the recovery handshake.
-    fn clear_estimators(&mut self, a: NodeId, b: NodeId) {
-        self.rtt.remove(&(a, b));
-        self.rtt.remove(&(b, a));
-    }
-
-    /// Queue the next attempt of an episode on the decorrelated-jitter
-    /// schedule, unless its budget is spent.
-    fn schedule_retry(
-        &mut self,
-        mut ctx: RetryCtx,
-        requester: NodeId,
-        responder: NodeId,
-        dest: NodeId,
-        constraints: Vec<Constraint>,
-        max_price: u32,
-    ) {
+    /// Queue the next attempt of an episode — a repeat of session
+    /// `session`'s request — on the decorrelated-jitter schedule, unless
+    /// its budget is spent.
+    fn schedule_retry(&mut self, mut ctx: RetryCtx, session: usize) {
         if ctx.attempts >= self.rel.retry_budget {
             return; // budget spent (or pacing disabled): stay on default
         }
         let base = self.rel.retry_base;
         let prev = if ctx.prev_sleep == 0 { base } else { ctx.prev_sleep };
         let hi = prev.saturating_mul(3).min(self.rel.retry_cap).max(base);
-        let dice = splitmix64(
-            self.jitter_seed ^ (ctx.origin.0 << 8) ^ u64::from(ctx.attempts),
-        );
+        let dice = mix(self.jitter_seed ^ (ctx.origin.0 << 8) ^ u64::from(ctx.attempts));
         let sleep = base + dice % (hi - base + 1);
         ctx.prev_sleep = sleep;
-        self.pending_retries.push(PendingRetry {
-            ctx,
-            requester,
-            responder,
-            dest,
-            constraints,
-            max_price,
-            next_at: self.clock + sleep,
-        });
+        self.pending_retries.push(PendingRetry { ctx, session, next_at: self.net.clock + sleep });
     }
 
     /// Launch every paced re-negotiation whose jittered sleep elapsed.
     fn pace_retries(&mut self) {
-        if self.pending_retries.is_empty() {
-            return;
-        }
-        let now = self.clock;
+        let now = self.net.clock;
         let (due, rest): (Vec<PendingRetry>, Vec<PendingRetry>) =
-            std::mem::take(&mut self.pending_retries)
-                .into_iter()
-                .partition(|p| p.next_at <= now);
+            self.pending_retries.iter().copied().partition(|p| p.next_at <= now);
         self.pending_retries = rest;
-        for p in due {
-            let mut ctx = p.ctx;
+        for PendingRetry { mut ctx, session, .. } in due {
             ctx.attempts += 1;
             self.fallbacks[ctx.fallback].retry_attempts = ctx.attempts;
-            self.launch(p.dest, p.requester, p.responder, p.constraints, p.max_price, Some(ctx));
+            let s = &self.req_sessions[session];
+            let (dest, constraints) = (s.dest, s.constraints.clone());
+            self.launch(dest, s.requester, s.responder, constraints, s.max_price, Some(ctx));
         }
     }
 
-    fn requester_timers(&mut self, st: &RoutingState<'_>) {
-        let now = self.clock;
-        let max_retries = self.rel.max_retries;
-        let rto_max = self.rel.rto_max;
+    /// Step every live exchange's retransmit timer — a requester awaiting
+    /// `Offers` or `Established`, a responder awaiting `Ack` — then send
+    /// the resends and fail the requesters that ran out of retries.
+    fn run_timers(&mut self, st: &RoutingState<'_>) {
+        let (now, rel) = (self.net.clock, self.rel);
         let mut resend: Vec<(NodeId, NodeId, Message)> = Vec::new();
         let mut exhausted: Vec<usize> = Vec::new();
-        for (i, s) in self.req_sessions.iter_mut().enumerate() {
-            if !matches!(s.state, ReqState::AwaitOffers | ReqState::AwaitEstablished) {
-                continue;
+        for (i, s) in self.req_sessions.iter_mut().enumerate().filter(|(_, s)| s.in_flight()) {
+            match s.xchg.poll(now, &rel) {
+                Timer::Idle => {}
+                Timer::Resend => {
+                    s.retransmits_total += 1;
+                    resend.push((s.requester, s.responder, s.xchg.msg.clone()));
+                }
+                Timer::Exhausted => exhausted.push(i),
             }
-            if now.saturating_sub(s.last_send) < s.backoff {
-                continue;
+        }
+        for s in self.resp_sessions.values_mut().filter(|s| s.state == RespState::Established) {
+            match s.xchg.poll(now, &rel) {
+                Timer::Idle => {}
+                Timer::Resend => resend.push((s.responder, s.requester, s.xchg.msg.clone())),
+                // Give up retransmitting; if the requester truly never
+                // heard us, its missing keepalives expire the orphan.
+                Timer::Exhausted => s.state = RespState::Closed,
             }
-            if s.retries >= max_retries {
-                exhausted.push(i);
-                continue;
-            }
-            s.retries += 1;
-            s.retransmits_total += 1;
-            s.backoff = (s.backoff * 2).min(rto_max);
-            s.last_send = now;
-            resend.push((s.requester, s.responder, s.last_msg.clone()));
         }
         for (from, to, msg) in resend {
             self.post(from, to, msg);
@@ -1259,44 +1082,19 @@ impl<'t> ReliableNet<'t> {
                 ReqState::AwaitOffers => Stage::Request,
                 _ => Stage::Accept,
             };
-            self.fail_requester(i, FailReason::RetriesExhausted(stage), Some(st));
-        }
-    }
-
-    fn responder_timers(&mut self) {
-        let now = self.clock;
-        let max_retries = self.rel.max_retries;
-        let rto_max = self.rel.rto_max;
-        let mut resend: Vec<(NodeId, NodeId, Message)> = Vec::new();
-        for s in self.resp_sessions.values_mut() {
-            let RespState::Established(tid) = s.state else { continue };
-            if now.saturating_sub(s.last_send) < s.backoff {
-                continue;
-            }
-            if s.retries >= max_retries {
-                // Give up retransmitting; if the requester truly never
-                // heard us, its missing keepalives expire the orphan.
-                s.state = RespState::Closed;
-                continue;
-            }
-            s.retries += 1;
-            s.backoff = (s.backoff * 2).min(rto_max);
-            s.last_send = now;
-            resend.push((s.responder, s.requester, Message::Established { id: s.id, tunnel: tid }));
-        }
-        for (from, to, msg) in resend {
-            self.post(from, to, msg);
+            self.fall_back(st, i, FailReason::RetriesExhausted(stage));
         }
     }
 
     /// Symmetric §4.3 heartbeats through the lossy bus: each side of every
     /// live tunnel pings the other; state refreshes only on receipt.
     fn heartbeat(&mut self) {
-        if self.rel.keepalive_interval == 0 || !self.clock.is_multiple_of(self.rel.keepalive_interval)
-        {
+        let every = self.rel.keepalive_interval;
+        if every == 0 || !self.net.clock.is_multiple_of(every) {
             return;
         }
         let pings: Vec<(NodeId, NodeId, TunnelId)> = self
+            .net
             .leases
             .iter()
             .flat_map(|l| {
@@ -1305,42 +1103,35 @@ impl<'t> ReliableNet<'t> {
             .collect();
         for (from, to, id) in pings {
             // Only ping for tunnels we still hold ourselves.
-            if self.managers[from as usize].get(id).is_some() {
+            if self.net.managers[from as usize].get(id).is_some() {
                 self.post(from, to, Message::Keepalive { tunnel: id });
             }
         }
     }
 
     fn expire_soft_state(&mut self, st: &RoutingState<'_>) {
-        let now = self.clock;
+        let now = self.net.clock;
         let timeout = self.rel.keepalive_timeout;
         let mut teardowns: Vec<(NodeId, NodeId, TunnelId)> = Vec::new();
-        for n in 0..self.managers.len() {
+        for (n, m) in self.net.managers.iter_mut().enumerate() {
             // Capture peers before expiry removes the records.
-            let stale: Vec<(TunnelId, NodeId)> = self.managers[n]
-                .iter()
-                .filter(|t| now.saturating_sub(t.last_heartbeat) > timeout)
-                .map(|t| (t.id, t.peer))
-                .collect();
-            if stale.is_empty() {
-                continue;
-            }
-            self.managers[n].expire(now, timeout);
-            for (id, peer) in stale {
-                // Best-effort: hurry the peer along (may itself be lost;
-                // the peer's own timer is the backstop).
-                teardowns.push((n as NodeId, peer, id));
+            let before = teardowns.len();
+            teardowns.extend(
+                m.iter()
+                    .filter(|t| now.saturating_sub(t.last_heartbeat) > timeout)
+                    .map(|t| (n as NodeId, t.peer, t.id)),
+            );
+            if teardowns.len() > before {
+                m.expire(now, timeout);
             }
         }
         for (from, to, id) in teardowns {
+            // Best-effort: hurry the peer along (may itself be lost; the
+            // peer's own timer is the backstop).
             self.post(from, to, Message::Teardown { tunnel: id });
-            self.leases.retain(|l| {
-                !(l.id == id
-                    && ((l.downstream == from && l.upstream == to)
-                        || (l.downstream == to && l.upstream == from)))
-            });
+            self.net.drop_lease(id, from, to);
             // Expiry on the requester's own side kills its session too.
-            self.note_session_death(st, from, to, id);
+            self.session_died(st, from, to, id);
         }
     }
 }
@@ -1348,7 +1139,7 @@ impl<'t> ReliableNet<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::MiroNetwork;
+    use crate::node::{MiroNetwork, ResponderConfig};
     use miro_topology::gen::figure_1_1;
 
     fn setup() -> (Topology, [NodeId; 6]) {
@@ -1437,6 +1228,23 @@ mod tests {
         );
         assert!(net.leases().is_empty());
         assert_eq!(net.pending_retry_count(), 0, "semantic failures are never retried");
+    }
+
+    /// The requester filters on budget too: offers that all cost more
+    /// than it will pay end the session with a typed outcome, no `Accept`
+    /// is ever sent, and — a policy answer — it is never retried.
+    #[test]
+    fn budget_too_small_is_none_acceptable() {
+        let (t, [a, b, _c, _d, e, f]) = setup();
+        let st = RoutingState::solve(&t, f);
+        let mut net = ReliableNet::new(&t, FaultConfig::PERFECT, 5);
+        // BCF is a peer route priced at 180; a budget of 150 can't buy it.
+        net.start(&st, a, b, vec![Constraint::AvoidAs(e)], 150).unwrap();
+        net.run_until_quiescent(&st, 50);
+        assert_eq!(net.outcomes()[0].result, Err(FailReason::NoneAcceptable));
+        assert_eq!(kinds(&net.log), ["request", "offers"]);
+        assert_eq!(net.fallbacks().len(), 1);
+        assert!(net.leases().is_empty() && net.tunnels(b).is_empty());
     }
 
     /// A channel that eats everything: retries back off, then the
@@ -1569,12 +1377,13 @@ mod tests {
         };
         let mut hit = false;
         for seed in 0..200u64 {
-            let mut net = ReliableNet::with_reliability(
+            let mut net = ReliableNet::try_with_reliability(
                 &t,
                 FaultConfig { drop_permille: 450, delay_min: 0, delay_max: 4, dup_permille: 0, reorder_permille: 0 },
                 seed,
                 rel,
-            );
+            )
+            .unwrap();
             net.start(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
             net.run_until_settled(&st, 400);
             let failed = net.outcomes()[0].result.is_err();
@@ -1607,6 +1416,24 @@ mod tests {
             net.start(&st, a, a, vec![], 100),
             Err(NegotiationError::SelfNegotiation)
         );
+    }
+
+    /// An id past the topology is refused at `start` — it used to reach the
+    /// bus and index `seen[to]` out of bounds on delivery.
+    #[test]
+    fn unknown_node_refused() {
+        let (t, [a, ..]) = setup();
+        let st = RoutingState::solve(&t, a);
+        let mut net = ReliableNet::new(&t, FaultConfig::PERFECT, 0);
+        let ghost = t.num_nodes() as NodeId;
+        for (req, resp) in [(a, ghost), (ghost, a)] {
+            assert_eq!(
+                net.start(&st, req, resp, vec![], 100),
+                Err(NegotiationError::UnknownNode(ghost))
+            );
+        }
+        net.tick(&st);
+        assert!(net.log.is_empty() && net.quiescent());
     }
 
     /// Construction-time validation rejects degenerate knobs with typed
@@ -1694,7 +1521,8 @@ mod tests {
         let (t, [a, b, _c, _d, e, f]) = setup();
         let st = RoutingState::solve(&t, f);
         let rel = ReliabilityConfig { rto_mode: RtoMode::StaticLadder, ..Default::default() };
-        let mut net = ReliableNet::with_reliability(&t, FaultConfig::PERFECT, 13, rel);
+        let mut net =
+            ReliableNet::try_with_reliability(&t, FaultConfig::PERFECT, 13, rel).unwrap();
         net.start(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
         net.run_until_settled(&st, 50);
         assert_eq!(net.rto_snapshot().samples, 0);
@@ -1761,7 +1589,8 @@ mod tests {
             retry_budget: 2,
             ..Default::default()
         };
-        let mut net = ReliableNet::with_reliability(&t, FaultConfig::PERFECT, 23, rel);
+        let mut net =
+            ReliableNet::try_with_reliability(&t, FaultConfig::PERFECT, 23, rel).unwrap();
         net.start(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
         net.run_until_settled(&st, 50);
         net.outcomes()[0].result.expect("establishes before the blackout");

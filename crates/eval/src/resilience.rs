@@ -518,7 +518,8 @@ fn outage_scenario(
     mode: RtoMode,
 ) -> ScenarioRaw {
     let rel = ReliabilityConfig { rto_mode: mode, ..Default::default() };
-    let mut net = ReliableNet::with_reliability(topo, fault, seed, rel);
+    let mut net = ReliableNet::try_with_reliability(topo, fault, seed, rel)
+        .expect("default timers and the sweep's fault model validate");
     establish(&mut net, st, pairs);
     let from = net.clock;
     let outage_start = net.clock + 5;

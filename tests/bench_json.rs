@@ -124,11 +124,45 @@ fn resilience_json_keeps_its_schema() {
     for point in v["points"].as_array().unwrap() {
         assert_keys("points[]", point, &["drop_permille", "success_rate", "rto"]);
         assert_keys("points[].rto", &point["rto"], &["srtt_mean", "rto_mean", "rto_peak"]);
-        for scenario in ["outage_recovery", "outage_recovery_static", "crash_recovery"] {
+        for scenario in RESILIENCE_SCENARIOS {
             assert_keys(scenario, &point[scenario], &[
                 "episodes", "recovery_rate", "mean_recovery_ticks", "p95_recovery_ticks",
                 "retry_attempts", "orphaned_tunnels",
             ]);
         }
     }
+    // Same seed, same behaviour: every integer counter of every point, as
+    // recorded at 814a12e (before the one-handshake refactor of
+    // `miro-core`). A protocol change that moves one of these says so by
+    // re-recording the row.
+    let counters = |v: &JsonValue, keys: &[&str]| -> Vec<u64> {
+        keys.iter().map(|k| v[*k].as_f64().unwrap_or_else(|| panic!("{k}")) as u64).collect()
+    };
+    for (i, (point, (handshake, scenarios))) in
+        v["points"].as_array().unwrap().iter().zip(RESILIENCE_PAIRS4_SEED9).enumerate()
+    {
+        assert_eq!(counters(point, &RESILIENCE_POINT_COUNTERS), handshake, "points[{i}]");
+        for (scenario, want) in RESILIENCE_SCENARIOS.iter().zip(scenarios) {
+            let got = counters(&point[*scenario], &RESILIENCE_SCENARIO_COUNTERS);
+            assert_eq!(got, want, "points[{i}].{scenario}");
+        }
+    }
 }
+
+const RESILIENCE_SCENARIOS: [&str; 3] =
+    ["outage_recovery", "outage_recovery_static", "crash_recovery"];
+const RESILIENCE_POINT_COUNTERS: [&str; 8] = [
+    "attempted", "succeeded", "fallbacks", "double_established", "retransmits",
+    "duplicates_suppressed", "settle_ticks", "tunnels_surviving",
+];
+const RESILIENCE_SCENARIO_COUNTERS: [&str; 5] =
+    ["episodes", "recovered", "retry_attempts", "orphaned_tunnels", "quiesce_ticks"];
+/// `resilience --pairs 4 --seed 9`, one row per sweep point: the point's
+/// counters, then each scenario's, in the orders above.
+const RESILIENCE_PAIRS4_SEED9: [([u64; 8], [[u64; 5]; 3]); 5] = [
+    ([4, 4, 0, 0, 0, 0, 4, 4], [[16, 16, 16, 0, 30], [16, 16, 16, 0, 30], [8, 8, 8, 0, 14]]),
+    ([4, 4, 0, 0, 0, 4, 7, 4], [[16, 16, 16, 0, 34], [16, 16, 16, 0, 34], [8, 8, 8, 0, 16]]),
+    ([4, 4, 0, 0, 4, 7, 18, 4], [[16, 16, 16, 0, 27], [16, 16, 16, 0, 59], [8, 8, 8, 0, 15]]),
+    ([4, 4, 0, 0, 0, 15, 8, 3], [[16, 16, 16, 0, 116], [16, 16, 16, 0, 219], [8, 8, 8, 0, 52]]),
+    ([4, 4, 0, 0, 11, 22, 45, 4], [[15, 15, 16, 0, 672], [15, 15, 16, 0, 317], [8, 8, 8, 0, 375]]),
+];

@@ -3,13 +3,18 @@
 //! on the paper's running example.
 
 use miro_bgp::solver::RoutingState;
-use miro_core::negotiate::Constraint;
-use miro_core::node::MiroNetwork;
+use miro_core::chan::FaultConfig;
+use miro_core::negotiate::{Constraint, Message, NegotiationError};
+use miro_core::node::{Lease, MiroNetwork};
+use miro_core::reliable::{FailReason, ReliableNet};
+use miro_core::tunnel::{TeardownReason, TunnelManager};
 use miro_dataplane::encap;
 use miro_dataplane::intra::{figure_4_1, Forwarded};
 use miro_dataplane::ipv4::{Ipv4Addr4, Ipv4Header};
 use miro_dataplane::lpm::Prefix;
-use miro_topology::gen::figure_1_1;
+use miro_topology::gen::{figure_1_1, GenParams};
+use miro_topology::NodeId;
+use std::collections::HashSet;
 
 /// Negotiate the Figure 3.1 tunnel, then push a packet through the
 /// negotiated path using the wire-format encapsulation: the decapsulated
@@ -224,18 +229,11 @@ fn cross_as_walk_classifier_tunnel_rcp() {
     }
 }
 
-/// Wire-format interop: a negotiation transcript captured from the
-/// in-process harness re-encodes through the MIRO control codec and
-/// parses back identically — the byte stream a TCP deployment would see.
-#[test]
-fn negotiation_transcript_round_trips_on_the_wire() {
-    let (topo, [a, b, _c, _d, e, f]) = figure_1_1();
-    let st = RoutingState::solve(&topo, f);
-    let mut net = MiroNetwork::new(&topo);
-    net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).expect("ok");
-    net.tick(10, 30);
+/// Re-encode a transcript through the MIRO control codec and parse it back
+/// — the byte stream a TCP deployment would see. Returns the message count.
+fn wire_round_trip(log: &[(NodeId, NodeId, Message)]) -> usize {
     let mut stream = Vec::new();
-    for (_, _, msg) in &net.log {
+    for (_, _, msg) in log {
         stream.extend(miro_core::wire::emit(msg).expect("every message encodes"));
     }
     let mut at = 0;
@@ -245,70 +243,138 @@ fn negotiation_transcript_round_trips_on_the_wire() {
         decoded.push(msg);
         at += used;
     }
-    let originals: Vec<_> = net.log.iter().map(|(_, _, m)| m.clone()).collect();
+    let originals: Vec<_> = log.iter().map(|(_, _, m)| m.clone()).collect();
     assert_eq!(decoded, originals);
-    assert!(decoded.len() >= 5, "request, offers, accept, established, keepalive");
+    decoded.len()
 }
 
-/// The deployable endpoints over a lossy transport: 30% of control
-/// messages are dropped, yet the requester's retry machinery still lands
-/// the tunnel (or fails cleanly when the budget of retries runs out).
+/// Wire-format interop: a negotiation transcript captured from the
+/// in-process harness round-trips through the control codec.
 #[test]
-fn endpoint_negotiation_survives_message_loss() {
-    use miro_core::endpoint::{RequesterEndpoint, RequestState, ResponderEndpoint};
-    use miro_core::export::ExportPolicy;
-    use miro_dataplane::fault::{FaultyLink, LinkEvent};
-    use miro_topology::Rel;
-
-    let (topo, [_a, b, _c, _d, e, f]) = figure_1_1();
+fn negotiation_transcript_round_trips_on_the_wire() {
+    let (topo, [a, b, _c, _d, e, f]) = figure_1_1();
     let st = RoutingState::solve(&topo, f);
-    let mut successes = 0;
-    let mut attempts = 0;
+    let mut net = MiroNetwork::new(&topo);
+    net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).expect("ok");
+    net.tick(10, 30);
+    let n = wire_round_trip(&net.log);
+    assert!(n >= 5, "request, offers, accept, established, keepalive");
+}
+
+/// The reliable driver over a lossy transport: 30% of control messages
+/// are dropped, yet the retransmit machinery still lands the tunnel (or
+/// fails cleanly when the retries run out) — and the transcript, now with
+/// `Ack`s, retransmissions, `Teardown`s and keepalives in it, is what the
+/// wire codec carries.
+#[test]
+fn reliable_negotiation_survives_message_loss() {
+    let (topo, [a, b, _c, _d, e, f]) = figure_1_1();
+    let st = RoutingState::solve(&topo, f);
+    let fault = FaultConfig { drop_permille: 300, ..FaultConfig::PERFECT };
+    let (mut successes, mut both_live, mut attempts) = (0, 0, 0);
+    let (mut resent, mut kinds) = (0, [false; 3]);
     for seed in 0..20u64 {
-        let mut req = RequesterEndpoint::new(b);
-        req.max_retries = 8; // a lossy channel earns a real retry budget
-        req.timeout = 10;
-        let mut resp = ResponderEndpoint::new(b, &st, ExportPolicy::RespectExport, Rel::Customer);
-        // A 30%-lossy control channel in each direction. MIRO control
-        // messages are self-contained datagrams here, so a drop loses
-        // whole messages, never partial bytes.
-        let mut to_resp = FaultyLink::new(seed, 300, 0);
-        let mut to_req = FaultyLink::new(seed ^ 0xBEEF, 300, 0);
-        let id = req.request(f, vec![Constraint::AvoidAs(e)], 250, 0);
+        let mut net = ReliableNet::new(&topo, fault, seed);
+        let id = net.start(&st, a, b, vec![Constraint::AvoidAs(e)], 250).expect("distinct ASes");
         attempts += 1;
-        for now in 0..200u64 {
-            req.tick(now);
-            let bytes = req.output();
-            if !bytes.is_empty() {
-                if let LinkEvent::Delivered(pkt) = to_resp.transmit(bytes.into()) {
-                    resp.input(&pkt, now);
-                }
-            }
-            let bytes = resp.output();
-            if !bytes.is_empty() {
-                if let LinkEvent::Delivered(pkt) = to_req.transmit(bytes.into()) {
-                    req.input(&pkt, now);
-                }
-            }
-            if matches!(
-                req.state(id),
-                Some(RequestState::Established(_)) | Some(RequestState::Failed(_))
-            ) {
-                break;
-            }
+        while net.outcomes().is_empty() && net.clock < 2_000 {
+            net.tick(&st);
         }
-        match req.state(id) {
-            Some(RequestState::Established(tid)) => {
+        let outcome = net.outcomes().first().expect("the requester reaches a typed outcome");
+        assert_eq!(outcome.id, id);
+        resent += outcome.retransmits;
+        match outcome.result {
+            // The tick the requester adopts, both tables agree on the id —
+            // unless `Established` took so many resends to arrive that the
+            // responder's unrefreshed soft state expired first (§4.3).
+            Ok(tid) => {
                 successes += 1;
-                assert!(resp.tunnels.get(tid).is_some(), "both sides agree");
+                assert_eq!(net.tunnels(a).get(tid).map(|t| t.peer), Some(b), "seed {seed}");
+                let at_b = net.tunnels(b);
+                let reaped = at_b.torn_down.contains(&(tid, TeardownReason::Expired));
+                assert!(at_b.get(tid).is_some_and(|t| t.peer == a) || reaped, "seed {seed}");
+                both_live += usize::from(!reaped);
             }
-            Some(RequestState::Failed(_)) => {} // clean failure: acceptable
-            other => panic!("negotiation must terminate, got {other:?}"),
+            // Clean, typed failure with the fallback on record: acceptable.
+            Err(reason) => assert_eq!(net.fallbacks()[0].reason, reason, "seed {seed}"),
+        }
+        assert!(net.run_until_settled(&st, 2_000) < 2_000, "seed {seed}: the responder settles too");
+        assert_eq!(net.double_establish_count(), 0, "seed {seed}");
+        // Let the soft state live (and, after failures, die) a little so
+        // the transcript holds every message kind, then put it on the wire.
+        for _ in 0..60 {
+            net.tick(&st);
+        }
+        for (_, _, m) in &net.log {
+            kinds[0] |= matches!(m, Message::Ack { .. });
+            kinds[1] |= matches!(m, Message::Keepalive { .. });
+            kinds[2] |= matches!(m, Message::Teardown { .. });
+        }
+        assert!(wire_round_trip(&net.log) >= 5, "seed {seed}");
+    }
+    // With 5 retransmissions per stage against 30% loss, nearly all land,
+    // and land on both sides at once.
+    assert!(
+        both_live * 10 >= attempts * 8,
+        "only {both_live}/{attempts} negotiations ({successes} one-sided included) survived 30% loss"
+    );
+    assert!(resent > 0, "the retransmit timers did real work");
+    assert_eq!(kinds, [true; 3], "Ack, Keepalive and Teardown all crossed the codec");
+}
+
+/// One handshake, two drivers: on a perfect channel `ReliableNet` lands
+/// exactly what the synchronous reference lands — same tunnel id, path and
+/// price, same refusals — pair after pair on a generated topology, with
+/// both ledgers filling up in step.
+#[test]
+fn reliable_net_on_a_perfect_channel_equals_the_synchronous_reference() {
+    let topo = GenParams::tiny(20060911).generate();
+    let dest = (0..topo.num_nodes() as NodeId).max_by_key(|&n| topo.neighbors(n).len()).unwrap();
+    let st = RoutingState::solve(&topo, dest);
+    let mut sync_net = MiroNetwork::new(&topo);
+    let mut net = ReliableNet::new(&topo, FaultConfig::PERFECT, 1);
+    // Ask the first on-path AS to route around the hop after it. An AS
+    // plays one role only: tunnel ids are scoped to the downstream AS, so
+    // a table that both allocates and adopts could see one id twice.
+    let (mut requesters, mut responders) = (HashSet::new(), HashSet::new());
+    let (mut landed, mut refused) = (0, 0);
+    for req in 0..topo.num_nodes() as NodeId {
+        let Some(path) = st.path(req) else { continue };
+        let [_, resp, avoid, ..] = path[..] else { continue };
+        if responders.contains(&req) || requesters.contains(&resp) {
+            continue;
+        }
+        requesters.insert(req);
+        responders.insert(resp);
+        let constraints = vec![Constraint::AvoidAs(avoid)];
+        let want = sync_net.negotiate(&st, req, resp, constraints.clone(), 250);
+        net.start(&st, req, resp, constraints, 250).expect("distinct, known ASes");
+        assert!(net.run_until_settled(&st, 50) <= 6, "{req} -> {resp}");
+        let got = net.outcomes().last().expect("settled").result;
+        match (want, got) {
+            (Ok(tid), Ok(got_tid)) => {
+                landed += 1;
+                assert_eq!(got_tid, tid, "{req} -> {resp}: same downstream allocation");
+                let held = |t: &TunnelManager| {
+                    t.get(tid).map(|t| (t.peer, t.dest, t.path.clone(), t.price))
+                };
+                assert!(held(net.tunnels(req)).is_some(), "{req} -> {resp}");
+                assert_eq!(held(net.tunnels(req)), held(sync_net.tunnels(req)), "{req} -> {resp}");
+                assert_eq!(held(net.tunnels(resp)), held(sync_net.tunnels(resp)), "{req} -> {resp}");
+            }
+            (Err(NegotiationError::Rejected(r)), Err(FailReason::Rejected(got_r))) => {
+                refused += 1;
+                assert_eq!(got_r, r, "{req} -> {resp}");
+            }
+            (Err(NegotiationError::NoneAcceptable), Err(FailReason::NoneAcceptable)) => refused += 1,
+            other => panic!("{req} -> {resp}: drivers disagree: {other:?}"),
         }
     }
-    // With 8 retransmissions against 30% loss, nearly all must succeed.
-    assert!(
-        successes * 10 >= attempts * 8,
-        "only {successes}/{attempts} negotiations survived 30% loss"
+    assert!(landed >= 5 && refused >= 1, "{landed} landed, {refused} refused");
+    let sold = |l: &Lease| (l.id, l.downstream, l.upstream, l.path.clone(), l.price);
+    assert_eq!(
+        net.leases().iter().map(sold).collect::<Vec<_>>(),
+        sync_net.leases().iter().map(sold).collect::<Vec<_>>()
     );
+    assert_eq!((net.double_establish_count(), net.orphan_count()), (0, 0));
 }
