@@ -128,27 +128,6 @@ pub fn select_best(routes: &[RouteAttrs]) -> Option<usize> {
     Some(best)
 }
 
-/// Routes that tie with the best through step 6 and share its AS-path
-/// length: the set limited-multipath Cisco routers would install together
-/// (section 2.2.2). Always contains the best route itself.
-pub fn ecmp_set(routes: &[RouteAttrs]) -> Vec<usize> {
-    let Some(best) = select_best(routes) else { return Vec::new() };
-    let b = &routes[best];
-    routes
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| {
-            r.local_pref == b.local_pref
-                && r.as_path_len == b.as_path_len
-                && r.origin == b.origin
-                && (r.neighbor_as != b.neighbor_as || r.med == b.med)
-                && r.ebgp == b.ebgp
-                && r.igp_dist == b.igp_dist
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
 impl Default for RouteAttrs {
     fn default() -> Self {
         RouteAttrs {
@@ -256,15 +235,5 @@ mod tests {
         let own_ebgp = RouteAttrs { ebgp: true, igp_dist: 0, router_id: 2, ..base() };
         let other_ibgp = RouteAttrs { ebgp: false, igp_dist: 5, router_id: 3, ..base() };
         assert_eq!(compare(&own_ebgp, &other_ibgp), (Less, DecidedBy::EbgpOverIbgp));
-    }
-
-    #[test]
-    fn ecmp_set_contains_equal_routes() {
-        let r1 = RouteAttrs { router_id: 1, ..base() };
-        let r2 = RouteAttrs { router_id: 2, ..base() };
-        let worse = RouteAttrs { igp_dist: 50, router_id: 0, ..base() };
-        let set = ecmp_set(&[r1, r2, worse]);
-        assert_eq!(set, vec![0, 1]);
-        assert!(ecmp_set(&[]).is_empty());
     }
 }

@@ -1135,9 +1135,7 @@ impl RoutingState<'_> {
 }
 
 /// The original heap-based solver, retained as the equivalence oracle for
-/// the bucket-queue engine (and for before/after benchmarking via the
-/// `ref-solver` feature).
-#[cfg(any(test, feature = "ref-solver"))]
+/// the bucket-queue engine and the baseline `miro bench-solver` times.
 pub mod reference {
     use super::{BestRoute, RoutingState, UNROUTED};
     use miro_topology::{NodeId, Rel, RouteClass, Topology};

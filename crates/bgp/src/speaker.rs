@@ -1,17 +1,19 @@
-//! A wire-level BGP speaker: sessions, real UPDATE messages, rib-in,
+//! A wire-level BGP speaker: sessions, real UPDATE messages, Adj-RIB-In,
 //! decision process, and re-advertisement — the protocol machinery of
 //! section 2.2.2 joined up, byte-for-byte.
 //!
-//! The AS-level solver and simulator answer the evaluation's questions;
-//! this speaker exists because MIRO claims *backward compatibility with
-//! deployed BGP* (section 3.2), and that claim is only credible if the
-//! reproduction actually speaks the protocol: OPEN handshakes, UPDATEs
-//! with path attributes, implicit withdraws, loop rejection on AS_PATH,
-//! and incremental re-advertisement on best-path changes. Transport is
-//! abstract: callers move the byte queues between speakers (tests pump
-//! them in-memory; a deployment would use TCP sockets).
+//! It exists because MIRO claims *backward compatibility with deployed
+//! BGP* (section 3.2), which is only credible if the reproduction speaks
+//! the protocol: OPEN handshakes, UPDATEs with path attributes, implicit
+//! withdraws, loop rejection on AS_PATH, incremental re-advertisement.
+//! `tests/wire_bgp.rs` pins it to the solver: one speaker per AS with
+//! `PeerConfig` derived from the relationships converges to
+//! `RoutingState::path`, and after a session loss to `solve_without_link`.
+//!
+//! One speaker is one AS (the routers *inside* one are `miro-dataplane`'s
+//! `intra::AsFabric`); callers move the byte queues between speakers.
 
-use crate::decision::{select_best, Origin, RouteAttrs};
+use crate::decision::{compare, Origin, RouteAttrs};
 use crate::session::{Action, Event, Session, SessionConfig, State};
 use crate::wire::{BgpMessage, PathAttributes, WireError, WirePrefix};
 use std::collections::HashMap;
@@ -22,27 +24,17 @@ pub struct PeerConfig {
     pub remote_as: u16,
     /// LOCAL_PREF assigned to routes from this peer (the section 2.2.2
     /// convention: customers 400-500, peers 200-300, providers 50-100).
-    /// Ignored for iBGP peers, whose UPDATEs carry LOCAL_PREF explicitly.
     pub local_pref: u32,
-    /// May we advertise non-customer-learned routes to this peer? (The
-    /// export rule abstraction: `true` for customers, `false` for peers
-    /// and providers.) iBGP peers always receive the best route.
+    /// The export rule of section 2.2.1 in one bit: `true` for a customer
+    /// (hears every route; its routes go to everyone), `false` for a peer
+    /// or provider (hears only our own and customer-learned routes).
     pub full_export: bool,
-    /// iBGP session (same AS): no AS prepending, LOCAL_PREF carried on
-    /// the wire, iBGP-learned routes never re-advertised to other iBGP
-    /// peers (full-mesh rule), and eBGP beats iBGP at decision step 5.
-    pub ibgp: bool,
 }
 
 impl PeerConfig {
     /// An eBGP peer.
     pub fn ebgp(remote_as: u16, local_pref: u32, full_export: bool) -> PeerConfig {
-        PeerConfig { remote_as, local_pref, full_export, ibgp: false }
-    }
-
-    /// An iBGP peer in the same AS.
-    pub fn ibgp(my_as: u16) -> PeerConfig {
-        PeerConfig { remote_as: my_as, local_pref: 0, full_export: true, ibgp: true }
+        PeerConfig { remote_as, local_pref, full_export }
     }
 }
 
@@ -53,13 +45,13 @@ struct Peer {
     out: Vec<u8>,
     /// Partial inbound bytes (stream reassembly).
     inbuf: Vec<u8>,
-    /// rib-in: latest route per prefix from this peer.
+    /// Adj-RIB-In: latest route per prefix from this peer.
     rib_in: HashMap<WirePrefix, PathAttributes>,
-    /// What we have advertised to this peer (to withdraw on change).
+    /// Adj-RIB-Out: the AS path last advertised to this peer per prefix.
     advertised: HashMap<WirePrefix, Vec<u32>>,
 }
 
-/// One BGP speaker (a router with eBGP and/or iBGP sessions).
+/// One BGP speaker (an AS with eBGP sessions to its neighbours).
 ///
 /// ```
 /// use miro_bgp::speaker::{pump, PeerConfig, Speaker};
@@ -81,15 +73,14 @@ pub struct Speaker {
     pub asn: u16,
     bgp_id: u32,
     peers: Vec<Peer>,
-    /// Prefixes this speaker originates.
-    originated: Vec<WirePrefix>,
-    /// Current best per prefix: (peer index or None for originated, attrs).
-    selected: HashMap<WirePrefix, (Option<usize>, PathAttributes)>,
+    /// Loc-RIB: where the best route per prefix came from — a peer index
+    /// into that peer's Adj-RIB-In, or `None` for an originated prefix.
+    loc_rib: HashMap<WirePrefix, Option<usize>>,
 }
 
 impl Speaker {
     pub fn new(asn: u16, bgp_id: u32) -> Speaker {
-        Speaker { asn, bgp_id, peers: Vec::new(), originated: Vec::new(), selected: HashMap::new() }
+        Speaker { asn, bgp_id, peers: Vec::new(), loc_rib: HashMap::new() }
     }
 
     /// Register a peer; returns its index. Sessions start Idle.
@@ -113,20 +104,17 @@ impl Speaker {
 
     /// Originate a prefix (and advertise it once sessions come up).
     pub fn originate(&mut self, prefix: WirePrefix) {
-        self.originated.push(prefix);
-        self.selected.insert(
-            prefix,
-            (None, PathAttributes { origin: Some(0), ..Default::default() }),
-        );
-        self.readvertise(prefix);
+        self.loc_rib.insert(prefix, None);
+        self.reselect(prefix);
     }
 
     /// Start all sessions (operator `ManualStart` + transport up).
     pub fn start(&mut self) {
         for i in 0..self.peers.len() {
-            let mut acts = self.peers[i].session.handle(Event::ManualStart);
-            acts.extend(self.peers[i].session.handle(Event::TransportUp));
-            self.apply_actions(i, acts);
+            for event in [Event::ManualStart, Event::TransportUp] {
+                let acts = self.peers[i].session.handle(event);
+                self.apply_actions(i, acts);
+            }
         }
     }
 
@@ -139,21 +127,19 @@ impl Speaker {
     pub fn input(&mut self, i: usize, bytes: &[u8]) {
         self.peers[i].inbuf.extend_from_slice(bytes);
         loop {
-            let parse_result = BgpMessage::parse(&self.peers[i].inbuf);
-            match parse_result {
+            let event = match BgpMessage::parse(&self.peers[i].inbuf) {
                 Ok((msg, used)) => {
                     self.peers[i].inbuf.drain(..used);
-                    let acts = self.peers[i].session.handle(Event::Message(msg));
-                    self.apply_actions(i, acts);
+                    Event::Message(msg)
                 }
                 Err(WireError::Truncated) => break, // wait for more bytes
                 Err(e) => {
                     self.peers[i].inbuf.clear();
-                    let acts = self.peers[i].session.handle(Event::Garbage(e));
-                    self.apply_actions(i, acts);
-                    break;
+                    Event::Garbage(e)
                 }
-            }
+            };
+            let acts = self.peers[i].session.handle(event);
+            self.apply_actions(i, acts);
         }
     }
 
@@ -170,52 +156,59 @@ impl Speaker {
         self.peers[i].session.state()
     }
 
-    /// The selected AS path toward `prefix` (empty for originated; `None`
-    /// if unknown).
+    /// The selected AS path toward `prefix`: empty if originated, `None` if unknown.
     pub fn best_path(&self, prefix: WirePrefix) -> Option<Vec<u32>> {
-        self.selected.get(&prefix).map(|(_, a)| a.as_path.clone())
+        let Some(src) = *self.loc_rib.get(&prefix)? else { return Some(Vec::new()) };
+        self.peers[src].rib_in.get(&prefix).map(|a| a.as_path.clone())
     }
 
+    /// Queue `msg` for peer `i`; `false` if it does not fit the encoding.
+    fn send(&mut self, i: usize, msg: &BgpMessage) -> bool {
+        let bytes = msg.emit();
+        if let Ok(bytes) = &bytes {
+            self.peers[i].out.extend_from_slice(bytes);
+        }
+        bytes.is_ok()
+    }
+
+    /// Adj-RIB-In takes withdrawals, then updates; then what moved is re-selected.
     fn apply_actions(&mut self, i: usize, actions: Vec<Action>) {
         for act in actions {
             match act {
                 Action::Send(m) => {
-                    let bytes = m.emit().expect("session messages encode");
-                    self.peers[i].out.extend_from_slice(&bytes);
+                    self.send(i, &m);
                 }
                 Action::SessionUp => {
-                    // Initial table transfer (section 2.2.2: "when a router
-                    // first connects to a neighbor, the entire BGP routing
-                    // table is transmitted").
-                    let prefixes: Vec<WirePrefix> = self.selected.keys().copied().collect();
-                    for p in prefixes {
+                    // Initial table transfer (section 2.2.2).
+                    for p in self.loc_rib.keys().copied().collect::<Vec<_>>() {
                         self.advertise_to(i, p);
                     }
                 }
                 Action::SessionDown => {
                     // Routes from this peer are invalid: re-select.
-                    let lost: Vec<WirePrefix> =
-                        self.peers[i].rib_in.keys().copied().collect();
-                    self.peers[i].rib_in.clear();
                     self.peers[i].advertised.clear();
-                    for p in lost {
+                    for (p, _) in std::mem::take(&mut self.peers[i].rib_in) {
                         self.reselect(p);
                     }
                 }
                 Action::DeliverUpdate(BgpMessage::Update { withdrawn, attrs, nlri }) => {
-                    for p in withdrawn {
-                        self.peers[i].rib_in.remove(&p);
-                        self.reselect(p);
+                    // A path already holding our own AS is a loop (section
+                    // 2.1.1): it replaces the peer's earlier route and is
+                    // itself unusable, i.e. a withdrawal.
+                    let looped = attrs.as_path.contains(&u32::from(self.asn));
+                    let rib_in = &mut self.peers[i].rib_in;
+                    for p in &withdrawn {
+                        rib_in.remove(p);
                     }
-                    if !nlri.is_empty() {
-                        // Implicit import policy: reject our own AS in the
-                        // path (loop prevention, section 2.1.1).
-                        if !attrs.as_path.contains(&u32::from(self.asn)) {
-                            for p in nlri {
-                                self.peers[i].rib_in.insert(p, attrs.clone());
-                                self.reselect(p);
-                            }
+                    for &p in &nlri {
+                        if looped {
+                            rib_in.remove(&p);
+                        } else {
+                            rib_in.insert(p, attrs.clone());
                         }
+                    }
+                    for p in withdrawn.into_iter().chain(nlri) {
+                        self.reselect(p);
                     }
                 }
                 Action::DeliverUpdate(_) | Action::CloseTransport => {}
@@ -223,163 +216,85 @@ impl Speaker {
         }
     }
 
-    /// Re-run the decision process for one prefix; re-advertise on change.
+    /// Re-run the decision process (Table 2.1) for one prefix over the
+    /// Adj-RIBs-In — an originated prefix always wins — and bring every
+    /// peer's Adj-RIB-Out up to date.
     fn reselect(&mut self, prefix: WirePrefix) {
-        let mut cands: Vec<(Option<usize>, PathAttributes, RouteAttrs)> = Vec::new();
-        if self.originated.contains(&prefix) {
-            cands.push((
-                None,
-                PathAttributes { origin: Some(0), ..Default::default() },
-                RouteAttrs {
-                    local_pref: u32::MAX, // own prefix always wins
-                    as_path_len: 0,
-                    ..RouteAttrs::default()
-                },
-            ));
-        }
-        for (idx, peer) in self.peers.iter().enumerate() {
-            if let Some(a) = peer.rib_in.get(&prefix) {
-                cands.push((
-                    Some(idx),
-                    a.clone(),
-                    RouteAttrs {
-                        // iBGP routes carry LOCAL_PREF on the wire
-                        // (section 2.2.2); eBGP routes get it from import
-                        // configuration.
-                        local_pref: if peer.cfg.ibgp {
-                            a.local_pref.unwrap_or(100)
-                        } else {
-                            peer.cfg.local_pref
-                        },
-                        as_path_len: a.as_path.len() as u32,
-                        origin: match a.origin {
-                            Some(1) => Origin::Egp,
-                            Some(2) => Origin::Incomplete,
-                            _ => Origin::Igp,
-                        },
-                        med: a.med.unwrap_or(0),
-                        neighbor_as: u32::from(peer.cfg.remote_as),
-                        ebgp: !peer.cfg.ibgp, // decision step 5
-                        igp_dist: 0,
-                        router_id: idx as u32,
-                        peer_addr: idx as u32,
+        if self.loc_rib.get(&prefix) != Some(&None) {
+            let candidate = |(idx, peer): (usize, &Peer)| {
+                let a = peer.rib_in.get(&prefix)?;
+                let attrs = RouteAttrs {
+                    local_pref: peer.cfg.local_pref, // import configuration
+                    as_path_len: a.as_path.len() as u32,
+                    origin: match a.origin {
+                        Some(1) => Origin::Egp,
+                        Some(2) => Origin::Incomplete,
+                        _ => Origin::Igp,
                     },
-                ));
-            }
+                    med: a.med.unwrap_or(0),
+                    neighbor_as: u32::from(peer.cfg.remote_as),
+                    router_id: idx as u32,
+                    peer_addr: idx as u32,
+                    ..RouteAttrs::default() // eBGP-learned, no IGP distance
+                };
+                Some((idx, attrs))
+            };
+            let best = self.peers.iter().enumerate().filter_map(candidate);
+            match best.min_by(|(_, a), (_, b)| compare(a, b).0) {
+                Some((src, _)) => self.loc_rib.insert(prefix, Some(src)),
+                None => self.loc_rib.remove(&prefix),
+            };
         }
-        let new = select_best(&cands.iter().map(|(_, _, r)| r.clone()).collect::<Vec<_>>())
-            .map(|i| (cands[i].0, cands[i].1.clone()));
-        let old = self.selected.get(&prefix).cloned();
-        match new {
-            Some(n) => {
-                if old.as_ref() != Some(&n) {
-                    self.selected.insert(prefix, n);
-                    self.readvertise(prefix);
-                }
-            }
-            None => {
-                if old.is_some() {
-                    self.selected.remove(&prefix);
-                    self.readvertise(prefix);
-                }
-            }
-        }
-    }
-
-    /// Send the current best for `prefix` (or a withdraw) to every
-    /// established peer the export policy allows.
-    fn readvertise(&mut self, prefix: WirePrefix) {
         for i in 0..self.peers.len() {
             self.advertise_to(i, prefix);
         }
     }
 
+    /// What peer `i` may hear of `prefix`: the AS path as learned and ORIGIN.
+    fn export(&self, i: usize, prefix: WirePrefix) -> Option<(&[u32], Option<u8>)> {
+        let src = *self.loc_rib.get(&prefix)?;
+        let to = &self.peers[i].cfg;
+        let (learned, origin, from_customer) = match src {
+            None => (&[][..], None, true),
+            Some(s) => {
+                let a = self.peers[s].rib_in.get(&prefix)?;
+                (&a.as_path[..], a.origin, self.peers[s].cfg.full_export)
+            }
+        };
+        // Never back where it came from, never a path the receiver is on.
+        let allowed = to.full_export || from_customer;
+        let loops = src == Some(i) || learned.contains(&u32::from(to.remote_as));
+        (allowed && !loops).then_some((learned, origin))
+    }
+
+    /// Bring peer `i`'s Adj-RIB-Out for `prefix` in line with the Loc-RIB:
+    /// an UPDATE if the exportable path changed, a withdraw if none is left
+    /// — or if the prepended AS_PATH no longer fits the codec.
     fn advertise_to(&mut self, i: usize, prefix: WirePrefix) {
         if self.peers[i].session.state() != State::Established {
             return;
         }
-        let selected = self.selected.get(&prefix).cloned();
-        // Export policy: full export to customers; to peers/providers only
-        // routes we originated or learned from customers. We approximate
-        // "customer-learned" as "learned from a full-export peer" — the
-        // caller encodes relationships through PeerConfig. iBGP peers get
-        // the best route unconditionally, except that iBGP-learned routes
-        // are not re-reflected to other iBGP peers (full-mesh rule).
-        let to_ibgp = self.peers[i].cfg.ibgp;
-        let exportable = match &selected {
-            None => None,
-            Some((src, attrs)) => {
-                let from_ibgp = src.is_some_and(|s| self.peers[s].cfg.ibgp);
-                let allowed = if to_ibgp {
-                    !from_ibgp // full mesh: eBGP-learned and originated only
-                } else {
-                    self.peers[i].cfg.full_export
-                        || src.is_none()
-                        || src.is_some_and(|s| {
-                            // learned from a customer (customer peers are the
-                            // ones we grant full export *to*; symmetric in the
-                            // conventional policies).
-                            self.peers[s].cfg.full_export
-                        })
-                };
-                // Never send a route back to the peer it came from, and
-                // never send a path already containing the peer's AS
-                // (for eBGP receivers).
-                let loops = src == &Some(i)
-                    || (!to_ibgp
-                        && attrs
-                            .as_path
-                            .contains(&u32::from(self.peers[i].cfg.remote_as)));
-                (allowed && !loops).then(|| attrs.clone())
+        let asn = u32::from(self.asn);
+        if let Some((learned, origin)) = self.export(i, prefix) {
+            let sent = self.peers[i].advertised.get(&prefix).and_then(|p| p.split_first());
+            if sent == Some((&asn, learned)) {
+                return; // incremental protocol: no change, no update
             }
-        };
-        match exportable {
-            Some(attrs) => {
-                let mut out_attrs = attrs;
-                if to_ibgp {
-                    // iBGP: no prepending; LOCAL_PREF travels; next hop is
-                    // preserved (next-hop-self simplification: our id).
-                    let lp = self
-                        .selected
-                        .get(&prefix)
-                        .and_then(|(src, a)| match src {
-                            Some(s) if self.peers[*s].cfg.ibgp => a.local_pref,
-                            Some(s) => Some(self.peers[*s].cfg.local_pref),
-                            None => Some(u32::MAX),
-                        });
-                    out_attrs.local_pref = lp;
-                } else {
-                    out_attrs.as_path.insert(0, u32::from(self.asn));
-                    out_attrs.local_pref = None; // LOCAL_PREF is iBGP-only
-                }
-                out_attrs.next_hop = Some(self.bgp_id);
-                if out_attrs.origin.is_none() {
-                    out_attrs.origin = Some(0);
-                }
-                let already = self.peers[i].advertised.get(&prefix);
-                if already == Some(&out_attrs.as_path) {
-                    return; // incremental protocol: no change, no update
-                }
-                self.peers[i].advertised.insert(prefix, out_attrs.as_path.clone());
-                let msg = BgpMessage::Update {
-                    withdrawn: vec![],
-                    attrs: out_attrs,
-                    nlri: vec![prefix],
-                };
-                let bytes = msg.emit().expect("update encodes");
-                self.peers[i].out.extend_from_slice(&bytes);
+            let attrs = PathAttributes {
+                origin: origin.or(Some(0)),
+                as_path: std::iter::once(asn).chain(learned.iter().copied()).collect(),
+                next_hop: Some(self.bgp_id),
+                ..Default::default() // MED and LOCAL_PREF stop at the AS boundary
+            };
+            let path = attrs.as_path.clone();
+            if self.send(i, &BgpMessage::Update { withdrawn: vec![], attrs, nlri: vec![prefix] }) {
+                self.peers[i].advertised.insert(prefix, path);
+                return;
             }
-            None => {
-                if self.peers[i].advertised.remove(&prefix).is_some() {
-                    let msg = BgpMessage::Update {
-                        withdrawn: vec![prefix],
-                        attrs: PathAttributes::default(),
-                        nlri: vec![],
-                    };
-                    let bytes = msg.emit().expect("withdraw encodes");
-                    self.peers[i].out.extend_from_slice(&bytes);
-                }
-            }
+        }
+        if self.peers[i].advertised.remove(&prefix).is_some() {
+            let attrs = PathAttributes::default();
+            self.send(i, &BgpMessage::Update { withdrawn: vec![prefix], attrs, nlri: vec![] });
         }
     }
 }
@@ -390,15 +305,10 @@ pub fn pump(speakers: &mut [Speaker], links: &[(usize, usize, usize, usize)]) {
     for _ in 0..1000 {
         let mut moved = false;
         for &(a, pa, b, pb) in links {
-            let bytes_ab = speakers[a].output(pa);
-            if !bytes_ab.is_empty() {
-                moved = true;
-                speakers[b].input(pb, &bytes_ab);
-            }
-            let bytes_ba = speakers[b].output(pb);
-            if !bytes_ba.is_empty() {
-                moved = true;
-                speakers[a].input(pa, &bytes_ba);
+            for (from, out, to, inp) in [(a, pa, b, pb), (b, pb, a, pa)] {
+                let bytes = speakers[from].output(out);
+                moved |= !bytes.is_empty();
+                speakers[to].input(inp, &bytes);
             }
         }
         if !moved {
@@ -549,99 +459,69 @@ mod tests {
         assert_eq!(sp[2].best_path(p), None, "peer must not receive a provider route");
     }
 
-    /// Two routers of AS 100 in an iBGP full mesh; R1 has the eBGP session
-    /// to the origin. R2 must learn the route over iBGP with no AS
-    /// prepending and the LOCAL_PREF carried on the wire.
+    /// A peer can deliver a 255-hop AS_PATH (the parser takes extended
+    /// lengths and several segments); prepending our own AS makes 256,
+    /// which one AS_SEQUENCE cannot carry. The route is usable here and
+    /// simply not exportable; it must not take the transit speaker down.
     #[test]
-    fn ibgp_carries_local_pref_without_prepending() {
-        let mut r1 = Speaker::new(100, 1);
-        let mut r2 = Speaker::new(100, 2);
-        let mut origin = Speaker::new(200, 9);
-        let e_r1 = r1.add_peer(PeerConfig::ebgp(200, 450, true));
-        let i_r1 = r1.add_peer(PeerConfig::ibgp(100));
-        let i_r2 = r2.add_peer(PeerConfig::ibgp(100));
-        let e_o = origin.add_peer(PeerConfig::ebgp(100, 80, false));
-        let p = px(0x0a050000, 16);
-        origin.originate(p);
-        for s in [&mut r1, &mut r2, &mut origin] {
-            s.start();
-        }
-        let mut sp = vec![r1, r2, origin];
-        let links = vec![(0, e_r1, 2, e_o), (0, i_r1, 1, i_r2)];
+    fn an_unencodable_route_is_not_exported() {
+        let (mut sp, links) = line();
         pump(&mut sp, &links);
-        // R1 learned [200] over eBGP; R2 learned the SAME path over iBGP
-        // (no 100 prepended inside the AS).
-        assert_eq!(sp[0].best_path(p), Some(vec![200]));
-        assert_eq!(sp[1].best_path(p), Some(vec![200]));
-        // The iBGP rib-in carries the LOCAL_PREF R1 assigned on import.
-        let a = sp[1].peers[i_r2].rib_in.get(&p).expect("ibgp route");
-        assert_eq!(a.local_pref, Some(450));
+        let p = px(0x0a030000, 16);
+        assert_eq!(sp[0].best_path(p), Some(vec![65002, 65003]));
+        // 65003 re-announces the prefix over a 255-hop path (two segments,
+        // extended length), hand-encoded so the codec's own limit is not
+        // in the way.
+        let hops: Vec<u16> = (0..254).map(|i| 1000 + i).chain([65003]).collect();
+        let mut seg = Vec::new();
+        for chunk in hops.chunks(200) {
+            seg.extend([2u8, chunk.len() as u8]);
+            seg.extend(chunk.iter().flat_map(|h| h.to_be_bytes()));
+        }
+        let mut attrs = vec![0x40, 1, 1, 0, 0x50, 2];
+        attrs.extend((seg.len() as u16).to_be_bytes());
+        attrs.extend(&seg);
+        attrs.extend([0x40, 3, 4, 0, 0, 0, 3]);
+        let mut body = vec![0, 0];
+        body.extend((attrs.len() as u16).to_be_bytes());
+        body.extend(&attrs);
+        body.extend([16, 0x0a, 0x03]);
+        let mut update = crate::wire::MARKER.to_vec();
+        update.extend(((crate::wire::HEADER_LEN + body.len()) as u16).to_be_bytes());
+        update.push(2);
+        update.extend(&body);
+        sp[1].input(1, &update);
+        pump(&mut sp, &links);
+        assert_eq!(sp[1].best_path(p).map(|path| path.len()), Some(255), "usable at the transit");
+        assert_eq!(sp[1].session_state(0), State::Established);
+        assert_eq!(sp[0].best_path(p), None, "what was advertised before is withdrawn");
+        // A shorter path is exportable again.
+        let short = BgpMessage::Update {
+            withdrawn: vec![],
+            attrs: PathAttributes { origin: Some(0), as_path: vec![65003], next_hop: Some(3), ..Default::default() },
+            nlri: vec![p],
+        };
+        sp[1].input(1, &short.emit().expect("encodes"));
+        pump(&mut sp, &links);
+        assert_eq!(sp[0].best_path(p), Some(vec![65002, 65003]));
     }
 
-    /// Full-mesh rule: a route learned over iBGP is not re-advertised to
-    /// other iBGP peers (R3 hears nothing from R2 about R1's route).
+    /// The receiver-side loop check: an announcement whose path holds our
+    /// own AS replaces the peer's earlier route and is itself unusable.
     #[test]
-    fn ibgp_routes_are_not_reflected() {
-        let mut r1 = Speaker::new(100, 1);
-        let mut r2 = Speaker::new(100, 2);
-        let mut r3 = Speaker::new(100, 3);
-        let mut origin = Speaker::new(200, 9);
-        let e_r1 = r1.add_peer(PeerConfig::ebgp(200, 450, true));
-        let r1_to_r2 = r1.add_peer(PeerConfig::ibgp(100));
-        let r2_to_r1 = r2.add_peer(PeerConfig::ibgp(100));
-        let r2_to_r3 = r2.add_peer(PeerConfig::ibgp(100));
-        let r3_to_r2 = r3.add_peer(PeerConfig::ibgp(100));
-        let e_o = origin.add_peer(PeerConfig::ebgp(100, 80, false));
-        let p = px(0x0a060000, 16);
-        origin.originate(p);
-        for s in [&mut r1, &mut r2, &mut r3, &mut origin] {
-            s.start();
-        }
-        let mut sp = vec![r1, r2, r3, origin];
-        // Note: deliberately NOT a full mesh (no r1-r3 session) to expose
-        // the non-reflection rule.
-        let links = vec![(0, e_r1, 3, e_o), (0, r1_to_r2, 1, r2_to_r1), (1, r2_to_r3, 2, r3_to_r2)];
+    fn a_looped_announcement_is_an_implicit_withdraw() {
+        let (mut sp, links) = line();
         pump(&mut sp, &links);
-        assert_eq!(sp[1].best_path(p), Some(vec![200]), "R2 got it over iBGP");
-        assert_eq!(
-            sp[2].best_path(p),
-            None,
-            "R3 must NOT hear it from R2 (that is why real iBGP needs a full mesh)"
-        );
-    }
-
-    /// Decision step 5 at wire level: a router with its own eBGP route
-    /// prefers it over an equally-good iBGP route.
-    #[test]
-    fn ebgp_beats_ibgp_at_step_5() {
-        let mut r1 = Speaker::new(100, 1);
-        let mut r2 = Speaker::new(100, 2);
-        let mut o1 = Speaker::new(200, 8);
-        let mut o2 = Speaker::new(300, 9);
-        // Both origins announce the same prefix with equal import policy.
-        let r1_e = r1.add_peer(PeerConfig::ebgp(200, 450, true));
-        let r1_i = r1.add_peer(PeerConfig::ibgp(100));
-        let r2_i = r2.add_peer(PeerConfig::ibgp(100));
-        let r2_e = r2.add_peer(PeerConfig::ebgp(300, 450, true));
-        let o1_e = o1.add_peer(PeerConfig::ebgp(100, 80, false));
-        let o2_e = o2.add_peer(PeerConfig::ebgp(100, 80, false));
-        let p = px(0x0a070000, 16);
-        o1.originate(p);
-        o2.originate(p);
-        for s in [&mut r1, &mut r2, &mut o1, &mut o2] {
-            s.start();
-        }
-        let mut sp = vec![r1, r2, o1, o2];
-        let links = vec![
-            (0, r1_e, 2, o1_e),
-            (1, r2_e, 3, o2_e),
-            (0, r1_i, 1, r2_i),
-        ];
+        let p = px(0x0a030000, 16);
+        let looped = BgpMessage::Update {
+            withdrawn: vec![],
+            attrs: PathAttributes { origin: Some(0), as_path: vec![65003, 65002, 7], next_hop: Some(3), ..Default::default() },
+            nlri: vec![p],
+        };
+        sp[1].input(1, &looped.emit().expect("encodes"));
         pump(&mut sp, &links);
-        // Each edge router sticks to its own eBGP session -- the R2/R3
-        // phenomenon of Figure 4.1, reproduced on real messages.
-        assert_eq!(sp[0].best_path(p), Some(vec![200]));
-        assert_eq!(sp[1].best_path(p), Some(vec![300]));
+        assert_eq!(sp[1].best_path(p), None);
+        assert_eq!(sp[0].best_path(p), None);
     }
 
     #[test]

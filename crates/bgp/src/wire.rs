@@ -274,11 +274,17 @@ impl BgpMessage {
 }
 
 fn emit_attrs(attrs: &PathAttributes, out: &mut Vec<u8>) -> Result<(), WireError> {
-    // flags: 0x40 = well-known transitive; 0x80 = optional.
+    // flags: 0x40 = well-known transitive; 0x80 = optional; 0x10 =
+    // extended (two-octet) length, needed once a value passes 255 bytes
+    // (an AS_PATH of 127 hops or more).
     let mut put = |flags: u8, ty: u8, value: &[u8]| {
-        out.push(flags);
-        out.push(ty);
-        out.push(value.len() as u8);
+        match u8::try_from(value.len()) {
+            Ok(len) => out.extend_from_slice(&[flags, ty, len]),
+            Err(_) => {
+                out.extend_from_slice(&[flags | 0x10, ty]);
+                out.extend_from_slice(&(value.len() as u16).to_be_bytes());
+            }
+        }
         out.extend_from_slice(value);
     };
     if let Some(o) = attrs.origin {
@@ -475,6 +481,38 @@ mod tests {
         let (parsed, used) = BgpMessage::parse(&bytes).unwrap();
         assert_eq!(parsed, m);
         assert_eq!(used, bytes.len());
+    }
+
+    /// An AS_PATH value is `2 + 2n` bytes: 126 hops is the last that fits
+    /// a one-octet attribute length, 127 the first that needs the
+    /// extended-length flag, 255 the most one AS_SEQUENCE carries.
+    #[test]
+    fn long_as_paths_round_trip_through_the_extended_length() {
+        for hops in [1u32, 126, 127, 255] {
+            let m = BgpMessage::Update {
+                withdrawn: vec![],
+                attrs: PathAttributes {
+                    origin: Some(0),
+                    as_path: (1..=hops).collect(),
+                    next_hop: Some(7),
+                    ..Default::default()
+                },
+                nlri: vec![WirePrefix::new(0x0a000000, 8)],
+            };
+            let bytes = m.emit().unwrap();
+            // ORIGIN (4 bytes) comes first; AS_PATH's flag octet follows.
+            let flags = bytes[HEADER_LEN + 4 + 4];
+            assert_eq!(flags & 0x10 != 0, hops >= 127, "{hops} hops: flags {flags:#x}");
+            let (parsed, used) = BgpMessage::parse(&bytes).unwrap_or_else(|e| panic!("{hops} hops: {e}"));
+            assert_eq!(parsed, m, "{hops} hops");
+            assert_eq!(used, bytes.len());
+        }
+        let too_long = BgpMessage::Update {
+            withdrawn: vec![],
+            attrs: PathAttributes { as_path: (1..=256).collect(), ..Default::default() },
+            nlri: vec![],
+        };
+        assert_eq!(too_long.emit().unwrap_err(), WireError::Overflow("AS_PATH length"));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! miro> negotiate 111 with 222 to 937 avoid 555 budget 250 policy e
 //! miro> leases
 //! miro> fail link 333 555
+//! miro> policy load data/avoid_as5.policy
+//! miro> policy apply 1 AVOID_AS to 6
 //! miro> quit
 //! ```
 //!
@@ -38,9 +40,20 @@ use miro_core::negotiate::Constraint;
 use miro_core::node::{Lease, MiroNetwork, ResponderConfig};
 use miro_core::strategy::avoid_via_multihop_negotiation;
 use miro_core::strategy::TargetStrategy;
+use miro_policy::{bridge, PolicyEngine};
 use miro_topology::gen::DatasetPreset;
 use miro_topology::{io as topo_io, AsId, NodeId, Topology};
+use std::collections::HashMap;
 use std::fmt::Write as _;
+
+/// AS numbers, space-separated (the `[3 6]` of every path the shell prints).
+fn spaced(asns: impl IntoIterator<Item = u32>) -> String {
+    asns.into_iter().map(|a| a.to_string()).collect::<Vec<_>>().join(" ")
+}
+
+fn as_list(topo: &Topology, path: &[NodeId]) -> String {
+    spaced(path.iter().map(|&h| topo.asn(h).0))
+}
 
 /// The shell state. The loaded topology is intentionally leaked
 /// (`Box::leak`): a shell session loads a handful of topologies at most,
@@ -48,6 +61,9 @@ use std::fmt::Write as _;
 pub struct Repl {
     topo: Option<&'static Topology>,
     net: Option<MiroNetwork<'static>>,
+    /// Chapter 6 configurations loaded with `policy load`, by `router bgp`
+    /// AS number.
+    policies: HashMap<u32, PolicyEngine>,
     clock_step: u64,
     keepalive_timeout: u64,
 }
@@ -60,7 +76,7 @@ impl Default for Repl {
 
 impl Repl {
     pub fn new() -> Repl {
-        Repl { topo: None, net: None, clock_step: 10, keepalive_timeout: 30 }
+        Repl { topo: None, net: None, policies: HashMap::new(), clock_step: 10, keepalive_timeout: 30 }
     }
 
     fn install(&mut self, topo: Topology) -> String {
@@ -147,16 +163,7 @@ impl Repl {
                 let mut out = String::new();
                 for c in st.candidates(x) {
                     let tag = if Some(&c.path) == best.as_ref() { "*" } else { " " };
-                    let _ = writeln!(
-                        out,
-                        "{tag} {:?} [{}]",
-                        c.class,
-                        c.path
-                            .iter()
-                            .map(|&h| topo.asn(h).0.to_string())
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    );
+                    let _ = writeln!(out, "{tag} {:?} [{}]", c.class, as_list(topo, &c.path));
                 }
                 Ok(out)
             }
@@ -207,12 +214,7 @@ impl Repl {
                             topo.asn(resp),
                             out.ases_contacted,
                             out.paths_received,
-                            route
-                                .path
-                                .iter()
-                                .map(|&h| topo.asn(h).0.to_string())
-                                .collect::<Vec<_>>()
-                                .join(" ")
+                            as_list(topo, &route.path)
                         ),
                         None => format!(
                             "failed after {} contacts / {} paths",
@@ -235,12 +237,7 @@ impl Repl {
                             "tunnel {} established: AS{} buys [{}] from AS{} at price {}",
                             tid.0,
                             topo.asn(lease.upstream),
-                            lease
-                                .path
-                                .iter()
-                                .map(|&h| topo.asn(h).0.to_string())
-                                .collect::<Vec<_>>()
-                                .join(" "),
+                            as_list(topo, &lease.path),
                             topo.asn(lease.downstream),
                             lease.price
                         ))
@@ -263,10 +260,7 @@ impl Repl {
                         topo.asn(*upstream),
                         topo.asn(*downstream),
                         topo.asn(*dest),
-                        path.iter()
-                            .map(|&h| topo.asn(h).0.to_string())
-                            .collect::<Vec<_>>()
-                            .join(" "),
+                        as_list(topo, path),
                         price
                     );
                 }
@@ -312,6 +306,60 @@ impl Repl {
                     before, dests
                 ))
             }
+            ["policy", "load", path] => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path:?}: {e}"))?;
+                let cfg = miro_policy::parse_config(&text).map_err(|e| format!("{path}: {e}"))?;
+                let asn = cfg.router_asn.ok_or(format!("{path}: no `router bgp <asn>` line"))?;
+                let summary = format!(
+                    "policy for AS{asn}: {} route-map entries, {} negotiation block(s)",
+                    cfg.route_maps.len(),
+                    cfg.negotiations.len()
+                );
+                self.policies.insert(asn, PolicyEngine::new(cfg));
+                Ok(summary)
+            }
+            ["policy", "apply", asn, map, "to", dest] => {
+                let (x, topo) = self.node(num(asn)?)?;
+                let (d, _) = self.node(num(dest)?)?;
+                let engine = self
+                    .policies
+                    .get(&topo.asn(x).0)
+                    .ok_or(format!("no policy loaded for AS{asn} (use `policy load`)"))?;
+                if !engine.config().route_maps.iter().any(|rm| rm.name == *map) {
+                    return Err(format!("AS{asn}'s policy has no route-map {map:?}"));
+                }
+                let net = self.net.as_mut().ok_or("no topology loaded")?;
+                let st = RoutingState::solve(topo, d);
+                let (kept, outcomes) = bridge::run_policy(engine, net, &st, x, map);
+                let mut out = format!(
+                    "route-map {map}: {} of {} candidate(s) kept\n",
+                    kept.len(),
+                    st.candidates(x).len()
+                );
+                for r in &kept {
+                    let path = spaced(r.path.iter().copied());
+                    let _ = writeln!(out, "  keep [{path}] local-pref {}", r.local_pref);
+                }
+                for o in &outcomes {
+                    let t = &o.trigger;
+                    let _ = writeln!(
+                        out,
+                        "negotiation {}: avoid [{}], budget {}, targets [{}]",
+                        t.negotiation,
+                        spaced(t.avoid.iter().copied()),
+                        t.max_cost.map_or("unlimited".to_string(), |c| c.to_string()),
+                        spaced(t.targets.iter().copied())
+                    );
+                    for (target, result) in &o.attempts {
+                        let _ = match result {
+                            Ok(tid) => writeln!(out, "  AS{}: tunnel {} established", topo.asn(*target), tid.0),
+                            Err(e) => writeln!(out, "  AS{}: {e}", topo.asn(*target)),
+                        };
+                    }
+                }
+                Ok(out)
+            }
             ["quit"] | ["exit"] => Ok("bye".to_string()),
             other => Err(format!("unknown command {:?} (try `help`)", other.join(" "))),
         }
@@ -353,6 +401,8 @@ commands:
   negotiate <src> with <responder> to <dest> [avoid <asn>] [budget N] [policy s|e|a]
   multihop  <src> with <responder> to <dest> avoid <asn> [policy s|e|a]
   leases | tick | fail link <a> <b>
+  policy load <config-file>
+  policy apply <asn> <route-map> to <dest-asn>
   help | quit";
 
 #[cfg(test)]
@@ -394,6 +444,48 @@ mod tests {
         assert!(out.contains("error: negotiation failed"));
         assert!(out.contains("error: unknown command"));
         assert!(out.contains("error: unknown AS 99"));
+    }
+
+    /// `policy load` / `policy apply`: configuration text drives the
+    /// negotiation (the Chapter 6 loop), and every way to hold it wrong is
+    /// an error line, not a panic.
+    #[test]
+    fn policy_commands_drive_the_bridge_and_report_misuse() {
+        let conf = harness::TempPath::new("cli_policy", ".conf");
+        let bare = harness::TempPath::new("cli_policy_bare", ".conf");
+        std::fs::write(
+            &conf.0,
+            "router bgp 1\nroute-map AVOID_AS permit 10\nmatch empty path 200\n\
+             try negotiation NEG-5\nip as-path access-list 200 deny _5_\n\
+             ip as-path access-list 200 permit .*\nnegotiation NEG-5\nmatch all path _5_\n\
+             start negotiation #1 with maximum cost 250\n",
+        )
+        .expect("tmp write");
+        std::fs::write(&bare.0, "route-map X permit 10\n").expect("tmp write");
+        let mut repl = Repl::new();
+        let out = repl.run_script(&format!(
+            "gen fig1.1 1 1\n\
+             policy apply 1 AVOID_AS to 6\n\
+             policy load {bare}\n\
+             policy load /nonexistent/policy.conf\n\
+             policy load {conf}\n\
+             policy apply 2 AVOID_AS to 6\n\
+             policy apply 1 NO_SUCH_MAP to 6\n\
+             policy apply 1 AVOID_AS to 6\n\
+             leases\n",
+            bare = bare.0.display(),
+            conf = conf.0.display()
+        ));
+        assert!(out.contains("error: no policy loaded for AS1"), "{out}");
+        assert!(out.contains("no `router bgp <asn>` line"), "{out}");
+        assert!(out.contains("error: cannot read \"/nonexistent/policy.conf\""), "{out}");
+        assert!(out.contains("policy for AS1: 1 route-map entries, 1 negotiation block(s)"), "{out}");
+        assert!(out.contains("error: no policy loaded for AS2"), "{out}");
+        assert!(out.contains("error: AS1's policy has no route-map \"NO_SUCH_MAP\""), "{out}");
+        assert!(out.contains("route-map AVOID_AS: 0 of 2 candidate(s) kept"), "{out}");
+        assert!(out.contains("negotiation NEG-5: avoid [5], budget 250, targets [2 4]"), "{out}");
+        assert!(out.contains("  AS2: tunnel 0 established"), "{out}");
+        assert!(out.contains("tunnel 0: AS1 -> AS2 for AS6 via [3 6] price 180"), "{out}");
     }
 
     #[test]

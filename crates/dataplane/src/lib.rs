@@ -40,7 +40,6 @@ pub mod ipv4;
 pub mod lpm;
 pub mod pcapng;
 pub mod rcp;
-pub mod trace;
 
 pub use burst::{BurstScratch, Engine, TunnelSpec, Verdict};
 pub use encap::{EncapError, EndpointScheme, MiroShim};

@@ -49,10 +49,6 @@ pub struct Rcp {
     next_id: u32,
     /// Tunnels reaped by the health monitor (id, expiry time).
     pub reaped: Vec<(u32, u64)>,
-    /// Optional packet tracer (the smoltcp-style `--pcap` affordance);
-    /// records every packet entering the fabric through the controller.
-    pub tracer: Option<crate::trace::Tracer>,
-    clock: std::cell::Cell<u64>,
 }
 
 impl Rcp {
@@ -61,14 +57,7 @@ impl Rcp {
     /// routers").
     pub fn new(mut fabric: AsFabric) -> Rcp {
         fabric.run_ibgp();
-        Rcp {
-            fabric,
-            tunnels: HashMap::new(),
-            next_id: 1,
-            reaped: Vec::new(),
-            tracer: None,
-            clock: std::cell::Cell::new(0),
-        }
+        Rcp { fabric, tunnels: HashMap::new(), next_id: 1, reaped: Vec::new() }
     }
 
     /// Read-only access to the managed fabric.
@@ -178,33 +167,6 @@ impl Rcp {
     pub fn forward(&self, ingress: usize, packet: bytes::Bytes) -> crate::intra::Forwarded {
         self.fabric.forward(ingress, packet)
     }
-
-    /// Traced variant: records the packet (rx) and, when it leaves the AS,
-    /// the transmitted bytes (tx) in [`Rcp::tracer`].
-    pub fn forward_traced(
-        &mut self,
-        ingress: usize,
-        packet: bytes::Bytes,
-        now: u64,
-    ) -> crate::intra::Forwarded {
-        self.clock.set(now);
-        if let Some(tr) = &mut self.tracer {
-            tr.record(now, crate::trace::Dir::Rx, packet.clone());
-        }
-        let out = self.fabric.forward(ingress, packet);
-        if let Some(tr) = &mut self.tracer {
-            match &out {
-                crate::intra::Forwarded::Exit { packet, .. } => {
-                    tr.record(now, crate::trace::Dir::Tx, packet.clone())
-                }
-                crate::intra::Forwarded::TunnelExit { inner, .. } => {
-                    tr.record(now, crate::trace::Dir::Tx, inner.clone())
-                }
-                crate::intra::Forwarded::NoRoute => {}
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -308,40 +270,5 @@ mod tests {
         let b = r.grant_tunnel(u_prefix(), &[500, 600], 0).expect("ok");
         assert!(b > a, "ids never reused even for the same path");
         assert_eq!(r.live_tunnels(), 2);
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use crate::encap;
-    use crate::intra::figure_4_1;
-    use crate::ipv4::{Ipv4Addr4, Ipv4Header};
-    use crate::lpm::Prefix;
-    use crate::trace::Tracer;
-
-    #[test]
-    fn traced_forwarding_records_rx_and_tx() {
-        let u_prefix = Prefix::new(Ipv4Addr4::new(60, 0, 0, 0), 8);
-        let mut r = Rcp::new(figure_4_1(u_prefix));
-        r.tracer = Some(Tracer::new(16));
-        let tid = r.grant_tunnel(u_prefix, &[500, 600], 0).expect("ok");
-        let endpoint = r.fabric().router(1).addr;
-        let inner = Ipv4Header::new(
-            Ipv4Addr4::new(9, 9, 9, 9),
-            Ipv4Addr4::new(60, 1, 2, 3),
-            6,
-            0,
-        )
-        .emit_with_payload(b"");
-        let wire =
-            encap::encapsulate(&inner, Ipv4Addr4::new(8, 8, 8, 8), endpoint, tid).expect("fits");
-        let _ = r.forward_traced(0, wire, 42);
-        let tracer = r.tracer.as_ref().expect("installed");
-        assert_eq!(tracer.seen, 2, "rx + tx recorded");
-        let text = tracer.render();
-        assert!(text.contains("rx MIRO tunnel 1"), "{text}");
-        assert!(text.contains("tx 9.9.9.9 -> 60.1.2.3"), "{text}");
-        assert!(text.contains("[    42]"), "{text}");
     }
 }

@@ -1,26 +1,45 @@
-//! Keep the shipped demo scenario honest: run `data/demo.miro` through
-//! the shell and check the narrative beats.
+//! Keep the shipped demo scenarios honest: run `data/*.miro` through the
+//! shell and check the narrative beats.
 
 #[test]
 fn demo_scenario_plays_through() {
-    let script = std::fs::read_to_string(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/data/demo.miro"),
-    )
-    .expect("demo scenario ships with the repo");
-    // Rebase the `load` path onto the manifest dir so the test is
-    // cwd-independent.
-    let script = script.replace(
-        "load data/figure_1_1.txt",
-        &format!("load {}/data/figure_1_1.txt", env!("CARGO_MANIFEST_DIR")),
-    );
-    let mut repl = miro_cli::Repl::new();
-    let out = repl.run_script(&script);
-    assert!(out.contains("loaded topology: 6 ASes, 8 links"), "{out}");
-    assert!(out.contains("tunnel 0 established"), "{out}");
-    assert!(out.contains("AS1 buys [3 6] from AS2 at price 180"), "{out}");
-    assert!(out.contains("lease(s) dropped"), "{out}");
-    assert!(!out.contains("error:"), "scenario must be clean: {out}");
-    assert!(out.trim_end().ends_with("bye"), "{out}");
+    let beats: [(&str, &[&str]); 2] = [
+        (
+            "demo.miro",
+            &[
+                "loaded topology: 6 ASes, 8 links",
+                "tunnel 0 established",
+                "AS1 buys [3 6] from AS2 at price 180",
+                "lease(s) dropped",
+            ],
+        ),
+        // Chapter 6: the same tunnel, asked for by configuration text.
+        (
+            "policy_demo.miro",
+            &[
+                "policy for AS1: 2 route-map entries, 1 negotiation block(s)",
+                "route-map AVOID_AS: 0 of 2 candidate(s) kept",
+                "negotiation NEG-5: avoid [5], budget 250, targets [2 4]",
+                "  AS2: tunnel 0 established",
+                "tunnel 0: AS1 -> AS2 for AS6 via [3 6] price 180",
+                "route-map AVOID_AS: 1 of 1 candidate(s) kept\n  keep [2 3] local-pref 80",
+            ],
+        ),
+    ];
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/data/");
+    for (name, expected) in beats {
+        let script = std::fs::read_to_string(format!("{data}{name}"))
+            .expect("demo scenarios ship with the repo");
+        // Rebase the `load data/...` paths onto the manifest dir so the
+        // test is cwd-independent.
+        let script = script.replace("load data/", &format!("load {data}"));
+        let out = miro_cli::Repl::new().run_script(&script);
+        for beat in expected {
+            assert!(out.contains(beat), "{name}: missing {beat:?} in\n{out}");
+        }
+        assert!(!out.contains("error:"), "{name} must be clean: {out}");
+        assert!(out.trim_end().ends_with("bye"), "{name}: {out}");
+    }
 }
 
 /// The shipped figure_1_1.txt matches the programmatic figure_1_1().
