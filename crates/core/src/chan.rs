@@ -1,13 +1,11 @@
-//! A deterministic unreliable message channel — the control-plane
-//! generalization of the data plane's `FaultyLink`.
+//! A deterministic unreliable message channel — the repo's one seeded
+//! fault injector.
 //!
 //! MIRO's §4.3 soft-state machinery (retransmits, keepalives, idle-tunnel
 //! expiry) only means something if the control channel can actually lose,
 //! duplicate, reorder, and delay messages. [`FaultyChannel`] is that
-//! channel: generic over the message type so the same fault model carries
-//! typed Figure-4.2 negotiation messages here and raw `Bytes` packets in
-//! `miro-dataplane` (which re-exports it from its `fault` module — the
-//! dependency points dataplane → core, so the shared model lives here).
+//! channel, generic over the message type; what it carries in this tree
+//! is the typed Figure-4.2 negotiation messages.
 //!
 //! Faults are rolled from seeded per-mille dice, and delivery runs on the
 //! same virtual clock as the rest of the control plane, so every
@@ -59,7 +57,7 @@ impl Dice {
 }
 
 /// Fault knobs, all probabilities in 1/1000 so configurations are exact
-/// integers (the `FaultyLink` convention).
+/// integers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Probability a sent message is silently discarded.

@@ -489,11 +489,6 @@ impl<'t> ReliableNet<'t> {
         self.bus.schedule_outage(start, end)
     }
 
-    /// Channel accounting (drops, duplicates, reorders, in-flight).
-    pub fn channel_stats(&self) -> crate::chan::ChannelStats {
-        self.bus.stats
-    }
-
     /// Terminal negotiation records, in settlement order.
     pub fn outcomes(&self) -> &[NegotiationOutcome] {
         &self.outcomes

@@ -329,18 +329,6 @@ pub fn count_available_routes(
     base + extra
 }
 
-/// Offers available from a single responder toward `src` (exposed for the
-/// examples and the inbound-traffic-control experiment).
-pub fn offers_from(
-    st: &RoutingState<'_>,
-    src: NodeId,
-    responder: NodeId,
-    policy: ExportPolicy,
-) -> Vec<Offer> {
-    let toward = export_rel_toward(st, src, responder);
-    policy.offers(st, responder, toward)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,8 +10,10 @@
 //! *directed forwarding* (tunnel id -> exit link) pushing decapsulated
 //! packets out the non-default link.
 
-use crate::encap;
-use crate::ipv4::Ipv4Addr4;
+use crate::burst::{Engine, OneVerdict};
+use crate::classifier::Classifier;
+use crate::encap::{self, EndpointScheme};
+use crate::ipv4::{Ipv4Addr4, Ipv4Header, PROTO_MIRO};
 use crate::lpm::{Prefix, PrefixTrie};
 use bytes::Bytes;
 use miro_bgp::decision::{select_best, Origin, RouteAttrs};
@@ -84,7 +86,11 @@ pub struct AsFabric {
     /// Optional single-reserved-address tunnel endpoint scheme
     /// (section 4.2): ingress routers rewrite the reserved destination to
     /// a concrete egress router per tunnel id.
-    endpoint_scheme: Option<crate::encap::EndpointScheme>,
+    endpoint_scheme: Option<EndpointScheme>,
+    /// One forwarding engine per router, rebuilt by [`AsFabric::run_ibgp`]:
+    /// `local` is the router's loopback and the LPM maps each selected
+    /// prefix to its index in [`Router::selected`].
+    engines: Vec<Engine>,
 }
 
 impl AsFabric {
@@ -111,7 +117,7 @@ impl AsFabric {
                 }
             }
         }
-        AsFabric { asn, routers, igp, add_path: false, endpoint_scheme: None }
+        AsFabric { asn, routers, igp, add_path: false, endpoint_scheme: None, engines: Vec::new() }
     }
 
     /// Negotiate the ADD-PATH capability on the iBGP mesh.
@@ -121,7 +127,7 @@ impl AsFabric {
 
     /// Install the single-reserved-address endpoint scheme (section 4.2's
     /// third option); `None` reverts to per-router loopback endpoints.
-    pub fn set_endpoint_scheme(&mut self, scheme: Option<crate::encap::EndpointScheme>) {
+    pub fn set_endpoint_scheme(&mut self, scheme: Option<EndpointScheme>) {
         self.endpoint_scheme = scheme;
     }
 
@@ -131,33 +137,16 @@ impl AsFabric {
     /// each other router's single best (the classic iBGP restriction the
     /// first option of section 4.1 works around with explicit requests).
     pub fn candidates_at(&self, router: usize, prefix: Prefix) -> Vec<Vec<u32>> {
-        let mut out: Vec<Vec<u32>> = if self.add_path {
-            self.valid_as_paths(prefix)
-        } else {
-            let mut v: Vec<Vec<u32>> = self.routers[router]
-                .ebgp
-                .iter()
-                .filter(|e| e.prefix == prefix)
-                .map(|e| e.as_path.clone())
-                .collect();
-            for (r, other) in self.routers.iter().enumerate() {
-                if r == router {
-                    continue;
-                }
-                // The other router's best own-eBGP route, as iBGP carries.
-                let cands: Vec<&EbgpRoute> =
-                    other.ebgp.iter().filter(|e| e.prefix == prefix).collect();
-                let attrs: Vec<RouteAttrs> =
-                    cands.iter().map(|e| attrs_of(e, true, 0, 0)).collect();
-                if let Some(i) = select_best(&attrs) {
-                    v.push(cands[i].as_path.clone());
-                }
-            }
-            v.sort();
-            v.dedup();
-            v
-        };
+        if self.add_path {
+            return self.valid_as_paths(prefix);
+        }
+        let own = self.routers[router].ebgp.iter().filter(|e| e.prefix == prefix);
+        // What iBGP carries: each router's best own-eBGP route (this
+        // router's is already among `own`).
+        let heard = self.routers.iter().filter_map(|r| own_best(r, prefix));
+        let mut out: Vec<Vec<u32>> = own.chain(heard).map(|e| e.as_path.clone()).collect();
         out.sort();
+        out.dedup();
         out
     }
 
@@ -193,17 +182,8 @@ impl AsFabric {
 
         for &prefix in &prefixes {
             // Step 1: each edge router picks its best own-eBGP route.
-            let own_best: Vec<Option<EbgpRoute>> = self
-                .routers
-                .iter()
-                .map(|r| {
-                    let cands: Vec<&EbgpRoute> =
-                        r.ebgp.iter().filter(|e| e.prefix == prefix).collect();
-                    let attrs: Vec<RouteAttrs> =
-                        cands.iter().map(|e| attrs_of(e, true, 0, 0)).collect();
-                    select_best(&attrs).map(|i| cands[i].clone())
-                })
-                .collect();
+            let own_best: Vec<Option<EbgpRoute>> =
+                self.routers.iter().map(|r| own_best(r, prefix).cloned()).collect();
             // Step 2: every router selects among its own eBGP best and the
             // other routers' eBGP bests (seen over iBGP with its own IGP
             // distance). One pass suffices in a full mesh: the candidate
@@ -234,6 +214,14 @@ impl AsFabric {
                 }
             }
         }
+        let engine = |r: &Router| {
+            let mut lpm = PrefixTrie::new();
+            for (i, (p, _)) in r.selected.iter().enumerate() {
+                lpm.insert(*p, i as u32);
+            }
+            Engine::new(r.addr, lpm, Classifier::new(vec![]), vec![], vec![])
+        };
+        self.engines = self.routers.iter().map(engine).collect();
     }
 
     /// Every distinct AS path present at any edge router for `prefix` —
@@ -253,68 +241,59 @@ impl AsFabric {
         out
     }
 
-    /// Forward a packet injected at `ingress`. Tunnel endpoints are the
-    /// router loopbacks (the per-egress-router scheme); anything else is
-    /// destination-based LPM over the router's converged selections.
+    /// Forward a packet injected at `ingress`: ride the IGP to the router
+    /// it addresses (a loopback is a tunnel endpoint under the
+    /// per-egress-router scheme; anything else is handled where it came
+    /// in), run that router's [`Engine`] — TTL, checksum and malformed
+    /// frames are the engine's — and, on a decapsulation, let directed
+    /// forwarding pick the exit link. Needs [`AsFabric::run_ibgp`] first.
     pub fn forward(&self, ingress: usize, packet: Bytes) -> Forwarded {
-        let Ok((hdr, _payload)) = crate::ipv4::Ipv4Header::parse(packet.clone()) else {
+        let Ok((outer, payload)) = Ipv4Header::parse_slice(&packet) else {
             return Forwarded::NoRoute;
         };
         // Single-reserved-address scheme (section 4.2's third option):
         // the ingress router rewrites the reserved destination to the
-        // chosen egress router before anything else looks at the packet.
-        if let Some(scheme) = &self.endpoint_scheme {
-            if let Ok((_, shim, _)) = encap::decapsulate(packet.clone()) {
-                if let Some(rewritten) = scheme.ingress_rewrite(hdr.dst, shim.tunnel_id) {
-                    if rewritten != hdr.dst {
-                        // Rebuild the outer header with the concrete
-                        // egress address; the inner packet is untouched.
-                        let (outer, mut payload_and_rest) =
-                            crate::ipv4::Ipv4Header::parse(packet.clone())
-                                .expect("parsed above");
-                        let mut new_outer = outer.clone();
-                        new_outer.dst = rewritten;
-                        let mut rest = Vec::with_capacity(payload_and_rest.len());
-                        use bytes::Buf as _;
-                        while payload_and_rest.has_remaining() {
-                            rest.push(payload_and_rest.get_u8());
-                        }
-                        let rewritten_packet = new_outer.emit_with_payload(&rest);
-                        return self.forward(ingress, rewritten_packet);
-                    }
-                }
+        // chosen egress router; the inner packet is untouched.
+        let dst = match (&self.endpoint_scheme, encap::MiroShim::parse_slice(payload)) {
+            (Some(scheme), Ok(shim)) if outer.protocol == PROTO_MIRO => {
+                scheme.ingress_rewrite(outer.dst, shim.tunnel_id).unwrap_or(outer.dst)
             }
-        }
-        // Tunnel endpoint?
-        if let Some(endpoint) =
-            self.routers.iter().position(|r| r.addr == hdr.dst)
-        {
-            if let Ok((_, shim, inner)) = encap::decapsulate(packet.clone()) {
-                if let Some(&link) =
-                    self.routers[endpoint].tunnel_table.get(&shim.tunnel_id)
-                {
-                    // Directed forwarding: the tunnel id names the exit
-                    // link, overriding the default route.
-                    return Forwarded::TunnelExit { link, inner, endpoint_router: endpoint };
-                }
-            }
-            return Forwarded::NoRoute;
-        }
-        // Ordinary destination-based forwarding: LPM at the ingress
-        // router, then ride the IGP to the egress.
-        let mut trie: PrefixTrie<&Selected> = PrefixTrie::new();
-        for (p, s) in &self.routers[ingress].selected {
-            trie.insert(*p, s);
-        }
-        match trie.lookup(hdr.dst) {
-            Some((_, sel)) => Forwarded::Exit {
-                link: sel.exit_link,
-                packet,
-                via_routers: vec![ingress, sel.egress_router],
+            _ => outer.dst,
+        };
+        let packet = if dst == outer.dst {
+            packet
+        } else {
+            Ipv4Header { dst, ..outer }.emit_with_payload(payload)
+        };
+        let at = self.routers.iter().position(|r| r.addr == dst).unwrap_or(ingress);
+        let router = &self.routers[at];
+        match self.engines.get(at).map(|e| e.forward_one(&packet)) {
+            // Directed forwarding: the tunnel id names the exit link,
+            // overriding the default route.
+            Some(OneVerdict::Decap { tunnel, packet: inner }) => match router.tunnel_table.get(&tunnel) {
+                Some(&link) => Forwarded::TunnelExit { link, inner, endpoint_router: at },
+                None => Forwarded::NoRoute,
             },
-            None => Forwarded::NoRoute,
+            // Destination-based forwarding, then the IGP to the egress.
+            Some(OneVerdict::Forward { next_hop, packet }) => match router.selected.get(next_hop as usize) {
+                Some((_, sel)) => Forwarded::Exit {
+                    link: sel.exit_link,
+                    packet,
+                    via_routers: vec![ingress, sel.egress_router],
+                },
+                None => Forwarded::NoRoute,
+            },
+            _ => Forwarded::NoRoute,
         }
     }
+}
+
+/// A router's best route among its own eBGP sessions for `prefix`: what it
+/// stands by at step 5 and all that classic iBGP tells the others.
+fn own_best(router: &Router, prefix: Prefix) -> Option<&EbgpRoute> {
+    let cands: Vec<&EbgpRoute> = router.ebgp.iter().filter(|e| e.prefix == prefix).collect();
+    let attrs: Vec<RouteAttrs> = cands.iter().map(|e| attrs_of(e, true, 0, 0)).collect();
+    select_best(&attrs).map(|i| cands[i])
 }
 
 fn attrs_of(e: &EbgpRoute, ebgp: bool, igp_dist: u32, router_id: u32) -> RouteAttrs {
@@ -498,6 +477,25 @@ mod tests {
         )
         .emit_with_payload(b"");
         assert_eq!(f.forward(0, pkt), Forwarded::NoRoute);
+    }
+
+    #[test]
+    fn ttl_is_decremented_and_expiry_is_a_drop() {
+        // The fabric's routers are the burst engine: a hop costs one TTL
+        // with the checksum rewritten, and a packet on its last hop goes
+        // nowhere — the same verdicts `Engine::forward_one` gives.
+        let f = fabric();
+        let mut hdr =
+            Ipv4Header::new(Ipv4Addr4::new(9, 9, 9, 9), Ipv4Addr4::new(60, 1, 2, 3), 6, 0);
+        match f.forward(0, hdr.emit_with_payload(b"")) {
+            Forwarded::Exit { link: 20, packet, .. } => {
+                let (out, _) = Ipv4Header::parse(packet).expect("checksum follows the TTL");
+                assert_eq!(out.ttl, 63, "one hop from the default 64");
+            }
+            other => panic!("expected exit on link 20, got {other:?}"),
+        }
+        hdr.ttl = 1;
+        assert_eq!(f.forward(0, hdr.emit_with_payload(b"")), Forwarded::NoRoute);
     }
 
     #[test]

@@ -14,26 +14,35 @@
 //! * [`classifier`] - the traffic-splitting policies of section 3.5:
 //!   header-field classifiers directing a subset of traffic into tunnels,
 //!   and hash-based flow splitting across paths;
-//! * [`burst`] - the burst-mode forwarding engine: batched preparse,
-//!   key-sorted LPM amortization, per-unique-flow tunnel/split decisions,
-//!   and arena-packed encap output — the Mpps-scale fast path over the
-//!   modules above, proptest-pinned byte-identical to them;
+//! * [`burst`] - the forwarding engine, and the only forwarder: batched
+//!   preparse, key-sorted LPM amortization, per-unique-flow tunnel/split
+//!   decisions and arena-packed encap output over the modules above,
+//!   proptest-pinned byte-identical to its packet-at-a-time reference;
 //! * [`pcapng`] - a dependency-free pcapng writer so tunnel traffic can
 //!   be inspected in Wireshark;
 //! * [`intra`] - the intra-AS architecture of section 4.1: ASes with
-//!   multiple edge routers, iBGP dissemination, IGP distances driving
-//!   steps 5-7 of the decision process, directed forwarding at egress
-//!   routers, and end-to-end forwarding walks across a router-level
-//!   network that follow negotiated AS paths.
+//!   multiple edge routers, iBGP dissemination (optionally ADD-PATH), IGP
+//!   distances driving steps 5-7 of the decision process, one [`burst`]
+//!   engine per router, and directed forwarding at egress routers;
+//! * [`rcp`] - the per-AS controller of sections 4.1 and 4.3: answers
+//!   alternate-route queries, grants tunnels by installing directed
+//!   forwarding, and reaps silent ones — its soft state is
+//!   `miro_core::tunnel::TunnelManager`, the control plane's table.
 //!
-//! Omitted deliberately: fragmentation, TTL/ICMP error generation, and
-//! IPv6 - none are load-bearing for the paper's claims. Packets here are
+//! What reaches each: the five codec / engine modules are driven by
+//! `miro bench-dataplane` and the repo benchmark's `packet_burst`
+//! workload; [`pcapng`] by `miro bench-dataplane --capture`; [`intra`]
+//! and [`rcp`] by the Tier-1 rung `tests/intra_as.rs`, which builds one
+//! fabric per AS of a solved topology and holds it to the AS-level
+//! solver, and by `tests/end_to_end.rs`.
+//!
+//! Omitted deliberately: fragmentation, ICMP error generation, and IPv6 -
+//! none are load-bearing for the paper's claims. Packets here are
 //! exercised in-memory (encode -> forward -> decapsulate) which drives the
 //! same code paths a TUN/TAP deployment would.
 
 pub mod burst;
 pub mod classifier;
-pub mod fault;
 pub mod encap;
 pub mod intra;
 pub mod ipv4;

@@ -13,25 +13,15 @@
 //! health for all tunnels and actively tear down unused ones".
 //!
 //! [`Rcp`] wraps an [`AsFabric`], centralizes route computation, answers
-//! alternate-route queries, installs directed-forwarding state, and runs
-//! the tunnel-health monitor on a virtual clock.
+//! alternate-route queries and installs directed-forwarding state. The
+//! soft state — ids, sold paths, heartbeats, the typed teardown history —
+//! is the AS's [`TunnelManager`], the table the control plane keeps; the
+//! controller adds only where each tunnel is installed.
 
 use crate::intra::AsFabric;
 use crate::lpm::Prefix;
+use miro_core::tunnel::{TunnelId, TunnelManager};
 use std::collections::HashMap;
-
-/// A tunnel registered with the controller.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RcpTunnel {
-    pub tunnel_id: u32,
-    /// The AS path sold.
-    pub as_path: Vec<u32>,
-    /// Egress router index and exit link installed for it.
-    pub egress_router: usize,
-    pub exit_link: u32,
-    /// Last heartbeat (virtual time).
-    pub last_heartbeat: u64,
-}
 
 /// Controller-level errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,10 +35,9 @@ pub enum RcpError {
 /// The per-AS routing control platform.
 pub struct Rcp {
     fabric: AsFabric,
-    tunnels: HashMap<u32, RcpTunnel>,
-    next_id: u32,
-    /// Tunnels reaped by the health monitor (id, expiry time).
-    pub reaped: Vec<(u32, u64)>,
+    tunnels: TunnelManager,
+    /// Tunnel id -> (egress router, exit link) installed for it.
+    installed: HashMap<u32, (usize, u32)>,
 }
 
 impl Rcp {
@@ -57,12 +46,23 @@ impl Rcp {
     /// routers").
     pub fn new(mut fabric: AsFabric) -> Rcp {
         fabric.run_ibgp();
-        Rcp { fabric, tunnels: HashMap::new(), next_id: 1, reaped: Vec::new() }
+        Rcp { fabric, tunnels: TunnelManager::new(), installed: HashMap::new() }
     }
 
     /// Read-only access to the managed fabric.
     pub fn fabric(&self) -> &AsFabric {
         &self.fabric
+    }
+
+    /// The AS's tunnel table: live tunnels with the paths they were sold
+    /// on and their last heartbeats, and why each dead one was torn down.
+    pub fn tunnels(&self) -> &TunnelManager {
+        &self.tunnels
+    }
+
+    /// Where a live tunnel is installed: (egress router, exit link).
+    pub fn egress(&self, tunnel_id: u32) -> Option<(usize, u32)> {
+        self.installed.get(&tunnel_id).copied()
     }
 
     /// The MIRO alternate-route query (the RCP "handles the requests from
@@ -76,7 +76,9 @@ impl Rcp {
     /// Grant a tunnel on `as_path` for `prefix`: allocates the id, finds
     /// the edge router owning the path, and installs the directed-
     /// forwarding entry (the RCP "install\[s\] the data-plane state ... in
-    /// the routers to direct traffic along the chosen paths").
+    /// the routers to direct traffic along the chosen paths"). Who buys
+    /// and at what price is the negotiation's business: the table entry
+    /// carries neither.
     pub fn grant_tunnel(
         &mut self,
         prefix: Prefix,
@@ -84,62 +86,33 @@ impl Rcp {
         now: u64,
     ) -> Result<u32, RcpError> {
         // Locate an edge router holding this exact path.
-        let mut found: Option<(usize, u32)> = None;
-        for r in 0..self.fabric.num_routers() {
-            if let Some(e) = self
-                .fabric
-                .router(r)
-                .ebgp
-                .iter()
-                .find(|e| e.prefix == prefix && e.as_path == as_path)
-            {
-                found = Some((r, e.exit_link));
-                break;
-            }
-        }
-        let (egress_router, exit_link) = found.ok_or(RcpError::NoSuchPath)?;
-        let tunnel_id = self.next_id;
-        self.next_id += 1;
-        self.fabric
-            .router_mut(egress_router)
-            .tunnel_table
-            .insert(tunnel_id, exit_link);
-        self.tunnels.insert(
-            tunnel_id,
-            RcpTunnel {
-                tunnel_id,
-                as_path: as_path.to_vec(),
-                egress_router,
-                exit_link,
-                last_heartbeat: now,
-            },
-        );
+        let holds = |r: usize| {
+            let mut routes = self.fabric.router(r).ebgp.iter();
+            let route = routes.find(|e| e.prefix == prefix && e.as_path == as_path)?;
+            Some((r, route.exit_link))
+        };
+        let (egress_router, exit_link) =
+            (0..self.fabric.num_routers()).find_map(holds).ok_or(RcpError::NoSuchPath)?;
+        let dest = as_path.last().copied().unwrap_or(self.fabric.asn);
+        let TunnelId(tunnel_id) = self.tunnels.establish(0, dest, as_path.to_vec(), 0, now);
+        self.fabric.router_mut(egress_router).tunnel_table.insert(tunnel_id, exit_link);
+        self.installed.insert(tunnel_id, (egress_router, exit_link));
         Ok(tunnel_id)
     }
 
     /// Record an upstream keepalive for a tunnel (section 4.3's central
     /// health server).
     pub fn keepalive(&mut self, tunnel_id: u32, now: u64) -> Result<(), RcpError> {
-        let t = self.tunnels.get_mut(&tunnel_id).ok_or(RcpError::UnknownTunnel)?;
-        t.last_heartbeat = now;
-        Ok(())
+        let known = self.tunnels.keepalive(TunnelId(tunnel_id), now);
+        known.then_some(()).ok_or(RcpError::UnknownTunnel)
     }
 
     /// Health sweep: tear down (and uninstall from the routers) every
     /// tunnel whose heartbeat is older than `timeout`. Returns reaped ids.
     pub fn health_sweep(&mut self, now: u64, timeout: u64) -> Vec<u32> {
-        let dead: Vec<u32> = self
-            .tunnels
-            .values()
-            .filter(|t| now.saturating_sub(t.last_heartbeat) > timeout)
-            .map(|t| t.tunnel_id)
-            .collect();
-        let mut dead = dead;
-        dead.sort_unstable();
+        let dead: Vec<u32> = self.tunnels.expire(now, timeout).into_iter().map(|id| id.0).collect();
         for &id in &dead {
-            let t = self.tunnels.remove(&id).expect("present");
-            self.fabric.router_mut(t.egress_router).tunnel_table.remove(&id);
-            self.reaped.push((id, now));
+            self.uninstall(id);
         }
         dead
     }
@@ -147,25 +120,16 @@ impl Rcp {
     /// Explicit teardown (active, e.g. on a route change observed by the
     /// controller).
     pub fn teardown(&mut self, tunnel_id: u32) -> Result<(), RcpError> {
-        let t = self.tunnels.remove(&tunnel_id).ok_or(RcpError::UnknownTunnel)?;
-        self.fabric.router_mut(t.egress_router).tunnel_table.remove(&tunnel_id);
-        Ok(())
+        let known = self.tunnels.teardown(TunnelId(tunnel_id));
+        self.uninstall(tunnel_id);
+        known.then_some(()).ok_or(RcpError::UnknownTunnel)
     }
 
-    /// A registered tunnel.
-    pub fn tunnel(&self, id: u32) -> Option<&RcpTunnel> {
-        self.tunnels.get(&id)
-    }
-
-    /// Live tunnel count.
-    pub fn live_tunnels(&self) -> usize {
-        self.tunnels.len()
-    }
-
-    /// Packet entry point: forwarding is delegated to the fabric, whose
-    /// tables this controller manages.
-    pub fn forward(&self, ingress: usize, packet: bytes::Bytes) -> crate::intra::Forwarded {
-        self.fabric.forward(ingress, packet)
+    /// Remove a dead tunnel's directed-forwarding entry from its router.
+    fn uninstall(&mut self, tunnel_id: u32) {
+        if let Some((egress_router, _)) = self.installed.remove(&tunnel_id) {
+            self.fabric.router_mut(egress_router).tunnel_table.remove(&tunnel_id);
+        }
     }
 }
 
@@ -175,6 +139,7 @@ mod tests {
     use crate::encap;
     use crate::intra::{figure_4_1, Forwarded};
     use crate::ipv4::{Ipv4Addr4, Ipv4Header};
+    use miro_core::tunnel::TeardownReason;
 
     fn u_prefix() -> Prefix {
         Prefix::new(Ipv4Addr4::new(60, 0, 0, 0), 8)
@@ -198,9 +163,8 @@ mod tests {
     fn grant_installs_directed_forwarding_end_to_end() {
         let mut r = rcp();
         let tid = r.grant_tunnel(u_prefix(), &[500, 600], 0).expect("path exists");
-        let t = r.tunnel(tid).expect("registered");
-        assert_eq!(t.egress_router, 1, "VU lives at R2");
-        assert_eq!(t.exit_link, 20);
+        assert_eq!(r.egress(tid), Some((1, 20)), "VU lives at R2, behind the V link");
+        assert_eq!(r.tunnels().get(TunnelId(tid)).expect("registered").path, [500, 600]);
         // A packet through the granted tunnel takes the V exit.
         let inner = Ipv4Header::new(
             Ipv4Addr4::new(9, 9, 9, 9),
@@ -212,7 +176,7 @@ mod tests {
         let endpoint = r.fabric().router(1).addr;
         let wire =
             encap::encapsulate(&inner, Ipv4Addr4::new(8, 8, 8, 8), endpoint, tid).expect("fits");
-        match r.forward(0, wire) {
+        match r.fabric().forward(0, wire) {
             Forwarded::TunnelExit { link, .. } => assert_eq!(link, 20),
             other => panic!("expected tunnel exit, got {other:?}"),
         }
@@ -225,7 +189,7 @@ mod tests {
             r.grant_tunnel(u_prefix(), &[999, 600], 0),
             Err(RcpError::NoSuchPath)
         );
-        assert_eq!(r.live_tunnels(), 0);
+        assert_eq!(r.tunnels().len(), 0);
     }
 
     #[test]
@@ -236,8 +200,9 @@ mod tests {
         r.keepalive(a, 50).expect("known");
         let dead = r.health_sweep(60, 30);
         assert_eq!(dead, vec![b], "only the silent tunnel dies");
-        assert_eq!(r.live_tunnels(), 1);
-        assert_eq!(r.reaped, vec![(b, 60)]);
+        assert_eq!(r.tunnels().len(), 1);
+        assert_eq!(r.tunnels().torn_down, [(TunnelId(b), TeardownReason::Expired)]);
+        assert_eq!((r.egress(a), r.egress(b)), (Some((1, 20)), None));
         // The router state for b is gone: packets on it are dropped.
         let inner = Ipv4Header::new(
             Ipv4Addr4::new(9, 9, 9, 9),
@@ -246,19 +211,19 @@ mod tests {
             0,
         )
         .emit_with_payload(b"");
-        let egress = r.tunnel(a).expect("alive").egress_router;
-        let _ = egress;
         let dead_endpoint = r.fabric().router(1).addr;
         let wire = encap::encapsulate(&inner, Ipv4Addr4::new(8, 8, 8, 8), dead_endpoint, b)
             .expect("fits");
-        assert_eq!(r.forward(0, wire), Forwarded::NoRoute);
+        assert_eq!(r.fabric().forward(0, wire), Forwarded::NoRoute);
     }
 
     #[test]
     fn explicit_teardown_and_unknown_ids() {
         let mut r = rcp();
         let a = r.grant_tunnel(u_prefix(), &[700, 600], 0).expect("ok");
+        assert_eq!(r.fabric().router(1).tunnel_table.get(&a), Some(&21), "WU first found at R2");
         assert_eq!(r.teardown(a), Ok(()));
+        assert!(r.fabric().router(1).tunnel_table.is_empty(), "uninstalled at R2");
         assert_eq!(r.teardown(a), Err(RcpError::UnknownTunnel));
         assert_eq!(r.keepalive(a, 1), Err(RcpError::UnknownTunnel));
     }
@@ -269,6 +234,6 @@ mod tests {
         let a = r.grant_tunnel(u_prefix(), &[500, 600], 0).expect("ok");
         let b = r.grant_tunnel(u_prefix(), &[500, 600], 0).expect("ok");
         assert!(b > a, "ids never reused even for the same path");
-        assert_eq!(r.live_tunnels(), 2);
+        assert_eq!(r.tunnels().len(), 2);
     }
 }

@@ -63,6 +63,24 @@ proptest! {
         }
     }
 
+    /// A corrupted byte in the outer header or the shim's magic / version
+    /// never decapsulates: a tunnel endpoint acts only on packets that
+    /// were addressed and framed the way the upstream sent them.
+    #[test]
+    fn encap_rejects_any_single_byte_outer_or_magic_corruption(
+        (h, payload) in arb_header_payload(),
+        tid in any::<u32>(),
+        byte in 0usize..Ipv4Header::LEN + 2,
+        flip in 0u8..255,
+    ) {
+        let inner = h.emit_with_payload(&payload);
+        let wire = encapsulate(&inner, Ipv4Addr4::new(1, 1, 1, 1), Ipv4Addr4::new(2, 2, 2, 2), tid)
+            .expect("fits");
+        let mut bad = BytesMut::from(&wire[..]);
+        bad[byte] ^= flip + 1; // never zero: the byte always changes
+        prop_assert!(decapsulate(bad.freeze()).is_err(), "byte {byte} ^ {:#04x} decapsulated", flip + 1);
+    }
+
     /// Encapsulation round-trips arbitrary inner packets under arbitrary
     /// tunnel ids and endpoints.
     #[test]

@@ -15,7 +15,6 @@
 //!   routing-table size without providing precise control"), quantified:
 //!   global forwarding-state cost of subnet splitting vs one MIRO tunnel.
 
-use crate::avoid::TripleProbe;
 use crate::datasets::{Dataset, EvalConfig};
 use crate::driver;
 use miro_bgp::solver::{RoutingState, SolveScratch};
@@ -230,43 +229,6 @@ pub fn deaggregation_cost(topo: &miro_topology::Topology, split_bits: u32) -> (u
     // MIRO: one lease, state at the two endpoints.
     let miro = 2;
     (deagg, miro)
-}
-
-/// Did the `probes` population include cases only multi-hop can solve?
-/// (Used by tests; cheap to answer from a fresh sample.)
-pub fn multihop_gain(probes: &[TripleProbe], ds: &Dataset) -> (usize, usize) {
-    let mut direct = 0;
-    let mut multi = 0;
-    let mut scratch = SolveScratch::new();
-    for p in probes.iter().filter(|p| !p.single) {
-        let st = RoutingState::solve_into(&ds.topo, p.dest, &mut scratch);
-        if avoid_via_negotiation(
-            &st,
-            p.src,
-            p.avoid,
-            ExportPolicy::RespectExport,
-            TargetStrategy::OnPath,
-            None,
-        )
-        .success
-        {
-            direct += 1;
-        }
-        if avoid_via_multihop_negotiation(
-            &st,
-            p.src,
-            p.avoid,
-            ExportPolicy::RespectExport,
-            TargetStrategy::OnPath,
-            None,
-        )
-        .success
-        {
-            multi += 1;
-        }
-        st.recycle(&mut scratch);
-    }
-    (direct, multi)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The route-query serving plane: MIRO's offline-solve / online-serve
 //! split.
 //!
-//! The sharded solver ([`miro-shard`]) turns a topology into a
+//! The sharded solver ([`miro_shard`]) turns a topology into a
 //! checksummed columnar [`RouteTableSet`] on disk. This crate is the
 //! *read path* over that artifact:
 //!

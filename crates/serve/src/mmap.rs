@@ -1,4 +1,4 @@
-//! Zero-copy memory-mapped [`RouteTableSet`] reader.
+//! Zero-copy memory-mapped [`RouteTableSet`](miro_shard::format::RouteTableSet) reader.
 //!
 //! [`miro_shard::format::RouteTableSet::decode`] is the batch reader: it
 //! copies every row into owned columns and verifies everything up front —
@@ -16,7 +16,7 @@
 //!   against the per-row FNV-1a table once, then a per-row "verified"
 //!   bit (an atomic bitmap, safe under concurrent readers) marks it
 //!   trusted. Verified rows are served with no further copying or
-//!   hashing — [`Row`] is a borrowed byte view that decodes cells with
+//!   hashing — [`MappedRow`] is a borrowed byte view that decodes cells with
 //!   `from_le_bytes` on access, so row starts need no alignment (a row
 //!   is `7 * num_nodes` bytes; odd `num_nodes` would misalign any
 //!   borrowed `&[u32]`).

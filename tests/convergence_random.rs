@@ -6,7 +6,8 @@
 
 use miro_bgp::solver::RoutingState;
 use miro_convergence::{Desire, Guideline, TunnelSim};
-use miro_topology::{GenParams, NodeId};
+use miro_topology::path::{classify_route, has_duplicates};
+use miro_topology::{GenParams, NodeId, RouteClass};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -48,7 +49,13 @@ fn random_desires(
     out
 }
 
-fn run_guideline(seed: u64, guideline: Guideline) {
+/// Every guideline must converge under three schedules; returns how many
+/// leaf advertisements the converged states made. Only Guideline C makes
+/// any, and each is a route its leaf could install: addressed to a leaf,
+/// through the requester that holds the tunnel, loop-free, and a provider
+/// route there — the class a leaf re-exports to nobody, which is why
+/// Theorem 3 can add them to Guideline B.
+fn run_guideline(seed: u64, guideline: Guideline) -> usize {
     let topo = GenParams {
         name: "conv".into(),
         num_nodes: 90,
@@ -81,6 +88,7 @@ fn run_guideline(seed: u64, guideline: Guideline) {
         }
         g => g.config(),
     };
+    let mut advertised = 0;
     for sched_seed in 0..3u64 {
         let mut sim = TunnelSim::new(&topo, config.clone(), desires.clone());
         let out = sim.run(sched_seed ^ seed, 500);
@@ -88,21 +96,31 @@ fn run_guideline(seed: u64, guideline: Guideline) {
             out.converged(),
             "{guideline:?} must converge (topo seed {seed}, sched {sched_seed})"
         );
+        for (leaf, dest, path) in sim.leaf_advertisements() {
+            let why = format!("{guideline:?}, topo seed {seed}: {path:?} to leaf {leaf}");
+            assert_eq!(guideline, Guideline::C, "{why}");
+            assert!(topo.is_leaf(leaf), "{why}");
+            assert!(desires.iter().any(|d| d.requester == path[0] && d.dest == dest), "{why}");
+            assert_eq!(path.last(), Some(&dest), "{why}");
+            assert!(!path.contains(&leaf) && !has_duplicates(&path), "{why}");
+            assert_eq!(classify_route(&topo, leaf, &path), Some(RouteClass::Provider), "{why}");
+            advertised += 1;
+        }
     }
+    advertised
 }
 
 #[test]
 fn guideline_b_always_converges() {
     for seed in 0..6 {
-        run_guideline(seed, Guideline::B);
+        assert_eq!(run_guideline(seed, Guideline::B), 0, "B never re-advertises a tunnel");
     }
 }
 
 #[test]
 fn guideline_c_always_converges() {
-    for seed in 0..6 {
-        run_guideline(seed, Guideline::C);
-    }
+    let advertised: usize = (0..6).map(|seed| run_guideline(seed, Guideline::C)).sum();
+    assert!(advertised > 0, "no established tunnel had a leaf neighbour to tell");
 }
 
 #[test]

@@ -138,34 +138,39 @@ fn tunnel_soft_state_is_consistent() {
     assert!(net.tunnels(b).get(t1).is_none());
 }
 
-/// The complete data-plane story across two ASes: the upstream AS
-/// classifies traffic (section 3.5), encapsulates the matching flows
-/// toward the downstream AS's RCP-granted tunnel (sections 4.1-4.3), the
-/// packet crosses the inter-AS link through a lossy transport, and the
+/// The complete data-plane story across two ASes: the upstream AS is the
+/// burst engine — its classifier (section 3.5) pushes the matching flows
+/// into the downstream AS's RCP-granted tunnel (sections 4.1-4.3), packet
+/// at a time and as a one-frame burst with the same bytes — and the
 /// downstream fabric decapsulates and directed-forwards out the
 /// negotiated exit link while default traffic keeps the default exit.
 #[test]
 fn cross_as_walk_classifier_tunnel_rcp() {
-    use miro_dataplane::classifier::{Action, Classifier, FlowKey, Match};
-    use miro_dataplane::fault::{FaultyLink, LinkEvent};
+    use miro_dataplane::burst::{lpm_from, BurstScratch, Engine, OneVerdict, TunnelSpec, Verdict};
+    use miro_dataplane::classifier::{Action, Classifier, Match};
     use miro_dataplane::rcp::Rcp;
-    
+
     // Downstream AS X: the Figure 4.1 fabric under an RCP controller.
     let u_prefix = miro_dataplane::lpm::Prefix::new(Ipv4Addr4::new(60, 0, 0, 0), 8);
     let mut rcp = Rcp::new(figure_4_1(u_prefix));
     // The MIRO negotiation concluded on the VU path; the controller
     // grants the tunnel and installs directed forwarding.
     let tid = rcp.grant_tunnel(u_prefix, &[500, 600], 0).expect("VU is sellable");
-    let endpoint = rcp.fabric().router(rcp.tunnel(tid).expect("live").egress_router).addr;
+    let endpoint = rcp.fabric().router(rcp.egress(tid).expect("live").0).addr;
 
-    // Upstream AS Y: voice traffic takes the tunnel, the rest defaults.
-    let classifier = Classifier::new(vec![(
-        Match { tos: Some(0xb8), ..Default::default() },
-        Action::Tunnel(tid),
-    )]);
-    let mut link = FaultyLink::new(7, 0, 0); // clean link for the walk
+    // Upstream AS Y: voice traffic takes the tunnel, the rest defaults;
+    // both leave on Y's one link to X.
+    const TO_X: u32 = 1;
+    let ingress = Ipv4Addr4::new(10, 9, 9, 254);
+    let upstream = Engine::new(
+        ingress,
+        lpm_from(&[(u_prefix, TO_X), (Prefix::new(endpoint, 32), TO_X)]),
+        Classifier::new(vec![(Match { tos: Some(0xb8), ..Default::default() }, Action::Tunnel(tid))]),
+        vec![TunnelSpec { id: tid, ingress, endpoint }],
+        vec![],
+    );
 
-    let send = |tos: u8, rcp: &Rcp, classifier: &Classifier, link: &mut FaultyLink| {
+    let send = |tos: u8, rcp: &Rcp| {
         let mut hdr = Ipv4Header::new(
             Ipv4Addr4::new(10, 9, 9, 9),
             Ipv4Addr4::new(60, 1, 2, 3),
@@ -174,30 +179,24 @@ fn cross_as_walk_classifier_tunnel_rcp() {
         );
         hdr.dscp_ecn = tos;
         let inner = hdr.emit_with_payload(b"voice");
-        let key = FlowKey {
-            src: hdr.src,
-            dst: hdr.dst,
-            src_port: 4000,
-            dst_port: 5060,
-            protocol: 17,
-            tos,
+        let wire = match upstream.forward_one(&inner) {
+            OneVerdict::Encap { tunnel, next_hop: TO_X, packet } if tunnel == tid && tos == 0xb8 => packet,
+            OneVerdict::Forward { next_hop: TO_X, packet } if tos != 0xb8 => packet,
+            other => panic!("tos {tos:#x} left Y as {other:?}"),
         };
-        let wire = match classifier.classify(&key) {
-            Action::Tunnel(id) => {
-                encap::encapsulate(&inner, Ipv4Addr4::new(10, 9, 9, 254), endpoint, id)
-                    .expect("fits")
+        let mut burst = BurstScratch::new();
+        upstream.forward_burst(&[&inner[..]], &mut burst);
+        match burst.verdicts()[0] {
+            Verdict::Encap { out, .. } | Verdict::Forward { out, .. } => {
+                assert_eq!(burst.out_bytes(out), &wire[..], "burst and packet-at-a-time agree")
             }
-            Action::Default => inner.clone(),
-            Action::Drop => panic!("unexpected drop"),
-        };
-        match link.transmit(wire) {
-            LinkEvent::Delivered(pkt) => rcp.forward(0, pkt),
-            other => panic!("clean link must deliver: {other:?}"),
+            other => panic!("tos {tos:#x} left Y's burst path as {other:?}"),
         }
+        rcp.fabric().forward(0, wire)
     };
 
     // Voice flow: through the tunnel, out the V link (20).
-    match send(0xb8, &rcp, &classifier, &mut link) {
+    match send(0xb8, &rcp) {
         miro_dataplane::intra::Forwarded::TunnelExit { link, inner, .. } => {
             assert_eq!(link, 20, "negotiated exit");
             let (h, payload) = Ipv4Header::parse(inner).expect("intact");
@@ -207,7 +206,7 @@ fn cross_as_walk_classifier_tunnel_rcp() {
         other => panic!("voice must take the tunnel: {other:?}"),
     }
     // Best-effort flow: destination-based forwarding on the default exit.
-    match send(0, &rcp, &classifier, &mut link) {
+    match send(0, &rcp) {
         miro_dataplane::intra::Forwarded::Exit { link, .. } => {
             assert_eq!(link, 20, "R1 defaults via R2 (IGP tie-break)")
         }
@@ -219,11 +218,11 @@ fn cross_as_walk_classifier_tunnel_rcp() {
     // unaffected — the soft-state guarantee of section 4.3, at packet
     // granularity.
     rcp.health_sweep(100, 30);
-    match send(0xb8, &rcp, &classifier, &mut link) {
+    match send(0xb8, &rcp) {
         miro_dataplane::intra::Forwarded::NoRoute => {}
         other => panic!("expired tunnel must drop: {other:?}"),
     }
-    match send(0, &rcp, &classifier, &mut link) {
+    match send(0, &rcp) {
         miro_dataplane::intra::Forwarded::Exit { .. } => {}
         other => panic!("default path unaffected by tunnel expiry: {other:?}"),
     }
