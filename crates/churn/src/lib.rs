@@ -19,8 +19,10 @@
 //! * [`replay`] — the replay engine. It drives a trace through the
 //!   event-level simulator ([`miro_bgp::sim`]) and through the solver's
 //!   delta path ([`miro_bgp::solver::multi`]) in serial or batched mode,
-//!   measuring events/sec, convergence lag distributions, and MIRO tunnel
-//!   teardown/re-negotiation rates.
+//!   measuring events/sec and convergence lag distributions; on the delta
+//!   path `miro-core`'s negotiated leases ride the live tables, and the
+//!   teardowns and re-negotiations it reports are those of
+//!   [`miro_core::node::MiroNetwork::routes_changed`].
 //!
 //! The replay contract that makes the batched path trustworthy — any
 //! grouping of the same event sequence into co-temporal batches yields a

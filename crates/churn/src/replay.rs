@@ -9,12 +9,13 @@
 //!   recomputation per affected subtree). Both modes end with the exact
 //!   same routing tables — the equivalence contract proptested in
 //!   `miro_bgp::solver::multi` — so their [`DeltaReplayReport::table_fnv`]
-//!   must match and the events/sec ratio is pure batching win. A tunnel
-//!   layer rides along: MIRO tunnels established over the pre-churn paths
-//!   are swept against the failed-link set after every batch
-//!   ([`TunnelManager::sweep_failed_links`]) and re-negotiated when the
-//!   owner still has a route, yielding the teardown/re-negotiation rates
-//!   the evaluation reports.
+//!   must match and the events/sec ratio is pure batching win. MIRO's
+//!   tunnel layer rides along: one [`MiroNetwork`] negotiates standing
+//!   avoid-AS requests over the engines' pre-churn tables, and after every
+//!   batch that toggled a link [`MiroNetwork::routes_changed`] applies
+//!   section 4.3's two teardown rules to the engine's live table; each
+//!   requester it struck re-asks at once. Those are the teardown and
+//!   re-negotiation counts the evaluation reports.
 //! * [`replay_sim`] — the message-level simulator ([`miro_bgp::sim`]),
 //!   which also honors origin announce/withdraw events for its
 //!   destination. Its per-batch activation counts are the *convergence
@@ -28,8 +29,10 @@
 use crate::trace::{EventKind, Trace, TraceError};
 use miro_bgp::sim::{GaoRexford, Outcome, Sim};
 use miro_bgp::solver::multi::{ApplyStats, LinkEvent, MultiFailState};
-use miro_bgp::solver::{DeltaScratch, SolveScratch};
-use miro_core::tunnel::TunnelManager;
+use miro_bgp::solver::{DeltaScratch, RoutingState, SolveScratch};
+use miro_core::negotiate::Constraint;
+use miro_core::node::MiroNetwork;
+use miro_core::strategy::{avoidable_ases, TargetStrategy};
 use miro_topology::{AsId, NodeId, Topology};
 use std::time::Instant;
 
@@ -139,63 +142,39 @@ pub struct DeltaReplayReport {
     pub restore_rounds_p95: u64,
     /// Deepest-apply restoration rounds per batch: max.
     pub restore_rounds_max: u64,
-    /// MIRO tunnels torn down because churn cut their negotiated path.
+    /// Leases torn down because churn moved a route they stood on.
     pub tunnel_teardowns: usize,
-    /// Torn-down tunnels successfully re-negotiated over a fresh path.
+    /// Torn-down requesters whose immediate re-ask found a seller.
     pub tunnel_renegotiations: usize,
 }
 
-/// Tunnel fleet riding on one delta engine: each (owner, manager) pair
-/// holds the tunnels that owner bought toward the engine's destination.
-struct TunnelFleet {
-    fleet: Vec<(NodeId, TunnelManager)>,
-    teardowns: usize,
-    renegotiations: usize,
+/// Standing avoid-AS requests seeded per tracked destination. Enough
+/// leases to make teardown rates statistically meaningful, few enough to
+/// stay out of the timed loop's way.
+const STANDING_REQUESTS: usize = 8;
+
+/// `requester` asks the ASes on its default path, nearest first and short
+/// of `avoid` (section 6.2.1), for a way around `avoid`; the first that
+/// sells one ends the walk.
+fn ask(net: &mut MiroNetwork<'_>, st: &RoutingState<'_>, requester: NodeId, avoid: NodeId) -> bool {
+    TargetStrategy::OnPath.targets(st, requester, Some(avoid)).into_iter().any(|responder| {
+        let wish = vec![Constraint::AvoidAs(avoid)];
+        net.negotiate(st, requester, responder, wish, u32::MAX).is_ok()
+    })
 }
 
-/// Tunnels per destination engine. Enough owners to make teardown rates
-/// statistically meaningful, few enough to stay out of the timed loop's
-/// way.
-const TUNNEL_OWNERS: usize = 8;
-
-impl TunnelFleet {
-    /// Sell a tunnel to the first `TUNNEL_OWNERS` routed non-destination
-    /// nodes, along their current best path.
-    fn establish(engine: &MultiFailState<'_>) -> TunnelFleet {
-        let mut fleet = Vec::with_capacity(TUNNEL_OWNERS);
-        for x in engine.topology().nodes() {
-            if fleet.len() >= TUNNEL_OWNERS {
-                break;
-            }
-            if x == engine.dest() {
-                continue;
-            }
-            let Some(path) = engine.path(x) else { continue };
-            let mut mgr = TunnelManager::new();
-            mgr.establish(engine.dest(), engine.dest(), path, 100, 0);
-            fleet.push((x, mgr));
+/// Seed `st.dest()`'s standing requests: in node order, each AS with
+/// something section 5.3 would let it avoid asks once, until
+/// [`STANDING_REQUESTS`] have found a seller.
+fn seed(net: &mut MiroNetwork<'_>, st: &RoutingState<'_>) {
+    let mut sold = 0;
+    for x in st.topology().nodes() {
+        if sold == STANDING_REQUESTS {
+            break;
         }
-        TunnelFleet { fleet, teardowns: 0, renegotiations: 0 }
-    }
-
-    /// After a batch that rewrote some table entry: sweep every owner's
-    /// tunnels against the failed-link set and against route changes,
-    /// then re-negotiate where the owner still has a route. (Tunnels
-    /// follow the owner's current best path, which never crosses a failed
-    /// link, so a batch that recomputed nothing cannot cut one and the
-    /// caller skips the sweep.)
-    fn sweep(&mut self, engine: &MultiFailState<'_>, now: u64) {
-        for (owner, mgr) in &mut self.fleet {
-            let cut = mgr.sweep_failed_links(*owner, |a, b| engine.is_failed(a, b));
-            let current = engine.path(*owner);
-            let shifted = mgr.on_route_change(engine.dest(), current.as_deref());
-            self.teardowns += cut.len() + shifted.len();
-            if !cut.is_empty() || !shifted.is_empty() {
-                if let Some(path) = current {
-                    mgr.establish(engine.dest(), engine.dest(), path, 100, now);
-                    self.renegotiations += 1;
-                }
-            }
+        let eligible = avoidable_ases(st, x);
+        if !eligible.is_empty() {
+            sold += ask(net, st, x, eligible[x as usize % eligible.len()]) as usize;
         }
     }
 }
@@ -229,7 +208,6 @@ pub fn replay_delta(
     let mut origin_events = 0usize;
     let mut unknown_events = 0usize;
     let mut batches: Vec<Vec<LinkEvent>> = Vec::new();
-    let mut times: Vec<u64> = Vec::new();
     for batch in trace.batches() {
         let mut evs = Vec::with_capacity(batch.len());
         for e in batch {
@@ -249,14 +227,15 @@ pub fn replay_delta(
                 EventKind::Withdraw(_) | EventKind::Announce(_) => origin_events += 1,
             }
         }
-        times.push(batch[0].at_ms);
         batches.push(evs);
     }
 
     let mut solve = SolveScratch::new();
     let mut engines: Vec<MultiFailState<'_>> =
         dest_nodes.iter().map(|&d| MultiFailState::solve(&topo, d, &mut solve)).collect();
-    let mut fleets: Vec<TunnelFleet> = engines.iter().map(TunnelFleet::establish).collect();
+    let mut net = MiroNetwork::new(&topo);
+    engines.iter().for_each(|engine| seed(&mut net, engine));
+    let (mut teardowns, mut renegotiations) = (0usize, 0usize);
     let mut scratch = DeltaScratch::new();
 
     let mut total = ApplyStats::default();
@@ -265,12 +244,13 @@ pub fn replay_delta(
     let mut per_batch_rounds: Vec<u64> = Vec::with_capacity(batches.len());
 
     let start = Instant::now();
-    for (bi, evs) in batches.iter().enumerate() {
+    for evs in &batches {
         let mut batch_recompute = 0usize;
         let mut batch_rounds = 0usize;
-        for (engine, fleet) in engines.iter_mut().zip(&mut fleets) {
-            let mut engine_recompute = 0usize;
+        for engine in engines.iter_mut() {
+            let (mut engine_recompute, mut toggled) = (0usize, 0usize);
             let mut tally = |s: ApplyStats| {
+                toggled += s.downs + s.ups;
                 total.downs += s.downs;
                 total.ups += s.ups;
                 total.cancelled += s.cancelled;
@@ -287,8 +267,16 @@ pub fn replay_delta(
                     }
                 }
             }
-            if engine_recompute > 0 {
-                fleet.sweep(engine, times[bi]);
+            // Any toggled link, not only a rewritten table entry: a lease
+            // rides an alternate, and an alternate dies with an off-tree
+            // link that no best path — so no table entry — ever used.
+            if toggled > 0 {
+                for lease in net.routes_changed(engine) {
+                    teardowns += 1;
+                    if let Some(&Constraint::AvoidAs(avoid)) = lease.constraints.first() {
+                        renegotiations += ask(&mut net, engine, lease.upstream, avoid) as usize;
+                    }
+                }
             }
             batch_recompute += engine_recompute;
         }
@@ -328,8 +316,8 @@ pub fn replay_delta(
         restore_rounds_p50: percentile(&per_batch_rounds, 50),
         restore_rounds_p95: percentile(&per_batch_rounds, 95),
         restore_rounds_max: per_batch_rounds.iter().copied().max().unwrap_or(0),
-        tunnel_teardowns: fleets.iter().map(|f| f.teardowns).sum(),
-        tunnel_renegotiations: fleets.iter().map(|f| f.renegotiations).sum(),
+        tunnel_teardowns: teardowns,
+        tunnel_renegotiations: renegotiations,
     })
 }
 
@@ -489,6 +477,13 @@ mod tests {
         let r = replay_delta(&trace, BatchMode::Batched, 2).unwrap();
         assert!(r.tunnel_teardowns > 0, "sustained churn must cut some tunnel");
         assert!(r.tunnel_renegotiations <= r.tunnel_teardowns);
+        // Leases are swept once per batch against a table both modes agree
+        // on, so serial and batched report equal tunnel counts.
+        let serial = replay_delta(&trace, BatchMode::Serial, 2).unwrap();
+        assert_eq!(
+            (serial.tunnel_teardowns, serial.tunnel_renegotiations),
+            (r.tunnel_teardowns, r.tunnel_renegotiations)
+        );
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub mod shard_cmd;
 pub use miro_eval::harness;
 
 use miro_bgp::show;
-use miro_bgp::solver::RoutingState;
+use miro_bgp::solver::multi::{LinkEvent, MultiFailState};
+use miro_bgp::solver::{DeltaScratch, SolveScratch};
 use miro_core::export::ExportPolicy;
 use miro_core::negotiate::Constraint;
 use miro_core::node::{Lease, MiroNetwork, ResponderConfig};
@@ -55,12 +56,20 @@ fn as_list(topo: &Topology, path: &[NodeId]) -> String {
     spaced(path.iter().map(|&h| topo.asn(h).0))
 }
 
+/// Who tunnels to whom, for which destination, along what.
+fn route_of(topo: &Topology, l: &Lease) -> String {
+    let (up, down, dest) = (topo.asn(l.upstream), topo.asn(l.downstream), topo.asn(l.dest));
+    format!("AS{up} -> AS{down} for AS{dest} via [{}]", as_list(topo, &l.path))
+}
+
 /// The shell state. The loaded topology is intentionally leaked
 /// (`Box::leak`): a shell session loads a handful of topologies at most,
 /// and the `'static` borrow keeps the live [`MiroNetwork`] simple.
 pub struct Repl {
     topo: Option<&'static Topology>,
     net: Option<MiroNetwork<'static>>,
+    /// `Down` per link `fail link` took down; every solve applies them.
+    failed: Vec<LinkEvent>,
     /// Chapter 6 configurations loaded with `policy load`, by `router bgp`
     /// AS number.
     policies: HashMap<u32, PolicyEngine>,
@@ -76,13 +85,14 @@ impl Default for Repl {
 
 impl Repl {
     pub fn new() -> Repl {
-        Repl { topo: None, net: None, policies: HashMap::new(), clock_step: 10, keepalive_timeout: 30 }
+        Repl { topo: None, net: None, failed: Vec::new(), policies: HashMap::new(), clock_step: 10, keepalive_timeout: 30 }
     }
 
     fn install(&mut self, topo: Topology) -> String {
         let leaked: &'static Topology = Box::leak(Box::new(topo));
         self.topo = Some(leaked);
         self.net = Some(MiroNetwork::new(leaked));
+        self.failed.clear();
         format!(
             "loaded topology: {} ASes, {} links",
             leaked.num_nodes(),
@@ -94,6 +104,14 @@ impl Repl {
         let topo = self.topo.ok_or("no topology loaded (use `gen` or `load`)")?;
         let n = topo.node(AsId(asn)).ok_or(format!("unknown AS {asn}"))?;
         Ok((n, topo))
+    }
+
+    /// The routes toward `dest` BGP converges to on the loaded topology
+    /// with the `failed` links down — the one solve every command reads.
+    fn solve(failed: &[LinkEvent], topo: &'static Topology, dest: NodeId) -> MultiFailState<'static> {
+        let mut st = MultiFailState::solve(topo, dest, &mut SolveScratch::new());
+        st.apply(failed, &mut DeltaScratch::new());
+        st
     }
 
     /// Execute one command line; returns the response text.
@@ -132,7 +150,7 @@ impl Repl {
             ["show", "topology"] => {
                 let topo = self.topo.ok_or("no topology loaded")?;
                 let census = miro_topology::stats::link_census(topo);
-                Ok(format!(
+                let mut out = format!(
                     "{} ASes, {} links (P/C {}, peering {}, sibling {}); \
                      {} stubs ({} multi-homed), {} leaves",
                     census.nodes,
@@ -143,12 +161,17 @@ impl Repl {
                     census.stubs,
                     census.multihomed_stubs,
                     census.leaves
-                ))
+                );
+                for ev in &self.failed {
+                    let (LinkEvent::Down(a, b) | LinkEvent::Up(a, b)) = *ev;
+                    let _ = write!(out, "\n  link AS{}-AS{} is down", topo.asn(a), topo.asn(b));
+                }
+                Ok(out)
             }
             ["show", "ip", "bgp", asn, "to", dest] => {
                 let (x, topo) = self.node(num(asn)?)?;
                 let (d, _) = self.node(num(dest)?)?;
-                let st = RoutingState::solve(topo, d);
+                let st = Self::solve(&self.failed, topo, d);
                 let rows = show::show_ip_bgp(&st, x);
                 if rows.is_empty() {
                     return Ok(format!("AS{asn} has no route to AS{dest}"));
@@ -158,7 +181,7 @@ impl Repl {
             ["candidates", asn, "to", dest] => {
                 let (x, topo) = self.node(num(asn)?)?;
                 let (d, _) = self.node(num(dest)?)?;
-                let st = RoutingState::solve(topo, d);
+                let st = Self::solve(&self.failed, topo, d);
                 let best = st.path(x);
                 let mut out = String::new();
                 for c in st.candidates(x) {
@@ -197,7 +220,7 @@ impl Repl {
                         other => return Err(format!("unknown option {other:?}")),
                     }
                 }
-                let st = RoutingState::solve(topo, d);
+                let st = Self::solve(&self.failed, topo, d);
                 if multihop {
                     let a = avoid.ok_or("multihop needs `avoid <asn>`")?;
                     let out = avoid_via_multihop_negotiation(
@@ -252,17 +275,8 @@ impl Repl {
                     return Ok("no live leases".to_string());
                 }
                 let mut out = String::new();
-                for Lease { id, downstream, upstream, dest, path, price, .. } in net.leases() {
-                    let _ = writeln!(
-                        out,
-                        "tunnel {}: AS{} -> AS{} for AS{} via [{}] price {}",
-                        id.0,
-                        topo.asn(*upstream),
-                        topo.asn(*downstream),
-                        topo.asn(*dest),
-                        as_list(topo, path),
-                        price
-                    );
+                for lease in net.leases() {
+                    let _ = writeln!(out, "tunnel {}: {} price {}", lease.id.0, route_of(topo, lease), lease.price);
                 }
                 Ok(out)
             }
@@ -277,34 +291,27 @@ impl Repl {
                 if topo.rel(na, nb).is_none() {
                     return Err(format!("no link between AS{a} and AS{b}"));
                 }
-                // Rebuild the topology without the link; existing leases
-                // are re-checked against the new routing states.
-                let mut bld = miro_topology::TopologyBuilder::new();
-                for x in topo.nodes() {
-                    bld.intern_as(topo.asn(x));
+                let down = LinkEvent::Down(na.min(nb), na.max(nb));
+                if self.failed.contains(&down) {
+                    return Err(format!("link AS{a}-AS{b} is already down"));
                 }
-                for x in topo.nodes() {
-                    for &(y, rel) in topo.neighbors(x) {
-                        if x < y && !(x == na && y == nb) && !(x == nb && y == na) {
-                            bld.link(topo.asn(x), topo.asn(y), rel);
-                        }
-                    }
+                self.failed.push(down);
+                // BGP reconverges; each destination some lease serves
+                // re-checks its leases against the new routes (section 4.3).
+                let net = self.net.as_mut().ok_or("no topology loaded")?;
+                let mut dests: Vec<NodeId> = net.leases().iter().map(|l| l.dest).collect();
+                dests.sort_unstable();
+                dests.dedup();
+                let mut struck = Vec::new();
+                for d in dests {
+                    struck.extend(net.routes_changed(&Self::solve(&self.failed, topo, d)));
                 }
-                let new_topo = bld.build().map_err(|e| e.to_string())?;
-                // Capture live lease destinations before swapping.
-                let dests: Vec<AsId> = self
-                    .net
-                    .as_ref()
-                    .map(|n| n.leases().iter().map(|l| topo.asn(l.dest)).collect())
-                    .unwrap_or_default();
-                let before = self.net.as_ref().map(|n| n.leases().len()).unwrap_or(0);
-                let msg_prefix = self.install(new_topo);
-                // Leases do not survive a topology swap in this shell (node
-                // ids may change); report what was dropped.
-                Ok(format!(
-                    "{msg_prefix}; link AS{a}-AS{b} removed; {} lease(s) dropped (dests: {:?})",
-                    before, dests
-                ))
+                let (dropped, live) = (struck.len(), net.leases().len());
+                let mut out = format!("link AS{a}-AS{b} failed; {dropped} lease(s) dropped, {live} survive");
+                for lease in &struck {
+                    let _ = write!(out, "\n  tunnel {} torn down: {}", lease.id.0, route_of(topo, lease));
+                }
+                Ok(out)
             }
             ["policy", "load", path] => {
                 let text = std::fs::read_to_string(path)
@@ -329,8 +336,8 @@ impl Repl {
                 if !engine.config().route_maps.iter().any(|rm| rm.name == *map) {
                     return Err(format!("AS{asn}'s policy has no route-map {map:?}"));
                 }
+                let st = Self::solve(&self.failed, topo, d);
                 let net = self.net.as_mut().ok_or("no topology loaded")?;
-                let st = RoutingState::solve(topo, d);
                 let (kept, outcomes) = bridge::run_policy(engine, net, &st, x, map);
                 let mut out = format!(
                     "route-map {map}: {} of {} candidate(s) kept\n",
@@ -394,8 +401,8 @@ impl Repl {
 const HELP: &str = "\
 commands:
   gen <gao2000|gao2003|gao2005|agarwal2004|internet|fig1.1> <scale> <seed>
-  load <path> | save <path>
-  show topology
+  load <path> | save <path>     (save writes the topology as loaded: failed links are shell state)
+  show topology                 (lists the links `fail link` took down)
   show ip bgp <asn> to <dest-asn>
   candidates <asn> to <dest-asn>
   negotiate <src> with <responder> to <dest> [avoid <asn>] [budget N] [policy s|e|a]
@@ -536,9 +543,38 @@ mod tests {
              show ip bgp 2 to 6\n",
         );
         // The C-F (3-6) link is gone: B's only candidate is now via E.
-        assert!(out.contains("lease(s) dropped"), "{out}");
+        assert!(out.contains("link AS3-AS6 failed; 1 lease(s) dropped, 0 survive"), "{out}");
+        assert!(out.contains("tunnel 0 torn down: AS1 -> AS2 for AS6 via [3 6]"), "{out}");
         let table = out.split("show ip bgp").nth(1).expect("table output");
         assert!(table.contains("5 6"), "B routes via E after the failure: {out}");
         assert!(!table.contains("3 6"), "the dead link is gone: {out}");
+    }
+
+    /// A failure tears down only the leases standing on it, failures
+    /// accumulate on the one loaded topology, and `show topology` lists them.
+    #[test]
+    fn fail_link_keeps_the_leases_it_does_not_touch() {
+        let mut repl = Repl::new();
+        let out = repl.run_script(
+            "gen fig1.1 1 1\n\
+             negotiate 1 with 2 to 6 avoid 5 budget 250 policy e\n\
+             fail link 4 5\n\
+             leases\n\
+             fail link 5 4\n\
+             fail link 1 2\n\
+             show topology\n\
+             candidates 1 to 6\n",
+        );
+        // D-E is on neither AB nor BCF.
+        assert!(out.contains("link AS4-AS5 failed; 0 lease(s) dropped, 1 survive"), "{out}");
+        assert!(out.contains("tunnel 0: AS1 -> AS2 for AS6 via [3 6] price 180"), "{out}");
+        assert!(out.contains("error: link AS5-AS4 is already down"), "{out}");
+        // A-B is the path AB itself: A tears the tunnel down.
+        assert!(out.contains("link AS1-AS2 failed; 1 lease(s) dropped, 0 survive"), "{out}");
+        assert!(out.contains("8 links"), "the loaded topology is untouched: {out}");
+        assert!(out.contains("  link AS4-AS5 is down\n  link AS1-AS2 is down"), "{out}");
+        // Both failures apply: A is left with D, D with nothing.
+        let candidates = out.split("candidates 1 to 6").nth(1).expect("candidates output");
+        assert_eq!(candidates.trim(), "", "A is cut off from F: {out}");
     }
 }

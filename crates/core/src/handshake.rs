@@ -67,17 +67,21 @@ impl<'t> NetState<'t> {
     }
 
     /// Refuse a pair no negotiation can run between: an id the per-node
-    /// tables cannot index, or an AS talking to itself.
+    /// tables cannot index, an AS talking to itself, or — `toward` being
+    /// the destination alternates are asked for, `None` for a switch
+    /// request, which the destination itself sends — an AS asking for
+    /// another way to reach itself.
     pub(crate) fn check_pair(
         &self,
         requester: NodeId,
         responder: NodeId,
+        toward: Option<NodeId>,
     ) -> Result<(), NegotiationError> {
         let n = self.managers.len();
         if let Some(node) = [requester, responder].into_iter().find(|&x| x as usize >= n) {
             return Err(NegotiationError::UnknownNode(node));
         }
-        if requester == responder {
+        if requester == responder || Some(requester) == toward {
             return Err(NegotiationError::SelfNegotiation);
         }
         Ok(())
@@ -139,13 +143,18 @@ impl<'t> NetState<'t> {
         let (dest, path) = (st.dest(), offer.route.path.clone());
         let id = self.managers[responder as usize]
             .establish(requester, dest, path.clone(), offer.price, self.clock);
+        // Only the segment the tunnel rides, up to the responder: what lies
+        // beyond is what the lease bypasses. Empty for an off-path responder.
+        let mut upstream_path = st.path(requester).unwrap_or_default();
+        let reach = upstream_path.iter().position(|&hop| hop == responder);
+        upstream_path.truncate(reach.map_or(0, |i| i + 1));
         self.leases.push(Lease {
             id,
             downstream: responder,
             upstream: requester,
             dest,
             path,
-            upstream_path: st.path(requester).unwrap_or_default(),
+            upstream_path,
             price: offer.price,
             budget,
             constraints,
@@ -156,7 +165,7 @@ impl<'t> NetState<'t> {
     /// Requester half of step 4: install the tunnel under the id the
     /// responder allocated, with the path and price its lease records (no
     /// lease: the responder restarted since — adopt the id only). `false`
-    /// when the requester already holds that id.
+    /// when the requester already holds that id from this responder.
     pub(crate) fn adopt(
         &mut self,
         requester: NodeId,

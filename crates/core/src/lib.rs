@@ -14,9 +14,11 @@
 //!   evaluation - strict `/s`, respect-export `/e`, most-flexible `/a` -
 //!   are [`export::ExportPolicy`];
 //! * **tunnels** bound to negotiated paths in the data plane
-//!   (section 3.5), managed as soft state with keepalives and torn down on
-//!   route changes (section 4.3) by [`tunnel::TunnelManager`]. (The actual
-//!   packet encapsulation lives in `miro-dataplane`.)
+//!   (section 3.5), managed as soft state: each AS's table is a
+//!   [`tunnel::TunnelManager`], keepalives expire there, and the teardown
+//!   on route changes (section 4.3) is
+//!   [`node::MiroNetwork::routes_changed`]. (The actual packet
+//!   encapsulation lives in `miro-dataplane`.)
 //!
 //! [`strategy`] hosts the requester side: whom to ask (on-path vs 1-hop,
 //! section 6.2.1) and the avoid-AS search loop whose success rates are

@@ -16,7 +16,7 @@
 use crate::export::{ExportPolicy, Offer};
 use crate::handshake::NetState;
 use crate::negotiate::{Constraint, Message, NegotiationError};
-use crate::tunnel::TunnelId;
+use crate::tunnel::{TeardownReason, TunnelId};
 use miro_bgp::solver::RoutingState;
 use miro_topology::{NodeId, Topology};
 use std::ops::{Deref, DerefMut};
@@ -66,8 +66,9 @@ pub struct Lease {
     /// The alternate path sold, as held by the downstream AS.
     pub path: Vec<NodeId>,
     /// The upstream's default path to the downstream at establishment
-    /// time; if this changes, the upstream tears the tunnel down
-    /// (section 4.3).
+    /// time — its path toward `dest` up to and including the downstream,
+    /// empty when the downstream is not on it; if this changes, the
+    /// upstream tears the tunnel down (section 4.3).
     pub upstream_path: Vec<NodeId>,
     /// Agreed price.
     pub price: u32,
@@ -157,7 +158,7 @@ impl<'t> MiroNetwork<'t> {
         switch: bool,
     ) -> Result<TunnelId, NegotiationError> {
         let net = &mut self.0;
-        net.check_pair(requester, responder)?;
+        net.check_pair(requester, responder, (!switch).then_some(st.dest()))?;
         let id = net.next_id();
         net.log.push((
             requester,
@@ -214,51 +215,65 @@ impl<'t> MiroNetwork<'t> {
             net.log.push((lease.upstream, lease.downstream, Message::Keepalive {
                 tunnel: lease.id,
             }));
-            net.managers[lease.downstream as usize].keepalive(lease.id, clock);
-            net.managers[lease.upstream as usize].keepalive(lease.id, clock);
+            net.managers[lease.downstream as usize].keepalive(lease.upstream, lease.id, clock);
+            net.managers[lease.upstream as usize].keepalive(lease.downstream, lease.id, clock);
         }
         for m in &mut net.managers {
             m.expire(clock, keepalive_timeout);
         }
-        net.leases.retain(|l| net.managers[l.downstream as usize].get(l.id).is_some());
+        net.leases.retain(|l| net.managers[l.downstream as usize].get(l.upstream, l.id).is_some());
     }
 
     /// Active teardown of a lease already struck from the ledger: both
-    /// tunnel tables drop it and the downstream says so.
-    fn tear_down(&mut self, lease: &Lease) {
+    /// tunnel tables drop it. `seen_by` is the end whose route changed —
+    /// it records `RouteChange` and tells the other, which records
+    /// `PeerRequest`; with `None` the downstream just asks.
+    fn tear_down(&mut self, lease: &Lease, seen_by: Option<NodeId>) {
         let net = &mut self.0;
-        net.managers[lease.downstream as usize].teardown(lease.id);
-        net.managers[lease.upstream as usize].teardown(lease.id);
-        net.log.push((lease.downstream, lease.upstream, Message::Teardown { tunnel: lease.id }));
+        let (mut from, mut to) = (lease.downstream, lease.upstream);
+        if seen_by == Some(to) {
+            std::mem::swap(&mut from, &mut to);
+        }
+        let saw = seen_by.map_or(TeardownReason::PeerRequest, |_| TeardownReason::RouteChange);
+        net.managers[from as usize].teardown(to, lease.id, saw);
+        net.managers[to as usize].teardown(from, lease.id, TeardownReason::PeerRequest);
+        net.log.push((from, to, Message::Teardown { tunnel: lease.id }));
     }
 
     /// Routes changed (e.g. a link failed and BGP reconverged): re-check
     /// every lease for `st.dest()` against the new state and tear down
     /// invalidated tunnels on both sides (section 4.3). A lease survives
-    /// only if the sold path is still in the downstream's candidate set
-    /// *and* the upstream's default path to the downstream is unchanged.
-    pub fn routes_changed(&mut self, st: &RoutingState<'_>) {
-        let dest = st.dest();
-        let mut dead: Vec<usize> = Vec::new();
-        for (i, lease) in self.leases.iter().enumerate() {
-            if lease.dest != dest {
-                continue;
+    /// only if the downstream still learns the sold path from its first
+    /// hop *and* the upstream's default path still starts with the segment
+    /// that led to the downstream. Returns the leases struck, in ledger
+    /// order, so the caller can re-negotiate them.
+    pub fn routes_changed(&mut self, st: &RoutingState<'_>) -> Vec<Lease> {
+        // The end of `lease` that sees a route it stands on gone, if any.
+        let seen_by = |lease: &Lease| {
+            let sold = lease.path.first().and_then(|&n| st.learned_from(lease.downstream, n));
+            if sold.is_none_or(|c| c.path != lease.path) {
+                return Some(lease.downstream);
             }
-            let still_offered = st
-                .candidates(lease.downstream)
-                .iter()
-                .any(|c| c.path == lease.path);
-            let upstream_ok = st.path(lease.upstream).as_deref()
-                == Some(lease.upstream_path.as_slice())
-                || lease.upstream_path.is_empty();
-            if !still_offered || !upstream_ok {
-                dead.push(i);
-            }
+            let mut at = lease.upstream;
+            let rides = lease.upstream_path.iter().all(|&hop| {
+                st.best(at).is_some_and(|b| {
+                    at = b.next;
+                    at == hop
+                })
+            });
+            (!rides).then_some(lease.upstream)
+        };
+        let dead: Vec<(usize, NodeId)> = (self.leases.iter().enumerate())
+            .filter(|(_, lease)| lease.dest == st.dest())
+            .filter_map(|(i, lease)| Some((i, seen_by(lease)?)))
+            .collect();
+        let mut struck = Vec::with_capacity(dead.len());
+        for (i, end) in dead {
+            let lease = self.0.leases.remove(i - struck.len());
+            self.tear_down(&lease, Some(end));
+            struck.push(lease);
         }
-        for &i in dead.iter().rev() {
-            let lease = self.0.leases.remove(i);
-            self.tear_down(&lease);
-        }
+        struck
     }
 
     /// The section 6.2.2 economic lifecycle: `responder` changes its price
@@ -299,7 +314,7 @@ impl<'t> MiroNetwork<'t> {
             }
             // Dissatisfied party: terminate, then re-negotiate.
             self.0.leases.retain(|l| !(l.id == lease.id && l.downstream == responder));
-            self.tear_down(&lease);
+            self.tear_down(&lease, None);
             let replacement = self
                 .negotiate(st, lease.upstream, responder, lease.constraints.clone(), lease.budget)
                 .ok();
@@ -332,8 +347,8 @@ mod tests {
         let lease = &net.leases()[0];
         assert_eq!(lease.path, vec![c, f]);
         assert_eq!((lease.upstream, lease.downstream), (a, b));
-        assert!(net.tunnels(a).get(tid).is_some());
-        assert!(net.tunnels(b).get(tid).is_some());
+        assert!(net.tunnels(a).get(b, tid).is_some());
+        assert!(net.tunnels(b).get(a, tid).is_some());
         // Message sequence matches Figure 4.2.
         let kinds: Vec<&'static str> = net
             .log
@@ -405,18 +420,21 @@ mod tests {
         // Upstream goes silent for longer than the timeout.
         net.silence(tid, 31, 30);
         assert!(net.leases().is_empty(), "soft state must expire");
-        assert!(net.tunnels(b).get(tid).is_none());
+        assert!(net.tunnels(b).get(a, tid).is_none());
     }
 
     #[test]
     fn route_change_triggers_teardown() {
-        let (t, [a, b, _c, _d, e, f]) = setup();
+        let (t, [a, b, c, _d, e, f]) = setup();
         let st = RoutingState::solve(&t, f);
         let mut net = MiroNetwork::new(&t);
         let tid = net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
-        // Unchanged state: nothing happens.
-        net.routes_changed(&st);
+        // Unchanged state: nothing happens. Nor does another destination's
+        // table, whatever it says about C and F, concern a lease toward F.
+        assert!(net.routes_changed(&st).is_empty());
+        assert!(net.routes_changed(&RoutingState::solve_without_link(&t, c, c, f)).is_empty());
         assert_eq!(net.leases().len(), 1);
+        let lease = net.leases()[0].clone();
         // Now simulate the C-F link failing: recompute on a topology
         // without it; B no longer has the BCF candidate.
         let mut bld = miro_topology::TopologyBuilder::new();
@@ -434,14 +452,116 @@ mod tests {
         let t2 = bld.build().unwrap();
         let f2 = t2.node(id(6)).unwrap();
         let st2 = RoutingState::solve(&t2, f2);
-        net.routes_changed(&st2);
+        assert_eq!(net.routes_changed(&st2), vec![lease], "the struck lease is handed back");
         assert!(net.leases().is_empty());
-        assert!(net.tunnels(a).get(tid).is_none());
-        assert!(net.tunnels(b).get(tid).is_none());
-        assert!(net
-            .log
-            .iter()
-            .any(|(_, _, m)| matches!(m, Message::Teardown { .. })));
+        assert!(net.tunnels(a).get(b, tid).is_none());
+        assert!(net.tunnels(b).get(a, tid).is_none());
+        // B saw its path to F fail and told A.
+        assert_eq!(net.tunnels(b).torn_down, [(tid, TeardownReason::RouteChange)]);
+        assert_eq!(net.tunnels(a).torn_down, [(tid, TeardownReason::PeerRequest)]);
+        assert_eq!(net.log.last(), Some(&(b, a, Message::Teardown { tunnel: tid })));
+    }
+
+    /// Figure 1.1 with the avoided AS two hops from the destination: E
+    /// reaches F through its customers G (preferred, lower ASN) or H, so a
+    /// failure of G-F moves every path through E *beyond* E. B provides A
+    /// and E, D provides A and E, B peers with C, C provides F.
+    fn stretched() -> (Topology, [NodeId; 8]) {
+        let mut bld = miro_topology::TopologyBuilder::new();
+        let id = miro_topology::AsId;
+        for n in 1..=8 {
+            bld.add_as(id(n));
+        }
+        for (provider, customer) in
+            [(2, 1), (4, 1), (2, 5), (4, 5), (5, 7), (5, 8), (7, 6), (8, 6), (3, 6)]
+        {
+            bld.provider_customer(id(provider), id(customer));
+        }
+        bld.peering(id(2), id(3));
+        let t = bld.build_checked(true).expect("valid hierarchy");
+        let nodes = [1, 2, 3, 4, 5, 6, 7, 8].map(|n| t.node(id(n)).expect("interned"));
+        (t, nodes)
+    }
+
+    /// Section 4.3: A tears down "if the path AB changes" — not if the part
+    /// of its old default path that the tunnel bypasses does.
+    #[test]
+    fn a_change_beyond_the_avoided_as_is_not_a_route_change() {
+        let (t, [a, b, c, _d, e, f, g, h]) = stretched();
+        let st = RoutingState::solve(&t, f);
+        assert_eq!(st.path(a), Some(vec![b, e, g, f]));
+        let mut net = MiroNetwork::new(&t);
+        let tid = net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
+        let lease = net.leases()[0].clone();
+        assert_eq!((&lease.path, &lease.upstream_path), (&vec![c, f], &vec![b]));
+
+        let st2 = RoutingState::solve_without_link(&t, f, g, f);
+        assert_eq!(st2.path(a), Some(vec![b, e, h, f]), "A's default path moved beyond E");
+        assert!(net.routes_changed(&st2).is_empty(), "AB and BCF both stand");
+        assert_eq!(net.leases(), [lease]);
+        assert!(net.tunnels(a).get(b, tid).is_some() && net.tunnels(b).get(a, tid).is_some());
+    }
+
+    /// The end whose route moved records `RouteChange` and sends the
+    /// `Teardown`; the end that is told records `PeerRequest`.
+    #[test]
+    fn the_upstream_tears_down_when_its_path_to_the_downstream_moves() {
+        let (t, [a, b, _c, d, e, f, g, _h]) = stretched();
+        let st = RoutingState::solve(&t, f);
+        let mut net = MiroNetwork::new(&t);
+        let tid = net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
+        let st2 = RoutingState::solve_without_link(&t, f, a, b);
+        assert_eq!(st2.path(a), Some(vec![d, e, g, f]));
+        let struck = net.routes_changed(&st2);
+        assert_eq!(struck.len(), 1);
+        assert!(net.leases().is_empty() && net.tunnels(a).is_empty() && net.tunnels(b).is_empty());
+        assert_eq!(net.tunnels(a).torn_down, [(tid, TeardownReason::RouteChange)]);
+        assert_eq!(net.tunnels(b).torn_down, [(tid, TeardownReason::PeerRequest)]);
+        assert_eq!(net.log.last(), Some(&(a, b, Message::Teardown { tunnel: tid })));
+    }
+
+    /// Tunnel ids are scoped to the seller: every responder's first sale is
+    /// "tunnel 0", and a buyer of several holds them all.
+    #[test]
+    fn one_buyer_holds_the_same_id_from_several_sellers() {
+        let (t, [a, b, c, _d, e, f]) = setup();
+        let st = RoutingState::solve(&t, f);
+        let mut net = MiroNetwork::new(&t);
+        for seller in [b, c, e] {
+            net.configure(seller, ResponderConfig {
+                policy: ExportPolicy::Flexible,
+                ..Default::default()
+            });
+            assert_eq!(net.negotiate(&st, a, seller, vec![], 250), Ok(TunnelId(0)));
+        }
+        assert_eq!((net.leases().len(), net.tunnels(a).len()), (3, 3));
+        for lease in net.leases() {
+            let held = net.tunnels(a).get(lease.downstream, lease.id).expect("adopted");
+            assert_eq!(held.path, lease.path);
+        }
+    }
+
+    /// An AS that sells tunnel 0 and holds a tunnel 0 it bought keeps both,
+    /// and tearing one down leaves the other's two ends in place.
+    #[test]
+    fn selling_and_buying_under_one_id_are_two_tunnels() {
+        let (t, [a, b, c, _d, e, f]) = setup();
+        let st = RoutingState::solve(&t, f);
+        let mut net = MiroNetwork::new(&t);
+        net.configure(c, ResponderConfig { policy: ExportPolicy::Flexible, ..Default::default() });
+        // B buys C's alternate through E, then sells BCF to A.
+        assert_eq!(net.negotiate(&st, b, c, vec![], 250), Ok(TunnelId(0)));
+        assert_eq!(net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250), Ok(TunnelId(0)));
+        assert_eq!(net.leases()[0].path, vec![e, f]);
+        assert_eq!(net.tunnels(b).len(), 2, "the sale did not overwrite the purchase");
+
+        // C-E fails: C loses the path it sold B; BCF and AB are untouched.
+        let struck = net.routes_changed(&RoutingState::solve_without_link(&t, f, c, e));
+        assert_eq!(struck.iter().map(|l| (l.upstream, l.downstream)).collect::<Vec<_>>(), [(b, c)]);
+        assert_eq!(net.leases().len(), 1);
+        let sold = net.tunnels(b).get(a, TunnelId(0)).expect("B's sale survives its purchase");
+        assert_eq!((sold.path.clone(), net.tunnels(b).len()), (vec![c, f], 1));
+        assert!(net.tunnels(a).get(b, TunnelId(0)).is_some() && net.tunnels(c).is_empty());
     }
 
     #[test]
@@ -469,8 +589,8 @@ mod tests {
         let outcomes = net.reprice(&st, b, 100);
         assert_eq!(outcomes, vec![(tid, None)]);
         assert!(net.leases().is_empty());
-        assert!(net.tunnels(a).get(tid).is_none());
-        assert!(net.tunnels(b).get(tid).is_none());
+        assert!(net.tunnels(a).get(b, tid).is_none());
+        assert!(net.tunnels(b).get(a, tid).is_none());
         assert!(net.log.iter().any(|(_, _, m)| matches!(m, Message::Teardown { .. })));
         // Cooling the price back down lets A buy again (fresh negotiation).
         net.configure(b, ResponderConfig { price_markup: 0, ..Default::default() });
@@ -489,13 +609,20 @@ mod tests {
 
     #[test]
     fn self_negotiation_refused() {
-        let (t, [a, ..]) = setup();
+        let (t, [a, b, ..]) = setup();
         let st = RoutingState::solve(&t, a);
         let mut net = MiroNetwork::new(&t);
         assert_eq!(
             net.negotiate(&st, a, a, vec![], 100),
             Err(NegotiationError::SelfNegotiation)
         );
+        // Nor for another way to reach itself. (The destination asking an
+        // upstream AS to *switch* is `negotiate_switch`, tested below.)
+        assert_eq!(
+            net.negotiate(&st, a, b, vec![], 100),
+            Err(NegotiationError::SelfNegotiation)
+        );
+        assert!(net.log.is_empty() && net.leases().is_empty());
     }
 
     /// Ids the per-node tables cannot index are refused up front, on either

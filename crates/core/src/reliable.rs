@@ -65,7 +65,7 @@ use crate::handshake::NetState;
 use crate::negotiate::{Constraint, Message, NegotiationError, NegotiationId, RejectReason};
 use crate::node::choose_offer;
 use crate::rto::RtoEstimator;
-use crate::tunnel::TunnelId;
+use crate::tunnel::{TeardownReason, TunnelId};
 use miro_bgp::solver::RoutingState;
 use miro_topology::{NodeId, Topology};
 use std::collections::{BTreeMap, HashSet};
@@ -520,10 +520,7 @@ impl<'t> ReliableNet<'t> {
         let mut orphans = 0;
         for n in 0..managers.len() {
             for t in managers[n].iter() {
-                match managers[t.peer as usize].get(t.id) {
-                    Some(peer_side) if peer_side.peer == n as NodeId => {}
-                    _ => orphans += 1,
-                }
+                orphans += managers[t.peer as usize].get(n as NodeId, t.id).is_none() as usize;
             }
         }
         orphans
@@ -617,7 +614,7 @@ impl<'t> ReliableNet<'t> {
         constraints: Vec<Constraint>,
         max_price: u32,
     ) -> Result<NegotiationId, NegotiationError> {
-        self.net.check_pair(requester, responder)?;
+        self.net.check_pair(requester, responder, Some(st.dest()))?;
         Ok(self.launch(st.dest(), requester, responder, constraints, max_price, None))
     }
 
@@ -736,7 +733,7 @@ impl<'t> ReliableNet<'t> {
             Message::Keepalive { tunnel } => {
                 // Refresh on *receipt* only: a heartbeat that the channel
                 // eats refreshes nobody, which is the whole point.
-                if !self.net.managers[to as usize].keepalive(tunnel, self.net.clock) {
+                if !self.net.managers[to as usize].keepalive(from, tunnel, self.net.clock) {
                     // The peer pings state we do not hold — we crashed, or
                     // already expired it. Answer with Teardown so the peer
                     // learns of the death within one heartbeat round
@@ -754,12 +751,15 @@ impl<'t> ReliableNet<'t> {
             }
             Message::Teardown { tunnel } => {
                 // Idempotent: unknown or replayed ids are a no-op.
-                let held_peer = self.net.managers[to as usize].get(tunnel).map(|t| t.peer);
-                self.net.managers[to as usize].teardown(tunnel);
+                let held = self.net.managers[to as usize].teardown(
+                    from,
+                    tunnel,
+                    TeardownReason::PeerRequest,
+                );
                 self.net.drop_lease(tunnel, from, to);
                 // If that tunnel backed one of our Done requester
                 // sessions, the session is dead.
-                if held_peer == Some(from) {
+                if held {
                     self.session_died(st, to, from, tunnel);
                 }
             }
@@ -1098,7 +1098,7 @@ impl<'t> ReliableNet<'t> {
             .collect();
         for (from, to, id) in pings {
             // Only ping for tunnels we still hold ourselves.
-            if self.net.managers[from as usize].get(id).is_some() {
+            if self.net.managers[from as usize].get(to, id).is_some() {
                 self.post(from, to, Message::Keepalive { tunnel: id });
             }
         }
@@ -1183,8 +1183,8 @@ mod tests {
         assert_eq!(lease.path, sync_lease.path);
         assert_eq!(lease.price, sync_lease.price);
         assert_eq!((lease.upstream, lease.downstream), (a, b));
-        assert!(net.tunnels(a).get(sync_tid).is_some());
-        assert!(net.tunnels(b).get(sync_tid).is_some());
+        assert!(net.tunnels(a).get(b, sync_tid).is_some());
+        assert!(net.tunnels(b).get(a, sync_tid).is_some());
         assert_eq!(
             kinds(&net.log)[..5],
             ["request", "offers", "accept", "established", "ack"]
@@ -1284,8 +1284,8 @@ mod tests {
             match net.outcomes()[0].result {
                 Ok(tid) => {
                     ok += 1;
-                    assert!(net.tunnels(a).get(tid).is_some(), "seed {seed}");
-                    assert!(net.tunnels(b).get(tid).is_some(), "seed {seed}");
+                    assert!(net.tunnels(a).get(b, tid).is_some(), "seed {seed}");
+                    assert!(net.tunnels(b).get(a, tid).is_some(), "seed {seed}");
                 }
                 Err(_) => {
                     assert_eq!(net.fallbacks().len(), 1, "failure recorded: seed {seed}");
@@ -1334,8 +1334,8 @@ mod tests {
             net.tick(&st);
         }
         assert_eq!(net.leases().len(), 1, "tunnel survives transient loss");
-        assert!(net.tunnels(a).get(tid).is_some());
-        assert!(net.tunnels(b).get(tid).is_some());
+        assert!(net.tunnels(a).get(b, tid).is_some());
+        assert!(net.tunnels(b).get(a, tid).is_some());
         // Total outage: both sides expire their soft state. (Paced
         // re-negotiations launch but die against the same blackout.)
         net.set_fault(FaultConfig { drop_permille: 1000, ..FaultConfig::PERFECT });
@@ -1343,8 +1343,8 @@ mod tests {
             net.tick(&st);
         }
         assert!(net.leases().is_empty(), "ledger reaped");
-        assert!(net.tunnels(a).get(tid).is_none(), "upstream expired");
-        assert!(net.tunnels(b).get(tid).is_none(), "downstream expired");
+        assert!(net.tunnels(a).get(b, tid).is_none(), "upstream expired");
+        assert!(net.tunnels(b).get(a, tid).is_none(), "downstream expired");
         let died: Vec<_> = net
             .fallbacks()
             .iter()
@@ -1404,13 +1404,16 @@ mod tests {
     /// Self-negotiation is refused exactly like the synchronous harness.
     #[test]
     fn self_negotiation_refused() {
-        let (t, [a, ..]) = setup();
+        let (t, [a, b, ..]) = setup();
         let st = RoutingState::solve(&t, a);
         let mut net = ReliableNet::new(&t, FaultConfig::PERFECT, 0);
-        assert_eq!(
-            net.start(&st, a, a, vec![], 100),
-            Err(NegotiationError::SelfNegotiation)
-        );
+        for responder in [a, b] {
+            assert_eq!(
+                net.start(&st, a, responder, vec![], 100),
+                Err(NegotiationError::SelfNegotiation),
+                "`a` is the destination: no alternate toward itself either"
+            );
+        }
     }
 
     /// An id past the topology is refused at `start` — it used to reach the
@@ -1544,7 +1547,7 @@ mod tests {
         let ticks = net.run_until_quiescent(&st, 2_000);
         assert!(ticks < 2_000, "recovery quiesces well inside the budget");
         // The outage (60 ticks > keepalive_timeout 35) killed the tunnel…
-        assert!(net.tunnels(a).get(first_tid).is_none());
+        assert!(net.tunnels(a).get(b, first_tid).is_none());
         let origin: Vec<_> = net
             .fallbacks()
             .iter()
@@ -1561,8 +1564,8 @@ mod tests {
             .find_map(|o| o.result.ok())
             .expect("a retry re-established");
         assert_ne!(new_tid, first_tid, "fresh allocation, no id reuse");
-        assert!(net.tunnels(a).get(new_tid).is_some());
-        assert!(net.tunnels(b).get(new_tid).is_some());
+        assert!(net.tunnels(a).get(b, new_tid).is_some());
+        assert!(net.tunnels(b).get(a, new_tid).is_some());
         assert_eq!(net.leases().len(), 1);
         assert_eq!(net.orphan_count(), 0);
         assert_eq!(net.double_establish_count(), 0);
@@ -1627,7 +1630,7 @@ mod tests {
         let lost = net.crash_restart(b);
         assert_eq!(lost, vec![first_tid], "the responder lost its only tunnel");
         assert!(net.tunnels(b).is_empty());
-        assert!(net.tunnels(a).get(first_tid).is_some(), "requester still believes");
+        assert!(net.tunnels(a).get(b, first_tid).is_some(), "requester still believes");
         // Tick until the keepalive/Teardown exchange surfaces the death,
         // then drain the paced recovery.
         while net.fallbacks().is_empty() && net.clock < 100 {
@@ -1657,9 +1660,9 @@ mod tests {
             .find_map(|o| o.result.ok())
             .expect("re-established");
         assert_ne!(new_tid, first_tid, "restart never re-issues a pre-crash id");
-        assert!(net.tunnels(a).get(first_tid).is_none(), "stale tunnel torn down");
-        assert!(net.tunnels(a).get(new_tid).is_some());
-        assert!(net.tunnels(b).get(new_tid).is_some());
+        assert!(net.tunnels(a).get(b, first_tid).is_none(), "stale tunnel torn down");
+        assert!(net.tunnels(a).get(b, new_tid).is_some());
+        assert!(net.tunnels(b).get(a, new_tid).is_some());
         assert_eq!(net.leases().len(), 1, "ledger reflects exactly the new tunnel");
         assert_eq!(net.orphan_count(), 0, "zero orphans at quiescence");
     }

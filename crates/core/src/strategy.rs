@@ -88,6 +88,17 @@ impl TargetStrategy {
     }
 }
 
+/// The ASes `src` may ask to avoid on its way to `st.dest()` (section
+/// 5.3's sampling rule): on its default path, not the destination, and not
+/// one of its own neighbours — in path order. Empty when `src` is unrouted
+/// or adjacent to everything on the path.
+pub fn avoidable_ases(st: &RoutingState<'_>, src: NodeId) -> Vec<NodeId> {
+    let mut path = st.path(src).unwrap_or_default();
+    path.pop(); // the destination
+    path.retain(|&x| st.topology().rel(src, x).is_none());
+    path
+}
+
 /// The relationship that governs the responder's export decision toward a
 /// (possibly non-adjacent) requester.
 ///
@@ -387,6 +398,15 @@ mod tests {
         assert_eq!(TargetStrategy::OnPath.targets(&st, a, Some(e)), vec![b]);
         assert_eq!(TargetStrategy::OnPath.targets(&st, a, None), vec![b, e]);
         let _ = t;
+    }
+
+    #[test]
+    fn avoidable_ases_are_on_path_non_neighbours_short_of_the_destination() {
+        let (t, [a, b, _c, _d, e, f]) = figure_1_1();
+        let st = RoutingState::solve(&t, f);
+        assert_eq!(avoidable_ases(&st, a), vec![e], "ABEF: B is a neighbour, F the destination");
+        assert!(avoidable_ases(&st, b).is_empty(), "BEF: E is a neighbour");
+        assert!(avoidable_ases(&st, f).is_empty());
     }
 
     #[test]

@@ -3,16 +3,22 @@
 //! After a successful negotiation, the responding (downstream) AS assigns a
 //! tunnel identifier — unique only within itself — and both sides install
 //! state. A tunnel stays alive while keepalives flow; it is torn down
-//! actively when either side's relevant route changes (the upstream's path
-//! *to* the downstream AS, or the downstream's path to the destination), or
+//! actively when either side's relevant route changes — "AS A will tear
+//! down the tunnel if the path AB changes", "AS B will tear down the tunnel
+//! if the path BCF to the destination prefix fails" (section 4.3) — or
 //! passively when the heartbeat timer expires (the "idle tunnels in the
 //! downstream ASes" problem of section 4.3).
+//!
+//! This module is the per-AS table only. Deciding *that* a route changed
+//! takes the routing state of both ends, so the one route-change teardown
+//! is [`crate::node::MiroNetwork::routes_changed`], which records
+//! [`TeardownReason::RouteChange`] here at the side that saw it.
 //!
 //! Time is a virtual `u64` tick supplied by the caller, so the whole
 //! control plane is deterministic and simulable.
 
 use miro_topology::NodeId;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Downstream-scoped tunnel identifier (the "7" of Figures 3.1 and 4.2).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -51,12 +57,19 @@ pub enum TeardownReason {
 /// Tunnel table of one AS (either side of the relationship uses the same
 /// structure; the downstream side is also the id allocator).
 ///
+/// An id is scoped to the AS that sold it, so an entry is keyed by
+/// `(peer, id)`: the tunnels an AS bought from several sellers may all be
+/// "tunnel 0" and still be distinct, and none can shadow a tunnel the AS
+/// sold itself. `(peer, id)` is also all a `Keepalive` or `Teardown`
+/// message names, so [`TunnelManager::establish`] never issues an id it
+/// already holds from that same peer.
+///
 /// ```
 /// use miro_core::tunnel::TunnelManager;
 ///
 /// let mut mgr = TunnelManager::new();
 /// let id = mgr.establish(/*peer*/ 7, /*dest*/ 9, vec![3, 9], /*price*/ 180, /*now*/ 0);
-/// mgr.keepalive(id, 25);
+/// mgr.keepalive(7, id, 25);
 /// assert!(mgr.expire(/*now*/ 30, /*timeout*/ 10).is_empty(), "fresh heartbeat");
 /// let dead = mgr.expire(/*now*/ 99, /*timeout*/ 10);
 /// assert_eq!(dead, vec![id], "silence kills the soft state");
@@ -64,7 +77,7 @@ pub enum TeardownReason {
 #[derive(Default, Debug)]
 pub struct TunnelManager {
     next: u32,
-    live: HashMap<TunnelId, Tunnel>,
+    live: HashMap<(NodeId, TunnelId), Tunnel>,
     /// History of (id, reason), for diagnostics and tests.
     pub torn_down: Vec<(TunnelId, TeardownReason)>,
 }
@@ -83,32 +96,34 @@ impl TunnelManager {
         price: u32,
         now: u64,
     ) -> TunnelId {
+        while self.live.contains_key(&(peer, TunnelId(self.next))) {
+            self.next += 1; // bought from `peer` under that id
+        }
         let id = TunnelId(self.next);
         self.next += 1;
         self.live.insert(
-            id,
+            (peer, id),
             Tunnel { id, peer, dest, path, price, last_heartbeat: now },
         );
         id
     }
 
-    /// Upstream side: install state under the id the downstream assigned.
-    /// Returns `false` (and installs nothing) if the id is already taken —
-    /// ids are scoped to the *downstream* AS, so an upstream AS tracking
-    /// tunnels to several downstreams must key by (peer, id); this manager
-    /// models one peer relationship per entry and treats collisions as
-    /// caller error.
+    /// Upstream side: install state under the id the downstream
+    /// (`tunnel.peer`) assigned. Returns `false` (and installs nothing) if
+    /// a tunnel with that peer already has the id.
     pub fn adopt(&mut self, tunnel: Tunnel) -> bool {
-        if self.live.contains_key(&tunnel.id) {
-            return false;
+        match self.live.entry((tunnel.peer, tunnel.id)) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(tunnel);
+                true
+            }
         }
-        self.live.insert(tunnel.id, tunnel);
-        true
     }
 
-    /// Record a heartbeat for `id` at time `now`.
-    pub fn keepalive(&mut self, id: TunnelId, now: u64) -> bool {
-        match self.live.get_mut(&id) {
+    /// Record a heartbeat from `peer` for `id` at time `now`.
+    pub fn keepalive(&mut self, peer: NodeId, id: TunnelId, now: u64) -> bool {
+        match self.live.get_mut(&(peer, id)) {
             Some(t) => {
                 t.last_heartbeat = now;
                 true
@@ -120,92 +135,12 @@ impl TunnelManager {
     /// Tear down every tunnel whose last heartbeat is older than
     /// `now - timeout`. Returns the expired ids.
     pub fn expire(&mut self, now: u64, timeout: u64) -> Vec<TunnelId> {
-        let dead: Vec<TunnelId> = self
-            .live
-            .values()
-            .filter(|t| now.saturating_sub(t.last_heartbeat) > timeout)
-            .map(|t| t.id)
-            .collect();
-        for id in &dead {
-            self.live.remove(id);
-            self.torn_down.push((*id, TeardownReason::Expired));
-        }
-        let mut dead = dead;
+        let stale = |t: &Tunnel| now.saturating_sub(t.last_heartbeat) > timeout;
+        let mut dead: Vec<TunnelId> =
+            self.live.values().filter(|t| stale(t)).map(|t| t.id).collect();
+        self.live.retain(|_, t| !stale(t));
         dead.sort_unstable();
-        dead
-    }
-
-    /// The downstream AS observed that its route to `dest` changed and no
-    /// longer matches what tunnels were sold on: tear down every tunnel to
-    /// `dest` whose negotiated path is not `still_valid` (section 4.3:
-    /// "AS B will tear down the tunnel if the path BCF to the destination
-    /// prefix fails"). Pass `None` when the destination became unreachable.
-    pub fn on_route_change(
-        &mut self,
-        dest: NodeId,
-        still_valid: Option<&[NodeId]>,
-    ) -> Vec<TunnelId> {
-        let dead: Vec<TunnelId> = self
-            .live
-            .values()
-            .filter(|t| t.dest == dest && Some(t.path.as_slice()) != still_valid)
-            .map(|t| t.id)
-            .collect();
-        for id in &dead {
-            self.live.remove(id);
-            self.torn_down.push((*id, TeardownReason::RouteChange));
-        }
-        let mut dead = dead;
-        dead.sort_unstable();
-        dead
-    }
-
-    /// The upstream AS observed its path *toward* `peer` changed: every
-    /// tunnel through that peer dies (section 4.3: "AS A will tear down
-    /// the tunnel if the path AB changes").
-    pub fn on_peer_path_change(&mut self, peer: NodeId) -> Vec<TunnelId> {
-        let dead: Vec<TunnelId> =
-            self.live.values().filter(|t| t.peer == peer).map(|t| t.id).collect();
-        for id in &dead {
-            self.live.remove(id);
-            self.torn_down.push((*id, TeardownReason::RouteChange));
-        }
-        let mut dead = dead;
-        dead.sort_unstable();
-        dead
-    }
-
-    /// Link churn hit the tunnel table: tear down every tunnel whose
-    /// negotiated path crosses a currently-failed link (section 4.3 under
-    /// a RouteViews-style firehose — a tunnel dies the moment any hop of
-    /// the path it was sold on loses its session). `owner` is the AS
-    /// holding this table: the implicit first hop `owner -> path[0]` is
-    /// checked too, since `Tunnel::path` starts at the downstream's next
-    /// hop. Returns the torn-down ids (sorted), recorded as
-    /// [`TeardownReason::RouteChange`].
-    pub fn sweep_failed_links(
-        &mut self,
-        owner: NodeId,
-        mut is_down: impl FnMut(NodeId, NodeId) -> bool,
-    ) -> Vec<TunnelId> {
-        let mut dead: Vec<TunnelId> = self
-            .live
-            .values()
-            .filter(|t| {
-                let mut at = owner;
-                t.path.iter().any(|&hop| {
-                    let cut = is_down(at, hop);
-                    at = hop;
-                    cut
-                })
-            })
-            .map(|t| t.id)
-            .collect();
-        for id in &dead {
-            self.live.remove(id);
-            self.torn_down.push((*id, TeardownReason::RouteChange));
-        }
-        dead.sort_unstable();
+        self.torn_down.extend(dead.iter().map(|&id| (id, TeardownReason::Expired)));
         dead
     }
 
@@ -217,26 +152,27 @@ impl TunnelManager {
     /// before the crash. Returns the ids that were live, for callers
     /// that account for the wreckage.
     pub fn crash(&mut self) -> Vec<TunnelId> {
-        let mut lost: Vec<TunnelId> = self.live.keys().copied().collect();
+        let mut lost: Vec<TunnelId> = self.live.keys().map(|&(_, id)| id).collect();
         lost.sort_unstable();
         self.live.clear();
         self.torn_down.clear();
         lost
     }
 
-    /// Peer-requested teardown.
-    pub fn teardown(&mut self, id: TunnelId) -> bool {
-        if self.live.remove(&id).is_some() {
-            self.torn_down.push((id, TeardownReason::PeerRequest));
-            true
-        } else {
-            false
+    /// Active teardown of the tunnel shared with `peer`: `RouteChange` at
+    /// the side whose route moved (section 4.3), `PeerRequest` at the side
+    /// that is told.
+    pub fn teardown(&mut self, peer: NodeId, id: TunnelId, reason: TeardownReason) -> bool {
+        let known = self.live.remove(&(peer, id)).is_some();
+        if known {
+            self.torn_down.push((id, reason));
         }
+        known
     }
 
-    /// Look up a live tunnel.
-    pub fn get(&self, id: TunnelId) -> Option<&Tunnel> {
-        self.live.get(&id)
+    /// Look up the live tunnel shared with `peer` under `id`.
+    pub fn get(&self, peer: NodeId, id: TunnelId) -> Option<&Tunnel> {
+        self.live.get(&(peer, id))
     }
 
     /// Number of live tunnels (drives the `tunnel_number < N` admission
@@ -249,10 +185,10 @@ impl TunnelManager {
         self.live.is_empty()
     }
 
-    /// Iterate live tunnels in id order (deterministic).
+    /// Iterate live tunnels in (id, peer) order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = &Tunnel> {
         let mut v: Vec<&Tunnel> = self.live.values().collect();
-        v.sort_by_key(|t| t.id);
+        v.sort_by_key(|t| (t.id, t.peer));
         v.into_iter()
     }
 }
@@ -275,14 +211,15 @@ mod tests {
         let b = m.establish(2, 9, vec![9], 0, 0);
         assert_ne!(a, b);
         assert_eq!(m.len(), 2);
-        assert_eq!(m.get(a).unwrap().peer, 1);
+        assert_eq!(m.get(1, a).unwrap().peer, 1);
+        assert!(m.get(2, a).is_none(), "an id names a tunnel only together with its peer");
     }
 
     #[test]
     fn keepalive_refreshes_and_expire_reaps() {
         let mut m = mgr_with_two();
         let ids: Vec<TunnelId> = m.iter().map(|t| t.id).collect();
-        assert!(m.keepalive(ids[0], 50));
+        assert!(m.keepalive(1, ids[0], 50));
         // Timeout 30 at t=60: tunnel 0 heartbeat at 50 (age 10, lives);
         // tunnel 1 heartbeat at 0 (age 60, dies).
         let dead = m.expire(60, 30);
@@ -290,92 +227,65 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m.torn_down, vec![(ids[1], TeardownReason::Expired)]);
         // Unknown id keepalive is reported.
-        assert!(!m.keepalive(ids[1], 70));
-    }
-
-    #[test]
-    fn route_change_tears_down_mismatched_tunnels() {
-        let mut m = TunnelManager::new();
-        let a = m.establish(1, 9, vec![2, 9], 0, 0);
-        let b = m.establish(4, 9, vec![3, 9], 0, 0);
-        let c = m.establish(5, 8, vec![3, 8], 0, 0);
-        // Our route to 9 is now [2, 9]: tunnel b (sold on [3, 9]) dies,
-        // tunnel a survives, tunnel c (other dest) untouched.
-        let dead = m.on_route_change(9, Some(&[2, 9]));
-        assert_eq!(dead, vec![b]);
-        assert!(m.get(a).is_some());
-        assert!(m.get(c).is_some());
-        // Destination unreachable: everything to 9 dies.
-        let dead = m.on_route_change(9, None);
-        assert_eq!(dead, vec![a]);
-    }
-
-    #[test]
-    fn peer_path_change_kills_all_tunnels_through_peer() {
-        let mut m = TunnelManager::new();
-        let a = m.establish(1, 9, vec![2, 9], 0, 0);
-        let _b = m.establish(1, 8, vec![2, 8], 0, 0);
-        let c = m.establish(2, 9, vec![3, 9], 0, 0);
-        let dead = m.on_peer_path_change(1);
-        assert_eq!(dead.len(), 2);
-        assert!(dead.contains(&a));
-        assert!(m.get(c).is_some());
-    }
-
-    #[test]
-    fn sweep_failed_links_kills_only_tunnels_crossing_the_cut() {
-        let mut m = TunnelManager::new();
-        // Owner is AS 1. Tunnel a: 1 -> 2 -> 9; tunnel b: 1 -> 3 -> 9;
-        // tunnel c: 1 -> 3 -> 8.
-        let a = m.establish(7, 9, vec![2, 9], 0, 0);
-        let b = m.establish(7, 9, vec![3, 9], 0, 0);
-        let c = m.establish(7, 8, vec![3, 8], 0, 0);
-
-        // Link 3--9 fails: only tunnel b crosses it.
-        let dead = m.sweep_failed_links(1, |x, y| (x.min(y), x.max(y)) == (3, 9));
-        assert_eq!(dead, vec![b]);
-        assert_eq!(m.torn_down, vec![(b, TeardownReason::RouteChange)]);
-        assert!(m.get(a).is_some() && m.get(c).is_some());
-
-        // The implicit first hop matters: owner 1 loses its link to 3.
-        let dead = m.sweep_failed_links(1, |x, y| (x.min(y), x.max(y)) == (1, 3));
-        assert_eq!(dead, vec![c]);
-
-        // No failed links: nothing to do.
-        assert!(m.sweep_failed_links(1, |_, _| false).is_empty());
-        assert!(m.get(a).is_some());
+        assert!(!m.keepalive(1, ids[1], 70));
     }
 
     #[test]
     fn explicit_teardown() {
         let mut m = mgr_with_two();
         let id = m.iter().next().unwrap().id;
-        assert!(m.teardown(id));
-        assert!(!m.teardown(id), "double teardown is reported");
+        assert!(!m.teardown(2, id, TeardownReason::PeerRequest), "wrong peer");
+        assert!(m.teardown(1, id, TeardownReason::PeerRequest));
+        assert!(!m.teardown(1, id, TeardownReason::PeerRequest), "double teardown is reported");
         assert_eq!(m.torn_down.last(), Some(&(id, TeardownReason::PeerRequest)));
+    }
+
+    fn bought(peer: NodeId, id: u32) -> Tunnel {
+        Tunnel { id: TunnelId(id), peer, dest: 9, path: vec![9], price: 0, last_heartbeat: 0 }
     }
 
     #[test]
     fn adopt_rejects_id_collisions() {
         let mut m = TunnelManager::new();
-        let t = Tunnel {
-            id: TunnelId(7),
-            peer: 1,
-            dest: 9,
-            path: vec![9],
-            price: 0,
-            last_heartbeat: 0,
-        };
-        assert!(m.adopt(t.clone()));
-        assert!(!m.adopt(t));
+        assert!(m.adopt(bought(1, 7)));
+        assert!(!m.adopt(bought(1, 7)));
         assert_eq!(m.len(), 1);
+    }
+
+    /// Ids are scoped to the seller: "tunnel 0" bought from four sellers is
+    /// four tunnels, none of them the tunnel 0 this AS sold, and each is
+    /// refreshed and torn down on its own.
+    #[test]
+    fn ids_from_different_sellers_do_not_collide() {
+        let mut m = TunnelManager::new();
+        for seller in 1..=4 {
+            assert!(m.adopt(bought(seller, 0)), "seller {seller}");
+        }
+        let sold = m.establish(5, 8, vec![8], 0, 0);
+        assert_eq!((sold, m.len()), (TunnelId(0), 5), "selling overwrites nothing");
+        assert!(m.keepalive(3, TunnelId(0), 40));
+        assert_eq!(m.expire(40, 30), vec![TunnelId(0); 4], "all but seller 3's");
+        assert!(m.teardown(3, TunnelId(0), TeardownReason::RouteChange));
+        assert!(m.is_empty());
+    }
+
+    /// A `Keepalive` between two ASes names only an id, so a seller skips
+    /// an id it already holds from that buyer.
+    #[test]
+    fn a_seller_never_issues_an_id_it_holds_from_the_buyer() {
+        let mut m = TunnelManager::new();
+        assert!(m.adopt(bought(1, 0)));
+        assert_eq!(m.establish(2, 9, vec![9], 0, 0), TunnelId(0), "another peer: no clash");
+        assert!(m.adopt(bought(1, 1)));
+        assert_eq!(m.establish(1, 9, vec![9], 0, 0), TunnelId(2));
+        assert_eq!(m.get(1, TunnelId(0)), Some(&bought(1, 0)));
     }
 
     #[test]
     fn crash_wipes_state_but_not_the_id_allocator() {
         let mut m = mgr_with_two();
         let first = m.iter().next().unwrap().id;
-        m.teardown(first);
+        m.teardown(1, first, TeardownReason::PeerRequest);
         let lost = m.crash();
         assert_eq!(lost, vec![TunnelId(1)], "the surviving tunnel was lost");
         assert!(m.is_empty());

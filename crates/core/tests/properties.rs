@@ -5,7 +5,7 @@
 use miro_bgp::solver::RoutingState;
 use miro_core::export::ExportPolicy;
 use miro_core::strategy::{avoid_via_negotiation, count_available_routes, TargetStrategy};
-use miro_core::tunnel::TunnelManager;
+use miro_core::tunnel::{TeardownReason, TunnelManager};
 use miro_topology::{GenParams, Rel};
 use proptest::prelude::*;
 
@@ -109,7 +109,7 @@ proptest! {
                 }
                 1 => {
                     if let Some(&id) = ids.get(sel as usize % ids.len().max(1)) {
-                        let _ = m.keepalive(id, time);
+                        let _ = m.keepalive(1, id, time);
                     }
                 }
                 2 => {
@@ -117,14 +117,14 @@ proptest! {
                 }
                 _ => {
                     if let Some(&id) = ids.get(sel as usize % ids.len().max(1)) {
-                        let _ = m.teardown(id);
+                        let _ = m.teardown(1, id, TeardownReason::PeerRequest);
                     }
                 }
             }
             prop_assert_eq!(m.len() + m.torn_down.len(), established);
             // No tunnel is both live and torn down.
             for &(id, _) in &m.torn_down {
-                prop_assert!(m.get(id).is_none());
+                prop_assert!(m.get(1, id).is_none());
             }
         }
     }

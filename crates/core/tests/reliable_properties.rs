@@ -68,8 +68,8 @@ proptest! {
         prop_assert_eq!(net.tunnels(e).len(), 1);
         prop_assert_eq!(net.tunnels(b).len(), 2);
         for (req, tid) in [(a, tid_a), (e, tid_d)] {
-            let up = net.tunnels(req).get(tid).expect("requester side holds the tunnel");
-            let down = net.tunnels(b).get(tid).expect("responder side holds the tunnel");
+            let up = net.tunnels(req).get(b, tid).expect("requester side holds the tunnel");
+            let down = net.tunnels(b).get(req, tid).expect("responder side holds the tunnel");
             prop_assert_eq!(up.peer, b);
             prop_assert_eq!(down.peer, req);
             prop_assert_eq!(&up.path, &down.path);
@@ -77,7 +77,7 @@ proptest! {
         }
         // The negotiated constraint is honored end to end.
         prop_assert!(
-            !net.tunnels(a).get(tid_a).unwrap().path.contains(&e),
+            !net.tunnels(a).get(b, tid_a).unwrap().path.contains(&e),
             "AvoidAs constraint honored"
         );
     }
@@ -134,8 +134,8 @@ proptest! {
         // Ledger <-> table agreement: every lease is held by both sides
         // with matching records...
         for l in net.leases() {
-            let up = net.tunnels(l.upstream).get(l.id);
-            let down = net.tunnels(l.downstream).get(l.id);
+            let up = net.tunnels(l.upstream).get(l.downstream, l.id);
+            let down = net.tunnels(l.downstream).get(l.upstream, l.id);
             prop_assert!(up.is_some() && down.is_some(), "lease {:?} one-sided", l.id);
             let (up, down) = (up.unwrap(), down.unwrap());
             prop_assert_eq!(up.peer, l.downstream);

@@ -20,8 +20,12 @@
 
 use crate::intra::AsFabric;
 use crate::lpm::Prefix;
-use miro_core::tunnel::{TunnelId, TunnelManager};
+use miro_core::tunnel::{TeardownReason, TunnelId, TunnelManager};
 use std::collections::HashMap;
+
+/// The peer every table entry is filed under: who buys is the
+/// negotiation's business, and one AS that only sells needs no more.
+const BUYER: u32 = 0;
 
 /// Controller-level errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -94,7 +98,7 @@ impl Rcp {
         let (egress_router, exit_link) =
             (0..self.fabric.num_routers()).find_map(holds).ok_or(RcpError::NoSuchPath)?;
         let dest = as_path.last().copied().unwrap_or(self.fabric.asn);
-        let TunnelId(tunnel_id) = self.tunnels.establish(0, dest, as_path.to_vec(), 0, now);
+        let TunnelId(tunnel_id) = self.tunnels.establish(BUYER, dest, as_path.to_vec(), 0, now);
         self.fabric.router_mut(egress_router).tunnel_table.insert(tunnel_id, exit_link);
         self.installed.insert(tunnel_id, (egress_router, exit_link));
         Ok(tunnel_id)
@@ -103,7 +107,7 @@ impl Rcp {
     /// Record an upstream keepalive for a tunnel (section 4.3's central
     /// health server).
     pub fn keepalive(&mut self, tunnel_id: u32, now: u64) -> Result<(), RcpError> {
-        let known = self.tunnels.keepalive(TunnelId(tunnel_id), now);
+        let known = self.tunnels.keepalive(BUYER, TunnelId(tunnel_id), now);
         known.then_some(()).ok_or(RcpError::UnknownTunnel)
     }
 
@@ -120,7 +124,8 @@ impl Rcp {
     /// Explicit teardown (active, e.g. on a route change observed by the
     /// controller).
     pub fn teardown(&mut self, tunnel_id: u32) -> Result<(), RcpError> {
-        let known = self.tunnels.teardown(TunnelId(tunnel_id));
+        let known =
+            self.tunnels.teardown(BUYER, TunnelId(tunnel_id), TeardownReason::PeerRequest);
         self.uninstall(tunnel_id);
         known.then_some(()).ok_or(RcpError::UnknownTunnel)
     }
@@ -139,7 +144,6 @@ mod tests {
     use crate::encap;
     use crate::intra::{figure_4_1, Forwarded};
     use crate::ipv4::{Ipv4Addr4, Ipv4Header};
-    use miro_core::tunnel::TeardownReason;
 
     fn u_prefix() -> Prefix {
         Prefix::new(Ipv4Addr4::new(60, 0, 0, 0), 8)
@@ -164,7 +168,7 @@ mod tests {
         let mut r = rcp();
         let tid = r.grant_tunnel(u_prefix(), &[500, 600], 0).expect("path exists");
         assert_eq!(r.egress(tid), Some((1, 20)), "VU lives at R2, behind the V link");
-        assert_eq!(r.tunnels().get(TunnelId(tid)).expect("registered").path, [500, 600]);
+        assert_eq!(r.tunnels().get(BUYER, TunnelId(tid)).expect("registered").path, [500, 600]);
         // A packet through the granted tunnel takes the V exit.
         let inner = Ipv4Header::new(
             Ipv4Addr4::new(9, 9, 9, 9),

@@ -20,7 +20,7 @@ use crate::driver;
 use miro_bgp::solver::{RoutingState, SolveScratch};
 use miro_core::export::ExportPolicy;
 use miro_core::strategy::{
-    avoid_via_multihop_negotiation, avoid_via_negotiation, TargetStrategy,
+    avoid_via_multihop_negotiation, avoid_via_negotiation, avoidable_ases, TargetStrategy,
 };
 use miro_topology::stats::top_degree_nodes;
 use miro_topology::NodeId;
@@ -78,15 +78,7 @@ pub fn architecture_comparison(
         let st = RoutingState::solve_into(&ds.topo, d, &mut scratch);
         let mut rng = driver::rng_for(cfg.seed, d, 0xAB1);
         for src in driver::sample_srcs(&ds.topo, d, cfg.src_samples / 2, cfg.seed ^ 0xAB2) {
-            let Some(path) = st.path(src) else { continue };
-            if path.len() < 2 {
-                continue;
-            }
-            let eligible: Vec<NodeId> = path[..path.len() - 1]
-                .iter()
-                .copied()
-                .filter(|&x| ds.topo.rel(src, x).is_none())
-                .collect();
+            let eligible = avoidable_ases(&st, src);
             if eligible.is_empty() {
                 continue;
             }
@@ -166,15 +158,7 @@ pub fn strategy_comparison(ds: &Dataset, cfg: &EvalConfig) -> Vec<AblationRow> {
         let mut counts = [0usize; 3];
         let mut total = 0usize;
         for src in driver::sample_srcs(&ds.topo, d, cfg.src_samples / 2, cfg.seed ^ 0xCD2) {
-            let Some(path) = st.path(src) else { continue };
-            if path.len() < 2 {
-                continue;
-            }
-            let eligible: Vec<NodeId> = path[..path.len() - 1]
-                .iter()
-                .copied()
-                .filter(|&x| ds.topo.rel(src, x).is_none())
-                .collect();
+            let eligible = avoidable_ases(st, src);
             if eligible.is_empty() {
                 continue;
             }

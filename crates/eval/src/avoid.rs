@@ -20,7 +20,7 @@ use crate::driver;
 use miro_bgp::engine::WhatIf;
 use miro_core::export::ExportPolicy;
 use miro_core::negotiate::Constraint;
-use miro_core::strategy::{export_rel_toward, TargetStrategy};
+use miro_core::strategy::{avoidable_ases, export_rel_toward, TargetStrategy};
 use miro_topology::NodeId;
 use rand::Rng;
 use serde::Serialize;
@@ -158,19 +158,9 @@ pub fn sample_probes(ds: &Dataset, cfg: &EvalConfig) -> Vec<TripleProbe> {
         let mut rng = driver::rng_for(cfg.seed, d, 0x5_301);
         let mut out = Vec::new();
         for src in driver::sample_srcs(&ds.topo, d, cfg.src_samples, cfg.seed ^ 0xabc) {
-            let Some(path) = wi.base().path(src) else { continue };
-            if path.len() < 2 {
-                continue; // no intermediate AS to avoid
-            }
-            // Eligible: on the path, not the destination, not adjacent to
-            // the source (the paper's exclusion).
-            let eligible: Vec<NodeId> = path[..path.len() - 1]
-                .iter()
-                .copied()
-                .filter(|&x| ds.topo.rel(src, x).is_none())
-                .collect();
+            let eligible = avoidable_ases(wi.base(), src);
             if eligible.is_empty() {
-                continue;
+                continue; // no intermediate AS to avoid
             }
             let avoid = eligible[rng.gen_range(0..eligible.len())];
             out.push(probe_triple(wi, src, avoid));

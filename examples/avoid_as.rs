@@ -9,7 +9,7 @@
 
 use miro_bgp::solver::RoutingState;
 use miro_core::export::ExportPolicy;
-use miro_core::strategy::{avoid_via_negotiation, TargetStrategy};
+use miro_core::strategy::{avoid_via_negotiation, avoidable_ases, TargetStrategy};
 use miro_topology::gen::DatasetPreset;
 use miro_topology::stats::top_degree_nodes;
 
@@ -26,14 +26,7 @@ fn main() {
     'outer: for dest in topo.nodes().step_by(7) {
         let st = RoutingState::solve(&topo, dest);
         for src in topo.nodes().step_by(11) {
-            let Some(path) = st.path(src) else { continue };
-            if path.len() < 3 {
-                continue;
-            }
-            for &avoid in &path[1..path.len() - 1] {
-                if topo.rel(src, avoid).is_some() {
-                    continue; // paper's exclusion: not an immediate neighbor
-                }
+            for avoid in avoidable_ases(&st, src) {
                 let single = st.candidates(src).iter().any(|c| !c.traverses(avoid));
                 let multi = avoid_via_negotiation(
                     &st,

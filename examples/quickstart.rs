@@ -123,26 +123,12 @@ fn main() {
     println!("  t={}: keepalive exchanged, {} tunnel(s) live.", net.clock, net.leases().len());
     // E-F fails; B loses BCF? No - C-F fails: B's alternate disappears.
     println!("  ... later the C-F link fails; BGP reconverges; B can no longer honor the path.");
-    // Build the failed-link topology and reconverged state.
-    let mut bld = miro_topology::TopologyBuilder::new();
-    for n in 1..=6 {
-        bld.add_as(miro_topology::AsId(n));
-    }
-    let id = miro_topology::AsId;
-    bld.provider_customer(id(2), id(1));
-    bld.provider_customer(id(4), id(1));
-    bld.provider_customer(id(2), id(5));
-    bld.provider_customer(id(4), id(5));
-    bld.peering(id(2), id(3));
-    bld.provider_customer(id(5), id(6));
-    bld.peering(id(3), id(5));
-    let t2 = bld.build().expect("valid");
-    let st2 = RoutingState::solve(&t2, t2.node(id(6)).expect("F"));
+    let st2 = RoutingState::solve_without_link(&topo, f, c, f);
     net.routes_changed(&st2);
     println!("  teardown delivered; {} tunnel(s) remain.", net.leases().len());
     assert!(net.leases().is_empty());
 
     println!("\nDone. Classes seen above: {:?} > {:?} > {:?} (Guideline A preference).",
         RouteClass::Customer, RouteClass::Peer, RouteClass::Provider);
-    let _ = (c, d);
+    let _ = d;
 }

@@ -10,7 +10,7 @@ fn demo_scenario_plays_through() {
                 "loaded topology: 6 ASes, 8 links",
                 "tunnel 0 established",
                 "AS1 buys [3 6] from AS2 at price 180",
-                "lease(s) dropped",
+                "1 lease(s) dropped, 0 survive\n  tunnel 0 torn down: AS1 -> AS2 for AS6 via [3 6]",
             ],
         ),
         // Chapter 6: the same tunnel, asked for by configuration text.

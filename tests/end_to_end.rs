@@ -125,8 +125,8 @@ fn tunnel_soft_state_is_consistent() {
     for _ in 0..20 {
         net.tick(5, 30);
         for lease in net.leases() {
-            assert!(net.tunnels(lease.downstream).get(lease.id).is_some());
-            assert!(net.tunnels(lease.upstream).get(lease.id).is_some());
+            assert!(net.tunnels(lease.downstream).get(lease.upstream, lease.id).is_some());
+            assert!(net.tunnels(lease.upstream).get(lease.downstream, lease.id).is_some());
         }
     }
     assert_eq!(net.leases().len(), 2);
@@ -134,8 +134,8 @@ fn tunnel_soft_state_is_consistent() {
     net.silence(t1, 31, 30);
     assert_eq!(net.leases().len(), 1);
     assert_eq!(net.leases()[0].id, t2);
-    assert!(net.tunnels(a).get(t1).is_none());
-    assert!(net.tunnels(b).get(t1).is_none());
+    assert!(net.tunnels(a).get(b, t1).is_none());
+    assert!(net.tunnels(b).get(a, t1).is_none());
 }
 
 /// The complete data-plane story across two ASes: the upstream AS is the
@@ -288,10 +288,10 @@ fn reliable_negotiation_survives_message_loss() {
             // responder's unrefreshed soft state expired first (§4.3).
             Ok(tid) => {
                 successes += 1;
-                assert_eq!(net.tunnels(a).get(tid).map(|t| t.peer), Some(b), "seed {seed}");
+                assert!(net.tunnels(a).get(b, tid).is_some(), "seed {seed}");
                 let at_b = net.tunnels(b);
                 let reaped = at_b.torn_down.contains(&(tid, TeardownReason::Expired));
-                assert!(at_b.get(tid).is_some_and(|t| t.peer == a) || reaped, "seed {seed}");
+                assert!(at_b.get(a, tid).is_some() || reaped, "seed {seed}");
                 both_live += usize::from(!reaped);
             }
             // Clean, typed failure with the fallback on record: acceptable.
@@ -354,12 +354,12 @@ fn reliable_net_on_a_perfect_channel_equals_the_synchronous_reference() {
             (Ok(tid), Ok(got_tid)) => {
                 landed += 1;
                 assert_eq!(got_tid, tid, "{req} -> {resp}: same downstream allocation");
-                let held = |t: &TunnelManager| {
-                    t.get(tid).map(|t| (t.peer, t.dest, t.path.clone(), t.price))
+                let held = |t: &TunnelManager, peer| {
+                    t.get(peer, tid).map(|t| (t.dest, t.path.clone(), t.price))
                 };
-                assert!(held(net.tunnels(req)).is_some(), "{req} -> {resp}");
-                assert_eq!(held(net.tunnels(req)), held(sync_net.tunnels(req)), "{req} -> {resp}");
-                assert_eq!(held(net.tunnels(resp)), held(sync_net.tunnels(resp)), "{req} -> {resp}");
+                assert!(held(net.tunnels(req), resp).is_some(), "{req} -> {resp}");
+                assert_eq!(held(net.tunnels(req), resp), held(sync_net.tunnels(req), resp), "{req} -> {resp}");
+                assert_eq!(held(net.tunnels(resp), req), held(sync_net.tunnels(resp), req), "{req} -> {resp}");
             }
             (Err(NegotiationError::Rejected(r)), Err(FailReason::Rejected(got_r))) => {
                 refused += 1;
