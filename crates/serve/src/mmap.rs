@@ -9,11 +9,11 @@
 //! * **At open**: magic, version, and geometry are validated, the
 //!   destination index (a few KiB) is decoded into an owned lookup
 //!   table, and — by default — one sequential pass verifies the
-//!   whole-file FNV-1a checksum. [`MappedTable::open_unverified`] skips
-//!   that pass for tables too large to page in eagerly; the per-row
+//!   whole-file [`checksum`], at memory speed. [`MappedTable::open_unverified`]
+//!   skips that pass for tables too large to page in eagerly; the per-row
 //!   checksums below still guard every byte that is actually served.
 //! * **On first touch of a row**: the row's bytes are checksummed
-//!   against the per-row FNV-1a table once, then a per-row "verified"
+//!   against the file's per-row checksum table once, then a per-row "verified"
 //!   bit (an atomic bitmap, safe under concurrent readers) marks it
 //!   trusted. Verified rows are served with no further copying or
 //!   hashing — [`MappedRow`] is a borrowed byte view that decodes cells with
@@ -32,8 +32,7 @@
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use miro_shard::fnv1a;
-use miro_shard::format::{le_u64, Layout};
+use miro_shard::format::{checksum, le_u64, Layout};
 use miro_topology::NodeId;
 
 use crate::{RowRead, TableSource};
@@ -185,7 +184,7 @@ impl MappedTable {
             return Err(format!("table {path:?} claims a zero-node topology"));
         }
         layout.check_len(len).map_err(|e| format!("table {path:?}: {e}"))?;
-        if verify_whole_file && fnv1a(&bytes[..len - 8]) != le_u64(&bytes[len - 8..]) {
+        if verify_whole_file && checksum(&bytes[..len - 8]) != le_u64(&bytes[len - 8..]) {
             return Err(format!("table {path:?}: whole-file checksum mismatch"));
         }
         let dests = bytes[16..layout.sums_at()]
@@ -220,7 +219,7 @@ impl MappedTable {
         let row = &self.map.bytes()[self.layout.row_at(i)..self.layout.row_at(i + 1)];
         let (word, bit) = (i / 64, 1u64 << (i % 64));
         if self.verified[word].load(Ordering::Acquire) & bit == 0 {
-            if fnv1a(row) != le_u64(&self.map.bytes()[self.layout.sums_at() + 8 * i..]) {
+            if checksum(row) != le_u64(&self.map.bytes()[self.layout.sums_at() + 8 * i..]) {
                 return Err(format!(
                     "row {i} (destination {}) checksum mismatch — table corrupt on disk",
                     self.dests[i]

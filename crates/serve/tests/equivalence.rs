@@ -137,7 +137,7 @@ fn wrong_magic_and_version_are_rejected() {
     bytes[4] = 99;
     // The version field participates in the whole-file checksum, so fix
     // the trailer up — the *version* check must fire, not the checksum.
-    let sum = miro_shard::fnv1a(&bytes[..bytes.len() - 8]);
+    let sum = miro_shard::format::checksum(&bytes[..bytes.len() - 8]);
     let at = bytes.len() - 8;
     bytes[at..].copy_from_slice(&sum.to_le_bytes());
     assert!(open_err("version", &bytes).contains("format version 99"));

@@ -32,7 +32,7 @@
 //! byte is a pure function of the job, so who produced which block, in
 //! what order, after how many deaths, cannot affect the output.
 
-use crate::format::{le_u64, Layout, TABLE_FORMAT_VERSION};
+use crate::format::{le_u64, Checksum, Layout, TABLE_FORMAT_VERSION};
 use crate::manifest::{self, JobFingerprint, ManifestWriter};
 use crate::protocol::{read_frame, write_frame, FrameError, Msg, PROTOCOL_VERSION};
 use miro_bgp::engine::dest_blocks;
@@ -231,22 +231,21 @@ impl Partial {
         Ok((Partial { file, layout, buf }, kept))
     }
 
-    /// FNV-1a of `range` of the file.
-    fn fnv(&mut self, range: Range<usize>) -> std::io::Result<u64> {
-        let (mut at, mut h) = (range.start, crate::FNV_OFFSET);
-        while at < range.end {
+    /// The table checksum of `range` of the file.
+    fn sum(&mut self, range: Range<usize>) -> std::io::Result<u64> {
+        let mut sum = Checksum::new();
+        for at in range.clone().step_by(self.buf.len()) {
             let n = self.buf.len().min(range.end - at);
             self.file.read_exact_at(&mut self.buf[..n], at as u64)?;
-            h = crate::fnv1a_from(h, &self.buf[..n]);
-            at += n;
+            sum.update(&self.buf[..n]);
         }
-        Ok(h)
+        Ok(sum.finish())
     }
 
     /// Do the bytes of `rows` in the file hash to `sums`, one `u64` per row?
     fn rows_match(&mut self, rows: Range<usize>, sums: &[u8]) -> std::io::Result<bool> {
         for (i, want) in rows.zip(sums.chunks_exact(8)) {
-            if self.fnv(self.layout.row_at(i)..self.layout.row_at(i + 1))? != le_u64(want) {
+            if self.sum(self.layout.row_at(i)..self.layout.row_at(i + 1))? != le_u64(want) {
                 return Ok(false);
             }
         }
@@ -256,7 +255,7 @@ impl Partial {
     /// Every block is in: whole-file checksum, trailer, rename into place.
     fn seal(mut self, path: &str, out: &Path) -> std::io::Result<()> {
         let end = self.layout.file_len() - 8;
-        let total = self.fnv(0..end)?;
+        let total = self.sum(0..end)?;
         self.file.write_all_at(&total.to_le_bytes(), end as u64)?;
         std::fs::rename(path, out)
     }

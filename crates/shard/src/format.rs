@@ -13,14 +13,21 @@
 //! 8        num_nodes V (u32)
 //! 12       num_dests D (u32)
 //! 16       destination ids          u32 × D
-//! 16+4D    per-row checksums        u64 × D   (FNV-1a of each row's bytes)
+//! 16+4D    per-row checksums        u64 × D   (the table checksum of each row's bytes)
 //! 16+12D   rows, one per dest:      next u32 × V | hops u16 × V | class u8 × V
-//! end-8    whole-file checksum      u64        (FNV-1a of everything above)
+//! end-8    whole-file checksum      u64        (the table checksum of everything above)
 //! ```
 //!
-//! That arithmetic is [`Layout`] and a row's bytes are [`encode_row`]:
-//! this module, the shard worker and coordinator, and `miro-serve`'s mmap
-//! reader all go through them.
+//! That arithmetic is [`Layout`], a row's bytes are [`encode_row`] and the
+//! table checksum is [`checksum`] / [`Checksum`]: this module, the shard
+//! worker and coordinator, and `miro-serve`'s mmap reader all go through them.
+//!
+//! Table bytes are hashed on several passes, so the checksum runs at memory
+//! speed: four `u64` lanes over 32-byte stripes, each word folded in by an
+//! odd multiply (a bijection: a change within one 8-byte word always moves
+//! the sum) and a rotate (so high-bit differences cannot cancel in a lane).
+//! Frames, manifest fingerprints and cache keys keep byte-serial FNV-1a:
+//! they are tens of bytes, where lanes gain nothing.
 //!
 //! The checksum granularity is the *row* (one destination's columns), not
 //! the dispatch block: dispatch blocking is a runtime knob, and the
@@ -28,7 +35,6 @@
 //! or failure history produced it. Rows sit in the job's canonical
 //! destination order, so a dispatch block is one contiguous byte range.
 
-use crate::fnv1a;
 use miro_bgp::engine::ScratchPool;
 use miro_bgp::solver::RoutingState;
 use miro_topology::{NodeId, Topology};
@@ -36,11 +42,76 @@ use miro_topology::{NodeId, Topology};
 /// File magic: "MIRO Route Table".
 pub const TABLE_MAGIC: [u8; 4] = *b"MIRT";
 /// On-disk format version; bump on any layout or encoding change.
-pub const TABLE_FORMAT_VERSION: u32 = 1;
+pub const TABLE_FORMAT_VERSION: u32 = 2;
 
 /// The first 8 bytes of `bytes` as a little-endian `u64`.
 pub fn le_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"))
+}
+
+/// Odd, so `step` is a bijection of the lane for any word.
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+fn step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(K).rotate_left(31)
+}
+
+/// The table checksum of `bytes`; [`Checksum`] computes it streamed.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut sum = Checksum::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// The table checksum of everything passed to `update`, however split.
+#[derive(Clone, Debug, Default)]
+pub struct Checksum {
+    lanes: [u64; 4],
+    /// The first `held` bytes of a stripe a later `update` completes.
+    stripe: [u8; 32],
+    held: usize,
+    len: u64,
+}
+
+impl Checksum {
+    pub fn new() -> Checksum {
+        Checksum::default()
+    }
+
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        let (head, rest) = bytes.split_at(bytes.len().min((32 - self.held) % 32));
+        let (whole, tail) = rest.split_at(rest.len() - rest.len() % 32);
+        self.stripe[self.held..][..head.len()].copy_from_slice(head);
+        self.held += head.len();
+        if self.held == 32 {
+            (self.held, self.lanes) = (0, fold(self.lanes, &self.stripe));
+        }
+        self.lanes = fold(self.lanes, whole);
+        self.stripe[self.held..][..tail.len()].copy_from_slice(tail);
+        self.held += tail.len();
+    }
+
+    /// Zero-pad the last stripe, fold the lanes and the length through
+    /// `step`, avalanche: each stage is a bijection.
+    pub fn finish(mut self) -> u64 {
+        let len = self.len;
+        self.update(&[0; 32][..(32 - self.held) % 32]);
+        let h = self.lanes.into_iter().chain([len]).fold(K, step);
+        let h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        let h = (h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ h >> 33
+    }
+}
+
+/// Whole 32-byte stripes, word `j` of each into lane `j`.
+fn fold(mut lanes: [u64; 4], stripes: &[u8]) -> [u64; 4] {
+    for stripe in stripes.chunks_exact(32) {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = step(*lane, le_u64(word));
+        }
+    }
+    lanes
 }
 
 /// Where everything sits in a table file. Exists only for a geometry
@@ -132,7 +203,7 @@ impl Layout {
 }
 
 /// Serialise one row's columns into `out` (exactly `7 × next.len()`
-/// bytes) and return the row's FNV-1a — the one row serialiser.
+/// bytes) and return the row's [`checksum`] — the one row serialiser.
 pub fn encode_row(next: &[u32], hops: &[u16], class: &[u8], out: &mut [u8]) -> u64 {
     let v = next.len();
     assert!(hops.len() == v && class.len() == v && out.len() == 7 * v, "row columns sized alike");
@@ -145,7 +216,7 @@ pub fn encode_row(next: &[u32], hops: &[u16], class: &[u8], out: &mut [u8]) -> u
         cell.copy_from_slice(&x.to_le_bytes());
     }
     class_out.copy_from_slice(class);
-    fnv1a(out)
+    checksum(out)
 }
 
 /// One solved destination's columns, extracted from its routing state.
@@ -156,7 +227,7 @@ fn columns(state: &RoutingState<'_>) -> (Vec<u32>, Vec<u16>, Vec<u8>) {
     (next, hops, class)
 }
 
-/// Solve `dests` and serialise each row once: `(row bytes, row FNV-1a)`
+/// Solve `dests` and serialise each row once: `(row bytes, row checksum)`
 /// in order — a shard worker's block, against one `pool` for the whole job.
 pub fn solve_rows(
     topo: &Topology,
@@ -248,7 +319,7 @@ impl RouteTableSet {
             head[layout.sums_at() + 8 * i..][..8].copy_from_slice(&sum.to_le_bytes());
         }
         let end = out.len() - 8;
-        let total = fnv1a(&out[..end]);
+        let total = checksum(&out[..end]);
         out[end..].copy_from_slice(&total.to_le_bytes());
         out
     }
@@ -259,7 +330,7 @@ impl RouteTableSet {
         let layout = Layout::parse(bytes)?;
         layout.check_len(bytes.len())?;
         let end = bytes.len() - 8;
-        if fnv1a(&bytes[..end]) != le_u64(&bytes[end..]) {
+        if checksum(&bytes[..end]) != le_u64(&bytes[end..]) {
             return Err("whole-file checksum mismatch".to_string());
         }
         let u32_of = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("four bytes"));
@@ -268,7 +339,7 @@ impl RouteTableSet {
         let mut set = RouteTableSet::with_dests(layout.num_nodes(), dests);
         for i in 0..set.dests.len() {
             let row = &bytes[layout.row_at(i)..layout.row_at(i + 1)];
-            if fnv1a(row) != le_u64(&bytes[layout.sums_at() + 8 * i..]) {
+            if checksum(row) != le_u64(&bytes[layout.sums_at() + 8 * i..]) {
                 return Err(format!("row {i} checksum mismatch"));
             }
             for (cell, c) in set.next[i * v..(i + 1) * v].iter_mut().zip(row.chunks_exact(4)) {
@@ -362,10 +433,108 @@ mod tests {
         for (i, (row, sum)) in solve_rows(&t, set.dests(), 2, &pool).iter().enumerate() {
             assert_eq!(&bytes[layout.row_at(i)..layout.row_at(i + 1)], &row[..]);
             assert_eq!(le_u64(&bytes[layout.sums_at() + 8 * i..]), *sum);
-            assert_eq!(fnv1a(row), *sum);
+            assert_eq!(checksum(row), *sum);
         }
         // Geometry that cannot be a file is refused, not wrapped.
         assert!(Layout::new(u32::MAX, u32::MAX).unwrap_err().contains("overflow"));
         assert!(Layout::parse(&bytes[..20]).unwrap_err().contains("too short"));
+    }
+
+    /// `len` bytes of xorshift noise.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        // Pinned: these values are baked into every v2 table file.
+        let ramp = |n: u8| (0..n).collect::<Vec<u8>>();
+        let got = [b"".to_vec(), b"miro".to_vec(), ramp(31), ramp(32), ramp(33), ramp(64), ramp(65)].map(|b| checksum(&b));
+        let want = [
+            0x0c06_34ed_5ae3_c304,
+            0xd02f_a451_00e4_2c96,
+            0x67ba_69ad_409c_9fcf,
+            0x26b0_d4bf_7f9c_8e76,
+            0x17ce_b00c_cd80_bbaa,
+            0xd7b8_267e_ad96_4a43,
+            0x5d56_0e8e_f34d_bbfe,
+        ];
+        assert_eq!(got, want);
+    }
+
+    /// Every single-byte change to an input of up to three stripes is
+    /// confined to one 8-byte word, so the sum must move.
+    #[test]
+    fn every_one_byte_flip_changes_the_sum() {
+        for len in 0..=96 {
+            let bytes = noise(len, len as u64);
+            let sum = checksum(&bytes);
+            for at in 0..len {
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut bad = bytes.clone();
+                    bad[at] ^= flip;
+                    assert_ne!(checksum(&bad), sum, "len {len}, byte {at}, flip {flip:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn length_order_and_paired_top_bits_move_the_sum() {
+        let bytes = noise(160, 7);
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_ne!(checksum(&longer), checksum(&bytes));
+        assert_ne!(checksum(&[0]), checksum(&[]));
+        let mut swapped = bytes.clone();
+        swapped[32..64].copy_from_slice(&bytes[96..128]);
+        swapped[96..128].copy_from_slice(&bytes[32..64]);
+        assert_ne!(checksum(&swapped), checksum(&bytes));
+        // Bit 63 of words 0 and 4, one lane apart by a stripe: a plain
+        // xor-multiply step would cancel the pair; the rotate must not.
+        let mut pair = bytes.clone();
+        (pair[7], pair[39]) = (pair[7] ^ 0x80, pair[39] ^ 0x80);
+        assert_ne!(checksum(&pair), checksum(&bytes));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Streaming through any cuts — anywhere, at 1 MiB ± 1 (the
+        /// coordinator's read buffer) or at row boundaries — is one-shot.
+        #[test]
+        fn any_split_streams_to_the_one_shot_sum(
+            big in proptest::any::<bool>(),
+            extra in 0usize..200,
+            cuts in proptest::collection::vec((0usize..3, 0usize..1 << 21), 0..6),
+            seed in proptest::any::<u64>(),
+        ) {
+            let len = if big { (1 << 20) + extra } else { extra };
+            let bytes = noise(len, seed);
+            let mut at: Vec<usize> = cuts
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => x,
+                    1 => (1 << 20) - 1 + x % 3,
+                    _ => 7 * 209 * (x % 800),
+                }
+                .min(len))
+                .collect();
+            at.sort_unstable();
+            let (mut sum, mut from) = (Checksum::new(), 0);
+            for cut in at.into_iter().chain([len]) {
+                sum.update(&bytes[from..cut]);
+                from = cut;
+            }
+            proptest::prop_assert_eq!(sum.finish(), checksum(&bytes));
+        }
     }
 }

@@ -17,7 +17,7 @@
 
 use miro_shard::coordinator::{self, Event, JobSpec, Spawner, WorkerLink};
 use miro_bgp::engine::ScratchPool;
-use miro_shard::format::{solve_rows, Layout, RouteTableSet};
+use miro_shard::format::{solve_rows, Layout, RouteTableSet, TABLE_FORMAT_VERSION};
 use miro_shard::protocol::{read_frame, write_frame, Msg, PROTOCOL_VERSION};
 use miro_shard::worker::{self, WorkerConfig};
 use miro_shard::{manifest, sample_dests};
@@ -489,6 +489,45 @@ fn resume_rejects_foreign_manifest() {
     let mut spawner = LocalSpawner::new(&topo, &dests, Vec::new());
     let err = coordinator::run(&job, &mut spawner).expect_err("fingerprint mismatch");
     assert!(err.contains("different job"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal left by a build that wrote format-1 tables (`table_format` 1
+/// on its `H` line) is refused by `--resume` before its `.partial` is
+/// opened, and a fresh run trusts none of that file's blocks.
+#[test]
+fn resume_refuses_a_format_1_manifest_and_its_partial() {
+    let topo = Arc::new(GenParams::tiny(43).generate());
+    let dests = Arc::new(sample_dests(topo.num_nodes(), 12));
+    let reference = RouteTableSet::from_solves(&topo, &dests, 2).encode();
+
+    let dir = fresh_dir("format1");
+    let mut job = spec(&dests, &topo, 3, 1, &dir);
+    job.chaos_stop_after = Some(2);
+    let mut spawner = LocalSpawner::new(&topo, &dests, Vec::new());
+    coordinator::run(&job, &mut spawner).expect_err("chaos stop");
+    let manifest_path = job.state_dir.join("manifest.log");
+    let journal = std::fs::read_to_string(&manifest_path).unwrap();
+    let (header, rest) = journal.split_once('\n').unwrap();
+    let mut fields: Vec<&str> = header.split(' ').collect();
+    assert_eq!(fields[2], TABLE_FORMAT_VERSION.to_string(), "H <manifest> <table_format> ...");
+    fields[2] = "1";
+    std::fs::write(&manifest_path, format!("{}\n{rest}", fields.join(" "))).unwrap();
+    let partial = std::fs::read(partial_of(&job)).unwrap();
+
+    job.chaos_stop_after = None;
+    job.resume = true;
+    let mut spawner = LocalSpawner::new(&topo, &dests, Vec::new());
+    let err = coordinator::run(&job, &mut spawner).expect_err("format-1 journal refused");
+    assert!(err.contains(&format!("table format is 1, this job has {TABLE_FORMAT_VERSION}")), "{err}");
+    assert_eq!(std::fs::read(partial_of(&job)).unwrap(), partial, "the refused resume touched the partial");
+    assert!(!job.out_path.exists());
+
+    job.resume = false;
+    let mut spawner = LocalSpawner::new(&topo, &dests, Vec::new());
+    let report = coordinator::run(&job, &mut spawner).expect("fresh run");
+    assert_eq!((report.resumed, report.dispatches), (0, report.blocks));
+    assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

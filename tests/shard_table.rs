@@ -3,13 +3,14 @@
 //! straight into the coordinator's pre-sized file, and what lands at
 //! `out_path` must be byte for byte the single-process
 //! `RouteTableSet::from_solves(..).encode()` — and a file the serving
-//! plane's verified open accepts. (The fault-injection suites are in
-//! `crates/shard/tests`, which only `cargo test --workspace` runs.)
+//! plane's verified open accepts, but not once one byte of any layer is
+//! flipped. (The fault-injection suites are in `crates/shard/tests`, which
+//! only `cargo test --workspace` runs.)
 
 use miro_serve::mmap::MappedTable;
 use miro_serve::TableSource;
 use miro_shard::coordinator::{self, Event, JobSpec, Spawner, WorkerLink};
-use miro_shard::format::RouteTableSet;
+use miro_shard::format::{Layout, RouteTableSet};
 use miro_shard::protocol::{write_frame, Msg};
 use miro_shard::worker::{self, WorkerConfig};
 use miro_topology::{GenParams, NodeId, Topology};
@@ -49,13 +50,14 @@ impl Spawner for ThreadFleet {
     }
 }
 
-#[test]
-fn two_workers_fill_one_file_equal_to_the_in_process_table() {
+/// Run the two-worker job in a fresh directory (`out_path`'s parent);
+/// also returns the in-process reference bytes.
+fn two_worker_table(tag: &str) -> (JobSpec, coordinator::JobReport, Vec<u8>) {
     let topo = Arc::new(GenParams::tiny(20060911).generate());
     let dests = Arc::new(miro_shard::sample_dests(topo.num_nodes(), 40));
     let reference = RouteTableSet::from_solves(&topo, &dests, 2).encode();
 
-    let dir = std::env::temp_dir().join(format!("miro_tier1_shard_table_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("miro_tier1_shard_table_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let job = JobSpec {
         dests: dests.to_vec(),
@@ -75,6 +77,13 @@ fn two_workers_fill_one_file_equal_to_the_in_process_table() {
     };
     let mut fleet = ThreadFleet { topo: topo.clone(), dests: dests.clone() };
     let report = coordinator::run(&job, &mut fleet).expect("job finishes");
+    (job, report, reference)
+}
+
+#[test]
+fn two_workers_fill_one_file_equal_to_the_in_process_table() {
+    let (job, report, reference) = two_worker_table("equal");
+    let (dir, dests) = (job.out_path.parent().unwrap(), &job.dests);
 
     assert_eq!((report.blocks, report.dispatches, report.deaths, report.corrupt_events), (6, 6, 0, 0));
     assert_eq!(report.merged_bytes, reference.len());
@@ -93,5 +102,64 @@ fn two_workers_fill_one_file_equal_to_the_in_process_table() {
     }
     assert_eq!(mapped.rows_verified(), dests.len() as u64);
     drop(mapped);
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// One flipped byte in any layer of the v2 file is refused by the batch
+/// decoder and by the daemon's verified open; a row-bearing flip poisons
+/// only its own row under an unverified open.
+#[test]
+fn a_flipped_byte_in_any_layer_of_the_file_is_refused() {
+    let (job, _, _) = two_worker_table("flip");
+    let (dir, dests) = (job.out_path.parent().unwrap(), &job.dests);
+    let bytes = std::fs::read(&job.out_path).unwrap();
+    let layout = Layout::parse(&bytes).unwrap();
+    let (d, mid) = (dests.len(), dests.len() / 2);
+    let flips = [
+        ("header", 9, None),
+        ("destination ids", 16 + 4 * mid + 1, None),
+        ("checksum slice", layout.sums_at() + 8 * mid + 5, Some(mid)),
+        ("first row", layout.row_at(0) + 2, Some(0)),
+        ("middle row", layout.row_at(mid) + layout.row_bytes() / 2, Some(mid)),
+        ("last row", layout.row_at(d) - 1, Some(d - 1)),
+        ("trailer", bytes.len() - 3, None),
+    ];
+    let path = dir.join("bad.mirt");
+    for (layer, at, row) in flips {
+        let mut bad = bytes.clone();
+        bad[at] ^= 0x20;
+        assert!(RouteTableSet::decode(&bad).is_err(), "{layer}: decode took it");
+        std::fs::write(&path, &bad).unwrap();
+        assert!(MappedTable::open(&path).is_err(), "{layer}: verified open took it");
+        let unverified = MappedTable::open_unverified(&path);
+        match row {
+            Some(row) => {
+                let mapped = unverified.expect("rows are checked on first touch, not at open");
+                TableSource::row(&mapped, (row + 1) % d).expect("an untouched row still serves");
+                let err = TableSource::row(&mapped, row).err().expect("the flipped row is refused");
+                assert!(err.contains("checksum mismatch"), "{layer}: {err}");
+            }
+            None if layer == "header" => assert!(unverified.is_err(), "the header is parsed at open"),
+            // The destination index and the trailer are guarded by the
+            // whole-file pass alone.
+            None => {}
+        }
+    }
+
+    // Stale files: a v1 stamp, and a v2 file sealed with FNV-1a.
+    let mut v1 = bytes.clone();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let mut fnv_sealed = bytes.clone();
+    let end = bytes.len() - 8;
+    fnv_sealed[end..].copy_from_slice(&miro_shard::fnv1a(&bytes[..end]).to_le_bytes());
+    for (stale, want) in [
+        (v1, "format version 1, but this build reads version 2"),
+        (fnv_sealed, "whole-file checksum mismatch"),
+    ] {
+        assert!(RouteTableSet::decode(&stale).unwrap_err().contains(want), "decode: {want}");
+        std::fs::write(&path, &stale).unwrap();
+        let err = MappedTable::open(&path).err().expect("stale file refused");
+        assert!(err.contains(want), "{err}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
