@@ -132,12 +132,10 @@ mod tests {
         ];
         let report = run(&args).expect("ingest works");
         assert!(report.contains("accepted 3 edges over 3 ASes"), "{report}");
-        let json = std::fs::read_to_string(&out).expect("cache written");
-        let cache = IngestCache::from_json(&json).expect("cache parses");
-        assert_eq!(cache.format_version, miro_topology::io::stream::CACHE_FORMAT_VERSION);
+        let (cache, topo) = stream::load_cache(&out).expect("cache loads");
+        assert_eq!(cache.format_version, stream::CACHE_FORMAT_VERSION);
         assert_eq!(cache.name, "unit");
         assert_eq!(cache.stats.edges, 3);
-        let topo = cache.topology.build().expect("topology rebuilds");
         assert_eq!(topo.num_nodes(), 3);
         assert_eq!(topo.num_edges(), 3);
     }

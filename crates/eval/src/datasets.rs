@@ -82,14 +82,7 @@ impl Dataset {
     /// Load a `miro ingest` JSON cache. The experiments then run on the
     /// real snapshot instead of a generated stand-in.
     pub fn load_cache(path: &str) -> Result<Dataset, String> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read cache {path:?}: {e}"))?;
-        let cache = miro_topology::io::stream::IngestCache::from_json(&json)
-            .map_err(|e| format!("cache {path:?}: {e}"))?;
-        let topo = cache
-            .topology
-            .build()
-            .map_err(|e| format!("cache {path:?} holds an invalid topology: {e}"))?;
+        let (cache, topo) = miro_topology::io::stream::load_cache(path)?;
         Ok(Dataset::from_topology(&cache.name, topo))
     }
 }

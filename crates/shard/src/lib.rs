@@ -83,14 +83,7 @@ impl TopoSpec {
                 Ok(preset.parse::<DatasetPreset>()?.params(*factor, *seed).generate())
             }
             TopoSpec::Cache { path } => {
-                let json = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read cache {path:?}: {e}"))?;
-                let cache = miro_topology::io::stream::IngestCache::from_json(&json)
-                    .map_err(|e| format!("cache {path:?}: {e}"))?;
-                cache
-                    .topology
-                    .build()
-                    .map_err(|e| format!("cache {path:?} holds an invalid topology: {e}"))
+                miro_topology::io::stream::load_cache(path).map(|(_, topo)| topo)
             }
         }
     }

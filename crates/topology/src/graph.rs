@@ -6,6 +6,7 @@
 //! (dense `u32` node indices, flat adjacency vectors) and constructed
 //! through a validating [`TopologyBuilder`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -181,28 +182,30 @@ impl TopologyBuilder {
         Self::default()
     }
 
+    /// A builder whose edge map has room for `links` links, so a load of
+    /// known size does not rehash it. The map is dropped by `build`.
+    pub fn with_capacity(links: usize) -> Self {
+        TopologyBuilder { edges: HashMap::with_capacity(links), ..Self::default() }
+    }
+
     /// Register an AS. Returns its dense node id.
     pub fn add_as(&mut self, asn: AsId) -> NodeId {
-        if let Some(&id) = self.index.get(&asn) {
+        let fresh = self.asns.len();
+        let id = self.intern_as(asn);
+        if self.asns.len() == fresh {
             self.duplicate = Some(asn);
-            return id;
         }
-        let id = self.asns.len() as NodeId;
-        self.asns.push(asn);
-        self.index.insert(asn, id);
         id
     }
 
     /// Register an AS if new, otherwise return the existing id. Unlike
     /// [`TopologyBuilder::add_as`] this never flags a duplicate.
     pub fn intern_as(&mut self, asn: AsId) -> NodeId {
-        if let Some(&id) = self.index.get(&asn) {
-            return id;
-        }
-        let id = self.asns.len() as NodeId;
-        self.asns.push(asn);
-        self.index.insert(asn, id);
-        id
+        let asns = &mut self.asns;
+        *self.index.entry(asn).or_insert_with(|| {
+            asns.push(asn);
+            (asns.len() - 1) as NodeId
+        })
     }
 
     /// Declare that `b` is `rel` *to* `a` — e.g. `link(a, b, Rel::Customer)`
@@ -216,16 +219,24 @@ impl TopologyBuilder {
             self.unknown = Some(if self.index.contains_key(&a) { b } else { a });
             return self;
         };
-        // Normalize to the lower node id's perspective.
-        let (key, stored) = if ia < ib { ((ia, ib), rel) } else { ((ib, ia), rel.reverse()) };
-        if let Some(&prev) = self.edges.get(&key) {
-            if prev != stored {
-                self.conflict = Some((a, b));
-            }
-            return self;
+        if self.record(ia, ib, rel) == LinkOutcome::Conflict {
+            self.conflict = Some((a, b));
         }
-        self.edges.insert(key, stored);
         self
+    }
+
+    /// Record an edge with one probe of the edge map, which holds each
+    /// edge once, from the lower node id's perspective.
+    fn record(&mut self, ia: NodeId, ib: NodeId, rel: Rel) -> LinkOutcome {
+        let (key, stored) = if ia < ib { ((ia, ib), rel) } else { ((ib, ia), rel.reverse()) };
+        match self.edges.entry(key) {
+            Entry::Occupied(prev) if *prev.get() == stored => LinkOutcome::Duplicate,
+            Entry::Occupied(_) => LinkOutcome::Conflict,
+            Entry::Vacant(slot) => {
+                slot.insert(stored);
+                LinkOutcome::Added
+            }
+        }
     }
 
     /// Declare that `b` is `rel` *to* `a`, interning both endpoints, and
@@ -242,15 +253,7 @@ impl TopologyBuilder {
         }
         let ia = self.intern_as(a);
         let ib = self.intern_as(b);
-        let (key, stored) = if ia < ib { ((ia, ib), rel) } else { ((ib, ia), rel.reverse()) };
-        match self.edges.get(&key) {
-            Some(&prev) if prev == stored => LinkOutcome::Duplicate,
-            Some(_) => LinkOutcome::Conflict,
-            None => {
-                self.edges.insert(key, stored);
-                LinkOutcome::Added
-            }
-        }
+        self.record(ia, ib, rel)
     }
 
     /// Convenience: declare a customer-provider link (`customer` pays
@@ -286,29 +289,36 @@ impl TopologyBuilder {
             return Err(TopologyError::ConflictingEdge(a, b));
         }
         let n = self.asns.len();
-        let mut neighbors: Vec<Vec<(NodeId, Rel)>> = vec![Vec::new(); n];
+        // CSR by counting: degrees, prefix sums, one scatter of every
+        // edge into both endpoints' slices, then each slice sorted by
+        // neighbor id (deterministic regardless of HashMap order).
+        let mut offsets = vec![0u32; n + 1];
+        for &(ia, ib) in self.edges.keys() {
+            offsets[ia as usize + 1] += 1;
+            offsets[ib as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let total = offsets[n] as usize;
+        let mut cursor = offsets.clone();
+        let mut adj = vec![(0, Rel::Customer); total];
         for (&(ia, ib), &rel) in &self.edges {
-            neighbors[ia as usize].push((ib, rel));
-            neighbors[ib as usize].push((ia, rel.reverse()));
+            adj[cursor[ia as usize] as usize] = (ib, rel);
+            cursor[ia as usize] += 1;
+            adj[cursor[ib as usize] as usize] = (ia, rel.reverse());
+            cursor[ib as usize] += 1;
         }
-        // Deterministic iteration order regardless of HashMap internals.
-        for list in &mut neighbors {
-            list.sort_unstable_by_key(|&(id, _)| id);
-        }
+        drop(self.edges);
 
-        // Flatten into CSR form: one contiguous adjacency array plus
-        // per-node offsets, and a second copy of the neighbor ids grouped
-        // by relationship class (see `Topology::class_slice`).
-        let total: usize = neighbors.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(total);
+        // A second copy of the neighbor ids grouped by relationship class
+        // (see `Topology::class_slice`).
         let mut part = Vec::with_capacity(total);
         let mut part_off = Vec::with_capacity(4 * n + 1);
-        offsets.push(0u32);
         part_off.push(0u32);
-        for list in &neighbors {
-            adj.extend_from_slice(list);
-            offsets.push(adj.len() as u32);
+        for w in offsets.windows(2) {
+            let list = &mut adj[w[0] as usize..w[1] as usize];
+            list.sort_unstable_by_key(|&(id, _)| id);
             // Class partitions in the fixed order Provider, Sibling,
             // Customer, Peer; each keeps the sorted-by-id order of `list`.
             for class in [Rel::Provider, Rel::Sibling, Rel::Customer, Rel::Peer] {

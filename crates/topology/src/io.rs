@@ -7,7 +7,8 @@
 //!   says what the *second* AS is to the first),
 //! * the real CAIDA/RouteViews `as1|as2|rel` format, via the allocation-free
 //!   streaming loader in [`stream`] (which also reads the format above), and
-//! * JSON via `serde`, used by the evaluation harness to cache datasets.
+//! * the JSON ingest cache ([`stream::IngestCache`]): written through
+//!   `serde`, read back by [`stream::load_cache`] in one pass.
 //!
 //! [`from_text`] here is the strict whole-string parser: any self-loop or
 //! duplicate is a hard error, which is what generated fixtures deserve.
@@ -17,8 +18,8 @@
 
 pub mod stream;
 
-use crate::graph::{AsId, Rel, Topology, TopologyBuilder, TopologyError};
-use serde::{Deserialize, Serialize};
+use crate::graph::{AsId, LinkOutcome, Rel, Topology, TopologyBuilder, TopologyError};
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// Errors from parsing the text format.
@@ -97,8 +98,9 @@ pub fn from_text(text: &str) -> Result<Topology, ParseError> {
     b.build().map_err(ParseError::Invalid)
 }
 
-/// Serde-friendly mirror of a topology.
-#[derive(Serialize, Deserialize, Clone, Debug, PartialEq, Eq)]
+/// Serde-friendly mirror of a topology: what an [`stream::IngestCache`]
+/// stores, written by `serde` and read by [`stream::IngestCache::from_json`].
+#[derive(Serialize, Clone, Debug, PartialEq, Eq)]
 pub struct TopologyDoc {
     /// `[a, b, tag]` triples; tag as in [`Rel::tag`].
     pub links: Vec<(u32, u32, char)>,
@@ -127,17 +129,21 @@ impl TopologyDoc {
         TopologyDoc { links, isolated }
     }
 
-    /// Rebuild the topology.
+    /// Rebuild the topology. Nodes are numbered in order of first
+    /// appearance: isolated ASes, then each link's endpoints in turn.
     pub fn build(&self) -> Result<Topology, ParseError> {
-        let mut b = TopologyBuilder::new();
+        let mut b = TopologyBuilder::with_capacity(self.links.len());
         for &asn in &self.isolated {
             b.intern_as(AsId(asn));
         }
         for &(x, y, tag) in &self.links {
             let rel = Rel::from_tag(tag).ok_or(ParseError::BadTag(0, tag))?;
-            b.intern_as(AsId(x));
-            b.intern_as(AsId(y));
-            b.link(AsId(x), AsId(y), rel);
+            let invalid = match b.try_link(AsId(x), AsId(y), rel) {
+                LinkOutcome::Added | LinkOutcome::Duplicate => continue,
+                LinkOutcome::SelfLoop => TopologyError::SelfLoop(AsId(x)),
+                LinkOutcome::Conflict => TopologyError::ConflictingEdge(AsId(x), AsId(y)),
+            };
+            return Err(ParseError::Invalid(invalid));
         }
         b.build().map_err(ParseError::Invalid)
     }
@@ -180,10 +186,22 @@ mod tests {
     fn json_round_trip() {
         let t = GenParams::tiny(11).generate();
         let doc = TopologyDoc::of(&t);
-        let json = serde_json::to_string(&doc).unwrap();
-        let doc2: TopologyDoc = serde_json::from_str(&json).unwrap();
-        assert_eq!(doc, doc2);
-        let u = doc2.build().unwrap();
+        let cache = stream::IngestCache::new("tiny".into(), "test".into(), Default::default(), doc);
+        let json = serde_json::to_string(&cache).unwrap();
+        let back = stream::IngestCache::from_json(&json).unwrap();
+        assert_eq!(back, cache);
+        let u = back.topology.build().unwrap();
         assert_eq!(to_text(&t), to_text(&u));
+    }
+
+    #[test]
+    fn doc_build_refuses_self_loops_and_conflicts() {
+        let doc = |links: &[(u32, u32, char)]| TopologyDoc { links: links.to_vec(), isolated: vec![] };
+        let err = doc(&[(1, 2, 'c'), (3, 3, 'e')]).build().unwrap_err();
+        assert_eq!(err, ParseError::Invalid(TopologyError::SelfLoop(AsId(3))));
+        let err = doc(&[(1, 2, 'c'), (2, 1, 'c')]).build().unwrap_err();
+        assert_eq!(err, ParseError::Invalid(TopologyError::ConflictingEdge(AsId(2), AsId(1))));
+        // The same fact stated from both ends is one link.
+        assert_eq!(doc(&[(1, 2, 'c'), (2, 1, 'p')]).build().unwrap().num_edges(), 1);
     }
 }

@@ -28,14 +28,22 @@
 //! Errors carry the 1-based line number and the byte offset of the start
 //! of the offending line, so `dataset.txt:193417` style messages point at
 //! the actual record even in a 30 MB file.
+//!
+//! The JSON [`IngestCache`] of such a parse is read back the same way:
+//! [`load_cache`] walks the file once with `serde_json`'s tokenizer
+//! ([`Reader`]), each `[a, b, "t"]` link straight into the [`TopologyDoc`]
+//! vector with no document tree, and refuses out-of-range numbers, unknown
+//! tags and deep nesting.
 
 use super::TopologyDoc;
 use crate::graph::{AsId, LinkOutcome, Rel, Topology, TopologyBuilder, TopologyError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
+use serde_json::{Reader, Step};
 use std::io::BufRead;
+use std::path::Path;
 
 /// Summary counters for one streaming parse.
-#[derive(Serialize, Deserialize, Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Serialize, Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParseStats {
     /// Total lines seen, including comments and blanks.
     pub lines: usize,
@@ -120,9 +128,10 @@ impl std::error::Error for ParseError {}
 /// corrupted experiment, and the fix (re-run `miro ingest`) is cheap.
 pub const CACHE_FORMAT_VERSION: u32 = 2;
 
-/// The JSON cache `miro ingest` writes and `miro-eval --cache` loads:
-/// the parsed topology plus enough provenance to label result tables.
-#[derive(Serialize, Deserialize, Clone, Debug)]
+/// The JSON cache `miro ingest` writes and every `--cache` reader loads
+/// (through [`load_cache`]): the parsed topology plus enough provenance
+/// to label result tables.
+#[derive(Serialize, Clone, Debug, PartialEq, Eq)]
 pub struct IngestCache {
     /// Schema version ([`CACHE_FORMAT_VERSION`] at write time).
     pub format_version: u32,
@@ -142,31 +151,120 @@ impl IngestCache {
         IngestCache { format_version: CACHE_FORMAT_VERSION, name, source, stats, topology }
     }
 
-    /// Parse a cache document, enforcing the format version *before*
-    /// touching the rest of the schema: a version mismatch must report
-    /// itself as such, not as whatever missing-field error the schema
-    /// drift happens to trip first.
-    pub fn from_json(json: &str) -> Result<IngestCache, String> {
-        let value: serde::Value =
-            serde_json::from_str(json).map_err(|e| format!("not an ingest cache: {e}"))?;
-        let version = match &value {
-            serde::Value::Obj(map) => match map.get("format_version") {
-                Some(serde::Value::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => *n as u32,
-                Some(other) => {
-                    return Err(format!("format_version is not a number (found {other:?})"))
+    /// Decode a cache in one pass over its bytes: members in any order,
+    /// unknown ones skipped. A member of the wrong shape is skipped and
+    /// reported only after `format_version` has passed, so a version
+    /// mismatch reports itself first; malformed JSON is refused outright.
+    pub fn from_json(json: impl AsRef<[u8]>) -> Result<IngestCache, String> {
+        let mut r = Reader::new(json.as_ref());
+        if r.peek() != Some(b'{') {
+            return Err("not an ingest cache: top level is not an object".to_string());
+        }
+        // Pre-versioning caches carried no stamp at all.
+        let (mut version, mut shape_error) = (Ok(1), None);
+        let (mut name, mut source, mut stats, mut topology) = (None, None, None, None);
+        r.object(|r, key| {
+            let mark = r.clone();
+            let decoded = match &*key {
+                "format_version" => r.integer(u64::MAX).map(|v| version = Ok(v)),
+                "name" => r.string().map(|s| name = Some(s.into_owned())),
+                "source" => r.string().map(|s| source = Some(s.into_owned())),
+                "stats" => read_stats(r).map(|s| stats = Some(s)),
+                "topology" => read_topology(r).map(|t| topology = Some(t)),
+                _ => r.skip(),
+            };
+            if let Err(e) = decoded {
+                // Well-formed JSON of the wrong shape: skip it, read on.
+                let start = mark.pos();
+                *r = mark;
+                r.skip()?;
+                let text = r.since(start);
+                let found = String::from_utf8_lossy(&text[..text.len().min(40)]);
+                if key == "format_version" {
+                    version = Err(format!("format_version is not a number (found {})", found.trim()));
+                } else {
+                    shape_error.get_or_insert(format!("{key}: {e}"));
                 }
-                // Pre-versioning caches carried no stamp at all.
-                None => 1,
-            },
-            _ => return Err("not an ingest cache: top level is not an object".to_string()),
-        };
-        if version != CACHE_FORMAT_VERSION {
+            }
+            Ok(())
+        })
+        .and_then(|()| r.end())
+        .map_err(|e| format!("not an ingest cache: {e}"))?;
+        let version = version?;
+        if version != u64::from(CACHE_FORMAT_VERSION) {
             return Err(format!(
                 "cache format version {version}, but this build reads version \
                  {CACHE_FORMAT_VERSION} — re-run `miro ingest` to regenerate it"
             ));
         }
-        serde::Deserialize::from_value(&value).map_err(|e| format!("not an ingest cache: {e}"))
+        let missing = |member| format!("not an ingest cache: missing member {member:?}");
+        match shape_error {
+            Some(e) => Err(format!("not an ingest cache: {e}")),
+            None => Ok(IngestCache {
+                format_version: CACHE_FORMAT_VERSION,
+                name: name.ok_or_else(|| missing("name"))?,
+                source: source.ok_or_else(|| missing("source"))?,
+                stats: stats.ok_or_else(|| missing("stats"))?,
+                topology: topology.ok_or_else(|| missing("topology"))?,
+            }),
+        }
+    }
+}
+
+/// Read a `miro ingest` cache and build its topology: the one loader
+/// behind every `--cache` flag. Errors name the file.
+pub fn load_cache(path: impl AsRef<Path>) -> Result<(IngestCache, Topology), String> {
+    let path = path.as_ref();
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read cache {path:?}: {e}"))?;
+    let cache = IngestCache::from_json(bytes).map_err(|e| format!("cache {path:?}: {e}"))?;
+    let topo = cache.topology.build().map_err(|e| format!("cache {path:?} holds an invalid topology: {e}"))?;
+    Ok((cache, topo))
+}
+
+/// An object holding every one of `names`, in any order, and maybe
+/// others, which are skipped: `member(r, i)` consumes `names[i]`'s value.
+fn members(r: &mut Reader, names: &[&str], mut member: impl FnMut(&mut Reader, usize) -> Step) -> Step {
+    let mut seen = vec![false; names.len()];
+    r.object(|r, key| match names.iter().position(|&n| n == key) {
+        Some(i) => member(r, i).map(|()| seen[i] = true).map_err(|e| format!("{key}: {e}")),
+        None => r.skip(),
+    })?;
+    seen.iter().position(|&s| !s).map_or(Ok(()), |i| Err(format!("missing member {:?}", names[i])))
+}
+
+fn read_stats(r: &mut Reader) -> Step<ParseStats> {
+    let names = ["lines", "comments", "edges", "duplicate_edges", "self_loops", "nodes", "bytes"];
+    let mut v = [0; 7];
+    members(r, &names, |r, i| r.integer(usize::MAX as u64).map(|n| v[i] = n as usize))?;
+    let [lines, comments, edges, duplicate_edges, self_loops, nodes, bytes] = v;
+    Ok(ParseStats { lines, comments, edges, duplicate_edges, self_loops, nodes, bytes: bytes as u64 })
+}
+
+fn read_topology(r: &mut Reader) -> Step<TopologyDoc> {
+    let (mut links, mut isolated) = (Vec::new(), Vec::new());
+    members(r, &["links", "isolated"], |r, member| match member {
+        0 => r.array(|r, i| read_link(r).map(|l| links.push(l)).map_err(|e| format!("link {i}: {e}"))),
+        _ => r.array(|r, i| read_asn(r).map(|a| isolated.push(a)).map_err(|e| format!("AS {i}: {e}"))),
+    })?;
+    Ok(TopologyDoc { links, isolated })
+}
+
+fn read_asn(r: &mut Reader) -> Step<u32> {
+    r.integer(u32::MAX.into()).map(|v| v as u32)
+}
+
+/// One `[a, b, "t"]` link, decoded without allocating.
+fn read_link(r: &mut Reader) -> Step<(u32, u32, char)> {
+    r.expect(b'[')?;
+    let a = read_asn(r).map_err(|e| format!("field 0: {e}"))?;
+    r.expect(b',')?;
+    let b = read_asn(r).map_err(|e| format!("field 1: {e}"))?;
+    r.expect(b',')?;
+    let tag = r.string().map_err(|e| format!("field 2: {e}"))?;
+    let mut chars = tag.chars();
+    match (chars.next().filter(|&c| Rel::from_tag(c).is_some()), chars.next()) {
+        (Some(c), None) => r.expect(b']').map(|()| (a, b, c)),
+        _ => Err(format!("field 2: unknown relationship tag {tag:?}")),
     }
 }
 
@@ -585,5 +683,77 @@ mod tests {
         );
         let err = IngestCache::from_json(&garbage).unwrap_err();
         assert!(err.contains("format_version is not a number"), "{err}");
+
+        // The version is checked before a member of the wrong shape is
+        // reported, wherever the two sit in the document.
+        let shape = json.replace("\"stats\":{", "\"stats\":[1],\"old_stats\":{");
+        assert_ne!(shape, json);
+        let err = IngestCache::from_json(&shape).unwrap_err();
+        assert!(err.contains("not an ingest cache: stats: expected '{'"), "{err}");
+        let err = IngestCache::from_json(shape.replace(
+            &format!("\"format_version\":{CACHE_FORMAT_VERSION},"),
+            "",
+        ) + " ")
+        .unwrap_err();
+        assert!(err.contains("cache format version 1"), "{err}");
+    }
+
+    fn one_link_cache(link: &str) -> String {
+        format!(
+            r#"{{"format_version":2,"name":"n","source":"s","stats":{{"lines":1,"comments":0,"edges":1,"duplicate_edges":0,"self_loops":0,"nodes":2,"bytes":6}},"topology":{{"links":[[1,2,"c"],{link}],"isolated":[]}}}}"#
+        )
+    }
+
+    #[test]
+    fn ingest_cache_refuses_numbers_out_of_range_and_bad_tags() {
+        let ok = IngestCache::from_json(one_link_cache(r#"[4294967295, 0, "p"]"#)).unwrap();
+        assert_eq!(ok.topology.links[1], (u32::MAX, 0, 'p'));
+        for (link, field) in [
+            (r#"[-1, 2, "c"]"#, "link 1: field 0: expected an integer in 0..=4294967295"),
+            (r#"[1, 4294967296, "c"]"#, "link 1: field 1: expected an integer in 0..=4294967295"),
+            (r#"[1.5, 2, "c"]"#, "link 1: field 0: expected an integer"),
+            (r#"[1, 2e0, "c"]"#, "link 1: field 1: expected an integer"),
+            (r#"[1, 2, "cc"]"#, "link 1: field 2: unknown relationship tag \"cc\""),
+            (r#"[1, 2, "x"]"#, "link 1: field 2: unknown relationship tag \"x\""),
+            (r#"[1, 2, "c", 4]"#, "link 1: expected ']'"),
+        ] {
+            let err = IngestCache::from_json(one_link_cache(link)).unwrap_err();
+            assert!(err.starts_with(&format!("not an ingest cache: topology: links: {field}")), "{link}: {err}");
+        }
+        let err = IngestCache::from_json(one_link_cache("[1,2,\"c\"]").replace("\"lines\":1", "\"lines\":-1"))
+            .unwrap_err();
+        assert!(err.contains("stats: lines: expected an integer"), "{err}");
+    }
+
+    #[test]
+    fn ingest_cache_nesting_is_bounded() {
+        // A cache nests four deep; 64 levels still read, one more does
+        // not, and a megabyte of `[` is an error, not a stack overflow.
+        let nested = |levels: usize| {
+            one_link_cache(r#"[1,3,"e"]"#)
+                .replacen('{', &format!("{{\"junk\":{}{},", "[".repeat(levels), "]".repeat(levels)), 1)
+        };
+        use serde_json::MAX_DEPTH;
+        assert!(IngestCache::from_json(nested(MAX_DEPTH - 1)).is_ok());
+        let err = IngestCache::from_json(nested(MAX_DEPTH)).unwrap_err();
+        assert!(err.contains(&format!("nesting deeper than {MAX_DEPTH}")), "{err}");
+        let err = IngestCache::from_json(format!("{{\"junk\":{}", "[".repeat(1 << 20))).unwrap_err();
+        assert!(err.starts_with("not an ingest cache: nesting deeper than"), "{err}");
+        let err = IngestCache::from_json("[".repeat(1 << 20)).unwrap_err();
+        assert!(err.starts_with("not an ingest cache: top level is not an object"), "{err}");
+    }
+
+    #[test]
+    fn ingest_cache_strings_decode_escapes_and_trailing_bytes_are_refused() {
+        let cache = one_link_cache("[1,3,\"e\"]").replace(r#""name":"n""#, r#""name":"a\"b\\cé\n\/""#);
+        assert_eq!(IngestCache::from_json(&cache).unwrap().name, "a\"b\\c\u{e9}\n/");
+        for bad in [r#""a\u12""#, r#""a\ud800""#, r#""a\q""#, r#""a"#] {
+            let doc = one_link_cache("[1,3,\"e\"]").replace(r#""n""#, bad);
+            assert!(IngestCache::from_json(&doc).unwrap_err().starts_with("not an ingest cache"), "{bad}");
+        }
+        let err = IngestCache::from_json(one_link_cache("[1,3,\"e\"]") + " {}").unwrap_err();
+        assert!(err.contains("expected the end at byte"), "{err}");
+        let err = IngestCache::from_json(one_link_cache("[1,3,\"e\"]").replace(",\"name\":\"n\"", "")).unwrap_err();
+        assert!(err.contains("missing member \"name\""), "{err}");
     }
 }

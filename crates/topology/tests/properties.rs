@@ -1,8 +1,18 @@
 //! Property-based tests for the topology substrate.
 
+use miro_topology::io::stream::{IngestCache, ParseStats};
 use miro_topology::io::{from_text, stream, to_text, TopologyDoc};
 use miro_topology::{is_valley_free, AsId, GenParams, Rel, Topology, TopologyBuilder};
 use proptest::prelude::*;
+
+/// Characters a dataset name is drawn from: the ones the JSON writer
+/// escapes, and one outside ASCII.
+const NAME_CHARS: [char; 8] = ['a', 'Z', ' ', '"', '\\', '\n', '\u{1}', 'é'];
+
+fn cache_of(t: &Topology, name: String) -> IngestCache {
+    let stats = ParseStats { edges: t.num_edges(), nodes: t.num_nodes(), bytes: 1 << 40, ..Default::default() };
+    IngestCache::new(name, "generated".into(), stats, TopologyDoc::of(t))
+}
 
 /// Render a topology in the CAIDA `as1|as2|rel` format. The builder's
 /// `link(a, b, rel)` convention says `rel` is what *b is to a*, so a
@@ -71,12 +81,47 @@ proptest! {
     /// JSON document round-trips exactly (including isolated nodes).
     #[test]
     fn json_round_trip(t in arb_topology()) {
-        let doc = TopologyDoc::of(&t);
-        let json = serde_json::to_string(&doc).expect("serializes");
-        let doc2: TopologyDoc = serde_json::from_str(&json).expect("parses");
-        let u = doc2.build().expect("valid");
+        let cache = cache_of(&t, "round trip".into());
+        let json = serde_json::to_string(&cache).expect("serializes");
+        let back = IngestCache::from_json(&json).expect("parses");
+        let u = back.topology.build().expect("valid");
         prop_assert_eq!(t.num_nodes(), u.num_nodes());
         prop_assert_eq!(to_text(&t), to_text(&u));
+    }
+
+    /// The cache decoder reads the document, not one spelling of it: the
+    /// compact and the pretty writer's output, and the members in any
+    /// order with an unknown member among them, decode alike.
+    #[test]
+    fn cache_decode_ignores_layout_order_and_unknown_members(
+        t in arb_topology(),
+        name in proptest::collection::vec(0usize..NAME_CHARS.len(), 0..12),
+        order in 0usize..720,
+    ) {
+        let cache = cache_of(&t, name.iter().map(|&i| NAME_CHARS[i]).collect());
+        let compact = serde_json::to_string(&cache).expect("serializes");
+        let pretty = serde_json::to_string_pretty(&cache).expect("serializes");
+        prop_assert_eq!(&IngestCache::from_json(&compact).expect("compact decodes"), &cache);
+        prop_assert_eq!(&IngestCache::from_json(&pretty).expect("pretty decodes"), &cache);
+
+        let mut members = vec![
+            format!("\"format_version\":{}", cache.format_version),
+            format!("\"name\":{}", serde_json::to_string(&cache.name).unwrap()),
+            format!("\"source\":{}", serde_json::to_string(&cache.source).unwrap()),
+            format!("\"stats\":{}", serde_json::to_string(&cache.stats).unwrap()),
+            format!("\"topology\":{}", serde_json::to_string(&cache.topology).unwrap()),
+            "\"note\" : { \"k\": [1, -2.5e3, \"x\\\"]\", null, true, false, {}, []] }".to_string(),
+        ];
+        // The `order`-th of the 720 permutations, by its factorial digits.
+        let mut permuted = Vec::new();
+        let mut rest = order;
+        while !members.is_empty() {
+            let k = members.len();
+            permuted.push(members.remove(rest % k));
+            rest /= k;
+        }
+        let doc = format!("\n{{ {} }}\t", permuted.join(" ,\n "));
+        prop_assert_eq!(&IngestCache::from_json(&doc).expect("permuted decodes"), &cache);
     }
 
     /// The streaming parser agrees with the strict whole-string parser on

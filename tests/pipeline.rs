@@ -185,6 +185,52 @@ fn ingest_cache_feeds_the_eval_pipeline() {
     }
 }
 
+/// FNV-1a over the graph's CSR as the public views expose it: AS
+/// numbers, adjacency offsets, `(neighbor, tag)` pairs, and the four
+/// class partitions with their offsets.
+fn csr_digest(t: &miro_topology::Topology) -> u64 {
+    let mut words: Vec<u32> = t.nodes().map(|x| t.asn(x).0).collect();
+    let mut offset = 0;
+    words.push(offset);
+    for x in t.nodes() {
+        offset += t.degree(x) as u32;
+        words.push(offset);
+    }
+    for x in t.nodes() {
+        words.extend(t.neighbors(x).iter().flat_map(|&(y, rel)| [y, rel.tag() as u32]));
+    }
+    let mut part_off = vec![0];
+    for x in t.nodes() {
+        for class in [t.provider_neighbors(x), t.sibling_neighbors(x), t.customer_neighbors(x), t.peer_neighbors(x)] {
+            words.extend_from_slice(class);
+            part_off.push(part_off.last().unwrap() + class.len() as u32);
+        }
+    }
+    words.extend(part_off);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    miro_shard::fnv1a(&bytes)
+}
+
+/// A topology loaded through an ingest cache is the graph the cache was
+/// written from, node for node and slice for slice: the table bytes
+/// depend on the numbering and on every adjacency and class slice.
+#[test]
+fn a_cache_load_builds_the_same_csr() {
+    use miro_topology::io::stream::{self, IngestCache};
+    let path = std::env::temp_dir().join(format!("miro_csr_pin_{}.json", std::process::id()));
+    for (factor, nodes, digest) in [(0.01, 209, 0xaa3a_e3b3_7f0a_45fb_u64), (0.5, 10_465, 0x5355_9b12_c820_585e)] {
+        let generated = DatasetPreset::Gao2005.params(factor, 42).generate();
+        let (parsed, stats) =
+            stream::parse_str(&miro_topology::io::to_text(&generated)).expect("parses");
+        let cache = IngestCache::new("pin".into(), "generated".into(), stats, miro_topology::io::TopologyDoc::of(&parsed));
+        std::fs::write(&path, serde_json::to_string(&cache).expect("serializes")).expect("tmp write");
+        let (_, t) = stream::load_cache(&path).expect("cache loads");
+        assert_eq!(t.num_nodes(), nodes);
+        assert_eq!(csr_digest(&t), digest, "factor {factor}: {:#018x}", csr_digest(&t));
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// `solve_without_link` agrees with a fresh solve on the edited topology
 /// for every link incident to sampled destinations — the cheap what-if
 /// the control plane uses on withdrawals.
