@@ -19,12 +19,11 @@
 //! There is one implementation, [`ScratchPool::over_dests`]. Each worker
 //! draws one [`SolveScratch`] + [`DeltaScratch`] pair from the pool for
 //! its whole run, so after the first destination a worker allocates
-//! nothing per solve: the routing table, stamps, and bucket storage are
-//! recycled between destinations (generation-stamped, so there is no
-//! O(V) clear either). A pool that outlives the call extends that reuse
-//! across *calls*: shard workers solving many blocks against one
-//! topology park their arenas between blocks instead of reallocating
-//! them. [`par_over_dests_whatif`] and [`par_over_dests`] are its two
+//! nothing per solve: the table columns, sweep words and pending lists
+//! are recycled between destinations. A pool that outlives the call
+//! extends that reuse across *calls*: shard workers solving many blocks
+//! against one topology park their arenas between blocks instead of
+//! reallocating them. [`par_over_dests_whatif`] and [`par_over_dests`] are its two
 //! closure shapes over a pool built for the call.
 //!
 //! The per-destination closure gets a [`WhatIf`]: the destination's base

@@ -24,36 +24,38 @@
 //!
 //! # Engine
 //!
-//! The sweeps are run with an integer **bucket queue** (Dial's algorithm)
-//! keyed by hop count rather than a binary heap: every offer generated
-//! while settling hop level `L` lands at level `L+1`, so levels can be
-//! processed strictly in order and each sweep is O(V + E) instead of
-//! O(E log E). Within one level, the heap's `(len, asn, node, next)`
-//! ordering reduces to "the offer with the lowest next-hop AS number wins"
-//! — the bucket engine is bit-for-bit equivalent to the heap
-//! (property-tested against the retained [`mod@reference`] implementation
-//! below).
+//! Each sweep is **level-synchronous**: it settles hop level `L+1` only
+//! from what sits at level `L` — its own frontier (the nodes it settled at
+//! `L`) and its seeds at `L` (routed nodes of earlier sweeps, or a delta's
+//! boundary offers, taken in level order). An offer lands exactly one
+//! level below its offerer, so a node is queued at most once per sweep, at
+//! the level it settles at, and the heap's `(len, asn(next))` order
+//! reduces to "within a level, the lowest-ASN offerer wins": bit-for-bit
+//! the heap engine, property-tested against the retained
+//! [`mod@reference`] implementation below.
 //!
-//! The frontier is **packed**: a bucket holds one `u32` node id per
-//! pending node, not one `(to, from)` pair per edge-offer. The winning
-//! offerer is folded eagerly into a per-node slot table ([`Slot`]: level
-//! tag, best offerer ASN, next hop, generation stamp — 16 bytes) at
-//! offer-generation time, so a node a dozen neighbors race for costs one
-//! bucket entry instead of twelve, the offerer's ASN is read once per
-//! settled node instead of once per offer, and settling a bucket is a
-//! single pass (the two-pass lowest-ASN scan disappears — the slot
-//! already holds the winner). Co-locating the stamp with the pending
-//! offer means the hot loop's per-neighbor probe ("settled? fold the
-//! offer.") touches exactly one cache line per node, not two arrays.
+//! The offer is branch-free. One word per node says settled, pending at
+//! this level (the level's tag) or free (any older tag); the pending
+//! offer's `(ASN, next hop)` key folds by `min`, and queuing is a
+//! conditional length bump of the pending list.
 //!
-//! All per-solve state lives in a reusable [`SolveScratch`] arena:
-//! assignment is generation-stamped, so starting the next destination is
-//! O(1) rather than an O(V) clear, and the bucket storage keeps its
-//! capacity across solves. Whole-network solves reuse one scratch per
-//! worker thread via [`RoutingState::solve_into`] /
-//! [`RoutingState::recycle`] and allocate nothing in the steady state;
-//! [`SolveScratch::for_nodes`] presizes the arena so even the first
-//! solve of a pooled worker thread allocates nothing.
+//! Most ASes are **sinks** — no customers, no siblings
+//! ([`Topology::sinks`]) — and pass no route on in any sweep. A full
+//! solve's provider sweep walks [`Topology::transit_down`] slices only;
+//! then each unrouted sink takes the best `(length + 1, ASN)` over its
+//! providers whose link is up, in one pull pass.
+//!
+//! The table is three columns — next hop, hops, class code — holding the
+//! `UNROUTED_*` sentinels for unrouted ASes, so a route-table row is a
+//! copy ([`RoutingState::columns`]). A route longer than [`MAX_HOPS`] has
+//! no row to live in and is refused with a panic that names the limit.
+//!
+//! All per-solve state lives in a reusable [`SolveScratch`] arena: whole-
+//! network solves reuse one scratch per worker thread via
+//! [`RoutingState::solve_into`] / [`RoutingState::recycle`] and allocate
+//! nothing in the steady state; [`SolveScratch::for_nodes`] presizes the
+//! arena so even the first solve of a pooled worker thread allocates
+//! nothing.
 //!
 //! # Delta engine
 //!
@@ -74,7 +76,7 @@ pub mod multi;
 
 /// The route an AS selected: class, hop count, and next-hop AS.
 /// The full path is recovered by chasing next hops (paths are ~4 hops, so
-/// this is cheap and keeps the per-destination state at 16 bytes per AS).
+/// this is cheap and keeps the per-destination state at 7 bytes per AS).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BestRoute {
     /// Business class (determines local preference and export scope).
@@ -85,16 +87,14 @@ pub struct BestRoute {
     pub next: NodeId,
 }
 
-/// Placeholder stored in unassigned `best` slots (never observable: reads
-/// go through the generation stamp).
-const UNROUTED: BestRoute = BestRoute { class: RouteClass::Customer, len: 0, next: 0 };
-
 /// Next-hop sentinel for an unrouted AS in an extracted route-table row.
 pub const UNROUTED_NEXT: u32 = u32::MAX;
 /// Hop-count sentinel for an unrouted AS in an extracted route-table row.
 pub const UNROUTED_HOPS: u16 = u16::MAX;
 /// Class-code sentinel for an unrouted AS in an extracted route-table row.
 pub const UNROUTED_CLASS: u8 = 0xFF;
+/// The longest route a route table holds: one hop short of the sentinel.
+pub const MAX_HOPS: u16 = UNROUTED_HOPS - 1;
 
 /// Stable single-byte encoding of a [`RouteClass`] for binary route
 /// tables. The codes are part of the `RouteTableSet` on-disk format —
@@ -118,148 +118,129 @@ pub fn route_class_from_code(code: u8) -> Option<RouteClass> {
     }
 }
 
-/// Bits of a [`Slot`] tag reserved for the hop level. [`BestRoute::len`]
-/// is a `u16`, so 16 bits cover every representable hop count; the
-/// remaining 16 bits count sweep rounds, with an O(V) tag clear when the
-/// round counter wraps (every ~65k sweeps — see [`next_round`]).
-const LVL_BITS: u32 = 16;
-const LVL_MASK: u32 = (1 << LVL_BITS) - 1;
-const MAX_ROUND: u32 = u32::MAX >> LVL_BITS;
+/// A route of `len` hops, refused unless a table row can hold it.
+#[inline]
+fn bounded(len: u32) -> u16 {
+    assert!(
+        len <= MAX_HOPS as u32,
+        "a route of {len} hops is longer than the {MAX_HOPS} hops a route table holds"
+    );
+    len as u16
+}
 
-/// Per-node solver slot: the pending offer *and* the generation stamp,
-/// co-located so the hot loop's per-neighbor probe is one cache line.
-///
-/// `tag` is `(round << LVL_BITS) | level`: a pending offer is live for
-/// the current sweep iff `tag >> LVL_BITS` equals the sweep's round, and
-/// the level part says which bucket holds the node. `asn`/`next` are the
-/// lowest-ASN offerer seen so far at that level — the tie-break winner is
-/// folded here at offer time, so a bucket stores each pending node once
-/// and settling needs no second pass. `stamp` marks the node settled for
-/// the owning state's generation (`best[x]` is assigned iff
-/// `slots[x].stamp == gen`).
-#[derive(Clone, Copy)]
-struct Slot {
+/// A node's sweep word when routed; any smaller value is a level tag.
+const SETTLED: u32 = u32::MAX;
+
+/// One solved table: a column per route field (`UNROUTED_*` sentinels
+/// for unrouted ASes) and each node's sweep word — [`SETTLED`] iff the
+/// node is routed, otherwise pending at the current level iff it equals
+/// `tag`, free if older.
+#[derive(Default)]
+struct Table {
+    next: Vec<u32>,
+    hops: Vec<u16>,
+    class: Vec<u8>,
+    mark: Vec<u32>,
     tag: u32,
-    asn: u32,
-    next: NodeId,
-    stamp: u32,
 }
 
-/// Empty slot: round 0 never runs (rounds are pre-incremented), so a
-/// zero tag can never match a live sweep; stamp 0 never matches a live
-/// generation (generations are pre-incremented too).
-const SLOT_EMPTY: Slot = Slot { tag: 0, asn: 0, next: 0, stamp: 0 };
-
-/// A pending `u -> v` route candidate, pre-tagged by the offerer.
-#[derive(Clone, Copy)]
-struct Offer {
-    tag: u32,
-    asn: u32,
-    next: NodeId,
-}
-
-/// Open the next sweep round: every live offer tag from earlier rounds
-/// goes stale at once. When the 16-bit round counter would wrap, pay one
-/// O(V) tag clear so a stale tag can never alias a future round.
-#[inline]
-fn next_round(round: &mut u32, slots: &mut [Slot]) -> u32 {
-    *round += 1;
-    if *round > MAX_ROUND {
-        for s in slots.iter_mut() {
-            s.tag = 0;
+impl Table {
+    /// Size to `n` nodes, all unrouted.
+    fn reset(&mut self, n: usize) {
+        fn refill<T: Copy>(column: &mut Vec<T>, n: usize, fill: T) {
+            column.clear();
+            column.resize(n, fill);
         }
-        *round = 1;
+        refill(&mut self.next, n, UNROUTED_NEXT);
+        refill(&mut self.hops, n, UNROUTED_HOPS);
+        refill(&mut self.class, n, UNROUTED_CLASS);
+        refill(&mut self.mark, n, 0);
+        self.tag = 0;
     }
-    *round
+
+    #[inline]
+    fn best(&self, x: NodeId) -> Option<BestRoute> {
+        let (x, len) = (x as usize, self.hops[x as usize]);
+        let class = || route_class_from_code(self.class[x]).expect("routed");
+        (len != UNROUTED_HOPS).then(|| BestRoute { class: class(), len, next: self.next[x] })
+    }
+
+    #[inline]
+    fn set(&mut self, x: NodeId, b: BestRoute) {
+        let x = x as usize;
+        (self.next[x], self.hops[x], self.class[x]) = (b.next, b.len, route_class_code(b.class));
+        self.mark[x] = SETTLED;
+    }
+
+    #[inline]
+    fn unset(&mut self, x: NodeId) {
+        let x = x as usize;
+        (self.next[x], self.hops[x]) = (UNROUTED_NEXT, UNROUTED_HOPS);
+        (self.class[x], self.mark[x]) = (UNROUTED_CLASS, 0);
+    }
+
+    /// Open the next level: every pending mark goes stale at once. When
+    /// the counter would reach [`SETTLED`], pay one O(V) clear first.
+    fn next_tag(&mut self) {
+        if self.tag == SETTLED - 1 {
+            self.mark.iter_mut().filter(|m| **m != SETTLED).for_each(|m| *m = 0);
+            self.tag = 0;
+        }
+        self.tag += 1;
+    }
 }
 
-/// Open the next generation over `slots`: every assignment stamped under
-/// an earlier one reads as unrouted at once. On `u32` wrap (after ~4e9
-/// solves over one slot table) pay one O(V) stamp clear.
+/// A `u -> v` offer's key: `u`'s ASN above `u`, so `min` keeps the
+/// lowest-ASN offerer and its low half is the next hop.
 #[inline]
-fn next_gen(gen: u32, slots: &mut [Slot]) -> u32 {
-    let gen = gen.wrapping_add(1);
-    if gen != 0 {
-        return gen;
-    }
-    for s in slots.iter_mut() {
-        s.stamp = 0;
-    }
-    1
+fn offer_key(topo: &Topology, u: NodeId) -> u64 {
+    (topo.asn(u).0 as u64) << 32 | u as u64
 }
 
-/// Fold `offer` (a pre-tagged `u -> v` candidate) into `v`'s slot,
-/// pushing `v` onto the frontier on first touch (per level). The caller
-/// builds `offer.tag` once per offerer, so the level comparisons here
-/// are plain tag comparisons: within one round a numerically larger tag
-/// is a *worse* (deeper) level and is dropped (v settles sooner anyway);
-/// an equal tag means the same level, where the lowest-ASN offerer wins;
-/// a smaller tag is a *better* level — the slot is retagged and `v` is
-/// pushed again, and the stale entry in the deeper bucket is skipped at
-/// settle time.
+/// An offer into a delta's retired set: offerer's level, target, key.
+type Seed = (u32, NodeId, u64);
+
+/// Does a settled AS holding a `held`-class route, `rel` to a retired
+/// node, offer into it in the sweep that assigns `class`? Customer-routed
+/// ASes climb provider links and offer one peer hop, every routed AS
+/// offers to its customers, and a sibling link carries a route of the
+/// sweep's own class.
 #[inline]
-fn push_offer(slots: &mut [Slot], buckets: &mut Vec<Vec<NodeId>>, live: &mut usize, v: NodeId, offer: Offer) {
-    let vi = v as usize;
-    let have = slots[vi].tag;
-    if have >> LVL_BITS == offer.tag >> LVL_BITS {
-        if offer.tag > have {
-            return;
+fn offers_into(class: RouteClass, rel: Rel, held: RouteClass) -> bool {
+    match (class, rel) {
+        (_, Rel::Sibling) => held == class,
+        (RouteClass::Customer, Rel::Customer) | (RouteClass::Peer, Rel::Peer) => {
+            held == RouteClass::Customer
         }
-        if offer.tag == have {
-            if offer.asn < slots[vi].asn {
-                slots[vi].asn = offer.asn;
-                slots[vi].next = offer.next;
-            }
-            return;
-        }
+        (RouteClass::Provider, Rel::Provider) => true,
+        _ => false,
     }
-    slots[vi].tag = offer.tag;
-    slots[vi].asn = offer.asn;
-    slots[vi].next = offer.next;
-    let lvl = (offer.tag & LVL_MASK) as usize;
-    if buckets.len() <= lvl {
-        buckets.resize_with(lvl + 1, Vec::new);
-    }
-    buckets[lvl].push(v);
-    *live += 1;
 }
 
 /// Reusable per-thread solve arena.
 ///
-/// Holds the routing table, the per-node slot table (stamps + pending
-/// offers), and the packed bucket queue. A scratch can be reused across
-/// any sequence of solves (it resizes itself when the topology changes);
-/// reuse via [`RoutingState::solve_into`] + [`RoutingState::recycle`]
-/// makes the steady-state cost of a solve allocation-free and skips the
-/// O(V) routing-table clear between destinations.
+/// Holds the table storage a solve moves into its [`RoutingState`], the
+/// per-node offer keys, and the pending and routed lists. A scratch can be
+/// reused across any sequence of solves (it resizes itself when the
+/// topology changes); reuse via [`RoutingState::solve_into`] +
+/// [`RoutingState::recycle`] makes the steady-state cost of a solve
+/// allocation-free.
+#[derive(Default)]
 pub struct SolveScratch {
-    best: Vec<BestRoute>,
-    /// Per-node stamp + pending offer (see [`Slot`]).
-    slots: Vec<Slot>,
-    gen: u32,
-    /// Nodes in assignment order: dest, then sweep-1, -2, -3 winners.
+    table: Table,
+    /// The pending offer of each node queued at the current level.
+    key: Vec<u64>,
+    /// Nodes queued at the current level (one spare slot: a push that
+    /// does not count still writes).
+    pending: Vec<NodeId>,
+    /// Nodes in assignment order: dest, then sweep-1, -2, -3 winners
+    /// (sinks the pull pass settles are not listed).
     routed: Vec<NodeId>,
-    /// Packed bucket queue: `buckets[len]` holds each node with a live
-    /// pending offer at hop `len` (once — the winner lives in its slot).
-    buckets: Vec<Vec<NodeId>>,
-    /// Sweep counter: bumped once per sweep so stale offer tags die
-    /// without a clear. Travels with `slots` into the [`RoutingState`]
-    /// (delta re-solves keep bumping it there) and is folded back by
-    /// [`RoutingState::recycle`], so it never falls behind a tag in the
-    /// slot table it is used with.
-    round: u32,
 }
 
 impl SolveScratch {
     pub fn new() -> SolveScratch {
-        SolveScratch {
-            best: Vec::new(),
-            slots: Vec::new(),
-            gen: 0,
-            routed: Vec::new(),
-            buckets: Vec::new(),
-            round: 0,
-        }
+        SolveScratch::default()
     }
 
     /// Presized arena for an `n`-node topology: the first solve through
@@ -267,31 +248,26 @@ impl SolveScratch {
     /// build their per-thread scratches this way.
     pub fn for_nodes(n: usize) -> SolveScratch {
         let mut s = SolveScratch::new();
-        s.best.resize(n, UNROUTED);
-        s.slots.resize(n, SLOT_EMPTY);
+        s.table.reset(n);
+        s.size(n);
+        s.routed.reserve(n);
         s
     }
 
-    /// Resize to topology size `n` and open a fresh generation.
-    fn begin(&mut self, n: usize) {
-        if self.slots.len() != n {
-            self.best.clear();
-            self.best.resize(n, UNROUTED);
-            self.slots.clear();
-            self.slots.resize(n, SLOT_EMPTY);
-            self.gen = 0;
-        }
-        self.gen = next_gen(self.gen, &mut self.slots);
+    /// Size the offer keys and the pending list for `n` nodes.
+    fn size(&mut self, n: usize) {
+        self.key.resize(n, 0);
+        self.pending.resize(n + 1, 0);
     }
 }
 
 /// Scratch arena for the delta engine ([`crate::engine::WhatIf`],
 /// [`multi::MultiFailState::apply`]).
 ///
-/// Layers on [`SolveScratch`]: the inner scratch provides the bucket
-/// queue and routed-order arena (delta sweeps run against the table and
-/// slot table owned by the state — the inner scratch's own stay empty),
-/// and the change log records every retired or improved node's previous
+/// Layers on [`SolveScratch`]: the inner scratch provides the offer keys
+/// and the pending and routed lists (delta sweeps run against the table
+/// owned by the state — the inner scratch's own stays empty), and the
+/// change log records every retired or improved node's previous
 /// assignment. After a `fail` that log is an undo log (`revert` replays
 /// it in O(cone)); a restoration round reads it as the changed set.
 /// Consecutive deltas reuse all storage and allocate nothing in the
@@ -305,6 +281,8 @@ pub struct DeltaScratch {
     logged: Vec<u32>,
     logged_gen: u32,
     inner: SolveScratch,
+    /// One sweep's boundary offers, in level order.
+    seeds: Vec<Seed>,
     /// Roots of the next retirement; the retirement consumes them, so
     /// this is empty between deltas.
     roots: Vec<NodeId>,
@@ -323,6 +301,7 @@ impl DeltaScratch {
             logged: Vec::new(),
             logged_gen: 0,
             inner: SolveScratch::new(),
+            seeds: Vec::new(),
             roots: Vec::new(),
             finals: Vec::new(),
             net_downs: Vec::new(),
@@ -330,9 +309,10 @@ impl DeltaScratch {
         }
     }
 
-    /// Presized arena for an `n`-node topology (see
-    /// [`SolveScratch::for_nodes`]). Delta sweeps borrow the slot table
-    /// from the state, so only the log-dedup column needs sizing.
+    /// Arena for an `n`-node topology with the change log presized.
+    /// Delta sweeps borrow the table from the state; the first re-drain
+    /// sizes the offer keys and pending list, so a pooled scratch that
+    /// never runs a delta does not hold them.
     pub fn for_nodes(n: usize) -> DeltaScratch {
         let mut s = DeltaScratch::new();
         s.logged.resize(n, 0);
@@ -378,12 +358,6 @@ impl Default for DeltaScratch {
     }
 }
 
-impl Default for SolveScratch {
-    fn default() -> SolveScratch {
-        SolveScratch::new()
-    }
-}
-
 /// Low-high normalized key of the link between `x` and `y`.
 #[inline]
 fn link_key(x: NodeId, y: NodeId) -> (NodeId, NodeId) {
@@ -396,20 +370,22 @@ fn is_failed(failed: &[(NodeId, NodeId)], x: NodeId, y: NodeId) -> bool {
     !failed.is_empty() && failed.binary_search(&link_key(x, y)).is_ok()
 }
 
-/// Which CSR partition a sweep propagates over (see
-/// [`Topology::up_neighbors`] and friends).
+/// Which CSR slice a sweep offers over (see [`Topology::up_neighbors`]
+/// and friends).
 #[derive(Clone, Copy)]
 enum Edges {
     /// Providers + siblings: the customer-sweep climb.
     Up,
     /// Siblings only: peer-class propagation.
     Sibling,
-    /// Siblings + customers: the provider-sweep descent.
+    /// Siblings + customers: a delta's provider-sweep descent.
     Down,
     /// Peers only (seeding sweep 2).
     Peer,
-    /// Customers only (seeding sweep 3).
-    Customer,
+    /// Siblings + customers that are not sinks: a full solve's descent.
+    TransitDown,
+    /// Customers that are not sinks (seeding a full solve's sweep 3).
+    TransitCustomer,
 }
 
 impl Edges {
@@ -420,124 +396,137 @@ impl Edges {
             Edges::Sibling => topo.sibling_neighbors(u),
             Edges::Down => topo.down_neighbors(u),
             Edges::Peer => topo.peer_neighbors(u),
-            Edges::Customer => topo.customer_neighbors(u),
+            Edges::TransitDown => topo.transit_down(u),
+            Edges::TransitCustomer => &topo.transit_down(u)[topo.sibling_neighbors(u).len()..],
         }
     }
 }
 
-/// One in-flight run of sweeps: a state's table and a scratch's queue,
+/// One in-flight run of sweeps: a state's table and a scratch's lists,
 /// borrowed disjointly (built only by [`RoutingState::sweep`]).
 struct Sweep<'a> {
     topo: &'a Topology,
     failed: &'a [(NodeId, NodeId)],
-    gen: u32,
-    best: &'a mut [BestRoute],
-    slots: &'a mut [Slot],
+    t: &'a mut Table,
+    key: &'a mut [u64],
+    pending: &'a mut [NodeId],
+    /// How many of `pending` are queued at the current level.
+    queued: usize,
     routed: &'a mut Vec<NodeId>,
-    buckets: &'a mut Vec<Vec<NodeId>>,
-    live: usize,
-    round: &'a mut u32,
 }
 
 impl Sweep<'_> {
-    /// Open a fresh round: every live offer tag from earlier sweeps (or
-    /// earlier solves sharing this slot table) goes stale at once.
-    fn new_round(&mut self) {
-        next_round(self.round, self.slots);
+    /// Fold offer key `k` into `v` — branch-free: a settled `v` keeps its
+    /// word and is not counted, a pending one keeps the lower key, a free
+    /// one takes `k` and is queued.
+    #[inline(always)]
+    fn offer(&mut self, v: NodeId, k: u64) {
+        let (vi, tag) = (v as usize, self.t.tag);
+        let m = self.t.mark[vi];
+        let free = m < tag;
+        self.key[vi] = if free { k } else { self.key[vi].min(k) };
+        self.t.mark[vi] = m.max(tag);
+        self.pending[self.queued] = v;
+        self.queued += free as usize;
     }
 
-    /// Offer `u`'s route (extended by one hop) to its `edges` neighbors
-    /// that are still unrouted. The offerer's ASN is read once here, not
-    /// once per offer at settle time; with no link failed (every
-    /// whole-table solve) the inner loop skips the failed test entirely.
+    /// Offer `u`'s route (extended by one hop) to its `edges` neighbors.
+    /// With no link failed (every whole-table solve) the loop skips the
+    /// failed test entirely.
+    #[inline]
     fn offer_from(&mut self, u: NodeId, edges: Edges) {
-        let lvl = self.best[u as usize].len as usize + 1;
-        debug_assert!(lvl <= LVL_MASK as usize, "hop level exceeds the 16-bit tag field");
-        let offer = Offer {
-            tag: (*self.round << LVL_BITS) | lvl as u32,
-            asn: self.topo.asn(u).0,
-            next: u,
-        };
-        let neigh = edges.slice(self.topo, u);
-        if self.failed.is_empty() {
-            for &v in neigh {
-                if self.slots[v as usize].stamp != self.gen {
-                    push_offer(self.slots, self.buckets, &mut self.live, v, offer);
-                }
-            }
+        let (topo, failed, k) = (self.topo, self.failed, offer_key(self.topo, u));
+        if failed.is_empty() {
+            edges.slice(topo, u).iter().for_each(|&v| self.offer(v, k));
         } else {
-            for &v in neigh {
-                if self.slots[v as usize].stamp != self.gen && !is_failed(self.failed, u, v) {
-                    push_offer(self.slots, self.buckets, &mut self.live, v, offer);
-                }
+            for &v in edges.slice(topo, u).iter().filter(|&&v| !is_failed(failed, u, v)) {
+                self.offer(v, k);
             }
         }
     }
 
-    /// Inject the boundary offers of one delta sweep: for every cone node
-    /// `v` still unrouted, every settled neighbor `u` whose
-    /// (relationship-of-`u`-to-`v`, class) passes `from` offers its route,
-    /// at the same hop level `offer_from` would have used. Settled cone
-    /// nodes re-routed by an earlier delta sweep participate with their
-    /// updated assignment, matching what the full run would deliver.
-    fn seed(&mut self, cone: &[(NodeId, BestRoute)], from: impl Fn(Rel, BestRoute) -> bool) {
-        for &(v, _) in cone {
-            if self.slots[v as usize].stamp == self.gen {
-                continue; // re-settled by an earlier delta sweep
-            }
-            for &(u, rel) in self.topo.neighbors(v) {
-                if self.slots[u as usize].stamp == self.gen
-                    && from(rel, self.best[u as usize])
-                    && !is_failed(self.failed, u, v)
-                {
-                    let lvl = self.best[u as usize].len as usize + 1;
-                    let offer = Offer {
-                        tag: (*self.round << LVL_BITS) | lvl as u32,
-                        asn: self.topo.asn(u).0,
-                        next: u,
-                    };
-                    push_offer(self.slots, self.buckets, &mut self.live, v, offer);
-                }
-            }
+    /// Offer over `edges` from every node of `routed[*at..end]` (a list in
+    /// level order) at level `lvl`; returns the level of the next one.
+    fn offer_routed(&mut self, at: &mut usize, end: usize, lvl: u32, edges: Edges) -> Option<u32> {
+        let level =
+            |sw: &Self, i: usize| (i < end).then(|| sw.t.hops[sw.routed[i] as usize] as u32);
+        while level(self, *at) == Some(lvl) {
+            self.offer_from(self.routed[*at], edges);
+            *at += 1;
         }
+        level(self, *at)
     }
 
-    /// Settle the frontier in hop order, assigning `class` and
-    /// propagating over `edges`. Equivalent to popping a heap ordered by
-    /// `(len, asn(next), node, next)`: buckets are settled in level order
-    /// (offers from level `L` only ever land at `L+1`), and the winner
-    /// for a node — its lowest-ASN offerer at its best pending level —
-    /// was already folded into the node's slot at offer time, so settling
-    /// is a single pass over each bucket.
-    fn drain(&mut self, class: RouteClass, edges: Edges) {
-        let round = *self.round;
-        let mut lvl = 1;
-        while self.live > 0 {
-            debug_assert!(lvl < self.buckets.len(), "live offers beyond last bucket");
-            if self.buckets[lvl].is_empty() {
-                lvl += 1;
+    /// Inject `seeds[*at..]` made from level `lvl`; returns the next level.
+    fn offer_seeds(&mut self, seeds: &[Seed], at: &mut usize, lvl: u32) -> Option<u32> {
+        while let Some(&(_, v, k)) = seeds.get(*at).filter(|s| s.0 == lvl) {
+            self.offer(v, k);
+            *at += 1;
+        }
+        seeds.get(*at).map(|s| s.0)
+    }
+
+    /// Settle level by level, assigning `class` and propagating over
+    /// `edges`. `seeds(sw, lvl)` makes every seeded offer from level
+    /// `lvl` and returns the next seeded level; `seeded` is the first.
+    /// Each step offers from the frontier and the seeds at `lvl`, then
+    /// settles every node queued at `lvl + 1` with the lowest-ASN offer
+    /// folded into its key — the heap's `(len, asn(next))` order.
+    fn drain(
+        &mut self,
+        class: RouteClass,
+        edges: Edges,
+        mut seeded: Option<u32>,
+        mut seeds: impl FnMut(&mut Self, u32) -> Option<u32>,
+    ) {
+        let Some(mut lvl) = seeded else { return };
+        let mut frontier = self.routed.len()..self.routed.len();
+        loop {
+            self.t.next_tag();
+            self.queued = 0;
+            for i in frontier.clone() {
+                self.offer_from(self.routed[i], edges);
+            }
+            if seeded == Some(lvl) {
+                seeded = seeds(self, lvl);
+            }
+            if self.queued == 0 {
+                let Some(next) = seeded else { return };
+                (lvl, frontier) = (next, self.routed.len()..self.routed.len());
                 continue;
             }
-            let mut bucket = std::mem::take(&mut self.buckets[lvl]);
-            self.live -= bucket.len();
-            for &v in &bucket {
-                let vi = v as usize;
-                if self.slots[vi].stamp == self.gen {
-                    continue; // settled at a shorter length (retagged entry)
-                }
-                debug_assert_eq!(
-                    self.slots[vi].tag,
-                    (round << LVL_BITS) | lvl as u32,
-                    "frontier entry must carry a live tag for its bucket"
-                );
-                self.slots[vi].stamp = self.gen;
-                self.best[vi] = BestRoute { class, len: lvl as u16, next: self.slots[vi].next };
-                self.routed.push(v);
-                self.offer_from(v, edges);
-            }
-            bucket.clear();
-            self.buckets[lvl] = bucket; // return storage to the arena
             lvl += 1;
+            let len = bounded(lvl);
+            let start = self.routed.len();
+            for i in 0..self.queued {
+                let v = self.pending[i];
+                self.t.set(v, BestRoute { class, len, next: self.key[v as usize] as NodeId });
+                self.routed.push(v);
+            }
+            frontier = start..self.routed.len();
+        }
+    }
+
+    /// Settle every unrouted sink from its providers: the best
+    /// `(length + 1, ASN)` over those routed with the link up. A sink
+    /// passes nothing on, so this is the provider sweep's last word on it.
+    fn settle_sinks(&mut self) {
+        let (topo, failed) = (self.topo, self.failed);
+        for &s in topo.sinks() {
+            if self.t.hops[s as usize] != UNROUTED_HOPS {
+                continue;
+            }
+            let (mut won, mut via) = (u64::MAX, s);
+            for &p in topo.provider_neighbors(s) {
+                let k = (self.t.hops[p as usize] as u64) << 32 | topo.asn(p).0 as u64;
+                if k < won && !is_failed(failed, p, s) {
+                    (won, via) = (k, p);
+                }
+            }
+            if won >> 32 < UNROUTED_HOPS as u64 {
+                let len = bounded((won >> 32) as u32 + 1);
+                self.t.set(s, BestRoute { class: RouteClass::Provider, len, next: via });
+            }
         }
     }
 }
@@ -558,14 +547,7 @@ impl Sweep<'_> {
 pub struct RoutingState<'t> {
     topo: &'t Topology,
     dest: NodeId,
-    best: Vec<BestRoute>,
-    /// `best[x]` is assigned iff `slots[x].stamp == gen`.
-    slots: Vec<Slot>,
-    gen: u32,
-    /// Sweep-round counter paired with `slots` (delta re-solves keep
-    /// bumping it); folded back into the scratch by
-    /// [`RoutingState::recycle`].
-    round: u32,
+    t: Table,
     /// Administratively failed links this table is solved without —
     /// sorted, low-high normalized, empty for a plain solve. Candidates
     /// over them are suppressed too.
@@ -617,13 +599,7 @@ impl<'t> RoutingState<'t> {
     /// Give this state's table storage back to `scratch` so the next
     /// [`RoutingState::solve_into`] reuses it without reallocating.
     pub fn recycle(self, scratch: &mut SolveScratch) {
-        scratch.best = self.best;
-        scratch.slots = self.slots;
-        // The counters travel with the slot table: in-place re-solves
-        // and delta sweeps bump the state's past the scratch's, and no
-        // stamp or live tag may outrun the counter it is next used with.
-        scratch.gen = self.gen;
-        scratch.round = scratch.round.max(self.round);
+        scratch.table = self.t;
     }
 
     /// The three-sweep solve without the (sorted, normalized) `failed`
@@ -634,75 +610,63 @@ impl<'t> RoutingState<'t> {
         failed: Vec<(NodeId, NodeId)>,
         scratch: &mut SolveScratch,
     ) -> RoutingState<'t> {
-        scratch.begin(topo.num_nodes());
-        let mut st = RoutingState {
-            topo,
-            dest,
-            best: std::mem::take(&mut scratch.best),
-            slots: std::mem::take(&mut scratch.slots),
-            gen: scratch.gen,
-            round: scratch.round,
-            failed,
-        };
-        st.run_sweeps(scratch);
+        let mut st = RoutingState { topo, dest, t: std::mem::take(&mut scratch.table), failed };
+        st.resolve(scratch);
         st
     }
 
-    /// Borrow the table and `q`'s queue as one in-flight [`Sweep`].
+    /// Borrow the table and `q`'s lists as one in-flight [`Sweep`].
     fn sweep<'a>(&'a mut self, q: &'a mut SolveScratch) -> Sweep<'a> {
         Sweep {
             topo: self.topo,
             failed: &self.failed,
-            gen: self.gen,
-            best: &mut self.best,
-            slots: &mut self.slots,
+            t: &mut self.t,
+            key: &mut q.key,
+            pending: &mut q.pending,
+            queued: 0,
             routed: &mut q.routed,
-            buckets: &mut q.buckets,
-            live: 0,
-            round: &mut self.round,
         }
     }
 
-    /// Fill a table in which no node is assigned under `self.gen`: the
-    /// full solve without the currently failed links.
-    fn run_sweeps(&mut self, q: &mut SolveScratch) {
-        let dest = self.dest;
-        self.best[dest as usize] = BestRoute { class: RouteClass::Customer, len: 0, next: dest };
-        self.slots[dest as usize].stamp = self.gen;
+    /// Full three-sweep solve under the current failed set, in place.
+    fn resolve(&mut self, q: &mut SolveScratch) {
+        let (n, dest) = (self.topo.num_nodes(), self.dest);
+        self.t.reset(n);
+        q.size(n);
+        self.t.set(dest, BestRoute { class: RouteClass::Customer, len: 0, next: dest });
         q.routed.clear();
         q.routed.push(dest);
         let mut sw = self.sweep(q);
 
         // --- Sweep 1: customer-class routes -----------------------------
         // Climb provider and sibling links from the destination.
-        sw.new_round();
-        sw.offer_from(dest, Edges::Up);
-        sw.drain(RouteClass::Customer, Edges::Up);
+        sw.drain(RouteClass::Customer, Edges::Up, Some(0), |sw, _| {
+            sw.offer_from(dest, Edges::Up);
+            None
+        });
         let customer_routed = sw.routed.len();
 
         // --- Sweep 2: peer-class routes ---------------------------------
         // Seed: one peer hop off a customer-routed AS (peers export only
         // customer routes), then propagate along sibling links.
-        debug_assert_eq!(sw.live, 0);
-        sw.new_round();
-        for i in 0..customer_routed {
-            let p = sw.routed[i];
-            sw.offer_from(p, Edges::Peer);
-        }
-        sw.drain(RouteClass::Peer, Edges::Sibling);
+        let mut at = 0;
+        sw.drain(RouteClass::Peer, Edges::Sibling, Some(0), |sw, lvl| {
+            sw.offer_routed(&mut at, customer_routed, lvl, Edges::Peer)
+        });
         let routed = sw.routed.len();
 
         // --- Sweep 3: provider-class routes -----------------------------
         // Seed: every routed AS offers its route to its customers
         // (everything is exportable to customers); then propagate down
-        // customer links and across sibling links among the unrouted.
-        debug_assert_eq!(sw.live, 0);
-        sw.new_round();
-        for i in 0..routed {
-            let x = sw.routed[i];
-            sw.offer_from(x, Edges::Customer);
-        }
-        sw.drain(RouteClass::Provider, Edges::Down);
+        // customer links and across sibling links among the unrouted —
+        // sinks aside, which then pull their best provider's offer.
+        let (mut a, mut b) = (0, customer_routed);
+        sw.drain(RouteClass::Provider, Edges::TransitDown, Some(0), |sw, lvl| {
+            let x = sw.offer_routed(&mut a, customer_routed, lvl, Edges::TransitCustomer);
+            let y = sw.offer_routed(&mut b, routed, lvl, Edges::TransitCustomer);
+            x.zip(y).map(|(x, y)| x.min(y)).or(x).or(y)
+        });
+        sw.settle_sinks();
     }
 
     /// The destination this state routes toward.
@@ -730,7 +694,7 @@ impl<'t> RoutingState<'t> {
     /// The selected route of `x`, if `x` can reach the destination.
     #[inline]
     pub fn best(&self, x: NodeId) -> Option<BestRoute> {
-        (self.slots[x as usize].stamp == self.gen).then(|| self.best[x as usize])
+        self.t.best(x)
     }
 
     /// The selected AS path of `x` (next hop first, destination last;
@@ -811,36 +775,28 @@ impl<'t> RoutingState<'t> {
 
     /// Number of ASes that can reach the destination.
     pub fn reachable_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.stamp == self.gen).count()
+        self.t.hops.iter().filter(|&&h| h != UNROUTED_HOPS).count()
     }
 
-    /// Extract this solve as one route-table row: for every AS `x`, its
-    /// next hop, business class code ([`route_class_code`]), and AS-hop
-    /// count toward the destination. Unrouted ASes get the `UNROUTED_*`
-    /// sentinels. The three slices must each hold `num_nodes` entries;
-    /// sharded whole-table solves (`miro shard-solve`) call this per
-    /// destination to fill the columnar [`RouteTableSet`] blocks.
-    ///
-    /// [`RouteTableSet`]: https://docs.rs/miro-shard
+    /// This solve as one route-table row: for every AS `x`, its next hop,
+    /// AS-hop count toward the destination and business class code
+    /// ([`route_class_code`]), with the `UNROUTED_*` sentinels for
+    /// unrouted ASes — the columns the table is kept in.
+    pub fn columns(&self) -> (&[u32], &[u16], &[u8]) {
+        (&self.t.next, &self.t.hops, &self.t.class)
+    }
+
+    /// Copy [`RoutingState::columns`] into three slices of `num_nodes`
+    /// entries each.
     pub fn write_table_row(&self, next: &mut [u32], hops: &mut [u16], class: &mut [u8]) {
         let n = self.topo.num_nodes();
-        assert_eq!(next.len(), n, "next column sized to the topology");
-        assert_eq!(hops.len(), n, "hops column sized to the topology");
-        assert_eq!(class.len(), n, "class column sized to the topology");
-        for x in 0..n {
-            match self.best(x as NodeId) {
-                Some(b) => {
-                    next[x] = b.next;
-                    hops[x] = b.len;
-                    class[x] = route_class_code(b.class);
-                }
-                None => {
-                    next[x] = UNROUTED_NEXT;
-                    hops[x] = UNROUTED_HOPS;
-                    class[x] = UNROUTED_CLASS;
-                }
-            }
-        }
+        assert!(
+            next.len() == n && hops.len() == n && class.len() == n,
+            "row columns sized to the topology"
+        );
+        next.copy_from_slice(&self.t.next);
+        hops.copy_from_slice(&self.t.hops);
+        class.copy_from_slice(&self.t.class);
     }
 }
 
@@ -901,7 +857,7 @@ impl RoutingState<'_> {
             // *through* it (at most one per link: the parent's own path
             // never descends back into the subtree).
             for (c, p) in [(a, b), (b, a)] {
-                if self.best(c).is_some_and(|r| r.next == p) {
+                if self.t.next[c as usize] == p {
                     scratch.roots.push(c);
                 }
             }
@@ -922,8 +878,7 @@ impl RoutingState<'_> {
     #[inline]
     pub(crate) fn revert(&mut self, links: &[(NodeId, NodeId)], scratch: &mut DeltaScratch) {
         for &(v, old) in &scratch.undo {
-            self.best[v as usize] = old;
-            self.slots[v as usize].stamp = self.gen;
+            self.t.set(v, old);
         }
         scratch.undo.clear();
         for &key in links {
@@ -931,19 +886,13 @@ impl RoutingState<'_> {
         }
     }
 
-    /// Full three-sweep re-solve under the current failed set, in place.
-    fn resolve(&mut self, q: &mut SolveScratch) {
-        self.gen = next_gen(self.gen, &mut self.slots);
-        self.run_sweeps(q);
-    }
-
     /// Retire the routing subtrees rooted at `scratch.roots` (consumed):
     /// a node loses its route iff its next-hop chain crosses a root. Walk
     /// parent pointers breadth-first (`v` joins iff its next hop already
-    /// did), logging each assignment and un-assigning the node by aging
-    /// its stamp (any value != gen reads as unrouted). The retired set is
-    /// closed under "my next-hop chain crosses it", so every node left
-    /// outside still holds a route whose whole chain is outside too.
+    /// did), logging each assignment and un-assigning the node. The
+    /// retired set is closed under "my next-hop chain crosses it", so
+    /// every node left outside still holds a route whose whole chain is
+    /// outside too.
     ///
     /// Failures retire only routed nodes (`ABSORB_UNROUTED = false`).
     /// Restorations may root a retirement at an unrouted node and also
@@ -952,13 +901,10 @@ impl RoutingState<'_> {
     /// hands a retired node a route it can now export never spills past
     /// the log.
     fn retire<const ABSORB_UNROUTED: bool>(&mut self, scratch: &mut DeltaScratch) {
-        let (gen, dead) = (self.gen, self.gen.wrapping_sub(1));
         for i in 0..scratch.roots.len() {
             let root = scratch.roots[i];
-            let ri = root as usize;
-            let had = !ABSORB_UNROUTED || self.slots[ri].stamp == gen;
-            scratch.log(root, if had { self.best[ri] } else { WAS_UNROUTED });
-            self.slots[ri].stamp = dead;
+            scratch.log(root, self.t.best(root).unwrap_or(WAS_UNROUTED));
+            self.t.unset(root);
         }
         scratch.roots.clear();
         let mut head = 0;
@@ -966,60 +912,58 @@ impl RoutingState<'_> {
             let (x, _) = scratch.undo[head];
             head += 1;
             for &(v, _) in self.topo.neighbors(x) {
-                let vi = v as usize;
-                if self.slots[vi].stamp == gen {
-                    if self.best[vi].next == x {
-                        scratch.log(v, self.best[vi]);
-                        self.slots[vi].stamp = dead;
-                    }
-                } else if ABSORB_UNROUTED {
+                if self.t.next[v as usize] == x {
+                    scratch.log(v, self.t.best(v).expect("a next hop is only set on a route"));
+                    self.t.unset(v);
+                } else if ABSORB_UNROUTED && self.t.hops[v as usize] == UNROUTED_HOPS {
                     scratch.log(v, WAS_UNROUTED); // no-op for one already retired
                 }
             }
         }
     }
 
+    /// Every offer a settled neighbor makes into a cone node still
+    /// unrouted in the sweep that assigns `class`, in level order:
+    /// exactly what the full run would deliver into the retired set. Cone
+    /// nodes re-routed by an earlier delta sweep offer with their updated
+    /// assignment.
+    fn boundary_seeds(&self, cone: &[(NodeId, BestRoute)], class: RouteClass, out: &mut Vec<Seed>) {
+        out.clear();
+        for &(v, _) in cone.iter().filter(|&&(v, _)| self.t.hops[v as usize] == UNROUTED_HOPS) {
+            for &(u, rel) in self.topo.neighbors(v) {
+                match self.t.best(u) {
+                    Some(bu) if offers_into(class, rel, bu.class) && !self.is_failed(u, v) => {
+                        out.push((bu.len as u32, v, offer_key(self.topo, u)));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out.sort_unstable_by_key(|s| s.0);
+    }
+
     /// Re-run the three sweeps restricted to the retired set (the log).
     /// Everything outside keeps its assignment and acts as the intact
-    /// boundary; each sweep is seeded with exactly the offers the full
-    /// run would deliver into the set from settled nodes, so winners and
-    /// tie-breaks come out bit-for-bit identical. Re-settled nodes land
-    /// in `scratch.inner.routed`; returns how many retired nodes stayed
-    /// unrouted.
+    /// boundary; each sweep is seeded with its boundary offers, deferred
+    /// to their level, so winners and tie-breaks come out bit-for-bit
+    /// identical. Re-settled nodes land in `scratch.inner.routed`;
+    /// returns how many retired nodes stayed unrouted.
     fn redrain(&mut self, scratch: &mut DeltaScratch) -> usize {
-        let undo = &scratch.undo;
-        let mut sw = self.sweep(&mut scratch.inner);
-
-        // Sweep 1: every customer-routed AS climbs provider/sibling links,
-        // so a settled u offers into cone node v iff u is v's customer or
-        // sibling and holds a customer-class route.
-        sw.new_round();
-        sw.seed(undo, |rel, bu| {
-            matches!(rel, Rel::Customer | Rel::Sibling) && bu.class == RouteClass::Customer
-        });
-        sw.drain(RouteClass::Customer, Edges::Up);
-
-        // Sweep 2: customer-routed ASes offer one peer hop; peer-class
-        // routes then propagate along sibling links.
-        sw.new_round();
-        sw.seed(undo, |rel, bu| match rel {
-            Rel::Peer => bu.class == RouteClass::Customer,
-            Rel::Sibling => bu.class == RouteClass::Peer,
-            _ => false,
-        });
-        sw.drain(RouteClass::Peer, Edges::Sibling);
-
-        // Sweep 3: every routed AS offers to its customers (any class);
-        // provider-class routes then descend customer and sibling links.
-        sw.new_round();
-        sw.seed(undo, |rel, bu| match rel {
-            Rel::Provider => true,
-            Rel::Sibling => bu.class == RouteClass::Provider,
-            _ => false,
-        });
-        sw.drain(RouteClass::Provider, Edges::Down);
-
-        undo.len() - sw.routed.len()
+        let DeltaScratch { undo, inner, seeds, .. } = scratch;
+        inner.size(self.topo.num_nodes());
+        let sweeps = [
+            (RouteClass::Customer, Edges::Up),
+            (RouteClass::Peer, Edges::Sibling),
+            (RouteClass::Provider, Edges::Down),
+        ];
+        for (class, edges) in sweeps {
+            self.boundary_seeds(undo, class, seeds);
+            let mut at = 0;
+            let first = seeds.first().map(|s| s.0);
+            self.sweep(inner)
+                .drain(class, edges, first, |sw, lvl| sw.offer_seeds(seeds, &mut at, lvl));
+        }
+        undo.len() - inner.routed.len()
     }
 
     /// Relax provider-class improvements down customer/sibling links,
@@ -1032,112 +976,101 @@ impl RoutingState<'_> {
     /// better offer. Only sweep-3 deliveries can ever improve —
     /// customer-class levels are plain BFS distances over a shrinking
     /// edge set, and peer-class levels derive from them — so the wave is
-    /// exactly a bucket-queue relaxation of provider-class routes down
-    /// customer and sibling links, seeded by every re-settled cone node
-    /// and propagated from every node whose route got strictly shorter.
-    /// The argument only uses that the edge set *shrank*, so it holds
-    /// verbatim for a batch of simultaneous failures.
+    /// exactly a level-synchronous relaxation of provider-class routes
+    /// down customer and sibling links, seeded by every re-settled cone
+    /// node and propagated from every node whose route got strictly
+    /// shorter. The argument only uses that the edge set *shrank*, so it
+    /// holds verbatim for a batch of simultaneous failures.
     fn improve_wave(&mut self, scratch: &mut DeltaScratch) {
-        let RoutingState { topo, best, slots, gen, round, failed, .. } = self;
-        let (topo, gen) = (*topo, *gen);
-        let DeltaScratch { undo, logged, logged_gen, inner, .. } = scratch;
-
-        // A node can take a sweep-3 offer at level `lvl` only if it
+        let DeltaScratch { undo, logged, logged_gen, inner, seeds, .. } = scratch;
+        // A node can take a sweep-3 offer landing at `lvl` only if it
         // already holds a provider-class route no shorter than `lvl`.
-        let eligible = |best: &[BestRoute], slots: &[Slot], x: NodeId, lvl: usize| {
-            slots[x as usize].stamp == gen
-                && best[x as usize].class == RouteClass::Provider
-                && best[x as usize].len as usize >= lvl
+        let provider = route_class_code(RouteClass::Provider);
+        let eligible = |t: &Table, x: NodeId, lvl: u32| {
+            t.class[x as usize] == provider && t.hops[x as usize] as u32 >= lvl
         };
-        let round = next_round(round, slots);
-        let mut live = 0usize;
 
         // Seeds: the sweep-3 deliveries of every re-settled cone node — to
         // its customers at any class, to its siblings when provider-class.
-        // Deliveries identical to the base solve's are rejected by the
-        // incumbent test at settle time, so seeding unconditionally is safe.
-        for i in 0..inner.routed.len() {
-            let v = inner.routed[i];
-            let bv = best[v as usize];
-            let lvl = bv.len as usize + 1;
-            let asn_v = topo.asn(v).0;
-            for &(x, rel) in topo.neighbors(v) {
-                let delivers = match rel {
-                    Rel::Customer => true, // x is v's customer
-                    Rel::Sibling => bv.class == RouteClass::Provider,
-                    _ => false,
-                };
-                if delivers && !is_failed(failed, v, x) && eligible(best, slots, x, lvl) {
-                    let offer = Offer { tag: (round << LVL_BITS) | lvl as u32, asn: asn_v, next: v };
-                    push_offer(slots, &mut inner.buckets, &mut live, x, offer);
+        // Deliveries identical to the base solve's lose to the incumbent
+        // at settle time, so seeding them is safe.
+        seeds.clear();
+        for &v in inner.routed.iter() {
+            let bv = self.t.best(v).expect("re-settled");
+            for &(x, rel) in self.topo.neighbors(v) {
+                let delivers = rel == Rel::Customer
+                    || (rel == Rel::Sibling && bv.class == RouteClass::Provider);
+                if delivers && !self.is_failed(v, x) && eligible(&self.t, x, bv.len as u32 + 1) {
+                    seeds.push((bv.len as u32, x, offer_key(self.topo, v)));
                 }
             }
         }
+        seeds.sort_unstable_by_key(|s| s.0);
+        inner.routed.clear();
 
-        let mut lvl = 1;
-        while live > 0 {
-            debug_assert!(lvl < inner.buckets.len(), "live offers beyond last bucket");
-            if inner.buckets[lvl].is_empty() {
-                lvl += 1;
+        let Some(&(mut lvl, _, _)) = seeds.first() else { return };
+        let (mut at, mut frontier) = (0, 0..0);
+        let mut sw = self.sweep(inner);
+        loop {
+            // The drain's offer, with an eligible (settled) target freed
+            // for the step.
+            sw.t.next_tag();
+            sw.queued = 0;
+            let offer = |sw: &mut Sweep<'_>, x: NodeId, k: u64| {
+                if eligible(sw.t, x, lvl + 1) {
+                    let m = &mut sw.t.mark[x as usize];
+                    *m = if *m == SETTLED { 0 } else { *m };
+                    sw.offer(x, k);
+                }
+            };
+            for i in frontier.clone() {
+                let u = sw.routed[i];
+                let (topo, failed) = (sw.topo, sw.failed);
+                for &y in topo.down_neighbors(u).iter().filter(|&&y| !is_failed(failed, u, y)) {
+                    offer(&mut sw, y, offer_key(topo, u));
+                }
+            }
+            while let Some(&(_, x, k)) = seeds.get(at).filter(|s| s.0 == lvl) {
+                offer(&mut sw, x, k);
+                at += 1;
+            }
+            if sw.queued == 0 {
+                let Some(&(next, _, _)) = seeds.get(at) else { return };
+                (lvl, frontier) = (next, sw.routed.len()..sw.routed.len());
                 continue;
             }
-            let mut bucket = std::mem::take(&mut inner.buckets[lvl]);
-            live -= bucket.len();
-            let tag = (round << LVL_BITS) | lvl as u32;
-            for &x in &bucket {
-                let xi = x as usize;
-                if !eligible(best, slots, x, lvl) {
-                    continue; // stale: x already improved past this level
+            lvl += 1;
+            let start = sw.routed.len();
+            for i in 0..sw.queued {
+                let x = sw.pending[i];
+                let bx = sw.t.best(x).expect("eligible");
+                sw.t.mark[x as usize] = SETTLED;
+                // The lowest-ASN offerer (already folded into the key)
+                // must also beat the incumbent route — which competes on
+                // ASN when it has this exact length (the full run's level
+                // would hold it too) and wins ties.
+                let (asn, next) = ((sw.key[x as usize] >> 32) as u32, sw.key[x as usize] as NodeId);
+                if bx.len as u32 == lvl && sw.topo.asn(bx.next).0 <= asn {
+                    continue;
                 }
-                if slots[xi].tag != tag {
-                    continue; // superseded by an earlier-level entry
-                }
-                // The lowest-ASN offerer (already folded into the slot)
-                // must also beat the incumbent route — which competes on ASN
-                // when it has this exact length (the full run's bucket would
-                // contain it too) and wins ties.
-                let bx = best[xi];
-                if bx.len as usize == lvl && topo.asn(bx.next).0 <= slots[xi].asn {
-                    continue; // the incumbent won
-                }
-                if logged[xi] != *logged_gen {
-                    logged[xi] = *logged_gen;
+                if logged[x as usize] != *logged_gen {
+                    logged[x as usize] = *logged_gen;
                     undo.push((x, bx));
                 }
-                let shortened = bx.len as usize > lvl;
-                best[xi] = BestRoute {
-                    class: RouteClass::Provider,
-                    len: lvl as u16,
-                    next: slots[xi].next,
-                };
-                if shortened {
-                    let nxt = lvl + 1;
-                    let offer = Offer {
-                        tag: (round << LVL_BITS) | nxt as u32,
-                        asn: topo.asn(x).0,
-                        next: x,
-                    };
-                    for &(y, rel) in topo.neighbors(x) {
-                        if matches!(rel, Rel::Customer | Rel::Sibling)
-                            && !is_failed(failed, x, y)
-                            && eligible(best, slots, y, nxt)
-                        {
-                            push_offer(slots, &mut inner.buckets, &mut live, y, offer);
-                        }
-                    }
+                sw.t.set(x, BestRoute { class: RouteClass::Provider, len: lvl as u16, next });
+                if bx.len as u32 > lvl {
+                    sw.routed.push(x);
                 }
             }
-            bucket.clear();
-            inner.buckets[lvl] = bucket;
-            lvl += 1;
+            frontier = start..sw.routed.len();
         }
     }
 }
 
 /// The original heap-based solver, retained as the equivalence oracle for
-/// the bucket-queue engine and the baseline `miro bench-solver` times.
+/// the level-synchronous engine and the baseline `miro bench-solver` times.
 pub mod reference {
-    use super::{BestRoute, RoutingState, UNROUTED};
+    use super::{BestRoute, RoutingState, Table};
     use miro_topology::{NodeId, Rel, RouteClass, Topology};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -1266,14 +1199,13 @@ pub mod reference {
             offer_down(&mut heap, topo, &best, v);
         }
 
-        // Convert to the stamped representation the queries read.
-        let slots: Vec<super::Slot> = best
-            .iter()
-            .map(|b| super::Slot { stamp: u32::from(b.is_some()), ..super::SLOT_EMPTY })
-            .collect();
-        let best: Vec<BestRoute> = best.into_iter().map(|b| b.unwrap_or(UNROUTED)).collect();
-        let failed = banned.into_iter().collect();
-        RoutingState { topo, dest, best, slots, gen: 1, round: 0, failed }
+        // Convert to the columns the queries read.
+        let mut t = Table::default();
+        t.reset(n);
+        for (x, b) in best.into_iter().enumerate() {
+            b.into_iter().for_each(|b| t.set(x as NodeId, b));
+        }
+        RoutingState { topo, dest, t, failed: banned.into_iter().collect() }
     }
 }
 
@@ -1590,7 +1522,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_engine_matches_reference_on_generated_topologies() {
+    fn kernel_matches_reference_on_generated_topologies() {
         // Exhaustive sweep on deterministic generated graphs, with one
         // scratch shared across every destination (exercises generation
         // stamping and arena reuse).
@@ -1724,6 +1656,29 @@ mod tests {
         }
     }
 
+    /// A long-lived delta state runs out of level tags: the O(V) clear
+    /// that restarts the counter must leave every answer exact.
+    #[test]
+    fn the_level_tag_wraps_without_leaking_a_pending_mark() {
+        let t = GenParams::tiny(31).generate();
+        let d = t.nodes().nth(3).unwrap();
+        let mut base = RoutingState::solve(&t, d);
+        base.t.tag = SETTLED - 4;
+        let mut delta = DeltaScratch::new();
+        let mut wi = WhatIf::new(base, &mut delta);
+        let route = |x: NodeId| Some((x, wi.base().best(x)?.next));
+        let tree: Vec<(NodeId, NodeId)> = t.nodes().filter(|&x| x != d).filter_map(route).collect();
+        for &(x, y) in tree.iter().take(12) {
+            let full = RoutingState::solve_without_link(&t, d, x, y);
+            wi.without_link(x, y, |failed| {
+                for v in t.nodes() {
+                    assert_eq!(failed.best(v), full.best(v), "link ({x},{y}) node {v}");
+                }
+            });
+        }
+        assert!(wi.base().t.tag < 1000, "the counter wrapped");
+    }
+
     #[test]
     #[should_panic(expected = "unmasked base")]
     fn delta_rejects_masked_base() {
@@ -1750,6 +1705,79 @@ mod tests {
         assert_eq!((wi.stats().what_ifs, wi.stats().skipped), (4, 4));
     }
 
+    /// A hand-drawn topology from `(provider, customer)`, peer and
+    /// sibling pairs, by ASN.
+    fn drawn(pc: &[(u32, u32)], peers: &[(u32, u32)], sibs: &[(u32, u32)]) -> Topology {
+        let mut b = TopologyBuilder::new();
+        for &(x, y) in pc.iter().chain(peers).chain(sibs) {
+            b.intern_as(AsId(x));
+            b.intern_as(AsId(y));
+        }
+        for &(p, c) in pc {
+            b.provider_customer(AsId(p), AsId(c));
+        }
+        for &(x, y) in peers {
+            b.peering(AsId(x), AsId(y));
+        }
+        for &(x, y) in sibs {
+            b.sibling(AsId(x), AsId(y));
+        }
+        b.build().unwrap()
+    }
+
+    fn route(st: &RoutingState<'_>, asn: u32) -> Option<(RouteClass, u16, u32)> {
+        let t = st.topology();
+        st.best(t.node(AsId(asn)).unwrap()).map(|b| (b.class, b.len, t.asn(b.next).0))
+    }
+
+    fn assert_is_reference(st: &RoutingState<'_>, slow: &RoutingState<'_>) {
+        for x in st.topology().nodes() {
+            assert_eq!(st.best(x), slow.best(x), "node {x}");
+        }
+    }
+
+    #[test]
+    fn a_sink_destination_routes_its_providers_and_peers() {
+        use RouteClass::*;
+        // 1 provides 2, 3 and 4; 2 peers with 3. Destination 2 is a sink.
+        let t = drawn(&[(1, 2), (1, 3), (1, 4)], &[(2, 3)], &[]);
+        let n = |asn: u32| t.node(AsId(asn)).unwrap();
+        assert_eq!(t.sinks(), &[n(2), n(3), n(4)]);
+        let st = RoutingState::solve(&t, n(2));
+        assert_eq!(route(&st, 1), Some((Customer, 1, 2)));
+        assert_eq!(route(&st, 3), Some((Peer, 1, 2)), "a peer route outranks the sink pass");
+        assert_eq!(route(&st, 4), Some((Provider, 2, 1)), "settled by the sink pass");
+        assert_is_reference(&st, &reference::solve(&t, n(2)));
+    }
+
+    #[test]
+    fn a_sink_whose_only_provider_link_failed_stays_unrouted() {
+        use RouteClass::*;
+        // 1 provides 2, 3 and 5; 5 provides 3. Sinks 2 and 3.
+        let t = drawn(&[(1, 2), (1, 3), (1, 5), (5, 3)], &[], &[]);
+        let n = |asn: u32| t.node(AsId(asn)).unwrap();
+        let st = RoutingState::solve_without_link(&t, n(1), n(1), n(2));
+        assert_eq!(route(&st, 2), None);
+        assert_is_reference(&st, &reference::solve_without_link(&t, n(1), n(1), n(2)));
+        // With one of two provider links down, the other one serves.
+        let st = RoutingState::solve_without_link(&t, n(1), n(3), n(1));
+        assert_eq!(route(&st, 3), Some((Provider, 2, 5)));
+        assert_is_reference(&st, &reference::solve_without_link(&t, n(1), n(1), n(3)));
+    }
+
+    #[test]
+    fn a_stub_with_a_sibling_is_not_a_sink() {
+        use RouteClass::*;
+        // 1 provides 2; 2 and 3 are siblings; 3 has no customers.
+        let t = drawn(&[(1, 2)], &[], &[(2, 3)]);
+        let n = |asn: u32| t.node(AsId(asn)).unwrap();
+        assert!(t.is_stub(n(3)) && !t.sinks().contains(&n(3)));
+        assert_eq!(t.transit_down(n(1)), &[n(2)]);
+        let st = RoutingState::solve(&t, n(1));
+        assert_eq!(route(&st, 3), Some((Provider, 2, 2)), "the route crosses the sibling link");
+        assert_is_reference(&st, &reference::solve(&t, n(1)));
+    }
+
     #[test]
     fn scratch_survives_topology_size_change() {
         let small = GenParams::tiny(41).generate();
@@ -1767,7 +1795,7 @@ mod tests {
     }
 }
 
-/// Property-based equivalence: the bucket-queue engine must be
+/// Property-based equivalence: the level-synchronous kernel must be
 /// bit-for-bit identical to the retained heap reference on arbitrary
 /// relationship-annotated graphs, including masked (failed-link) solves
 /// and the full learned-candidates surface.
@@ -1800,6 +1828,40 @@ mod equivalence {
         b.build().expect("constructed edges are consistent")
     }
 
+    /// Hierarchy-biased edge lists: six core nodes linked at random, each
+    /// other node buying transit from one or two of them, with an
+    /// occasional peering or sibling link off a stub — so most nodes are
+    /// sinks (no customers, no siblings), as in the AS graph.
+    fn hierarchical() -> impl Strategy<Value = Vec<(u32, u32, u8)>> {
+        let core = proptest::collection::vec((0u32..6, 0u32..6, 0u8..4), 0..12);
+        let stubs = proptest::collection::vec((6u32..N, 0u32..6, 0u8..16), 12..40);
+        (core, stubs).prop_map(|(mut edges, stubs)| {
+            edges.extend(stubs.into_iter().map(|(x, p, r)| match r {
+                0 => (x, (x + p + 1) % N, 2),
+                1 => (x, (x + p + 1) % N, 3),
+                _ => (x, p, 1),
+            }));
+            edges
+        })
+    }
+
+    /// Flat random graphs (few sinks) and hierarchical ones (mostly sinks).
+    fn graphs() -> impl Strategy<Value = Vec<(u32, u32, u8)>> {
+        prop_oneof![proptest::collection::vec((0u32..N, 0u32..N, 0u8..4), 0..90), hierarchical()]
+    }
+
+    #[test]
+    fn the_hierarchical_generator_is_mostly_sinks() {
+        let mut rng = proptest::test_rng("sink share");
+        let (mut sinks, mut nodes) = (0, 0);
+        for _ in 0..200 {
+            let t = build(hierarchical().new_value(&mut rng));
+            (sinks, nodes) = (sinks + t.sinks().len(), nodes + t.num_nodes());
+        }
+        let share = sinks as f64 / nodes as f64;
+        assert!((0.6..0.8).contains(&share), "sink share {share}");
+    }
+
     fn assert_identical(fast: &RoutingState<'_>, slow: &RoutingState<'_>) {
         for x in fast.topology().nodes() {
             assert_eq!(fast.best(x), slow.best(x), "best diverged at node {x}");
@@ -1818,8 +1880,8 @@ mod equivalence {
 
         /// Identical best tables and candidate sets on arbitrary graphs.
         #[test]
-        fn bucket_matches_heap(
-            edges in proptest::collection::vec((0u32..N, 0u32..N, 0u8..4), 0..90),
+        fn kernel_matches_heap(
+            edges in graphs(),
             dest_raw in 0u32..N,
             mask in (0u32..N, 0u32..N),
         ) {
@@ -1840,7 +1902,7 @@ mod equivalence {
         }
 
         /// The incremental delta re-solve is bit-for-bit identical to the
-        /// heap oracle *and* to the full masked bucket solve, on arbitrary
+        /// heap oracle *and* to the full masked kernel solve, on arbitrary
         /// graphs and arbitrary failed links — including cut links that
         /// disconnect the destination and links absent from the base
         /// routing tree (which must be recompute-free no-ops). Consecutive
@@ -1848,7 +1910,7 @@ mod equivalence {
         /// restore the base solve exactly.
         #[test]
         fn delta_matches_oracle_and_full_masked_solve(
-            edges in proptest::collection::vec((0u32..N, 0u32..N, 0u8..4), 0..90),
+            edges in graphs(),
             dest_raw in 0u32..N,
             links in proptest::collection::vec((0u32..N, 0u32..N), 1..6),
         ) {
@@ -1882,7 +1944,7 @@ mod equivalence {
         /// between destinations.
         #[test]
         fn scratch_reuse_is_stateless(
-            edges in proptest::collection::vec((0u32..N, 0u32..N, 0u8..4), 0..90),
+            edges in graphs(),
             dests in proptest::collection::vec(0u32..N, 1..6),
         ) {
             let t = build(edges);

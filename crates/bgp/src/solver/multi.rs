@@ -80,10 +80,7 @@
 //! same events one at a time, and (b) a from-scratch solve of a
 //! topology rebuilt without the currently-failed links.
 
-use super::{
-    route_class_code, BestRoute, DeltaScratch, RoutingState, SolveScratch, UNROUTED_CLASS,
-    UNROUTED_HOPS, UNROUTED_NEXT,
-};
+use super::{BestRoute, DeltaScratch, RoutingState, SolveScratch};
 use crate::route::ExportScope;
 use miro_topology::{NodeId, Rel, RouteClass, Topology};
 
@@ -174,14 +171,11 @@ impl<'t> MultiFailState<'t> {
             h ^= byte as u64;
             h = h.wrapping_mul(PRIME);
         };
-        for x in self.topo.nodes() {
-            let (c, l, nx) = match self.best(x) {
-                Some(b) => (route_class_code(b.class), b.len, b.next),
-                None => (UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT),
-            };
-            eat(c);
-            l.to_le_bytes().into_iter().for_each(&mut eat);
-            nx.to_le_bytes().into_iter().for_each(&mut eat);
+        let (next, hops, class) = self.columns();
+        for x in 0..next.len() {
+            eat(class[x]);
+            hops[x].to_le_bytes().into_iter().for_each(&mut eat);
+            next[x].to_le_bytes().into_iter().for_each(&mut eat);
         }
         h
     }
@@ -363,7 +357,7 @@ impl MultiFailState<'_> {
     fn chain_passes(&self, n: NodeId, x: NodeId) -> bool {
         let mut at = n;
         while at != self.dest {
-            at = self.best[at as usize].next;
+            at = self.t.next[at as usize];
             if at == x {
                 return true;
             }

@@ -4,9 +4,10 @@
 //! For each scale, generates the preset topology and solves the
 //! stable state for *every* destination twice:
 //!
-//! * **bucket** — the CSR bucket-queue engine behind
-//!   [`miro_bgp::engine::par_over_dests`]: per-thread scratch arenas,
-//!   generation-stamped clearing, lock-free deterministic merge;
+//! * **bucket** — the level-synchronous CSR kernel behind
+//!   [`miro_bgp::engine::par_over_dests`] (the row keys keep the name
+//!   of the bucket queue it replaced): per-thread scratch arenas,
+//!   lock-free deterministic merge;
 //! * **heap** — the retained [`miro_bgp::solver::reference`] engine,
 //!   driven the way the pre-CSR code drove it: a fresh `BinaryHeap` and
 //!   routing table allocated per destination, results pushed through a
@@ -230,7 +231,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     );
     let mut json = Report {
         bench: "solver-whole-network",
-        engine: "csr-bucket-queue-packed-frontier",
+        engine: "csr-level-synchronous-sink-pull",
         baseline: "heap-per-solve-alloc (1 thread, stride-sampled)",
         seed: SEED,
         scales: Vec::new(),

@@ -3,7 +3,7 @@
 //!
 //! Builds a forwarding engine from *solved* route tables: a preset
 //! topology is generated, every destination's stable state is solved with
-//! the bucket engine, and the vantage AS's best next hops become LPM
+//! the solver kernel, and the vantage AS's best next hops become LPM
 //! entries (one /20 per destination AS). Four MIRO tunnels are installed
 //! on top — two driven directly by destination-prefix classifier rules,
 //! two behind a hash-split group keyed by the TOS marking of section 3.5.

@@ -36,7 +36,6 @@
 //! destination order, so a dispatch block is one contiguous byte range.
 
 use miro_bgp::engine::ScratchPool;
-use miro_bgp::solver::RoutingState;
 use miro_topology::{NodeId, Topology};
 
 /// File magic: "MIRO Route Table".
@@ -219,16 +218,9 @@ pub fn encode_row(next: &[u32], hops: &[u16], class: &[u8], out: &mut [u8]) -> u
     checksum(out)
 }
 
-/// One solved destination's columns, extracted from its routing state.
-fn columns(state: &RoutingState<'_>) -> (Vec<u32>, Vec<u16>, Vec<u8>) {
-    let v = state.topology().num_nodes();
-    let (mut next, mut hops, mut class) = (vec![0u32; v], vec![0u16; v], vec![0u8; v]);
-    state.write_table_row(&mut next, &mut hops, &mut class);
-    (next, hops, class)
-}
-
-/// Solve `dests` and serialise each row once: `(row bytes, row checksum)`
-/// in order — a shard worker's block, against one `pool` for the whole job.
+/// Solve `dests` and serialise each row once, straight from the solved
+/// state's columns: `(row bytes, row checksum)` in order — a shard
+/// worker's block, against one `pool` for the whole job.
 pub fn solve_rows(
     topo: &Topology,
     dests: &[NodeId],
@@ -236,9 +228,9 @@ pub fn solve_rows(
     pool: &ScratchPool,
 ) -> Vec<(Vec<u8>, u64)> {
     pool.over_dests(topo, dests, threads, |_, wi| {
-        let (next, hops, class) = columns(wi.base());
+        let (next, hops, class) = wi.base().columns();
         let mut row = vec![0u8; 7 * next.len()];
-        let sum = encode_row(&next, &hops, &class, &mut row);
+        let sum = encode_row(next, hops, class, &mut row);
         (row, sum)
     })
 }
@@ -273,8 +265,10 @@ impl RouteTableSet {
     /// reference the sharded service must reproduce byte for byte.
     pub fn from_solves(topo: &Topology, dests: &[NodeId], threads: usize) -> RouteTableSet {
         let v = topo.num_nodes();
-        let rows = ScratchPool::for_nodes(v)
-            .over_dests(topo, dests, threads, |_, wi| columns(wi.base()));
+        let rows = ScratchPool::for_nodes(v).over_dests(topo, dests, threads, |_, wi| {
+            let (next, hops, class) = wi.base().columns();
+            (next.to_vec(), hops.to_vec(), class.to_vec())
+        });
         let mut set = RouteTableSet::with_dests(v as u32, dests.to_vec());
         for (i, (next, hops, class)) in rows.into_iter().enumerate() {
             set.set_row(i, &next, &hops, &class);
@@ -357,6 +351,7 @@ impl RouteTableSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miro_bgp::solver::RoutingState;
     use miro_topology::GenParams;
 
     fn sample() -> (Topology, RouteTableSet) {

@@ -292,10 +292,15 @@ impl TopologyBuilder {
         // CSR by counting: degrees, prefix sums, one scatter of every
         // edge into both endpoints' slices, then each slice sorted by
         // neighbor id (deterministic regardless of HashMap order).
+        // The same pass marks transit ASes: those with a customer or a
+        // sibling (`rel` is what `ib` is to `ia`).
         let mut offsets = vec![0u32; n + 1];
-        for &(ia, ib) in self.edges.keys() {
+        let mut transit = vec![false; n];
+        for (&(ia, ib), &rel) in &self.edges {
             offsets[ia as usize + 1] += 1;
             offsets[ib as usize + 1] += 1;
+            transit[ia as usize] |= matches!(rel, Rel::Customer | Rel::Sibling);
+            transit[ib as usize] |= matches!(rel, Rel::Provider | Rel::Sibling);
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
@@ -316,6 +321,8 @@ impl TopologyBuilder {
         let mut part = Vec::with_capacity(total);
         let mut part_off = Vec::with_capacity(4 * n + 1);
         part_off.push(0u32);
+        let (mut tdown, mut tdown_off) = (Vec::new(), Vec::with_capacity(n + 1));
+        tdown_off.push(0u32);
         for w in offsets.windows(2) {
             let list = &mut adj[w[0] as usize..w[1] as usize];
             list.sort_unstable_by_key(|&(id, _)| id);
@@ -325,8 +332,15 @@ impl TopologyBuilder {
                 part.extend(list.iter().filter(|&&(_, r)| r == class).map(|&(y, _)| y));
                 part_off.push(part.len() as u32);
             }
+            // This node's class boundaries: siblings, then customers.
+            let b: [usize; 5] = std::array::from_fn(|i| part_off[part_off.len() - 5 + i] as usize);
+            tdown.extend_from_slice(&part[b[1]..b[2]]);
+            tdown.extend(part[b[2]..b[3]].iter().filter(|&&y| transit[y as usize]));
+            tdown_off.push(tdown.len() as u32);
         }
-        let topo = Topology { asns: self.asns, index: self.index, offsets, adj, part, part_off };
+        let sinks = (0..n as NodeId).filter(|&x| !transit[x as usize]).collect();
+        let (asns, index) = (self.asns, self.index);
+        let topo = Topology { asns, index, offsets, adj, part, part_off, tdown, tdown_off, sinks };
         if require_hierarchy {
             if let Some(node) = topo.find_provider_cycle() {
                 return Err(TopologyError::ProviderCycle(topo.asn(node)));
@@ -355,6 +369,11 @@ impl TopologyBuilder {
 ///   Peer. Each routing sweep's edge set (providers+siblings going up,
 ///   siblings+customers going down, peers sideways) is then one contiguous
 ///   slice: see [`Topology::up_neighbors`] and friends.
+///
+/// A *sink* is an AS with no customers and no siblings: it passes no
+/// route on in any sweep. `tdown_off`/`tdown` hold each node's
+/// [`Topology::transit_down`] slice (siblings, then the customers that
+/// are not sinks) and `sinks` lists the sinks by id.
 #[derive(Clone, Debug)]
 pub struct Topology {
     asns: Vec<AsId>,
@@ -363,6 +382,9 @@ pub struct Topology {
     adj: Vec<(NodeId, Rel)>,
     part: Vec<NodeId>,
     part_off: Vec<u32>,
+    tdown: Vec<NodeId>,
+    tdown_off: Vec<u32>,
+    sinks: Vec<NodeId>,
 }
 
 /// Index of each relationship class inside a node's `part` partition. The
@@ -464,6 +486,18 @@ impl Topology {
     #[inline]
     pub fn peer_neighbors(&self, id: NodeId) -> &[NodeId] {
         self.class_slice(id, CLASS_PEER, CLASS_PEER + 1)
+    }
+
+    /// Siblings of `id`, then its customers that are not sinks: where a
+    /// provider-class route travels on from `id`.
+    #[inline]
+    pub fn transit_down(&self, id: NodeId) -> &[NodeId] {
+        &self.tdown[self.tdown_off[id as usize] as usize..self.tdown_off[id as usize + 1] as usize]
+    }
+
+    /// Every sink (no customers, no siblings), in id order.
+    pub fn sinks(&self) -> &[NodeId] {
+        &self.sinks
     }
 
     /// Customers of `id`.
@@ -831,6 +865,35 @@ mod tests {
                 assert!(matches!(t.rel(x, y), Some(Rel::Sibling | Rel::Customer)));
             }
             assert_eq!(t.degree(x), t.neighbors(x).len());
+        }
+    }
+
+    proptest::proptest! {
+        /// The transit-down slice and the sink list equal their filter
+        /// definitions: a sink has no customer and no sibling; a node's
+        /// slice is its siblings, then its customers that are not sinks.
+        #[test]
+        fn transit_down_and_sinks_match_their_definitions(
+            edges in proptest::collection::vec((0u32..24, 0u32..24, 0u8..4), 0..60),
+        ) {
+            let mut b = TopologyBuilder::new();
+            for n in 0..24 {
+                b.intern_as(AsId(100 + n));
+            }
+            for (x, y, r) in edges {
+                let rel = [Rel::Customer, Rel::Provider, Rel::Peer, Rel::Sibling][r as usize];
+                b.try_link(AsId(100 + x), AsId(100 + y), rel);
+            }
+            let t = b.build().unwrap();
+            let transit = |r: Rel| matches!(r, Rel::Customer | Rel::Sibling);
+            let sink = |x: NodeId| !t.neighbors(x).iter().any(|&(_, r)| transit(r));
+            let sinks: Vec<NodeId> = t.nodes().filter(|&x| sink(x)).collect();
+            proptest::prop_assert_eq!(t.sinks(), &sinks[..]);
+            for x in t.nodes() {
+                let want: Vec<NodeId> =
+                    t.siblings(x).chain(t.customers(x).filter(|&y| !sink(y))).collect();
+                proptest::prop_assert_eq!(t.transit_down(x), &want[..]);
+            }
         }
     }
 

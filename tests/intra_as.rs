@@ -1,6 +1,6 @@
 //! The router-level rung of the oracle chain: one section 4.1 fabric
 //! ([`AsFabric`] under its [`Rcp`]) per AS of a solved topology must
-//! agree with the AS-level solver — heap ≡ bucket ≡ delta ≡ wire
+//! agree with the AS-level solver — heap ≡ kernel ≡ delta ≡ wire
 //! speakers ≡ router-level fabric — and a lease the control plane
 //! negotiates must leave on the exit link the data plane installed.
 //!

@@ -1,6 +1,6 @@
 //! The wire-level rung of the oracle chain: one [`Speaker`] per AS,
 //! talking real OPEN / UPDATE / NOTIFICATION bytes, must converge to the
-//! table the AS-level solver computes — heap ≡ bucket ≡ delta ≡ speakers.
+//! table the AS-level solver computes — heap ≡ kernel ≡ delta ≡ speakers.
 //!
 //! The wiring is the whole translation between the two models:
 //!
