@@ -19,23 +19,26 @@
 //!
 //! Each stream is timed through [`Engine::forward_burst`] at every
 //! `--batch` size and through the packet-at-a-time [`Engine::forward_one`]
-//! baseline (reported as `batch: 1, baseline: true`). A per-packet
+//! baseline (reported as `batch: 1, baseline: true`), [`REPS`] times per
+//! row: `ms` is the fastest repetition, `median_ms` the median and
+//! `spread` (slowest − fastest) / median. A per-packet
 //! checksum of every verdict (next hops, tunnel ids, output lengths) must
 //! agree across all batch sizes *and* the baseline before anything is
 //! reported, and a prefix of each stream is compared byte-for-byte.
 //!
-//! The LPM amortization is also measured in isolation: one pass of
-//! per-packet [`PrefixTrie::lookup`] against [`lookup_batch_copied`] over
-//! the same destination sequence. `--check-batch-speedup F` turns that
-//! ratio into a hard CI gate — it compares two single-threaded code paths
-//! on the same host, so it holds on 1-CPU runners too. `--capture FILE`
+//! The LPM is also measured in isolation: per-packet
+//! [`PrefixTrie::lookup`] (the reference `forward_one` walks) against the
+//! burst path's compiled [`StrideTable::get`] over the same destination
+//! sequence. `--check-lookup-speedup F` turns that ratio into a hard CI
+//! gate — it compares two single-threaded code paths on the same host, so
+//! it holds on 1-CPU runners too. `--capture FILE`
 //! writes a sample of the encapsulated output packets as pcapng for
 //! Wireshark inspection. Results land in `BENCH_dataplane.json`.
 //!
 //! [`Engine::forward_burst`]: miro_dataplane::burst::Engine::forward_burst
 //! [`Engine::forward_one`]: miro_dataplane::burst::Engine::forward_one
 //! [`PrefixTrie::lookup`]: miro_dataplane::lpm::PrefixTrie::lookup
-//! [`lookup_batch_copied`]: miro_dataplane::lpm::PrefixTrie::lookup_batch_copied
+//! [`StrideTable::get`]: miro_dataplane::lpm::StrideTable::get
 
 use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Rng, Zipf, SEED};
 use bytes::Bytes;
@@ -44,7 +47,7 @@ use miro_dataplane::burst::{BurstScratch, Engine, OneVerdict, TunnelSpec, Verdic
 use miro_dataplane::classifier::{Action, Classifier, HashSplitter, Match};
 use miro_dataplane::encap;
 use miro_dataplane::ipv4::{Ipv4Addr4, Ipv4Header};
-use miro_dataplane::lpm::{LookupScratch, Prefix, PrefixTrie};
+use miro_dataplane::lpm::{Prefix, PrefixTrie};
 use miro_dataplane::pcapng;
 use miro_topology::NodeId;
 use serde::Serialize;
@@ -61,13 +64,13 @@ pub static CMD: Cmd = Cmd {
         Flag { name: "--batch", kind: Kind::UsizeList, default: "8,64,512,4096", help: "burst sizes, one row each" },
         Flag { name: "--out", kind: Kind::Str, default: "BENCH_dataplane.json", help: "where the JSON lands" },
         Flag { name: "--capture", kind: Kind::Str, default: "", help: "write a pcapng sample of the encapsulated output" },
-        Flag { name: "--check-batch-speedup", kind: Kind::F64, default: "", help: "fail under this batched-vs-single LPM speedup" },
+        Flag { name: "--check-lookup-speedup", kind: Kind::F64, default: "", help: "fail under this stride-table-vs-trie LPM speedup" },
         Flag { name: "--list", kind: Kind::Switch, default: "", help: "print stages, scales, row schemas and flags; run nothing" },
     ],
 };
 
-/// Timing repetitions per row (best-of).
-const REPS: u32 = 2;
+/// Timing repetitions per row.
+const REPS: usize = 5;
 
 /// Largest accepted `--batch` entry: beyond this it is certainly a typo.
 const MAX_BATCH: usize = 1 << 20;
@@ -80,6 +83,39 @@ const LOCAL: Ipv4Addr4 = Ipv4Addr4([200, 0, 0, 1]);
 /// Virtual tunnel id the split group answers to.
 const GROUP: u32 = 1000;
 
+/// [`REPS`] wall times of one measurement, sorted.
+struct Reps(Vec<Duration>);
+
+impl Reps {
+    /// Run `f` [`REPS`] times; every run must return the same checksum.
+    fn time(mut f: impl FnMut() -> u64) -> (Reps, u64) {
+        let mut walls = Vec::with_capacity(REPS);
+        let mut sink = None;
+        for _ in 0..REPS {
+            let start = Instant::now();
+            let s = f();
+            walls.push(start.elapsed());
+            assert!(sink.is_none_or(|prev| prev == s), "repetitions disagree");
+            sink = Some(s);
+        }
+        walls.sort_unstable();
+        (Reps(walls), sink.unwrap_or(0))
+    }
+
+    fn min(&self) -> Duration {
+        self.0[0]
+    }
+
+    fn median(&self) -> Duration {
+        self.0[self.0.len() / 2]
+    }
+
+    /// (slowest − fastest) / median.
+    fn spread(&self) -> f64 {
+        (self.0[self.0.len() - 1] - self.0[0]).as_secs_f64() / self.median().as_secs_f64().max(1e-12)
+    }
+}
+
 /// One timing row: a stage at a batch size (or the baseline).
 #[derive(Serialize)]
 struct StageRow {
@@ -87,35 +123,38 @@ struct StageRow {
     batch: usize,
     baseline: bool,
     ms: f64,
+    median_ms: f64,
+    spread: f64,
     mpps: f64,
     ns_per_pkt: f64,
 }
 
 impl StageRow {
-    fn new(stage: &'static str, batch: usize, baseline: bool, wall: Duration, packets: usize) -> StageRow {
-        let secs = wall.as_secs_f64();
+    fn new(stage: &'static str, batch: usize, baseline: bool, reps: &Reps, packets: usize) -> StageRow {
+        let secs = reps.min().as_secs_f64();
         StageRow {
             stage,
             batch,
             baseline,
-            ms: ms(wall),
+            ms: ms(reps.min()),
+            median_ms: ms(reps.median()),
+            spread: reps.spread(),
             mpps: packets as f64 / secs.max(1e-12) / 1e6,
             ns_per_pkt: secs * 1e9 / packets.max(1) as f64,
         }
     }
 }
 
-/// The isolated LPM A/B result.
+/// The isolated LPM A/B result: fastest repetition of each side.
 #[derive(Serialize)]
 struct LookupRow {
     packets: usize,
-    batch: usize,
-    single_ms: f64,
-    batched_ms: f64,
+    trie_ms: f64,
+    table_ms: f64,
     speedup: f64,
-    descents: usize,
-    reused: usize,
-    reused_frac: f64,
+    /// The larger of the two sides' spreads.
+    spread: f64,
+    table_bytes: usize,
 }
 
 #[derive(Serialize)]
@@ -124,6 +163,7 @@ struct Report {
     engine: &'static str,
     baseline: &'static str,
     seed: u64,
+    reps: usize,
     scale: &'static str,
     nodes: usize,
     prefixes: usize,
@@ -140,7 +180,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let (flows, packets): (usize, usize) = (a.get("--flows")?, a.get("--packets")?);
     let out_path: String = a.get("--out")?;
     let capture: Option<String> = a.opt("--capture")?;
-    let check_speedup = a.opt("--check-batch-speedup")?;
+    let check_speedup = a.opt("--check-lookup-speedup")?;
     let batches = a.list("--batch")?;
     if let Some(b) = batches.iter().find(|&&b| b > MAX_BATCH) {
         return Err(format!("--batch {b} is absurd (max {MAX_BATCH})"));
@@ -158,12 +198,9 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         out.push_str("row schemas:\n");
         out.push_str(
-            "  stages[] = {stage, batch, baseline, ms, mpps, ns_per_pkt}\n",
+            "  stages[] = {stage, batch, baseline, ms, median_ms, spread, mpps, ns_per_pkt}\n",
         );
-        out.push_str(
-            "  lookup   = {packets, batch, single_ms, batched_ms, speedup, \
-             descents, reused, reused_frac}\n",
-        );
+        out.push_str("  lookup   = {packets, trie_ms, table_ms, speedup, spread, table_bytes}\n");
         out.push_str(&CMD.usage());
         return Ok(out);
     }
@@ -265,14 +302,17 @@ pub fn run(args: &[String]) -> Result<String, String> {
     for (stage, frames) in &streams {
         let views: Vec<&[u8]> = frames.iter().map(|f| &f[..]).collect();
         let mut sinks: Vec<u64> = Vec::new();
+        let mut scratch = BurstScratch::new();
         for &batch in &batches {
-            let (wall, sink) = time_burst(&eng, &views, batch);
+            let (reps, sink) = Reps::time(|| burst_sink(&eng, &views, batch, &mut scratch));
             sinks.push(sink);
-            rows.push(StageRow::new(stage, batch, false, wall, frames.len()));
+            rows.push(StageRow::new(stage, batch, false, &reps, frames.len()));
         }
-        let (wall, sink) = time_single(&eng, frames);
+        let (reps, sink) = Reps::time(|| {
+            frames.iter().fold(0u64, |s, f| s.wrapping_add(sink_one(&eng.forward_one(f))))
+        });
         sinks.push(sink);
-        rows.push(StageRow::new(stage, 1, true, wall, frames.len()));
+        rows.push(StageRow::new(stage, 1, true, &reps, frames.len()));
         // Every batch size and the baseline must have produced identical
         // verdict streams (checksummed over next hops, tunnels, lengths).
         if sinks.windows(2).any(|w| w[0] != w[1]) {
@@ -282,21 +322,21 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let tag = if r.baseline { "single" } else { " burst" };
             let _ = writeln!(
                 report,
-                "  {:<8} {tag} batch {:>4} | {:>8.2} ms | {:>6.2} Mpps | {:>6.1} ns/pkt",
-                r.stage, r.batch, r.ms, r.mpps, r.ns_per_pkt,
+                "  {:<8} {tag} batch {:>4} | {:>8.2} ms | {:>6.2} Mpps | {:>6.1} ns/pkt | spread {:>4.0}%",
+                r.stage, r.batch, r.ms, r.mpps, r.ns_per_pkt, r.spread * 100.0,
             );
         }
     }
 
     // ---- Isolated LPM A/B ---------------------------------------------
-    let lookup = time_lookup(&eng, &streams[0].1, batches.iter().copied().max().unwrap_or(8));
+    let lookup = time_lookup(&eng, &streams[0].1);
     let _ = writeln!(
         report,
-        "  lookup   single {:>8.2} ms | batched {:>8.2} ms | {:.2}x | walk reuse {:.0}%",
-        lookup.single_ms,
-        lookup.batched_ms,
+        "  lookup   trie {:>8.2} ms | table {:>8.2} ms | {:.2}x | table {} KB",
+        lookup.trie_ms,
+        lookup.table_ms,
         lookup.speedup,
-        lookup.reused_frac * 100.0,
+        lookup.table_bytes / 1024,
     );
 
     // ---- Optional pcapng capture of encapsulated output ---------------
@@ -308,9 +348,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
     let json = Report {
         bench: "dataplane-burst",
-        engine: "burst-preparse-batch-lpm-flow-cache-arena",
+        engine: "burst-preparse-stride-lpm-per-packet-decide-arena",
         baseline: "forward_one-per-packet-alloc",
         seed: SEED,
+        reps: REPS,
         scale: sc.name,
         nodes: topo.num_nodes(),
         prefixes: routable.len(),
@@ -322,7 +363,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     };
     report.push_str(&harness::emit(&out_path, &json)?);
 
-    gate("batched lookup", json.lookup.speedup, check_speedup)?;
+    gate("stride-table lookup", json.lookup.speedup, check_speedup)?;
     Ok(report)
 }
 
@@ -408,96 +449,42 @@ fn sink_one(v: &OneVerdict) -> u64 {
     }
 }
 
-/// Time the burst pipeline over `views` in chunks of `batch` (best-of
-/// [`REPS`]); returns the wall time and the verdict checksum.
-fn time_burst(eng: &Engine, views: &[&[u8]], batch: usize) -> (Duration, u64) {
-    let mut scratch = BurstScratch::new();
-    let mut best = Duration::MAX;
-    let mut sink = 0u64;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let mut s = 0u64;
-        for chunk in views.chunks(batch) {
-            eng.forward_burst(chunk, &mut scratch);
-            for v in scratch.verdicts() {
-                s = s.wrapping_add(sink_verdict(v));
-            }
+/// One pass of the burst pipeline over `views` in chunks of `batch`; the
+/// verdict checksum.
+fn burst_sink(eng: &Engine, views: &[&[u8]], batch: usize, scratch: &mut BurstScratch) -> u64 {
+    let mut s = 0u64;
+    for chunk in views.chunks(batch) {
+        eng.forward_burst(chunk, scratch);
+        for v in scratch.verdicts() {
+            s = s.wrapping_add(sink_verdict(v));
         }
-        best = best.min(start.elapsed());
-        sink = s;
     }
-    (best, sink)
+    s
 }
 
-/// Time the packet-at-a-time baseline over the same stream.
-fn time_single(eng: &Engine, frames: &[Bytes]) -> (Duration, u64) {
-    let mut best = Duration::MAX;
-    let mut sink = 0u64;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let mut s = 0u64;
-        for frame in frames {
-            s = s.wrapping_add(sink_one(&eng.forward_one(frame)));
-        }
-        best = best.min(start.elapsed());
-        sink = s;
-    }
-    (best, sink)
-}
-
-/// Per-packet `lookup` vs `lookup_batch_copied` over the stream's
-/// destination sequence — the isolated figure `--check-batch-speedup`
-/// gates on.
-fn time_lookup(eng: &Engine, frames: &[Bytes], batch: usize) -> LookupRow {
+/// Per-packet trie `lookup` vs the compiled table's `get` over the
+/// stream's destination sequence — the isolated figure
+/// `--check-lookup-speedup` gates on. Both sides fold the same next hops.
+fn time_lookup(eng: &Engine, frames: &[Bytes]) -> LookupRow {
     let dsts: Vec<Ipv4Addr4> = frames
         .iter()
         .map(|f| Ipv4Addr4([f[16], f[17], f[18], f[19]]))
         .collect();
-    let lpm = eng.lpm();
-    let mut single = Duration::MAX;
-    let mut hits_single = 0usize;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let mut hits = 0usize;
-        for &d in &dsts {
-            if lpm.lookup(d).is_some() {
-                hits += 1;
-            }
-        }
-        single = single.min(start.elapsed());
-        hits_single = hits;
-    }
-    let mut batched = Duration::MAX;
-    let mut hits_batched = 0usize;
-    let mut descents = 0usize;
-    let mut reused = 0usize;
-    let mut scratch = LookupScratch::new();
-    let mut out: Vec<Option<u32>> = Vec::new();
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let mut hits = 0usize;
-        let (mut de, mut re) = (0usize, 0usize);
-        for chunk in dsts.chunks(batch) {
-            let stats = lpm.lookup_batch_copied(chunk, &mut scratch, &mut out);
-            hits += out.iter().filter(|o| o.is_some()).count();
-            de += stats.descents;
-            re += stats.reused;
-        }
-        batched = batched.min(start.elapsed());
-        hits_batched = hits;
-        descents = de;
-        reused = re;
-    }
-    assert_eq!(hits_single, hits_batched, "lookup paths disagree");
+    let fold = |nh: Option<u32>| nh.map_or(1, |n| u64::from(n) + 2);
+    let (trie, trie_sink) = Reps::time(|| {
+        dsts.iter().fold(0u64, |s, &d| s.wrapping_add(fold(eng.lpm().lookup(d).map(|(_, &n)| n))))
+    });
+    let (table, table_sink) = Reps::time(|| {
+        dsts.iter().fold(0u64, |s, &d| s.wrapping_add(fold(eng.table().get(d).copied())))
+    });
+    assert_eq!(trie_sink, table_sink, "lookup paths disagree");
     LookupRow {
         packets: dsts.len(),
-        batch,
-        single_ms: ms(single),
-        batched_ms: ms(batched),
-        speedup: single.as_secs_f64() / batched.as_secs_f64().max(1e-12),
-        descents,
-        reused,
-        reused_frac: reused as f64 / (descents + reused).max(1) as f64,
+        trie_ms: ms(trie.min()),
+        table_ms: ms(table.min()),
+        speedup: trie.min().as_secs_f64() / table.min().as_secs_f64().max(1e-12),
+        spread: trie.spread().max(table.spread()),
+        table_bytes: eng.table().bytes(),
     }
 }
 
@@ -570,8 +557,8 @@ mod tests {
             assert!(out.contains(stage), "{stage} in {out}");
         }
         assert!(out.contains("row schemas:"), "{out}");
-        assert!(out.contains("stages[] = {stage, batch, baseline, ms, mpps, ns_per_pkt}"));
-        assert!(out.contains("lookup   = {packets, batch, single_ms"));
+        assert!(out.contains("stages[] = {stage, batch, baseline, ms, median_ms, spread, mpps, ns_per_pkt}"));
+        assert!(out.contains("lookup   = {packets, trie_ms, table_ms, speedup, spread, table_bytes}"));
         assert!(out.ends_with(&CMD.usage()), "{out}");
     }
 
@@ -615,8 +602,9 @@ mod tests {
             assert!(row["mpps"].as_f64().unwrap() > 0.0);
             assert!(row["ns_per_pkt"].as_f64().unwrap() > 0.0);
         }
-        assert_eq!(v["lookup"]["batch"].as_f64(), Some(32.0));
+        assert_eq!(v["reps"].as_f64(), Some(REPS as f64));
         assert!(v["lookup"]["speedup"].as_f64().unwrap() > 0.0);
+        assert!(v["lookup"]["table_bytes"].as_f64().unwrap() >= f64::from(4u32 << 16));
         // The capture is a readable pcapng: SHB magic first.
         let cap = std::fs::read(&cap.0).unwrap();
         assert_eq!(&cap[..4], &0x0A0D_0D0Au32.to_le_bytes());

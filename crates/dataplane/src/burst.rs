@@ -12,26 +12,29 @@
 //!
 //! 1. **preparse** — one pass turning each frame into a [`FlowKey`] plus
 //!    header facts via the zero-copy slice parsers (no `Bytes` refcounts);
-//! 2. **lookup** — destinations gathered and answered by
-//!    [`PrefixTrie::lookup_batch`]: indices sorted by address, one trie
-//!    descent per distinct run, walk reuse across near-neighbors;
-//! 3. **decide** — tunnel/split decisions resolved once per *unique flow*
-//!    in the burst (a per-burst flow cache), not once per packet;
+//! 2. **lookup** — one [`StrideTable::get`] per forward-lane packet: the
+//!    engine compiles its [`PrefixTrie`] into a 16-4-4-8 stride table once,
+//!    at build, so a /20 costs two loads instead of a 20-node descent;
+//! 3. **decide** — the compiled classifier (plus the split hash for group
+//!    actions) per packet. A per-burst flow cache does not pay for itself:
+//!    most flows in a burst are unique, and a hash-map probe costs more
+//!    than the handful of rules it would skip;
 //! 4. **emit** — output packets packed into one reusable arena; tunnel
 //!    encapsulation stamps a precomputed per-tunnel 28-byte header+shim
 //!    template and patches only total-length and checksum.
 //!
 //! [`Engine::forward_one`] is the packet-at-a-time reference path built on
-//! the original allocating primitives. It is both the bench baseline and
-//! the equivalence oracle: the proptests pin that the burst pipeline
-//! produces byte-identical output packets and identical verdicts.
+//! the original allocating primitives and the trie's own
+//! [`PrefixTrie::lookup`]. It is both the bench baseline and the
+//! equivalence oracle: the proptests pin that the burst pipeline produces
+//! byte-identical output packets and identical verdicts, so they compare
+//! the compiled table against the trie packet by packet.
 
 use crate::classifier::{Action, Classifier, FlowKey, HashSplitter};
 use crate::encap;
 use crate::ipv4::{self, Ipv4Addr4, Ipv4Error, Ipv4Header, PROTO_MIRO};
-use crate::lpm::{BatchStats, LookupScratch, Prefix, PrefixTrie};
+use crate::lpm::{Prefix, PrefixTrie, StrideTable};
 use bytes::{Bytes, BytesMut};
-use std::collections::HashMap;
 
 /// Protocol numbers whose first four payload bytes carry ports.
 const PROTO_TCP: u8 = 6;
@@ -184,27 +187,32 @@ enum Kind {
     Err(PktError),
 }
 
+/// Lookup-stage counters of one burst.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct LookupStats {
+    /// Stride-table lookups: one per forward-lane packet.
+    pub descents: usize,
+    /// Lookups answered without touching the table: always 0, since
+    /// every packet is looked up on its own.
+    pub reused: usize,
+}
+
 /// Reusable burst state: every vector and the output arena survive across
 /// bursts, so a steady-state burst performs no allocation.
 #[derive(Default)]
 pub struct BurstScratch {
     kinds: Vec<Kind>,
     /// Forward-lane parallel arrays (indexed by `Kind::Fwd::slot`).
-    fwd_pkt: Vec<u32>,
     fwd_key: Vec<FlowKey>,
-    fwd_dst: Vec<Ipv4Addr4>,
     fwd_end: Vec<u32>,
     fwd_nh: Vec<Option<u32>>,
     fwd_decision: Vec<FlowDecision>,
-    /// Per-unique-flow decision cache, cleared (capacity kept) per burst.
-    flows: HashMap<FlowKey, FlowDecision>,
-    /// `lookup_batch` sort scratch.
-    order: LookupScratch,
     verdicts: Vec<Verdict>,
     arena: BytesMut,
-    /// Batch-lookup amortization counters for the last burst.
-    pub lookup_stats: BatchStats,
-    /// Unique flows the decide stage resolved in the last burst.
+    /// Lookup counters for the last burst.
+    pub lookup_stats: LookupStats,
+    /// Decisions the decide stage made in the last burst: one per
+    /// forward-lane packet.
     pub unique_flows: usize,
     /// Stage progress guard (0 = idle, 4 = emitted).
     stage: u8,
@@ -254,6 +262,8 @@ pub fn flow_key(header: &Ipv4Header, payload: &[u8]) -> FlowKey {
 /// and the local tunnel-endpoint address. Build once, forward many.
 pub struct Engine {
     lpm: PrefixTrie<u32>,
+    /// `lpm` compiled; the engine never edits `lpm`, so the two agree.
+    table: StrideTable<u32>,
     classifier: Classifier,
     /// (virtual tunnel id, splitter over concrete tunnel ids): a
     /// classifier action naming a group id fans out across the group's
@@ -265,8 +275,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine. Tunnel templates and endpoint next hops are
-    /// precomputed here. Panics on duplicate tunnel ids.
+    /// Build an engine. The stride table, tunnel templates and endpoint
+    /// next hops are precomputed here. Panics on duplicate tunnel ids.
     pub fn new(
         local: Ipv4Addr4,
         lpm: PrefixTrie<u32>,
@@ -282,7 +292,8 @@ impl Engine {
             .into_iter()
             .map(|spec| TunnelState::build(spec, &lpm))
             .collect();
-        Engine { lpm, classifier, split_groups, tunnels, local }
+        let table = lpm.compile();
+        Engine { lpm, table, classifier, split_groups, tunnels, local }
     }
 
     /// This engine's local tunnel-endpoint address.
@@ -295,9 +306,15 @@ impl Engine {
         self.tunnels.iter().map(|t| &t.spec)
     }
 
-    /// The LPM table (shared by both paths).
+    /// The LPM trie: `forward_one` looks up here, and the burst path's
+    /// [`table`](Self::table) is compiled from it.
     pub fn lpm(&self) -> &PrefixTrie<u32> {
         &self.lpm
+    }
+
+    /// The compiled stride table the burst path looks up in.
+    pub fn table(&self) -> &StrideTable<u32> {
+        &self.table
     }
 
     fn tunnel_index(&self, id: u32) -> Option<usize> {
@@ -334,13 +351,11 @@ impl Engine {
     pub fn preparse(&self, frames: &[&[u8]], scratch: &mut BurstScratch) {
         scratch.stage = 1;
         scratch.kinds.clear();
-        scratch.fwd_pkt.clear();
         scratch.fwd_key.clear();
-        scratch.fwd_dst.clear();
         scratch.fwd_end.clear();
         scratch.verdicts.clear();
         scratch.arena.clear();
-        for (i, frame) in frames.iter().enumerate() {
+        for frame in frames {
             let kind = match Ipv4Header::parse_slice(frame) {
                 Err(e) => Kind::Err(PktError::Ip(e)),
                 Ok((header, payload)) => {
@@ -356,10 +371,8 @@ impl Engine {
                     } else if header.ttl <= 1 {
                         Kind::Ttl
                     } else {
-                        let slot = scratch.fwd_pkt.len() as u32;
-                        scratch.fwd_pkt.push(i as u32);
+                        let slot = scratch.fwd_key.len() as u32;
                         scratch.fwd_key.push(flow_key(&header, payload));
-                        scratch.fwd_dst.push(header.dst);
                         scratch
                             .fwd_end
                             .push((Ipv4Header::LEN + header.payload_len as usize) as u32);
@@ -371,31 +384,25 @@ impl Engine {
         }
     }
 
-    /// Stage 2: one key-sorted batched LPM pass over the forward lane.
+    /// Stage 2: one stride-table lookup per forward-lane destination.
     pub fn lookup(&self, scratch: &mut BurstScratch) {
         debug_assert_eq!(scratch.stage, 1, "lookup needs a fresh preparse");
         scratch.stage = 2;
-        let stats = {
-            let BurstScratch { fwd_dst, order, fwd_nh, .. } = &mut *scratch;
-            self.lpm.lookup_batch_copied(fwd_dst, order, fwd_nh)
-        };
-        scratch.lookup_stats = stats;
+        let BurstScratch { fwd_key, fwd_nh, .. } = &mut *scratch;
+        fwd_nh.clear();
+        fwd_nh.extend(fwd_key.iter().map(|k| self.table.get(k.dst).copied()));
+        scratch.lookup_stats = LookupStats { descents: fwd_nh.len(), reused: 0 };
     }
 
-    /// Stage 3: resolve tunnel/split decisions once per unique flow.
+    /// Stage 3: resolve the tunnel/split decision of every forward-lane
+    /// packet.
     pub fn decide(&self, scratch: &mut BurstScratch) {
         debug_assert_eq!(scratch.stage, 2, "decide needs lookup results");
         scratch.stage = 3;
-        scratch.flows.clear();
-        scratch.fwd_decision.clear();
-        for key in &scratch.fwd_key {
-            let d = *scratch
-                .flows
-                .entry(*key)
-                .or_insert_with(|| self.decide_flow(key));
-            scratch.fwd_decision.push(d);
-        }
-        scratch.unique_flows = scratch.flows.len();
+        let BurstScratch { fwd_key, fwd_decision, .. } = &mut *scratch;
+        fwd_decision.clear();
+        fwd_decision.extend(fwd_key.iter().map(|k| self.decide_flow(k)));
+        scratch.unique_flows = fwd_decision.len();
     }
 
     /// Stage 4: emit every output packet into the shared arena and write
@@ -472,7 +479,7 @@ impl Engine {
         }
     }
 
-    /// The whole pipeline: preparse, batched lookup, per-flow decisions,
+    /// The whole pipeline: preparse, table lookup, per-packet decisions,
     /// arena emit. Results land in `scratch` ([`BurstScratch::verdicts`],
     /// [`BurstScratch::out_bytes`]).
     pub fn forward_burst(&self, frames: &[&[u8]], scratch: &mut BurstScratch) {
@@ -490,6 +497,7 @@ impl Engine {
     /// `Ipv4Header::parse` on an owned `Bytes`, a trie descent per packet,
     /// a full classify + split per packet, `encapsulate` allocating per
     /// packet. The burst pipeline must agree with this byte for byte.
+    /// Lookups walk the trie, never the stride table compiled from it.
     pub fn forward_one(&self, frame: &Bytes) -> OneVerdict {
         let (header, payload) = match Ipv4Header::parse(frame.clone()) {
             Err(e) => return OneVerdict::Malformed(PktError::Ip(e)),
@@ -689,7 +697,7 @@ mod tests {
             tcp_packet(a(1, 1, 1, 5), a(55, 0, 0, 1), 80, 0, 64),
             // TTL expiry inside the batch.
             tcp_packet(a(1, 1, 1, 6), a(12, 34, 1, 1), 80, 0, 1),
-            // Duplicate of the first flow (exercises the flow cache).
+            // Duplicate of the first flow.
             tcp_packet(a(1, 1, 1, 1), a(12, 34, 99, 9), 80, 0, 64),
         ];
         let verdicts = assert_equivalent(&eng, &frames);
@@ -749,6 +757,35 @@ mod tests {
         ));
         assert!(matches!(verdicts[3], Verdict::Malformed(PktError::Shim)));
         assert!(matches!(verdicts[4], Verdict::Forward { .. }));
+    }
+
+    /// `pkt` with its flags + fragment-offset word replaced, re-checksummed.
+    fn with_frag_word(pkt: &Bytes, word: u16) -> Bytes {
+        let mut v = pkt.to_vec();
+        v[6..8].copy_from_slice(&word.to_be_bytes());
+        v[10..12].fill(0);
+        let c = ipv4::checksum(&v[..Ipv4Header::LEN]);
+        v[10..12].copy_from_slice(&c.to_be_bytes());
+        Bytes::from(v)
+    }
+
+    #[test]
+    fn fragments_are_malformed_on_both_paths() {
+        // Without the rule the second fragment's first payload bytes read
+        // as ports: here "port" 6500 would hit the drop rule, and a
+        // fragment could dodge it or split one datagram across tunnels.
+        let eng = engine();
+        let first = tcp_packet(a(1, 1, 1, 1), a(12, 34, 99, 9), 80, 0xb8, 64);
+        let frames = vec![
+            with_frag_word(&first, 0x2000),
+            with_frag_word(&tcp_packet(a(1, 1, 1, 1), a(12, 34, 99, 9), 6500, 0xb8, 64), 185),
+            with_frag_word(&first, 0x4000),
+        ];
+        let verdicts = assert_equivalent(&eng, &frames);
+        for v in &verdicts[..2] {
+            assert_eq!(*v, Verdict::Malformed(PktError::Ip(Ipv4Error::Fragment)));
+        }
+        assert!(matches!(verdicts[2], Verdict::Encap { tunnel: 8 | 9, .. }), "DF alone forwards");
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //! Parse/emit in the smoltcp idiom: a plain struct, explicit field
 //! offsets, a real ones-complement checksum, and hard errors on malformed
 //! input. Only what MIRO's tunnels need: no options, no fragmentation.
+//! Both are refused rather than misread: a header with options, or a
+//! fragment (MF set or a non-zero offset), is an error. A non-first
+//! fragment has no transport header, so its "ports" would be payload.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -57,6 +60,9 @@ pub enum Ipv4Error {
     BadChecksum,
     /// Total length field disagrees with the buffer.
     BadTotalLen,
+    /// A fragment: more-fragments set or a non-zero fragment offset
+    /// (don't-fragment alone is fine).
+    Fragment,
 }
 
 impl std::fmt::Display for Ipv4Error {
@@ -67,6 +73,7 @@ impl std::fmt::Display for Ipv4Error {
             Ipv4Error::BadHeaderLen => "bad header length",
             Ipv4Error::BadChecksum => "checksum mismatch",
             Ipv4Error::BadTotalLen => "total length mismatch",
+            Ipv4Error::Fragment => "fragment",
         };
         f.write_str(s)
     }
@@ -154,6 +161,10 @@ impl Ipv4Header {
         }
         if vihl & 0x0f != 5 {
             return Err(Ipv4Error::BadHeaderLen);
+        }
+        // MF is 0x2000, the offset the low 13 bits; DF (0x4000) may be set.
+        if u16::from_be_bytes([data[6], data[7]]) & 0x3fff != 0 {
+            return Err(Ipv4Error::Fragment);
         }
         let total = u16::from_be_bytes([data[2], data[3]]);
         let rest = data.len() - Self::LEN;
@@ -284,6 +295,30 @@ mod tests {
         // Classic RFC 1071 worked example.
         let data = [0x00u8, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         assert_eq!(checksum(&data), !0xddf2);
+    }
+
+    /// `pkt` with flags + fragment offset set to `word`, re-checksummed.
+    fn with_frag_word(pkt: &Bytes, word: u16) -> Bytes {
+        let mut v = BytesMut::from(&pkt[..]);
+        v[6..8].copy_from_slice(&word.to_be_bytes());
+        v[10..12].fill(0);
+        let c = checksum(&v[..20]);
+        v[10..12].copy_from_slice(&c.to_be_bytes());
+        v.freeze()
+    }
+
+    #[test]
+    fn fragments_are_refused_and_df_is_not() {
+        let pkt = hdr().emit_with_payload(b"abcd");
+        // MF on a first fragment, a non-first fragment (offset 185 x 8
+        // bytes), and both.
+        for word in [0x2000, 185, 0x2000 | 185, 0x4000 | 1] {
+            let frag = with_frag_word(&pkt, word);
+            assert_eq!(Ipv4Header::parse_slice(&frag).unwrap_err(), Ipv4Error::Fragment);
+            assert_eq!(Ipv4Header::parse(frag).unwrap_err(), Ipv4Error::Fragment);
+        }
+        let df = with_frag_word(&pkt, 0x4000);
+        assert_eq!(Ipv4Header::parse(df).unwrap().0, hdr());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Longest-prefix-match forwarding table (binary trie).
+//! Longest-prefix-match forwarding table: a binary trie to build and
+//! edit, compiled once into a stride table to forward from.
 //!
 //! BGP's destination-based forwarding (section 2.1.1) performs a
 //! longest-prefix match on the destination address: `12.34.56.78` matches
@@ -6,8 +7,16 @@
 //! also how multi-homed stubs today hack inbound control by announcing
 //! smaller subnets (section 1.2 footnote), so the experiments comparing
 //! MIRO against that practice need a real LPM.
+//!
+//! [`PrefixTrie`] is the reference: one bit per level, insert / remove /
+//! exact `get`, and a `lookup` that walks up to 32 boxed nodes.
+//! [`StrideTable`] is what the burst engine forwards from: the same
+//! entries expanded into a 16-4-4-8 multibit table, so a lookup is one
+//! to four dependent loads (two for a /20).
 
 use crate::ipv4::Ipv4Addr4;
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// A prefix: address plus mask length.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -47,121 +56,6 @@ struct Node<T> {
     value: Option<T>,
 }
 
-/// Counters from one [`PrefixTrie::lookup_batch`] call.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct BatchStats {
-    /// Full trie descents performed.
-    pub descents: usize,
-    /// Lookups answered by reusing the previous walk.
-    pub reused: usize,
-}
-
-/// Reusable scratch for the batched lookups. Holds the packed
-/// `(address << 32) | input-index` sort keys and the radix scatter
-/// buffer; reusing one scratch across bursts keeps the hot path
-/// allocation-free.
-#[derive(Default)]
-pub struct LookupScratch {
-    packed: Vec<u64>,
-    tmp: Vec<u64>,
-}
-
-impl LookupScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Batches at or above this size are sorted with the byte-wise radix
-/// sort; below it, `sort_unstable` on the packed keys wins.
-const RADIX_MIN: usize = 128;
-
-/// State a sorted batch walk carries from one address to the next:
-/// `(address bits, bits consumed, stopped at a childless leaf, best match)`.
-type PrevWalk<'a, T> = (u32, u8, bool, Option<(u8, &'a T)>);
-
-/// LSD radix sort of packed `(address << 32) | index` words by the
-/// address bits only (passes over the index half would be wasted work —
-/// equal addresses need no particular order).
-///
-/// Two tricks keep the per-packet cost low enough to beat `sort_unstable`
-/// on burst-sized inputs. First, `varying` (an OR/AND prescan the caller
-/// computes while packing — address half, pre-shifted) gives the span of
-/// address bits that differ at all, and the byte passes are aligned to
-/// that span — route tables cover a sliver of the 32-bit space, so bursts
-/// typically need two or three passes instead of four. Second, each
-/// pass's histogram is built inside the *previous* pass's scatter loop
-/// (LSD counts are order-independent), so after the first histogram every
-/// sweep over the data does scatter work.
-fn radix_sort_by_addr(data: &mut Vec<u64>, tmp: &mut Vec<u64>, varying: u64) {
-    if varying == 0 {
-        return; // every address in the batch is identical
-    }
-    let lo = varying.trailing_zeros();
-    let hi = 63 - varying.leading_zeros();
-    let span = (hi - lo + 1) as usize;
-    tmp.clear();
-    tmp.resize(data.len(), 0);
-    // Narrow spans — the normal case once host bits below the deepest
-    // prefix are masked off — sort in a single counting pass: one
-    // histogram sweep, one scatter sweep, done.
-    if span <= 11 {
-        let shift = 32 + lo;
-        let buckets = 1usize << span;
-        let mask = (buckets - 1) as u64;
-        let mut counts = [0u32; 2048];
-        for &v in data.iter() {
-            counts[((v >> shift) & mask) as usize] += 1;
-        }
-        let mut acc = 0u32;
-        for c in counts[..buckets].iter_mut() {
-            let start = acc;
-            acc += *c;
-            *c = start;
-        }
-        for &v in data.iter() {
-            let b = ((v >> shift) & mask) as usize;
-            tmp[counts[b] as usize] = v;
-            counts[b] += 1;
-        }
-        std::mem::swap(data, tmp);
-        return;
-    }
-    let passes = span.div_ceil(8);
-    let mut hist = [[0u32; 256]; 2];
-    for &v in data.iter() {
-        hist[0][((v >> (32 + lo)) & 0xff) as usize] += 1;
-    }
-    let mut src_is_data = true;
-    for p in 0..passes {
-        let shift = 32 + lo + 8 * p as u32;
-        let more = p + 1 < passes;
-        // Prefix sums of this pass's (pre-built) histogram.
-        let mut offs = [0u32; 256];
-        let mut acc = 0u32;
-        for b in 0..256 {
-            offs[b] = acc;
-            acc += hist[p & 1][b];
-        }
-        hist[(p + 1) & 1] = [0u32; 256];
-        let next_hist = &mut hist[(p + 1) & 1];
-        let (src, dst): (&Vec<u64>, &mut Vec<u64>) =
-            if src_is_data { (data, tmp) } else { (tmp, data) };
-        for &v in src.iter() {
-            if more {
-                next_hist[((v >> (shift + 8)) & 0xff) as usize] += 1;
-            }
-            let b = ((v >> shift) & 0xff) as usize;
-            dst[offs[b] as usize] = v;
-            offs[b] += 1;
-        }
-        src_is_data = !src_is_data;
-    }
-    if !src_is_data {
-        std::mem::swap(data, tmp);
-    }
-}
-
 /// A binary trie keyed by IPv4 prefixes.
 ///
 /// ```
@@ -179,10 +73,6 @@ fn radix_sort_by_addr(data: &mut Vec<u64>, tmp: &mut Vec<u64>, varying: u64) {
 pub struct PrefixTrie<T> {
     root: Node<T>,
     len: usize,
-    /// Longest prefix length ever inserted — an upper bound on walk
-    /// depth (removals leave it alone; it is a perf heuristic for the
-    /// batched lookups, never a correctness input).
-    max_len: u8,
 }
 
 impl<T> Default for PrefixTrie<T> {
@@ -190,7 +80,6 @@ impl<T> Default for PrefixTrie<T> {
         PrefixTrie {
             root: Node { children: [None, None], value: None },
             len: 0,
-            max_len: 0,
         }
     }
 }
@@ -213,7 +102,6 @@ impl<T> PrefixTrie<T> {
     /// value if the prefix was already present.
     pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
         let bits = prefix.addr.to_u32();
-        self.max_len = self.max_len.max(prefix.len);
         let mut node = &mut self.root;
         for i in 0..prefix.len {
             let b = ((bits >> (31 - i)) & 1) as usize;
@@ -262,153 +150,6 @@ impl<T> PrefixTrie<T> {
         best.map(|(len, v)| (Prefix::new(addr, len), v))
     }
 
-    /// Batched longest-prefix match over `addrs`, equivalent to calling
-    /// [`lookup`](Self::lookup) per address but amortizing trie work:
-    /// indices are sorted by destination so equal and near-equal addresses
-    /// become adjacent, and a walk is reused whenever the previous walk's
-    /// outcome provably applies — the two addresses share every bit the
-    /// previous descent consumed *including* the branch bit it stopped on,
-    /// so the trie would visit the identical node sequence. On a
-    /// Zipf-skewed burst most packets hit the reuse path and the trie is
-    /// descended once per distinct destination run.
-    ///
-    /// `scratch` is caller scratch (reused across bursts); `out[i]`
-    /// receives the result for `addrs[i]`. Returns descent/reuse counters
-    /// so benches can report the amortization.
-    pub fn lookup_batch<'a>(
-        &'a self,
-        addrs: &[Ipv4Addr4],
-        scratch: &mut LookupScratch,
-        out: &mut Vec<Option<(Prefix, &'a T)>>,
-    ) -> BatchStats {
-        out.clear();
-        out.resize(addrs.len(), None);
-        self.batch_walk(addrs, scratch, |i, addr, best| {
-            out[i] = best.map(|(len, v)| (Prefix::new(addr, len), v));
-        })
-    }
-
-    /// Shared core of the batched lookups: packs each address with its
-    /// input index into one `u64` (the address is computed once, not per
-    /// comparison), sorts the packed words — radix sort for large batches,
-    /// `sort_unstable` below [`RADIX_MIN`] — then walks in sorted order
-    /// with walk reuse, handing each result to `sink` in input index
-    /// order (of delivery — not of iteration).
-    fn batch_walk<'a>(
-        &'a self,
-        addrs: &[Ipv4Addr4],
-        scratch: &mut LookupScratch,
-        mut sink: impl FnMut(usize, Ipv4Addr4, Option<(u8, &'a T)>),
-    ) -> BatchStats {
-        let packed = &mut scratch.packed;
-        packed.clear();
-        packed.reserve(addrs.len());
-        // Pack each address with its input index; the OR/AND prescan the
-        // radix sort needs rides along in the same sweep.
-        let mut all_or = 0u64;
-        let mut all_and = !0u64;
-        for (i, a) in addrs.iter().enumerate() {
-            let word = (u64::from(a.to_u32()) << 32) | i as u64;
-            all_or |= word;
-            all_and &= word;
-            packed.push(word);
-        }
-        if packed.len() >= RADIX_MIN {
-            // Bits below the deepest stored prefix can never influence a
-            // walk, so grouping by them is wasted sort work — reuse
-            // soundness is re-checked against the full addresses anyway.
-            let depth_mask = if self.max_len == 0 {
-                0
-            } else {
-                u64::from(!0u32 << (32 - self.max_len))
-            };
-            let varying = ((all_or & !all_and) >> 32) & depth_mask;
-            radix_sort_by_addr(packed, &mut scratch.tmp, varying);
-        } else {
-            packed.sort_unstable();
-        }
-
-        let mut stats = BatchStats { descents: 0, reused: 0 };
-        // The previous walk: its address bits, how many bits the descent
-        // consumed before stopping, whether it stopped at a childless
-        // leaf, and the best (len, value) it found.
-        let mut prev: Option<PrevWalk<'a, T>> = None;
-        for &word in packed.iter() {
-            let i = word as u32;
-            let bits = (word >> 32) as u32;
-            // The packed word already holds the address — rebuilding it
-            // beats a random-access load of `addrs[i]` per packet.
-            let addr = Ipv4Addr4::from_u32(bits);
-            let best = match prev {
-                // Reuse is sound when the addresses agree on every bit the
-                // walk consumed plus the branch bit it stopped on (a
-                // differing bit at 'depth' could find a child the old walk
-                // never probed). When the walk ended at a *childless* node
-                // no branch bit was consulted at all, so agreement on the
-                // consumed bits alone is enough — on tables of uniform
-                // leaf prefixes this makes every same-prefix packet a
-                // reuse, not a coin flip on the next bit. A full 32-bit
-                // walk reuses only on equality.
-                Some((pbits, pdepth, pleaf, pbest))
-                    if {
-                        let shared = (pbits ^ bits).leading_zeros() as u8;
-                        shared == 32
-                            || shared > pdepth
-                            || (pleaf && shared == pdepth)
-                    } =>
-                {
-                    stats.reused += 1;
-                    pbest
-                }
-                _ => {
-                    stats.descents += 1;
-                    let mut node = &self.root;
-                    let mut best: Option<(u8, &T)> =
-                        node.value.as_ref().map(|v| (0, v));
-                    let mut depth = 0u8;
-                    while depth < 32 {
-                        let b = ((bits >> (31 - depth)) & 1) as usize;
-                        match node.children[b].as_deref() {
-                            Some(next) => {
-                                node = next;
-                                depth += 1;
-                                if let Some(v) = node.value.as_ref() {
-                                    best = Some((depth, v));
-                                }
-                            }
-                            None => break,
-                        }
-                    }
-                    let leaf = node.children[0].is_none() && node.children[1].is_none();
-                    prev = Some((bits, depth, leaf, best));
-                    best
-                }
-            };
-            sink(i as usize, addr, best);
-        }
-        stats
-    }
-
-    /// [`lookup_batch`](Self::lookup_batch) for `Copy` values: matched
-    /// values are copied out instead of borrowed, so results can live in
-    /// long-lived scratch (the burst engine's forward lane) without tying
-    /// it to the trie's lifetime.
-    pub fn lookup_batch_copied(
-        &self,
-        addrs: &[Ipv4Addr4],
-        scratch: &mut LookupScratch,
-        out: &mut Vec<Option<T>>,
-    ) -> BatchStats
-    where
-        T: Copy,
-    {
-        out.clear();
-        out.resize(addrs.len(), None);
-        self.batch_walk(addrs, scratch, |i, _addr, best| {
-            out[i] = best.map(|(_, &v)| v);
-        })
-    }
-
     /// Exact-match lookup.
     pub fn get(&self, prefix: Prefix) -> Option<&T> {
         let bits = prefix.addr.to_u32();
@@ -418,6 +159,145 @@ impl<T> PrefixTrie<T> {
             node = node.children[b].as_deref()?;
         }
         node.value.as_ref()
+    }
+
+    /// Every stored entry, in no particular order.
+    pub fn entries(&self) -> Vec<(Prefix, &T)> {
+        let mut out = Vec::with_capacity(self.len);
+        let mut stack = vec![(&self.root, 0u32, 0u8)];
+        while let Some((node, bits, depth)) = stack.pop() {
+            if let Some(v) = &node.value {
+                out.push((Prefix::new(Ipv4Addr4::from_u32(bits), depth), v));
+            }
+            for (b, child) in node.children.iter().enumerate() {
+                if let Some(child) = child {
+                    stack.push((child, bits | ((b as u32) << (31 - depth)), depth + 1));
+                }
+            }
+        }
+        out
+    }
+
+    /// Compile the trie into a [`StrideTable`] with the same longest
+    /// matches. Linear in entries plus the chunks they expand into.
+    pub fn compile(&self) -> StrideTable<T>
+    where
+        T: Clone + Eq + Hash,
+    {
+        let mut entries = self.entries();
+        entries.sort_unstable_by_key(|(p, _)| p.len);
+        let mut table = StrideTable {
+            // `vec![0; n]` is a zeroed allocation: root pages no prefix
+            // is painted over are never made resident.
+            root: vec![0; 1 << ENDS[0]].into_boxed_slice(),
+            chunks: Vec::new(),
+            values: Vec::new(),
+        };
+        let mut slot_of: HashMap<&T, u32> = HashMap::new();
+        for (prefix, value) in entries {
+            let slot = *slot_of.entry(value).or_insert_with(|| {
+                table.values.push(value.clone());
+                table.values.len() as u32
+            });
+            assert!(slot < CHUNK, "more distinct values than a table entry can name");
+            table.paint(prefix, slot);
+        }
+        table
+    }
+}
+
+/// Address bits consumed once each level of a [`StrideTable`] is read:
+/// a 2^16-entry root, then chunks of 4, 4 and 8 bits. A 4-bit chunk is
+/// sixteen `u32`s, one 64-byte cache line.
+const ENDS: [u32; 4] = [16, 20, 24, 32];
+
+/// Tag bit of a table entry that points at a chunk (the rest of the
+/// entry is the chunk's offset in [`StrideTable::chunks`]). An untagged
+/// entry is 0 for "no route" or `1 +` an index into the value table.
+const CHUNK: u32 = 1 << 31;
+
+/// Bits `from..to` of `addr` (counted from the most significant bit): the
+/// index of `addr`'s entry within the level that consumes them.
+fn index(addr: u32, from: u32, to: u32) -> usize {
+    ((addr << from) >> (32 - (to - from))) as usize
+}
+
+/// A [`PrefixTrie`] compiled for forwarding: every prefix is painted over
+/// the range of entries it covers at the first level deep enough to hold
+/// it, shortest prefixes first, so a longer prefix overwrites the shorter
+/// ones it sits inside. Values are stored once each, however many
+/// prefixes share them. Immutable: recompile after editing the trie.
+pub struct StrideTable<T> {
+    root: Box<[u32]>,
+    chunks: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T> StrideTable<T> {
+    /// Longest-prefix match: the value of the most specific prefix
+    /// covering `addr`, as [`PrefixTrie::lookup`] finds it.
+    #[inline]
+    pub fn get(&self, addr: Ipv4Addr4) -> Option<&T> {
+        let addr = addr.to_u32();
+        let mut entry = self.root[index(addr, 0, ENDS[0])];
+        for w in ENDS.windows(2) {
+            if entry & CHUNK == 0 {
+                break;
+            }
+            entry = self.chunks[(entry & !CHUNK) as usize + index(addr, w[0], w[1])];
+        }
+        entry.checked_sub(1).map(|i| &self.values[i as usize])
+    }
+
+    /// Distinct values stored.
+    pub fn distinct_values(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Bytes held by the root, the chunks and the value table.
+    pub fn bytes(&self) -> usize {
+        4 * (self.root.len() + self.chunks.len()) + self.values.len() * size_of::<T>()
+    }
+
+    /// Paint `prefix` with `entry`: walk (creating chunks as needed) to
+    /// the level whose last bit is at or past the prefix's length, then
+    /// overwrite the aligned range the prefix covers there. A new chunk
+    /// starts as copies of the entry it replaces, so shorter prefixes
+    /// painted earlier still answer inside it.
+    fn paint(&mut self, prefix: Prefix, entry: u32) {
+        let (addr, len) = (prefix.addr.to_u32(), u32::from(prefix.len));
+        let mut at: Option<usize> = None; // the root, or a chunk's offset
+        let mut from = 0;
+        for (level, &to) in ENDS.iter().enumerate() {
+            let i = index(addr, from, to);
+            if len <= to {
+                let span = 1 << (to - len);
+                let range = &mut self.level(at, to - from)[i..i + span];
+                debug_assert!(range.iter().all(|&e| e & CHUNK == 0), "painted shortest first");
+                range.fill(entry);
+                return;
+            }
+            let old = self.level(at, to - from)[i];
+            let chunk = if old & CHUNK != 0 {
+                (old & !CHUNK) as usize
+            } else {
+                let off = self.chunks.len();
+                self.chunks.resize(off + (1 << (ENDS[level + 1] - to)), old);
+                self.level(at, to - from)[i] = CHUNK | off as u32;
+                off
+            };
+            at = Some(chunk);
+            from = to;
+        }
+    }
+
+    /// The entries of the root (`None`) or of the `width`-bit chunk at
+    /// offset `at`.
+    fn level(&mut self, at: Option<usize>, width: u32) -> &mut [u32] {
+        match at {
+            None => &mut self.root,
+            Some(off) => &mut self.chunks[off..off + (1 << width)],
+        }
     }
 }
 
@@ -490,53 +370,66 @@ mod tests {
     }
 
     #[test]
-    fn batch_lookup_agrees_with_single_lookups() {
-        let mut t = PrefixTrie::new();
-        for i in 0u32..200 {
-            let pr = Prefix::new(Ipv4Addr4::from_u32(i << 22), (8 + (i % 17)) as u8);
-            t.insert(pr, i);
+    fn an_empty_table_routes_nothing() {
+        let t = PrefixTrie::<u32>::new().compile();
+        for a in [0, 1, 0x8000_0000, u32::MAX] {
+            assert_eq!(t.get(Ipv4Addr4::from_u32(a)), None);
         }
-        // Probes deliberately mix duplicates, near-neighbors (exercising
-        // the shared-walk reuse), and scattered addresses.
-        let mut probes = Vec::new();
-        for probe in (0u32..=u32::MAX).step_by(0x0123_4567) {
-            probes.push(Ipv4Addr4::from_u32(probe));
-            probes.push(Ipv4Addr4::from_u32(probe)); // exact duplicate
-            probes.push(Ipv4Addr4::from_u32(probe ^ 1)); // near-neighbor
-            probes.push(Ipv4Addr4::from_u32(probe.wrapping_add(0x8000_0000)));
+        assert_eq!(t.distinct_values(), 0);
+        assert_eq!(t.bytes(), 4 << 16, "the root alone");
+    }
+
+    #[test]
+    fn a_lone_default_route_answers_everywhere() {
+        let mut trie = PrefixTrie::new();
+        trie.insert(p(0, 0, 0, 0, 0), 7u32);
+        let t = trie.compile();
+        for a in [0, 1, 0x0a00_0001, 0x8000_0000, u32::MAX] {
+            assert_eq!(t.get(Ipv4Addr4::from_u32(a)), Some(&7));
         }
-        let mut scratch = LookupScratch::new();
-        let mut out = Vec::new();
-        let stats = t.lookup_batch(&probes, &mut scratch, &mut out);
-        assert_eq!(out.len(), probes.len());
-        assert!(stats.reused > 0, "duplicate-heavy batch must reuse walks");
-        assert_eq!(stats.descents + stats.reused, probes.len());
-        for (i, &a) in probes.iter().enumerate() {
-            assert_eq!(
-                out[i].map(|(p, &v)| (p, v)),
-                t.lookup(a).map(|(p, &v)| (p, v)),
-                "batch diverged at probe {a}"
-            );
+        assert_eq!(t.bytes(), (4 << 16) + 4, "no chunk for a prefix the root holds");
+    }
+
+    #[test]
+    fn a_slash_20_shadowed_inside_one_chunk() {
+        // The /28 and the /32 land in the same last-level chunk the /20
+        // is expanded into; everything around them still sees the /20.
+        let mut trie = PrefixTrie::new();
+        trie.insert(p(12, 34, 48, 0, 20), 20u32);
+        trie.insert(p(12, 34, 56, 16, 28), 28);
+        trie.insert(p(12, 34, 56, 20, 32), 32);
+        let t = trie.compile();
+        let at = |c, d| t.get(Ipv4Addr4::new(12, 34, c, d)).copied();
+        assert_eq!(at(48, 0), Some(20));
+        assert_eq!(at(63, 255), Some(20));
+        assert_eq!(at(56, 15), Some(20));
+        assert_eq!(at(56, 16), Some(28));
+        assert_eq!(at(56, 19), Some(28));
+        assert_eq!(at(56, 20), Some(32));
+        assert_eq!(at(56, 21), Some(28));
+        assert_eq!(at(56, 31), Some(28));
+        assert_eq!(at(56, 32), Some(20));
+        assert_eq!(at(64, 0), None);
+        assert_eq!(at(47, 255), None);
+        // One 4-bit chunk under the root, one under it, one 8-bit chunk.
+        assert_eq!(t.bytes(), 4 * ((1 << 16) + 16 + 16 + 256) + 3 * 4);
+    }
+
+    #[test]
+    fn repeated_values_share_one_slot() {
+        let mut trie = PrefixTrie::new();
+        for i in 0u32..1000 {
+            trie.insert(Prefix::new(Ipv4Addr4::from_u32(i << 12), 20), i % 3);
+        }
+        let t = trie.compile();
+        assert_eq!(t.distinct_values(), 3);
+        for i in 0u32..1000 {
+            assert_eq!(t.get(Ipv4Addr4::from_u32((i << 12) | 0x5a5)), Some(&(i % 3)));
         }
     }
 
     #[test]
-    fn batch_lookup_empty_and_single() {
-        let mut t = PrefixTrie::new();
-        t.insert(p(10, 0, 0, 0, 8), "ten");
-        let mut scratch = LookupScratch::new();
-        let mut out = Vec::new();
-        let stats = t.lookup_batch(&[], &mut scratch, &mut out);
-        assert_eq!(out.len(), 0);
-        assert_eq!(stats, BatchStats::default());
-        let one = [Ipv4Addr4::new(10, 1, 2, 3)];
-        let stats = t.lookup_batch(&one, &mut scratch, &mut out);
-        assert_eq!(stats.descents, 1);
-        assert_eq!(out[0].map(|(_, &v)| v), Some("ten"));
-    }
-
-    #[test]
-    fn dense_insertion_lookup_agrees_with_linear_scan() {
+    fn dense_insertion_lookups_agree_with_linear_scan() {
         let mut t = PrefixTrie::new();
         let mut table = Vec::new();
         for i in 0u32..200 {
@@ -544,6 +437,7 @@ mod tests {
             t.insert(pr, i);
             table.push((pr, i));
         }
+        let compiled = t.compile();
         for probe in (0u32..=u32::MAX).step_by(0x0123_4567) {
             let addr = Ipv4Addr4::from_u32(probe);
             let expect = table
@@ -552,6 +446,7 @@ mod tests {
                 .max_by_key(|(pr, _)| pr.len)
                 .map(|&(_, v)| v);
             assert_eq!(t.lookup(addr).map(|(_, &v)| v), expect, "addr {addr}");
+            assert_eq!(compiled.get(addr).copied(), expect, "addr {addr}");
         }
     }
 }

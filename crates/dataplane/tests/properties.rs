@@ -1,11 +1,13 @@
 //! Property-based tests for the data plane: codecs round-trip on
-//! arbitrary inputs, corruption never passes silently, and the LPM trie
-//! agrees with a linear scan on arbitrary tables.
+//! arbitrary inputs, corruption never passes silently, fragments are
+//! refused on both forwarding paths, and the LPM trie and the stride
+//! table compiled from it agree with a linear scan on arbitrary tables.
 
 use bytes::{Bytes, BytesMut};
-use miro_dataplane::classifier::{FlowKey, HashSplitter};
+use miro_dataplane::burst::{BurstScratch, Engine, OneVerdict, PktError, Verdict};
+use miro_dataplane::classifier::{Classifier, FlowKey, HashSplitter};
 use miro_dataplane::encap::{decapsulate, encapsulate};
-use miro_dataplane::ipv4::{Ipv4Addr4, Ipv4Error, Ipv4Header};
+use miro_dataplane::ipv4::{checksum, Ipv4Addr4, Ipv4Error, Ipv4Header};
 use miro_dataplane::lpm::{Prefix, PrefixTrie};
 use proptest::prelude::*;
 
@@ -115,29 +117,98 @@ proptest! {
         let _ = decapsulate(Bytes::from(data));
     }
 
-    /// LPM lookup agrees with a brute-force longest-covering scan for
-    /// arbitrary prefix tables and probe addresses.
+    /// The trie's lookup and the stride table compiled from it agree with
+    /// a brute-force longest-covering scan. Prefixes of every length share
+    /// a few base addresses, so they nest and overlap (default routes and
+    /// /32s included); values repeat and prefixes are re-inserted with new
+    /// values. Probes are every prefix's first and last address, one
+    /// either side of each, and random addresses.
     #[test]
     fn lpm_matches_linear_scan(
-        entries in proptest::collection::vec((any::<u32>(), 0u8..33), 0..40),
-        probes in proptest::collection::vec(any::<u32>(), 1..20),
+        bases in proptest::collection::vec(any::<u32>(), 1..4),
+        entries in proptest::collection::vec((0usize..4, any::<u32>(), 0u8..33, 0u32..6), 0..40),
+        random in proptest::collection::vec(any::<u32>(), 1..20),
     ) {
         let mut trie = PrefixTrie::new();
-        let mut table: Vec<(Prefix, usize)> = Vec::new();
-        for (i, &(addr, len)) in entries.iter().enumerate() {
+        let mut table: Vec<(Prefix, u32)> = Vec::new();
+        for &(base, noise, len, value) in &entries {
+            // Mostly a base address (nested prefixes), sometimes noise.
+            let addr = bases.get(base).copied().unwrap_or(noise);
             let p = Prefix::new(Ipv4Addr4::from_u32(addr), len);
-            trie.insert(p, i);
+            trie.insert(p, value);
             table.retain(|&(q, _)| q != p);
-            table.push((p, i));
+            table.push((p, value));
         }
-        for &probe in &probes {
+        let compiled = trie.compile();
+        let mut distinct: Vec<u32> = table.iter().map(|&(_, v)| v).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(compiled.distinct_values(), distinct.len());
+        let mut probes = random;
+        for &(p, _) in &table {
+            let first = p.addr.to_u32();
+            let last = first | (((1u64 << (32 - p.len)) - 1) as u32);
+            for a in [first, last] {
+                probes.extend([a.wrapping_sub(1), a, a.wrapping_add(1)]);
+            }
+        }
+        for probe in probes {
             let a = Ipv4Addr4::from_u32(probe);
             let expect = table
                 .iter()
                 .filter(|(p, _)| p.covers(a))
                 .max_by_key(|(p, _)| p.len)
                 .map(|&(_, v)| v);
-            prop_assert_eq!(trie.lookup(a).map(|(_, &v)| v), expect);
+            prop_assert_eq!(trie.lookup(a).map(|(_, &v)| v), expect, "trie at {}", a);
+            prop_assert_eq!(compiled.get(a).copied(), expect, "table at {}", a);
+        }
+    }
+
+    /// Fragments are refused by both forwarding paths, whatever else the
+    /// flags and offset word holds; every other frame forwards alike on
+    /// both. The word is re-checksummed, so the fragment rule is what
+    /// decides, not the header checksum.
+    #[test]
+    fn both_paths_refuse_exactly_the_fragments(
+        frames in proptest::collection::vec(
+            (arb_header_payload(), prop_oneof![Just(0u16), Just(0x4000), Just(0x2000), any::<u16>()]),
+            1..24,
+        ),
+    ) {
+        let mut lpm = PrefixTrie::new();
+        lpm.insert(Prefix::new(Ipv4Addr4::new(0, 0, 0, 0), 0), 1u32);
+        lpm.insert(Prefix::new(Ipv4Addr4::new(128, 0, 0, 0), 1), 2);
+        let eng = Engine::new(Ipv4Addr4::new(10, 0, 0, 1), lpm, Classifier::new(vec![]), vec![], vec![]);
+        let frames: Vec<(Bytes, bool)> = frames
+            .into_iter()
+            .map(|((mut h, payload), word)| {
+                h.ttl = h.ttl.max(2);
+                let mut v = BytesMut::from(&h.emit_with_payload(&payload)[..]);
+                v[6..8].copy_from_slice(&word.to_be_bytes());
+                v[10..12].fill(0);
+                let c = checksum(&v[..20]);
+                v[10..12].copy_from_slice(&c.to_be_bytes());
+                (v.freeze(), word & 0x3fff != 0)
+            })
+            .collect();
+        let views: Vec<&[u8]> = frames.iter().map(|(f, _)| &f[..]).collect();
+        let mut scratch = BurstScratch::new();
+        eng.forward_burst(&views, &mut scratch);
+        let fragment = PktError::Ip(Ipv4Error::Fragment);
+        for ((frame, is_fragment), &burst) in frames.iter().zip(scratch.verdicts()) {
+            let one = eng.forward_one(frame);
+            if *is_fragment {
+                prop_assert_eq!(burst, Verdict::Malformed(fragment));
+                prop_assert_eq!(one, OneVerdict::Malformed(fragment));
+            } else if let (Verdict::Forward { next_hop, out }, OneVerdict::Forward { next_hop: n1, packet }) = (burst, &one) {
+                prop_assert_eq!(next_hop, *n1);
+                prop_assert_eq!(scratch.out_bytes(out), &packet[..]);
+            } else {
+                prop_assert!(
+                    matches!(one, OneVerdict::Decap { .. } | OneVerdict::Malformed(PktError::Shim)),
+                    "a non-fragment forwards unless it is MIRO to the local endpoint: {:?} / {:?}", burst, one
+                );
+            }
         }
     }
 

@@ -65,14 +65,15 @@ fn bench_dataplane_json_keeps_its_schema() {
         "--scale tiny --flows 256 --packets 4000 --batch 4,32",
     );
     assert_keys("header", &v, &[
-        "baseline", "seed", "scale", "nodes", "prefixes", "tunnels", "flows", "packets", "stages",
-        "lookup",
+        "baseline", "seed", "reps", "scale", "nodes", "prefixes", "tunnels", "flows", "packets",
+        "stages", "lookup",
     ]);
     assert_eq!(v["stages"].as_array().map(Vec::len), Some(4 * 3));
-    assert_keys("stages[]", &v["stages"][0], &["stage", "batch", "baseline", "ms", "mpps", "ns_per_pkt"]);
+    assert_keys("stages[]", &v["stages"][0], &[
+        "stage", "batch", "baseline", "ms", "median_ms", "spread", "mpps", "ns_per_pkt",
+    ]);
     assert_keys("lookup", &v["lookup"], &[
-        "packets", "batch", "single_ms", "batched_ms", "speedup", "descents", "reused",
-        "reused_frac",
+        "packets", "trie_ms", "table_ms", "speedup", "spread", "table_bytes",
     ]);
 }
 
