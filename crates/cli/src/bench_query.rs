@@ -16,13 +16,16 @@
 //! Each round spawns `--conns` client connections; every connection
 //! issues its share of `--queries` serially (request → response, like a
 //! real resolver), drawing Zipf-skewed (src, dest) pairs and a fixed
-//! 60/30/10 next-hop/path/alternate mix. Latency is measured per query
-//! and merged across connections; the hot-cache hit rate per round comes
-//! from differencing the daemon's `Stats` before and after. Results land
-//! in `BENCH_query.json`; `--check-qps F` turns the best round's
-//! throughput into a hard CI gate.
+//! 60/30/10 next-hop/path/alternate mix. Every `--conns` row is [`REPS`]
+//! rounds of the same stream: `wall_ms`/`qps` are the fastest round,
+//! `median_wall_ms`/`median_qps` the median and `spread` (slowest −
+//! fastest) / median. Latency is measured per query and merged across
+//! connections and rounds; the hot-cache hit rate comes from differencing
+//! the daemon's `Stats` before and after. Results land in
+//! `BENCH_query.json`; `--check-qps F` turns the best row's throughput
+//! into a hard CI gate.
 
-use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Rng, TempPath, Zipf, SEED};
+use crate::harness::{self, gate, host_parallelism, Cmd, Flag, Kind, Rng, TempPath, Zipf, SEED};
 use miro_churn::replay::percentile;
 use miro_serve::wire::{read_msg, write_msg, WireMsg, QUERY_PROTOCOL_VERSION};
 use miro_shard::format::RouteTableSet;
@@ -38,7 +41,7 @@ pub static CMD: Cmd = Cmd {
     flags: &[
         Flag { name: "--scale", kind: Kind::Str, default: "small", help: "self-hosted: solve a sample at this scale and serve it in-process" },
         Flag { name: "--addr", kind: Kind::Str, default: "", help: "external: drive the `miro serve` daemon at HOST:PORT instead" },
-        Flag { name: "--conns", kind: Kind::UsizeList, default: "4,16,64", help: "client connections, one round each" },
+        Flag { name: "--conns", kind: Kind::UsizeList, default: "4,16,64", help: "client connections, three timed rounds each" },
         Flag { name: "--queries", kind: Kind::Num, default: "20000", help: "queries per round, split across its connections" },
         Flag { name: "--out", kind: Kind::Str, default: "BENCH_query.json", help: "where the JSON lands" },
         Flag { name: "--check-qps", kind: Kind::F64, default: "", help: "fail if the best round is under this many queries/s" },
@@ -46,6 +49,9 @@ pub static CMD: Cmd = Cmd {
         Flag { name: "--list", kind: Kind::Switch, default: "", help: "print scales, modes, the row schema and flags; run nothing" },
     ],
 };
+
+/// Timed rounds per `--conns` row.
+const REPS: usize = 3;
 
 /// Destinations the self-hosted table is solved for.
 const SAMPLE: usize = 256;
@@ -84,18 +90,23 @@ struct ClientTally {
     errors: u64,
 }
 
-/// One round's merged result.
+/// One `--conns` row: [`REPS`] rounds merged.
 #[derive(Serialize)]
 struct Round {
     conns: usize,
+    /// Per round.
     queries: usize,
     wall_ms: f64,
     qps: f64,
     p50_us: u64,
     p99_us: u64,
     hit_rate: f64,
+    /// Per round (every round draws the same stream).
     unrouted: u64,
     no_alternate: u64,
+    median_wall_ms: f64,
+    median_qps: f64,
+    spread: f64,
 }
 
 #[derive(Serialize)]
@@ -127,6 +138,7 @@ struct Report {
     nodes: usize,
     dests: usize,
     seed: u64,
+    reps: usize,
     mix: Mix,
     cache: CacheShape,
     rows: Vec<Round>,
@@ -152,7 +164,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         out.push_str("row schema:\n");
         out.push_str(
             "  rows[] = {conns, queries, wall_ms, qps, p50_us, p99_us, hit_rate, \
-             unrouted, no_alternate}\n",
+             unrouted, no_alternate, median_wall_ms, median_qps, spread}\n",
         );
         out.push_str(&CMD.usage());
         return Ok(out);
@@ -199,53 +211,68 @@ pub fn run(args: &[String]) -> Result<String, String> {
         let per_conn = (queries / conns).max(1);
         let total = per_conn * conns;
         let before = control.stats()?;
-        let start = Instant::now();
-        let tallies: Vec<Result<ClientTally, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..conns)
-                .map(|c| {
-                    let (srcs, dests) = (&src_asns, &dest_asns);
-                    let seed = SEED ^ (conns as u64) << 32 ^ c as u64;
-                    scope.spawn(move || drive_connection(addr, srcs, dests, per_conn, seed))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-        });
-        let wall = start.elapsed();
-        let after = control.stats()?;
-
+        let mut walls = Vec::with_capacity(REPS);
         let mut merged = ClientTally::default();
-        for t in tallies {
-            let t = t?;
-            merged.latencies_us.extend_from_slice(&t.latencies_us);
-            merged.unrouted += t.unrouted;
-            merged.no_alternate += t.no_alternate;
-            merged.errors += t.errors;
+        let mut kinds = None;
+        for _ in 0..REPS {
+            let start = Instant::now();
+            let tallies: Vec<Result<ClientTally, String>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..conns)
+                    .map(|c| {
+                        let (srcs, dests) = (&src_asns, &dest_asns);
+                        let seed = SEED ^ (conns as u64) << 32 ^ c as u64;
+                        scope.spawn(move || drive_connection(addr, srcs, dests, per_conn, seed))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+            });
+            walls.push(start.elapsed().as_secs_f64());
+            let (mut unrouted, mut no_alternate) = (0, 0);
+            for t in tallies {
+                let t = t?;
+                merged.latencies_us.extend_from_slice(&t.latencies_us);
+                (unrouted, no_alternate) = (unrouted + t.unrouted, no_alternate + t.no_alternate);
+                merged.errors += t.errors;
+            }
+            if kinds.is_some_and(|k| k != (unrouted, no_alternate)) {
+                return Err(format!("rounds of one stream disagree at {conns} conns"));
+            }
+            kinds = Some((unrouted, no_alternate));
         }
+        let after = control.stats()?;
         if merged.errors > 0 {
             return Err(format!(
                 "{} queries came back RErr — universe-sourced operands must all resolve",
                 merged.errors
             ));
         }
+        walls.sort_by(f64::total_cmp);
+        let (fastest, median) = (walls[0].max(1e-9), walls[REPS / 2].max(1e-9));
+        let (unrouted, no_alternate) = kinds.unwrap_or_default();
         let (dh, dm) = (after.0 - before.0, after.1 - before.1);
         let round = Round {
             conns,
             queries: total,
-            wall_ms: ms(wall),
-            qps: total as f64 / wall.as_secs_f64().max(1e-9),
+            wall_ms: fastest * 1e3,
+            qps: total as f64 / fastest,
             p50_us: percentile(&merged.latencies_us, 50),
             p99_us: percentile(&merged.latencies_us, 99),
             hit_rate: if dh + dm == 0 { 0.0 } else { dh as f64 / (dh + dm) as f64 },
-            unrouted: merged.unrouted,
-            no_alternate: merged.no_alternate,
+            unrouted,
+            no_alternate,
+            median_wall_ms: median * 1e3,
+            median_qps: total as f64 / median,
+            spread: (walls[REPS - 1] - walls[0]) / median,
         };
         let _ = writeln!(
             report,
-            "  {:>3} conns | {:>7} q | {:>9.0} q/s | p50 {:>6} us | p99 {:>6} us | \
-             cache {:>4.0}% | {} unrouted",
+            "  {:>3} conns | {:>7} q x{REPS} | {:>9.0} q/s (median {:>9.0}, spread {:>3.0}%) | \
+             p50 {:>6} us | p99 {:>6} us | cache {:>4.0}% | {} unrouted",
             round.conns,
             round.queries,
             round.qps,
+            round.median_qps,
+            round.spread * 100.0,
             round.p50_us,
             round.p99_us,
             round.hit_rate * 100.0,
@@ -278,6 +305,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         nodes,
         dests,
         seed: SEED,
+        reps: REPS,
         mix: Mix { next_hop: 0.6, path: 0.3, alternate: 0.1 },
         cache: CACHE,
         rows: rounds,
@@ -537,9 +565,10 @@ mod tests {
             assert!(row["p99_us"].as_f64().unwrap() >= row["p50_us"].as_f64().unwrap());
             assert!((0.0..=1.0).contains(&row["hit_rate"].as_f64().unwrap()));
         }
-        // Two rounds of 600 plus nothing else: the control connection's
-        // Universe/Stats traffic is not a query.
-        assert_eq!(v["totals"]["queries"].as_f64(), Some(1200.0));
+        // Two rows of REPS rounds of 600 plus nothing else: the control
+        // connection's Universe/Stats traffic is not a query.
+        assert_eq!(v["totals"]["queries"].as_f64(), Some((2 * REPS * 600) as f64));
+        assert_eq!(v["reps"].as_f64(), Some(REPS as f64));
     }
 
     /// What every `?` between `HostedServer::start` and `finish` does:

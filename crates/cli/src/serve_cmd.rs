@@ -80,9 +80,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let lookups = report.cache_hits + report.cache_misses;
     let hit_pct = if lookups == 0 { 0.0 } else { report.cache_hits as f64 * 100.0 / lookups as f64 };
     Ok(format!(
-        "serve: done — {} connections ({} shed, {} timed out, {} corrupt), {} queries; \
+        "serve: done — {} connections ({} shed, {} timed out, {} idle, {} corrupt), {} queries; \
          cache: {} hits, {} misses, {} evictions ({hit_pct:.1}% hit rate)\n",
-        report.connections, report.shed, report.timed_out, report.corrupt, report.queries,
+        report.connections, report.shed, report.timed_out, report.idle_closed, report.corrupt,
+        report.queries,
         report.cache_hits, report.cache_misses, report.cache_evictions
     ))
 }

@@ -116,12 +116,12 @@ fn daemon_serves_bench_query_and_shuts_down_cleanly() {
     };
     assert!(status.success(), "daemon exit: {status:?}");
 
-    // Its lifetime report counts the bench's connections (2 workers + 1
-    // control connection) and a nonzero query total.
+    // Its lifetime report counts the bench's connections (2 workers in
+    // each of 3 rounds + 1 control connection) and a nonzero query total.
     let mut daemon_out = String::new();
     use std::io::Read as _;
     daemon.stdout.take().unwrap().read_to_string(&mut daemon_out).unwrap();
-    assert!(daemon_out.contains("serve: done — 3 connections"), "{daemon_out}");
+    assert!(daemon_out.contains("serve: done — 7 connections"), "{daemon_out}");
 
     // The lifetime report surfaces the ShardedCache counters. 400
     // queries over a 32-dest sample must both hit and miss: the first

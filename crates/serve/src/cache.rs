@@ -8,15 +8,18 @@
 //! * **Striping** — the key hash picks one of N independently locked
 //!   stripes, so 64 concurrent connections contend on a stripe each,
 //!   not one global lock. Stripes use plain `Mutex`es: the critical
-//!   section is a probe or a clone of a few-hop path, tens of
+//!   section is a probe or a copy of a few-hop path, tens of
 //!   nanoseconds, and a read-write lock's bookkeeping would cost more
 //!   than it saves at that hold time.
 //! * **Direct-mapped slots** — each stripe is a fixed slot array
 //!   indexed by a second slice of the hash. A colliding insert simply
-//!   replaces the slot (evicting whatever was there). No LRU lists, no
-//!   allocation beyond the cached answers themselves, and a hot key
-//!   can only be displaced by a hash-colliding key — which Zipf traffic
-//!   makes rare for exactly the keys that matter.
+//!   replaces the slot (evicting whatever was there). No LRU lists, and
+//!   a hot key can only be displaced by a hash-colliding key — which
+//!   Zipf traffic makes rare for exactly the keys that matter.
+//! * **Inline answers** — a slot holds the key, the reply head and up to
+//!   [`SLOT_PATH`] path nodes by value, so a put copies in and a get
+//!   copies out and neither allocates. An answer with a longer path is
+//!   not cached (counted in [`CacheStats::too_long`]).
 //!
 //! Correctness does not depend on the cache: entries are pure function
 //! values of (table, topology, query), inserted complete, and replaced
@@ -26,11 +29,21 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::query::{Answer, Query};
+use crate::query::{Answer, Query, Reply};
+use miro_topology::NodeId;
+
+/// Path nodes a slot holds inline; a longer answer is recomputed, not cached.
+pub const SLOT_PATH: usize = 14;
 
 /// One cached entry: the full query (the key — hash collisions must not
-/// alias answers) and its answer.
-type Entry = (Query, Answer);
+/// alias answers), the reply head and the path's first `len` nodes.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: Query,
+    reply: Reply,
+    len: u8,
+    path: [NodeId; SLOT_PATH],
+}
 
 /// Monotonic cache counters (relaxed loads/stores: metrics only).
 #[derive(Default)]
@@ -39,11 +52,13 @@ pub struct CacheStats {
     pub misses: AtomicU64,
     pub insertions: AtomicU64,
     pub evictions: AtomicU64,
+    /// Puts refused because the path is longer than [`SLOT_PATH`].
+    pub too_long: AtomicU64,
 }
 
 /// A striped, direct-mapped, bounded answer cache.
 pub struct ShardedCache {
-    stripes: Vec<Mutex<Vec<Option<Entry>>>>,
+    stripes: Vec<Mutex<Box<[Option<Slot>]>>>,
     slots_per_stripe: usize,
     pub stats: CacheStats,
 }
@@ -56,7 +71,7 @@ impl ShardedCache {
         let stripes = stripes.max(1);
         let slots = slots_per_stripe.max(1);
         ShardedCache {
-            stripes: (0..stripes).map(|_| Mutex::new(vec![None; slots])).collect(),
+            stripes: (0..stripes).map(|_| Mutex::new(vec![None; slots].into())).collect(),
             slots_per_stripe: slots,
             stats: CacheStats::default(),
         }
@@ -77,37 +92,50 @@ impl ShardedCache {
         (stripe, slot)
     }
 
-    /// Probe. A slot holding a different (colliding) key is a miss.
-    pub fn get(&self, q: &Query) -> Option<Answer> {
+    /// Probe: on a hit the reply head is returned and its path copied
+    /// into `path`. A slot holding a different (colliding) key is a miss.
+    pub fn get_into(&self, q: &Query, path: &mut Vec<NodeId>) -> Option<Reply> {
         let (stripe, slot) = self.place(q);
-        let guard = self.stripes[stripe].lock().unwrap();
-        match &guard[slot] {
-            Some((key, answer)) if key == q => {
-                let answer = answer.clone();
-                drop(guard);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(answer)
-            }
-            _ => {
-                drop(guard);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = self.stripes[stripe].lock().unwrap()[slot].filter(|s| s.key == *q);
+        let counter = if hit.is_some() { &self.stats.hits } else { &self.stats.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let s = hit?;
+        path.clear();
+        path.extend_from_slice(&s.path[..s.len as usize]);
+        Some(s.reply)
     }
 
-    /// Insert, replacing (and counting as an eviction) any different key
-    /// occupying the slot.
-    pub fn put(&self, q: &Query, answer: Answer) {
+    /// [`ShardedCache::get_into`] as an owned answer.
+    pub fn get(&self, q: &Query) -> Option<Answer> {
+        let mut path = Vec::new();
+        self.get_into(q, &mut path).map(|r| r.to_answer(&path))
+    }
+
+    /// Insert by copy, replacing (and counting as an eviction) any
+    /// different key occupying the slot. A path longer than
+    /// [`SLOT_PATH`] is not cached.
+    pub fn put_from(&self, q: &Query, reply: Reply, path: &[NodeId]) {
+        if path.len() > SLOT_PATH {
+            self.stats.too_long.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let mut entry = Slot { key: *q, reply, len: path.len() as u8, path: [0; SLOT_PATH] };
+        entry.path[..path.len()].copy_from_slice(path);
         let (stripe, slot) = self.place(q);
         let mut guard = self.stripes[stripe].lock().unwrap();
-        let evicted = matches!(&guard[slot], Some((key, _)) if key != q);
-        guard[slot] = Some((*q, answer));
+        let evicted = matches!(&guard[slot], Some(s) if s.key != *q);
+        guard[slot] = Some(entry);
         drop(guard);
         self.stats.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted {
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// [`ShardedCache::put_from`] from an owned answer.
+    pub fn put(&self, q: &Query, answer: Answer) {
+        let (reply, path) = answer.parts();
+        self.put_from(q, reply, path);
     }
 
     /// Hit fraction so far (0 when unqueried).
@@ -154,5 +182,19 @@ mod tests {
         assert_eq!(c.get(&q1), None);
         assert_eq!(c.get(&q2), Some(Answer::Path { path: vec![3, 4] }));
         assert_eq!(c.stats.evictions.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_path_longer_than_a_slot_is_counted_not_cached() {
+        let c = ShardedCache::new(1, 4);
+        let q = Query::Path { src: 0, dest: SLOT_PATH as NodeId };
+        let fits: Vec<NodeId> = (1..=SLOT_PATH as NodeId).collect();
+        c.put(&q, Answer::Path { path: fits.clone() });
+        assert_eq!(c.get(&q), Some(Answer::Path { path: fits }));
+        let long: Vec<NodeId> = (0..=SLOT_PATH as NodeId).collect();
+        c.put(&q, Answer::Path { path: long });
+        assert_eq!(c.stats.too_long.load(Ordering::Relaxed), 1);
+        // The refused put left the slot as it was.
+        assert_eq!(c.get(&q).map(|a| a.parts().1.len()), Some(SLOT_PATH));
     }
 }

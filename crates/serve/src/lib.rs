@@ -6,8 +6,8 @@
 //! *read path* over that artifact:
 //!
 //! * [`mmap::MappedTable`] — a zero-copy memory-mapped reader
-//!   (validate once at open, borrow rows from the map, per-row FNV
-//!   verification on first touch);
+//!   (validate once at open, borrow rows from the map, per-row
+//!   checksum verification on first touch);
 //! * [`query::Engine`] — the query semantics: next-hop, full-path, and
 //!   alternate-path-avoiding-AS answers over any [`TableSource`], with
 //!   a [`cache::ShardedCache`] in front of the expensive kinds;

@@ -31,8 +31,10 @@
 //!   microseconds. Tail-avoidance is memoized per query in a
 //!   generation-stamped [`QueryScratch`], so the worst case is O(V)
 //!   once, not per candidate.
+//!
+//! [`Engine::reply`] is the allocation-free core the daemon calls: a `Copy`
+//! [`Reply`] head, the path left in [`QueryScratch::path`].
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use miro_bgp::route::ExportScope;
@@ -92,6 +94,43 @@ pub enum Answer {
     NoAlternate,
 }
 
+/// An answer's head: everything but its path, which [`Engine::reply`]
+/// leaves in [`QueryScratch::path`] (empty unless `Path`/`Alternate`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reply {
+    NextHop { next: NodeId, hops: u16, class: u8 },
+    Path,
+    Alternate { via: Option<(NodeId, NodeId)> },
+    Unrouted,
+    NoAlternate,
+}
+
+impl Reply {
+    /// The owned answer this head and its path stand for.
+    pub fn to_answer(self, path: &[NodeId]) -> Answer {
+        match self {
+            Reply::NextHop { next, hops, class } => Answer::NextHop { next, hops, class },
+            Reply::Path => Answer::Path { path: path.to_vec() },
+            Reply::Alternate { via } => Answer::Alternate { via, path: path.to_vec() },
+            Reply::Unrouted => Answer::Unrouted,
+            Reply::NoAlternate => Answer::NoAlternate,
+        }
+    }
+}
+
+impl Answer {
+    /// Head and borrowed path: the inverse of [`Reply::to_answer`].
+    pub fn parts(&self) -> (Reply, &[NodeId]) {
+        match *self {
+            Answer::NextHop { next, hops, class } => (Reply::NextHop { next, hops, class }, &[]),
+            Answer::Path { ref path } => (Reply::Path, path),
+            Answer::Alternate { via, ref path } => (Reply::Alternate { via }, path),
+            Answer::Unrouted => (Reply::Unrouted, &[]),
+            Answer::NoAlternate => (Reply::NoAlternate, &[]),
+        }
+    }
+}
+
 /// Why a query could not be answered.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QueryError {
@@ -133,11 +172,18 @@ pub struct QueryScratch {
     on_prefix: Vec<u32>,
     /// Chase buffer for tail walks.
     walk: Vec<NodeId>,
+    /// The last [`Engine::reply`]'s path.
+    path: Vec<NodeId>,
 }
 
 impl QueryScratch {
     pub fn new() -> QueryScratch {
         QueryScratch::default()
+    }
+
+    /// The last [`Engine::reply`]'s path (empty unless `Path`/`Alternate`).
+    pub fn path(&self) -> &[NodeId] {
+        &self.path
     }
 
     fn begin(&mut self, nodes: usize) -> u32 {
@@ -181,7 +227,8 @@ impl EngineStats {
 pub struct Engine<T: TableSource> {
     table: T,
     topo: Topology,
-    dest_index: HashMap<NodeId, usize>,
+    /// Row of each node's destination, `u32::MAX` for unserved nodes.
+    dest_index: Vec<u32>,
     cache: Option<ShardedCache>,
     pub stats: EngineStats,
 }
@@ -199,8 +246,12 @@ impl<T: TableSource> Engine<T> {
                 topo.num_nodes()
             ));
         }
-        let dest_index =
-            table.dests().iter().enumerate().map(|(i, &d)| (d, i)).collect();
+        let mut dest_index = vec![u32::MAX; topo.num_nodes()];
+        for (i, &d) in table.dests().iter().enumerate() {
+            if let Some(row) = dest_index.get_mut(d as usize) {
+                *row = i as u32;
+            }
+        }
         Ok(Engine { table, topo, dest_index, cache, stats: EngineStats::default() })
     }
 
@@ -216,10 +267,16 @@ impl<T: TableSource> Engine<T> {
         self.cache.as_ref()
     }
 
-    /// Answer one query. `scratch` is per-thread state; answers are a
-    /// pure function of (table, topology, query).
+    /// [`Engine::reply`] as an owned [`Answer`].
     pub fn answer(&self, q: Query, scratch: &mut QueryScratch) -> Result<Answer, QueryError> {
-        let out = self.answer_uncounted(q, scratch);
+        self.reply(q, scratch).map(|r| r.to_answer(&scratch.path))
+    }
+
+    /// Answer one query without allocating: the head is returned, the
+    /// path left in [`QueryScratch::path`]. `scratch` is per-thread
+    /// state; answers are a pure function of (table, topology, query).
+    pub fn reply(&self, q: Query, scratch: &mut QueryScratch) -> Result<Reply, QueryError> {
+        let out = self.reply_uncounted(q, scratch);
         match (&out, q) {
             (Err(_), _) => self.stats.errors.fetch_add(1, Ordering::Relaxed),
             (Ok(_), Query::NextHop { .. }) => self.stats.next_hop.fetch_add(1, Ordering::Relaxed),
@@ -231,41 +288,33 @@ impl<T: TableSource> Engine<T> {
         out
     }
 
-    fn answer_uncounted(
-        &self,
-        q: Query,
-        scratch: &mut QueryScratch,
-    ) -> Result<Answer, QueryError> {
-        match q {
+    fn reply_uncounted(&self, q: Query, scratch: &mut QueryScratch) -> Result<Reply, QueryError> {
+        scratch.path.clear();
+        let (src, dest, avoid) = match q {
             Query::NextHop { src, dest } => {
                 let row = self.dest_row(dest)?;
                 self.check_node(src)?;
                 let r = self.row(row)?;
                 let next = r.next(src as usize);
                 if next == UNROUTED_NEXT {
-                    return Ok(Answer::Unrouted);
+                    return Ok(Reply::Unrouted);
                 }
-                Ok(Answer::NextHop { next, hops: r.hops(src as usize), class: r.class(src as usize) })
+                return Ok(Reply::NextHop { next, hops: r.hops(src as usize), class: r.class(src as usize) });
             }
-            Query::Path { .. } | Query::Alternate { .. } => {
-                if let Some(cache) = &self.cache {
-                    if let Some(hit) = cache.get(&q) {
-                        return Ok(hit);
-                    }
-                }
-                let computed = match q {
-                    Query::Path { src, dest } => self.full_path(src, dest),
-                    Query::Alternate { src, dest, avoid } => {
-                        self.alternate(src, dest, avoid, scratch)
-                    }
-                    Query::NextHop { .. } => unreachable!(),
-                }?;
-                if let Some(cache) = &self.cache {
-                    cache.put(&q, computed.clone());
-                }
-                Ok(computed)
-            }
+            Query::Path { src, dest } => (src, dest, None),
+            Query::Alternate { src, dest, avoid } => (src, dest, Some(avoid)),
+        };
+        if let Some(hit) = self.cache.as_ref().and_then(|c| c.get_into(&q, &mut scratch.path)) {
+            return Ok(hit);
         }
+        let reply = match avoid {
+            None => self.full_path(src, dest, &mut scratch.path)?,
+            Some(avoid) => self.alternate(src, dest, avoid, scratch)?,
+        };
+        if let Some(cache) = &self.cache {
+            cache.put_from(&q, reply, &scratch.path);
+        }
+        Ok(reply)
     }
 
     fn check_node(&self, n: NodeId) -> Result<(), QueryError> {
@@ -278,24 +327,29 @@ impl<T: TableSource> Engine<T> {
 
     fn dest_row(&self, dest: NodeId) -> Result<usize, QueryError> {
         self.check_node(dest)?;
-        self.dest_index.get(&dest).copied().ok_or(QueryError::UnknownDest(dest))
+        match self.dest_index[dest as usize] {
+            u32::MAX => Err(QueryError::UnknownDest(dest)),
+            row => Ok(row as usize),
+        }
     }
 
     fn row(&self, i: usize) -> Result<T::Row<'_>, QueryError> {
         self.table.row(i).map_err(QueryError::Corrupt)
     }
 
-    /// Chase installed next hops from `src` to `dest`, source first.
+    /// Chase installed next hops from `src` to `dest` into `path`, source
+    /// first; `false` (and `path` empty) when `src` is unrouted.
     fn chase(
         &self,
         row: &T::Row<'_>,
         src: NodeId,
         dest: NodeId,
-    ) -> Result<Option<Vec<NodeId>>, QueryError> {
+        path: &mut Vec<NodeId>,
+    ) -> Result<bool, QueryError> {
+        path.clear();
         if row.next(src as usize) == UNROUTED_NEXT {
-            return Ok(None);
+            return Ok(false);
         }
-        let mut path = Vec::with_capacity(row.hops(src as usize) as usize + 1);
         let mut at = src;
         path.push(at);
         while at != dest {
@@ -317,17 +371,14 @@ impl<T: TableSource> Engine<T> {
             })?;
             path.push(at);
         }
-        Ok(Some(path))
+        Ok(true)
     }
 
-    fn full_path(&self, src: NodeId, dest: NodeId) -> Result<Answer, QueryError> {
+    fn full_path(&self, src: NodeId, dest: NodeId, path: &mut Vec<NodeId>) -> Result<Reply, QueryError> {
         let row = self.dest_row(dest)?;
         self.check_node(src)?;
         let r = self.row(row)?;
-        match self.chase(&r, src, dest)? {
-            None => Ok(Answer::Unrouted),
-            Some(path) => Ok(Answer::Path { path }),
-        }
+        Ok(if self.chase(&r, src, dest, path)? { Reply::Path } else { Reply::Unrouted })
     }
 
     /// Does the installed tail from `n` to the row's destination avoid
@@ -375,14 +426,15 @@ impl<T: TableSource> Engine<T> {
         Ok(verdict)
     }
 
-    /// The alternate-path search described in the module docs.
+    /// The alternate-path search described in the module docs; the
+    /// answer's path is left in `scratch.path`.
     fn alternate(
         &self,
         src: NodeId,
         dest: NodeId,
         avoid: NodeId,
         scratch: &mut QueryScratch,
-    ) -> Result<Answer, QueryError> {
+    ) -> Result<Reply, QueryError> {
         let row = self.dest_row(dest)?;
         self.check_node(src)?;
         self.check_node(avoid)?;
@@ -391,22 +443,21 @@ impl<T: TableSource> Engine<T> {
         }
         if avoid == dest {
             // Every path to the destination "traverses" it.
-            return Ok(Answer::NoAlternate);
+            return Ok(Reply::NoAlternate);
         }
         let r = self.row(row)?;
-        let Some(default) = self.chase(&r, src, dest)? else {
-            return Ok(Answer::Unrouted);
-        };
-        let offender = default.iter().position(|&x| x == avoid);
-        let Some(offender) = offender else {
-            return Ok(Answer::Alternate { via: None, path: default });
+        if !self.chase(&r, src, dest, &mut scratch.path)? {
+            return Ok(Reply::Unrouted);
+        }
+        let Some(offender) = scratch.path.iter().position(|&x| x == avoid) else {
+            return Ok(Reply::Alternate { via: None });
         };
 
         let gen = scratch.begin(self.topo.num_nodes());
         // Contact the on-path ASes before the offender, in path order —
         // the MIRO source's negotiation order.
         for vi in 0..offender {
-            let v = default[vi];
+            let v = scratch.path[vi];
             scratch.on_prefix[v as usize] = gen;
             for &(n, _) in self.topo.neighbors(v) {
                 if n == avoid || scratch.on_prefix[n as usize] == gen {
@@ -425,29 +476,27 @@ impl<T: TableSource> Engine<T> {
                     continue;
                 }
                 // Loop check: the tail must not re-enter the kept prefix.
-                let mut tail = Vec::with_capacity(r.hops(n as usize) as usize + 1);
+                scratch.walk.clear();
                 let mut at = n;
-                let mut looped = false;
-                loop {
-                    tail.push(at);
+                let looped = loop {
+                    scratch.walk.push(at);
                     if at == dest {
-                        break;
+                        break false;
                     }
                     at = r.next(at as usize);
                     if scratch.on_prefix[at as usize] == gen {
-                        looped = true;
-                        break;
+                        break true;
                     }
-                }
+                };
                 if looped {
                     continue;
                 }
-                let mut path = Vec::with_capacity(vi + 1 + tail.len());
-                path.extend_from_slice(&default[..=vi]);
-                path.extend_from_slice(&tail);
-                return Ok(Answer::Alternate { via: Some((v, n)), path });
+                scratch.path.truncate(vi + 1);
+                scratch.path.extend_from_slice(&scratch.walk);
+                return Ok(Reply::Alternate { via: Some((v, n)) });
             }
         }
-        Ok(Answer::NoAlternate)
+        scratch.path.clear();
+        Ok(Reply::NoAlternate)
     }
 }

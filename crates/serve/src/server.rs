@@ -7,8 +7,9 @@
 //! and one reply buffer. `read` takes whatever the socket holds — one
 //! request from a depth-1 client, a whole pipelined window from a
 //! batching one. Every complete frame in the buffer is verified
-//! ([`split_frame`]), decoded and answered in order, its reply appended
-//! to the reply buffer, and **the reply buffer is written immediately
+//! ([`split_frame`]) and answered in order by [`answer_frame`], which
+//! serialises the engine's reply straight into the reply buffer without
+//! allocating. **The reply buffer is written immediately
 //! before every socket read** (any of which may block), when it passes
 //! `FLUSH_AT`, and when the connection ends. That one rule makes a
 //! window of N requests cost one `read` and one `write`, serves a depth-1
@@ -22,7 +23,7 @@
 //! | request bytes | `READ_BUF` per connection; a length prefix above [`MAX_REQUEST`] closes the connection before its payload is buffered |
 //! | reply bytes | `FLUSH_AT` plus one reply per connection (the largest, `RUniverse`, is 4 bytes per AS) |
 //! | threads | `MAX_CONNS` live connections; the next socket reads `RErr { id: 0, msg: "busy" }` and is closed |
-//! | seconds | a frame left half-sent, or replies left unread, for `STALL` closes the connection; idling between frames is allowed |
+//! | seconds | a frame left half-sent, or replies left unread, for `STALL` closes the connection; so does idling between frames for `IDLE` |
 //!
 //! Shutdown is cooperative: a stop flag that connection threads check
 //! before each read and every `POLL` while blocked in a read or write,
@@ -37,11 +38,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use miro_shard::protocol::{encode_raw_frame, FrameError};
-use miro_topology::AsId;
+use miro_topology::{AsId, NodeId};
 
-use crate::query::{Answer, Engine, Query, QueryScratch};
+use crate::query::{Engine, Query, QueryScratch, Reply};
 use crate::wire::{
-    decode_payload, encode_payload, split_frame, WireMsg, MAX_REQUEST, QUERY_PROTOCOL_VERSION,
+    decode_payload, encode_payload, push_frame, push_msg, put_r_alternate, put_r_err, put_r_path, split_frame,
+    WireMsg, MAX_REQUEST, QUERY_PROTOCOL_VERSION,
 };
 use crate::TableSource;
 
@@ -63,6 +65,9 @@ const MAX_CONNS: usize = 256;
 /// with its receive window shut, before the connection is dropped.
 const STALL: Duration = Duration::from_secs(10);
 
+/// How long a connection may sit idle between frames before it is closed.
+const IDLE: Duration = Duration::from_secs(120);
+
 /// What the daemon did over its lifetime, returned by [`Server::run`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeReport {
@@ -72,6 +77,8 @@ pub struct ServeReport {
     pub shed: u64,
     /// Connections dropped because the peer stalled past `STALL`.
     pub timed_out: u64,
+    /// Connections closed after idling between frames past `IDLE`.
+    pub idle_closed: u64,
     /// Connections dropped for bytes that fail framing or decoding.
     pub corrupt: u64,
     /// Queries answered (successfully or as `RErr`), across connections.
@@ -108,12 +115,15 @@ impl StopHandle {
 struct Shared<T: TableSource> {
     engine: Engine<T>,
     stop: StopHandle,
-    /// `MAX_CONNS` and `STALL`; fields so in-crate tests can shrink them.
+    /// `MAX_CONNS`, `STALL` and `IDLE`; fields so in-crate tests can
+    /// shrink them.
     max_conns: usize,
     stall: Duration,
+    idle: Duration,
     connections: AtomicU64,
     shed: AtomicU64,
     timed_out: AtomicU64,
+    idle_closed: AtomicU64,
     corrupt: AtomicU64,
 }
 
@@ -140,9 +150,11 @@ impl<T: TableSource + Send + Sync + 'static> Server<T> {
                 stop: StopHandle { flag: Arc::new(AtomicBool::new(false)), wake },
                 max_conns: MAX_CONNS,
                 stall: STALL,
+                idle: IDLE,
                 connections: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
                 timed_out: AtomicU64::new(0),
+                idle_closed: AtomicU64::new(0),
                 corrupt: AtomicU64::new(0),
             }),
         })
@@ -202,6 +214,7 @@ impl<T: TableSource + Send + Sync + 'static> Server<T> {
             connections: shared.connections.load(Ordering::Relaxed),
             shed: shared.shed.load(Ordering::Relaxed),
             timed_out: shared.timed_out.load(Ordering::Relaxed),
+            idle_closed: shared.idle_closed.load(Ordering::Relaxed),
             corrupt: shared.corrupt.load(Ordering::Relaxed),
             queries: shared.engine.stats.queries() + shared.engine.stats.errors.load(Ordering::Relaxed),
             cache_hits: cache.map_or(0, |c| c.stats.hits.load(Ordering::Relaxed)),
@@ -213,6 +226,47 @@ impl<T: TableSource + Send + Sync + 'static> Server<T> {
 
 fn frame(msg: &WireMsg) -> Vec<u8> {
     encode_raw_frame(&encode_payload(msg))
+}
+
+/// Answer one request frame of a greeted connection: the connection
+/// loop's per-frame step. A query is decoded, answered by
+/// [`Engine::reply`] and its reply frame appended to `out`, allocating
+/// nothing once `scratch` and `out` have grown to size; any other
+/// message is handed back decoded, for the connection to handle.
+pub fn answer_frame<T: TableSource>(
+    engine: &Engine<T>,
+    scratch: &mut QueryScratch,
+    payload: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<Option<WireMsg>, FrameError> {
+    let topo = engine.topology();
+    let node = |asn: u32, role: &'static str| topo.node(AsId(asn)).ok_or((role, asn));
+    let pair = |src, dest| Ok((node(src, "source AS")?, node(dest, "destination AS")?));
+    let (id, query) = match decode_payload(payload)? {
+        WireMsg::NextHop { id, src, dest } => (id, pair(src, dest).map(|(src, dest)| Query::NextHop { src, dest })),
+        WireMsg::Path { id, src, dest } => (id, pair(src, dest).map(|(src, dest)| Query::Path { src, dest })),
+        WireMsg::Alternate { id, src, dest, avoid } => (id, pair(src, dest).and_then(|(src, dest)| {
+            Ok(Query::Alternate { src, dest, avoid: node(avoid, "AS to avoid")? })
+        })),
+        other => return Ok(Some(other)),
+    };
+    let asn = |n: &NodeId| topo.asn(*n).0;
+    match query.map(|q| engine.reply(q, scratch)) {
+        Err((role, n)) => push_frame(out, |p| put_r_err(p, id, format_args!("unknown {role} {n}"))),
+        Ok(Err(e)) => push_frame(out, |p| put_r_err(p, id, e)),
+        Ok(Ok(Reply::Unrouted)) => push_msg(out, &WireMsg::RUnrouted { id }),
+        Ok(Ok(Reply::NoAlternate)) => push_msg(out, &WireMsg::RNoAlternate { id }),
+        Ok(Ok(Reply::NextHop { next, hops, class })) => {
+            push_msg(out, &WireMsg::RNextHop { id, next: asn(&next), hops, class })
+        }
+        Ok(Ok(Reply::Path)) => push_frame(out, |p| put_r_path(p, id, scratch.path().iter().map(asn))),
+        Ok(Ok(Reply::Alternate { via })) => {
+            let (splice_at, next) = via.map_or((0, 0), |(v, n)| (asn(&v), asn(&n)));
+            let path = scratch.path().iter().map(asn);
+            push_frame(out, |p| put_r_alternate(p, id, via.is_some(), splice_at, next, path))
+        }
+    }
+    Ok(None)
 }
 
 /// A read or write that timed out (both spellings) or was interrupted.
@@ -245,14 +299,20 @@ fn serve_connection<T: TableSource>(
     let mut buf = vec![0u8; READ_BUF];
     // Received and not yet answered: `buf[..end]`.
     let mut end = 0;
-    // When the frame at the head of the buffer was first seen incomplete.
-    let mut partial_since: Option<Instant> = None;
+    // When the frame at the head of the buffer was first seen incomplete,
+    // and when a read first timed out with nothing buffered.
+    let (mut partial_since, mut idle_since): (Option<Instant>, Option<Instant>) = (None, None);
     loop {
         let mut start = 0;
         while let Some((payload, used)) = split_frame(&buf[start..end], MAX_REQUEST)? {
             start += used;
             partial_since = None;
-            if !conn.answer(decode_payload(payload)?)? {
+            let session = if conn.greeted {
+                answer_frame(&shared.engine, &mut conn.scratch, payload, &mut conn.out)?
+            } else {
+                Some(decode_payload(payload)?)
+            };
+            if !session.map_or(Ok(true), |msg| conn.session(msg))? {
                 return conn.flush();
             }
             if conn.out.len() >= FLUSH_AT {
@@ -272,8 +332,13 @@ fn serve_connection<T: TableSource>(
         match Read::read(&mut &*stream, &mut buf[end..]) {
             Ok(0) if end == 0 => return Ok(()), // client hung up cleanly
             Ok(0) => return Err(FrameError::Corrupt("stream ended mid-frame".to_string())),
-            Ok(n) => end += n,
-            Err(e) if retry(&e) => {}
+            Ok(n) => (end, idle_since) = (end + n, None),
+            Err(e) if retry(&e) => {
+                if end == 0 && idle_since.get_or_insert_with(Instant::now).elapsed() > shared.idle {
+                    shared.idle_closed.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
+            }
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
@@ -309,9 +374,10 @@ impl<T: TableSource> Conn<'_, T> {
         Ok(())
     }
 
-    /// Append the reply to one request; `Ok(false)` ends the connection
-    /// once the replies so far are written.
-    fn answer(&mut self, msg: WireMsg) -> Result<bool, FrameError> {
+    /// Append the reply to one message [`answer_frame`] handed back (or
+    /// to any message before the handshake); `Ok(false)` ends the
+    /// connection once the replies so far are written.
+    fn session(&mut self, msg: WireMsg) -> Result<bool, FrameError> {
         let engine = &self.shared.engine;
         let reply = match msg {
             // Handshake: the first frame must be a version-matching Hello.
@@ -320,7 +386,7 @@ impl<T: TableSource> Conn<'_, T> {
                 if !self.greeted {
                     // Version mismatch: refuse politely so old clients get
                     // a parseable goodbye instead of a dropped socket.
-                    self.out.extend_from_slice(&frame(&WireMsg::RBye));
+                    push_msg(&mut self.out, &WireMsg::RBye);
                     return Ok(false);
                 }
                 WireMsg::Welcome {
@@ -332,7 +398,7 @@ impl<T: TableSource> Conn<'_, T> {
             _ if !self.greeted => return Err(FrameError::Corrupt("expected Hello".to_string())),
             WireMsg::Shutdown => {
                 self.shared.stop.stop();
-                self.out.extend_from_slice(&frame(&WireMsg::RBye));
+                push_msg(&mut self.out, &WireMsg::RBye);
                 return Ok(false);
             }
             WireMsg::Universe { id } => {
@@ -353,69 +419,17 @@ impl<T: TableSource> Conn<'_, T> {
                     connections: self.shared.connections.load(Ordering::Relaxed),
                 }
             }
-            WireMsg::NextHop { id, src, dest } => self.query(id, src, dest, Kind::NextHop),
-            WireMsg::Path { id, src, dest } => self.query(id, src, dest, Kind::Path),
-            WireMsg::Alternate { id, src, dest, avoid } => {
-                self.query(id, src, dest, Kind::Alternate { avoid })
-            }
             other => {
                 // A reply kind (or second Hello) from a client is a
                 // protocol violation; tell it and drop the connection.
                 let msg = format!("unexpected message: {other:?}");
-                self.out.extend_from_slice(&frame(&WireMsg::RErr { id: 0, msg }));
+                push_msg(&mut self.out, &WireMsg::RErr { id: 0, msg });
                 return Ok(false);
             }
         };
-        self.out.extend_from_slice(&frame(&reply));
+        push_msg(&mut self.out, &reply);
         Ok(true)
     }
-
-    /// Translate ASN operands, run the query, translate the answer back.
-    fn query(&mut self, id: u64, src_asn: u32, dest_asn: u32, kind: Kind) -> WireMsg {
-        let engine = &self.shared.engine;
-        let topo = engine.topology();
-        let node = |asn: u32| topo.node(AsId(asn));
-        let Some(src) = node(src_asn) else {
-            return WireMsg::RErr { id, msg: format!("unknown source AS {src_asn}") };
-        };
-        let Some(dest) = node(dest_asn) else {
-            return WireMsg::RErr { id, msg: format!("unknown destination AS {dest_asn}") };
-        };
-        let q = match kind {
-            Kind::NextHop => Query::NextHop { src, dest },
-            Kind::Path => Query::Path { src, dest },
-            Kind::Alternate { avoid: avoid_asn } => {
-                let Some(avoid) = node(avoid_asn) else {
-                    return WireMsg::RErr { id, msg: format!("unknown AS to avoid {avoid_asn}") };
-                };
-                Query::Alternate { src, dest, avoid }
-            }
-        };
-        let asn = |n: miro_topology::NodeId| topo.asn(n).0;
-        match engine.answer(q, &mut self.scratch) {
-            Err(e) => WireMsg::RErr { id, msg: e.to_string() },
-            Ok(Answer::Unrouted) => WireMsg::RUnrouted { id },
-            Ok(Answer::NoAlternate) => WireMsg::RNoAlternate { id },
-            Ok(Answer::NextHop { next, hops, class }) => {
-                WireMsg::RNextHop { id, next: asn(next), hops, class }
-            }
-            Ok(Answer::Path { path }) => {
-                WireMsg::RPath { id, path: path.into_iter().map(asn).collect() }
-            }
-            Ok(Answer::Alternate { via, path }) => {
-                let path: Vec<u32> = path.into_iter().map(asn).collect();
-                let (splice_at, next) = via.map_or((0, 0), |(v, n)| (asn(v), asn(n)));
-                WireMsg::RAlternate { id, deviates: via.is_some(), splice_at, via: next, path }
-            }
-        }
-    }
-}
-
-/// Which query a request asks for; its operands are still AS numbers.
-enum Kind {
-    NextHop,
-    Path,
-    Alternate { avoid: u32 },
 }
 
 #[cfg(test)]
@@ -543,13 +557,15 @@ mod tests {
     }
 
     /// A daemon over three rows of a tiny table whose stall deadline is
-    /// 300 ms instead of [`STALL`].
+    /// 300 ms instead of [`STALL`], and whose idle deadline is 1.5 s
+    /// instead of [`IDLE`].
     fn impatient_daemon() -> (SocketAddr, std::thread::JoinHandle<ServeReport>, u32) {
         let topo = GenParams::tiny(9).generate();
         let asn = topo.asn(0).0;
         let table = RouteTableSet::from_solves(&topo, &[0, 1, 2], 1);
         let mut server = Server::bind("127.0.0.1:0", Engine::new(table, topo, None).unwrap()).unwrap();
-        Arc::get_mut(&mut server.shared).unwrap().stall = Duration::from_millis(300);
+        let shared = Arc::get_mut(&mut server.shared).unwrap();
+        (shared.stall, shared.idle) = (Duration::from_millis(300), Duration::from_millis(1500));
         let addr = server.local_addr().unwrap();
         (addr, std::thread::spawn(move || server.run().unwrap()), asn)
     }
@@ -569,9 +585,10 @@ mod tests {
         daemon.join().unwrap()
     }
 
-    /// Slowloris: a frame left half-sent past the deadline closes the
-    /// connection, however steadily its bytes dribble in; a connection
-    /// idle *between* frames for as long stays.
+    /// Slowloris: a frame left half-sent past the stall deadline closes
+    /// the connection, however steadily its bytes dribble in. A
+    /// connection idle *between* frames outlives that deadline, and is
+    /// closed only once it has idled past the longer idle one.
     #[test]
     fn a_frame_left_unfinished_past_the_deadline_closes_the_connection() {
         let (addr, daemon, asn) = impatient_daemon();
@@ -592,8 +609,16 @@ mod tests {
 
         write_msg(&mut &idle, &WireMsg::Path { id: 2, src: asn, dest: asn }).unwrap();
         assert_eq!(read_msg(&mut &idle).unwrap(), WireMsg::RPath { id: 2, path: vec![asn] });
+
+        // Now idle past 1.5 s: the daemon closes its end, cleanly.
+        let quiet = Instant::now();
+        let mut rest = Vec::new();
+        let end = (&idle).read_to_end(&mut rest);
+        assert!(rest.is_empty() && end.is_ok(), "{end:?} {rest:?}");
+        let waited = quiet.elapsed();
+        assert!(waited > Duration::from_millis(1400) && waited < Duration::from_secs(4), "{waited:?}");
         let report = shut_down(addr, daemon);
-        assert_eq!((report.timed_out, report.corrupt), (1, 0));
+        assert_eq!((report.timed_out, report.idle_closed, report.corrupt), (1, 1, 0));
     }
 
     /// A client that pipelines requests and reads nothing is dropped once

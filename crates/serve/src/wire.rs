@@ -14,10 +14,14 @@
 //! (1–6): a frame from the wrong service decodes to a clean
 //! `unknown message kind`, not a confused parse.
 //!
+//! Each message has one byte layout: [`encode_payload`] and the daemon's
+//! borrowed-parts writers ([`put_r_path`], [`put_r_alternate`],
+//! [`put_r_err`], framed in place by [`push_frame`]) share serialisers.
+//!
 //! [`write_raw_frame`]: miro_shard::protocol::write_raw_frame
 
 use miro_shard::fnv1a;
-use miro_shard::protocol::{encode_raw_frame, read_raw_frame, FrameError};
+use miro_shard::protocol::{read_raw_frame, FrameError};
 use std::io::{Read, Write};
 
 /// Protocol revision spoken in `Hello`/`Welcome`; both sides must agree.
@@ -104,88 +108,130 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn push_vec(out: &mut Vec<u8>, v: &[u32]) {
+fn push_vec(out: &mut Vec<u8>, v: impl ExactSizeIterator<Item = u32>) {
+    out.reserve(4 + 4 * v.len());
     push_u32(out, v.len() as u32);
-    for &x in v {
+    for x in v {
         push_u32(out, x);
     }
+}
+
+/// Append an `RPath` payload.
+pub fn put_r_path(p: &mut Vec<u8>, id: u64, path: impl ExactSizeIterator<Item = u32>) {
+    p.push(KIND_R_PATH);
+    push_u64(p, id);
+    push_vec(p, path);
+}
+
+/// Append an `RAlternate` payload.
+pub fn put_r_alternate<P>(p: &mut Vec<u8>, id: u64, deviates: bool, splice_at: u32, via: u32, path: P)
+where
+    P: ExactSizeIterator<Item = u32>,
+{
+    p.push(KIND_R_ALTERNATE);
+    push_u64(p, id);
+    p.push(deviates as u8);
+    push_u32(p, splice_at);
+    push_u32(p, via);
+    push_vec(p, path);
+}
+
+/// Append an `RErr` payload, its text formatted in place.
+pub fn put_r_err(p: &mut Vec<u8>, id: u64, msg: impl std::fmt::Display) {
+    p.push(KIND_R_ERR);
+    push_u64(p, id);
+    write!(p, "{msg}").expect("writing to a Vec cannot fail");
+}
+
+/// Append one frame to `out`, its payload written in place by `payload`:
+/// [`encode_raw_frame`]'s bytes, built where they are sent from.
+///
+/// [`encode_raw_frame`]: miro_shard::protocol::encode_raw_frame
+pub fn push_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    let sum = fnv1a(&out[at + 4..]);
+    push_u64(out, sum);
+}
+
+/// Append one message to `out` as a frame.
+pub fn push_msg(out: &mut Vec<u8>, msg: &WireMsg) {
+    push_frame(out, |p| put_payload(p, msg));
 }
 
 /// Serialize one message as a payload (no framing).
 pub fn encode_payload(msg: &WireMsg) -> Vec<u8> {
     let mut p = Vec::new();
+    put_payload(&mut p, msg);
+    p
+}
+
+fn put_payload(p: &mut Vec<u8>, msg: &WireMsg) {
     match msg {
         WireMsg::Hello { protocol } => {
             p.push(KIND_HELLO);
-            push_u32(&mut p, *protocol);
+            push_u32(p, *protocol);
         }
         WireMsg::Welcome { protocol, num_nodes, num_dests } => {
             p.push(KIND_WELCOME);
-            push_u32(&mut p, *protocol);
-            push_u32(&mut p, *num_nodes);
-            push_u32(&mut p, *num_dests);
+            push_u32(p, *protocol);
+            push_u32(p, *num_nodes);
+            push_u32(p, *num_dests);
         }
         WireMsg::Universe { id } => {
             p.push(KIND_UNIVERSE);
-            push_u64(&mut p, *id);
+            push_u64(p, *id);
         }
         WireMsg::RUniverse { id, src_asns, dest_asns } => {
-            p.reserve(17 + 4 * (src_asns.len() + dest_asns.len()));
             p.push(KIND_R_UNIVERSE);
-            push_u64(&mut p, *id);
-            push_vec(&mut p, src_asns);
-            push_vec(&mut p, dest_asns);
+            push_u64(p, *id);
+            push_vec(p, src_asns.iter().copied());
+            push_vec(p, dest_asns.iter().copied());
         }
         WireMsg::NextHop { id, src, dest } => {
             p.push(KIND_NEXT_HOP);
-            push_u64(&mut p, *id);
-            push_u32(&mut p, *src);
-            push_u32(&mut p, *dest);
+            push_u64(p, *id);
+            push_u32(p, *src);
+            push_u32(p, *dest);
         }
         WireMsg::RNextHop { id, next, hops, class } => {
             p.push(KIND_R_NEXT_HOP);
-            push_u64(&mut p, *id);
-            push_u32(&mut p, *next);
+            push_u64(p, *id);
+            push_u32(p, *next);
             p.extend_from_slice(&hops.to_le_bytes());
             p.push(*class);
         }
         WireMsg::Path { id, src, dest } => {
             p.push(KIND_PATH);
-            push_u64(&mut p, *id);
-            push_u32(&mut p, *src);
-            push_u32(&mut p, *dest);
+            push_u64(p, *id);
+            push_u32(p, *src);
+            push_u32(p, *dest);
         }
-        WireMsg::RPath { id, path } => {
-            p.push(KIND_R_PATH);
-            push_u64(&mut p, *id);
-            push_vec(&mut p, path);
-        }
+        WireMsg::RPath { id, path } => put_r_path(p, *id, path.iter().copied()),
         WireMsg::Alternate { id, src, dest, avoid } => {
             p.push(KIND_ALTERNATE);
-            push_u64(&mut p, *id);
-            push_u32(&mut p, *src);
-            push_u32(&mut p, *dest);
-            push_u32(&mut p, *avoid);
+            push_u64(p, *id);
+            push_u32(p, *src);
+            push_u32(p, *dest);
+            push_u32(p, *avoid);
         }
         WireMsg::RAlternate { id, deviates, splice_at, via, path } => {
-            p.push(KIND_R_ALTERNATE);
-            push_u64(&mut p, *id);
-            p.push(*deviates as u8);
-            push_u32(&mut p, *splice_at);
-            push_u32(&mut p, *via);
-            push_vec(&mut p, path);
+            put_r_alternate(p, *id, *deviates, *splice_at, *via, path.iter().copied())
         }
         WireMsg::RUnrouted { id } => {
             p.push(KIND_R_UNROUTED);
-            push_u64(&mut p, *id);
+            push_u64(p, *id);
         }
         WireMsg::RNoAlternate { id } => {
             p.push(KIND_R_NO_ALTERNATE);
-            push_u64(&mut p, *id);
+            push_u64(p, *id);
         }
         WireMsg::Stats { id } => {
             p.push(KIND_STATS);
-            push_u64(&mut p, *id);
+            push_u64(p, *id);
         }
         WireMsg::RStats {
             id,
@@ -197,28 +243,25 @@ pub fn encode_payload(msg: &WireMsg) -> Vec<u8> {
             connections,
         } => {
             p.push(KIND_R_STATS);
-            push_u64(&mut p, *id);
-            push_u64(&mut p, *queries);
-            push_u64(&mut p, *cache_hits);
-            push_u64(&mut p, *cache_misses);
-            push_u64(&mut p, *cache_evictions);
-            push_u64(&mut p, *rows_verified);
-            push_u64(&mut p, *connections);
+            push_u64(p, *id);
+            push_u64(p, *queries);
+            push_u64(p, *cache_hits);
+            push_u64(p, *cache_misses);
+            push_u64(p, *cache_evictions);
+            push_u64(p, *rows_verified);
+            push_u64(p, *connections);
         }
-        WireMsg::RErr { id, msg } => {
-            p.push(KIND_R_ERR);
-            push_u64(&mut p, *id);
-            p.extend_from_slice(msg.as_bytes());
-        }
+        WireMsg::RErr { id, msg } => put_r_err(p, *id, msg),
         WireMsg::Shutdown => p.push(KIND_SHUTDOWN),
         WireMsg::RBye => p.push(KIND_R_BYE),
     }
-    p
 }
 
 /// Write one message as a frame and flush.
 pub fn write_msg<W: Write>(w: &mut W, msg: &WireMsg) -> std::io::Result<()> {
-    w.write_all(&encode_raw_frame(&encode_payload(msg)))?;
+    let mut frame = Vec::new();
+    push_msg(&mut frame, msg);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -257,40 +300,26 @@ struct Body<'a> {
 }
 
 impl<'a> Body<'a> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], FrameError> {
+        let b = self.bytes.get(self.at..self.at + N).ok_or_else(|| FrameError::Corrupt("short body".to_string()))?;
+        self.at += N;
+        Ok(b.try_into().expect("N bytes"))
+    }
+
     fn u32(&mut self) -> Result<u32, FrameError> {
-        let b = self
-            .bytes
-            .get(self.at..self.at + 4)
-            .ok_or_else(|| FrameError::Corrupt("short body".to_string()))?;
-        self.at += 4;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
+        self.take().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, FrameError> {
-        let b = self
-            .bytes
-            .get(self.at..self.at + 8)
-            .ok_or_else(|| FrameError::Corrupt("short body".to_string()))?;
-        self.at += 8;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
+        self.take().map(u64::from_le_bytes)
     }
 
     fn u16(&mut self) -> Result<u16, FrameError> {
-        let b = self
-            .bytes
-            .get(self.at..self.at + 2)
-            .ok_or_else(|| FrameError::Corrupt("short body".to_string()))?;
-        self.at += 2;
-        Ok(u16::from_le_bytes(b.try_into().unwrap()))
+        self.take().map(u16::from_le_bytes)
     }
 
     fn u8(&mut self) -> Result<u8, FrameError> {
-        let b = self
-            .bytes
-            .get(self.at)
-            .ok_or_else(|| FrameError::Corrupt("short body".to_string()))?;
-        self.at += 1;
-        Ok(*b)
+        self.take().map(|[b]| b)
     }
 
     /// A `u32` count followed by that many `u32`s. The count is bounded
@@ -405,6 +434,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<WireMsg, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miro_shard::protocol::encode_raw_frame;
 
     /// One of every message — the round-trip pin the satellite asks for.
     pub fn all_msgs() -> Vec<WireMsg> {
@@ -456,6 +486,19 @@ mod tests {
             assert_eq!(&read_msg(&mut r).unwrap(), m);
         }
         assert!(matches!(read_msg(&mut r), Err(FrameError::Eof)));
+    }
+
+    /// A frame built in place is the frame built from an owned payload,
+    /// appended after whatever the buffer already holds.
+    #[test]
+    fn push_msg_appends_exactly_the_encoded_frame() {
+        let mut out = vec![0xAB];
+        let mut want = vec![0xAB];
+        for m in all_msgs() {
+            push_msg(&mut out, &m);
+            want.extend_from_slice(&encode_raw_frame(&encode_payload(&m)));
+        }
+        assert_eq!(out, want);
     }
 
     /// Every request fits [`MAX_REQUEST`], and `split_frame` refuses a

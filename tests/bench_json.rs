@@ -80,12 +80,14 @@ fn bench_dataplane_json_keeps_its_schema() {
 #[test]
 fn bench_query_json_keeps_its_schema() {
     let v = bench(miro_cli::bench_query::run, "--scale tiny --conns 2 --queries 400");
-    assert_keys("header", &v, &["mode", "scale", "nodes", "dests", "seed", "mix", "cache", "rows", "totals"]);
+    assert_keys("header", &v, &[
+        "mode", "scale", "nodes", "dests", "seed", "reps", "mix", "cache", "rows", "totals",
+    ]);
     assert_keys("mix", &v["mix"], &["next_hop", "path", "alternate"]);
     assert_keys("cache", &v["cache"], &["stripes", "slots_per_stripe"]);
     assert_keys("rows[]", &v["rows"][0], &[
         "conns", "queries", "wall_ms", "qps", "p50_us", "p99_us", "hit_rate", "unrouted",
-        "no_alternate",
+        "no_alternate", "median_wall_ms", "median_qps", "spread",
     ]);
     assert_keys("totals", &v["totals"], &["queries", "cache_hits", "cache_misses"]);
 }
