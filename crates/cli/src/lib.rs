@@ -38,10 +38,10 @@ use miro_bgp::solver::multi::{LinkEvent, MultiFailState};
 use miro_bgp::solver::{DeltaScratch, SolveScratch};
 use miro_core::export::ExportPolicy;
 use miro_core::negotiate::Constraint;
-use miro_core::node::{Lease, MiroNetwork, ResponderConfig};
+use miro_core::node::{Lease, MiroNetwork};
 use miro_core::strategy::avoid_via_multihop_negotiation;
 use miro_core::strategy::TargetStrategy;
-use miro_policy::{bridge, PolicyEngine};
+use miro_policy::{bridge, Config};
 use miro_topology::gen::DatasetPreset;
 use miro_topology::{io as topo_io, AsId, NodeId, Topology};
 use std::collections::HashMap;
@@ -70,9 +70,9 @@ pub struct Repl {
     net: Option<MiroNetwork<'static>>,
     /// `Down` per link `fail link` took down; every solve applies them.
     failed: Vec<LinkEvent>,
-    /// Chapter 6 configurations loaded with `policy load`, by `router bgp`
-    /// AS number.
-    policies: HashMap<u32, PolicyEngine>,
+    /// Chapter 6 configurations loaded with `policy load` into the live
+    /// network, by `router bgp` AS number.
+    policies: HashMap<u32, Config>,
     clock_step: u64,
     keepalive_timeout: u64,
 }
@@ -93,6 +93,7 @@ impl Repl {
         self.topo = Some(leaked);
         self.net = Some(MiroNetwork::new(leaked));
         self.failed.clear();
+        self.policies.clear();
         format!(
             "loaded topology: {} ASes, {} links",
             leaked.num_nodes(),
@@ -246,7 +247,7 @@ impl Repl {
                     });
                 }
                 let net = self.net.as_mut().ok_or("no topology loaded")?;
-                net.configure(r, ResponderConfig { policy, ..Default::default() });
+                net.config_mut(r).policy = policy;
                 let constraints: Vec<Constraint> =
                     avoid.into_iter().map(Constraint::AvoidAs).collect();
                 match net.negotiate(&st, s, r, constraints, budget) {
@@ -318,27 +319,37 @@ impl Repl {
                     .map_err(|e| format!("cannot read {path:?}: {e}"))?;
                 let cfg = miro_policy::parse_config(&text).map_err(|e| format!("{path}: {e}"))?;
                 let asn = cfg.router_asn.ok_or(format!("{path}: no `router bgp <asn>` line"))?;
-                let summary = format!(
+                let (x, topo) = self.node(asn)?;
+                let responder = bridge::responder(&cfg, topo).map_err(|e| format!("{path}: {e}"))?;
+                let mut summary = format!(
                     "policy for AS{asn}: {} route-map entries, {} negotiation block(s)",
                     cfg.route_maps.len(),
                     cfg.negotiations.len()
                 );
-                self.policies.insert(asn, PolicyEngine::new(cfg));
+                if cfg.accept.is_some() {
+                    let from = responder.allow.as_ref().map_or("any".into(), |a| format!("[{}]", as_list(topo, a)));
+                    let m = responder.max_tunnels;
+                    let limit = if m == usize::MAX { "none".into() } else { m.to_string() };
+                    let [c, p, v] = responder.prices.map(|p| p.map_or("-".into(), |p| p.to_string()));
+                    let _ = write!(summary, "\naccepts negotiation from {from}, tunnel limit {limit}, prices {c}/{p}/{v} (customer/peer/provider)");
+                }
+                *self.net.as_mut().ok_or("no topology loaded")?.config_mut(x) = responder;
+                self.policies.insert(asn, cfg);
                 Ok(summary)
             }
             ["policy", "apply", asn, map, "to", dest] => {
                 let (x, topo) = self.node(num(asn)?)?;
                 let (d, _) = self.node(num(dest)?)?;
-                let engine = self
+                let cfg = self
                     .policies
                     .get(&topo.asn(x).0)
                     .ok_or(format!("no policy loaded for AS{asn} (use `policy load`)"))?;
-                if !engine.config().route_maps.iter().any(|rm| rm.name == *map) {
+                if !cfg.route_maps.iter().any(|rm| rm.name == *map) {
                     return Err(format!("AS{asn}'s policy has no route-map {map:?}"));
                 }
                 let st = Self::solve(&self.failed, topo, d);
                 let net = self.net.as_mut().ok_or("no topology loaded")?;
-                let (kept, outcomes) = bridge::run_policy(engine, net, &st, x, map);
+                let (kept, outcomes) = bridge::run_policy(cfg, net, &st, x, map);
                 let mut out = format!(
                     "route-map {map}: {} of {} candidate(s) kept\n",
                     kept.len(),
@@ -408,7 +419,7 @@ commands:
   negotiate <src> with <responder> to <dest> [avoid <asn>] [budget N] [policy s|e|a]
   multihop  <src> with <responder> to <dest> avoid <asn> [policy s|e|a]
   leases | tick | fail link <a> <b>
-  policy load <config-file>
+  policy load <config-file>     (route-maps for `policy apply`; accept/filter statements set the AS's responder rules)
   policy apply <asn> <route-map> to <dest-asn>
   help | quit";
 

@@ -4,7 +4,7 @@
 //! Two drivers run it. [`crate::node::MiroNetwork`] resolves a negotiation
 //! synchronously — the short reference; [`crate::reliable::ReliableNet`]
 //! runs the same steps message by message over a faulty channel. Both
-//! deref to [`NetState`], so `configure` / `leases` / `tunnels` /
+//! deref to [`NetState`], so `config_mut` / `leases` / `tunnels` /
 //! `topology`, the clock and the transcript read the same on either, and a
 //! protocol fix made here reaches both.
 
@@ -46,9 +46,9 @@ impl<'t> NetState<'t> {
         }
     }
 
-    /// Replace one AS's responder configuration.
-    pub fn configure(&mut self, node: NodeId, config: ResponderConfig) {
-        self.configs[node as usize] = config;
+    /// One AS's responder configuration, to replace or adjust in place.
+    pub fn config_mut(&mut self, node: NodeId) -> &mut ResponderConfig {
+        &mut self.configs[node as usize]
     }
 
     /// The live leases ledger (establishment order).
@@ -94,7 +94,7 @@ impl<'t> NetState<'t> {
     }
 
     /// Responder-side decision (step 1 → 2): admission control (section
-    /// 6.2.1), then the policy-filtered, markup-priced,
+    /// 6.2.1), then the policy-filtered, class-priced,
     /// constraint-admissible offer set (section 6.2.2).
     pub(crate) fn responder_offers(
         &self,
@@ -105,22 +105,24 @@ impl<'t> NetState<'t> {
         switch: bool,
     ) -> Result<Vec<Offer>, RejectReason> {
         let cfg = &self.configs[responder as usize];
-        if !cfg.accept_any && !cfg.allow.contains(&requester) {
+        if cfg.allow.as_ref().is_some_and(|allow| !allow.contains(&requester)) {
             return Err(RejectReason::NotAllowed);
         }
         // The `tunnel_number < N` gate counts the responder's live tunnels.
         if self.managers[responder as usize].len() >= cfg.max_tunnels {
             return Err(RejectReason::TunnelLimit);
         }
-        let mut pool = if switch {
+        let pool = if switch {
             cfg.policy.switch_offers(st, responder)
         } else {
             cfg.policy.offers(st, responder, export_rel_toward(st, requester, responder))
         };
-        for o in &mut pool {
-            o.price += cfg.price_markup;
-        }
-        let offers = admissible(&pool, constraints);
+        // The responder's own price per class; a class priced `None` is
+        // not for sale.
+        let priced: Vec<Offer> = (pool.into_iter())
+            .filter_map(|o| Some(Offer { price: cfg.prices[o.route.class as usize]?, ..o }))
+            .collect();
+        let offers = admissible(&priced, constraints);
         if offers.is_empty() {
             return Err(RejectReason::NoCandidates);
         }

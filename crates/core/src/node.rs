@@ -13,31 +13,32 @@
 //! once — and is the short reference; [`crate::reliable::ReliableNet`] is
 //! the only message-level state machine and is tested against it.
 
-use crate::export::{ExportPolicy, Offer};
+use crate::export::{price_for_class, ExportPolicy, Offer};
 use crate::handshake::NetState;
 use crate::negotiate::{Constraint, Message, NegotiationError};
 use crate::tunnel::{TeardownReason, TunnelId};
 use miro_bgp::solver::RoutingState;
-use miro_topology::{NodeId, Topology};
+use miro_topology::{NodeId, RouteClass, Topology};
 use std::ops::{Deref, DerefMut};
 
-/// Responder-side configuration (section 6.2.1's negotiation rules).
-#[derive(Clone, Debug)]
+/// Responder-side configuration: section 6.2.1's negotiation rules and
+/// section 6.2.2's price schedule, the one form both handshake drivers
+/// read. `miro_policy::bridge::responder` compiles the dialect's `accept
+/// negotiation` / `negotiation filter` statements into it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResponderConfig {
     /// Which alternates to reveal.
     pub policy: ExportPolicy,
     /// `when tunnel_number < N` admission gate (section 6.3 example: 1000).
     pub max_tunnels: usize,
-    /// `accept negotiation from any`, or only from an allow list.
-    pub accept_any: bool,
-    /// The allow list used when `accept_any` is false.
-    pub allow: Vec<NodeId>,
-    /// Markup added to every offer's base (class-derived) price — the
-    /// knob the section 6.2.2 economic lifecycle turns: "whenever one of
-    /// the parties is no longer satisfied with the price, the tunnel will
-    /// be terminated, then the requesting AS will re-negotiate a new
-    /// tunnel using a new price if needed".
-    pub price_markup: u32,
+    /// `accept negotiation from <asn>…`: only these requesters; `None` is
+    /// `from any`.
+    pub allow: Option<Vec<NodeId>>,
+    /// Asking price per route class, indexed as [`RouteClass::ALL`]; `None`
+    /// is not offered (section 6.3's FILTER-1 sells provider routes not at
+    /// all). [`MiroNetwork::reprice`] changes it: section 6.2.2's economic
+    /// lifecycle.
+    pub prices: [Option<u32>; 3],
 }
 
 impl Default for ResponderConfig {
@@ -45,9 +46,8 @@ impl Default for ResponderConfig {
         ResponderConfig {
             policy: ExportPolicy::RespectExport,
             max_tunnels: 1000,
-            accept_any: true,
-            allow: Vec::new(),
-            price_markup: 0,
+            allow: None,
+            prices: RouteClass::ALL.map(|class| Some(price_for_class(class))),
         }
     }
 }
@@ -199,18 +199,19 @@ impl<'t> MiroNetwork<'t> {
     }
 
     /// Simulate a silent upstream failure: the upstream stops sending
-    /// keepalives for `lease_id`; after `timeout` the downstream reaps the
-    /// tunnel (the "idle tunnels in the downstream ASes" scenario of
-    /// section 4.3 where the teardown message itself cannot be delivered).
-    pub fn silence(&mut self, lease_id: TunnelId, dt: u64, keepalive_timeout: u64) {
-        self.advance(dt, keepalive_timeout, Some(lease_id));
+    /// keepalives for the lease `seller` sold as `lease_id` (ids are scoped
+    /// to the seller); after `timeout` the downstream reaps the tunnel (the
+    /// "idle tunnels in the downstream ASes" scenario of section 4.3 where
+    /// the teardown message itself cannot be delivered).
+    pub fn silence(&mut self, seller: NodeId, lease_id: TunnelId, dt: u64, keepalive_timeout: u64) {
+        self.advance(dt, keepalive_timeout, Some((seller, lease_id)));
     }
 
-    fn advance(&mut self, dt: u64, keepalive_timeout: u64, silent: Option<TunnelId>) {
+    fn advance(&mut self, dt: u64, keepalive_timeout: u64, silent: Option<(NodeId, TunnelId)>) {
         let net = &mut self.0;
         net.clock += dt;
         let clock = net.clock;
-        for lease in net.leases.iter().filter(|l| Some(l.id) != silent) {
+        for lease in net.leases.iter().filter(|l| Some((l.downstream, l.id)) != silent) {
             // Upstream pings downstream; both refresh.
             net.log.push((lease.upstream, lease.downstream, Message::Keepalive {
                 tunnel: lease.id,
@@ -276,23 +277,25 @@ impl<'t> MiroNetwork<'t> {
         struck
     }
 
-    /// The section 6.2.2 economic lifecycle: `responder` changes its price
-    /// markup. Every live lease it sold for `st.dest()` is re-quoted; a
-    /// lease whose new price still fits the upstream's original budget is
-    /// updated in place (the parties simply agree on the new number),
-    /// otherwise the tunnel is torn down and the upstream immediately
-    /// re-negotiates under the new schedule — which may land on a
-    /// different (cheaper) alternate or fail, leaving it on the default
-    /// path. Returns `(lease id, replacement id if any)` per affected
-    /// lease.
+    /// The section 6.2.2 economic lifecycle ("whenever one of the parties
+    /// is no longer satisfied with the price, the tunnel will be
+    /// terminated, then the requesting AS will re-negotiate a new tunnel
+    /// using a new price if needed"): `responder` installs a new price
+    /// table. Every live lease it sold for `st.dest()` is re-quoted at the
+    /// table's price for its route's class; a lease whose new price still
+    /// fits the upstream's original budget is updated in place (the parties
+    /// simply agree on the new number), otherwise — too dear, or its class
+    /// no longer offered — the tunnel is torn down and the upstream
+    /// immediately re-negotiates under the new schedule, which may land on
+    /// a different (cheaper) alternate or fail, leaving it on the default
+    /// path. Returns `(lease id, replacement id if any)` per torn lease.
     pub fn reprice(
         &mut self,
         st: &RoutingState<'_>,
         responder: NodeId,
-        new_markup: u32,
+        prices: [Option<u32>; 3],
     ) -> Vec<(TunnelId, Option<TunnelId>)> {
-        let old_markup = self.configs[responder as usize].price_markup;
-        self.0.configs[responder as usize].price_markup = new_markup;
+        self.0.configs[responder as usize].prices = prices;
         let affected: Vec<Lease> = self
             .leases
             .iter()
@@ -301,15 +304,11 @@ impl<'t> MiroNetwork<'t> {
             .collect();
         let mut out = Vec::new();
         for lease in affected {
-            let base = lease.price - old_markup.min(lease.price);
-            let new_price = base + new_markup;
-            if new_price <= lease.budget {
+            let sold = lease.path.first().and_then(|&n| st.learned_from(responder, n));
+            if let Some(price) = sold.and_then(|r| prices[r.class as usize]).filter(|&p| p <= lease.budget) {
                 // Both parties accept the adjustment; no teardown.
-                for l in &mut self.0.leases {
-                    if l.id == lease.id && l.downstream == responder {
-                        l.price = new_price;
-                    }
-                }
+                let live = self.0.leases.iter_mut().find(|l| l.id == lease.id && l.downstream == responder);
+                live.expect("re-quoted lease is live").price = price;
                 continue;
             }
             // Dissatisfied party: terminate, then re-negotiate.
@@ -369,7 +368,7 @@ mod tests {
         let (t, [a, b, _c, d, e, f]) = setup();
         let st = RoutingState::solve(&t, f);
         let mut net = MiroNetwork::new(&t);
-        net.configure(b, ResponderConfig { accept_any: false, allow: vec![d], ..Default::default() });
+        *net.config_mut(b) = ResponderConfig { allow: Some(vec![d]), ..Default::default() };
         let err = net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250);
         assert_eq!(err, Err(NegotiationError::Rejected(RejectReason::NotAllowed)));
         assert!(net.leases().is_empty());
@@ -380,7 +379,7 @@ mod tests {
         let (t, [a, b, _c, d, e, f]) = setup();
         let st = RoutingState::solve(&t, f);
         let mut net = MiroNetwork::new(&t);
-        net.configure(b, ResponderConfig { max_tunnels: 1, ..Default::default() });
+        net.config_mut(b).max_tunnels = 1;
         net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
         let err = net.negotiate(&st, d, b, vec![Constraint::AvoidAs(e)], 250);
         assert_eq!(err, Err(NegotiationError::Rejected(RejectReason::TunnelLimit)));
@@ -418,7 +417,7 @@ mod tests {
         }
         assert_eq!(net.leases().len(), 1, "healthy tunnel survives ticking");
         // Upstream goes silent for longer than the timeout.
-        net.silence(tid, 31, 30);
+        net.silence(b, tid, 31, 30);
         assert!(net.leases().is_empty(), "soft state must expire");
         assert!(net.tunnels(b).get(a, tid).is_none());
     }
@@ -528,10 +527,7 @@ mod tests {
         let st = RoutingState::solve(&t, f);
         let mut net = MiroNetwork::new(&t);
         for seller in [b, c, e] {
-            net.configure(seller, ResponderConfig {
-                policy: ExportPolicy::Flexible,
-                ..Default::default()
-            });
+            net.config_mut(seller).policy = ExportPolicy::Flexible;
             assert_eq!(net.negotiate(&st, a, seller, vec![], 250), Ok(TunnelId(0)));
         }
         assert_eq!((net.leases().len(), net.tunnels(a).len()), (3, 3));
@@ -541,6 +537,24 @@ mod tests {
         }
     }
 
+    /// Silencing the buyer's keepalives for one seller's tunnel 0 leaves
+    /// the other two tunnel 0s it holds alive.
+    #[test]
+    fn silencing_one_lease_spares_the_same_id_from_other_sellers() {
+        let (t, [a, b, c, _d, e, f]) = setup();
+        let st = RoutingState::solve(&t, f);
+        let mut net = MiroNetwork::new(&t);
+        for seller in [b, c, e] {
+            net.config_mut(seller).policy = ExportPolicy::Flexible;
+            assert_eq!(net.negotiate(&st, a, seller, vec![], 250), Ok(TunnelId(0)));
+        }
+        net.silence(c, TunnelId(0), 31, 30);
+        let sellers: Vec<NodeId> = net.leases().iter().map(|l| l.downstream).collect();
+        assert_eq!(sellers, [b, e], "only C's tunnel 0 expired");
+        assert!(net.tunnels(a).get(c, TunnelId(0)).is_none() && net.tunnels(c).is_empty());
+        assert!(net.tunnels(a).get(b, TunnelId(0)).is_some() && net.tunnels(a).get(e, TunnelId(0)).is_some());
+    }
+
     /// An AS that sells tunnel 0 and holds a tunnel 0 it bought keeps both,
     /// and tearing one down leaves the other's two ends in place.
     #[test]
@@ -548,7 +562,7 @@ mod tests {
         let (t, [a, b, c, _d, e, f]) = setup();
         let st = RoutingState::solve(&t, f);
         let mut net = MiroNetwork::new(&t);
-        net.configure(c, ResponderConfig { policy: ExportPolicy::Flexible, ..Default::default() });
+        net.config_mut(c).policy = ExportPolicy::Flexible;
         // B buys C's alternate through E, then sells BCF to A.
         assert_eq!(net.negotiate(&st, b, c, vec![], 250), Ok(TunnelId(0)));
         assert_eq!(net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250), Ok(TunnelId(0)));
@@ -571,10 +585,27 @@ mod tests {
         let mut net = MiroNetwork::new(&t);
         // BCF is a peer route: base price 180, budget 250.
         let tid = net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
-        let outcomes = net.reprice(&st, b, 40); // 180 + 40 = 220 <= 250
+        let outcomes = net.reprice(&st, b, [Some(120), Some(220), Some(250)]); // 220 <= 250
         assert!(outcomes.is_empty(), "no teardown needed");
         assert_eq!(net.leases()[0].id, tid);
         assert_eq!(net.leases()[0].price, 220);
+        // Taking customer and provider routes off sale leaves the peer
+        // route B sold at its own new price.
+        assert!(net.reprice(&st, b, [None, Some(230), None]).is_empty());
+        assert_eq!(net.leases()[0].price, 230);
+    }
+
+    /// A class taken off the table is a price no budget meets: the lease
+    /// goes, and re-negotiation finds nothing for sale.
+    #[test]
+    fn repricing_a_class_off_the_table_tears_down() {
+        let (t, [a, b, _c, _d, e, f]) = setup();
+        let st = RoutingState::solve(&t, f);
+        let mut net = MiroNetwork::new(&t);
+        let tid = net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
+        assert_eq!(net.reprice(&st, b, [Some(120), None, Some(250)]), vec![(tid, None)]);
+        assert!(net.leases().is_empty() && net.tunnels(a).is_empty() && net.tunnels(b).is_empty());
+        assert_eq!(net.config_mut(b).prices, [Some(120), None, Some(250)]);
     }
 
     #[test]
@@ -583,28 +614,32 @@ mod tests {
         let st = RoutingState::solve(&t, f);
         let mut net = MiroNetwork::new(&t);
         let tid = net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
-        // 180 + 100 = 280 > 250: the only admissible offer is now too
+        // Peer routes at 280 > 250: the only admissible offer is now too
         // expensive even fresh, so re-negotiation fails and A falls back
         // to the default path.
-        let outcomes = net.reprice(&st, b, 100);
+        let outcomes = net.reprice(&st, b, [Some(120), Some(280), Some(250)]);
         assert_eq!(outcomes, vec![(tid, None)]);
         assert!(net.leases().is_empty());
         assert!(net.tunnels(a).get(b, tid).is_none());
         assert!(net.tunnels(b).get(a, tid).is_none());
         assert!(net.log.iter().any(|(_, _, m)| matches!(m, Message::Teardown { .. })));
         // Cooling the price back down lets A buy again (fresh negotiation).
-        net.configure(b, ResponderConfig { price_markup: 0, ..Default::default() });
+        *net.config_mut(b) = ResponderConfig::default();
         assert!(net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).is_ok());
     }
 
     #[test]
-    fn markup_prices_flow_into_offers() {
+    fn class_prices_flow_into_offers() {
         let (t, [a, b, _c, _d, e, f]) = setup();
         let st = RoutingState::solve(&t, f);
         let mut net = MiroNetwork::new(&t);
-        net.configure(b, ResponderConfig { price_markup: 30, ..Default::default() });
+        net.config_mut(b).prices[RouteClass::Peer as usize] = Some(210);
         net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
-        assert_eq!(net.leases()[0].price, 210, "base 180 + markup 30");
+        assert_eq!(net.leases()[0].price, 210, "the peer route BCF at B's peer price");
+        // Peer routes off the table: B has nothing left to offer.
+        net.config_mut(b).prices[RouteClass::Peer as usize] = None;
+        let err = net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250);
+        assert_eq!(err, Err(NegotiationError::Rejected(RejectReason::NoCandidates)));
     }
 
     #[test]

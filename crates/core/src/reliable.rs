@@ -397,7 +397,7 @@ pub struct RtoSnapshot {
 /// The whole-network harness over the unreliable bus. One instance drives
 /// negotiations and tunnel soft state for the destination of the
 /// [`RoutingState`] passed to [`ReliableNet::tick`]. Derefs to the
-/// [`NetState`] it shares with the synchronous reference (`configure`,
+/// [`NetState`] it shares with the synchronous reference (`config_mut`,
 /// `leases`, `tunnels`, `topology`, `clock`, and `log` — here the
 /// transcript of every message handed to the bus, pre-fault).
 pub struct ReliableNet<'t> {
@@ -1202,11 +1202,7 @@ mod tests {
         let (t, [a, b, _c, d, e, f]) = setup();
         let st = RoutingState::solve(&t, f);
         let mut net = ReliableNet::new(&t, FaultConfig::PERFECT, 2);
-        net.configure(b, ResponderConfig {
-            accept_any: false,
-            allow: vec![d],
-            ..Default::default()
-        });
+        *net.config_mut(b) = ResponderConfig { allow: Some(vec![d]), ..Default::default() };
         let id = net.start(&st, a, b, vec![Constraint::AvoidAs(e)], 250).unwrap();
         net.run_until_settled(&st, 50);
         assert_eq!(

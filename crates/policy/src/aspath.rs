@@ -165,59 +165,48 @@ impl AsPathRegex {
     }
 
     /// Does the regex match anywhere in `path` (subject to anchors)?
+    ///
+    /// One pass over the path carrying the set of items live at each
+    /// position, so the work is O(items × hops) whatever the quantifiers.
     pub fn is_match(&self, path: &[u32]) -> bool {
-        if self.anchored_start {
-            self.match_here(0, path, 0)
-        } else {
-            (0..=path.len()).any(|s| self.match_here(0, path, s))
-        }
-    }
-
-    /// Backtracking matcher: items from `item` against path from `pos`.
-    fn match_here(&self, item: usize, path: &[u32], pos: usize) -> bool {
-        if item == self.items.len() {
-            return !self.anchored_end || pos == path.len();
-        }
-        let it = self.items[item];
-        match it.quant {
-            Quant::One => {
-                self.eat(it.atom, path, pos)
-                    .is_some_and(|next| self.match_here(item + 1, path, next))
+        let n = self.items.len();
+        let (mut live, mut next) = (vec![false; n + 1], vec![false; n + 1]);
+        self.reach(&mut live, 0);
+        for &asn in path {
+            if live[n] && !self.anchored_end {
+                return true;
             }
-            Quant::Opt => {
-                self.match_here(item + 1, path, pos)
-                    || self
-                        .eat(it.atom, path, pos)
-                        .is_some_and(|next| self.match_here(item + 1, path, next))
-            }
-            Quant::Star | Quant::Plus => {
-                let mut at = pos;
-                if it.quant == Quant::Plus {
-                    match self.eat(it.atom, path, at) {
-                        Some(next) => at = next,
-                        None => return false,
+            next.fill(false);
+            for (i, it) in self.items.iter().enumerate() {
+                let eats = match it.atom {
+                    Atom::Asn(a) => a == asn,
+                    Atom::Any => true,
+                    Atom::Boundary => false, // zero-width: crossed by `reach`
+                };
+                if live[i] && eats {
+                    if matches!(it.quant, Quant::Star | Quant::Plus) {
+                        self.reach(&mut next, i);
                     }
-                }
-                loop {
-                    if self.match_here(item + 1, path, at) {
-                        return true;
-                    }
-                    match self.eat(it.atom, path, at) {
-                        Some(next) if next != at => at = next,
-                        // Zero-width atoms (boundary) must not loop.
-                        _ => return false,
-                    }
+                    self.reach(&mut next, i + 1);
                 }
             }
+            if !self.anchored_start {
+                self.reach(&mut next, 0);
+            }
+            std::mem::swap(&mut live, &mut next);
         }
+        live[n]
     }
 
-    /// Consume one atom at `pos`; returns the new position.
-    fn eat(&self, atom: Atom, path: &[u32], pos: usize) -> Option<usize> {
-        match atom {
-            Atom::Boundary => Some(pos), // every token gap, start and end
-            Atom::Any => (pos < path.len()).then_some(pos + 1),
-            Atom::Asn(n) => (pos < path.len() && path[pos] == n).then_some(pos + 1),
+    /// Mark item `i` live, and every item after it that can match empty
+    /// (a boundary — every token gap, start and end — or `?` / `*`).
+    fn reach(&self, live: &mut [bool], mut i: usize) {
+        while !live[i] {
+            live[i] = true;
+            match self.items.get(i) {
+                Some(it) if it.atom == Atom::Boundary || matches!(it.quant, Quant::Opt | Quant::Star) => i += 1,
+                _ => return,
+            }
         }
     }
 
@@ -320,5 +309,79 @@ mod tests {
         let r = AsPathRegex::parse("^100 .* _312_ 7$").unwrap();
         assert_eq!(r.literals(), vec![100, 312, 7]);
         assert!(AsPathRegex::parse("^.*$").unwrap().literals().is_empty());
+    }
+
+    /// A recursive backtracker, the oracle for `is_match`: short and
+    /// obviously right, but C(hops + k, k) calls per start for k stars
+    /// before a missing ASN.
+    fn backtrack(re: &AsPathRegex, path: &[u32]) -> bool {
+        fn eat(atom: Atom, path: &[u32], pos: usize) -> Option<usize> {
+            match atom {
+                Atom::Boundary => Some(pos),
+                Atom::Any => (pos < path.len()).then_some(pos + 1),
+                Atom::Asn(n) => (pos < path.len() && path[pos] == n).then_some(pos + 1),
+            }
+        }
+        fn here(re: &AsPathRegex, item: usize, path: &[u32], pos: usize) -> bool {
+            let Some(&it) = re.items.get(item) else {
+                return !re.anchored_end || pos == path.len();
+            };
+            let then = |next| here(re, item + 1, path, next);
+            match it.quant {
+                Quant::One => eat(it.atom, path, pos).is_some_and(then),
+                Quant::Opt => then(pos) || eat(it.atom, path, pos).is_some_and(then),
+                Quant::Star | Quant::Plus => {
+                    let mut at = pos;
+                    if it.quant == Quant::Plus {
+                        match eat(it.atom, path, at) {
+                            Some(next) => at = next,
+                            None => return false,
+                        }
+                    }
+                    loop {
+                        if then(at) {
+                            return true;
+                        }
+                        match eat(it.atom, path, at) {
+                            Some(next) if next != at => at = next,
+                            _ => return false,
+                        }
+                    }
+                }
+            }
+        }
+        if re.anchored_start {
+            here(re, 0, path, 0)
+        } else {
+            (0..=path.len()).any(|s| here(re, 0, path, s))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// The one-pass matcher answers as the backtracker does over the
+        /// dialect alphabet (small ASNs, so literals do hit).
+        #[test]
+        fn linear_matcher_equals_the_backtracker(
+            pattern in "[1-3 ._*+?^$]{0,12}",
+            path in proptest::collection::vec(1u32..4, 0..8),
+        ) {
+            if let Ok(re) = AsPathRegex::parse(&pattern) {
+                proptest::prop_assert_eq!(re.is_match(&path), backtrack(&re, &path), "{:?} on {:?}", pattern, path);
+            }
+        }
+    }
+
+    /// 32 stars before an ASN the path lacks: over 10^40 backtracking
+    /// calls on 255 hops, one pass here.
+    #[test]
+    fn stars_before_a_missing_asn_stay_linear() {
+        let re = AsPathRegex::parse(&format!("{}_9999", ".*".repeat(32))).unwrap();
+        let path: Vec<u32> = (1..=255).collect();
+        assert!(!re.is_match(&path));
+        let mut hit = path.clone();
+        hit[200] = 9999;
+        assert!(re.is_match(&hit));
     }
 }

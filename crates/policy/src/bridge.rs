@@ -1,5 +1,5 @@
 //! Bridge from the Chapter 6 policy language to the live MIRO control
-//! plane: a parsed configuration *drives* negotiations.
+//! plane: a parsed configuration *drives* negotiations, on both sides.
 //!
 //! Section 4.3 envisions exactly this split: "each AS defines a set of
 //! local policies regarding tunnel management, and then some software on
@@ -11,14 +11,16 @@
 //! requester's route-maps against its current candidate set, and for
 //! every fired trigger executes the negotiation through
 //! [`miro_core::node::MiroNetwork`], honoring the configured budget,
-//! avoid set, and target list.
+//! avoid set, and target list; [`responder`] compiles the responder's
+//! statements into the [`ResponderConfig`] every negotiation reads.
 
-use crate::eval::{PolicyEngine, PolicyRoute, Trigger};
+use crate::eval::{PolicyRoute, Trigger};
+use crate::parse::Config;
 use miro_bgp::solver::RoutingState;
 use miro_core::negotiate::{Constraint, NegotiationError};
-use miro_core::node::MiroNetwork;
+use miro_core::node::{MiroNetwork, ResponderConfig};
 use miro_core::tunnel::TunnelId;
-use miro_topology::{AsId, NodeId};
+use miro_topology::{AsId, NodeId, RouteClass, Topology};
 
 /// The outcome of executing one fired trigger.
 #[derive(Debug)]
@@ -34,7 +36,7 @@ pub struct TriggerOutcome {
 /// candidate set and execute any fired negotiations. Returns the
 /// surviving policy routes and per-trigger outcomes.
 pub fn run_policy(
-    engine: &PolicyEngine,
+    cfg: &Config,
     net: &mut MiroNetwork<'_>,
     st: &RoutingState<'_>,
     requester: NodeId,
@@ -51,7 +53,7 @@ pub fn run_policy(
             local_pref: c.class.local_pref(),
         })
         .collect();
-    let (kept, triggers) = engine.apply_route_map(map_name, &routes);
+    let (kept, triggers) = cfg.apply_route_map(map_name, &routes);
 
     let mut outcomes = Vec::new();
     for trigger in triggers {
@@ -79,6 +81,36 @@ pub fn run_policy(
     (kept, outcomes)
 }
 
+/// Compile a `router bgp` block's responder statements (sections 6.2.1
+/// and 6.3) into the [`ResponderConfig`] every negotiation reads, with
+/// ASNs mapped to `topo`'s nodes (an unknown one is an error). No `accept
+/// negotiation` statement refuses every requester; no `when
+/// tunnel_number < N` sets no tunnel limit. The one `negotiation filter`
+/// ladder prices each route class at its [`RouteClass::local_pref`]: the
+/// first `filter permit local_pref > N` that admits it sets the price (0
+/// without a `set tunnel_cost`), and a class none admits is not offered.
+/// Without a filter the default prices stand, and the export level, which
+/// the dialect cannot state, is always the default.
+pub fn responder(cfg: &Config, topo: &Topology) -> Result<ResponderConfig, String> {
+    let mut out = ResponderConfig { allow: Some(Vec::new()), ..ResponderConfig::default() };
+    if let Some(acc) = &cfg.accept {
+        out.max_tunnels = acc.max_tunnels.and_then(|n| usize::try_from(n).ok()).unwrap_or(usize::MAX);
+        let node = |&asn: &u32| topo.node(AsId(asn)).ok_or(format!("unknown AS {asn}"));
+        out.allow = acc.allowed.as_ref().map(|list| list.iter().map(node).collect()).transpose()?;
+    }
+    match cfg.filters.as_slice() {
+        [] => {}
+        [f] => {
+            out.prices = RouteClass::ALL.map(|class| {
+                let rule = f.rules.iter().find(|r| class.local_pref() > r.min_local_pref);
+                rule.map(|r| r.tunnel_cost.unwrap_or(0))
+            })
+        }
+        _ => return Err("more than one `negotiation filter` block".to_string()),
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,10 +135,10 @@ negotiation NEG-5
 match all path _5_
 start negotiation #1 with maximum cost 250
 ";
-        let engine = PolicyEngine::new(parse_config(config_text).expect("parses"));
+        let cfg = parse_config(config_text).expect("parses");
         let st = RoutingState::solve(&topo, f);
         let mut net = MiroNetwork::new(&topo);
-        let (kept, outcomes) = run_policy(&engine, &mut net, &st, a, "AVOID_AS");
+        let (kept, outcomes) = run_policy(&cfg, &mut net, &st, a, "AVOID_AS");
         assert!(kept.is_empty(), "both candidates cross AS 5");
         assert_eq!(outcomes.len(), 1);
         let out = &outcomes[0];
@@ -140,10 +172,10 @@ negotiation NEG-5
 match all path _5_
 start negotiation #1 with maximum cost 10
 ";
-        let engine = PolicyEngine::new(parse_config(config_text).expect("parses"));
+        let cfg = parse_config(config_text).expect("parses");
         let st = RoutingState::solve(&topo, f);
         let mut net = MiroNetwork::new(&topo);
-        let (_, outcomes) = run_policy(&engine, &mut net, &st, a, "AVOID_AS");
+        let (_, outcomes) = run_policy(&cfg, &mut net, &st, a, "AVOID_AS");
         let out = &outcomes[0];
         assert!(out.tunnel.is_none());
         assert_eq!(out.attempts.len(), 2, "both targets were tried");
@@ -170,12 +202,32 @@ negotiation NEG-3
 match all path _3_
 start negotiation #1 with maximum cost 250
 ";
-        let engine = PolicyEngine::new(parse_config(config_text).expect("parses"));
+        let cfg = parse_config(config_text).expect("parses");
         let st = RoutingState::solve(&topo, f);
         let mut net = MiroNetwork::new(&topo);
-        let (kept, outcomes) = run_policy(&engine, &mut net, &st, b, "AVOID_AS");
+        let (kept, outcomes) = run_policy(&cfg, &mut net, &st, b, "AVOID_AS");
         assert!(!kept.is_empty(), "the clean BEF candidate survives");
         assert!(outcomes.is_empty());
         assert!(net.log.is_empty(), "zero control-plane overhead");
+    }
+
+    /// The statements each compile to one field; what the dialect cannot
+    /// map is an error, not a guess.
+    #[test]
+    fn responder_statements_compile_field_by_field() {
+        let (topo, [a, _b, _c, d, ..]) = figure_1_1();
+        let compile = |text: &str| responder(&parse_config(text).expect("parses"), &topo);
+        let listed = compile("accept negotiation from 1 4\nwhen tunnel_number < 7\n").unwrap();
+        assert_eq!((listed.allow, listed.max_tunnels), (Some(vec![a, d]), 7));
+        let open = compile("accept negotiation from any\n").unwrap();
+        assert_eq!((open.allow, open.max_tunnels), (None, usize::MAX));
+        assert_eq!(open.prices, ResponderConfig::default().prices, "no filter: default prices");
+        // A rule without `set tunnel_cost` gives the class away.
+        let free = compile("negotiation filter F\nfilter permit local_pref > 100\n").unwrap();
+        assert_eq!(free.prices, [Some(0), Some(0), None]);
+        assert_eq!(free.allow, Some(vec![]), "no accept statement refuses everyone");
+        assert_eq!(compile("accept negotiation from 1 99\n"), Err("unknown AS 99".to_string()));
+        let two = compile("negotiation filter F\nnegotiation filter G\n");
+        assert!(two.unwrap_err().contains("more than one"));
     }
 }

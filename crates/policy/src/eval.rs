@@ -1,5 +1,7 @@
-//! Execution semantics for the parsed configuration (section 6.2's
-//! negotiation-related and route-selection rules).
+//! Execution semantics for the parsed configuration: section 6.2's
+//! route-selection rules and the requester's negotiation trigger. The
+//! responder's statements compile into `miro_core`'s `ResponderConfig`
+//! instead ([`crate::bridge::responder`]).
 
 use crate::parse::{Config, NegotiationDecl, RouteMapClause};
 
@@ -27,24 +29,11 @@ pub struct Trigger {
     pub targets: Vec<u32>,
 }
 
-/// The policy engine: a parsed [`Config`] plus evaluation methods.
-pub struct PolicyEngine {
-    cfg: Config,
-}
-
-impl PolicyEngine {
-    pub fn new(cfg: Config) -> Self {
-        PolicyEngine { cfg }
-    }
-
-    pub fn config(&self) -> &Config {
-        &self.cfg
-    }
-
+impl Config {
     /// Access-list evaluation: the first rule whose regex matches decides;
     /// an unmatched path is denied (the Cisco implicit deny-all).
     pub fn acl_permits(&self, id: u32, path: &[u32]) -> bool {
-        let Some(rules) = self.cfg.acl(id) else { return false };
+        let Some(rules) = self.acl(id) else { return false };
         for rule in rules {
             if rule.regex.is_match(path) {
                 return rule.permit;
@@ -62,7 +51,7 @@ impl PolicyEngine {
         routes: &[PolicyRoute],
     ) -> (Vec<PolicyRoute>, Vec<Trigger>) {
         let mut entries: Vec<_> =
-            self.cfg.route_maps.iter().filter(|rm| rm.name == name).collect();
+            self.route_maps.iter().filter(|rm| rm.name == name).collect();
         entries.sort_by_key(|rm| rm.seq);
 
         // Per-route filtering by the non-trigger entries.
@@ -117,8 +106,7 @@ impl PolicyEngine {
             let avoid: Vec<u32> = empty_acls
                 .iter()
                 .flat_map(|&acl| {
-                    self.cfg
-                        .acl(acl)
+                    self.acl(acl)
                         .into_iter()
                         .flatten()
                         .filter(|r| !r.permit)
@@ -127,7 +115,7 @@ impl PolicyEngine {
                 .collect();
             for c in &rm.clauses {
                 if let RouteMapClause::TryNegotiation(nname) = c {
-                    let decl = self.cfg.negotiation(nname);
+                    let decl = self.negotiation(nname);
                     let targets = decl
                         .map(|d| negotiation_targets(d, routes, &avoid))
                         .unwrap_or_default();
@@ -141,33 +129,6 @@ impl PolicyEngine {
             }
         }
         (kept, triggers)
-    }
-
-    /// Responder admission (section 6.2.1): is this requester allowed to
-    /// open a negotiation, given the current live tunnel count?
-    pub fn admits(&self, from_asn: u32, current_tunnels: u64) -> bool {
-        match &self.cfg.accept {
-            None => false, // no accept statement: negotiations refused
-            Some(acc) => {
-                (acc.from_any || acc.allowed.contains(&from_asn))
-                    && acc.max_tunnels.is_none_or(|m| current_tunnels < m)
-            }
-        }
-    }
-
-    /// Responder offer pricing: run a route's local preference through a
-    /// `negotiation filter` block. The first `filter permit local_pref >
-    /// N` rule that admits it sets the price; inadmissible routes are not
-    /// offered (section 6.3's FILTER-1 sells customer routes at 120, peer
-    /// routes at 180, and provider routes not at all).
-    pub fn price(&self, filter: &str, local_pref: u32) -> Option<u32> {
-        let f = self.cfg.filters.iter().find(|f| f.name == filter)?;
-        for rule in &f.rules {
-            if local_pref > rule.min_local_pref {
-                return rule.tunnel_cost.or(Some(0));
-            }
-        }
-        None
     }
 }
 
@@ -219,39 +180,24 @@ match all path _312_
 start negotiation #1 with maximum cost 250
 ";
 
-    // The section 6.3 responder, with the thresholds aligned to the
-    // local-preference bands of section 2.2.2 (customer 400-500, peer
-    // 200-300): rules are first-match, so the tighter band comes first.
-    const RESPONDER: &str = "\
-router bgp 150
-accept negotiation from any
-when tunnel_number < 1000
-negotiation filter FILTER-1
-filter permit local_pref > 400
-set tunnel_cost 120
-filter permit local_pref > 200
-set tunnel_cost 180
-";
-
     fn route(path: &[u32], lp: u32) -> PolicyRoute {
         PolicyRoute { path: path.to_vec(), local_pref: lp }
     }
 
     #[test]
     fn acl_first_match_and_implicit_deny() {
-        let e = PolicyEngine::new(parse_config(REQUESTER).unwrap());
+        let e = parse_config(REQUESTER).unwrap();
         assert!(!e.acl_permits(200, &[7, 312, 9]), "deny rule hits first");
         assert!(e.acl_permits(200, &[7, 9]), "falls through to permit .*");
         assert!(!e.acl_permits(999, &[7]), "unknown list denies");
         // Implicit deny when no rule matches at all.
-        let only_deny =
-            PolicyEngine::new(parse_config("ip as-path access-list 1 deny _5_\n").unwrap());
+        let only_deny = parse_config("ip as-path access-list 1 deny _5_\n").unwrap();
         assert!(!only_deny.acl_permits(1, &[7, 9]));
     }
 
     #[test]
     fn trigger_fires_only_when_candidates_all_traverse_the_bad_as() {
-        let e = PolicyEngine::new(parse_config(REQUESTER).unwrap());
+        let e = parse_config(REQUESTER).unwrap();
         // Both candidates go through 312: trigger fires.
         let routes = [route(&[2, 312, 6], 450), route(&[4, 312, 6], 450)];
         let (kept, triggers) = e.apply_route_map("AVOID_AS", &routes);
@@ -278,39 +224,12 @@ set local-preference 250
 ip as-path access-list 200 deny _312_
 ip as-path access-list 200 permit .*
 ";
-        let e = PolicyEngine::new(parse_config(text).unwrap());
+        let e = parse_config(text).unwrap();
         let routes = [route(&[1, 2], 100), route(&[1, 312], 100)];
         let (kept, _) = e.apply_route_map("FIX-LOCALPREF", &routes);
         // The clean route is accepted with local-pref 250; the 312 route
         // fails the match and hits the implicit deny.
         assert_eq!(kept, vec![route(&[1, 2], 250)]);
-    }
-
-    #[test]
-    fn responder_admission() {
-        let e = PolicyEngine::new(parse_config(RESPONDER).unwrap());
-        assert!(e.admits(42, 0));
-        assert!(e.admits(42, 999));
-        assert!(!e.admits(42, 1000), "tunnel budget exhausted");
-        // A config with no accept statement refuses everything.
-        let closed = PolicyEngine::new(parse_config("router bgp 1\n").unwrap());
-        assert!(!closed.admits(42, 0));
-        // Allow-list admission.
-        let listed =
-            PolicyEngine::new(parse_config("accept negotiation from 100 200\n").unwrap());
-        assert!(listed.admits(100, 0));
-        assert!(!listed.admits(300, 0));
-    }
-
-    #[test]
-    fn filter_prices_by_local_pref_band() {
-        let e = PolicyEngine::new(parse_config(RESPONDER).unwrap());
-        // Customer band (450) -> 120; peer band (250) -> 180; provider
-        // band (80) -> not offered. Exactly the section 6.3 narrative.
-        assert_eq!(e.price("FILTER-1", 450), Some(120));
-        assert_eq!(e.price("FILTER-1", 250), Some(180));
-        assert_eq!(e.price("FILTER-1", 80), None);
-        assert_eq!(e.price("NO-SUCH", 450), None);
     }
 
     #[test]

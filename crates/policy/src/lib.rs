@@ -8,17 +8,19 @@
 //! syntax. This crate implements that dialect:
 //!
 //! * [`aspath`] - `ip as-path access-list`-style regular expressions over
-//!   AS paths (`_312_`, `^701 .*$`, ...), with a from-scratch backtracking
-//!   matcher (no regex crate);
+//!   AS paths (`_312_`, `^701 .*$`, ...), matched from scratch (no regex
+//!   crate) in O(items × hops);
 //! * [`parse`] - tokenizer and parser for the configuration statements of
 //!   sections 6.1 and 6.3 (`router bgp`, `route-map`, `ip as-path
 //!   access-list`, `negotiation`, `accept negotiation`, `negotiation
 //!   filter`);
-//! * [`eval`] - execution semantics: route-map application over candidate
-//!   routes, the `match empty path` negotiation trigger, target selection
-//!   from `match all path`, and responder-side offer filtering/pricing
-//!   (`filter permit local_pref > N` / `set tunnel_cost C`) - bridged to
-//!   the `miro-core` negotiation machinery.
+//! * [`eval`] - the requester's semantics: route-map application over
+//!   candidate routes, the `match empty path` negotiation trigger, and
+//!   target selection from `match all path`;
+//! * [`bridge`] - both sides onto `miro-core`: fired triggers run as
+//!   negotiations, and the responder's `accept` / `when` / `filter`
+//!   statements compile into the `ResponderConfig` both handshake drivers
+//!   read (admission, tunnel limit, a price or "not offered" per class).
 
 pub mod aspath;
 pub mod bridge;
@@ -26,5 +28,5 @@ pub mod eval;
 pub mod parse;
 
 pub use aspath::AsPathRegex;
-pub use eval::{PolicyEngine, Trigger};
+pub use eval::Trigger;
 pub use parse::{parse_config, Config, ParseError};

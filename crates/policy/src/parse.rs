@@ -57,9 +57,8 @@ pub struct NegotiationDecl {
 /// `accept negotiation from ...` (responder side).
 #[derive(Clone, Debug, PartialEq)]
 pub struct AcceptDecl {
-    /// `from any` vs an explicit AS list.
-    pub from_any: bool,
-    pub allowed: Vec<u32>,
+    /// An explicit AS list; `None` is `from any`.
+    pub allowed: Option<Vec<u32>>,
     /// `when tunnel_number < N`.
     pub max_tunnels: Option<u64>,
 }
@@ -236,16 +235,11 @@ pub fn parse_config(text: &str) -> Result<Config, ParseError> {
                 block = Block::Negotiation;
             }
             ["accept", "negotiation", "from", rest @ ..] => {
-                let (from_any, allowed) = if rest == ["any"] {
-                    (true, Vec::new())
-                } else {
-                    let mut list = Vec::new();
-                    for a in rest {
-                        list.push(num(a, "AS number")?);
-                    }
-                    (false, list)
+                let allowed = match rest {
+                    ["any"] => None,
+                    list => Some(list.iter().map(|a| num(a, "AS number")).collect::<Result<_, _>>()?),
                 };
-                cfg.accept = Some(AcceptDecl { from_any, allowed, max_tunnels: None });
+                cfg.accept = Some(AcceptDecl { allowed, max_tunnels: None });
                 block = Block::Accept;
             }
             ["when", "tunnel_number", "<", n] => match block {
@@ -447,7 +441,7 @@ set tunnel_cost 180
         let cfg = parse_config(RESPONDER_EXAMPLE).unwrap();
         assert_eq!(cfg.router_asn, Some(150));
         let acc = cfg.accept.as_ref().unwrap();
-        assert!(acc.from_any);
+        assert_eq!(acc.allowed, None, "from any");
         assert_eq!(acc.max_tunnels, Some(1000));
         let f = &cfg.filters[0];
         assert_eq!(f.name, "FILTER-1");
@@ -464,8 +458,7 @@ set tunnel_cost 180
     fn accept_from_explicit_list() {
         let cfg = parse_config("accept negotiation from 100 200 300\n").unwrap();
         let acc = cfg.accept.unwrap();
-        assert!(!acc.from_any);
-        assert_eq!(acc.allowed, vec![100, 200, 300]);
+        assert_eq!(acc.allowed, Some(vec![100, 200, 300]));
         assert_eq!(acc.max_tunnels, None);
     }
 

@@ -31,6 +31,10 @@ pub enum RouteClass {
 }
 
 impl RouteClass {
+    /// All three, in preference order — the order per-class tables (such
+    /// as a responder's prices) are indexed in, by `class as usize`.
+    pub const ALL: [RouteClass; 3] = [RouteClass::Customer, RouteClass::Peer, RouteClass::Provider];
+
     /// Local-preference band conventionally assigned to this class
     /// (section 2.2.2 gives 400-500 / 200-300 / 50-100 as the worked example).
     pub fn local_pref(self) -> u32 {

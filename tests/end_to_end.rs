@@ -112,13 +112,7 @@ fn tunnel_soft_state_is_consistent() {
     let mut net = MiroNetwork::new(&topo);
     // D is neither adjacent to B nor on a default path through it, so the
     // conservative /e export would refuse it; B sells flexibly here.
-    net.configure(
-        b,
-        miro_core::node::ResponderConfig {
-            policy: miro_core::export::ExportPolicy::Flexible,
-            ..Default::default()
-        },
-    );
+    net.config_mut(b).policy = miro_core::export::ExportPolicy::Flexible;
     let t1 = net.negotiate(&st, a, b, vec![Constraint::AvoidAs(e)], 250).expect("ok");
     let t2 = net.negotiate(&st, d, b, vec![Constraint::AvoidAs(e)], 250).expect("ok");
     assert_ne!(t1, t2);
@@ -131,7 +125,7 @@ fn tunnel_soft_state_is_consistent() {
     }
     assert_eq!(net.leases().len(), 2);
     // t1's upstream goes silent; only t1 dies.
-    net.silence(t1, 31, 30);
+    net.silence(b, t1, 31, 30);
     assert_eq!(net.leases().len(), 1);
     assert_eq!(net.leases()[0].id, t2);
     assert!(net.tunnels(a).get(b, t1).is_none());
