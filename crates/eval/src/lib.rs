@@ -12,6 +12,7 @@
 //! | Figures 5.6/5.7 (inbound traffic control) | [`inbound`] | `fig5-6` |
 //! | Figure 7.1 / 7.2 gadget runs | [`convergence_exp`] | `fig7-1`, `fig7-2` |
 //! | Control-plane robustness sweep | [`resilience`] | `miro resilience` |
+//! | The command table and renderers behind every subcommand | [`commands`] | `miro-eval <command>` |
 //! | Flag tables, `--check-*` gate, JSON emitter of every front end | [`harness`] | every `miro <verb>`, `miro-eval` |
 //!
 //! Experiments are seeded and deterministic; sample sizes and the
@@ -22,6 +23,7 @@
 
 pub mod ablations;
 pub mod avoid;
+pub mod commands;
 pub mod convergence_exp;
 pub mod datasets;
 pub mod deploy;

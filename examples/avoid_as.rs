@@ -12,10 +12,19 @@ use miro_core::export::ExportPolicy;
 use miro_core::strategy::{avoid_via_negotiation, avoidable_ases, TargetStrategy};
 use miro_topology::gen::DatasetPreset;
 use miro_topology::stats::top_degree_nodes;
+use std::fmt::Write as _;
 
 fn main() {
+    let mut out = String::new();
+    run(&mut out);
+    print!("{out}");
+}
+
+/// The case study; its text is pinned in `data/golden/avoid_as.txt`.
+pub fn run(out: &mut String) {
     let topo = DatasetPreset::Gao2005.params(0.03, 42).generate();
-    println!(
+    let _ = writeln!(
+        out,
         "Synthetic 'Gao 2005' at 3% scale: {} ASes, {} links.\n",
         topo.num_nodes(),
         topo.num_edges()
@@ -44,13 +53,14 @@ fn main() {
         }
     }
     let Some((dest, src, avoid)) = case else {
-        println!("no suitable case found at this scale/seed; try another seed");
+        out.push_str("no suitable case found at this scale/seed; try another seed\n");
         return;
     };
 
     let st = RoutingState::solve(&topo, dest);
     let asn = |n| topo.asn(n);
-    println!(
+    let _ = writeln!(
+        out,
         "Case: AS{} -> AS{} must avoid AS{} (on its default path {:?})\n",
         asn(src),
         asn(dest),
@@ -62,20 +72,22 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    println!("{:<34} {:<9} {:>10} {:>12}", "architecture / policy", "success", "ASes asked", "paths seen");
+    let _ = writeln!(out, "{:<34} {:<9} {:>10} {:>12}", "architecture / policy", "success", "ASes asked", "paths seen");
     let single = st.candidates(src).iter().any(|c| !c.traverses(avoid));
-    println!("{:<34} {:<9} {:>10} {:>12}", "single-path BGP", single, "-", "-");
+    let _ = writeln!(out, "{:<34} {:<9} {:>10} {:>12}", "single-path BGP", single, "-", "-");
     for policy in ExportPolicy::ALL {
-        let out = avoid_via_negotiation(&st, src, avoid, policy, TargetStrategy::OnPath, None);
-        println!(
+        let o = avoid_via_negotiation(&st, src, avoid, policy, TargetStrategy::OnPath, None);
+        let _ = writeln!(
+            out,
             "{:<34} {:<9} {:>10} {:>12}",
             format!("MIRO {} (on-path negotiation)", policy.label()),
-            out.success,
-            out.ases_contacted,
-            out.paths_received
+            o.success,
+            o.ases_contacted,
+            o.paths_received
         );
-        if let Some((responder, route)) = &out.chosen {
-            println!(
+        if let Some((responder, route)) = &o.chosen {
+            let _ = writeln!(
+                out,
                 "     -> bought from AS{}: path {:?} ({:?})",
                 asn(*responder),
                 route.path.iter().map(|&h| asn(h).0).collect::<Vec<_>>(),
@@ -84,18 +96,18 @@ fn main() {
         }
     }
     let source_ok = topo.reachable_avoiding(src, dest, avoid);
-    println!("{:<34} {:<9} {:>10} {:>12}", "source routing (any graph path)", source_ok, "-", "-");
+    let _ = writeln!(out, "{:<34} {:<9} {:>10} {:>12}", "source routing (any graph path)", source_ok, "-", "-");
 
     // Incremental deployment: does this case survive when only the top-k%
     // highest-degree ASes speak MIRO?
-    println!("\nIncremental deployment (high-degree ASes adopt first):");
+    out.push_str("\nIncremental deployment (high-degree ASes adopt first):\n");
     for frac in [0.002, 0.01, 0.05, 0.25, 1.0] {
         let k = ((topo.num_nodes() as f64 * frac).ceil() as usize).max(1);
         let mut mask = vec![false; topo.num_nodes()];
         for n in top_degree_nodes(&topo, k) {
             mask[n as usize] = true;
         }
-        let out = avoid_via_negotiation(
+        let o = avoid_via_negotiation(
             &st,
             src,
             avoid,
@@ -103,11 +115,12 @@ fn main() {
             TargetStrategy::OnPath,
             Some(&mask),
         );
-        println!(
+        let _ = writeln!(
+            out,
             "  {:>5.1}% of ASes deployed ({} ASes): negotiated success = {}",
             frac * 100.0,
             k,
-            out.success
+            o.success
         );
     }
 }

@@ -9,6 +9,7 @@
 
 use miro_bgp::speaker::{pump, PeerConfig, Speaker};
 use miro_bgp::wire::{BgpMessage, WirePrefix};
+use std::fmt::Write as _;
 
 fn hexdump(bytes: &[u8]) -> String {
     bytes
@@ -22,10 +23,17 @@ fn hexdump(bytes: &[u8]) -> String {
 }
 
 fn main() {
-    println!("== 1. The messages themselves ==\n");
+    let mut out = String::new();
+    run(&mut out);
+    print!("{out}");
+}
+
+/// The lab; its text is pinned in `data/golden/bgp_wire_lab.txt`.
+pub fn run(out: &mut String) {
+    out.push_str("== 1. The messages themselves ==\n\n");
     let open = BgpMessage::open(65001, 90, 0x0a000001);
-    println!("OPEN (AS 65001, hold 90):");
-    println!("    {}\n", hexdump(&open.emit().expect("encodes")));
+    out.push_str("OPEN (AS 65001, hold 90):\n");
+    let _ = writeln!(out, "    {}\n", hexdump(&open.emit().expect("encodes")));
     let update = BgpMessage::Update {
         withdrawn: vec![],
         attrs: miro_bgp::wire::PathAttributes {
@@ -37,10 +45,10 @@ fn main() {
         },
         nlri: vec![WirePrefix::new(0x80700000, 16)], // 128.112.0.0/16
     };
-    println!("UPDATE (128.112.0.0/16 via 6509 11537 10466 88):");
-    println!("    {}\n", hexdump(&update.emit().expect("encodes")));
+    out.push_str("UPDATE (128.112.0.0/16 via 6509 11537 10466 88):\n");
+    let _ = writeln!(out, "    {}\n", hexdump(&update.emit().expect("encodes")));
 
-    println!("== 2. Three speakers converge over the wire ==\n");
+    out.push_str("== 2. Three speakers converge over the wire ==\n\n");
     // 65003 originates; 65002 provides transit; 65001 is a customer edge.
     let mut s1 = Speaker::new(65001, 1);
     let mut s2 = Speaker::new(65002, 2);
@@ -58,7 +66,8 @@ fn main() {
     let links = vec![(0usize, p12, 1usize, p21), (1, p23, 2, p32)];
     pump(&mut sp, &links);
     for s in sp.iter() {
-        println!(
+        let _ = writeln!(
+            out,
             "  AS{}: best path to 10.3.0.0/16 = {:?} (session {:?})",
             s.asn,
             s.best_path(prefix),
@@ -66,12 +75,12 @@ fn main() {
         );
     }
 
-    println!("\n== 3. The solver view, rendered like Table 1.1 ==\n");
+    out.push_str("\n== 3. The solver view, rendered like Table 1.1 ==\n\n");
     let (t, [a, _b, _c, _d, _e, f]) = miro_topology::gen::figure_1_1();
     let st = miro_bgp::solver::RoutingState::solve(&t, f);
-    print!("{}", miro_bgp::show::format_table(&miro_bgp::show::show_ip_bgp(&st, a)));
+    out.push_str(&miro_bgp::show::format_table(&miro_bgp::show::show_ip_bgp(&st, a)));
 
-    println!("\n== 4. Session failure: the withdraw ripples out ==\n");
+    out.push_str("\n== 4. Session failure: the withdraw ripples out ==\n\n");
     // Cut 65002 <-> 65003: after reconvergence nobody has the route.
     // (Modeled by discarding that link from the pump set and notifying
     // the session layer.)
@@ -84,11 +93,12 @@ fn main() {
     sp[1].input(p23, &notification);
     let _ = Event::TransportDown; // (the in-process equivalent)
     pump(&mut sp, &links[..1]);
-    println!(
+    let _ = writeln!(
+        out,
         "  after cutting AS65002-AS65003: AS65001 best = {:?}, AS65002 best = {:?}",
         sp[0].best_path(prefix),
         sp[1].best_path(prefix)
     );
     assert_eq!(sp[0].best_path(prefix), None);
-    println!("\nEvery byte above went through the RFC 4271 codecs.");
+    out.push_str("\nEvery byte above went through the RFC 4271 codecs.\n");
 }
