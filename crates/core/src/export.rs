@@ -75,46 +75,24 @@ impl ExportPolicy {
         let best_path = st.path(responder).expect("routed responder has a path");
         st.candidates(responder)
             .into_iter()
-            .filter(|c| c.path != best_path)
-            .filter(|c| match self {
-                ExportPolicy::Flexible => true,
-                ExportPolicy::RespectExport => ExportScope::allows(c.class, toward),
-                ExportPolicy::Strict => {
-                    c.class == best.class && ExportScope::allows(c.class, toward)
-                }
-            })
+            .filter(|c| c.path != best_path && self.reveals(c.class, Some(best.class), toward))
             .map(|route| {
                 let price = price_for_class(route.class);
                 Offer { route, price }
             })
             .collect()
     }
-}
 
-impl ExportPolicy {
-    /// The candidate routes `node` could *itself switch to* on request — the
-    /// downstream-initiated scenario of section 3.3, where a destination AS
-    /// asks an upstream "power node" to select a different path and
-    /// re-advertise it (the inbound-traffic-control application,
-    /// section 5.4). No export scope applies: the node is choosing among
-    /// routes it already holds for its own use. Under `Strict` it will only
-    /// switch within the same business class as its current best route
-    /// (no revenue downgrade); the relaxed policies allow any candidate.
-    pub fn switch_offers(self, st: &RoutingState<'_>, node: NodeId) -> Vec<Offer> {
-        let Some(best) = st.best(node) else { return Vec::new() };
-        let best_path = st.path(node).expect("routed node has a path");
-        st.candidates(node)
-            .into_iter()
-            .filter(|c| c.path != best_path)
-            .filter(|c| match self {
-                ExportPolicy::Strict => c.class == best.class,
-                ExportPolicy::RespectExport | ExportPolicy::Flexible => true,
-            })
-            .map(|route| {
-                let price = price_for_class(route.class);
-                Offer { route, price }
-            })
-            .collect()
+    /// Does this policy reveal a route of `class` to a requester that is
+    /// `toward` to the responder, whose own best route is of class `best`?
+    /// `/s` keeps to `best`'s class, so a responder with no best route
+    /// reveals nothing under it.
+    pub(crate) fn reveals(self, class: RouteClass, best: Option<RouteClass>, toward: Rel) -> bool {
+        match self {
+            ExportPolicy::Flexible => true,
+            ExportPolicy::RespectExport => ExportScope::allows(class, toward),
+            ExportPolicy::Strict => best == Some(class) && ExportScope::allows(class, toward),
+        }
     }
 }
 
@@ -246,6 +224,16 @@ mod tests {
         let st = RoutingState::solve(&t, t.node(AsId(1)).unwrap());
         let iso = t.node(AsId(2)).unwrap();
         assert!(ExportPolicy::Flexible.offers(&st, iso, Rel::Customer).is_empty());
+    }
+
+    #[test]
+    fn strict_reveals_nothing_without_a_best_route() {
+        use RouteClass::*;
+        for class in [Customer, Peer, Provider] {
+            assert!(!ExportPolicy::Strict.reveals(class, None, Rel::Customer));
+            assert!(ExportPolicy::Strict.reveals(class, Some(class), Rel::Customer));
+            assert!(ExportPolicy::Flexible.reveals(class, None, Rel::Provider));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::node::{Lease, ResponderConfig};
 use crate::strategy::export_rel_toward;
 use crate::tunnel::{Tunnel, TunnelId, TunnelManager};
 use miro_bgp::solver::RoutingState;
-use miro_topology::{NodeId, Topology};
+use miro_topology::{NodeId, Rel, Topology};
 
 /// Per-AS responder rules and tunnel tables, the lease ledger, the
 /// negotiation-id allocator, the virtual clock and the message transcript.
@@ -112,11 +112,11 @@ impl<'t> NetState<'t> {
         if self.managers[responder as usize].len() >= cfg.max_tunnels {
             return Err(RejectReason::TunnelLimit);
         }
-        let pool = if switch {
-            cfg.policy.switch_offers(st, responder)
-        } else {
-            cfg.policy.offers(st, responder, export_rel_toward(st, requester, responder))
-        };
+        // A switch (section 3.3) is the responder choosing among routes it
+        // holds for its own use, so no export scope applies: customer
+        // scope, since a customer may be sent every class.
+        let toward = if switch { Rel::Customer } else { export_rel_toward(st, requester, responder) };
+        let pool = cfg.policy.offers(st, responder, toward);
         // The responder's own price per class; a class priced `None` is
         // not for sale.
         let priced: Vec<Offer> = (pool.into_iter())

@@ -253,7 +253,7 @@ pub fn avoid_via_multihop_negotiation(
         // MIRO-only alternates (routes the neighbor holds but would never
         // export over plain BGP because they are not its best).
         let rel_src = export_rel_toward(st, src, responder);
-        let responder_best = st.best(responder);
+        let responder_best = st.best(responder).map(|b| b.class);
         for &(sub, rel_of_sub) in topo.neighbors(responder) {
             if sub == src || sub == st.dest() || sub == avoid {
                 continue;
@@ -270,25 +270,13 @@ pub fn avoid_via_multihop_negotiation(
             contacted += 1;
             received += offers.len();
             let composed_ok = |o: &Offer| {
-                if !constraint.admits(o) {
-                    return false;
-                }
                 // Class of the composed route as the responder would hold
                 // it: one hop to the neighbor, then the alternate.
                 let class = miro_bgp::route::ExportScope::received_class(
                     o.route.class,
                     rel_of_sub,
                 );
-                match policy {
-                    ExportPolicy::Flexible => true,
-                    ExportPolicy::RespectExport => {
-                        miro_bgp::route::ExportScope::allows(class, rel_src)
-                    }
-                    ExportPolicy::Strict => {
-                        responder_best.is_some_and(|b| b.class == class)
-                            && miro_bgp::route::ExportScope::allows(class, rel_src)
-                    }
-                }
+                constraint.admits(o) && policy.reveals(class, responder_best, rel_src)
             };
             if let Some(best) = offers
                 .iter()

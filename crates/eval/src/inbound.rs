@@ -20,7 +20,7 @@ use crate::driver;
 use miro_bgp::sim::{GaoRexford, RankPolicy, Sim};
 use miro_bgp::solver::RoutingState;
 use miro_core::export::ExportPolicy;
-use miro_topology::{NodeId, Topology};
+use miro_topology::{NodeId, Rel, Topology};
 use serde::Serialize;
 
 /// `GaoRexford` with one node pinned to a chosen path (the negotiated
@@ -123,7 +123,9 @@ pub fn evaluate_stub(
             .into_iter()
             .enumerate()
         {
-            let offers = policy.switch_offers(&st, p);
+            // The routes p could itself switch to, under no export scope:
+            // customer scope, since a customer may be sent every class.
+            let offers = policy.offers(&st, p, Rel::Customer);
             for offer in offers
                 .iter()
                 .filter(|o| entry_of(&o.route.path, p) != e_old)
