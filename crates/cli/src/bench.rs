@@ -15,9 +15,10 @@
 //!   baseline, and may be stride-sampled — comparisons against it are
 //!   per-destination-normalized and labeled `heap_sampled`).
 //!
-//! The bucket engine runs once per entry in the `--threads` list
-//! (default `1,2,4,8,16`), producing one thread-scaling row each:
-//! `threads`, wall `ms`, `speedup_vs_1t`, and parallel `efficiency`
+//! The bucket engine runs [`REPS`] times per entry in the `--threads`
+//! list (default `1,2,4,8,16`), producing one thread-scaling row each:
+//! `threads`, the fastest wall `ms` (also `min_ms`), `median_ms`,
+//! `spread`, `speedup_vs_1t`, and parallel `efficiency`
 //! (speedup over the thread count, capped at the machine's available
 //! parallelism so a core-starved host isn't blamed for not scaling).
 //! The bench asserts every engine/thread-count combination agrees before
@@ -34,7 +35,7 @@
 //! bench asserts the answers agree. `--check-delta-speedup F` turns the
 //! reported speedup into a hard gate for CI.
 
-use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Rng, TempPath, SEED};
+use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Reps, Rng, TempPath, SEED};
 use miro_bgp::engine::{par_over_dests, WhatIf};
 use miro_bgp::solver::{reference, DeltaScratch, RoutingState, SolveScratch};
 use miro_topology::{NodeId, Topology};
@@ -64,8 +65,6 @@ pub static CMD: Cmd = Cmd {
 #[derive(Debug)]
 struct Scale {
     name: &'static str,
-    /// Timing repetitions (best-of).
-    reps: u32,
     /// Included in `--scale all`.
     in_all: bool,
     /// The heap baseline solves every `heap_stride`-th destination. 1
@@ -77,12 +76,16 @@ struct Scale {
 }
 
 const SCALES: &[Scale] = &[
-    Scale { name: "tiny", reps: 1, in_all: false, heap_stride: 1 },
-    Scale { name: "small", reps: 3, in_all: true, heap_stride: 1 },
-    Scale { name: "medium", reps: 1, in_all: true, heap_stride: 1 },
-    Scale { name: "large", reps: 1, in_all: true, heap_stride: 1 },
-    Scale { name: "internet", reps: 1, in_all: false, heap_stride: 64 },
+    Scale { name: "tiny", in_all: false, heap_stride: 1 },
+    Scale { name: "small", in_all: true, heap_stride: 1 },
+    Scale { name: "medium", in_all: true, heap_stride: 1 },
+    Scale { name: "large", in_all: true, heap_stride: 1 },
+    Scale { name: "internet", in_all: false, heap_stride: 64 },
 ];
+
+/// Timing repetitions per row, at every scale: `ms` (= `min_ms`) is the
+/// fastest, `median_ms` the median, `spread` (slowest − fastest) / median.
+const REPS: usize = 3;
 
 /// One bucket-engine timing at one thread count. `speedup_vs_1t` and
 /// `efficiency` are `null` when the ladder had no 1-thread reference.
@@ -90,6 +93,9 @@ const SCALES: &[Scale] = &[
 struct ThreadRow {
     threads: usize,
     ms: f64,
+    min_ms: f64,
+    median_ms: f64,
+    spread: f64,
     speedup_vs_1t: Option<f64>,
     /// `speedup_vs_1t / min(threads, cores)`: the denominator is capped
     /// at the machine's available parallelism so rows measured on a
@@ -106,6 +112,9 @@ struct HeapRow {
     dests: usize,
     sampled: bool,
     ms: f64,
+    min_ms: f64,
+    median_ms: f64,
+    spread: f64,
     ms_per_dest: f64,
 }
 
@@ -117,7 +126,7 @@ struct ScaleRow {
     nodes: usize,
     edges: usize,
     dests: usize,
-    reps: u32,
+    reps: usize,
     /// Thread-scaling rows, one per `--threads` entry, in list order.
     rows: Vec<ThreadRow>,
     heap: HeapRow,
@@ -195,9 +204,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
         for sc in SCALES {
             let _ = writeln!(
                 out,
-                "{} reps={} in_all={} heap_stride={}",
+                "{} reps={REPS} in_all={} heap_stride={}",
                 harness::scale(sc.name)?,
-                sc.reps,
                 sc.in_all,
                 sc.heap_stride
             );
@@ -207,9 +215,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
             "  scales[]       = {scale, preset, preset_scale, nodes, edges, dests, reps, \
              rows[], heap{}, bucket_ms_per_dest, heap_ms_per_dest, speedup_per_dest}\n",
         );
-        out.push_str("  scales[].rows[] = {threads, ms, speedup_vs_1t, efficiency}\n");
         out.push_str(
-            "  scales[].heap   = {threads, dests, sampled, ms, ms_per_dest}\n",
+            "  scales[].rows[] = {threads, ms, min_ms, median_ms, spread, speedup_vs_1t, efficiency}\n",
+        );
+        out.push_str(
+            "  scales[].heap   = {threads, dests, sampled, ms, min_ms, median_ms, spread, ms_per_dest}\n",
         );
         out.push_str(
             "  delta[]        = {scale, threads, dests, events, mean_cone, incremental_ms, \
@@ -263,7 +273,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         json.scales.push(row);
 
-        let drow = time_delta_suite(sc.name, &topo, sc.reps);
+        let drow = time_delta_suite(sc.name, &topo);
         let _ = writeln!(
             report,
             "  {:<8} delta: {} dests x {} failures | incremental {:>9.2} ms | full {:>9.2} ms | {:.2}x | mean cone {:.1}",
@@ -347,7 +357,7 @@ fn select_scales(scale: &str) -> Result<Vec<&'static Scale>, String> {
 }
 
 /// Time the bucket engine once per thread count in `thread_counts`
-/// (best-of-`reps` each), plus the 1-thread heap baseline over every
+/// (best of [`REPS`] each), plus the 1-thread heap baseline over every
 /// `heap_stride`-th destination, and fold the timings into the scale's
 /// JSON row: per-thread speedups against the 1-thread wall (if the ladder
 /// had one) and the per-destination bucket-vs-heap figures. Panics if any
@@ -363,35 +373,17 @@ fn time_engines(
     let stride = sc.heap_stride.max(1);
     let heap_dests: Vec<NodeId> = dests.iter().copied().step_by(stride).collect();
 
-    let mut walls: Vec<(usize, Duration)> = Vec::with_capacity(thread_counts.len());
+    let mut walls: Vec<(usize, Reps)> = Vec::with_capacity(thread_counts.len());
     let mut reference: Option<Vec<usize>> = None;
     for &threads in thread_counts {
-        let mut wall = Duration::MAX;
-        let mut fast: Vec<usize> = Vec::new();
-        for _ in 0..sc.reps.max(1) {
-            let t0 = Instant::now();
-            fast = par_over_dests(topo, &dests, threads, |_, st| st.reachable_count());
-            wall = wall.min(t0.elapsed());
-        }
-        match &reference {
-            None => reference = Some(fast),
-            Some(want) => assert_eq!(
-                &fast, want,
-                "bucket engine at {threads} threads diverged from {} threads",
-                thread_counts[0]
-            ),
-        }
-        walls.push((threads, wall));
+        let (reps, fast) = Reps::time(REPS, || par_over_dests(topo, &dests, threads, |_, st| st.reachable_count()));
+        let want = reference.get_or_insert_with(|| fast.clone());
+        assert_eq!(&fast, want, "bucket engine at {threads} threads diverged from {} threads", thread_counts[0]);
+        walls.push((threads, reps));
     }
     let fast = reference.expect("at least one thread count");
 
-    let mut heap = Duration::MAX;
-    let mut slow: Vec<usize> = Vec::new();
-    for _ in 0..sc.reps.max(1) {
-        let t0 = Instant::now();
-        slow = heap_whole_network(topo, &heap_dests, 1);
-        heap = heap.min(t0.elapsed());
-    }
+    let (heap, slow) = Reps::time(REPS, || heap_whole_network(topo, &heap_dests, 1));
     for (i, s) in slow.iter().enumerate() {
         let full_idx = i * stride;
         assert_eq!(
@@ -400,23 +392,26 @@ fn time_engines(
         );
     }
 
-    let t1 = walls.iter().find(|(t, _)| *t == 1).map(|(_, w)| w.as_secs_f64());
+    let t1 = walls.iter().find(|(t, _)| *t == 1).map(|(_, w)| w.min.as_secs_f64());
     let cores = host_parallelism();
     let rows = walls
         .iter()
-        .map(|&(threads, wall)| {
-            let speedup = t1.map(|t1| t1 / wall.as_secs_f64().max(1e-12));
-            let ideal = threads.min(cores).max(1) as f64;
+        .map(|(threads, wall)| {
+            let speedup = t1.map(|t1| t1 / wall.min.as_secs_f64().max(1e-12));
+            let ideal = (*threads).min(cores).max(1) as f64;
             ThreadRow {
-                threads,
-                ms: ms(wall),
+                threads: *threads,
+                ms: ms(wall.min),
+                min_ms: ms(wall.min),
+                median_ms: ms(wall.median),
+                spread: wall.spread,
                 speedup_vs_1t: speedup,
                 efficiency: speedup.map(|s| s / ideal),
             }
         })
         .collect();
-    let heap_ms_per_dest = ms(heap) / heap_dests.len().max(1) as f64;
-    let bucket_wall = t1.unwrap_or_else(|| walls[0].1.as_secs_f64());
+    let heap_ms_per_dest = ms(heap.min) / heap_dests.len().max(1) as f64;
+    let bucket_wall = t1.unwrap_or_else(|| walls[0].1.min.as_secs_f64());
     let bucket_ms_per_dest = bucket_wall * 1e3 / dests.len().max(1) as f64;
     ScaleRow {
         scale: sc.name,
@@ -425,13 +420,16 @@ fn time_engines(
         nodes: dests.len(),
         edges: topo.num_edges(),
         dests: dests.len(),
-        reps: sc.reps,
+        reps: REPS,
         rows,
         heap: HeapRow {
             threads: 1,
             dests: heap_dests.len(),
             sampled: heap_dests.len() != dests.len(),
-            ms: ms(heap),
+            ms: ms(heap.min),
+            min_ms: ms(heap.min),
+            median_ms: ms(heap.median),
+            spread: heap.spread,
             ms_per_dest: heap_ms_per_dest,
         },
         bucket_ms_per_dest,
@@ -482,7 +480,7 @@ fn query_sig(st: &RoutingState<'_>, v: NodeId) -> u64 {
 /// tree links to fail) and the equivalence spot-checks are untimed; the
 /// incremental timing covers the per-destination base solve *plus* every
 /// delta, since that base is the cache the approach has to pay for.
-fn time_delta_suite(name: &'static str, topo: &Topology, reps: u32) -> DeltaRow {
+fn time_delta_suite(name: &'static str, topo: &Topology) -> DeltaRow {
     let n = topo.num_nodes();
     let stride = (n / DELTA_DESTS).max(1);
     let dests: Vec<NodeId> = (0..n as NodeId).step_by(stride).take(DELTA_DESTS).collect();
@@ -531,7 +529,7 @@ fn time_delta_suite(name: &'static str, topo: &Topology, reps: u32) -> DeltaRow 
     let mut full = Duration::MAX;
     let mut recomputed = 0;
     let mut check: Option<(u64, u64)> = None;
-    for _ in 0..reps.max(1) {
+    for _ in 0..REPS {
         let t0 = Instant::now();
         let mut inc_sig = 0u64;
         recomputed = 0;

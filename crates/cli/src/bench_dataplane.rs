@@ -40,7 +40,7 @@
 //! [`PrefixTrie::lookup`]: miro_dataplane::lpm::PrefixTrie::lookup
 //! [`StrideTable::get`]: miro_dataplane::lpm::StrideTable::get
 
-use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Rng, Zipf, SEED};
+use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Reps, Rng, Zipf, SEED};
 use bytes::Bytes;
 use miro_bgp::engine::par_over_dests;
 use miro_dataplane::burst::{BurstScratch, Engine, OneVerdict, TunnelSpec, Verdict};
@@ -52,7 +52,6 @@ use miro_dataplane::pcapng;
 use miro_topology::NodeId;
 use serde::Serialize;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
 pub static CMD: Cmd = Cmd {
     name: "bench-dataplane",
@@ -83,39 +82,6 @@ const LOCAL: Ipv4Addr4 = Ipv4Addr4([200, 0, 0, 1]);
 /// Virtual tunnel id the split group answers to.
 const GROUP: u32 = 1000;
 
-/// [`REPS`] wall times of one measurement, sorted.
-struct Reps(Vec<Duration>);
-
-impl Reps {
-    /// Run `f` [`REPS`] times; every run must return the same checksum.
-    fn time(mut f: impl FnMut() -> u64) -> (Reps, u64) {
-        let mut walls = Vec::with_capacity(REPS);
-        let mut sink = None;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            let s = f();
-            walls.push(start.elapsed());
-            assert!(sink.is_none_or(|prev| prev == s), "repetitions disagree");
-            sink = Some(s);
-        }
-        walls.sort_unstable();
-        (Reps(walls), sink.unwrap_or(0))
-    }
-
-    fn min(&self) -> Duration {
-        self.0[0]
-    }
-
-    fn median(&self) -> Duration {
-        self.0[self.0.len() / 2]
-    }
-
-    /// (slowest − fastest) / median.
-    fn spread(&self) -> f64 {
-        (self.0[self.0.len() - 1] - self.0[0]).as_secs_f64() / self.median().as_secs_f64().max(1e-12)
-    }
-}
-
 /// One timing row: a stage at a batch size (or the baseline).
 #[derive(Serialize)]
 struct StageRow {
@@ -131,14 +97,14 @@ struct StageRow {
 
 impl StageRow {
     fn new(stage: &'static str, batch: usize, baseline: bool, reps: &Reps, packets: usize) -> StageRow {
-        let secs = reps.min().as_secs_f64();
+        let secs = reps.min.as_secs_f64();
         StageRow {
             stage,
             batch,
             baseline,
-            ms: ms(reps.min()),
-            median_ms: ms(reps.median()),
-            spread: reps.spread(),
+            ms: ms(reps.min),
+            median_ms: ms(reps.median),
+            spread: reps.spread,
             mpps: packets as f64 / secs.max(1e-12) / 1e6,
             ns_per_pkt: secs * 1e9 / packets.max(1) as f64,
         }
@@ -304,11 +270,11 @@ pub fn run(args: &[String]) -> Result<String, String> {
         let mut sinks: Vec<u64> = Vec::new();
         let mut scratch = BurstScratch::new();
         for &batch in &batches {
-            let (reps, sink) = Reps::time(|| burst_sink(&eng, &views, batch, &mut scratch));
+            let (reps, sink) = Reps::time(REPS, || burst_sink(&eng, &views, batch, &mut scratch));
             sinks.push(sink);
             rows.push(StageRow::new(stage, batch, false, &reps, frames.len()));
         }
-        let (reps, sink) = Reps::time(|| {
+        let (reps, sink) = Reps::time(REPS, || {
             frames.iter().fold(0u64, |s, f| s.wrapping_add(sink_one(&eng.forward_one(f))))
         });
         sinks.push(sink);
@@ -471,19 +437,19 @@ fn time_lookup(eng: &Engine, frames: &[Bytes]) -> LookupRow {
         .map(|f| Ipv4Addr4([f[16], f[17], f[18], f[19]]))
         .collect();
     let fold = |nh: Option<u32>| nh.map_or(1, |n| u64::from(n) + 2);
-    let (trie, trie_sink) = Reps::time(|| {
+    let (trie, trie_sink) = Reps::time(REPS, || {
         dsts.iter().fold(0u64, |s, &d| s.wrapping_add(fold(eng.lpm().lookup(d).map(|(_, &n)| n))))
     });
-    let (table, table_sink) = Reps::time(|| {
+    let (table, table_sink) = Reps::time(REPS, || {
         dsts.iter().fold(0u64, |s, &d| s.wrapping_add(fold(eng.table().get(d).copied())))
     });
     assert_eq!(trie_sink, table_sink, "lookup paths disagree");
     LookupRow {
         packets: dsts.len(),
-        trie_ms: ms(trie.min()),
-        table_ms: ms(table.min()),
-        speedup: trie.min().as_secs_f64() / table.min().as_secs_f64().max(1e-12),
-        spread: trie.spread().max(table.spread()),
+        trie_ms: ms(trie.min),
+        table_ms: ms(table.min),
+        speedup: trie.min.as_secs_f64() / table.min.as_secs_f64().max(1e-12),
+        spread: trie.spread.max(table.spread),
         table_bytes: eng.table().bytes(),
     }
 }

@@ -132,6 +132,11 @@ fn daemon_serves_bench_query_and_shuts_down_cleanly() {
     assert!(daemon_out.contains("evictions"), "{daemon_out}");
     assert!(daemon_out.contains("% hit rate"), "{daemon_out}");
     assert!(!daemon_out.contains("cache: 0 hits"), "{daemon_out}");
+    // And, where there is a `/proc`, ends with the daemon's peak RSS.
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(daemon_out.contains("hit rate); peak resident "), "{daemon_out}");
+        assert!(daemon_out.trim_end().ends_with(" MB"), "{daemon_out}");
+    }
 
     // The written report has the pinned schema.
     let json = std::fs::read_to_string(&out_json).unwrap();

@@ -301,6 +301,33 @@ pub fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// One measurement repeated: a bench row's `ms` is the fastest wall,
+/// `median_ms` the median, `spread` (slowest − fastest) / median.
+pub struct Reps {
+    pub min: std::time::Duration,
+    pub median: std::time::Duration,
+    pub spread: f64,
+}
+
+impl Reps {
+    /// Run `f` `n` times (at least once); every run must return the same
+    /// value, which is returned with the walls.
+    pub fn time<T: PartialEq>(n: usize, mut f: impl FnMut() -> T) -> (Reps, T) {
+        let (mut walls, mut sink) = (Vec::with_capacity(n), None);
+        for _ in 0..n.max(1) {
+            let start = std::time::Instant::now();
+            let s = f();
+            walls.push(start.elapsed());
+            assert!(sink.as_ref().is_none_or(|prev| *prev == s), "repetitions disagree");
+            sink = Some(s);
+        }
+        walls.sort_unstable();
+        let (min, median) = (walls[0], walls[walls.len() / 2]);
+        let spread = (walls[walls.len() - 1] - min).as_secs_f64() / median.as_secs_f64().max(1e-12);
+        (Reps { min, median, spread }, sink.expect("at least one run"))
+    }
+}
+
 /// What `std::thread::available_parallelism` reports (1 if it cannot).
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())

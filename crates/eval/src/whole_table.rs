@@ -1,20 +1,21 @@
-//! Whole-table summary: decode a merged [`RouteTableSet`] (the output of
-//! `miro shard-solve`) and report aggregate routing statistics —
+//! Whole-table summary: stream a merged [`RouteTableSet`] file (the output
+//! of `miro shard-solve`) and report aggregate routing statistics —
 //! reachability, AS-hop path-length distribution, and the business-class
 //! mix of the chosen routes.
 //!
 //! This closes the loop on the sharded solve service: the binary tables
 //! it produces are not just an artifact to diff, they feed analysis. The
-//! summary treats the file as ground truth — decode re-verifies every
-//! per-row checksum, so a summary is also an integrity check of the
-//! merge.
+//! summary treats the file as ground truth — the streamed pass checks every
+//! checksum [`RouteTableSet::decode`] does, holding one buffer of rows at a
+//! time, so a summary is also an integrity check of the merge.
 
-use miro_shard::format::RouteTableSet;
+use miro_shard::format::{RouteTableSet, TableReader};
+use miro_topology::NodeId;
 
 /// Aggregate statistics over every (source AS, destination) cell of a
 /// route table set. The destination's own row entry (hops 0, pointing at
 /// itself) is excluded so the numbers describe actual forwarding state.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TableSummary {
     pub num_nodes: u32,
     pub num_dests: usize,
@@ -38,52 +39,71 @@ impl TableSummary {
         }
         self.routed as f64 / cells as f64
     }
-}
 
-/// Scan every row of `set` and fold the per-cell statistics.
-pub fn summarize(set: &RouteTableSet) -> Result<TableSummary, String> {
-    let mut s = TableSummary {
-        num_nodes: set.num_nodes(),
-        num_dests: set.dests().len(),
-        routed: 0,
-        unrouted: 0,
-        class_mix: [0; 3],
-        hop_hist: Vec::new(),
-        mean_hops: 0.0,
-        max_hops: 0,
-    };
-    let mut hop_total: u64 = 0;
-    for (i, &dest) in set.dests().iter().enumerate() {
-        let (next, hops, class) = set.row(i);
-        for x in 0..set.num_nodes() as usize {
+    /// Fold one destination's row; `cell(x)` is AS `x`'s `(next, hops, class)`.
+    fn add_row(&mut self, dest: NodeId, cell: impl Fn(usize) -> (u32, u16, u8)) -> Result<(), String> {
+        for x in 0..self.num_nodes as usize {
             if x as u32 == dest {
                 continue; // the destination's self-entry carries no route
             }
-            if next[x] == miro_bgp::solver::UNROUTED_NEXT {
-                s.unrouted += 1;
+            let (next, h, c) = cell(x);
+            if next == miro_bgp::solver::UNROUTED_NEXT {
+                self.unrouted += 1;
                 continue;
             }
-            s.routed += 1;
-            let h = hops[x];
-            if s.hop_hist.len() <= h as usize {
-                s.hop_hist.resize(h as usize + 1, 0);
+            self.routed += 1;
+            if self.hop_hist.len() <= h as usize {
+                self.hop_hist.resize(h as usize + 1, 0);
             }
-            s.hop_hist[h as usize] += 1;
-            hop_total += h as u64;
-            s.max_hops = s.max_hops.max(h);
-            let c = class[x] as usize;
+            self.hop_hist[h as usize] += 1;
+            self.max_hops = self.max_hops.max(h);
             if c >= 3 {
                 return Err(format!(
                     "destination {dest}: AS {x} is routed but carries class code {c}"
                 ));
             }
-            s.class_mix[c] += 1;
+            self.class_mix[c as usize] += 1;
         }
+        Ok(())
     }
-    if s.routed > 0 {
-        s.mean_hops = hop_total as f64 / s.routed as f64;
+
+    fn finish(mut self) -> TableSummary {
+        let hop_total: u64 = self.hop_hist.iter().enumerate().map(|(h, &n)| h as u64 * n).sum();
+        if self.routed > 0 {
+            self.mean_hops = hop_total as f64 / self.routed as f64;
+        }
+        self
     }
-    Ok(s)
+}
+
+/// Scan every row of `set` and fold the per-cell statistics.
+pub fn summarize(set: &RouteTableSet) -> Result<TableSummary, String> {
+    let mut s = TableSummary { num_nodes: set.num_nodes(), num_dests: set.dests().len(), ..Default::default() };
+    for (i, &dest) in set.dests().iter().enumerate() {
+        let (next, hops, class) = set.row(i);
+        s.add_row(dest, |x| (next[x], hops[x], class[x]))?;
+    }
+    Ok(s.finish())
+}
+
+/// [`summarize`] of the table at `path`, streamed: one bounded buffer of
+/// rows at a time, every checksum checked as [`RouteTableSet::decode`] does.
+pub fn summarize_file(path: &str) -> Result<TableSummary, String> {
+    let cannot = |e: std::io::Error| format!("cannot read {path:?}: {e}");
+    let file = std::fs::File::open(path).map_err(cannot)?;
+    let len = file.metadata().map_err(cannot)?.len() as usize;
+    let mut table = TableReader::open(file, len).map_err(cannot)??;
+    table.layout().check_len(len)?;
+    let dests = table.dests().map_err(cannot)?;
+    let mut s = TableSummary { num_nodes: table.layout().num_nodes(), num_dests: dests.len(), ..Default::default() };
+    let v = s.num_nodes as usize;
+    let cell = |row: &[u8], x: usize| {
+        let next = u32::from_le_bytes(row[4 * x..][..4].try_into().expect("four bytes"));
+        let hops = u16::from_le_bytes(row[4 * v + 2 * x..][..2].try_into().expect("two bytes"));
+        (next, hops, row[6 * v + x])
+    };
+    table.stream(true, |i, row| s.add_row(dests[i], |x| cell(row, x))).map_err(cannot)??;
+    Ok(s.finish())
 }
 
 /// Render a summary in the report style the other eval commands use.
@@ -122,11 +142,9 @@ pub fn render(s: &TableSummary) -> String {
     out
 }
 
-/// Decode the table at `path` and return the rendered summary.
+/// Stream the table at `path` and return the rendered summary.
 pub fn run_file(path: &str) -> Result<String, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let set = RouteTableSet::decode(&bytes)?;
-    Ok(render(&summarize(&set)?))
+    Ok(render(&summarize_file(path)?))
 }
 
 #[cfg(test)]

@@ -6,12 +6,13 @@
 //! multi-gigabyte table and answers point queries. [`MappedTable`] maps
 //! the file read-only and *borrows* rows straight out of the map:
 //!
-//! * **At open**: magic, version, and geometry are validated, the
-//!   destination index (a few KiB) is decoded into an owned lookup
-//!   table, and — by default — one sequential pass verifies the
-//!   whole-file [`checksum`], at memory speed. [`MappedTable::open_unverified`]
-//!   skips that pass for tables too large to page in eagerly; the per-row
-//!   checksums below still guard every byte that is actually served.
+//! * **At open**: one streamed pass of [`TableReader`] — positioned reads
+//!   through one bounded buffer, never through the map — validates magic,
+//!   version and geometry, decodes the destination index (a few KiB) and,
+//!   by default, checks the whole-file [`checksum`]. No page of the
+//!   mapping is resident after open; a row becomes resident when a query
+//!   first touches it. [`MappedTable::open_unverified`] skips the
+//!   checksum, which saves start time, not memory.
 //! * **On first touch of a row**: the row's bytes are checksummed
 //!   against the file's per-row checksum table once, then a per-row "verified"
 //!   bit (an atomic bitmap, safe under concurrent readers) marks it
@@ -32,7 +33,7 @@
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use miro_shard::format::{checksum, le_u64, Layout};
+use miro_shard::format::{checksum, le_u64, Layout, TableReader};
 use miro_topology::NodeId;
 
 use crate::{RowRead, TableSource};
@@ -40,10 +41,8 @@ use crate::{RowRead, TableSource};
 // ---------------------------------------------------------------- mmap
 
 /// A read-only memory mapping (unix `mmap(2)` via direct libc FFI — no
-/// external crate; the toolchain links libc anyway). On non-unix hosts
-/// the "map" degrades to reading the file into an owned buffer, which
-/// keeps every caller portable at the cost of the zero-copy property.
-#[cfg(unix)]
+/// external crate; the toolchain links libc anyway). Unix only, as the
+/// positioned reads of [`TableReader`] are.
 mod map {
     use std::fs::File;
     use std::os::unix::io::AsRawFd;
@@ -76,12 +75,9 @@ mod map {
     unsafe impl Sync for Map {}
 
     impl Map {
+        /// `len` must not be 0 (mmap(2) refuses it; the caller refuses
+        /// files too short to be a table first).
         pub fn of(file: &File, len: usize) -> std::io::Result<Map> {
-            if len == 0 {
-                // mmap(2) rejects zero-length maps; callers reject empty
-                // files before getting here, but keep the error clean.
-                return Err(std::io::Error::other("cannot map an empty file"));
-            }
             let ptr = unsafe {
                 mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, file.as_raw_fd(), 0)
             };
@@ -105,29 +101,6 @@ mod map {
     }
 }
 
-#[cfg(not(unix))]
-mod map {
-    use std::fs::File;
-    use std::io::Read;
-
-    pub struct Map {
-        buf: Vec<u8>,
-    }
-
-    impl Map {
-        pub fn of(file: &File, len: usize) -> std::io::Result<Map> {
-            let mut buf = Vec::with_capacity(len);
-            let mut f = file;
-            f.read_to_end(&mut buf)?;
-            Ok(Map { buf })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            &self.buf
-        }
-    }
-}
-
 // --------------------------------------------------------- MappedTable
 
 /// A [`miro_shard::format::RouteTableSet`] file served in place; where
@@ -145,18 +118,19 @@ pub struct MappedTable {
 
 impl MappedTable {
     /// Open and fully validate: header, geometry, destination index, and
-    /// the whole-file checksum (one sequential pass). Rows additionally
-    /// verify their own checksum on first touch, which catches bytes
-    /// that rot *after* this pass (or a checksum table that lied).
+    /// the whole-file checksum, in one streamed pass that leaves no page
+    /// of the mapping resident. Rows additionally verify their own
+    /// checksum on first touch, which catches bytes that rot *after* this
+    /// pass (or a checksum table that lied).
     pub fn open(path: &std::path::Path) -> Result<MappedTable, String> {
         Self::open_with(path, true)
     }
 
-    /// Open without the whole-file pass: header, geometry, and the
-    /// destination index are still validated eagerly (they are decoded
-    /// anyway), but row bytes are only paged in — and checksummed — when
-    /// a query first touches them. This is the mode for tables much
-    /// larger than memory.
+    /// Open without the whole-file checksum: header, geometry, and the
+    /// destination index are still read and validated, through the same
+    /// bounded buffer, but row bytes are only checksummed when a query
+    /// first touches them. Either way nothing is resident until a row is
+    /// served, so skipping the pass saves start time, not memory.
     pub fn open_unverified(path: &std::path::Path) -> Result<MappedTable, String> {
         Self::open_with(path, false)
     }
@@ -174,23 +148,21 @@ impl MappedTable {
             ));
         }
         let map = map::Map::of(&file, len).map_err(|e| format!("cannot map {path:?}: {e}"))?;
-        let bytes = map.bytes();
-
-        let layout = Layout::parse(bytes).map_err(|e| format!("table {path:?}: {e}"))?;
+        let at = |e: String| format!("table {path:?}: {e}");
+        let read = |e: std::io::Error| at(format!("cannot read: {e}"));
+        let mut table = TableReader::open(file, len).map_err(read)?.map_err(at)?;
+        let layout = table.layout();
         if layout.num_dests() == 0 {
             return Err(format!("table {path:?} holds zero destinations — nothing to serve"));
         }
         if layout.num_nodes() == 0 {
             return Err(format!("table {path:?} claims a zero-node topology"));
         }
-        layout.check_len(len).map_err(|e| format!("table {path:?}: {e}"))?;
-        if verify_whole_file && checksum(&bytes[..len - 8]) != le_u64(&bytes[len - 8..]) {
-            return Err(format!("table {path:?}: whole-file checksum mismatch"));
+        layout.check_len(len).map_err(at)?;
+        if verify_whole_file {
+            table.stream(false, |_, _| Ok(())).map_err(read)?.map_err(at)?;
         }
-        let dests = bytes[16..layout.sums_at()]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("four bytes")))
-            .collect();
+        let dests = table.dests().map_err(read)?;
         Ok(MappedTable {
             map,
             layout,

@@ -32,7 +32,7 @@
 //! byte is a pure function of the job, so who produced which block, in
 //! what order, after how many deaths, cannot affect the output.
 
-use crate::format::{le_u64, Checksum, Layout, TABLE_FORMAT_VERSION};
+use crate::format::{le_u64, Layout, TableReader, TABLE_FORMAT_VERSION};
 use crate::manifest::{self, JobFingerprint, ManifestWriter};
 use crate::protocol::{read_frame, write_frame, FrameError, Msg, PROTOCOL_VERSION};
 use miro_bgp::engine::dest_blocks;
@@ -201,64 +201,40 @@ pub struct JobReport {
     pub elapsed: Duration,
 }
 
-/// Largest single read while re-hashing the table file.
-const HASH_BUF: usize = 1 << 20;
-
-/// The table file while the fleet fills it: `<out>.partial`, pre-sized,
-/// header in place. Never read whole: every hash goes through `buf`.
-struct Partial {
-    file: File,
-    layout: Layout,
-    buf: Vec<u8>,
+/// Open `<out>.partial` at `path`, pre-sized, header in place. With
+/// `keep`, a file of this job's size and `header` survives (second return
+/// value); else it is laid out afresh. It is never read whole.
+fn open_partial(path: &str, layout: Layout, header: &[u8], keep: bool) -> std::io::Result<(TableReader, bool)> {
+    let file = File::options().read(true).write(true).create(true).truncate(!keep).open(path)?;
+    let mut have = vec![0u8; header.len()];
+    let kept = keep
+        && file.metadata()?.len() == layout.file_len() as u64
+        && file.read_exact_at(&mut have, 0).is_ok()
+        && have == header;
+    if !kept {
+        file.set_len(0)?;
+        file.set_len(layout.file_len() as u64)?;
+        file.write_all_at(header, 0)?;
+    }
+    Ok((TableReader::new(file, layout), kept))
 }
 
-impl Partial {
-    /// Open `path`. With `keep`, a file of this job's size and `header`
-    /// survives (second return value); else it is laid out afresh.
-    fn open(path: &str, layout: Layout, header: &[u8], keep: bool) -> std::io::Result<(Partial, bool)> {
-        let file = File::options().read(true).write(true).create(true).truncate(!keep).open(path)?;
-        let mut have = vec![0u8; header.len()];
-        let kept = keep
-            && file.metadata()?.len() == layout.file_len() as u64
-            && file.read_exact_at(&mut have, 0).is_ok()
-            && have == header;
-        if !kept {
-            file.set_len(0)?;
-            file.set_len(layout.file_len() as u64)?;
-            file.write_all_at(header, 0)?;
+/// Do the bytes of `rows` in the file hash to `sums`, one `u64` per row?
+fn rows_match(table: &mut TableReader, rows: Range<usize>, sums: &[u8]) -> std::io::Result<bool> {
+    for (i, want) in rows.zip(sums.chunks_exact(8)) {
+        if table.sum(table.layout().row_at(i)..table.layout().row_at(i + 1))? != le_u64(want) {
+            return Ok(false);
         }
-        let buf = vec![0u8; HASH_BUF.min(layout.file_len())];
-        Ok((Partial { file, layout, buf }, kept))
     }
+    Ok(true)
+}
 
-    /// The table checksum of `range` of the file.
-    fn sum(&mut self, range: Range<usize>) -> std::io::Result<u64> {
-        let mut sum = Checksum::new();
-        for at in range.clone().step_by(self.buf.len()) {
-            let n = self.buf.len().min(range.end - at);
-            self.file.read_exact_at(&mut self.buf[..n], at as u64)?;
-            sum.update(&self.buf[..n]);
-        }
-        Ok(sum.finish())
-    }
-
-    /// Do the bytes of `rows` in the file hash to `sums`, one `u64` per row?
-    fn rows_match(&mut self, rows: Range<usize>, sums: &[u8]) -> std::io::Result<bool> {
-        for (i, want) in rows.zip(sums.chunks_exact(8)) {
-            if self.sum(self.layout.row_at(i)..self.layout.row_at(i + 1))? != le_u64(want) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Every block is in: whole-file checksum, trailer, rename into place.
-    fn seal(mut self, path: &str, out: &Path) -> std::io::Result<()> {
-        let end = self.layout.file_len() - 8;
-        let total = self.sum(0..end)?;
-        self.file.write_all_at(&total.to_le_bytes(), end as u64)?;
-        std::fs::rename(path, out)
-    }
+/// Every block is in: whole-file checksum, trailer, rename into place.
+fn seal(mut table: TableReader, path: &str, out: &Path) -> std::io::Result<()> {
+    let end = table.layout().file_len() - 8;
+    let total = table.sum(0..end)?;
+    table.file.write_all_at(&total.to_le_bytes(), end as u64)?;
+    std::fs::rename(path, out)
 }
 
 struct WorkerState {
@@ -374,16 +350,15 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
     let out_path = spec.out_path.to_str().ok_or("the output path is not UTF-8")?;
     let table_path = format!("{out_path}.partial");
     let table_err = |e: std::io::Error| format!("table file {table_path:?}: {e}");
-    let (mut table, kept) = Partial::open(&table_path, layout, &header, resuming).map_err(table_err)?;
-    let sums_at = |rows: &Range<usize>| (layout.sums_at() + 8 * rows.start) as u64;
+    let (mut table, kept) = open_partial(&table_path, layout, &header, resuming).map_err(table_err)?;
+    let sums_at = |rows: &Range<usize>| layout.sums_at() + 8 * rows.start;
     let mut done = vec![false; nblocks];
     for (&block, &(bytes, checksum)) in claims.iter().filter(|_| kept) {
         let Some(rows) = blocks.get(block as usize) else { continue };
-        let mut sums = vec![0u8; 8 * rows.len()];
-        table.file.read_exact_at(&mut sums, sums_at(rows)).map_err(table_err)?;
+        let sums = table.read(sums_at(rows)..sums_at(rows) + 8 * rows.len()).map_err(table_err)?;
         done[block as usize] = bytes == (rows.len() * layout.row_bytes()) as u64
             && crate::fnv1a(&sums) == checksum
-            && table.rows_match(rows.clone(), &sums).map_err(table_err)?;
+            && rows_match(&mut table, rows.clone(), &sums).map_err(table_err)?;
     }
     let writer = ManifestWriter::open(&manifest_path, &fingerprint, resuming)
         .map_err(|e| format!("cannot open manifest {manifest_path:?}: {e}"))?;
@@ -483,13 +458,13 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
                     // one is verified.
                     job.assign(worker)?;
                 }
-                if !table.rows_match(rows.clone(), &sums).map_err(table_err)? {
+                if !rows_match(&mut table, rows.clone(), &sums).map_err(table_err)? {
                     // Never written, torn, or not what was reported.
                     job.corrupt(worker);
                     job.pending.push_front(block);
                     continue;
                 }
-                table.file.write_all_at(&sums, sums_at(&rows)).map_err(table_err)?;
+                table.file.write_all_at(&sums, sums_at(&rows) as u64).map_err(table_err)?;
                 job.writer
                     .complete(block, (rows.len() * layout.row_bytes()) as u64, crate::fnv1a(&sums))
                     .map_err(|e| format!("cannot append manifest: {e}"))?;
@@ -524,7 +499,7 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
     }
     drop(job.fleet); // kills any worker that ignores the drain
 
-    table.seal(&table_path, &spec.out_path).map_err(table_err)?;
+    seal(table, &table_path, &spec.out_path).map_err(table_err)?;
     job.report.merged_bytes = layout.file_len();
     job.report.elapsed = t0.elapsed();
     Ok(job.report)

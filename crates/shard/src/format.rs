@@ -18,9 +18,10 @@
 //! end-8    whole-file checksum      u64        (the table checksum of everything above)
 //! ```
 //!
-//! That arithmetic is [`Layout`], a row's bytes are [`encode_row`] and the
-//! table checksum is [`checksum`] / [`Checksum`]: this module, the shard
-//! worker and coordinator, and `miro-serve`'s mmap reader all go through them.
+//! That arithmetic is [`Layout`], a row's bytes are [`encode_row`], the
+//! table checksum is [`checksum`] / [`Checksum`] and a file on disk is read
+//! by [`TableReader`]: the shard worker and coordinator, `miro-serve`'s
+//! mmap reader and `miro-eval whole-table` all go through them.
 //!
 //! Table bytes are hashed on several passes, so the checksum runs at memory
 //! speed: four `u64` lanes over 32-byte stripes, each word folded in by an
@@ -37,6 +38,10 @@
 
 use miro_bgp::engine::ScratchPool;
 use miro_topology::{NodeId, Topology};
+use std::fs::File;
+use std::io;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 
 /// File magic: "MIRO Route Table".
 pub const TABLE_MAGIC: [u8; 4] = *b"MIRT";
@@ -198,6 +203,97 @@ impl Layout {
             out.extend_from_slice(&word.to_le_bytes());
         }
         out
+    }
+}
+
+/// Largest read while streaming a table file (whole rows, at least one).
+const HASH_BUF: usize = 1 << 20;
+
+/// A table file read with positioned reads through one bounded buffer,
+/// never mapped or read whole: how the shard coordinator, `miro-serve`'s
+/// open and `miro-eval whole-table` check a file, whatever its size.
+pub struct TableReader {
+    pub file: File,
+    /// Private: `buf` holds at least one of its rows.
+    layout: Layout,
+    buf: Vec<u8>,
+}
+
+impl TableReader {
+    /// Parse magic, version and geometry off the front of `file`, `len`
+    /// bytes long: the outer error is the read's, the inner the header's.
+    /// The caller checks the length with [`Layout::check_len`].
+    pub fn open(file: File, len: usize) -> io::Result<Result<TableReader, String>> {
+        let mut front = vec![0u8; len.min(24)];
+        file.read_exact_at(&mut front, 0)?;
+        Ok(Layout::parse(&front).map(|layout| TableReader::new(file, layout)))
+    }
+
+    pub fn new(file: File, layout: Layout) -> TableReader {
+        let row = layout.row_bytes().max(1);
+        let buf = vec![0; (HASH_BUF.min(layout.file_len()) / row).max(1) * row];
+        TableReader { file, layout, buf }
+    }
+
+    pub fn layout(&self) -> Layout {
+        self.layout
+    }
+
+    /// Bytes `range` of the file: for the regions ahead of the rows.
+    pub fn read(&self, range: Range<usize>) -> io::Result<Vec<u8>> {
+        let mut out = vec![0u8; range.len()];
+        self.file.read_exact_at(&mut out, range.start as u64).map(|()| out)
+    }
+
+    pub fn dests(&self) -> io::Result<Vec<NodeId>> {
+        let ids = self.read(16..self.layout.sums_at())?;
+        Ok(ids.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("four bytes"))).collect())
+    }
+
+    /// The table checksum of bytes `range` of the file.
+    pub fn sum(&mut self, range: Range<usize>) -> io::Result<u64> {
+        let mut sum = Checksum::new();
+        for at in range.clone().step_by(self.buf.len()) {
+            let n = self.buf.len().min(range.end - at);
+            self.file.read_exact_at(&mut self.buf[..n], at as u64)?;
+            sum.update(&self.buf[..n]);
+        }
+        Ok(sum.finish())
+    }
+
+    /// One pass in file order, whole rows per read: fold the whole-file
+    /// checksum, check each row against its stored checksum if
+    /// `check_rows`, and hand each row's bytes to `visit`. The verdict is
+    /// [`RouteTableSet::decode`]'s: the whole-file checksum first, then the
+    /// first bad row, then the first error `visit` returned.
+    pub fn stream(
+        &mut self,
+        check_rows: bool,
+        mut visit: impl FnMut(usize, &[u8]) -> Result<(), String>,
+    ) -> io::Result<Result<(), String>> {
+        let (l, rb, d) = (self.layout, self.layout.row_bytes(), self.layout.num_dests() as usize);
+        let head = self.read(0..l.rows_at())?;
+        let mut total = Checksum::new();
+        total.update(&head);
+        let (mut bad_row, mut bad_visit, per_read) = (None, None, self.buf.len() / rb.max(1));
+        for first in (0..d).step_by(per_read) {
+            let rows = &mut self.buf[..per_read.min(d - first) * rb];
+            self.file.read_exact_at(rows, l.row_at(first) as u64)?;
+            total.update(rows);
+            for i in first..(first + per_read).min(d) {
+                let row = &rows[(i - first) * rb..][..rb];
+                if check_rows && bad_row.is_none() && checksum(row) != le_u64(&head[l.sums_at() + 8 * i..]) {
+                    bad_row = Some(format!("row {i} checksum mismatch"));
+                }
+                if bad_row.is_none() && bad_visit.is_none() {
+                    bad_visit = visit(i, row).err();
+                }
+            }
+        }
+        if total.finish() != le_u64(&self.read(l.file_len() - 8..l.file_len())?) {
+            return Ok(Err("whole-file checksum mismatch".to_string()));
+        }
+        Ok(bad_row.or(bad_visit).map_or(Ok(()), Err))
     }
 }
 
@@ -433,6 +529,41 @@ mod tests {
         // Geometry that cannot be a file is refused, not wrapped.
         assert!(Layout::new(u32::MAX, u32::MAX).unwrap_err().contains("overflow"));
         assert!(Layout::parse(&bytes[..20]).unwrap_err().contains("too short"));
+    }
+
+    /// Rows a third of the buffer wide (two per read, the last read
+    /// short), rows of zero bytes, no rows: the reader visits every row
+    /// once, in order, with `encode`'s bytes, and its `sum` and verdict
+    /// are the in-memory ones.
+    #[test]
+    fn the_streamed_pass_visits_every_row_and_agrees_with_decode() {
+        let path = std::env::temp_dir().join(format!("miro_stream_{}.mirt", std::process::id()));
+        for (v, d) in [(50_000u32, 7u32), (0, 5), (9, 0)] {
+            let mut set = RouteTableSet::with_dests(v, (0..d).collect());
+            for i in 0..d as usize {
+                let next: Vec<u32> = (0..v).map(|x| x ^ i as u32).collect();
+                set.set_row(i, &next, &vec![i as u16; v as usize], &vec![1; v as usize]);
+            }
+            let bytes = set.encode();
+            std::fs::write(&path, &bytes).unwrap();
+            let file = File::open(&path).unwrap();
+            let mut table = TableReader::open(file, bytes.len()).unwrap().unwrap();
+            let l = table.layout;
+            assert!(table.buf.len() <= HASH_BUF.max(l.row_bytes()), "{v} x {d}");
+            assert_eq!(table.dests().unwrap(), set.dests());
+            assert_eq!(table.sum(0..bytes.len() - 8).unwrap(), le_u64(&bytes[bytes.len() - 8..]));
+            let mut seen = 0;
+            let visit = |i: usize, row: &[u8]| {
+                assert_eq!((i, row), (seen, &bytes[l.row_at(i)..l.row_at(i + 1)]));
+                seen += 1;
+                Ok(())
+            };
+            assert_eq!(table.stream(true, visit).unwrap(), Ok(()));
+            assert_eq!(seen, d as usize);
+            let stop = |i: usize, _: &[u8]| if i == 0 { Err("visit".to_string()) } else { Ok(()) };
+            assert_eq!(table.stream(true, stop).unwrap().err(), (d > 0).then(|| "visit".to_string()));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     /// `len` bytes of xorshift noise.

@@ -50,8 +50,13 @@ fn bench_solver_json_keeps_its_schema() {
         "bucket_ms_per_dest", "heap_ms_per_dest", "speedup_per_dest",
     ]);
     assert_eq!(scale["rows"].as_array().map(Vec::len), Some(2));
-    assert_keys("scales[].rows[]", &scale["rows"][1], &["threads", "ms", "speedup_vs_1t", "efficiency"]);
-    assert_keys("scales[].heap", &scale["heap"], &["threads", "dests", "sampled", "ms", "ms_per_dest"]);
+    assert_keys("scales[].rows[]", &scale["rows"][1], &[
+        "threads", "ms", "min_ms", "median_ms", "spread", "speedup_vs_1t", "efficiency",
+    ]);
+    assert_keys("scales[].heap", &scale["heap"], &[
+        "threads", "dests", "sampled", "ms", "min_ms", "median_ms", "spread", "ms_per_dest",
+    ]);
+    assert_eq!(scale["reps"].as_f64(), Some(3.0), "three repetitions at every scale");
     assert_keys("delta[]", &v["delta"][0], &[
         "scale", "threads", "dests", "events", "mean_cone", "incremental_ms", "full_ms",
         "delta_speedup",
