@@ -93,8 +93,9 @@ pub const UNROUTED_NEXT: u32 = u32::MAX;
 pub const UNROUTED_HOPS: u16 = u16::MAX;
 /// Class-code sentinel for an unrouted AS in an extracted route-table row.
 pub const UNROUTED_CLASS: u8 = 0xFF;
-/// The longest route a route table holds: one hop short of the sentinel.
-pub const MAX_HOPS: u16 = UNROUTED_HOPS - 1;
+/// The longest route a route table holds: the 8-bit hop field of a
+/// `RouteTableSet` cell.
+pub const MAX_HOPS: u16 = 255;
 
 /// Stable single-byte encoding of a [`RouteClass`] for binary route
 /// tables. The codes are part of the `RouteTableSet` on-disk format —

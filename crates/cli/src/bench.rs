@@ -167,7 +167,12 @@ struct ShardRow {
     blocks: usize,
     deaths: usize,
     table_bytes: usize,
+    /// Fastest sharded wall (= `min_ms`) and in-process wall, each of
+    /// [`REPS`] runs; `median_ms` and `spread` are the sharded walls'.
     sharded_ms: f64,
+    min_ms: f64,
+    median_ms: f64,
+    spread: f64,
     single_ms: f64,
     shard_speedup: f64,
 }
@@ -227,7 +232,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         );
         out.push_str(
             "  shard[]        = {scale, workers, threads_per_worker, dests, blocks, deaths, \
-             table_bytes, sharded_ms, single_ms, shard_speedup}\n",
+             table_bytes, sharded_ms, min_ms, median_ms, spread, single_ms, shard_speedup}\n",
         );
         out.push_str(&CMD.usage());
         return Ok(out);
@@ -292,12 +297,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let srow = time_shard_suite(base, &topo, shard_workers, budget)?;
             let _ = writeln!(
                 report,
-                "  {:<8} shard: {} dests / {} blocks over {} workers | sharded {:>9.2} ms | single {:>9.2} ms | {:.2}x | deaths {}",
+                "  {:<8} shard: {} dests / {} blocks over {} workers | sharded {:>9.2} ms (median {:.2}, spread {:.2}) | single {:>9.2} ms | {:.2}x | deaths {}",
                 srow.scale,
                 srow.dests,
                 srow.blocks,
                 srow.workers,
                 srow.sharded_ms,
+                srow.median_ms,
+                srow.spread,
                 srow.single_ms,
                 srow.shard_speedup,
                 srow.deaths,
@@ -573,10 +580,12 @@ fn time_delta_suite(name: &'static str, topo: &Topology) -> DeltaRow {
 /// at or under this size).
 const SHARD_DESTS: usize = 512;
 
-/// Run the whole-table workload through `miro shard-solve`'s coordinator
-/// (spawning real `shard-worker` subprocesses of this same binary) and
-/// through one in-process `par_over_dests` reference, assert the merged
-/// bytes are identical, and report both wall times.
+/// Run the whole-table workload [`REPS`] times through `miro
+/// shard-solve`'s coordinator (spawning real `shard-worker` subprocesses
+/// of this same binary, into a fresh directory each run) and [`REPS`]
+/// times through one in-process `par_over_dests` reference, assert every
+/// merged file is the reference's bytes, and report both walls. `deaths`
+/// sums the runs'.
 fn time_shard_suite(
     sc: &harness::Scale,
     topo: &Topology,
@@ -595,54 +604,62 @@ fn time_shard_suite(
         factor: sc.factor,
         seed: SEED,
     };
-    // Dropped (and the directory with it) on every way out, errors included.
-    let dir = TempPath::new(&format!("shard_{}", sc.name), "");
-    let job = JobSpec {
-        dests: dests.clone(),
-        num_nodes: topo.num_nodes() as u32,
-        num_edges: topo.num_edges() as u32,
-        block_size,
-        block_order: Some(miro_bgp::engine::heavy_blocks_first(topo, &dests, block_size)),
-        workers,
-        state_dir: dir.0.join("state"),
-        out_path: dir.0.join("table.mirt"),
-        resume: false,
-        heartbeat_deadline: Duration::from_millis(10_000),
-        respawn_budget: workers,
-        chaos_kill_after: None,
-        chaos_stop_after: None,
-        progress: None,
-    };
-    let t0 = Instant::now();
-    let mut spawner = crate::shard_cmd::worker_spawner(&source, sample, threads_per_worker, 250)?;
-    let rep = coordinator::run(&job, &mut spawner)?;
-    let sharded = t0.elapsed();
+    let (single, reference) = Reps::time(REPS, || RouteTableSet::from_solves(topo, &dests, threads).encode());
 
-    let t0 = Instant::now();
-    let reference = RouteTableSet::from_solves(topo, &dests, threads).encode();
-    let single = t0.elapsed();
-
-    let merged = std::fs::read(&job.out_path)
-        .map_err(|e| format!("cannot read merged shard table: {e}"))?;
-    if merged != reference {
-        return Err(format!(
-            "shard suite: merged table ({} bytes) differs from in-process reference ({} bytes) at scale {:?}",
-            merged.len(),
-            reference.len(),
-            sc.name
-        ));
+    // Each run's directory (its table, and with it its disk space) lives
+    // until the runs are compared, so the compare stays out of the walls;
+    // dropped on every way out, errors included.
+    let mut runs = Vec::with_capacity(REPS);
+    let (sharded, blocks) = Reps::try_time(REPS, || {
+        let dir = TempPath::new(&format!("shard_{}", sc.name), "");
+        let job = JobSpec {
+            dests: dests.clone(),
+            num_nodes: topo.num_nodes() as u32,
+            num_edges: topo.num_edges() as u32,
+            block_size,
+            block_order: Some(miro_bgp::engine::heavy_blocks_first(topo, &dests, block_size)),
+            workers,
+            state_dir: dir.0.join("state"),
+            out_path: dir.0.join("table.mirt"),
+            resume: false,
+            heartbeat_deadline: Duration::from_millis(10_000),
+            respawn_budget: workers,
+            chaos_kill_after: None,
+            chaos_stop_after: None,
+            progress: None,
+        };
+        let mut spawner = crate::shard_cmd::worker_spawner(&source, sample, threads_per_worker, 250)?;
+        let rep = coordinator::run(&job, &mut spawner)?;
+        runs.push((dir, rep.deaths));
+        Ok::<_, String>(rep.blocks)
+    })?;
+    for (dir, _) in &runs {
+        let merged = std::fs::read(dir.0.join("table.mirt"))
+            .map_err(|e| format!("cannot read merged shard table: {e}"))?;
+        if merged != reference {
+            return Err(format!(
+                "shard suite: merged table ({} bytes) differs from in-process reference ({} bytes) at scale {:?}",
+                merged.len(),
+                reference.len(),
+                sc.name
+            ));
+        }
     }
+    let deaths = runs.iter().map(|(_, deaths)| deaths).sum();
     Ok(ShardRow {
         scale: sc.name,
         workers,
         threads_per_worker,
         dests: dests.len(),
-        blocks: rep.blocks,
-        deaths: rep.deaths,
-        table_bytes: merged.len(),
-        sharded_ms: ms(sharded),
-        single_ms: ms(single),
-        shard_speedup: single.as_secs_f64() / sharded.as_secs_f64().max(1e-12),
+        blocks,
+        deaths,
+        table_bytes: reference.len(),
+        sharded_ms: ms(sharded.min),
+        min_ms: ms(sharded.min),
+        median_ms: ms(sharded.median),
+        spread: sharded.spread,
+        single_ms: ms(single.min),
+        shard_speedup: single.min.as_secs_f64() / sharded.min.as_secs_f64().max(1e-12),
     })
 }
 

@@ -313,10 +313,15 @@ impl Reps {
     /// Run `f` `n` times (at least once); every run must return the same
     /// value, which is returned with the walls.
     pub fn time<T: PartialEq>(n: usize, mut f: impl FnMut() -> T) -> (Reps, T) {
+        Reps::try_time(n, || Ok::<T, std::convert::Infallible>(f())).unwrap_or_else(|e| match e {})
+    }
+
+    /// [`Reps::time`] of a run that can fail: the first error ends it.
+    pub fn try_time<T: PartialEq, E>(n: usize, mut f: impl FnMut() -> Result<T, E>) -> Result<(Reps, T), E> {
         let (mut walls, mut sink) = (Vec::with_capacity(n), None);
         for _ in 0..n.max(1) {
             let start = std::time::Instant::now();
-            let s = f();
+            let s = f()?;
             walls.push(start.elapsed());
             assert!(sink.as_ref().is_none_or(|prev| *prev == s), "repetitions disagree");
             sink = Some(s);
@@ -324,7 +329,7 @@ impl Reps {
         walls.sort_unstable();
         let (min, median) = (walls[0], walls[walls.len() / 2]);
         let spread = (walls[walls.len() - 1] - min).as_secs_f64() / median.as_secs_f64().max(1e-12);
-        (Reps { min, median, spread }, sink.expect("at least one run"))
+        Ok((Reps { min, median, spread }, sink.expect("at least one run")))
     }
 }
 

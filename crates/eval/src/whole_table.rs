@@ -9,7 +9,7 @@
 //! checksum [`RouteTableSet::decode`] does, holding one buffer of rows at a
 //! time, so a summary is also an integrity check of the merge.
 
-use miro_shard::format::{RouteTableSet, TableReader};
+use miro_shard::format::{cell_at, RouteTableSet, TableReader};
 use miro_topology::NodeId;
 
 /// Aggregate statistics over every (source AS, destination) cell of a
@@ -96,13 +96,7 @@ pub fn summarize_file(path: &str) -> Result<TableSummary, String> {
     table.layout().check_len(len)?;
     let dests = table.dests().map_err(cannot)?;
     let mut s = TableSummary { num_nodes: table.layout().num_nodes(), num_dests: dests.len(), ..Default::default() };
-    let v = s.num_nodes as usize;
-    let cell = |row: &[u8], x: usize| {
-        let next = u32::from_le_bytes(row[4 * x..][..4].try_into().expect("four bytes"));
-        let hops = u16::from_le_bytes(row[4 * v + 2 * x..][..2].try_into().expect("two bytes"));
-        (next, hops, row[6 * v + x])
-    };
-    table.stream(true, |i, row| s.add_row(dests[i], |x| cell(row, x))).map_err(cannot)??;
+    table.stream(true, |i, row| s.add_row(dests[i], |x| cell_at(row, x))).map_err(cannot)??;
     Ok(s.finish())
 }
 

@@ -17,10 +17,9 @@
 //!   against the file's per-row checksum table once, then a per-row "verified"
 //!   bit (an atomic bitmap, safe under concurrent readers) marks it
 //!   trusted. Verified rows are served with no further copying or
-//!   hashing — [`MappedRow`] is a borrowed byte view that decodes cells with
-//!   `from_le_bytes` on access, so row starts need no alignment (a row
-//!   is `7 * num_nodes` bytes; odd `num_nodes` would misalign any
-//!   borrowed `&[u32]`).
+//!   hashing — [`MappedRow`] is a borrowed byte view that unpacks cells
+//!   with [`cell_at`] on access: a little-endian read of one 4-byte
+//!   cell, with no cast of the map to `&[u32]` and no unsafe code.
 //!
 //! Why validate-once-then-borrow is safe: the mapping is private and
 //! read-only, the daemon never writes the table, and every answer is
@@ -33,7 +32,7 @@
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use miro_shard::format::{checksum, le_u64, Layout, TableReader};
+use miro_shard::format::{cell_at, checksum, le_u64, Layout, TableReader};
 use miro_topology::NodeId;
 
 use crate::{RowRead, TableSource};
@@ -201,7 +200,7 @@ impl MappedTable {
                 self.rows_verified.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(MappedRow { bytes: row, v: self.layout.num_nodes() as usize })
+        Ok(MappedRow { bytes: row })
     }
 }
 
@@ -228,29 +227,27 @@ impl TableSource for MappedTable {
     }
 }
 
-/// One destination's columns, borrowed from the map. Cells decode on
-/// access with `from_le_bytes`, so the view needs no alignment and no
+/// One destination's cells, borrowed from the map. Cells unpack on
+/// access through [`cell_at`], so the view needs no alignment and no
 /// materialization.
 #[derive(Clone, Copy)]
 pub struct MappedRow<'a> {
     bytes: &'a [u8],
-    v: usize,
 }
 
 impl RowRead for MappedRow<'_> {
     #[inline]
     fn next(&self, x: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[4 * x..4 * x + 4].try_into().unwrap())
+        cell_at(self.bytes, x).0
     }
 
     #[inline]
     fn hops(&self, x: usize) -> u16 {
-        let at = 4 * self.v + 2 * x;
-        u16::from_le_bytes(self.bytes[at..at + 2].try_into().unwrap())
+        cell_at(self.bytes, x).1
     }
 
     #[inline]
     fn class(&self, x: usize) -> u8 {
-        self.bytes[6 * self.v + x]
+        cell_at(self.bytes, x).2
     }
 }

@@ -158,9 +158,8 @@ fn flipped_row_byte_fails_whole_file_then_row_checksum() {
     let mut bytes = set.encode();
     // Poison one byte in the middle of row 2's cells.
     let d = set.dests().len();
-    let v = set.num_nodes() as usize;
-    let rows_at = 16 + 12 * d;
-    let poison = rows_at + 2 * 7 * v + 3;
+    let layout = miro_shard::format::Layout::parse(&bytes).unwrap();
+    let poison = layout.row_at(2) + 3;
     bytes[poison] ^= 0x40;
 
     // Full open: the whole-file pass catches it.

@@ -14,14 +14,21 @@
 //! 12       num_dests D (u32)
 //! 16       destination ids          u32 × D
 //! 16+4D    per-row checksums        u64 × D   (the table checksum of each row's bytes)
-//! 16+12D   rows, one per dest:      next u32 × V | hops u16 × V | class u8 × V
+//! 16+12D   rows, one per dest:      cell u32 × V
 //! end-8    whole-file checksum      u64        (the table checksum of everything above)
+//!
+//! cell     bits 0–21 next-hop node id | bits 22–23 class code | bits 24–31 AS hops
+//!          class bits 3 = unrouted (written as all ones; the other bits are not read)
 //! ```
 //!
-//! That arithmetic is [`Layout`], a row's bytes are [`encode_row`], the
-//! table checksum is [`checksum`] / [`Checksum`] and a file on disk is read
-//! by [`TableReader`]: the shard worker and coordinator, `miro-serve`'s
-//! mmap reader and `miro-eval whole-table` all go through them.
+//! That arithmetic is [`Layout`], a row's bytes are [`encode_row`] (which
+//! packs each cell), a cell is read by [`cell_at`], the table checksum is
+//! [`checksum`] / [`Checksum`] and a file on disk is read by
+//! [`TableReader`]: the shard worker and coordinator, `miro-serve`'s mmap
+//! reader and `miro-eval whole-table` all go through them. The cell's
+//! field widths bound what a table holds: [`MAX_NODES`] nodes, and routes
+//! of at most [`MAX_HOPS`](miro_bgp::solver::MAX_HOPS) hops, which the
+//! solver refuses to exceed.
 //!
 //! Table bytes are hashed on several passes, so the checksum runs at memory
 //! speed: four `u64` lanes over 32-byte stripes, each word folded in by an
@@ -37,6 +44,7 @@
 //! destination order, so a dispatch block is one contiguous byte range.
 
 use miro_bgp::engine::ScratchPool;
+use miro_bgp::solver::{MAX_HOPS, UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT};
 use miro_topology::{NodeId, Topology};
 use std::fs::File;
 use std::io;
@@ -46,7 +54,51 @@ use std::os::unix::fs::FileExt;
 /// File magic: "MIRO Route Table".
 pub const TABLE_MAGIC: [u8; 4] = *b"MIRT";
 /// On-disk format version; bump on any layout or encoding change.
-pub const TABLE_FORMAT_VERSION: u32 = 2;
+pub const TABLE_FORMAT_VERSION: u32 = 3;
+
+/// Bytes per AS in a row: one little-endian `u32` cell.
+pub const CELL_BYTES: usize = 4;
+/// Nodes a table holds: the cell's next-hop field is 22 bits wide.
+pub const MAX_NODES: u32 = 1 << CLASS_SHIFT;
+const CLASS_SHIFT: u32 = 22;
+const HOPS_SHIFT: u32 = 24;
+/// The class bits of an unrouted cell; the encoder writes the whole cell
+/// as all ones.
+const UNROUTED_CODE: u32 = 3;
+
+/// One AS's route as a cell: `next | class << 22 | hops << 24`, or all
+/// ones for an unrouted AS (class code [`UNROUTED_CLASS`]). Panics on a
+/// route the cell cannot hold, which the solver's hop bound and
+/// [`Layout::new`]'s node bound rule out.
+#[inline]
+fn pack_cell(next: u32, hops: u16, class: u8) -> u32 {
+    if class == UNROUTED_CLASS {
+        return u32::MAX;
+    }
+    assert!(
+        next < MAX_NODES && hops <= MAX_HOPS && u32::from(class) < UNROUTED_CODE,
+        "route (next {next}, hops {hops}, class {class}) does not fit a table cell"
+    );
+    next | u32::from(class) << CLASS_SHIFT | u32::from(hops) << HOPS_SHIFT
+}
+
+/// A cell's `(next, hops, class)`: the `UNROUTED_*` sentinels when its
+/// class bits are 3, whatever its other bits hold.
+#[inline]
+fn unpack_cell(cell: u32) -> (u32, u16, u8) {
+    let class = cell >> CLASS_SHIFT & 3;
+    if class == UNROUTED_CODE {
+        return (UNROUTED_NEXT, UNROUTED_HOPS, UNROUTED_CLASS);
+    }
+    (cell & (MAX_NODES - 1), (cell >> HOPS_SHIFT) as u16, class as u8)
+}
+
+/// AS `x`'s `(next, hops, class)` in a row's bytes.
+#[inline]
+pub fn cell_at(row: &[u8], x: usize) -> (u32, u16, u8) {
+    let at = CELL_BYTES * x;
+    unpack_cell(u32::from_le_bytes(row[at..at + CELL_BYTES].try_into().expect("one cell")))
+}
 
 /// The first 8 bytes of `bytes` as a little-endian `u64`.
 pub fn le_u64(bytes: &[u8]) -> u64 {
@@ -119,7 +171,8 @@ fn fold(mut lanes: [u64; 4], stripes: &[u8]) -> [u64; 4] {
 }
 
 /// Where everything sits in a table file. Exists only for a geometry
-/// whose file length fits `usize`, so the offset getters cannot overflow.
+/// whose node ids fit a cell and whose file length fits `usize`, so the
+/// offset getters cannot overflow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Layout {
     num_nodes: u32,
@@ -128,8 +181,13 @@ pub struct Layout {
 
 impl Layout {
     pub fn new(num_nodes: u32, num_dests: u32) -> Result<Layout, String> {
+        if num_nodes > MAX_NODES {
+            return Err(format!(
+                "{num_nodes} nodes is more than the {MAX_NODES} (2^22) a table cell's next-hop field holds"
+            ));
+        }
         let (v, d) = (num_nodes as usize, num_dests as usize);
-        v.checked_mul(7)
+        v.checked_mul(CELL_BYTES)
             .and_then(|row| row.checked_mul(d))
             .and_then(|rows| rows.checked_add(d.checked_mul(12)?))
             .and_then(|n| n.checked_add(24))
@@ -182,7 +240,7 @@ impl Layout {
     }
 
     pub fn row_bytes(&self) -> usize {
-        7 * self.num_nodes as usize
+        CELL_BYTES * self.num_nodes as usize
     }
 
     /// Offset of row `i`; `row_at(num_dests)` is where the trailer starts.
@@ -297,20 +355,15 @@ impl TableReader {
     }
 }
 
-/// Serialise one row's columns into `out` (exactly `7 × next.len()`
-/// bytes) and return the row's [`checksum`] — the one row serialiser.
+/// Serialise one row's columns into `out` (exactly `CELL_BYTES ×
+/// next.len()` bytes) and return the row's [`checksum`] — the one row
+/// serialiser.
 pub fn encode_row(next: &[u32], hops: &[u16], class: &[u8], out: &mut [u8]) -> u64 {
     let v = next.len();
-    assert!(hops.len() == v && class.len() == v && out.len() == 7 * v, "row columns sized alike");
-    let (next_out, rest) = out.split_at_mut(4 * v);
-    let (hops_out, class_out) = rest.split_at_mut(2 * v);
-    for (cell, x) in next_out.chunks_exact_mut(4).zip(next) {
-        cell.copy_from_slice(&x.to_le_bytes());
+    assert!(hops.len() == v && class.len() == v && out.len() == CELL_BYTES * v, "row columns sized alike");
+    for (((cell, &n), &h), &c) in out.chunks_exact_mut(CELL_BYTES).zip(next).zip(hops).zip(class) {
+        cell.copy_from_slice(&pack_cell(n, h, c).to_le_bytes());
     }
-    for (cell, x) in hops_out.chunks_exact_mut(2).zip(hops) {
-        cell.copy_from_slice(&x.to_le_bytes());
-    }
-    class_out.copy_from_slice(class);
     checksum(out)
 }
 
@@ -325,7 +378,7 @@ pub fn solve_rows(
 ) -> Vec<(Vec<u8>, u64)> {
     pool.over_dests(topo, dests, threads, |_, wi| {
         let (next, hops, class) = wi.base().columns();
-        let mut row = vec![0u8; 7 * next.len()];
+        let mut row = vec![0u8; CELL_BYTES * next.len()];
         let sum = encode_row(next, hops, class, &mut row);
         (row, sum)
     })
@@ -351,9 +404,9 @@ impl RouteTableSet {
         RouteTableSet {
             num_nodes,
             dests,
-            next: vec![miro_bgp::solver::UNROUTED_NEXT; cells],
-            hops: vec![miro_bgp::solver::UNROUTED_HOPS; cells],
-            class: vec![miro_bgp::solver::UNROUTED_CLASS; cells],
+            next: vec![UNROUTED_NEXT; cells],
+            hops: vec![UNROUTED_HOPS; cells],
+            class: vec![UNROUTED_CLASS; cells],
         }
     }
 
@@ -432,13 +485,11 @@ impl RouteTableSet {
             if checksum(row) != le_u64(&bytes[layout.sums_at() + 8 * i..]) {
                 return Err(format!("row {i} checksum mismatch"));
             }
-            for (cell, c) in set.next[i * v..(i + 1) * v].iter_mut().zip(row.chunks_exact(4)) {
-                *cell = u32_of(c);
+            let cells = row.chunks_exact(CELL_BYTES).map(|c| u32::from_le_bytes(c.try_into().expect("one cell")));
+            let columns = set.next[i * v..].iter_mut().zip(&mut set.hops[i * v..]).zip(&mut set.class[i * v..]);
+            for (((next, hops), class), cell) in columns.zip(cells) {
+                (*next, *hops, *class) = unpack_cell(cell);
             }
-            for (cell, c) in set.hops[i * v..(i + 1) * v].iter_mut().zip(row[4 * v..].chunks_exact(2)) {
-                *cell = u16::from_le_bytes(c.try_into().expect("two bytes"));
-            }
-            set.class[i * v..(i + 1) * v].copy_from_slice(&row[6 * v..]);
         }
         Ok(set)
     }
@@ -526,9 +577,72 @@ mod tests {
             assert_eq!(le_u64(&bytes[layout.sums_at() + 8 * i..]), *sum);
             assert_eq!(checksum(row), *sum);
         }
-        // Geometry that cannot be a file is refused, not wrapped.
-        assert!(Layout::new(u32::MAX, u32::MAX).unwrap_err().contains("overflow"));
+        // Node ids a cell cannot hold are refused; a geometry whose file
+        // length overflows `usize` (a 32-bit target) is refused, not wrapped.
+        assert!(Layout::new(MAX_NODES, 1).is_ok());
+        assert!(Layout::new(u32::MAX, u32::MAX).unwrap_err().contains("(2^22)"));
+        if usize::BITS == 32 {
+            assert!(Layout::new(MAX_NODES, 1 << 12).unwrap_err().contains("overflow"));
+        }
         assert!(Layout::parse(&bytes[..20]).unwrap_err().contains("too short"));
+    }
+
+    /// One row of every class × hops {0, 255} × next {0, 2^22 − 1}, then
+    /// an unrouted cell.
+    #[test]
+    fn every_cell_field_extreme_round_trips_through_encode_row_and_decode() {
+        let (mut next, mut hops, mut class) = (vec![], vec![], vec![]);
+        for c in 0..3u8 {
+            for h in [0, MAX_HOPS] {
+                for n in [0, MAX_NODES - 1] {
+                    next.push(n);
+                    hops.push(h);
+                    class.push(c);
+                }
+            }
+        }
+        next.push(UNROUTED_NEXT);
+        hops.push(UNROUTED_HOPS);
+        class.push(UNROUTED_CLASS);
+        let mut row = vec![0u8; CELL_BYTES * next.len()];
+        encode_row(&next, &hops, &class, &mut row);
+        assert_eq!(&row[row.len() - CELL_BYTES..], &[0xff; CELL_BYTES], "unrouted is all ones");
+        for x in 0..next.len() {
+            assert_eq!(cell_at(&row, x), (next[x], hops[x], class[x]), "cell {x}");
+        }
+        let mut set = RouteTableSet::with_dests(next.len() as u32, vec![0, 5]);
+        set.set_row(1, &next, &hops, &class);
+        assert_eq!(RouteTableSet::decode(&set.encode()).unwrap(), set);
+    }
+
+    /// Class bits 3 mark the cell unrouted whatever its other bits hold.
+    #[test]
+    fn class_bits_three_read_as_unrouted_whatever_else_the_cell_holds() {
+        let unrouted = (UNROUTED_NEXT, UNROUTED_HOPS, UNROUTED_CLASS);
+        for cell in [u32::MAX, 3 << CLASS_SHIFT, 0x7f << HOPS_SHIFT | 3 << CLASS_SHIFT | 12_345] {
+            assert_eq!(unpack_cell(cell), unrouted, "{cell:#010x}");
+        }
+        let mut set = RouteTableSet::with_dests(3, vec![1]);
+        set.set_row(0, &[2, 1, 1], &[1, 0, 2], &[0, 0, 2]);
+        let mut bytes = set.encode();
+        let layout = Layout::parse(&bytes).unwrap();
+        let odd = (3 << CLASS_SHIFT | 7u32 << HOPS_SHIFT | 2).to_le_bytes();
+        bytes[layout.row_at(0) + CELL_BYTES..][..CELL_BYTES].copy_from_slice(&odd);
+        let sum = checksum(&bytes[layout.row_at(0)..layout.row_at(1)]);
+        bytes[layout.sums_at()..][..8].copy_from_slice(&sum.to_le_bytes());
+        let end = bytes.len() - 8;
+        let total = checksum(&bytes[..end]);
+        bytes[end..].copy_from_slice(&total.to_le_bytes());
+        let back = RouteTableSet::decode(&bytes).unwrap();
+        let (next, hops, class) = back.row(0);
+        assert_eq!((next[1], hops[1], class[1]), unrouted);
+        assert_eq!((next[0], next[2]), (2, 1), "its neighbours are untouched");
+    }
+
+    #[test]
+    fn a_node_count_past_the_next_hop_field_is_refused_and_names_the_limit() {
+        let err = Layout::new(MAX_NODES + 1, 1).unwrap_err();
+        assert!(err.contains("4194305 nodes") && err.contains("4194304 (2^22)"), "{err}");
     }
 
     /// Rows a third of the buffer wide (two per read, the last read
@@ -538,7 +652,7 @@ mod tests {
     #[test]
     fn the_streamed_pass_visits_every_row_and_agrees_with_decode() {
         let path = std::env::temp_dir().join(format!("miro_stream_{}.mirt", std::process::id()));
-        for (v, d) in [(50_000u32, 7u32), (0, 5), (9, 0)] {
+        for (v, d) in [(88_000u32, 7u32), (0, 5), (9, 0)] {
             let mut set = RouteTableSet::with_dests(v, (0..d).collect());
             for i in 0..d as usize {
                 let next: Vec<u32> = (0..v).map(|x| x ^ i as u32).collect();
@@ -581,7 +695,7 @@ mod tests {
 
     #[test]
     fn checksum_is_pinned() {
-        // Pinned: these values are baked into every v2 table file.
+        // Pinned: these values are baked into every table file since v2.
         let ramp = |n: u8| (0..n).collect::<Vec<u8>>();
         let got = [b"".to_vec(), b"miro".to_vec(), ramp(31), ramp(32), ramp(33), ramp(64), ramp(65)].map(|b| checksum(&b));
         let want = [
@@ -650,7 +764,7 @@ mod tests {
                 .map(|&(kind, x)| match kind {
                     0 => x,
                     1 => (1 << 20) - 1 + x % 3,
-                    _ => 7 * 209 * (x % 800),
+                    _ => CELL_BYTES * 209 * (x % 800),
                 }
                 .min(len))
                 .collect();

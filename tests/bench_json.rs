@@ -61,6 +61,24 @@ fn bench_solver_json_keeps_its_schema() {
         "scale", "threads", "dests", "events", "mean_cone", "incremental_ms", "full_ms",
         "delta_speedup",
     ]);
+
+    // The shard suite needs the `miro` binary to spawn its workers, so the
+    // shard[] keys are held to the recorded file: every key `--list`
+    // promises, on every row.
+    let list = miro_cli::bench::run(&["--list".to_string()]).expect("--list");
+    let schema = list.lines().find_map(|l| l.trim().strip_prefix("shard[]")).expect("shard[] schema");
+    let keys: Vec<&str> = schema.trim_start_matches([' ', '=', '{']).trim_end_matches('}').split(", ").collect();
+    for key in ["sharded_ms", "min_ms", "median_ms", "spread", "single_ms", "table_bytes"] {
+        assert!(keys.contains(&key), "shard[] schema has no {key:?}: {schema}");
+    }
+    let recorded = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_solver.json"))
+        .expect("BENCH_solver.json");
+    let recorded: JsonValue = serde_json::from_str(&recorded).expect("valid JSON");
+    let rows = recorded["shard"].as_array().expect("shard[]");
+    assert!(!rows.is_empty(), "BENCH_solver.json records no shard[] row");
+    for row in rows {
+        assert_keys("recorded shard[]", row, &keys);
+    }
 }
 
 #[test]

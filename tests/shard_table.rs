@@ -10,7 +10,7 @@
 use miro_serve::mmap::MappedTable;
 use miro_serve::TableSource;
 use miro_shard::coordinator::{self, Event, JobSpec, Spawner, WorkerLink};
-use miro_shard::format::{Layout, RouteTableSet};
+use miro_shard::format::{Layout, RouteTableSet, TABLE_FORMAT_VERSION};
 use miro_shard::protocol::{write_frame, Msg};
 use miro_shard::worker::{self, WorkerConfig};
 use miro_topology::{GenParams, NodeId, Topology};
@@ -105,7 +105,7 @@ fn two_workers_fill_one_file_equal_to_the_in_process_table() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// One flipped byte in any layer of the v2 file is refused by the batch
+/// One flipped byte in any layer of the file is refused by the batch
 /// decoder and by the daemon's verified open; a row-bearing flip poisons
 /// only its own row under an unverified open.
 #[test]
@@ -146,20 +146,23 @@ fn a_flipped_byte_in_any_layer_of_the_file_is_refused() {
         }
     }
 
-    // Stale files: a v1 stamp, and a v2 file sealed with FNV-1a.
-    let mut v1 = bytes.clone();
-    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    // Stale files: a v1 and a v2 stamp (a 7-byte-cell table), and a file
+    // sealed with FNV-1a as v1 was.
+    let stamped = |version: u32| {
+        let mut stale = bytes.clone();
+        stale[4..8].copy_from_slice(&version.to_le_bytes());
+        let want = format!("format version {version}, but this build reads version {TABLE_FORMAT_VERSION}");
+        (stale, want)
+    };
     let mut fnv_sealed = bytes.clone();
     let end = bytes.len() - 8;
     fnv_sealed[end..].copy_from_slice(&miro_shard::fnv1a(&bytes[..end]).to_le_bytes());
-    for (stale, want) in [
-        (v1, "format version 1, but this build reads version 2"),
-        (fnv_sealed, "whole-file checksum mismatch"),
-    ] {
-        assert!(RouteTableSet::decode(&stale).unwrap_err().contains(want), "decode: {want}");
+    assert_eq!(stamped(2).1, "format version 2, but this build reads version 3");
+    for (stale, want) in [stamped(1), stamped(2), (fnv_sealed, "whole-file checksum mismatch".to_string())] {
+        assert!(RouteTableSet::decode(&stale).unwrap_err().contains(&want), "decode: {want}");
         std::fs::write(&path, &stale).unwrap();
         let err = MappedTable::open(&path).err().expect("stale file refused");
-        assert!(err.contains(want), "{err}");
+        assert!(err.contains(&want), "{err}");
     }
     let _ = std::fs::remove_dir_all(dir);
 }

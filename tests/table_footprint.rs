@@ -8,12 +8,13 @@
 //! touches a row. `miro-eval whole-table` streams the same way; every
 //! flipped byte must fail it and the verified open with the text
 //! `RouteTableSet::decode` gives, and its summary must equal the summary
-//! of the decoded table.
+//! of the decoded table. The three readers unpack a cell alike.
 
+use miro_bgp::solver::{MAX_HOPS, UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT};
 use miro_eval::whole_table::{summarize, summarize_file};
 use miro_serve::mmap::MappedTable;
-use miro_serve::TableSource;
-use miro_shard::format::{checksum, Layout, RouteTableSet};
+use miro_serve::{RowRead, TableSource};
+use miro_shard::format::{checksum, Layout, RouteTableSet, CELL_BYTES, MAX_NODES};
 use miro_topology::gen::{figure_1_1, GenParams};
 use std::path::{Path, PathBuf};
 
@@ -57,7 +58,7 @@ fn mapped_rss_kb(path: &Path) -> Option<u64> {
 
 #[test]
 fn opening_a_16_mb_table_makes_no_page_of_it_resident() {
-    let (v, d) = (24_000u32, 100u32);
+    let (v, d) = (24_000u32, 175u32);
     let dests = (0..d).map(|i| i * (v / d)).collect();
     let bytes = RouteTableSet::with_dests(v, dests).encode();
     assert!(bytes.len() >= 16 << 20, "{} bytes", bytes.len());
@@ -132,4 +133,60 @@ fn the_streamed_summary_equals_the_decoded_summary() {
         assert_eq!(streamed, summarize(&RouteTableSet::decode(&bytes).unwrap()).unwrap(), "{name}");
         assert!(streamed.routed > 0, "{name}");
     }
+}
+
+/// Every class × hops {0, 255} × next {0, 2^22 − 1}, an unrouted cell,
+/// and a cell whose class bits are 3 but whose other bits are not all
+/// ones: the decoder, the mapped row and the streamed summary read the
+/// same `(next, hops, class)` from each, and the odd cell as unrouted.
+#[test]
+fn every_cell_field_extreme_reads_alike_through_all_three_readers() {
+    let (mut next, mut hops, mut class) = (vec![], vec![], vec![]);
+    for c in 0..3u8 {
+        for h in [0, MAX_HOPS] {
+            for n in [0, MAX_NODES - 1] {
+                next.push(n);
+                hops.push(h);
+                class.push(c);
+            }
+        }
+    }
+    let unrouted = (UNROUTED_NEXT, UNROUTED_HOPS, UNROUTED_CLASS);
+    let (odd, dest) = (next.len() + 1, next.len() + 2);
+    for _ in 0..3 {
+        next.push(unrouted.0);
+        hops.push(unrouted.1);
+        class.push(unrouted.2);
+    }
+    let v = next.len();
+    let mut set = RouteTableSet::with_dests(v as u32, vec![dest as u32]);
+    set.set_row(0, &next, &hops, &class);
+    let mut bytes = set.encode();
+
+    // Class bits 3 over a routed-looking next hop and hop count, resealed.
+    let layout = Layout::parse(&bytes).unwrap();
+    let word = 3u32 << 22 | 9 << 24 | 17;
+    bytes[layout.row_at(0) + CELL_BYTES * odd..][..CELL_BYTES].copy_from_slice(&word.to_le_bytes());
+    let row_sum = checksum(&bytes[layout.row_at(0)..layout.row_at(1)]);
+    bytes[layout.sums_at()..][..8].copy_from_slice(&row_sum.to_le_bytes());
+    let end = bytes.len() - 8;
+    let total = checksum(&bytes[..end]);
+    bytes[end..].copy_from_slice(&total.to_le_bytes());
+
+    let decoded = RouteTableSet::decode(&bytes).expect("decodes");
+    assert_eq!(decoded, set, "the odd cell decodes as the unrouted one it replaced");
+    let file = Scratch::new("cells", &bytes);
+    let mapped = MappedTable::open(&file.0).expect("verified open");
+    let row = mapped.row(0).expect("row checksum holds");
+    for x in 0..v {
+        let want = (next[x], hops[x], class[x]);
+        assert_eq!((row.next(x), row.hops(x), row.class(x)), want, "cell {x}");
+    }
+    assert_eq!((row.next(odd), row.hops(odd), row.class(odd)), unrouted);
+
+    let s = summarize_file(file.str()).expect("summarizes");
+    assert_eq!(s, summarize(&set).unwrap());
+    assert_eq!((s.routed, s.unrouted), (12, 2), "the destination's own cell is skipped");
+    assert_eq!(s.class_mix, [4, 4, 4]);
+    assert_eq!((s.hop_hist[0], s.hop_hist[255], s.max_hops), (6, 6, 255));
 }
