@@ -465,11 +465,9 @@ impl HostedServer {
         let t0 = Instant::now();
         let set = RouteTableSet::from_solves(&topo, &dests, host_parallelism());
         let solve_secs = t0.elapsed().as_secs_f64();
-        let bytes = set.encode();
         let table = TempPath::new(&format!("query_{}", sc.name), ".mirt");
-        std::fs::write(&table.0, &bytes).map_err(|e| format!("cannot write {:?}: {e}", table.0))?;
-        let table_bytes = bytes.len();
-        drop(bytes);
+        std::fs::write(&table.0, set.as_bytes()).map_err(|e| format!("cannot write {:?}: {e}", table.0))?;
+        let table_bytes = set.as_bytes().len();
         drop(set);
 
         let mapped = MappedTable::open(&table.0)?;

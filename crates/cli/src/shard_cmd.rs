@@ -18,10 +18,12 @@
 use crate::harness::{host_parallelism, Args, Cmd, Flag, Kind};
 use miro_bgp::engine::heavy_blocks_first;
 use miro_shard::coordinator::{self, JobSpec, ProcessSpawner};
-use miro_shard::format::RouteTableSet;
+use miro_shard::format::{RouteTableSet, CELL_BYTES};
 use miro_shard::worker::{self, WorkerConfig};
 use miro_shard::{sample_dests, TopoSpec};
-use std::path::PathBuf;
+use std::fs::File;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 pub static SOLVE: Cmd = Cmd {
@@ -184,18 +186,59 @@ pub fn run_solve(args: &[String]) -> Result<String, String> {
     text.push_str(&format!("  merged: {} ({} bytes)\n", out.display(), report.merged_bytes));
 
     if a.on("--verify") {
-        let reference = RouteTableSet::from_solves(&topo, &spec.dests, threads * workers).encode();
-        let merged = std::fs::read(&out).map_err(|e| format!("cannot re-read {out:?}: {e}"))?;
-        if merged != reference {
-            return Err(format!(
-                "VERIFY FAILED: merged table ({} bytes) differs from single-process solve ({} bytes)",
-                merged.len(),
-                reference.len()
-            ));
-        }
+        let reference = RouteTableSet::from_solves(&topo, &spec.dests, threads * workers);
+        verify_table(&reference, &out).map_err(|e| format!("VERIFY FAILED: {e}"))?;
         text.push_str("  verify: merged table matches single-process solve\n");
     }
     Ok(text)
+}
+
+/// Compare the table file at `path` with `reference`'s image through
+/// positioned reads of one bounded buffer, so neither side is copied
+/// whole. The error names the first byte that differs by what it
+/// belongs to: a row and its destination, or the region around the rows.
+pub fn verify_table(reference: &RouteTableSet, path: &Path) -> Result<(), String> {
+    const CHUNK: usize = 1 << 20;
+    let cannot = |e: std::io::Error| format!("cannot re-read {path:?}: {e}");
+    let want = reference.as_bytes();
+    let file = File::open(path).map_err(cannot)?;
+    let len = file.metadata().map_err(cannot)?.len();
+    if len != want.len() as u64 {
+        return Err(format!("merged table is {len} bytes, single-process solve {} bytes", want.len()));
+    }
+    let mut buf = vec![0u8; CHUNK.min(want.len())];
+    for at in (0..want.len()).step_by(CHUNK) {
+        let got = &mut buf[..CHUNK.min(want.len() - at)];
+        file.read_exact_at(got, at as u64).map_err(cannot)?;
+        if let Some(k) = got.iter().zip(&want[at..]).position(|(a, b)| a != b) {
+            return Err(format!(
+                "merged table differs from single-process solve at byte {}: {}",
+                at + k,
+                region(reference, at + k)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// What byte `at` of `table`'s file holds.
+fn region(table: &RouteTableSet, at: usize) -> String {
+    let (l, dests) = (table.layout(), table.dests());
+    if at < 16 {
+        "the header".to_string()
+    } else if at < l.sums_at() {
+        let i = (at - 16) / 4;
+        format!("the id of row {i} (destination {})", dests[i])
+    } else if at < l.rows_at() {
+        let i = (at - l.sums_at()) / 8;
+        format!("the checksum of row {i} (destination {})", dests[i])
+    } else if at < l.row_at(dests.len()) {
+        let i = (at - l.rows_at()) / l.row_bytes();
+        let x = (at - l.row_at(i)) / CELL_BYTES;
+        format!("row {i} (destination {}), the cell of AS node {x}", dests[i])
+    } else {
+        "the whole-file checksum".to_string()
+    }
 }
 
 /// Run the hidden worker verb over this process's stdin/stdout (the

@@ -137,3 +137,33 @@ fn aborted_coordinator_resumes_from_the_manifest() {
     assert!(out.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--verify`'s comparison names the first byte that differs by what it
+/// belongs to — a flipped row byte by its row, destination and AS — and
+/// a file of another length by both lengths.
+#[test]
+fn verify_names_the_first_differing_row_and_its_destination() {
+    use miro_cli::shard_cmd::verify_table;
+    let topo = miro_topology::DatasetPreset::Gao2005.params(0.01, 42).generate();
+    let dests = miro_shard::sample_dests(topo.num_nodes(), 48);
+    let reference = RouteTableSet::from_solves(&topo, &dests, 2);
+    let layout = reference.layout();
+    let dir = fresh_dir("verify");
+    let path = dir.join("table.mirt");
+
+    std::fs::write(&path, reference.as_bytes()).unwrap();
+    assert_eq!(verify_table(&reference, &path), Ok(()));
+
+    let mut bytes = reference.encode();
+    let at = layout.row_at(37) + 4 * 5 + 2;
+    bytes[at] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    let err = verify_table(&reference, &path).unwrap_err();
+    let want = format!("at byte {at}: row 37 (destination {}), the cell of AS node 5", dests[37]);
+    assert!(err.ends_with(&want), "{err}");
+
+    std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+    let err = verify_table(&reference, &path).unwrap_err();
+    assert!(err.contains(&format!("{} bytes, single-process solve {} bytes", bytes.len() - 1, bytes.len())), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -80,8 +80,8 @@ impl TableSummary {
 pub fn summarize(set: &RouteTableSet) -> Result<TableSummary, String> {
     let mut s = TableSummary { num_nodes: set.num_nodes(), num_dests: set.dests().len(), ..Default::default() };
     for (i, &dest) in set.dests().iter().enumerate() {
-        let (next, hops, class) = set.row(i);
-        s.add_row(dest, |x| (next[x], hops[x], class[x]))?;
+        let row = set.row_cells(i);
+        s.add_row(dest, |x| cell_at(row, x))?;
     }
     Ok(s.finish())
 }

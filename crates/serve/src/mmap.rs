@@ -1,7 +1,7 @@
 //! Zero-copy memory-mapped [`RouteTableSet`](miro_shard::format::RouteTableSet) reader.
 //!
 //! [`miro_shard::format::RouteTableSet::decode`] is the batch reader: it
-//! copies every row into owned columns and verifies everything up front —
+//! verifies everything up front and copies the whole file into memory —
 //! right for a merge step, wrong for a serving daemon that holds a
 //! multi-gigabyte table and answers point queries. [`MappedTable`] maps
 //! the file read-only and *borrows* rows straight out of the map:
@@ -17,8 +17,8 @@
 //!   against the file's per-row checksum table once, then a per-row "verified"
 //!   bit (an atomic bitmap, safe under concurrent readers) marks it
 //!   trusted. Verified rows are served with no further copying or
-//!   hashing — [`MappedRow`] is a borrowed byte view that unpacks cells
-//!   with [`cell_at`] on access: a little-endian read of one 4-byte
+//!   hashing — [`CellRow`] is a borrowed byte view that unpacks cells
+//!   with [`cell_at`](miro_shard::format::cell_at) on access: a little-endian read of one 4-byte
 //!   cell, with no cast of the map to `&[u32]` and no unsafe code.
 //!
 //! Why validate-once-then-borrow is safe: the mapping is private and
@@ -32,10 +32,10 @@
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use miro_shard::format::{cell_at, checksum, le_u64, Layout, TableReader};
+use miro_shard::format::{checksum, le_u64, Layout, TableReader};
 use miro_topology::NodeId;
 
-use crate::{RowRead, TableSource};
+use crate::{CellRow, TableSource};
 
 // ---------------------------------------------------------------- mmap
 
@@ -186,7 +186,7 @@ impl MappedTable {
     /// and the bitmap is monotonic), but only the one whose `fetch_or`
     /// found the bit clear counts the row; a mismatch fails every
     /// touch, set bit or not, because the bit is only set after success.
-    fn checked_row(&self, i: usize) -> Result<MappedRow<'_>, String> {
+    fn checked_row(&self, i: usize) -> Result<CellRow<'_>, String> {
         let row = &self.map.bytes()[self.layout.row_at(i)..self.layout.row_at(i + 1)];
         let (word, bit) = (i / 64, 1u64 << (i % 64));
         if self.verified[word].load(Ordering::Acquire) & bit == 0 {
@@ -200,12 +200,12 @@ impl MappedTable {
                 self.rows_verified.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(MappedRow { bytes: row })
+        Ok(CellRow { bytes: row })
     }
 }
 
 impl TableSource for MappedTable {
-    type Row<'a> = MappedRow<'a>;
+    type Row<'a> = CellRow<'a>;
 
     fn num_nodes(&self) -> u32 {
         self.layout.num_nodes()
@@ -215,7 +215,7 @@ impl TableSource for MappedTable {
         &self.dests
     }
 
-    fn row(&self, i: usize) -> Result<MappedRow<'_>, String> {
+    fn row(&self, i: usize) -> Result<CellRow<'_>, String> {
         if i >= self.dests.len() {
             return Err(format!("row {i} out of range ({} rows)", self.dests.len()));
         }
@@ -224,30 +224,5 @@ impl TableSource for MappedTable {
 
     fn rows_verified(&self) -> u64 {
         MappedTable::rows_verified(self)
-    }
-}
-
-/// One destination's cells, borrowed from the map. Cells unpack on
-/// access through [`cell_at`], so the view needs no alignment and no
-/// materialization.
-#[derive(Clone, Copy)]
-pub struct MappedRow<'a> {
-    bytes: &'a [u8],
-}
-
-impl RowRead for MappedRow<'_> {
-    #[inline]
-    fn next(&self, x: usize) -> u32 {
-        cell_at(self.bytes, x).0
-    }
-
-    #[inline]
-    fn hops(&self, x: usize) -> u16 {
-        cell_at(self.bytes, x).1
-    }
-
-    #[inline]
-    fn class(&self, x: usize) -> u8 {
-        cell_at(self.bytes, x).2
     }
 }

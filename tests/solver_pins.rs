@@ -58,7 +58,7 @@ fn the_benchmark_table_and_masked_rows_are_pinned() {
 
     let n = topo.num_nodes();
     let masked_dests = &dests[..8];
-    let mut set = RouteTableSet::with_dests(n as u32, masked_dests.to_vec());
+    let mut set = RouteTableSet::from_solves(&topo, masked_dests, 1);
     let (mut next, mut hops, mut class) = (vec![0u32; n], vec![0u16; n], vec![0u8; n]);
     for (i, &d) in masked_dests.iter().enumerate() {
         let base = RoutingState::solve(&topo, d);
@@ -118,8 +118,8 @@ fn the_longest_representable_route_solves_intact() {
     let (mut next, mut hops, mut class) = (vec![0u32; n], vec![0u16; n], vec![0u8; n]);
     st.write_table_row(&mut next, &mut hops, &mut class);
     assert_eq!((next[top as usize], hops[top as usize]), (top - 1, 255));
-    let mut set = RouteTableSet::with_dests(n as u32, vec![0]);
-    set.set_row(0, &next, &hops, &class);
+    let set = RouteTableSet::from_solves(&topo, &[0], 1);
+    assert_eq!(set.row(0), (next, hops, class));
     assert_eq!(RouteTableSet::decode(&set.encode()).expect("decodes"), set);
 }
 
