@@ -80,7 +80,7 @@
 //! same events one at a time, and (b) a from-scratch solve of a
 //! topology rebuilt without the currently-failed links.
 
-use super::{BestRoute, DeltaScratch, RoutingState, SolveScratch};
+use super::{unpack_cell, BestRoute, DeltaScratch, RoutingState, SolveScratch};
 use crate::route::ExportScope;
 use miro_topology::{NodeId, Rel, RouteClass, Topology};
 
@@ -162,8 +162,8 @@ impl<'t> MultiFailState<'t> {
     }
 
     /// Order-independent FNV-1a digest of the whole table (per-node
-    /// class/hops/next, unrouted as sentinels) — what the churn bench
-    /// compares across serial and batched replays.
+    /// class/hops/next unpacked from the cell, unrouted as sentinels) —
+    /// what the churn bench compares across serial and batched replays.
     pub fn table_fnv(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -171,11 +171,11 @@ impl<'t> MultiFailState<'t> {
             h ^= byte as u64;
             h = h.wrapping_mul(PRIME);
         };
-        let (next, hops, class) = self.columns();
-        for x in 0..next.len() {
-            eat(class[x]);
-            hops[x].to_le_bytes().into_iter().for_each(&mut eat);
-            next[x].to_le_bytes().into_iter().for_each(&mut eat);
+        for &cell in self.cells() {
+            let (next, hops, class) = unpack_cell(cell);
+            eat(class);
+            hops.to_le_bytes().into_iter().for_each(&mut eat);
+            next.to_le_bytes().into_iter().for_each(&mut eat);
         }
         h
     }
@@ -357,7 +357,7 @@ impl MultiFailState<'_> {
     fn chain_passes(&self, n: NodeId, x: NodeId) -> bool {
         let mut at = n;
         while at != self.dest {
-            at = self.t.next[at as usize];
+            at = self.t.next(at);
             if at == x {
                 return true;
             }
