@@ -151,12 +151,12 @@ proptest! {
         let t = GenParams::tiny(seed).generate();
         let dests: Vec<_> = t.nodes().take(ndests).collect();
         let tables = |threads: usize, pool: Option<&ScratchPool>| {
-            let row = |_, wi: &mut WhatIf<'_, '_>| {
+            let row = |wi: &mut WhatIf<'_, '_>| {
                 t.nodes().map(|x| wi.base().best(x)).collect::<Vec<_>>()
             };
             match pool {
-                Some(pool) => pool.over_dests(&t, &dests, threads, row),
-                None => par_over_dests_whatif(&t, &dests, threads, row),
+                Some(pool) => pool.over_dests(&t, &dests, threads, |_, wi| row(wi)),
+                None => par_over_dests_whatif(&t, &dests, threads, |_, wi| row(wi)),
             }
         };
         let base = tables(1, None);
