@@ -11,7 +11,7 @@
 //! spawns N worker subprocesses, and speaks a small length-prefixed
 //! framed protocol ([`protocol`]) over each worker's stdin/stdout. Row
 //! bytes never travel over it: the coordinator pre-sizes the final
-//! columnar [`format::RouteTableSet`] file as `<out>.partial`, a worker
+//! [`format::RouteTableSet`] file as `<out>.partial`, a worker
 //! writes its block's rows straight into the block's slice of it and
 //! reports only their checksums, and the coordinator re-hashes the slice
 //! before recording the block in the append-only [`manifest`]. The file's
