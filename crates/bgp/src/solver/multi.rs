@@ -80,7 +80,8 @@
 //! same events one at a time, and (b) a from-scratch solve of a
 //! topology rebuilt without the currently-failed links.
 
-use super::{unpack_cell, BestRoute, DeltaScratch, RoutingState, SolveScratch};
+use super::{route_class_code, BestRoute, DeltaScratch, RoutingState, SolveScratch, CLASS_SHIFT};
+use super::{UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT};
 use crate::route::ExportScope;
 use miro_topology::{NodeId, Rel, RouteClass, Topology};
 
@@ -162,8 +163,8 @@ impl<'t> MultiFailState<'t> {
     }
 
     /// Order-independent FNV-1a digest of the whole table (per-node
-    /// class/hops/next unpacked from the cell, unrouted as sentinels) —
-    /// what the churn bench compares across serial and batched replays.
+    /// class/hops/next-hop node id, unrouted as sentinels) — what the
+    /// churn bench compares across serial and batched replays.
     pub fn table_fnv(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -171,8 +172,11 @@ impl<'t> MultiFailState<'t> {
             h ^= byte as u64;
             h = h.wrapping_mul(PRIME);
         };
-        for &cell in self.cells() {
-            let (next, hops, class) = unpack_cell(cell);
+        for x in self.topo.nodes() {
+            let (next, hops, class) = match self.best(x) {
+                Some(b) => (b.next, b.len, route_class_code(b.class)),
+                None => (UNROUTED_NEXT, UNROUTED_HOPS, UNROUTED_CLASS),
+            };
             eat(class);
             hops.to_le_bytes().into_iter().for_each(&mut eat);
             next.to_le_bytes().into_iter().for_each(&mut eat);
@@ -275,10 +279,10 @@ impl RoutingState<'_> {
             // only a re-settled node whose offers changed can unsettle a
             // neighbor.
             for &(v, old) in &scratch.undo {
-                let Some(bv) = self.best(v) else { continue };
-                if (bv.class, bv.len) == (old.class, old.len) {
+                if self.t.cells[v as usize] >> CLASS_SHIFT == old.cell >> CLASS_SHIFT {
                     continue; // next hop aside, v offers what it always did
                 }
+                let Some(bv) = self.best(v) else { continue };
                 let asn_v = self.topo.asn(v).0;
                 for &(y, rel_y) in self.topo.neighbors(v) {
                     if exported(bv, asn_v, rel_y.reverse()).is_some_and(|o| self.prefers(y, o))
@@ -357,7 +361,7 @@ impl MultiFailState<'_> {
     fn chain_passes(&self, n: NodeId, x: NodeId) -> bool {
         let mut at = n;
         while at != self.dest {
-            at = self.t.next(at);
+            at = self.next(at);
             if at == x {
                 return true;
             }

@@ -224,18 +224,28 @@ pub fn verify_table(reference: &RouteTableSet, path: &Path) -> Result<(), String
 /// What byte `at` of `table`'s file holds.
 fn region(table: &RouteTableSet, at: usize) -> String {
     let (l, dests) = (table.layout(), table.dests());
-    if at < 16 {
+    let ids_at = l.adjacency_at() - 4 * dests.len();
+    if at < ids_at {
         "the header".to_string()
-    } else if at < l.sums_at() {
-        let i = (at - 16) / 4;
+    } else if at < l.adjacency_at() {
+        let i = (at - ids_at) / 4;
         format!("the id of row {i} (destination {})", dests[i])
+    } else if at < l.sums_at() {
+        "the adjacency section".to_string()
     } else if at < l.rows_at() {
         let i = (at - l.sums_at()) / 8;
         format!("the checksum of row {i} (destination {})", dests[i])
     } else if at < l.row_at(dests.len()) {
         let i = (at - l.rows_at()) / l.row_bytes();
-        let x = (at - l.row_at(i)) / CELL_BYTES;
-        format!("row {i} (destination {}), the cell of AS node {x}", dests[i])
+        let (x, v) = ((at - l.row_at(i)) / CELL_BYTES, l.num_nodes() as usize);
+        match x.checked_sub(v) {
+            None => format!("row {i} (destination {}), the cell of AS node {x}", dests[i]),
+            Some(r) => format!(
+                "row {i} (destination {}), the wide slot of AS node {}",
+                dests[i],
+                table.adjacency().wide()[r]
+            ),
+        }
     } else {
         "the whole-file checksum".to_string()
     }

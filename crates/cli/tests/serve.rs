@@ -37,10 +37,15 @@ fn solve_table(dir: &std::path::Path) -> PathBuf {
 /// Spawn the daemon on an ephemeral port and wait for it to publish the
 /// bound address via `--port-file`.
 fn spawn_daemon(dir: &std::path::Path, table: &std::path::Path) -> (Child, String) {
+    spawn_daemon_over(dir, table, TOPO)
+}
+
+/// [`spawn_daemon`] with the topology named by `topo` flags.
+fn spawn_daemon_over(dir: &std::path::Path, table: &std::path::Path, topo: &[&str]) -> (Child, String) {
     let port_file = dir.join("serve.port");
     let mut args: Vec<String> =
         vec!["serve".into(), table.to_str().unwrap().into()];
-    args.extend(TOPO.iter().map(|s| s.to_string()));
+    args.extend(topo.iter().map(|s| s.to_string()));
     args.extend([
         "--addr".into(),
         "127.0.0.1:0".into(),
@@ -174,6 +179,53 @@ fn serve_rejects_wrong_geometry_topology() {
     assert!(!r.status.success(), "mismatched topology must fail");
     let stderr = String::from_utf8_lossy(&r.stderr);
     assert!(stderr.contains("nodes"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `miro ingest` cache of Gao 2005 at 1% under `seed`, in `dir`.
+fn ingested(dir: &std::path::Path, seed: u64) -> PathBuf {
+    let text = dir.join(format!("gao_{seed}.txt"));
+    let topo = miro_topology::DatasetPreset::Gao2005.params(0.01, seed).generate();
+    std::fs::write(&text, miro_topology::io::to_text(&topo)).unwrap();
+    let cache = dir.join(format!("gao_{seed}.json"));
+    let r = Command::new(env!("CARGO_BIN_EXE_miro"))
+        .args(["ingest", text.to_str().unwrap(), "--out", cache.to_str().unwrap()])
+        .output()
+        .expect("spawn miro ingest");
+    assert!(r.status.success(), "{}", String::from_utf8_lossy(&r.stderr));
+    cache
+}
+
+/// The table carries its adjacency, so a cache of the same size but
+/// another topology (another seed) is refused at startup, naming the
+/// first AS whose neighbour list differs; the cache the table was solved
+/// over serves.
+#[test]
+fn serve_refuses_a_same_size_cache_of_another_topology() {
+    let dir = fresh_dir("cache");
+    let (right, wrong) = (ingested(&dir, 42), ingested(&dir, 43));
+    let spec = |path: &PathBuf| TopoSpec::Cache { path: path.to_str().unwrap().into() };
+    let (topo, other) = (spec(&right).build().unwrap(), spec(&wrong).build().unwrap());
+    assert_eq!(topo.num_nodes(), other.num_nodes(), "the two seeds must agree on the size");
+    let set = RouteTableSet::from_solves(&topo, &sample_dests(topo.num_nodes(), 16), 2);
+    let table = dir.join("table.mirt");
+    std::fs::write(&table, set.encode()).unwrap();
+
+    let r = Command::new(env!("CARGO_BIN_EXE_miro"))
+        .args(["serve", table.to_str().unwrap(), "--cache", wrong.to_str().unwrap(), "--addr", "127.0.0.1:0", "--quiet"])
+        .output()
+        .expect("spawn miro serve");
+    assert!(!r.status.success(), "a table served over another topology");
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    let first = set.adjacency().first_difference(&other).expect("the seeds differ");
+    let want = format!("neighbour list of AS {} (node {first})", other.asn(first));
+    assert!(stderr.contains(&want), "{stderr}");
+
+    let (mut daemon, addr) = spawn_daemon_over(&dir, &table, &["--cache", right.to_str().unwrap()]);
+    let out = dir.join("bench.json");
+    let r = bench(&["--addr", &addr, "--conns", "1", "--queries", "200", "--shutdown", "--out", out.to_str().unwrap()]);
+    assert!(r.status.success(), "{}", String::from_utf8_lossy(&r.stderr));
+    assert!(daemon.wait().expect("daemon exits").success());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

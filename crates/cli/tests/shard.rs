@@ -155,7 +155,7 @@ fn verify_names_the_first_differing_row_and_its_destination() {
     assert_eq!(verify_table(&reference, &path), Ok(()));
 
     let mut bytes = reference.encode();
-    let at = layout.row_at(37) + 4 * 5 + 2;
+    let at = layout.row_at(37) + miro_shard::format::CELL_BYTES * 5 + 1;
     bytes[at] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
     let err = verify_table(&reference, &path).unwrap_err();

@@ -31,14 +31,15 @@ pub mod query;
 pub mod server;
 pub mod wire;
 
-use miro_shard::format::{cell_at, RouteTableSet};
+use miro_shard::format::{cell_at, Adjacency, RouteTableSet};
 use miro_topology::NodeId;
 
 /// Read access to one destination's route row: for each AS `x`, the
 /// next hop, AS-hop count, and business-class code of `x`'s installed
 /// route toward the row's destination ([`miro_bgp::solver`]'s
-/// `UNROUTED_*` sentinels mark unreachable ASes). [`CellRow`] is the one
-/// implementation.
+/// `UNROUTED_*` sentinels mark unreachable ASes, and a next hop of
+/// [`BAD_SLOT`](miro_shard::format::BAD_SLOT) a cell whose slot names no
+/// neighbour). [`CellRow`] is the one implementation.
 pub trait RowRead {
     fn next(&self, x: usize) -> u32;
     fn hops(&self, x: usize) -> u16;
@@ -48,8 +49,8 @@ pub trait RowRead {
 /// A solved whole-table artifact the query engine can serve: the mmap'd
 /// file ([`mmap::MappedTable`]) in production, the in-memory
 /// [`RouteTableSet`] as the equivalence oracle in tests. `row` may fail
-/// (first-touch checksum mismatch on a corrupt file), and the engine
-/// surfaces that as a per-query error rather than dying.
+/// (first-touch checksum or slot check failing on a corrupt file), and
+/// the engine surfaces that as a per-query error rather than dying.
 pub trait TableSource {
     type Row<'a>: RowRead
     where
@@ -58,9 +59,12 @@ pub trait TableSource {
     fn num_nodes(&self) -> u32;
     fn dests(&self) -> &[NodeId];
     fn row(&self, i: usize) -> Result<Self::Row<'_>, String>;
+    /// The neighbour lists the table's slots index, as the table carries
+    /// them.
+    fn adjacency(&self) -> &Adjacency;
 
-    /// How many rows have passed first-touch checksum verification (0
-    /// for sources without lazy verification, e.g. the in-memory set).
+    /// How many rows have passed first-touch verification (0 for
+    /// sources without lazy verification, e.g. the in-memory set).
     fn rows_verified(&self) -> u64 {
         0
     }
@@ -77,26 +81,34 @@ impl TableSource for RouteTableSet {
         self.dests()
     }
 
+    /// Rows were checked when the set was decoded (or built by a solve).
     fn row(&self, i: usize) -> Result<CellRow<'_>, String> {
         if i >= self.dests().len() {
             return Err(format!("row {i} out of range ({} rows)", self.dests().len()));
         }
-        Ok(CellRow { bytes: self.row_cells(i) })
+        Ok(CellRow { bytes: self.row_cells(i), adj: self.adjacency() })
+    }
+
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency()
     }
 }
 
-/// One destination's cells as file bytes — borrowed from the map or from
-/// an in-memory image alike. Cells unpack on access through [`cell_at`],
-/// so the view needs no alignment and no materialization.
+/// One destination's row as file bytes — borrowed from the map or from
+/// an in-memory image alike — and the table's adjacency. Cells unpack on
+/// access through [`cell_at`], and a next hop is one adjacency load
+/// ([`Adjacency::next_hop`]), so the view needs no alignment and no
+/// materialization. Only rows whose slots were checked are handed out.
 #[derive(Clone, Copy)]
 pub struct CellRow<'a> {
     bytes: &'a [u8],
+    adj: &'a Adjacency,
 }
 
 impl RowRead for CellRow<'_> {
     #[inline]
     fn next(&self, x: usize) -> u32 {
-        cell_at(self.bytes, x).0
+        self.adj.next_hop(self.bytes, x)
     }
 
     #[inline]

@@ -13,26 +13,32 @@
 //!   mapping is resident after open; a row becomes resident when a query
 //!   first touches it. [`MappedTable::open_unverified`] skips the
 //!   checksum, which saves start time, not memory.
+//!   The table's adjacency section (the neighbour lists its slots index,
+//!   a few hundred KiB) is read and parsed the same way and kept in
+//!   memory.
 //! * **On first touch of a row**: the row's bytes are checksummed
-//!   against the file's per-row checksum table once, then a per-row "verified"
-//!   bit (an atomic bitmap, safe under concurrent readers) marks it
-//!   trusted. Verified rows are served with no further copying or
-//!   hashing — [`CellRow`] is a borrowed byte view that unpacks cells
-//!   with [`cell_at`](miro_shard::format::cell_at) on access: a little-endian read of one 4-byte
-//!   cell, with no cast of the map to `&[u32]` and no unsafe code.
+//!   against the file's per-row checksum table once, and every slot is
+//!   checked against its AS's list ([`Adjacency::check_row`]); then a
+//!   per-row "verified" bit (an atomic bitmap, safe under concurrent
+//!   readers) marks it trusted. Verified rows are served with no further
+//!   copying or hashing — [`CellRow`] is a borrowed byte view that
+//!   unpacks cells with [`cell_at`](miro_shard::format::cell_at) on
+//!   access: a little-endian read of one 2-byte cell, with no cast of the
+//!   map to `&[u16]` and no unsafe code, and a next hop is one load from
+//!   the adjacency.
 //!
 //! Why validate-once-then-borrow is safe: the mapping is private and
 //! read-only, the daemon never writes the table, and every answer is
 //! derived from bytes that passed either the whole-file pass or the
-//! row's own checksum. A table corrupted *between* solve and open is
-//! rejected; a row corrupted on disk before open is rejected the first
-//! time a query lands on it (checksum mismatch → the query errors, the
-//! daemon keeps serving other rows).
+//! row's own checksum and slot check. A table corrupted *between* solve
+//! and open is rejected; a row corrupted on disk before open is rejected
+//! the first time a query lands on it (checksum mismatch → the query
+//! errors, the daemon keeps serving other rows).
 
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use miro_shard::format::{checksum, le_u64, Layout, TableReader};
+use miro_shard::format::{checksum, le_u64, Adjacency, Layout, TableReader};
 use miro_topology::NodeId;
 
 use crate::{CellRow, TableSource};
@@ -107,10 +113,12 @@ mod map {
 pub struct MappedTable {
     map: map::Map,
     layout: Layout,
-    /// Decoded destination index (the only copied region: `4D` bytes of
+    /// Decoded destination index and adjacency (the only copied regions:
     /// lookup structure, not row data).
     dests: Vec<NodeId>,
-    /// One bit per row, set once that row's checksum has been verified.
+    adj: Adjacency,
+    /// One bit per row, set once that row's checksum and slots have been
+    /// verified.
     verified: Vec<AtomicU64>,
     rows_verified: AtomicU64,
 }
@@ -162,10 +170,12 @@ impl MappedTable {
             table.stream(false, |_, _| Ok(())).map_err(read)?.map_err(at)?;
         }
         let dests = table.dests().map_err(read)?;
+        let adj = table.adjacency().map_err(read)?.map_err(at)?;
         Ok(MappedTable {
             map,
             layout,
             dests,
+            adj,
             verified: (0..(layout.num_dests() as usize).div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             rows_verified: AtomicU64::new(0),
         })
@@ -176,16 +186,17 @@ impl MappedTable {
         self.map.bytes().len()
     }
 
-    /// How many rows have passed their first-touch checksum so far.
+    /// How many rows have passed their first-touch check so far.
     pub fn rows_verified(&self) -> u64 {
         self.rows_verified.load(Ordering::Relaxed)
     }
 
-    /// Borrow row `i`, checksumming it on first touch. Concurrent first
-    /// touches may both verify (harmless — verification is idempotent
-    /// and the bitmap is monotonic), but only the one whose `fetch_or`
-    /// found the bit clear counts the row; a mismatch fails every
-    /// touch, set bit or not, because the bit is only set after success.
+    /// Borrow row `i`, checksumming it and checking its slots on first
+    /// touch. Concurrent first touches may both verify (harmless —
+    /// verification is idempotent and the bitmap is monotonic), but only
+    /// the one whose `fetch_or` found the bit clear counts the row; a
+    /// failure fails every touch, because the bit is only set after
+    /// success.
     fn checked_row(&self, i: usize) -> Result<CellRow<'_>, String> {
         let row = &self.map.bytes()[self.layout.row_at(i)..self.layout.row_at(i + 1)];
         let (word, bit) = (i / 64, 1u64 << (i % 64));
@@ -196,11 +207,12 @@ impl MappedTable {
                     self.dests[i]
                 ));
             }
+            self.adj.check_row(row).map_err(|e| format!("row {i} (destination {}): {e}", self.dests[i]))?;
             if self.verified[word].fetch_or(bit, Ordering::AcqRel) & bit == 0 {
                 self.rows_verified.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(CellRow { bytes: row })
+        Ok(CellRow { bytes: row, adj: &self.adj })
     }
 }
 
@@ -220,6 +232,10 @@ impl TableSource for MappedTable {
             return Err(format!("row {i} out of range ({} rows)", self.dests.len()));
         }
         self.checked_row(i)
+    }
+
+    fn adjacency(&self) -> &Adjacency {
+        &self.adj
     }
 
     fn rows_verified(&self) -> u64 {

@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use miro_bgp::route::ExportScope;
 use miro_bgp::solver::{route_class_from_code, UNROUTED_NEXT};
+use miro_shard::format::BAD_SLOT;
 use miro_topology::{NodeId, Topology};
 
 use crate::cache::ShardedCache;
@@ -235,15 +236,21 @@ pub struct Engine<T: TableSource> {
 
 impl<T: TableSource> Engine<T> {
     /// Build an engine. The topology must be the one the table was
-    /// solved over; node-count agreement is the (necessary) cheap check
-    /// — serving a table against the wrong topology of the same size is
-    /// the operator's footgun, and documented as such.
+    /// solved over: the node count, and then every neighbour list the
+    /// table carries, must be the topology's, or the error names the
+    /// first AS whose list differs.
     pub fn new(table: T, topo: Topology, cache: Option<ShardedCache>) -> Result<Engine<T>, String> {
         if table.num_nodes() as usize != topo.num_nodes() {
             return Err(format!(
                 "table solved over {} nodes, topology has {} — wrong topology for this table",
                 table.num_nodes(),
                 topo.num_nodes()
+            ));
+        }
+        if let Some(x) = table.adjacency().first_difference(&topo) {
+            return Err(format!(
+                "the table's neighbour list of AS {} (node {x}) is not the topology's — wrong topology for this table",
+                topo.asn(x)
             ));
         }
         let mut dest_index = vec![u32::MAX; topo.num_nodes()];
@@ -298,6 +305,9 @@ impl<T: TableSource> Engine<T> {
                 let next = r.next(src as usize);
                 if next == UNROUTED_NEXT {
                     return Ok(Reply::Unrouted);
+                }
+                if next == BAD_SLOT {
+                    return Err(QueryError::Corrupt(format!("the next-hop slot of {src} names no neighbour")));
                 }
                 return Ok(Reply::NextHop { next, hops: r.hops(src as usize), class: r.class(src as usize) });
             }

@@ -199,7 +199,7 @@ fn lying_checksum_table_fails_the_row_it_covers() {
     let (_topo, set) = solved(5, 6);
     let mut bytes = set.encode();
     // Corrupt row 1's *stored checksum* instead of its data.
-    let sums_at = 16 + 4 * set.dests().len();
+    let sums_at = set.layout().sums_at();
     bytes[sums_at + 8 + 2] ^= 0x01;
     assert!(open_err("liar", &bytes).contains("whole-file checksum mismatch"));
 
@@ -222,4 +222,17 @@ fn length_field_lies_are_rejected() {
     // Zero the node count.
     bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
     assert!(open_err("vzero", &bytes).contains("zero-node"));
+}
+
+/// A topology of the table's size whose neighbour lists differ is no
+/// topology to serve it with: the engine names the first AS that differs.
+#[test]
+fn an_engine_refuses_a_same_size_topology_with_other_neighbours() {
+    let (topo, set) = solved(7, 6);
+    let other = GenParams::tiny(8).generate();
+    assert_eq!(topo.num_nodes(), other.num_nodes());
+    let first = set.adjacency().first_difference(&other).expect("the seeds differ");
+    let err = Engine::new(set.clone(), other.clone(), None).err().expect("refused");
+    assert!(err.contains(&format!("neighbour list of AS {} (node {first})", other.asn(first))), "{err}");
+    assert!(Engine::new(set, topo, None).is_ok());
 }

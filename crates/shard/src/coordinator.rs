@@ -21,6 +21,13 @@
 //!                      (in-flight block → front of queue, D line on redispatch)
 //! ```
 //!
+//! The table embeds the topology's neighbour lists, which the
+//! coordinator does not hold: each worker's `Hello` carries its
+//! adjacency section. The first one lays out `<out>.partial` (and, on
+//! `--resume`, decides which kept blocks survive — the kept header must
+//! match, adjacency included); a later worker whose section differs
+//! solved another topology and is buried as corrupt.
+//!
 //! Row bytes live in one place: `<out>.partial`, created beside
 //! `out_path` at its final size. A block's worker writes its rows into
 //! the block's byte range and reports only their checksums; the
@@ -32,7 +39,7 @@
 //! byte is a pure function of the job, so who produced which block, in
 //! what order, after how many deaths, cannot affect the output.
 
-use crate::format::{le_u64, Layout, TableReader, TABLE_FORMAT_VERSION};
+use crate::format::{le_u64, Adjacency, Layout, TableReader, TABLE_FORMAT_VERSION};
 use crate::manifest::{self, JobFingerprint, ManifestWriter};
 use crate::protocol::{read_frame, write_frame, FrameError, Msg, PROTOCOL_VERSION};
 use miro_bgp::engine::dest_blocks;
@@ -219,6 +226,34 @@ fn open_partial(path: &str, layout: Layout, header: &[u8], keep: bool) -> std::i
     Ok((TableReader::new(file, layout), kept))
 }
 
+/// Open `<out>.partial` at `path` for a table over `adj` and, when
+/// `resuming`, keep each block whose `claims` entry the kept file backs
+/// up — its checksum slice hashes to the `C` line and its rows to the
+/// slice. Returns the file and which of `blocks` are done.
+fn lay_out(
+    spec: &JobSpec,
+    adj: &Adjacency,
+    path: &str,
+    resuming: bool,
+    claims: &HashMap<u32, (u64, u64)>,
+    blocks: &[Range<usize>],
+) -> Result<(TableReader, Vec<bool>), String> {
+    let table_err = |e: std::io::Error| format!("table file {path:?}: {e}");
+    let layout = Layout::of(adj, spec.dests.len() as u32)?;
+    let header = layout.header(&spec.dests, adj);
+    let (mut reader, kept) = open_partial(path, layout, &header, resuming).map_err(table_err)?;
+    let mut done = vec![false; blocks.len()];
+    for (&block, &(bytes, checksum)) in claims.iter().filter(|_| kept) {
+        let Some(rows) = blocks.get(block as usize) else { continue };
+        let at = layout.sums_at() + 8 * rows.start;
+        let sums = reader.read(at..at + 8 * rows.len()).map_err(table_err)?;
+        done[block as usize] = bytes == (rows.len() * layout.row_bytes()) as u64
+            && crate::fnv1a(&sums) == checksum
+            && rows_match(&mut reader, rows.clone(), &sums).map_err(table_err)?;
+    }
+    Ok((reader, done))
+}
+
 /// Do the bytes of `rows` in the file hash to `sums`, one `u64` per row?
 fn rows_match(table: &mut TableReader, rows: Range<usize>, sums: &[u8]) -> std::io::Result<bool> {
     for (i, want) in rows.zip(sums.chunks_exact(8)) {
@@ -322,15 +357,14 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
     if !sorted.into_iter().eq(0..nblocks as u32) {
         return Err(format!("block_order is not a permutation of the job's {nblocks} block ids"));
     }
-    let layout = Layout::new(spec.num_nodes, spec.dests.len() as u32)?;
-    let header = layout.header(&spec.dests);
+    let dest_ids: Vec<u8> = spec.dests.iter().flat_map(|d| d.to_le_bytes()).collect();
     let fingerprint = JobFingerprint {
         table_format: TABLE_FORMAT_VERSION,
         num_nodes: spec.num_nodes,
         num_edges: spec.num_edges,
-        num_dests: layout.num_dests(),
+        num_dests: spec.dests.len() as u32,
         block_size: spec.block_size.max(1) as u32,
-        dests_fnv: crate::fnv1a(&header[16..]),
+        dests_fnv: crate::fnv1a(&dest_ids),
     };
 
     // Resume: trust the manifest only as far as a kept partial table backs
@@ -350,40 +384,28 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
     let out_path = spec.out_path.to_str().ok_or("the output path is not UTF-8")?;
     let table_path = format!("{out_path}.partial");
     let table_err = |e: std::io::Error| format!("table file {table_path:?}: {e}");
-    let (mut table, kept) = open_partial(&table_path, layout, &header, resuming).map_err(table_err)?;
-    let sums_at = |rows: &Range<usize>| layout.sums_at() + 8 * rows.start;
-    let mut done = vec![false; nblocks];
-    for (&block, &(bytes, checksum)) in claims.iter().filter(|_| kept) {
-        let Some(rows) = blocks.get(block as usize) else { continue };
-        let sums = table.read(sums_at(rows)..sums_at(rows) + 8 * rows.len()).map_err(table_err)?;
-        done[block as usize] = bytes == (rows.len() * layout.row_bytes()) as u64
-            && crate::fnv1a(&sums) == checksum
-            && rows_match(&mut table, rows.clone(), &sums).map_err(table_err)?;
-    }
     let writer = ManifestWriter::open(&manifest_path, &fingerprint, resuming)
         .map_err(|e| format!("cannot open manifest {manifest_path:?}: {e}"))?;
 
     let mut job = Dispatch {
-        pending: order.into_iter().filter(|&b| !done[b as usize]).collect(),
+        pending: VecDeque::new(),
         blocks,
         fleet: HashMap::new(),
         next_worker_id: 0,
         writer,
         report: JobReport { blocks: nblocks, ..JobReport::default() },
     };
-    let mut done_count = nblocks - job.pending.len();
-    job.report.resumed = done_count;
-    if let Some(progress) = &spec.progress {
-        progress(done_count, nblocks);
-    }
-
+    // The table is laid out by the first Hello; until then nothing is
+    // pending, and the fleet is sized to the blocks the manifest leaves.
+    let mut table: Option<(TableReader, Vec<u8>)> = None;
+    let mut done_count = 0;
     let (tx, rx) = std::sync::mpsc::channel::<Event>();
-    for _ in 0..spec.workers.min(job.pending.len()) {
+    for _ in 0..spec.workers.min(nblocks.saturating_sub(claims.len())).max(1) {
         job.spawn(spawner, &tx)?;
     }
     let tick = (spec.heartbeat_deadline / 4).clamp(Duration::from_millis(10), Duration::from_millis(500));
 
-    while done_count < nblocks {
+    while table.is_none() || done_count < nblocks {
         // Replace the fallen while the budget lasts. The fleet is sized to
         // the remaining work (pending + in flight), capped at the worker
         // count, so a short tail never burns respawn budget on idle workers.
@@ -425,12 +447,42 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
         let Some(st) = job.fleet.get_mut(&worker) else { continue };
         st.last_seen = Instant::now();
         match kind {
-            EventKind::Frame(Msg::Hello { protocol, worker: claimed })
+            EventKind::Frame(Msg::Hello { protocol, worker: claimed, adjacency })
                 if protocol == PROTOCOL_VERSION && claimed == worker =>
             {
+                match &table {
+                    Some((_, section)) if *section != adjacency => {
+                        job.corrupt(worker); // another topology's worker
+                        continue;
+                    }
+                    Some(_) => {}
+                    None => {
+                        let adj = match Adjacency::parse(spec.num_nodes, &adjacency) {
+                            Ok(adj) if adj.entries() == 2 * spec.num_edges as usize => adj,
+                            _ => {
+                                job.corrupt(worker);
+                                continue;
+                            }
+                        };
+                        let (reader, done) = lay_out(spec, &adj, &table_path, resuming, &claims, &job.blocks)?;
+                        job.pending = order.iter().copied().filter(|&b| !done[b as usize]).collect();
+                        done_count = nblocks - job.pending.len();
+                        job.report.resumed = done_count;
+                        if let Some(progress) = &spec.progress {
+                            progress(done_count, nblocks);
+                        }
+                        // Top the fleet up to the work the resume check left.
+                        while job.fleet.len() < spec.workers.min(job.pending.len()) {
+                            job.spawn(spawner, &tx)?;
+                        }
+                        table = Some((reader, adjacency));
+                    }
+                }
                 // Like an assignment, this send may fail on a worker that
                 // just died; its Closed event cleans up.
-                let _ = st.link.send(&Msg::Output { path: table_path.clone() });
+                if let Some(st) = job.fleet.get_mut(&worker) {
+                    let _ = st.link.send(&Msg::Output { path: table_path.clone() });
+                }
                 job.assign(worker)?;
             }
             // An idle heartbeat is also a work request: a block requeued
@@ -458,15 +510,18 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
                     // one is verified.
                     job.assign(worker)?;
                 }
-                if !rows_match(&mut table, rows.clone(), &sums).map_err(table_err)? {
+                let (reader, _) = table.as_mut().expect("a block is assigned once the table is laid out");
+                if !rows_match(reader, rows.clone(), &sums).map_err(table_err)? {
                     // Never written, torn, or not what was reported.
                     job.corrupt(worker);
                     job.pending.push_front(block);
                     continue;
                 }
-                table.file.write_all_at(&sums, sums_at(&rows) as u64).map_err(table_err)?;
+                let at = reader.layout().sums_at() + 8 * rows.start;
+                reader.file.write_all_at(&sums, at as u64).map_err(table_err)?;
+                let bytes = rows.len() * reader.layout().row_bytes();
                 job.writer
-                    .complete(block, (rows.len() * layout.row_bytes()) as u64, crate::fnv1a(&sums))
+                    .complete(block, bytes as u64, crate::fnv1a(&sums))
                     .map_err(|e| format!("cannot append manifest: {e}"))?;
                 done_count += 1;
                 if let Some(progress) = &spec.progress {
@@ -499,8 +554,9 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
     }
     drop(job.fleet); // kills any worker that ignores the drain
 
-    seal(table, &table_path, &spec.out_path).map_err(table_err)?;
-    job.report.merged_bytes = layout.file_len();
+    let (reader, _) = table.expect("the loop runs until the table is laid out");
+    job.report.merged_bytes = reader.layout().file_len();
+    seal(reader, &table_path, &spec.out_path).map_err(table_err)?;
     job.report.elapsed = t0.elapsed();
     Ok(job.report)
 }

@@ -28,7 +28,7 @@ use crate::fnv1a;
 use std::io::{Read, Write};
 
 /// Protocol revision spoken in [`Msg::Hello`]; both sides must agree.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Largest acceptable payload, far above anything either protocol built
 /// on this framing sends.
@@ -37,8 +37,12 @@ pub const MAX_FRAME: u32 = 256 << 20;
 /// One protocol message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Msg {
-    /// Worker → coordinator, once at startup.
-    Hello { protocol: u32, worker: u32 },
+    /// Worker → coordinator, once at startup: `adjacency` is the
+    /// table's adjacency section as the worker's topology writes it
+    /// ([`crate::format::Adjacency::write`]); the coordinator lays out the
+    /// table from the first one and refuses a worker whose section
+    /// differs.
+    Hello { protocol: u32, worker: u32, adjacency: Vec<u8> },
     /// Coordinator → worker: solve destinations `start..start+len` (block
     /// indices into the job's canonical destination list).
     Assign { block: u32, start: u32, len: u32 },
@@ -137,7 +141,7 @@ pub fn encode_frame(msg: &Msg) -> Vec<u8> {
         encode_raw_frame(&out)
     };
     match msg {
-        Msg::Hello { protocol, worker } => payload(KIND_HELLO, &[*protocol, *worker], &[]),
+        Msg::Hello { protocol, worker, adjacency } => payload(KIND_HELLO, &[*protocol, *worker], adjacency),
         Msg::Assign { block, start, len } => payload(KIND_ASSIGN, &[*block, *start, *len], &[]),
         Msg::Heartbeat { worker, block } => payload(KIND_HEARTBEAT, &[*worker, *block], &[]),
         Msg::Output { path } => payload(KIND_OUTPUT, &[], path.as_bytes()),
@@ -193,7 +197,14 @@ pub fn decode_payload(payload: &[u8]) -> Result<Msg, FrameError> {
         Ok(body.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().expect("four bytes"))).collect())
     };
     match kind {
-        KIND_HELLO => words(2).map(|w| Msg::Hello { protocol: w[0], worker: w[1] }),
+        KIND_HELLO => match body.split_first_chunk::<8>() {
+            Some((head, adjacency)) => Ok(Msg::Hello {
+                protocol: u32::from_le_bytes(head[..4].try_into().expect("four bytes")),
+                worker: u32::from_le_bytes(head[4..].try_into().expect("four bytes")),
+                adjacency: adjacency.to_vec(),
+            }),
+            None => Err(FrameError::Corrupt("hello without header".to_string())),
+        },
         KIND_ASSIGN => words(3).map(|w| Msg::Assign { block: w[0], start: w[1], len: w[2] }),
         KIND_HEARTBEAT => words(2).map(|w| Msg::Heartbeat { worker: w[0], block: w[1] }),
         KIND_OUTPUT => String::from_utf8(body.to_vec())
@@ -217,7 +228,7 @@ mod tests {
 
     fn all_msgs() -> Vec<Msg> {
         vec![
-            Msg::Hello { protocol: PROTOCOL_VERSION, worker: 3 },
+            Msg::Hello { protocol: PROTOCOL_VERSION, worker: 3, adjacency: vec![0, 0, 0, 0, 9, 0] },
             Msg::Assign { block: 7, start: 448, len: 64 },
             Msg::Heartbeat { worker: 3, block: u32::MAX },
             Msg::Output { path: "/tmp/table.mirt.partial".to_string() },

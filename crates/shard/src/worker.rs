@@ -12,7 +12,7 @@
 //! block 17" from "hung". Both threads write frames through one mutex so
 //! a heartbeat never tears another frame.
 
-use crate::format::{solve_rows, Layout};
+use crate::format::{solve_rows, Adjacency, Layout};
 use crate::protocol::{read_frame, write_frame, FrameError, Msg, PROTOCOL_VERSION};
 use miro_bgp::engine::ScratchPool;
 use miro_topology::{NodeId, Topology};
@@ -61,12 +61,15 @@ where
     R: Read,
     W: Write + Send + 'static,
 {
-    let layout = Layout::new(topo.num_nodes() as u32, dests.len() as u32)?;
+    let adj = Adjacency::of(topo);
+    let layout = Layout::of(&adj, dests.len() as u32)?;
     let output = Mutex::new(output);
     let send = |msg: &Msg| write_frame(&mut *output.lock().expect("worker stdout mutex"), msg);
     let current = AtomicU32::new(IDLE_BLOCK);
     let stop = AtomicBool::new(false);
-    send(&Msg::Hello { protocol: PROTOCOL_VERSION, worker: cfg.worker })
+    let mut adjacency = Vec::new();
+    adj.write(&mut adjacency);
+    send(&Msg::Hello { protocol: PROTOCOL_VERSION, worker: cfg.worker, adjacency })
         .map_err(|e| format!("worker {}: cannot greet coordinator: {e}", cfg.worker))?;
 
     std::thread::scope(|scope| {
@@ -99,7 +102,7 @@ where
                     }
                     let file = table.as_ref().ok_or(format!("assignment {block} before the table path"))?;
                     current.store(block, Ordering::Relaxed);
-                    let rows = solve_rows(topo, &dests[start..start + len], cfg.threads, &pool);
+                    let rows = solve_rows(topo, adj.wide(), &dests[start..start + len], cfg.threads, &pool);
                     let mut sums = Vec::with_capacity(8 * len);
                     for (j, (row, sum)) in rows.iter().enumerate() {
                         file.write_all_at(row, layout.row_at(start + j) as u64)
@@ -160,7 +163,8 @@ mod tests {
     fn worker_solves_blocks_and_drains() {
         let topo = GenParams::tiny(5).generate();
         let dests = crate::sample_dests(topo.num_nodes(), 10);
-        let layout = Layout::new(topo.num_nodes() as u32, 10).unwrap();
+        let adj = Adjacency::of(&topo);
+        let layout = Layout::of(&adj, 10).unwrap();
         let path = presized("drains", &layout);
         let mut script = Vec::new();
         write_frame(&mut script, &Msg::Output { path: path.to_str().unwrap().to_string() }).unwrap();
@@ -179,8 +183,9 @@ mod tests {
         let mut said_bye = false;
         loop {
             match read_frame(&mut r) {
-                Ok(Msg::Hello { protocol, worker }) => {
+                Ok(Msg::Hello { protocol, worker, adjacency }) => {
                     assert_eq!((protocol, worker), (PROTOCOL_VERSION, 9));
+                    assert_eq!(adjacency, layout.header(&dests, &adj)[layout.adjacency_at()..]);
                     said_hello = true;
                 }
                 // Interval-dependent; zero heartbeats is legal on a fast machine.
@@ -226,7 +231,7 @@ mod tests {
         let err = fatal(&Msg::Output { path: "/nonexistent/t.partial".to_string() });
         assert!(err.contains("table file"), "{err}");
         // A file of some other job's size is refused before any write.
-        let path = presized("wrong", &Layout::new(topo.num_nodes() as u32, 5).unwrap());
+        let path = presized("wrong", &Layout::of(&Adjacency::of(&topo), 5).unwrap());
         let err = fatal(&Msg::Output { path: path.to_str().unwrap().to_string() });
         assert!(err.contains("this job's table is"), "{err}");
         let _ = std::fs::remove_file(&path);

@@ -15,7 +15,7 @@ use std::io::Cursor;
 
 fn all_msgs(worker: u32, block: u32, table: Vec<u8>, path: String) -> Vec<Msg> {
     vec![
-        Msg::Hello { protocol: PROTOCOL_VERSION, worker },
+        Msg::Hello { protocol: PROTOCOL_VERSION, worker, adjacency: table.iter().rev().copied().collect() },
         Msg::Output { path },
         Msg::Assign { block, start: block.wrapping_mul(64), len: 64 },
         Msg::Heartbeat { worker, block },

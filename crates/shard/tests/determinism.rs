@@ -17,11 +17,11 @@
 
 use miro_shard::coordinator::{self, Event, JobSpec, Spawner, WorkerLink};
 use miro_bgp::engine::ScratchPool;
-use miro_shard::format::{solve_rows, Layout, RouteTableSet, TABLE_FORMAT_VERSION};
+use miro_shard::format::{solve_rows, Adjacency, Layout, RouteTableSet, TABLE_FORMAT_VERSION};
 use miro_shard::protocol::{read_frame, write_frame, Msg, PROTOCOL_VERSION};
 use miro_shard::worker::{self, WorkerConfig};
 use miro_shard::{manifest, sample_dests};
-use miro_topology::{GenParams, NodeId, Topology};
+use miro_topology::{GenParams, NodeId, Rel, Topology, TopologyBuilder};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
@@ -107,6 +107,9 @@ enum Behavior {
     /// report it — a process racing its own SIGKILL while the replacement
     /// writes the same range.
     Straggler,
+    /// Run the real worker loop over [`rewired`]: a topology of the same
+    /// size whose Hello carries other neighbour lists.
+    Foreign,
 }
 
 struct LocalSpawner {
@@ -172,9 +175,10 @@ fn double(
     mut input: PipeReader,
     mut output: PipeWriter,
 ) {
-    let layout = Layout::new(topo.num_nodes() as u32, dests.len() as u32).unwrap();
+    let adj = Adjacency::of(topo);
+    let layout = Layout::of(&adj, dests.len() as u32).unwrap();
     let pool = ScratchPool::for_nodes(topo.num_nodes());
-    let _ = write_frame(&mut output, &Msg::Hello { protocol: PROTOCOL_VERSION, worker });
+    let _ = write_frame(&mut output, &hello(topo, worker));
     let mut table = None;
     let mut done = 0;
     loop {
@@ -193,7 +197,7 @@ fn double(
                     _ => {}
                 }
                 let (start, len) = (start as usize, len as usize);
-                let rows = solve_rows(topo, &dests[start..start + len], 1, &pool);
+                let rows = solve_rows(topo, adj.wide(), &dests[start..start + len], 1, &pool);
                 let bytes: Vec<u8> = rows.iter().flat_map(|(row, _)| row.iter().copied()).collect();
                 let mut sums: Vec<u8> = rows.iter().flat_map(|(_, sum)| sum.to_le_bytes()).collect();
                 let lying = done == 0;
@@ -217,8 +221,15 @@ fn double(
     }
 }
 
-fn garbage(worker: u32, mut input: PipeReader, mut output: PipeWriter) {
-    let _ = write_frame(&mut output, &Msg::Hello { protocol: PROTOCOL_VERSION, worker });
+/// The Hello a worker over `topo` says.
+fn hello(topo: &Topology, worker: u32) -> Msg {
+    let mut adjacency = Vec::new();
+    Adjacency::of(topo).write(&mut adjacency);
+    Msg::Hello { protocol: PROTOCOL_VERSION, worker, adjacency }
+}
+
+fn garbage(topo: &Topology, worker: u32, mut input: PipeReader, mut output: PipeWriter) {
+    let _ = write_frame(&mut output, &hello(topo, worker));
     let _ = output.write_all(&[0xde, 0xad, 0xbe, 0xef, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05]);
     loop {
         match read_frame(&mut input) {
@@ -243,7 +254,12 @@ impl Spawner for LocalSpawner {
                     WorkerConfig { worker, threads: 1, heartbeat: Duration::from_millis(20) };
                 let _ = worker::run(&topo, &dests, cfg, stdin_r, stdout_w);
             }
-            Behavior::Garbage => garbage(worker, stdin_r, stdout_w),
+            Behavior::Garbage => garbage(&topo, worker, stdin_r, stdout_w),
+            Behavior::Foreign => {
+                let cfg =
+                    WorkerConfig { worker, threads: 1, heartbeat: Duration::from_millis(20) };
+                let _ = worker::run(&rewired(&topo), &dests, cfg, stdin_r, stdout_w);
+            }
             other => double(&topo, &dests, worker, other, stdin_r, stdout_w),
         });
         std::thread::spawn(move || coordinator::pump_events(worker, stdout_r, &events));
@@ -256,6 +272,28 @@ impl Spawner for LocalSpawner {
 }
 
 // ------------------------------------------------------------- helpers
+
+/// `topo` with one customer link moved: the first provider's first
+/// customer becomes the first node it is not linked to. Same ASes, same
+/// number of links, other neighbour lists.
+fn rewired(topo: &Topology) -> Topology {
+    let p = topo.nodes().find(|&x| topo.customers(x).next().is_some()).expect("a provider");
+    let c = topo.customers(p).next().unwrap();
+    let z = topo.nodes().find(|&z| z != p && topo.rel(p, z).is_none()).expect("a node p is not linked to");
+    let mut b = TopologyBuilder::new();
+    for x in topo.nodes() {
+        b.intern_as(topo.asn(x));
+    }
+    for x in topo.nodes() {
+        for &(y, rel) in topo.neighbors(x).iter().filter(|&&(y, _)| x < y) {
+            let (u, v, rel) = if (x, y) == (p.min(c), p.max(c)) { (p, z, Rel::Customer) } else { (x, y, rel) };
+            b.link(topo.asn(u), topo.asn(v), rel);
+        }
+    }
+    let out = b.build().expect("a valid topology");
+    assert_eq!((out.num_nodes(), out.num_edges()), (topo.num_nodes(), topo.num_edges()));
+    out
+}
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -601,7 +639,7 @@ fn resume_reruns_a_block_corrupted_in_the_partial_table() {
     let before = manifest::read(&manifest_path).unwrap();
     assert_eq!(before.completed.len(), 3);
     let victim = *before.completed.keys().min().unwrap();
-    let layout = Layout::new(topo.num_nodes() as u32, dests.len() as u32).unwrap();
+    let layout = Layout::of(&Adjacency::of(&topo), dests.len() as u32).unwrap();
     let partial = std::fs::OpenOptions::new().read(true).write(true).open(partial_of(&job)).unwrap();
     let at = layout.row_at(victim as usize * 3 + 1) as u64 + 5;
     let mut byte = [0u8];
@@ -659,5 +697,42 @@ fn exhausted_respawn_budget_is_a_checkpointed_error() {
     assert_eq!(report.resumed, 0);
     assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
     assert_eq!(leftovers(&job), Vec::<PathBuf>::new());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The kept partial's header covers the adjacency: a `--resume` whose
+/// workers build another topology of the same size (and link count, so
+/// the manifest's fingerprint matches) re-solves every block.
+#[test]
+fn resume_over_another_topology_of_the_same_size_resolves_every_block() {
+    let topo = Arc::new(GenParams::tiny(17).generate());
+    let other = Arc::new(rewired(&topo));
+    let dests = Arc::new(sample_dests(topo.num_nodes(), 24));
+    let dir = fresh_dir("foreign_resume");
+    let mut job = spec(&dests, &topo, 3, 1, &dir);
+    job.chaos_stop_after = Some(3);
+    coordinator::run(&job, &mut LocalSpawner::new(&topo, &dests, Vec::new())).expect_err("chaos stop");
+
+    job.chaos_stop_after = None;
+    job.resume = true;
+    let report = coordinator::run(&job, &mut LocalSpawner::new(&other, &dests, Vec::new())).expect("resume finishes");
+    assert_eq!((report.resumed, report.dispatches), (0, report.blocks));
+    assert_eq!(std::fs::read(&job.out_path).unwrap(), RouteTableSet::from_solves(&other, &dests, 2).encode());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The first Hello lays the table out; a later worker whose adjacency
+/// differs solved another topology and is buried as corrupt, never
+/// handed a block.
+#[test]
+fn a_worker_of_another_topology_is_buried_as_corrupt() {
+    let topo = Arc::new(GenParams::tiny(23).generate());
+    let dests = Arc::new(sample_dests(topo.num_nodes(), 16));
+    let dir = fresh_dir("foreign_worker");
+    let job = spec(&dests, &topo, 4, 1, &dir);
+    let behaviors = vec![Behavior::DieAfter(1), Behavior::Foreign];
+    let report = coordinator::run(&job, &mut LocalSpawner::new(&topo, &dests, behaviors)).expect("job finishes");
+    assert_eq!((report.corrupt_events, report.deaths, report.respawns), (1, 2, 2));
+    assert_eq!(std::fs::read(&job.out_path).unwrap(), RouteTableSet::from_solves(&topo, &dests, 2).encode());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -122,6 +122,9 @@ pub enum TopologyError {
     /// The provider-customer subgraph contains a cycle, so the graph is not
     /// hierarchical (section 7.1.3 requires a DAG for the convergence results).
     ProviderCycle(AsId),
+    /// An AS has more neighbours than a `u16` slot can index
+    /// ([`MAX_DEGREE`]).
+    DegreeTooHigh(AsId, usize),
 }
 
 impl fmt::Display for TopologyError {
@@ -135,6 +138,9 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::ProviderCycle(a) => {
                 write!(f, "customer-provider cycle through AS {a}")
+            }
+            TopologyError::DegreeTooHigh(a, d) => {
+                write!(f, "AS {a} has {d} neighbours, more than the {MAX_DEGREE} a slot indexes")
             }
         }
     }
@@ -316,31 +322,58 @@ impl TopologyBuilder {
         }
         drop(self.edges);
 
+        if let Some(x) = (0..n).find(|&x| offsets[x + 1] - offsets[x] > MAX_DEGREE as u32) {
+            let degree = (offsets[x + 1] - offsets[x]) as usize;
+            return Err(TopologyError::DegreeTooHigh(self.asns[x], degree));
+        }
+
         // A second copy of the neighbor ids grouped by relationship class
-        // (see `Topology::class_slice`).
+        // (see `Topology::class_slice`): each node's slot order.
         let mut part = Vec::with_capacity(total);
         let mut part_off = Vec::with_capacity(4 * n + 1);
         part_off.push(0u32);
-        let (mut tdown, mut tdown_off) = (Vec::new(), Vec::with_capacity(n + 1));
-        tdown_off.push(0u32);
         for w in offsets.windows(2) {
             let list = &mut adj[w[0] as usize..w[1] as usize];
             list.sort_unstable_by_key(|&(id, _)| id);
             // Class partitions in the fixed order Provider, Sibling,
             // Customer, Peer; each keeps the sorted-by-id order of `list`.
-            for class in [Rel::Provider, Rel::Sibling, Rel::Customer, Rel::Peer] {
+            for class in SLOT_ORDER {
                 part.extend(list.iter().filter(|&&(_, r)| r == class).map(|&(y, _)| y));
                 part_off.push(part.len() as u32);
             }
-            // This node's class boundaries: siblings, then customers.
-            let b: [usize; 5] = std::array::from_fn(|i| part_off[part_off.len() - 5 + i] as usize);
-            tdown.extend_from_slice(&part[b[1]..b[2]]);
-            tdown.extend(part[b[2]..b[3]].iter().filter(|&&y| transit[y as usize]));
+        }
+        // Beside each entry `y` of `x`'s list, `x`'s slot in `y`'s list.
+        // Nodes are visited in id order, so each class partition of `y`
+        // fills in its sorted order.
+        let mut back = vec![0u16; total];
+        let mut cursor = part_off.clone();
+        for x in 0..n {
+            for (c, class) in SLOT_ORDER.into_iter().enumerate() {
+                let rc = slot_class(class.reverse());
+                for i in part_off[4 * x + c] as usize..part_off[4 * x + c + 1] as usize {
+                    let y = part[i] as usize;
+                    back[i] = (cursor[4 * y + rc] - part_off[4 * y]) as u16;
+                    cursor[4 * y + rc] += 1;
+                }
+            }
+        }
+        // Each node's `transit_down` slice: siblings, then the customers
+        // that are not sinks, with the same back slots.
+        let (mut tdown, mut tdown_back, mut tdown_off) = (Vec::new(), Vec::new(), Vec::with_capacity(n + 1));
+        tdown_off.push(0u32);
+        for x in 0..n {
+            let (sib, cust) = (4 * x + CLASS_SIBLING, 4 * x + CLASS_CUSTOMER);
+            let keep = |&i: &usize| i < part_off[cust] as usize || transit[part[i] as usize];
+            for i in (part_off[sib] as usize..part_off[cust + 1] as usize).filter(keep) {
+                tdown.push(part[i]);
+                tdown_back.push(back[i]);
+            }
             tdown_off.push(tdown.len() as u32);
         }
         let sinks = (0..n as NodeId).filter(|&x| !transit[x as usize]).collect();
         let (asns, index) = (self.asns, self.index);
-        let topo = Topology { asns, index, offsets, adj, part, part_off, tdown, tdown_off, sinks };
+        let topo =
+            Topology { asns, index, offsets, adj, part, part_off, back, tdown, tdown_back, tdown_off, sinks };
         if require_hierarchy {
             if let Some(node) = topo.find_provider_cycle() {
                 return Err(TopologyError::ProviderCycle(topo.asn(node)));
@@ -368,12 +401,20 @@ impl TopologyBuilder {
 ///   relationship class in the fixed order Provider, Sibling, Customer,
 ///   Peer. Each routing sweep's edge set (providers+siblings going up,
 ///   siblings+customers going down, peers sideways) is then one contiguous
-///   slice: see [`Topology::up_neighbors`] and friends.
+///   slice: see [`Topology::up_offers`] and friends.
+///
+/// The second copy is each node's **slot order**: a route table names a
+/// next hop by its index in that list ([`Topology::slot_neighbors`]).
+/// `back` holds, beside each `part` entry `y` of node `x`, `x`'s slot in
+/// `y`'s list — the slot an offer from `x` settles at `y` — so the
+/// solver never searches for one. A slot is a `u16`, which bounds every
+/// degree at [`MAX_DEGREE`].
 ///
 /// A *sink* is an AS with no customers and no siblings: it passes no
-/// route on in any sweep. `tdown_off`/`tdown` hold each node's
-/// [`Topology::transit_down`] slice (siblings, then the customers that
-/// are not sinks) and `sinks` lists the sinks by id.
+/// route on in any sweep. `tdown_off`/`tdown`/`tdown_back` hold each
+/// node's [`Topology::transit_down_offers`] slice (siblings, then the customers
+/// that are not sinks) with its back slots, and `sinks` lists the sinks
+/// by id.
 #[derive(Clone, Debug)]
 pub struct Topology {
     asns: Vec<AsId>,
@@ -382,9 +423,28 @@ pub struct Topology {
     adj: Vec<(NodeId, Rel)>,
     part: Vec<NodeId>,
     part_off: Vec<u32>,
+    back: Vec<u16>,
     tdown: Vec<NodeId>,
+    tdown_back: Vec<u16>,
     tdown_off: Vec<u32>,
     sinks: Vec<NodeId>,
+}
+
+/// The most neighbours an AS may have: a slot is a `u16`, and every slot
+/// of a list of this length is below `u16::MAX`.
+pub const MAX_DEGREE: usize = u16::MAX as usize;
+
+/// The class partitions of a node's slot order, in order.
+pub const SLOT_ORDER: [Rel; 4] = [Rel::Provider, Rel::Sibling, Rel::Customer, Rel::Peer];
+
+/// Index of `rel`'s partition in [`SLOT_ORDER`].
+const fn slot_class(rel: Rel) -> usize {
+    match rel {
+        Rel::Provider => CLASS_PROVIDER,
+        Rel::Sibling => CLASS_SIBLING,
+        Rel::Customer => CLASS_CUSTOMER,
+        Rel::Peer => CLASS_PEER,
+    }
 }
 
 /// Index of each relationship class inside a node's `part` partition. The
@@ -442,26 +502,100 @@ impl Topology {
         (self.offsets[id as usize + 1] - self.offsets[id as usize]) as usize
     }
 
+    /// Where classes `lo..hi` of `id`'s slot order sit in `part`.
+    #[inline]
+    fn class_range(&self, id: NodeId, lo: usize, hi: usize) -> std::ops::Range<usize> {
+        let base = 4 * id as usize;
+        self.part_off[base + lo] as usize..self.part_off[base + hi] as usize
+    }
+
     /// One class partition of `id`'s neighbors: classes `lo..hi` in the
     /// Provider, Sibling, Customer, Peer order.
     #[inline]
     fn class_slice(&self, id: NodeId, lo: usize, hi: usize) -> &[NodeId] {
+        &self.part[self.class_range(id, lo, hi)]
+    }
+
+    /// Classes `lo..hi` of `id`'s neighbors, and beside each, `id`'s slot
+    /// in that neighbor's list.
+    #[inline]
+    fn class_offers(&self, id: NodeId, lo: usize, hi: usize) -> (&[NodeId], &[u16]) {
+        let r = self.class_range(id, lo, hi);
+        (&self.part[r.clone()], &self.back[r])
+    }
+
+    /// Every neighbor of `id` in **slot order** — the class partitions
+    /// Provider, Sibling, Customer, Peer ([`SLOT_ORDER`]), each sorted by
+    /// id. A route table names a next hop by its index here.
+    #[inline]
+    pub fn slot_neighbors(&self, id: NodeId) -> &[NodeId] {
+        self.class_slice(id, CLASS_PROVIDER, CLASS_PEER + 1)
+    }
+
+    /// The neighbor at `slot` of `id`'s slot order.
+    #[inline]
+    pub fn slot_neighbor(&self, id: NodeId, slot: usize) -> NodeId {
+        // A node's list starts where its id-sorted adjacency does.
+        self.part[self.offsets[id as usize] as usize + slot]
+    }
+
+    /// [`Topology::slot_neighbors`] of `id`, and beside each, `id`'s slot
+    /// in that neighbor's list.
+    #[inline]
+    pub fn slot_offers(&self, id: NodeId) -> (&[NodeId], &[u16]) {
+        self.class_offers(id, CLASS_PROVIDER, CLASS_PEER + 1)
+    }
+
+    /// Where each class partition of `id`'s slot order starts, and its
+    /// end: partition `c` of [`SLOT_ORDER`] is slots `bounds[c]..bounds[c + 1]`.
+    #[inline]
+    pub fn slot_bounds(&self, id: NodeId) -> [usize; 5] {
         let base = 4 * id as usize;
-        &self.part[self.part_off[base + lo] as usize..self.part_off[base + hi] as usize]
+        let start = self.part_off[base];
+        std::array::from_fn(|c| (self.part_off[base + c] - start) as usize)
     }
 
-    /// Neighbors a route propagates to on the way *up* the hierarchy:
-    /// providers and siblings, one contiguous slice.
-    #[inline]
-    pub fn up_neighbors(&self, id: NodeId) -> &[NodeId] {
-        self.class_slice(id, CLASS_PROVIDER, CLASS_CUSTOMER)
+    /// `y`'s slot in `x`'s list, if they are neighbors.
+    pub fn slot(&self, x: NodeId, y: NodeId) -> Option<u16> {
+        let c = slot_class(self.rel(x, y)?);
+        let (start, part) = (self.class_range(x, 0, 0).start, self.class_range(x, c, c + 1));
+        let at = self.part[part.clone()].binary_search(&y).ok()?;
+        Some((part.start - start + at) as u16)
     }
 
-    /// Neighbors a route propagates to on the way *down*: siblings and
-    /// customers, one contiguous slice.
+    /// Neighbors a route propagates to on the way *up* the hierarchy —
+    /// providers and siblings, one contiguous slice — and beside each,
+    /// `id`'s slot in that neighbor's list.
     #[inline]
-    pub fn down_neighbors(&self, id: NodeId) -> &[NodeId] {
-        self.class_slice(id, CLASS_SIBLING, CLASS_PEER)
+    pub fn up_offers(&self, id: NodeId) -> (&[NodeId], &[u16]) {
+        self.class_offers(id, CLASS_PROVIDER, CLASS_CUSTOMER)
+    }
+
+    /// Neighbors a route propagates to on the way *down* — siblings and
+    /// customers, one contiguous slice — with back slots.
+    #[inline]
+    pub fn down_offers(&self, id: NodeId) -> (&[NodeId], &[u16]) {
+        self.class_offers(id, CLASS_SIBLING, CLASS_PEER)
+    }
+
+    /// [`Topology::sibling_neighbors`] with back slots.
+    #[inline]
+    pub fn sibling_offers(&self, id: NodeId) -> (&[NodeId], &[u16]) {
+        self.class_offers(id, CLASS_SIBLING, CLASS_CUSTOMER)
+    }
+
+    /// [`Topology::peer_neighbors`] with back slots.
+    #[inline]
+    pub fn peer_offers(&self, id: NodeId) -> (&[NodeId], &[u16]) {
+        self.class_offers(id, CLASS_PEER, CLASS_PEER + 1)
+    }
+
+    /// Siblings of `id`, then its customers that are not sinks — where a
+    /// provider-class route travels on from `id` — with back slots.
+    #[inline]
+    pub fn transit_down_offers(&self, id: NodeId) -> (&[NodeId], &[u16]) {
+        let r = self.tdown_off[id as usize] as usize..self.tdown_off[id as usize + 1] as usize;
+        (&self.tdown[r.clone()], &self.tdown_back[r])
     }
 
     /// Provider neighbors of `id` as a contiguous slice.
@@ -486,13 +620,6 @@ impl Topology {
     #[inline]
     pub fn peer_neighbors(&self, id: NodeId) -> &[NodeId] {
         self.class_slice(id, CLASS_PEER, CLASS_PEER + 1)
-    }
-
-    /// Siblings of `id`, then its customers that are not sinks: where a
-    /// provider-class route travels on from `id`.
-    #[inline]
-    pub fn transit_down(&self, id: NodeId) -> &[NodeId] {
-        &self.tdown[self.tdown_off[id as usize] as usize..self.tdown_off[id as usize + 1] as usize]
     }
 
     /// Every sink (no customers, no siblings), in id order.
@@ -851,17 +978,17 @@ mod tests {
             let all: Vec<NodeId> = t.neighbors(x).iter().map(|&(y, _)| y).collect();
             assert_eq!(from_classes, all, "partitions partition the adjacency");
             assert_eq!(
-                t.up_neighbors(x).len(),
+                t.up_offers(x).0.len(),
                 t.provider_neighbors(x).len() + t.sibling_neighbors(x).len()
             );
             assert_eq!(
-                t.down_neighbors(x).len(),
+                t.down_offers(x).0.len(),
                 t.sibling_neighbors(x).len() + t.customer_neighbors(x).len()
             );
-            for &y in t.up_neighbors(x) {
+            for &y in t.up_offers(x).0 {
                 assert!(matches!(t.rel(x, y), Some(Rel::Provider | Rel::Sibling)));
             }
-            for &y in t.down_neighbors(x) {
+            for &y in t.down_offers(x).0 {
                 assert!(matches!(t.rel(x, y), Some(Rel::Sibling | Rel::Customer)));
             }
             assert_eq!(t.degree(x), t.neighbors(x).len());
@@ -892,7 +1019,7 @@ mod tests {
             for x in t.nodes() {
                 let want: Vec<NodeId> =
                     t.siblings(x).chain(t.customers(x).filter(|&y| !sink(y))).collect();
-                proptest::prop_assert_eq!(t.transit_down(x), &want[..]);
+                proptest::prop_assert_eq!(t.transit_down_offers(x).0, &want[..]);
             }
         }
     }
@@ -909,5 +1036,54 @@ mod tests {
                 assert!(pos[&x] < pos[&p], "customer must precede provider");
             }
         }
+    }
+
+    /// Every back slot names the node in its neighbour's list; `slot`
+    /// finds each neighbour where the slot order puts it; every offer
+    /// slice carries the back slots of its own entries.
+    #[test]
+    fn back_slots_and_slot_agree_with_the_slot_order() {
+        let t = crate::GenParams::tiny(9).generate();
+        for x in t.nodes() {
+            let (ys, backs) = t.slot_offers(x);
+            assert_eq!(ys, t.slot_neighbors(x));
+            for (s, (&y, &back)) in ys.iter().zip(backs).enumerate() {
+                assert_eq!(t.slot_neighbor(y, back as usize), x, "{x}'s slot in {y}'s list");
+                assert_eq!(t.slot(x, y), Some(s as u16));
+                assert_eq!(t.slot_neighbor(x, s), y);
+            }
+            let bounds = t.slot_bounds(x);
+            for (c, rel) in SLOT_ORDER.into_iter().enumerate() {
+                assert!(ys[bounds[c]..bounds[c + 1]].iter().all(|&y| t.rel(x, y) == Some(rel)));
+            }
+            for (ys, backs) in [t.up_offers(x), t.down_offers(x), t.sibling_offers(x), t.peer_offers(x), t.transit_down_offers(x)] {
+                for (&y, &back) in ys.iter().zip(backs) {
+                    assert_eq!(t.slot(y, x), Some(back));
+                }
+            }
+            assert_eq!(t.slot(x, x), None);
+        }
+    }
+
+    #[test]
+    fn a_degree_past_what_a_slot_indexes_is_refused() {
+        let mut b = TopologyBuilder::with_capacity(MAX_DEGREE + 1);
+        for asn in 0..=MAX_DEGREE as u32 + 1 {
+            b.intern_as(AsId(asn));
+        }
+        for leaf in 1..=MAX_DEGREE as u32 {
+            b.provider_customer(AsId(0), AsId(leaf));
+        }
+        let mut wider = TopologyBuilder::with_capacity(MAX_DEGREE + 1);
+        for asn in 0..=MAX_DEGREE as u32 + 1 {
+            wider.intern_as(AsId(asn));
+        }
+        for leaf in 1..=MAX_DEGREE as u32 + 1 {
+            wider.provider_customer(AsId(0), AsId(leaf));
+        }
+        assert_eq!(b.build().map(|t| t.degree(0)), Ok(MAX_DEGREE));
+        let err = wider.build().unwrap_err();
+        assert_eq!(err, TopologyError::DegreeTooHigh(AsId(0), MAX_DEGREE + 1));
+        assert!(err.to_string().contains("more than the 65535"), "{err}");
     }
 }

@@ -2,7 +2,7 @@
 //! exact table file `table_build` writes (and of masked rows), the kernel
 //! held to the heap reference on every destination of two graphs, and
 //! the hop bound a route table can represent. The content pins (decoded
-//! columns) hold across format versions; the file pins are format v3.
+//! columns) hold across format versions; the file pins are format v4.
 
 use miro_bgp::solver::{reference, RoutingState};
 use miro_shard::format::{checksum, RouteTableSet};
@@ -54,7 +54,7 @@ fn the_benchmark_table_and_masked_rows_are_pinned() {
     let dests = sample_dests(topo.num_nodes(), 256);
     let file = RouteTableSet::from_solves(&topo, &dests, 2).encode();
     assert_eq!(content_sum(&file), 0xf3fa_bc14_3e66_0ee1, "table content: {:#018x}", content_sum(&file));
-    assert_eq!(checksum(&file), 0x9128_2ab9_3b2c_6520, "table file: {:#018x}", checksum(&file));
+    assert_eq!(checksum(&file), 0xe17c_dd2c_b828_f34c, "table file: {:#018x}", checksum(&file));
 
     let n = topo.num_nodes();
     let masked_dests = &dests[..8];
@@ -72,7 +72,7 @@ fn the_benchmark_table_and_masked_rows_are_pinned() {
     }
     let masked = set.encode();
     assert_eq!(content_sum(&masked), 0xf614_1523_429d_2fee, "masked content: {:#018x}", content_sum(&masked));
-    assert_eq!(checksum(&masked), 0x1211_cc84_3343_9f78, "masked rows: {:#018x}", checksum(&masked));
+    assert_eq!(checksum(&masked), 0x51dc_8693_7771_8dde, "masked rows: {:#018x}", checksum(&masked));
 }
 
 /// The kernel equals the heap reference, route for route and candidate
@@ -105,32 +105,32 @@ fn chain(len: u32) -> Topology {
     b.build().expect("a chain is a valid topology")
 }
 
-/// A 256-AS chain's top route is 255 hops, the most a table cell holds:
+/// A 64-AS chain's top route is 63 hops, the most a table cell holds:
 /// it solves, and its table row encodes and decodes back.
 #[test]
 fn the_longest_representable_route_solves_intact() {
-    let topo = chain(256);
+    let topo = chain(64);
     let top = topo.num_nodes() as NodeId - 1;
     let st = RoutingState::solve(&topo, 0);
     let route = st.best(top).expect("the top AS is routed");
-    assert_eq!((route.len, route.next), (255, top - 1));
+    assert_eq!((route.len, route.next), (63, top - 1));
     let n = topo.num_nodes();
     let (mut next, mut hops, mut class) = (vec![0u32; n], vec![0u16; n], vec![0u8; n]);
     st.write_table_row(&mut next, &mut hops, &mut class);
-    assert_eq!((next[top as usize], hops[top as usize]), (top - 1, 255));
+    assert_eq!((next[top as usize], hops[top as usize]), (top - 1, 63));
     let set = RouteTableSet::from_solves(&topo, &[0], 1);
     assert_eq!(set.row(0), (next, hops, class));
     assert_eq!(RouteTableSet::decode(&set.encode()).expect("decodes"), set);
 }
 
 #[test]
-#[should_panic(expected = "longer than the 255 hops a route table holds")]
+#[should_panic(expected = "longer than the 63 hops a route table holds")]
 fn a_route_one_hop_too_long_is_refused() {
-    RoutingState::solve(&chain(257), 0);
+    RoutingState::solve(&chain(65), 0);
 }
 
 #[test]
-#[should_panic(expected = "longer than the 255 hops a route table holds")]
+#[should_panic(expected = "longer than the 63 hops a route table holds")]
 fn a_far_too_long_route_is_refused() {
     RoutingState::solve(&chain(70_000), 0);
 }

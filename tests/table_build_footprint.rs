@@ -3,7 +3,9 @@
 //! each solved row straight into its slot of one presized image, so its
 //! peak live heap is the image plus each solving thread's arenas — not
 //! per-row copies, and not a second table beside the file bytes.
-//! `decode` verifies, then keeps one copy of the bytes.
+//! `decode` verifies, then keeps one copy of the bytes — plus the
+//! embedded adjacency parsed to resolve and check slots: the file's
+//! adjacency section and a `u16` per AS, an index, not row data.
 //!
 //! Live heap is counted by a global allocator over every thread (the
 //! build's workers allocate on their own), so this binary holds one test.
@@ -84,7 +86,8 @@ fn the_in_process_build_holds_one_image_and_decode_one_copy() {
         let bytes = set.encode();
         let (decoded, held) = peak_of(|| RouteTableSet::decode(&bytes));
         assert_eq!(decoded.as_ref(), Ok(&set));
-        let budget = file_len + 4 * dests.len() + 1024;
+        let adjacency = set.layout().sums_at() - set.layout().adjacency_at() + 2 * n;
+        let budget = file_len + 4 * dests.len() + adjacency + 1024;
         assert!(
             held <= budget,
             "decode peaked at {held} B live for a {file_len} B file (budget {budget} B)"

@@ -10,11 +10,11 @@
 //! `RouteTableSet::decode` gives, and its summary must equal the summary
 //! of the decoded table. The three readers unpack a cell alike.
 
-use miro_bgp::solver::{MAX_HOPS, UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT};
+use miro_bgp::solver::{ESCAPE, MAX_HOPS, UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT};
 use miro_eval::whole_table::{summarize, summarize_file};
 use miro_serve::mmap::MappedTable;
 use miro_serve::{RowRead, TableSource};
-use miro_shard::format::{checksum, Layout, RouteTableSet, CELL_BYTES, MAX_NODES};
+use miro_shard::format::{checksum, Layout, RouteTableSet, CELL_BYTES};
 use miro_topology::gen::{figure_1_1, GenParams};
 use miro_topology::{AsId, Topology, TopologyBuilder};
 use std::path::{Path, PathBuf};
@@ -68,7 +68,7 @@ fn isolated(v: u32) -> Topology {
 
 #[test]
 fn opening_a_16_mb_table_makes_no_page_of_it_resident() {
-    let (v, d) = (24_000u32, 175u32);
+    let (v, d) = (24_000u32, 360u32);
     let dests: Vec<u32> = (0..d).map(|i| i * (v / d)).collect();
     let bytes = RouteTableSet::from_solves(&isolated(v), &dests, 2).encode();
     assert!(bytes.len() >= 16 << 20, "{} bytes", bytes.len());
@@ -98,7 +98,8 @@ fn a_flipped_byte_in_any_region_fails_both_readers_with_the_decoders_text() {
     let regions = [
         ("magic", 1),
         ("geometry", 8),
-        ("a destination id", 16 + 4 * 3 + 1),
+        ("a destination id", 24 + 4 * 3 + 1),
+        ("the adjacency", layout.adjacency_at() + 4 * 40 + 2),
         ("the checksum table", layout.sums_at() + 8 * 2 + 5),
         ("a row", layout.row_at(4) + 11),
         ("the trailer", bytes.len() - 3),
@@ -145,37 +146,47 @@ fn the_streamed_summary_equals_the_decoded_summary() {
     }
 }
 
-/// Every class × hops {0, 255} × next {0, 2^22 − 1}, an unrouted cell,
-/// and a cell whose class bits are 3 but whose other bits are not all
-/// ones: the decoder, the mapped row and the streamed summary read the
-/// same `(next, hops, class)` from each, and the odd cell as unrouted.
+/// Every class × hops {1, 63} × slot {0, 254, 255 (the first escaped),
+/// the last} on 24 wide ASes, zero-hop and unrouted cells, and a cell
+/// whose class bits are 3 but whose other bits are not all ones: the
+/// decoder, the mapped row and the streamed summary read the same
+/// `(next, hops, class)` from each, and the odd cell as unrouted.
 #[test]
 fn every_cell_field_extreme_reads_alike_through_all_three_readers() {
-    let (mut next, mut hops, mut class) = (vec![], vec![], vec![]);
+    // 24 hubs (nodes 0..24), each the provider of the same 300 leaves.
+    let mut b = TopologyBuilder::new();
+    for asn in 1..=324 {
+        b.intern_as(AsId(asn));
+    }
+    for hub in 1..=24 {
+        for leaf in 25..=324 {
+            b.provider_customer(AsId(hub), AsId(leaf));
+        }
+    }
+    let topo = b.build().expect("hubs over leaves");
+    let v = topo.num_nodes();
+    let unrouted = (UNROUTED_NEXT, UNROUTED_HOPS, UNROUTED_CLASS);
+    let (mut next, mut hops, mut class) = (vec![unrouted.0; v], vec![unrouted.1; v], vec![unrouted.2; v]);
+    let mut hub = 0;
     for c in 0..3u8 {
-        for h in [0, MAX_HOPS] {
-            for n in [0, MAX_NODES - 1] {
-                next.push(n);
-                hops.push(h);
-                class.push(c);
+        for h in [1, MAX_HOPS] {
+            for slot in [0, ESCAPE as usize - 1, ESCAPE as usize, 299] {
+                (next[hub], hops[hub], class[hub]) = (topo.slot_neighbors(hub as u32)[slot], h, c);
+                hub += 1;
             }
         }
     }
-    let unrouted = (UNROUTED_NEXT, UNROUTED_HOPS, UNROUTED_CLASS);
-    let (odd, dest) = (next.len() + 1, next.len() + 2);
-    for _ in 0..3 {
-        next.push(unrouted.0);
-        hops.push(unrouted.1);
-        class.push(unrouted.2);
-    }
-    let v = next.len();
-    let mut set = RouteTableSet::from_solves(&isolated(v as u32), &[dest as u32], 1);
+    let (odd, dest) = (24, 25);
+    (next[dest], hops[dest], class[dest]) = (dest as u32, 0, 0);
+    let mut set = RouteTableSet::from_solves(&topo, &[dest as u32], 1);
     set.set_row(0, &next, &hops, &class);
+    assert_eq!(set.row(0), (next.clone(), hops.clone(), class.clone()));
     let mut bytes = set.encode();
 
-    // Class bits 3 over a routed-looking next hop and hop count, resealed.
+    // Class bits 3 over a routed-looking slot and hop count, resealed.
     let layout = Layout::parse(&bytes).unwrap();
-    let word = 3u32 << 22 | 9 << 24 | 17;
+    assert_eq!(layout.num_wide(), 24);
+    let word = 3u16 << 8 | 9 << 10 | 17;
     bytes[layout.row_at(0) + CELL_BYTES * odd..][..CELL_BYTES].copy_from_slice(&word.to_le_bytes());
     let row_sum = checksum(&bytes[layout.row_at(0)..layout.row_at(1)]);
     bytes[layout.sums_at()..][..8].copy_from_slice(&row_sum.to_le_bytes());
@@ -187,7 +198,7 @@ fn every_cell_field_extreme_reads_alike_through_all_three_readers() {
     assert_eq!(decoded.row(0), set.row(0), "the odd cell decodes as the unrouted one it replaced");
     let file = Scratch::new("cells", &bytes);
     let mapped = MappedTable::open(&file.0).expect("verified open");
-    let row = mapped.row(0).expect("row checksum holds");
+    let row = mapped.row(0).expect("row checksum and slots hold");
     for x in 0..v {
         let want = (next[x], hops[x], class[x]);
         assert_eq!((row.next(x), row.hops(x), row.class(x)), want, "cell {x}");
@@ -196,7 +207,7 @@ fn every_cell_field_extreme_reads_alike_through_all_three_readers() {
 
     let s = summarize_file(file.str()).expect("summarizes");
     assert_eq!(s, summarize(&set).unwrap());
-    assert_eq!((s.routed, s.unrouted), (12, 2), "the destination's own cell is skipped");
-    assert_eq!(s.class_mix, [4, 4, 4]);
-    assert_eq!((s.hop_hist[0], s.hop_hist[255], s.max_hops), (6, 6, 255));
+    assert_eq!((s.routed, s.unrouted), (24, 299), "the destination's own cell is skipped");
+    assert_eq!(s.class_mix, [8, 8, 8]);
+    assert_eq!((s.hop_hist[1], s.hop_hist[63], s.max_hops), (12, 12, 63));
 }
