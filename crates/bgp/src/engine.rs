@@ -16,7 +16,9 @@
 //! schedule never changes the output — byte-identical to the 1-thread
 //! path, which claims in slice order and is the determinism reference.
 //!
-//! There is one implementation, [`ScratchPool::over_dests`]. Each worker
+//! There is one implementation, [`ScratchPool::over_dests`] (and
+//! [`ScratchPool::over_rows`], its route-table-row shape, which solves
+//! each destination without the pull pass). Each worker
 //! draws one [`SolveScratch`] + [`DeltaScratch`] pair from the pool for
 //! its whole run, so after the first destination a worker allocates
 //! nothing per solve: the table cells, sweep words and pending lists
@@ -30,7 +32,7 @@
 //! solve, plus failed-link variants answered through the delta engine
 //! (fail one link, look, revert) instead of full re-solves.
 
-use crate::solver::{DeltaScratch, RoutingState, SolveScratch};
+use crate::solver::{DeltaScratch, RoutingState, RowSolve, SolveScratch};
 use miro_topology::{NodeId, Topology};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -228,13 +230,37 @@ impl ScratchPool {
         T: Send,
         F: Fn(usize, &mut WhatIf<'_, '_>) -> T + Sync,
     {
-        let solve = |i: usize, scratch: &mut SolveScratch, delta: &mut DeltaScratch| {
+        self.run(topo, dests, threads, |i, scratch, delta| {
             let mut wi = WhatIf::new(RoutingState::solve_into(topo, dests[i], scratch), delta);
             let out = f(i, &mut wi);
             wi.into_base().recycle(scratch);
             out
-        };
+        })
+    }
 
+    /// [`ScratchPool::over_dests`] for route-table rows: each destination
+    /// is a [`RowSolve`] (the sweeps without the pull pass), which is all
+    /// a row stores.
+    pub fn over_rows<T, F>(&self, topo: &Topology, dests: &[NodeId], threads: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &RowSolve<'_>) -> T + Sync,
+    {
+        self.run(topo, dests, threads, |i, scratch, _| {
+            let row = RowSolve::solve_into(topo, dests[i], scratch);
+            let out = f(i, &row);
+            row.recycle(scratch);
+            out
+        })
+    }
+
+    /// Map `solve(i, scratch, delta)` over the indices of `dests`, each
+    /// thread on one arena pair of the pool, results in index order.
+    fn run<T, F>(&self, topo: &Topology, dests: &[NodeId], threads: usize, solve: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &mut SolveScratch, &mut DeltaScratch) -> T + Sync,
+    {
         let threads = threads.max(1).min(dests.len().max(1));
         if threads == 1 {
             let (mut scratch, mut delta) = self.take();

@@ -41,14 +41,20 @@
 //!
 //! Most ASes are **sinks** — no customers, no siblings
 //! ([`Topology::sinks`]) — and pass no route on in any sweep. A full
-//! solve's provider sweep walks [`Topology::transit_down_offers`] slices only;
-//! then each unrouted sink takes the best `(length + 1, ASN)` over its
-//! providers whose link is up, in one pull pass.
+//! solve's provider sweep walks [`Topology::transit_down_offers`] slices
+//! only; then **the pull pass** settles each unrouted sink by
+//! [`sink_rule`], a pure function of its neighbours' cells: a peer route
+//! through the best customer-routed peer, else a provider route through
+//! the best routed provider, by `(hops + 1, ASN)`, links down where
+//! failed. A route table stores no sink cell, and every reader derives
+//! one with the same function, so a row producer ([`RowSolve`]) runs the
+//! three sweeps and leaves the pull pass — about half of a solve — out.
 //!
 //! The table is one column of route-table cells — the next hop's *slot*
 //! (its index in the AS's [`Topology::slot_neighbors`] list), class code
 //! and hops packed into a `u16` ([`pack_cell`]), all ones for an unrouted
-//! AS — so a route-table row is a copy ([`RoutingState::cells`]). A BGP
+//! AS — so a route-table row is a copy of the transit ASes' cells
+//! ([`RowSolve::cell`]). A BGP
 //! speaker only learns a route from a neighbour, so the slot is all a
 //! cell needs: the offer key carries it (the topology stores each
 //! offerer's slot beside every edge), and settling writes it. An AS with
@@ -118,7 +124,9 @@ pub const ESCAPE: u16 = 0xFF;
 /// escaped.
 pub const NO_SLOT: u16 = u16::MAX;
 const CLASS_SHIFT: u32 = 8;
-const HOPS_SHIFT: u32 = 10;
+/// Where a cell's hop field starts: `cell >> HOPS_SHIFT` is a routed
+/// cell's hop count, for passes over whole rows that must not branch.
+pub const HOPS_SHIFT: u32 = 10;
 /// The class bits of an unrouted cell, which is written as all ones.
 /// Routedness is read from these bits only.
 const UNROUTED_CODE: u16 = 3;
@@ -196,6 +204,71 @@ pub fn route_class_from_code(code: u8) -> Option<RouteClass> {
         2 => Some(RouteClass::Provider),
         _ => None,
     }
+}
+
+/// The cell of an AS's route to itself: zero hops, customer class.
+pub const ORIGIN_CELL: u16 = 0;
+
+/// The sink rule: the route a sink `s` (no customers, no siblings)
+/// selects toward `dest`, as a pure function of its neighbours' cells —
+/// the pull pass of every full solve, and how a table reader derives the
+/// cells a row does not store.
+///
+/// `list` is `s`'s neighbour list in slot order, its first `providers`
+/// entries its providers and the rest its peers; `cell(q)` is neighbour
+/// `q`'s cell, or the unrouted cell when the link `s`–`q` is down; and
+/// `asn(q)` its AS number. The answer is `(slot, hops, class)`, the slot
+/// a full index into `list`:
+///
+/// * `s == dest`: the origin (slot 0, zero hops, customer class);
+/// * else the peer `q` with the lowest `(hops(q) + 1, asn(q))` among
+///   those holding a customer-class route — a peer route via `q`;
+/// * else the routed provider `p` with the lowest `(hops(p) + 1,
+///   asn(p))` — a provider route via `p`;
+/// * else `None`: `s` is unrouted.
+///
+/// The hop count may exceed [`MAX_HOPS`] by one; the caller decides
+/// whether that is a refusal (the solver) or a corrupt table (a reader).
+#[inline]
+pub fn sink_rule(
+    s: NodeId,
+    dest: NodeId,
+    list: &[NodeId],
+    providers: usize,
+    cell: impl Fn(NodeId) -> u16,
+    asn: impl Fn(NodeId) -> u32,
+) -> Option<(u16, u32, RouteClass)> {
+    if s == dest {
+        return Some((0, 0, RouteClass::Customer));
+    }
+    let customer = |c: u16| c >> CLASS_SHIFT & 3 == 0;
+    if let Some((slot, hops)) = lowest(list, providers..list.len(), &cell, &asn, customer) {
+        return Some((slot, hops, RouteClass::Peer));
+    }
+    lowest(list, 0..providers, &cell, &asn, is_routed).map(|(slot, hops)| (slot, hops, RouteClass::Provider))
+}
+
+/// The slot and `hops + 1` of the lowest `(hops + 1, ASN)` over slots
+/// `range` of `list` among the cells `take` accepts.
+#[inline(always)]
+fn lowest(
+    list: &[NodeId],
+    range: std::ops::Range<usize>,
+    cell: &impl Fn(NodeId) -> u16,
+    asn: &impl Fn(NodeId) -> u32,
+    take: impl Fn(u16) -> bool,
+) -> Option<(u16, u32)> {
+    let (mut won, mut via) = (u64::MAX, 0);
+    for (slot, &q) in list[range.clone()].iter().enumerate() {
+        let c = cell(q);
+        if take(c) {
+            let k = u64::from(c >> HOPS_SHIFT) << 32 | u64::from(asn(q));
+            if k < won {
+                (won, via) = (k, range.start + slot);
+            }
+        }
+    }
+    (won != u64::MAX).then(|| (via as u16, (won >> 32) as u32 + 1))
 }
 
 /// A route of `len` hops, refused unless a table row can hold it.
@@ -601,6 +674,8 @@ struct Sweep<'a> {
     /// How many of `pending` are queued at the current level.
     queued: usize,
     routed: &'a mut Vec<NodeId>,
+    /// The deepest level any sweep settled.
+    deepest: u32,
 }
 
 impl Sweep<'_> {
@@ -686,6 +761,7 @@ impl Sweep<'_> {
             }
             lvl += 1;
             let len = bounded(lvl);
+            self.deepest = self.deepest.max(lvl);
             let start = self.routed.len();
             for i in 0..self.queued {
                 let v = self.pending[i];
@@ -696,27 +772,22 @@ impl Sweep<'_> {
         }
     }
 
-    /// Settle every unrouted sink from its providers: the best
-    /// `(length + 1, ASN)` over those routed with the link up. A sink
-    /// passes nothing on, so this is the provider sweep's last word on it.
-    fn settle_sinks(&mut self) {
+    /// The pull pass: settle every unrouted sink by [`sink_rule`] over
+    /// its neighbours' cells, links down where failed. A sink passes
+    /// nothing on, so this is the sweeps' last word on it. The peer sweep
+    /// already settled every sink the rule routes through a peer, so the
+    /// rule is handed the providers alone, which lead the slot order.
+    fn settle_sinks(&mut self, dest: NodeId) {
         let (topo, failed) = (self.topo, self.failed);
         for &s in topo.sinks() {
             if self.t.routed(s) {
                 continue;
             }
-            // Providers lead the slot order, so a provider's index is its slot.
-            let (mut won, mut via) = (u64::MAX, 0);
-            for (slot, &p) in topo.provider_neighbors(s).iter().enumerate() {
-                let len = if self.t.routed(p) { self.t.hops(p) } else { UNROUTED_HOPS as u32 };
-                let k = (len as u64) << 32 | topo.asn(p).0 as u64;
-                if k < won && !is_failed(failed, p, s) {
-                    (won, via) = (k, slot as u16);
-                }
-            }
-            if won >> 32 < UNROUTED_HOPS as u64 {
-                let len = bounded((won >> 32) as u32 + 1);
-                self.t.set(s, via, len, RouteClass::Provider);
+            let cells = &self.t.cells;
+            let cell = |q: NodeId| if is_failed(failed, s, q) { UNROUTED_CELL } else { cells[q as usize] };
+            let providers = topo.provider_neighbors(s);
+            if let Some((slot, len, class)) = sink_rule(s, dest, providers, providers.len(), cell, |q| topo.asn(q).0) {
+                self.t.set(s, slot, bounded(len), class);
             }
         }
     }
@@ -816,11 +887,22 @@ impl<'t> RoutingState<'t> {
             pending: &mut q.pending,
             queued: 0,
             routed: &mut q.routed,
+            deepest: 0,
         }
     }
 
-    /// Full three-sweep solve under the current failed set, in place.
+    /// Full solve under the current failed set, in place: the three
+    /// sweeps, then the pull pass.
     fn resolve(&mut self, q: &mut SolveScratch) {
+        self.sweeps(q);
+        let dest = self.dest;
+        self.sweep(q).settle_sinks(dest);
+    }
+
+    /// The three sweeps under the current failed set, in place; sinks
+    /// routed through a peer are settled, the rest await the pull pass.
+    /// Returns the deepest level settled.
+    fn sweeps(&mut self, q: &mut SolveScratch) -> u32 {
         let (n, dest) = (self.topo.num_nodes(), self.dest);
         self.t.reset(n);
         q.size(n);
@@ -857,7 +939,7 @@ impl<'t> RoutingState<'t> {
             let y = sw.offer_routed(&mut b, routed, lvl, Edges::TransitCustomer);
             x.zip(y).map(|(x, y)| x.min(y)).or(x).or(y)
         });
-        sw.settle_sinks();
+        sw.deepest
     }
 
     /// The destination this state routes toward.
@@ -1005,6 +1087,42 @@ impl<'t> RoutingState<'t> {
             let (_, len, code) = unpack_cell(cell);
             (next[x], hops[x], class[x]) = (self.t.next(self.topo, x as NodeId), len, code);
         }
+    }
+}
+
+/// One destination solved for a route-table row: the three sweeps of a
+/// full solve without its pull pass. A transit AS's cell is final; a
+/// sink's is not settled, because a table stores none — its readers
+/// derive it with [`sink_rule`], as the pull pass would have. The hop
+/// bound still holds at solve time: when the sweeps reach [`MAX_HOPS`],
+/// the pull pass runs after all, so a sink one hop past the bound is
+/// refused as a full solve refuses it.
+pub struct RowSolve<'t>(RoutingState<'t>);
+
+impl<'t> RowSolve<'t> {
+    /// Solve `dest` for its row, taking the table storage out of
+    /// `scratch`; give it back with [`RowSolve::recycle`].
+    pub fn solve_into(topo: &'t Topology, dest: NodeId, scratch: &mut SolveScratch) -> RowSolve<'t> {
+        let mut st = RoutingState { topo, dest, t: std::mem::take(&mut scratch.table), failed: Vec::new() };
+        if st.sweeps(scratch) >= MAX_HOPS as u32 {
+            st.sweep(scratch).settle_sinks(dest);
+        }
+        RowSolve(st)
+    }
+
+    /// The cell of transit AS `x` ([`pack_cell`]'s layout).
+    #[inline]
+    pub fn cell(&self, x: NodeId) -> u16 {
+        self.0.t.cells[x as usize]
+    }
+
+    /// [`RoutingState::wide_slot`] of transit AS `x`.
+    pub fn wide_slot(&self, x: NodeId) -> u16 {
+        self.0.wide_slot(x)
+    }
+
+    pub fn recycle(self, scratch: &mut SolveScratch) {
+        self.0.recycle(scratch);
     }
 }
 

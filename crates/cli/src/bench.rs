@@ -21,6 +21,10 @@
 //! `spread`, `speedup_vs_1t`, and parallel `efficiency`
 //! (speedup over the thread count, capped at the machine's available
 //! parallelism so a core-starved host isn't blamed for not scaling).
+//! Beside them, `row_ms_per_dest` times the same destinations on one
+//! thread as route-table rows ([`miro_bgp::engine::ScratchPool::over_rows`]:
+//! the three sweeps without the pull pass, which a table leaves to its
+//! readers), so the report shows where a full solve's time goes.
 //! The bench asserts every engine/thread-count combination agrees before
 //! reporting. Results are written to `BENCH_solver.json` (see `--out`)
 //! so CI can track the perf trajectory; `--check-scaling F` turns the
@@ -36,7 +40,7 @@
 //! reported speedup into a hard gate for CI.
 
 use crate::harness::{self, gate, host_parallelism, ms, Cmd, Flag, Kind, Reps, Rng, TempPath, SEED};
-use miro_bgp::engine::{par_over_dests, WhatIf};
+use miro_bgp::engine::{par_over_dests, ScratchPool, WhatIf};
 use miro_bgp::solver::{reference, DeltaScratch, RoutingState, SolveScratch};
 use miro_topology::{NodeId, Topology};
 use serde::Serialize;
@@ -134,6 +138,9 @@ struct ScaleRow {
     /// frontier packing attacks); the first row's when the ladder
     /// skipped 1 thread.
     bucket_ms_per_dest: f64,
+    /// 1-thread ms per destination of the row solve (no pull pass), the
+    /// fastest of [`REPS`].
+    row_ms_per_dest: f64,
     heap_ms_per_dest: f64,
     /// The honest apples-to-apples figure whatever the sampling.
     speedup_per_dest: f64,
@@ -218,7 +225,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         out.push_str("row schemas:\n");
         out.push_str(
             "  scales[]       = {scale, preset, preset_scale, nodes, edges, dests, reps, \
-             rows[], heap{}, bucket_ms_per_dest, heap_ms_per_dest, speedup_per_dest}\n",
+             rows[], heap{}, bucket_ms_per_dest, row_ms_per_dest, heap_ms_per_dest, speedup_per_dest}\n",
         );
         out.push_str(
             "  scales[].rows[] = {threads, ms, min_ms, median_ms, spread, speedup_vs_1t, efficiency}\n",
@@ -266,6 +273,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
             report,
             "  {:<8} {:>6} nodes {:>6} links | heap(1t) {:>9.2} ms | {:.2}x per dest{}",
             row.scale, row.nodes, row.edges, row.heap.ms, row.speedup_per_dest, sampled
+        );
+        let _ = writeln!(
+            report,
+            "  {:<8}   per dest (1t) | full solve {:>7.1} us | row solve, no pull pass {:>7.1} us ({:.2}x)",
+            row.scale,
+            row.bucket_ms_per_dest * 1e3,
+            row.row_ms_per_dest * 1e3,
+            row.row_ms_per_dest / row.bucket_ms_per_dest.max(1e-12),
         );
         for tr in &row.rows {
             let vs = tr.speedup_vs_1t.map_or("     -".to_string(), |s| format!("{s:5.2}x"));
@@ -390,6 +405,8 @@ fn time_engines(
     }
     let fast = reference.expect("at least one thread count");
 
+    let pool = ScratchPool::for_nodes(topo.num_nodes());
+    let (row_solve, _) = Reps::time(REPS, || pool.over_rows(topo, &dests, 1, |i, st| st.cell(dests[i])));
     let (heap, slow) = Reps::time(REPS, || heap_whole_network(topo, &heap_dests, 1));
     for (i, s) in slow.iter().enumerate() {
         let full_idx = i * stride;
@@ -440,6 +457,7 @@ fn time_engines(
             ms_per_dest: heap_ms_per_dest,
         },
         bucket_ms_per_dest,
+        row_ms_per_dest: ms(row_solve.min) / dests.len().max(1) as f64,
         heap_ms_per_dest,
         speedup_per_dest: heap_ms_per_dest / bucket_ms_per_dest.max(1e-12),
     }

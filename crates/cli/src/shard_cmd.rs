@@ -18,7 +18,7 @@
 use crate::harness::{host_parallelism, Args, Cmd, Flag, Kind};
 use miro_bgp::engine::heavy_blocks_first;
 use miro_shard::coordinator::{self, JobSpec, ProcessSpawner};
-use miro_shard::format::{RouteTableSet, CELL_BYTES};
+use miro_shard::format::{RouteTableSet, CELL_BYTES, EXCEPTION_BYTES};
 use miro_shard::worker::{self, WorkerConfig};
 use miro_shard::{sample_dests, TopoSpec};
 use std::fs::File;
@@ -231,21 +231,20 @@ fn region(table: &RouteTableSet, at: usize) -> String {
         let i = (at - ids_at) / 4;
         format!("the id of row {i} (destination {})", dests[i])
     } else if at < l.sums_at() {
-        "the adjacency section".to_string()
+        "the adjacency sections".to_string()
     } else if at < l.rows_at() {
         let i = (at - l.sums_at()) / 8;
         format!("the checksum of row {i} (destination {})", dests[i])
-    } else if at < l.row_at(dests.len()) {
+    } else if at < l.exceptions_at() {
         let i = (at - l.rows_at()) / l.row_bytes();
-        let (x, v) = ((at - l.row_at(i)) / CELL_BYTES, l.num_nodes() as usize);
-        match x.checked_sub(v) {
-            None => format!("row {i} (destination {}), the cell of AS node {x}", dests[i]),
-            Some(r) => format!(
-                "row {i} (destination {}), the wide slot of AS node {}",
-                dests[i],
-                table.adjacency().wide()[r]
-            ),
+        let (r, t) = ((at - l.row_at(i)) / CELL_BYTES, l.num_transit() as usize);
+        let adj = table.adjacency();
+        match r.checked_sub(t) {
+            None => format!("row {i} (destination {}), the cell of AS node {}", dests[i], adj.transit().nth(r).expect("a rank")),
+            Some(w) => format!("row {i} (destination {}), the wide slot of AS node {}", dests[i], adj.wide()[w]),
         }
+    } else if at < l.file_len() - 8 {
+        format!("exception entry {}", (at - l.exceptions_at()) / EXCEPTION_BYTES)
     } else {
         "the whole-file checksum".to_string()
     }

@@ -9,8 +9,7 @@
 //! checksum [`RouteTableSet::decode`] does, holding one buffer of rows at a
 //! time, so a summary is also an integrity check of the merge.
 
-use miro_shard::format::{cell_at, RouteTableSet, TableReader};
-use miro_topology::NodeId;
+use miro_shard::format::{Adjacency, RouteTableSet, RowView, TableReader};
 
 /// Aggregate statistics over every (source AS, destination) cell of a
 /// route table set. The destination's own row entry (hops 0, pointing at
@@ -40,14 +39,14 @@ impl TableSummary {
         self.routed as f64 / cells as f64
     }
 
-    /// Fold one destination's row: class and hops of each cell, the
-    /// next-hop slot unread.
-    fn add_row(&mut self, dest: NodeId, row: &[u8]) {
+    /// Fold one destination's row: class and hops of each AS's route,
+    /// a sink's derived as every reader derives it.
+    fn add_row(&mut self, row: RowView<'_>) {
         for x in 0..self.num_nodes as usize {
-            if x as u32 == dest {
+            if x as u32 == row.dest {
                 continue; // the destination's self-entry carries no route
             }
-            let (_, h, c) = cell_at(row, x);
+            let (_, h, c) = row.route(x);
             if c == miro_bgp::solver::UNROUTED_CLASS {
                 self.unrouted += 1;
                 continue;
@@ -74,8 +73,8 @@ impl TableSummary {
 /// Scan every row of `set` and fold the per-cell statistics.
 pub fn summarize(set: &RouteTableSet) -> Result<TableSummary, String> {
     let mut s = TableSummary { num_nodes: set.num_nodes(), num_dests: set.dests().len(), ..Default::default() };
-    for (i, &dest) in set.dests().iter().enumerate() {
-        s.add_row(dest, set.row_cells(i));
+    for i in 0..set.dests().len() {
+        s.add_row(set.view(i));
     }
     Ok(s.finish())
 }
@@ -89,9 +88,19 @@ pub fn summarize_file(path: &str) -> Result<TableSummary, String> {
     let mut table = TableReader::open(file, len).map_err(cannot)??;
     table.layout().check_len(len)?;
     let dests = table.dests().map_err(cannot)?;
+    // Sinks are derived from the sections, so they are parsed first; a
+    // refusal there still reports the checksums first, as `decode` does.
+    let adj = table
+        .adjacency()
+        .map_err(cannot)?
+        .and_then(|adj| table.exceptions(&adj).map_err(cannot)?.map(|_| adj));
+    let adj: Adjacency = match adj {
+        Ok(adj) => adj,
+        Err(e) => return Err(table.stream(true, |_, _, _| Ok(())).map_err(cannot)?.err().unwrap_or(e)),
+    };
     let mut s = TableSummary { num_nodes: table.layout().num_nodes(), num_dests: dests.len(), ..Default::default() };
-    let visit = |i: usize, row: &[u8]| {
-        s.add_row(dests[i], row);
+    let visit = |i: usize, cells: &[u8], exceptions: &[u8]| {
+        s.add_row(RowView { cells, exceptions, adj: &adj, dest: dests[i] });
         Ok(())
     };
     table.stream(true, visit).map_err(cannot)??;

@@ -31,7 +31,7 @@ pub mod query;
 pub mod server;
 pub mod wire;
 
-use miro_shard::format::{cell_at, Adjacency, RouteTableSet};
+use miro_shard::format::{Adjacency, RouteTableSet, RowView};
 use miro_topology::NodeId;
 
 /// Read access to one destination's route row: for each AS `x`, the
@@ -39,11 +39,29 @@ use miro_topology::NodeId;
 /// route toward the row's destination ([`miro_bgp::solver`]'s
 /// `UNROUTED_*` sentinels mark unreachable ASes, and a next hop of
 /// [`BAD_SLOT`](miro_shard::format::BAD_SLOT) a cell whose slot names no
-/// neighbour). [`CellRow`] is the one implementation.
+/// neighbour). [`CellRow`] is the one implementation; a caller that
+/// needs more than the next hop reads [`RowRead::route`] once, because a
+/// sink's route is derived on each access.
 pub trait RowRead {
-    fn next(&self, x: usize) -> u32;
-    fn hops(&self, x: usize) -> u16;
-    fn class(&self, x: usize) -> u8;
+    /// `(next, hops, class)` of AS `x`.
+    fn route(&self, x: usize) -> (u32, u16, u8);
+
+    fn next(&self, x: usize) -> u32 {
+        self.route(x).0
+    }
+
+    fn hops(&self, x: usize) -> u16 {
+        self.route(x).1
+    }
+
+    fn class(&self, x: usize) -> u8 {
+        self.route(x).2
+    }
+
+    /// Does AS `x` hold a customer-class route?
+    fn customer(&self, x: usize) -> bool {
+        self.class(x) == 0
+    }
 }
 
 /// A solved whole-table artifact the query engine can serve: the mmap'd
@@ -59,8 +77,8 @@ pub trait TableSource {
     fn num_nodes(&self) -> u32;
     fn dests(&self) -> &[NodeId];
     fn row(&self, i: usize) -> Result<Self::Row<'_>, String>;
-    /// The neighbour lists the table's slots index, as the table carries
-    /// them.
+    /// The sections the table's slots index and its sinks derive from,
+    /// as the table carries them.
     fn adjacency(&self) -> &Adjacency;
 
     /// How many rows have passed first-touch verification (0 for
@@ -86,7 +104,7 @@ impl TableSource for RouteTableSet {
         if i >= self.dests().len() {
             return Err(format!("row {i} out of range ({} rows)", self.dests().len()));
         }
-        Ok(CellRow { bytes: self.row_cells(i), adj: self.adjacency() })
+        Ok(CellRow(self.view(i)))
     }
 
     fn adjacency(&self) -> &Adjacency {
@@ -95,29 +113,22 @@ impl TableSource for RouteTableSet {
 }
 
 /// One destination's row as file bytes — borrowed from the map or from
-/// an in-memory image alike — and the table's adjacency. Cells unpack on
-/// access through [`cell_at`], and a next hop is one adjacency load
-/// ([`Adjacency::next_hop`]), so the view needs no alignment and no
-/// materialization. Only rows whose slots were checked are handed out.
+/// an in-memory image alike — with its exceptions and the table's
+/// sections: a transit AS's cell unpacks on access, a sink's route is
+/// derived by the sink rule ([`RowView::route`]), so the view needs no
+/// alignment and no materialization. Only rows whose checksum and slots
+/// were checked are handed out.
 #[derive(Clone, Copy)]
-pub struct CellRow<'a> {
-    bytes: &'a [u8],
-    adj: &'a Adjacency,
-}
+pub struct CellRow<'a>(pub RowView<'a>);
 
 impl RowRead for CellRow<'_> {
     #[inline]
-    fn next(&self, x: usize) -> u32 {
-        self.adj.next_hop(self.bytes, x)
+    fn route(&self, x: usize) -> (u32, u16, u8) {
+        self.0.route(x)
     }
 
     #[inline]
-    fn hops(&self, x: usize) -> u16 {
-        cell_at(self.bytes, x).1
-    }
-
-    #[inline]
-    fn class(&self, x: usize) -> u8 {
-        cell_at(self.bytes, x).2
+    fn customer(&self, x: usize) -> bool {
+        self.0.customer(x)
     }
 }

@@ -9,23 +9,28 @@
 //! * **At open**: one streamed pass of [`TableReader`] — positioned reads
 //!   through one bounded buffer, never through the map — validates magic,
 //!   version and geometry, decodes the destination index (a few KiB) and,
-//!   by default, checks the whole-file [`checksum`]. No page of the
+//!   by default, checks the whole-file
+//!   [`checksum`](miro_shard::format::checksum). No page of the
 //!   mapping is resident after open; a row becomes resident when a query
 //!   first touches it. [`MappedTable::open_unverified`] skips the
 //!   checksum, which saves start time, not memory.
-//!   The table's adjacency section (the neighbour lists its slots index,
-//!   a few hundred KiB) is read and parsed the same way and kept in
-//!   memory.
-//! * **On first touch of a row**: the row's bytes are checksummed
-//!   against the file's per-row checksum table once, and every slot is
-//!   checked against its AS's list ([`Adjacency::check_row`]); then a
-//!   per-row "verified" bit (an atomic bitmap, safe under concurrent
-//!   readers) marks it trusted. Verified rows are served with no further
-//!   copying or hashing — [`CellRow`] is a borrowed byte view that
-//!   unpacks cells with [`cell_at`](miro_shard::format::cell_at) on
-//!   access: a little-endian read of one 2-byte cell, with no cast of the
-//!   map to `&[u16]` and no unsafe code, and a next hop is one load from
-//!   the adjacency.
+//!   The table's adjacency sections (the neighbour lists its slots
+//!   index, each AS's partition ends and AS number, a few hundred KiB)
+//!   are read and parsed the same way and kept in memory, and so is its
+//!   exception list (empty for a solved table), which both opens check
+//!   entry by entry ([`Adjacency::check_exceptions`]) before any sink is
+//!   derived from it.
+//! * **On first touch of a row**: the row's bytes and its exception
+//!   entries are checksummed against the file's per-row checksum table
+//!   once, and every transit slot is checked against its AS's list
+//!   ([`RowView::check`]); then a per-row "verified" bit (an atomic
+//!   bitmap, safe under concurrent readers) marks it trusted. Verified
+//!   rows are served with no further copying or hashing — [`CellRow`] is
+//!   a borrowed byte view: a transit AS's cell is a little-endian read of
+//!   one 2-byte cell at its rank, with no cast of the map to `&[u16]` and
+//!   no unsafe code, and a next hop is one load from the adjacency; a
+//!   sink, which has no cell, is derived from its neighbours' cells by
+//!   the solver's sink rule.
 //!
 //! Why validate-once-then-borrow is safe: the mapping is private and
 //! read-only, the daemon never writes the table, and every answer is
@@ -38,7 +43,7 @@
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use miro_shard::format::{checksum, le_u64, Adjacency, Layout, TableReader};
+use miro_shard::format::{le_u64, row_checksum, row_exceptions, Adjacency, Layout, RowView, TableReader};
 use miro_topology::NodeId;
 
 use crate::{CellRow, TableSource};
@@ -117,6 +122,8 @@ pub struct MappedTable {
     /// lookup structure, not row data).
     dests: Vec<NodeId>,
     adj: Adjacency,
+    /// The checked exception list.
+    exceptions: Vec<u8>,
     /// One bit per row, set once that row's checksum and slots have been
     /// verified.
     verified: Vec<AtomicU64>,
@@ -167,15 +174,17 @@ impl MappedTable {
         }
         layout.check_len(len).map_err(at)?;
         if verify_whole_file {
-            table.stream(false, |_, _| Ok(())).map_err(read)?.map_err(at)?;
+            table.stream(false, |_, _, _| Ok(())).map_err(read)?.map_err(at)?;
         }
         let dests = table.dests().map_err(read)?;
         let adj = table.adjacency().map_err(read)?.map_err(at)?;
+        let exceptions = table.exceptions(&adj).map_err(read)?.map_err(at)?;
         Ok(MappedTable {
             map,
             layout,
             dests,
             adj,
+            exceptions,
             verified: (0..(layout.num_dests() as usize).div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             rows_verified: AtomicU64::new(0),
         })
@@ -191,7 +200,8 @@ impl MappedTable {
         self.rows_verified.load(Ordering::Relaxed)
     }
 
-    /// Borrow row `i`, checksumming it and checking its slots on first
+    /// Borrow row `i`, checksumming it (with its exceptions) and checking
+    /// its slots on first
     /// touch. Concurrent first touches may both verify (harmless —
     /// verification is idempotent and the bitmap is monotonic), but only
     /// the one whose `fetch_or` found the bit clear counts the row; a
@@ -199,20 +209,19 @@ impl MappedTable {
     /// success.
     fn checked_row(&self, i: usize) -> Result<CellRow<'_>, String> {
         let row = &self.map.bytes()[self.layout.row_at(i)..self.layout.row_at(i + 1)];
+        let (exceptions, dest) = (row_exceptions(&self.exceptions, i), self.dests[i]);
         let (word, bit) = (i / 64, 1u64 << (i % 64));
+        let view = RowView { cells: row, exceptions, adj: &self.adj, dest };
         if self.verified[word].load(Ordering::Acquire) & bit == 0 {
-            if checksum(row) != le_u64(&self.map.bytes()[self.layout.sums_at() + 8 * i..]) {
-                return Err(format!(
-                    "row {i} (destination {}) checksum mismatch — table corrupt on disk",
-                    self.dests[i]
-                ));
+            if row_checksum(row, exceptions) != le_u64(&self.map.bytes()[self.layout.sums_at() + 8 * i..]) {
+                return Err(format!("row {i} (destination {dest}) checksum mismatch — table corrupt on disk"));
             }
-            self.adj.check_row(row).map_err(|e| format!("row {i} (destination {}): {e}", self.dests[i]))?;
+            view.check().map_err(|e| format!("row {i} (destination {dest}): {e}"))?;
             if self.verified[word].fetch_or(bit, Ordering::AcqRel) & bit == 0 {
                 self.rows_verified.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(CellRow { bytes: row, adj: &self.adj })
+        Ok(CellRow(view))
     }
 }
 

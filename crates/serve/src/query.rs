@@ -38,9 +38,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use miro_bgp::route::ExportScope;
-use miro_bgp::solver::{route_class_from_code, UNROUTED_NEXT};
+use miro_bgp::solver::UNROUTED_NEXT;
 use miro_shard::format::BAD_SLOT;
-use miro_topology::{NodeId, Topology};
+use miro_topology::{NodeId, RouteClass, Topology};
 
 use crate::cache::ShardedCache;
 use crate::{RowRead, TableSource};
@@ -301,15 +301,14 @@ impl<T: TableSource> Engine<T> {
             Query::NextHop { src, dest } => {
                 let row = self.dest_row(dest)?;
                 self.check_node(src)?;
-                let r = self.row(row)?;
-                let next = r.next(src as usize);
+                let (next, hops, class) = self.row(row)?.route(src as usize);
                 if next == UNROUTED_NEXT {
                     return Ok(Reply::Unrouted);
                 }
                 if next == BAD_SLOT {
                     return Err(QueryError::Corrupt(format!("the next-hop slot of {src} names no neighbour")));
                 }
-                return Ok(Reply::NextHop { next, hops: r.hops(src as usize), class: r.class(src as usize) });
+                return Ok(Reply::NextHop { next, hops, class });
             }
             Query::Path { src, dest } => (src, dest, None),
             Query::Alternate { src, dest, avoid } => (src, dest, Some(avoid)),
@@ -357,7 +356,8 @@ impl<T: TableSource> Engine<T> {
         path: &mut Vec<NodeId>,
     ) -> Result<bool, QueryError> {
         path.clear();
-        if row.next(src as usize) == UNROUTED_NEXT {
+        let mut next = row.next(src as usize);
+        if next == UNROUTED_NEXT {
             return Ok(false);
         }
         let mut at = src;
@@ -368,7 +368,7 @@ impl<T: TableSource> Engine<T> {
                     "next-hop chain from {src} toward {dest} cycles"
                 )));
             }
-            at = row.next(at as usize);
+            at = next;
             if at == UNROUTED_NEXT {
                 return Err(QueryError::Corrupt(format!(
                     "next-hop chain from {src} toward {dest} dead-ends at an unrouted AS"
@@ -380,6 +380,9 @@ impl<T: TableSource> Engine<T> {
                 ))
             })?;
             path.push(at);
+            if at != dest {
+                next = row.next(at as usize);
+            }
         }
         Ok(true)
     }
@@ -469,17 +472,16 @@ impl<T: TableSource> Engine<T> {
         for vi in 0..offender {
             let v = scratch.path[vi];
             scratch.on_prefix[v as usize] = gen;
-            for &(n, _) in self.topo.neighbors(v) {
+            for &(n, rel) in self.topo.neighbors(v) {
                 if n == avoid || scratch.on_prefix[n as usize] == gen {
                     continue;
                 }
-                let n_class = r.class(n as usize);
-                let Some(class) = route_class_from_code(n_class) else {
-                    continue; // unrouted neighbor (or sentinel)
-                };
-                // Would n export its installed route to v at all?
-                let Some(rel_vn) = self.topo.rel(n, v) else { continue };
-                if !ExportScope::allows(class, rel_vn) {
+                // Would n export its installed route to v at all? Any
+                // route to a customer or sibling, only a customer route
+                // to a provider or peer — so only then is its class read.
+                // An unrouted n has no tail that avoids anything.
+                let every_route = ExportScope::allows(RouteClass::Provider, rel.reverse());
+                if !every_route && !r.customer(n as usize) {
                     continue;
                 }
                 if !self.tail_avoids(&r, n, dest, avoid, scratch, gen)? {

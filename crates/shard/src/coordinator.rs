@@ -21,12 +21,15 @@
 //!                      (in-flight block → front of queue, D line on redispatch)
 //! ```
 //!
-//! The table embeds the topology's neighbour lists, which the
-//! coordinator does not hold: each worker's `Hello` carries its
-//! adjacency section. The first one lays out `<out>.partial` (and, on
-//! `--resume`, decides which kept blocks survive — the kept header must
-//! match, adjacency included); a later worker whose section differs
-//! solved another topology and is buried as corrupt.
+//! The table embeds the topology's neighbour lists, partition ends and
+//! AS numbers, which the coordinator does not hold: each worker's `Hello`
+//! carries those sections. The first one lays out `<out>.partial` (and,
+//! on `--resume`, decides which kept blocks survive — the kept header
+//! must match, sections included). Two workers whose sections differ
+//! built two topologies, and the coordinator cannot tell which one the
+//! job means: it ends the job at once with an error naming both workers
+//! and the first AS whose sections differ, whichever of them spoke
+//! first, rather than bury either on the other's word.
 //!
 //! Row bytes live in one place: `<out>.partial`, created beside
 //! `out_path` at its final size. A block's worker writes its rows into
@@ -397,7 +400,7 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
     };
     // The table is laid out by the first Hello; until then nothing is
     // pending, and the fleet is sized to the blocks the manifest leaves.
-    let mut table: Option<(TableReader, Vec<u8>)> = None;
+    let mut table: Option<(TableReader, Vec<u8>, u32, Adjacency)> = None;
     let mut done_count = 0;
     let (tx, rx) = std::sync::mpsc::channel::<Event>();
     for _ in 0..spec.workers.min(nblocks.saturating_sub(claims.len())).max(1) {
@@ -450,20 +453,23 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
             EventKind::Frame(Msg::Hello { protocol, worker: claimed, adjacency })
                 if protocol == PROTOCOL_VERSION && claimed == worker =>
             {
-                match &table {
-                    Some((_, section)) if *section != adjacency => {
-                        job.corrupt(worker); // another topology's worker
+                let adj = match Adjacency::parse(spec.num_nodes, &adjacency) {
+                    Ok(adj) if adj.entries() == 2 * spec.num_edges as usize => adj,
+                    _ => {
+                        job.corrupt(worker);
                         continue;
+                    }
+                };
+                match &table {
+                    Some((_, section, first, first_adj)) if *section != adjacency => {
+                        let x = first_adj.first_difference_from(&adj).unwrap_or(0);
+                        return Err(format!(
+                            "workers {first} and {worker} built different topologies: their sections \
+                             differ first at AS node {x}; every worker must build the job's topology"
+                        ));
                     }
                     Some(_) => {}
                     None => {
-                        let adj = match Adjacency::parse(spec.num_nodes, &adjacency) {
-                            Ok(adj) if adj.entries() == 2 * spec.num_edges as usize => adj,
-                            _ => {
-                                job.corrupt(worker);
-                                continue;
-                            }
-                        };
                         let (reader, done) = lay_out(spec, &adj, &table_path, resuming, &claims, &job.blocks)?;
                         job.pending = order.iter().copied().filter(|&b| !done[b as usize]).collect();
                         done_count = nblocks - job.pending.len();
@@ -475,7 +481,7 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
                         while job.fleet.len() < spec.workers.min(job.pending.len()) {
                             job.spawn(spawner, &tx)?;
                         }
-                        table = Some((reader, adjacency));
+                        table = Some((reader, adjacency, worker, adj));
                     }
                 }
                 // Like an assignment, this send may fail on a worker that
@@ -510,7 +516,7 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
                     // one is verified.
                     job.assign(worker)?;
                 }
-                let (reader, _) = table.as_mut().expect("a block is assigned once the table is laid out");
+                let (reader, ..) = table.as_mut().expect("a block is assigned once the table is laid out");
                 if !rows_match(reader, rows.clone(), &sums).map_err(table_err)? {
                     // Never written, torn, or not what was reported.
                     job.corrupt(worker);
@@ -554,7 +560,7 @@ pub fn run(spec: &JobSpec, spawner: &mut dyn Spawner) -> Result<JobReport, Strin
     }
     drop(job.fleet); // kills any worker that ignores the drain
 
-    let (reader, _) = table.expect("the loop runs until the table is laid out");
+    let (reader, ..) = table.expect("the loop runs until the table is laid out");
     job.report.merged_bytes = reader.layout().file_len();
     seal(reader, &table_path, &spec.out_path).map_err(table_err)?;
     job.report.elapsed = t0.elapsed();

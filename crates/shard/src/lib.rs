@@ -65,8 +65,9 @@ pub fn sample_dests(num_nodes: usize, sample: usize) -> Vec<NodeId> {
 /// How a worker obtains the topology the coordinator is sharding: both
 /// sides rebuild it independently (generation is deterministic and the
 /// ingest cache is on shared disk), so the protocol moves only each
-/// worker's adjacency section, once, in its `Hello` — the table embeds
-/// it, and the coordinator checks that every worker built the same one.
+/// worker's adjacency sections, once, in its `Hello` — the table embeds
+/// them, and the coordinator checks that every worker built the same
+/// ones.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TopoSpec {
     /// A generated preset — name as [`DatasetPreset`] parses it, i.e. as

@@ -28,7 +28,7 @@ use crate::fnv1a;
 use std::io::{Read, Write};
 
 /// Protocol revision spoken in [`Msg::Hello`]; both sides must agree.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Largest acceptable payload, far above anything either protocol built
 /// on this framing sends.
@@ -38,10 +38,10 @@ pub const MAX_FRAME: u32 = 256 << 20;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Msg {
     /// Worker → coordinator, once at startup: `adjacency` is the
-    /// table's adjacency section as the worker's topology writes it
+    /// table's adjacency sections — neighbour lists, partition ends, AS
+    /// numbers — as the worker's topology writes them
     /// ([`crate::format::Adjacency::write`]); the coordinator lays out the
-    /// table from the first one and refuses a worker whose section
-    /// differs.
+    /// table from the first one and ends the job if a later one differs.
     Hello { protocol: u32, worker: u32, adjacency: Vec<u8> },
     /// Coordinator → worker: solve destinations `start..start+len` (block
     /// indices into the job's canonical destination list).

@@ -102,7 +102,7 @@ where
                     }
                     let file = table.as_ref().ok_or(format!("assignment {block} before the table path"))?;
                     current.store(block, Ordering::Relaxed);
-                    let rows = solve_rows(topo, adj.wide(), &dests[start..start + len], cfg.threads, &pool);
+                    let rows = solve_rows(topo, &adj, &dests[start..start + len], cfg.threads, &pool);
                     let mut sums = Vec::with_capacity(8 * len);
                     for (j, (row, sum)) in rows.iter().enumerate() {
                         file.write_all_at(row, layout.row_at(start + j) as u64)

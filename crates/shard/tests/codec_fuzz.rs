@@ -160,3 +160,94 @@ fn hostile_length_fields_are_bounded() {
         other => panic!("unexpected: {other:?}"),
     }
 }
+
+// ------------------------------------------------ table sections and exceptions
+
+use miro_bgp::solver::RoutingState;
+use miro_shard::format::{checksum, row_checksum, row_exceptions, Adjacency, Layout, RouteTableSet, EXCEPTION_BYTES};
+use miro_topology::gen::GenParams;
+
+/// A tiny graph's table whose rows 0 and 1 are masked solves, each
+/// without the link of a sink to its provider: one exception or more.
+fn excepted() -> RouteTableSet {
+    let topo = GenParams::tiny(3).generate();
+    let mut set = RouteTableSet::from_solves(&topo, &miro_shard::sample_dests(topo.num_nodes(), 6), 1);
+    let n = topo.num_nodes();
+    let sinks: Vec<u32> = topo.sinks().iter().copied().filter(|&s| topo.providers(s).count() >= 2).collect();
+    for (i, &s) in sinks.iter().take(2).enumerate() {
+        let st = RoutingState::solve(&topo, set.dests()[i]);
+        let p = st.best(s).expect("a multihomed sink is routed").next;
+        let (mut next, mut hops, mut class) = (vec![0u32; n], vec![0u16; n], vec![0u8; n]);
+        RoutingState::solve_without_link(&topo, set.dests()[i], s, p).write_table_row(&mut next, &mut hops, &mut class);
+        set.set_row(i, &next, &hops, &class);
+    }
+    assert!(set.layout().num_exceptions() >= 2);
+    set
+}
+
+/// Every row checksum (over the row and its exceptions as readers find
+/// them) and the whole-file checksum recomputed.
+fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+    let l = Layout::parse(&bytes).unwrap();
+    let end = bytes.len() - 8;
+    let exceptions = bytes[l.exceptions_at()..end].to_vec();
+    for i in 0..l.num_dests() as usize {
+        let sum = row_checksum(&bytes[l.row_at(i)..l.row_at(i + 1)], row_exceptions(&exceptions, i));
+        bytes[l.sums_at() + 8 * i..][..8].copy_from_slice(&sum.to_le_bytes());
+    }
+    let total = checksum(&bytes[..end]);
+    bytes[end..].copy_from_slice(&total.to_le_bytes());
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A Hello's sections are parsed before the coordinator lays anything
+    /// out: any words written into a good section parse or are refused,
+    /// never a panic, and what parses writes back to the same bytes.
+    #[test]
+    fn hello_sections_parse_or_fail_cleanly(writes in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..6)) {
+        let topo = GenParams::tiny(3).generate();
+        let mut bytes = Vec::new();
+        Adjacency::of(&topo).write(&mut bytes);
+        let ends_at = 4 * (topo.num_nodes() + 1 + 2 * topo.num_edges());
+        for &(at, value, in_ends) in &writes {
+            // Half the writes land in the partition ends, where a small
+            // value is likely to parse.
+            let at = if in_ends { ends_at + 2 * (at as usize % (2 * topo.num_nodes())) } else { 2 * (at as usize % (bytes.len() / 2)) };
+            bytes[at..at + 2].copy_from_slice(&((value % 8) as u16).to_le_bytes());
+        }
+        if let Ok(adj) = Adjacency::parse(topo.num_nodes() as u32, &bytes) {
+            let mut back = Vec::new();
+            adj.write(&mut back);
+            prop_assert_eq!(back, bytes);
+        }
+    }
+
+    /// Any words in the sections or the exception list of a table with
+    /// exceptions, resealed: `decode` refuses it or reads every row,
+    /// never a panic.
+    #[test]
+    fn hostile_sections_and_exceptions_decode_or_fail_cleanly(
+        writes in proptest::collection::vec((any::<bool>(), any::<u32>(), any::<u16>()), 1..5),
+    ) {
+        let set = excepted();
+        let l = set.layout();
+        let mut bytes = set.encode();
+        for &(in_exceptions, at, word) in &writes {
+            let region = if in_exceptions {
+                l.exceptions_at()..l.exceptions_at() + EXCEPTION_BYTES * l.num_exceptions() as usize
+            } else {
+                l.ends_at()..l.sums_at()
+            };
+            let at = region.start + 2 * (at as usize % (region.len() / 2));
+            bytes[at..at + 2].copy_from_slice(&(word % 16).to_le_bytes());
+        }
+        if let Ok(back) = RouteTableSet::decode(&resealed(bytes)) {
+            for i in 0..back.dests().len() {
+                back.row(i);
+            }
+        }
+    }
+}

@@ -107,9 +107,12 @@ enum Behavior {
     /// report it — a process racing its own SIGKILL while the replacement
     /// writes the same range.
     Straggler,
-    /// Run the real worker loop over [`rewired`]: a topology of the same
-    /// size whose Hello carries other neighbour lists.
-    Foreign,
+    /// Say the Hello of [`rewired`] — a topology of the same size whose
+    /// sections carry other neighbour lists — then go silent like `Hang`;
+    /// `late` holds the Hello back 100 ms.
+    Foreign { late: bool },
+    /// `Hang`, with the Hello held back 100 ms.
+    Late,
 }
 
 struct LocalSpawner {
@@ -197,7 +200,7 @@ fn double(
                     _ => {}
                 }
                 let (start, len) = (start as usize, len as usize);
-                let rows = solve_rows(topo, adj.wide(), &dests[start..start + len], 1, &pool);
+                let rows = solve_rows(topo, &adj, &dests[start..start + len], 1, &pool);
                 let bytes: Vec<u8> = rows.iter().flat_map(|(row, _)| row.iter().copied()).collect();
                 let mut sums: Vec<u8> = rows.iter().flat_map(|(_, sum)| sum.to_le_bytes()).collect();
                 let lying = done == 0;
@@ -255,10 +258,13 @@ impl Spawner for LocalSpawner {
                 let _ = worker::run(&topo, &dests, cfg, stdin_r, stdout_w);
             }
             Behavior::Garbage => garbage(&topo, worker, stdin_r, stdout_w),
-            Behavior::Foreign => {
-                let cfg =
-                    WorkerConfig { worker, threads: 1, heartbeat: Duration::from_millis(20) };
-                let _ = worker::run(&rewired(&topo), &dests, cfg, stdin_r, stdout_w);
+            Behavior::Foreign { late } => {
+                std::thread::sleep(Duration::from_millis(if late { 100 } else { 0 }));
+                double(&rewired(&topo), &dests, worker, Behavior::Hang, stdin_r, stdout_w);
+            }
+            Behavior::Late => {
+                std::thread::sleep(Duration::from_millis(100));
+                double(&topo, &dests, worker, Behavior::Hang, stdin_r, stdout_w);
             }
             other => double(&topo, &dests, worker, other, stdin_r, stdout_w),
         });
@@ -424,7 +430,9 @@ fn hung_worker_is_deadline_killed_and_job_completes() {
 }
 
 /// A worker that emits garbage bytes is treated as crashed (corrupt
-/// event), not trusted, and the job still completes correctly.
+/// event), not trusted, and the job still completes correctly. One
+/// worker at a time: the garbage worker holds a block before any good
+/// worker exists, so no good worker can finish the job first.
 #[test]
 fn garbage_frames_mean_death_not_bad_data() {
     let topo = Arc::new(GenParams::tiny(13).generate());
@@ -432,7 +440,7 @@ fn garbage_frames_mean_death_not_bad_data() {
     let reference = RouteTableSet::from_solves(&topo, &dests, 2).encode();
 
     let dir = fresh_dir("garbage");
-    let job = spec(&dests, &topo, 4, 2, &dir);
+    let job = spec(&dests, &topo, 4, 1, &dir);
     let mut spawner = LocalSpawner::new(&topo, &dests, vec![Behavior::Garbage]);
     let report = coordinator::run(&job, &mut spawner).expect("job survives garbage");
 
@@ -721,18 +729,25 @@ fn resume_over_another_topology_of_the_same_size_resolves_every_block() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The first Hello lays the table out; a later worker whose adjacency
-/// differs solved another topology and is buried as corrupt, never
-/// handed a block.
+/// Two workers whose Hellos carry different sections built two
+/// topologies, and neither Hello says which one the job means: the job
+/// ends at once with an error naming both workers and the first AS whose
+/// sections differ — whether the foreign worker spoke first or second —
+/// and no worker is buried on the other's word.
 #[test]
-fn a_worker_of_another_topology_is_buried_as_corrupt() {
+fn a_worker_of_another_topology_ends_the_job_naming_both_workers() {
     let topo = Arc::new(GenParams::tiny(23).generate());
     let dests = Arc::new(sample_dests(topo.num_nodes(), 16));
-    let dir = fresh_dir("foreign_worker");
-    let job = spec(&dests, &topo, 4, 1, &dir);
-    let behaviors = vec![Behavior::DieAfter(1), Behavior::Foreign];
-    let report = coordinator::run(&job, &mut LocalSpawner::new(&topo, &dests, behaviors)).expect("job finishes");
-    assert_eq!((report.corrupt_events, report.deaths, report.respawns), (1, 2, 2));
-    assert_eq!(std::fs::read(&job.out_path).unwrap(), RouteTableSet::from_solves(&topo, &dests, 2).encode());
-    let _ = std::fs::remove_dir_all(&dir);
+    let x = Adjacency::of(&topo).first_difference_from(&Adjacency::of(&rewired(&topo))).expect("rewired differs");
+    let foreign_first = vec![Behavior::Foreign { late: false }, Behavior::Late];
+    let foreign_second = vec![Behavior::Hang, Behavior::Foreign { late: true }];
+    for (order, behaviors) in [("foreign first", foreign_first), ("foreign second", foreign_second)] {
+        let dir = fresh_dir("foreign_worker");
+        let job = spec(&dests, &topo, 4, 2, &dir);
+        let err = coordinator::run(&job, &mut LocalSpawner::new(&topo, &dests, behaviors)).expect_err(order);
+        let want = format!("workers 0 and 1 built different topologies: their sections differ first at AS node {x}");
+        assert!(err.starts_with(&want), "{order}: {err}");
+        assert!(!job.out_path.exists(), "{order}: no table is finished");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -47,7 +47,7 @@ fn bench_solver_json_keeps_its_schema() {
     let scale = &v["scales"][0];
     assert_keys("scales[]", scale, &[
         "scale", "preset", "preset_scale", "nodes", "edges", "dests", "reps", "rows", "heap",
-        "bucket_ms_per_dest", "heap_ms_per_dest", "speedup_per_dest",
+        "bucket_ms_per_dest", "row_ms_per_dest", "heap_ms_per_dest", "speedup_per_dest",
     ]);
     assert_eq!(scale["rows"].as_array().map(Vec::len), Some(2));
     assert_keys("scales[].rows[]", &scale["rows"][1], &[

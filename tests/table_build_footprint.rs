@@ -4,8 +4,9 @@
 //! peak live heap is the image plus each solving thread's arenas — not
 //! per-row copies, and not a second table beside the file bytes.
 //! `decode` verifies, then keeps one copy of the bytes — plus the
-//! embedded adjacency parsed to resolve and check slots: the file's
-//! adjacency section and a `u16` per AS, an index, not row data.
+//! embedded sections parsed to resolve slots and derive sinks: the
+//! file's adjacency sections and under two bytes per AS (a rank byte,
+//! and a slot limit per transit AS), an index, not row data.
 //!
 //! Live heap is counted by a global allocator over every thread (the
 //! build's workers allocate on their own), so this binary holds one test.

@@ -14,7 +14,7 @@ use miro_bgp::solver::{ESCAPE, MAX_HOPS, UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED
 use miro_eval::whole_table::{summarize, summarize_file};
 use miro_serve::mmap::MappedTable;
 use miro_serve::{RowRead, TableSource};
-use miro_shard::format::{checksum, Layout, RouteTableSet, CELL_BYTES};
+use miro_shard::format::{checksum, row_checksum, Layout, RouteTableSet, CELL_BYTES, EXCEPTION_BYTES};
 use miro_topology::gen::{figure_1_1, GenParams};
 use miro_topology::{AsId, Topology, TopologyBuilder};
 use std::path::{Path, PathBuf};
@@ -57,20 +57,25 @@ fn mapped_rss_kb(path: &Path) -> Option<u64> {
     panic!("{name} is not mapped");
 }
 
-/// `v` ASes and no link: each destination's row routes only itself.
-fn isolated(v: u32) -> Topology {
+/// `v` ASes (an even number) in sibling pairs: every AS is transit, so
+/// every row holds a cell for each, and each destination's row routes
+/// only itself and its sibling.
+fn pairs(v: u32) -> Topology {
     let mut b = TopologyBuilder::new();
     for asn in 1..=v {
         b.intern_as(AsId(asn));
     }
-    b.build().expect("ASes without links are a valid topology")
+    for asn in (1..=v).step_by(2) {
+        b.sibling(AsId(asn), AsId(asn + 1));
+    }
+    b.build().expect("sibling pairs are a valid topology")
 }
 
 #[test]
 fn opening_a_16_mb_table_makes_no_page_of_it_resident() {
     let (v, d) = (24_000u32, 360u32);
     let dests: Vec<u32> = (0..d).map(|i| i * (v / d)).collect();
-    let bytes = RouteTableSet::from_solves(&isolated(v), &dests, 2).encode();
+    let bytes = RouteTableSet::from_solves(&pairs(v), &dests, 2).encode();
     assert!(bytes.len() >= 16 << 20, "{} bytes", bytes.len());
     let file = Scratch::new("big", &bytes);
     drop(bytes);
@@ -98,8 +103,10 @@ fn a_flipped_byte_in_any_region_fails_both_readers_with_the_decoders_text() {
     let regions = [
         ("magic", 1),
         ("geometry", 8),
-        ("a destination id", 24 + 4 * 3 + 1),
+        ("a destination id", layout.adjacency_at() - 4 * 6 + 1),
         ("the adjacency", layout.adjacency_at() + 4 * 40 + 2),
+        ("the partition ends", layout.ends_at() + 4 * 7 + 1),
+        ("the AS numbers", layout.asns_at() + 4 * 7),
         ("the checksum table", layout.sums_at() + 8 * 2 + 5),
         ("a row", layout.row_at(4) + 11),
         ("the trailer", bytes.len() - 3),
@@ -147,10 +154,11 @@ fn the_streamed_summary_equals_the_decoded_summary() {
 }
 
 /// Every class × hops {1, 63} × slot {0, 254, 255 (the first escaped),
-/// the last} on 24 wide ASes, zero-hop and unrouted cells, and a cell
-/// whose class bits are 3 but whose other bits are not all ones: the
-/// decoder, the mapped row and the streamed summary read the same
-/// `(next, hops, class)` from each, and the odd cell as unrouted.
+/// the last} on 24 wide ASes, zero-hop and unrouted cells — the leaves
+/// are sinks, so their unrouted cells are exceptions — and a cell whose
+/// class bits are 3 but whose other bits are not all ones: the decoder,
+/// the mapped row and the streamed summary read the same `(next, hops,
+/// class)` from each, and the odd cell as unrouted.
 #[test]
 fn every_cell_field_extreme_reads_alike_through_all_three_readers() {
     // 24 hubs (nodes 0..24), each the provider of the same 300 leaves.
@@ -183,12 +191,16 @@ fn every_cell_field_extreme_reads_alike_through_all_three_readers() {
     assert_eq!(set.row(0), (next.clone(), hops.clone(), class.clone()));
     let mut bytes = set.encode();
 
-    // Class bits 3 over a routed-looking slot and hop count, resealed.
+    // Class bits 3 over a routed-looking slot and hop count in the odd
+    // leaf's exception (the first of the row's), resealed.
     let layout = Layout::parse(&bytes).unwrap();
-    assert_eq!(layout.num_wide(), 24);
+    assert_eq!((layout.num_wide(), layout.num_exceptions()), (24, 299));
+    let entry = layout.exceptions_at();
+    assert_eq!(&bytes[entry + 4..entry + 8], &(odd as u32).to_le_bytes());
     let word = 3u16 << 8 | 9 << 10 | 17;
-    bytes[layout.row_at(0) + CELL_BYTES * odd..][..CELL_BYTES].copy_from_slice(&word.to_le_bytes());
-    let row_sum = checksum(&bytes[layout.row_at(0)..layout.row_at(1)]);
+    bytes[entry + EXCEPTION_BYTES - 4..][..CELL_BYTES].copy_from_slice(&word.to_le_bytes());
+    let exceptions = &bytes[entry..bytes.len() - 8];
+    let row_sum = row_checksum(&bytes[layout.row_at(0)..layout.row_at(1)], exceptions);
     bytes[layout.sums_at()..][..8].copy_from_slice(&row_sum.to_le_bytes());
     let end = bytes.len() - 8;
     let total = checksum(&bytes[..end]);
