@@ -10,7 +10,9 @@
 //! ```
 //!
 //! Every frame after the magic uses the shard codec's checksummed raw
-//! framing (`u32 len | payload | u64 FNV-1a`), so a flipped byte anywhere
+//! framing under FNV-1a (`u32 len | payload | u64 FNV-1a`: the wire
+//! protocols moved to [`frame_sum`](miro_shard::format::frame_sum), trace
+//! files did not), so a flipped byte anywhere
 //! is caught by the checksum and truncation mid-frame is caught by the
 //! length prefix. Truncation at a *frame boundary* — the one cut framing
 //! alone cannot see — is caught by the header's total event count: decode
@@ -31,7 +33,8 @@
 //! replay engine counts events naming unknown ASes as ignored, mirroring
 //! how a real feed carries prefixes you have no route to.
 
-use miro_shard::protocol::{encode_raw_frame, read_raw_frame, FrameError};
+use miro_shard::fnv1a;
+use miro_shard::protocol::{encode_sealed_frame, read_sealed_frame, FrameError};
 use miro_topology::{io as topo_io, Topology};
 use std::io::Read;
 
@@ -182,7 +185,7 @@ impl Trace {
         header.push(VERSION);
         header.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
         header.extend_from_slice(self.topo_text.as_bytes());
-        out.extend_from_slice(&encode_raw_frame(&header));
+        out.extend_from_slice(&encode_sealed_frame(&header, fnv1a));
 
         let mut prev = 0u64;
         for chunk in self.events.chunks(CHUNK_EVENTS) {
@@ -206,7 +209,7 @@ impl Trace {
                     }
                 }
             }
-            out.extend_from_slice(&encode_raw_frame(&payload));
+            out.extend_from_slice(&encode_sealed_frame(&payload, fnv1a));
         }
         Ok(out)
     }
@@ -233,7 +236,7 @@ impl Trace {
             return Err(TraceError::BadMagic);
         }
 
-        let header = read_raw_frame(r)?;
+        let header = read_sealed_frame(r, fnv1a)?;
         if header.len() < 9 {
             return Err(TraceError::Malformed("header frame too short"));
         }
@@ -247,7 +250,7 @@ impl Trace {
         let mut events = Vec::with_capacity(total.min(1 << 20) as usize);
         let mut now = 0u64;
         while (events.len() as u64) < total {
-            let chunk = match read_raw_frame(r) {
+            let chunk = match read_sealed_frame(r, fnv1a) {
                 Ok(c) => c,
                 Err(FrameError::Eof) => {
                     return Err(TraceError::Truncated { expected: total, got: events.len() as u64 })
@@ -436,7 +439,7 @@ mod tests {
     fn trailing_frames_are_rejected() {
         let t = sample();
         let mut bytes = t.encode().unwrap();
-        bytes.extend_from_slice(&encode_raw_frame(b"extra"));
+        bytes.extend_from_slice(&encode_sealed_frame(b"extra", fnv1a));
         assert!(matches!(Trace::decode(&bytes), Err(TraceError::TrailingData)));
     }
 
@@ -452,7 +455,7 @@ mod tests {
         let mut header = vec![9u8];
         header.extend_from_slice(&0u64.to_le_bytes());
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_raw_frame(&header));
+        bytes.extend_from_slice(&encode_sealed_frame(&header, fnv1a));
         assert!(matches!(Trace::decode(&bytes), Err(TraceError::BadVersion(9))));
     }
 
@@ -462,7 +465,7 @@ mod tests {
         header.extend_from_slice(&0u64.to_le_bytes());
         header.extend_from_slice(b"1 1 c\n");
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_raw_frame(&header));
+        bytes.extend_from_slice(&encode_sealed_frame(&header, fnv1a));
         assert!(matches!(Trace::decode(&bytes), Err(TraceError::BadTopology(_))));
     }
 }

@@ -7,7 +7,8 @@
 //!   destination sample into a real on-disk table, memory-map it, start
 //!   an in-process [`miro_serve::server::Server`] on a loopback port,
 //!   and drive it — the whole serving stack (mmap, first-touch
-//!   checksums, cache stripes, wire codec, TCP) on one machine.
+//!   checksums, wire codec, TCP) on one machine, uncached as `miro
+//!   serve` runs.
 //! * **External** (`--addr`): drive an already-running `miro serve`
 //!   daemon. The client learns the servable ASNs from the wire
 //!   `Universe` message, so it needs no topology flags. `--shutdown`
@@ -20,8 +21,9 @@
 //! rounds of the same stream: `wall_ms`/`qps` are the fastest round,
 //! `median_wall_ms`/`median_qps` the median and `spread` (slowest −
 //! fastest) / median. Latency is measured per query and merged across
-//! connections and rounds; the hot-cache hit rate comes from differencing
-//! the daemon's `Stats` before and after. Results land in
+//! connections and rounds; the hit rate comes from differencing the
+//! daemon's `Stats` cache counters before and after, and reads 0 against
+//! a daemon that runs uncached, as `miro serve` does. Results land in
 //! `BENCH_query.json`; `--check-qps F` turns the best row's throughput
 //! into a hard CI gate.
 
@@ -56,9 +58,9 @@ const REPS: usize = 3;
 /// Destinations the self-hosted table is solved for.
 const SAMPLE: usize = 256;
 
-/// The self-hosted daemon's answer cache: stripes x slots per stripe
-/// (`miro serve`'s defaults).
-const CACHE: CacheShape = CacheShape { stripes: 16, slots_per_stripe: 1024 };
+/// The self-hosted daemon's answer cache: none, as `miro serve` runs.
+/// The JSON keeps its `cache` keys, at 0, while the cache type exists.
+const CACHE: CacheShape = CacheShape { stripes: 0, slots_per_stripe: 0 };
 
 /// Query mix per 10 queries: 6 next-hop, 3 path, 1 alternate.
 const MIX: &[QueryKind] = &[
@@ -299,7 +301,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let best = rounds.iter().map(|r| r.qps).fold(0.0f64, f64::max);
     let json = Report {
         bench: "query-serve",
-        engine: "mmap-table-striped-cache-thread-per-conn",
+        engine: "mmap-table-thread-per-conn",
         mode,
         scale,
         nodes,
@@ -454,7 +456,6 @@ struct HostedServer {
 
 impl HostedServer {
     fn start(sc: &harness::Scale) -> Result<HostedServer, String> {
-        use miro_serve::cache::ShardedCache;
         use miro_serve::mmap::MappedTable;
         use miro_serve::query::Engine;
         use miro_serve::server::Server;
@@ -471,8 +472,7 @@ impl HostedServer {
         drop(set);
 
         let mapped = MappedTable::open(&table.0)?;
-        let cache = ShardedCache::new(CACHE.stripes, CACHE.slots_per_stripe);
-        let engine = Engine::new(mapped, topo, Some(cache))?;
+        let engine = Engine::new(mapped, topo, None)?;
         let server = Server::bind("127.0.0.1:0", engine)
             .map_err(|e| format!("cannot bind loopback: {e}"))?;
         let addr = server.local_addr().map_err(|e| e.to_string())?;
@@ -553,7 +553,7 @@ mod tests {
         assert_eq!(v["scale"].as_str(), Some("tiny"));
         assert_eq!((v["nodes"].as_f64(), v["dests"].as_f64()), (Some(209.0), Some(209.0)));
         assert_eq!(v["mix"]["next_hop"].as_f64(), Some(0.6));
-        assert_eq!(v["cache"]["slots_per_stripe"].as_f64(), Some(1024.0));
+        assert_eq!(v["cache"]["slots_per_stripe"].as_f64(), Some(0.0), "the hosted daemon runs uncached");
         let rows = v["rows"].as_array().expect("rows array");
         assert_eq!(rows.len(), 2);
         for (row, conns) in rows.iter().zip([2.0, 4.0]) {
@@ -561,11 +561,12 @@ mod tests {
             assert_eq!(row["queries"].as_f64(), Some(600.0));
             assert!(row["qps"].as_f64().unwrap() > 0.0);
             assert!(row["p99_us"].as_f64().unwrap() >= row["p50_us"].as_f64().unwrap());
-            assert!((0.0..=1.0).contains(&row["hit_rate"].as_f64().unwrap()));
+            assert_eq!(row["hit_rate"].as_f64(), Some(0.0));
         }
         // Two rows of REPS rounds of 600 plus nothing else: the control
         // connection's Universe/Stats traffic is not a query.
         assert_eq!(v["totals"]["queries"].as_f64(), Some((2 * REPS * 600) as f64));
+        assert_eq!((v["totals"]["cache_hits"].as_f64(), v["totals"]["cache_misses"].as_f64()), (Some(0.0), Some(0.0)));
         assert_eq!(v["reps"].as_f64(), Some(REPS as f64));
     }
 

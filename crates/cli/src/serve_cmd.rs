@@ -8,14 +8,18 @@
 //! The table is memory-mapped ([`miro_serve::mmap::MappedTable`]) and
 //! must have been solved over exactly the topology given by
 //! `--preset/--factor/--seed` (or `--cache`) — the same flags
-//! `shard-solve` took, because the daemon needs the adjacency and
-//! business relationships to answer alternate-path queries, and the
-//! table file stores only routes. `--port-file` publishes the bound
-//! address (useful with port 0) so scripts don't have to parse logs.
+//! `shard-solve` took: the daemon answers from the topology's ASNs and
+//! business relationships, and refuses one whose neighbour lists,
+//! partition ends or AS numbers are not the ones the table carries.
+//! `--port-file` publishes the bound address (useful with port 0) so
+//! scripts don't have to parse logs.
+//!
+//! The daemon answers every query from the table, with no answer cache in
+//! front: a path costs a rank load and a 2-byte cell per hop, less than a
+//! cache probe, and the wire `Stats` cache counters read 0.
 
 use crate::harness::{Cmd, Flag, Kind};
 use crate::shard_cmd::topo_spec;
-use miro_serve::cache::ShardedCache;
 use miro_serve::mmap::MappedTable;
 use miro_serve::query::Engine;
 use miro_serve::server::Server;
@@ -31,8 +35,6 @@ pub static CMD: Cmd = Cmd {
         // 4179: BGP's 179, one plane up.
         Flag { name: "--addr", kind: Kind::Str, default: "127.0.0.1:4179", help: "listen address; port 0 lets the kernel pick" },
         Flag { name: "--port-file", kind: Kind::Str, default: "", help: "publish the bound address here" },
-        Flag { name: "--stripes", kind: Kind::Num, default: "16", help: "answer-cache stripes" },
-        Flag { name: "--cache-slots", kind: Kind::Num, default: "1024", help: "answer-cache slots per stripe" },
         Flag { name: "--no-verify-file", kind: Kind::Switch, default: "", help: "skip the whole-file checksum at open (saves start time, not memory)" },
         Flag { name: "--quiet", kind: Kind::Switch, default: "", help: "no start-up line on stderr" },
     ],
@@ -46,7 +48,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let spec = topo_spec(&a)?;
     let bind: String = a.get("--addr")?;
     let port_file: Option<String> = a.opt("--port-file")?;
-    let (stripes, cache_slots): (usize, usize) = (a.get("--stripes")?, a.get("--cache-slots")?);
     // The two halves of start-up share nothing: build the topology on a
     // second thread while this one maps and checksums the table. A bad
     // table is still the error reported first.
@@ -62,7 +63,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let (table, topo) = (table?, topo?);
     let bytes = table.file_bytes();
     let dests = miro_serve::TableSource::dests(&table).len();
-    let engine = Engine::new(table, topo, Some(ShardedCache::new(stripes, cache_slots)))?;
+    let engine = Engine::new(table, topo, None)?;
     let server = Server::bind(bind.as_str(), engine)
         .map_err(|e| format!("cannot bind {bind}: {e}"))?;
     let addr = server.local_addr().map_err(|e| format!("cannot read bound address: {e}"))?;
@@ -72,19 +73,15 @@ pub fn run(args: &[String]) -> Result<String, String> {
     }
     if !a.on("--quiet") {
         eprintln!(
-            "serve: {} ({bytes} bytes, {dests} dests) on {addr}, cache {stripes}x{cache_slots} slots",
+            "serve: {} ({bytes} bytes, {dests} dests) on {addr}",
             path.display()
         );
     }
     let report = server.run().map_err(|e| format!("serve loop failed: {e}"))?;
-    let lookups = report.cache_hits + report.cache_misses;
-    let hit_pct = if lookups == 0 { 0.0 } else { report.cache_hits as f64 * 100.0 / lookups as f64 };
     Ok(format!(
-        "serve: done — {} connections ({} shed, {} timed out, {} idle, {} corrupt), {} queries; \
-         cache: {} hits, {} misses, {} evictions ({hit_pct:.1}% hit rate){}\n",
+        "serve: done — {} connections ({} shed, {} timed out, {} idle, {} corrupt), {} queries{}\n",
         report.connections, report.shed, report.timed_out, report.idle_closed, report.corrupt,
         report.queries,
-        report.cache_hits, report.cache_misses, report.cache_evictions,
         peak_resident().unwrap_or_default()
     ))
 }

@@ -9,10 +9,12 @@
 //!   (validate once at open, borrow rows from the map, per-row
 //!   checksum verification on first touch);
 //! * [`query::Engine`] — the query semantics: next-hop, full-path, and
-//!   alternate-path-avoiding-AS answers over any [`TableSource`], with
-//!   a [`cache::ShardedCache`] in front of the expensive kinds;
+//!   alternate-path-avoiding-AS answers over any [`TableSource`]. The
+//!   daemon runs it uncached: an answer from the table costs less than a
+//!   probe of [`cache::ShardedCache`], which stays for the repo
+//!   benchmark's in-process rows;
 //! * [`wire`] — the length-prefixed query protocol, framed by the same
-//!   FNV codec the shard service speaks
+//!   codec and frame sum the shard service speaks
 //!   ([`miro_shard::protocol::read_raw_frame`]);
 //! * [`server`] — the TCP daemon behind `miro serve`.
 //!

@@ -224,7 +224,8 @@ impl EngineStats {
 /// (adjacency + export relationships for alternate queries), and an
 /// optional hot cache in front of the two non-trivial query kinds
 /// (next-hop probes are a single cell read — caching them through a
-/// mutex stripe would cost more than the probe).
+/// mutex stripe would cost more than the probe). `miro serve` runs it
+/// without the cache, which costs more than a path from the table.
 pub struct Engine<T: TableSource> {
     table: T,
     topo: Topology,

@@ -1,10 +1,10 @@
 //! The TCP daemon behind `miro serve`: one thread per connection over a
 //! shared [`Engine`], speaking the [`wire`](crate::wire) protocol.
 //!
-//! The engine (table + topology + cache) is immutable after startup, so
-//! connection threads share one `Arc` and contend only on the cache's
-//! mutex stripes; each owns its [`QueryScratch`], one fixed read buffer
-//! and one reply buffer. `read` takes whatever the socket holds — one
+//! The engine (table + topology) is immutable after startup, so
+//! connection threads share one `Arc` and contend on nothing but the
+//! engine's relaxed counters; each owns its [`QueryScratch`], one fixed
+//! read buffer and one reply buffer. `read` takes whatever the socket holds — one
 //! request from a depth-1 client, a whole pipelined window from a
 //! batching one. Every complete frame in the buffer is verified
 //! ([`split_frame`]) and answered in order by [`answer_frame`], which
@@ -83,12 +83,6 @@ pub struct ServeReport {
     pub corrupt: u64,
     /// Queries answered (successfully or as `RErr`), across connections.
     pub queries: u64,
-    /// Answer-cache hits (0 when the engine runs cacheless).
-    pub cache_hits: u64,
-    /// Cache misses.
-    pub cache_misses: u64,
-    /// Cache evictions (slot reuse under pressure).
-    pub cache_evictions: u64,
 }
 
 /// Stops a running daemon: [`Server::stop_handle`].
@@ -209,7 +203,6 @@ impl<T: TableSource + Send + Sync + 'static> Server<T> {
             let _ = h.join();
         }
         accepting?;
-        let cache = shared.engine.cache();
         Ok(ServeReport {
             connections: shared.connections.load(Ordering::Relaxed),
             shed: shared.shed.load(Ordering::Relaxed),
@@ -217,9 +210,6 @@ impl<T: TableSource + Send + Sync + 'static> Server<T> {
             idle_closed: shared.idle_closed.load(Ordering::Relaxed),
             corrupt: shared.corrupt.load(Ordering::Relaxed),
             queries: shared.engine.stats.queries() + shared.engine.stats.errors.load(Ordering::Relaxed),
-            cache_hits: cache.map_or(0, |c| c.stats.hits.load(Ordering::Relaxed)),
-            cache_misses: cache.map_or(0, |c| c.stats.misses.load(Ordering::Relaxed)),
-            cache_evictions: cache.map_or(0, |c| c.stats.evictions.load(Ordering::Relaxed)),
         })
     }
 }
@@ -435,7 +425,6 @@ impl<T: TableSource> Conn<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ShardedCache;
     use crate::wire::{read_msg, write_msg};
     use miro_shard::format::RouteTableSet;
     use miro_topology::GenParams;
@@ -449,8 +438,7 @@ mod tests {
         let topo = GenParams::tiny(7).generate();
         let dests: Vec<u32> = (0..topo.num_nodes() as u32).collect();
         let table = RouteTableSet::from_solves(&topo, &dests, 2);
-        let engine =
-            Engine::new(table, topo.clone(), Some(ShardedCache::new(4, 64))).unwrap();
+        let engine = Engine::new(table, topo.clone(), None).unwrap();
         let server = Server::bind("127.0.0.1:0", engine).unwrap();
         let addr = server.local_addr().unwrap();
         let daemon = std::thread::spawn(move || server.run().unwrap());
@@ -517,11 +505,13 @@ mod tests {
         assert!(msg.contains("unknown source AS"), "{msg}");
 
         write_msg(&mut w, &WireMsg::Stats { id: 6 }).unwrap();
-        let WireMsg::RStats { id: 6, queries, connections, .. } = read_msg(&mut r).unwrap()
+        let WireMsg::RStats { id: 6, queries, cache_hits, cache_misses, cache_evictions, connections, .. } =
+            read_msg(&mut r).unwrap()
         else {
             panic!("expected RStats")
         };
         assert!(queries >= 2);
+        assert_eq!((cache_hits, cache_misses, cache_evictions), (0, 0, 0), "the daemon runs uncached");
         assert_eq!(connections, 1);
 
         write_msg(&mut w, &WireMsg::Shutdown).unwrap();
@@ -530,8 +520,10 @@ mod tests {
         assert_eq!(report.connections, 1);
     }
 
-    /// A version-mismatched Hello gets a polite RBye, not a dropped
-    /// socket, and the daemon keeps serving afterwards.
+    /// A version-mismatched Hello — protocol 1's or one from the future —
+    /// gets a polite RBye, not a dropped socket, and the daemon keeps
+    /// serving afterwards. (A protocol-1 client seals its frames with
+    /// FNV-1a, so the daemon reads its Hello as a checksum mismatch.)
     #[test]
     fn version_mismatch_is_refused_politely() {
         let topo = GenParams::tiny(8).generate();
@@ -545,12 +537,14 @@ mod tests {
         let stop = server.stop_handle();
         let daemon = std::thread::spawn(move || server.run().unwrap());
 
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut w = &stream;
-        let mut r = &stream;
-        write_msg(&mut w, &WireMsg::Hello { protocol: 999 }).unwrap();
-        assert_eq!(read_msg(&mut r).unwrap(), WireMsg::RBye);
-        assert!(matches!(read_msg(&mut r), Err(FrameError::Eof)));
+        for protocol in [1, 999] {
+            let stream = TcpStream::connect(addr).unwrap();
+            let mut w = &stream;
+            let mut r = &stream;
+            write_msg(&mut w, &WireMsg::Hello { protocol }).unwrap();
+            assert_eq!(read_msg(&mut r).unwrap(), WireMsg::RBye, "protocol {protocol}");
+            assert!(matches!(read_msg(&mut r), Err(FrameError::Eof)));
+        }
 
         stop.stop();
         daemon.join().unwrap();

@@ -1,5 +1,5 @@
 //! The query-serving wire protocol: ASN-keyed request/response messages
-//! over the same length-prefixed FNV-framed codec the shard service
+//! over the same length-prefixed, frame-summed codec the shard service
 //! speaks ([`miro_shard::protocol::read_raw_frame`] /
 //! [`write_raw_frame`] — one framing layer, one fuzz surface, two
 //! message sets).
@@ -20,12 +20,13 @@
 //!
 //! [`write_raw_frame`]: miro_shard::protocol::write_raw_frame
 
-use miro_shard::fnv1a;
+use miro_shard::format::frame_sum;
 use miro_shard::protocol::{read_raw_frame, FrameError};
 use std::io::{Read, Write};
 
 /// Protocol revision spoken in `Hello`/`Welcome`; both sides must agree.
-pub const QUERY_PROTOCOL_VERSION: u32 = 1;
+/// Version 2 seals frames with [`frame_sum`] instead of FNV-1a.
+pub const QUERY_PROTOCOL_VERSION: u32 = 2;
 
 /// The largest payload the daemon accepts from a client. Requests are
 /// fixed-size and the biggest (`Alternate`: kind, id, three ASNs) is 21
@@ -108,11 +109,14 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// A count, then the entries written into place: one length check for
+/// the vector rather than one per entry.
 fn push_vec(out: &mut Vec<u8>, v: impl ExactSizeIterator<Item = u32>) {
-    out.reserve(4 + 4 * v.len());
     push_u32(out, v.len() as u32);
-    for x in v {
-        push_u32(out, x);
+    let at = out.len();
+    out.resize(at + 4 * v.len(), 0);
+    for (slot, x) in out[at..].chunks_exact_mut(4).zip(v) {
+        slot.copy_from_slice(&x.to_le_bytes());
     }
 }
 
@@ -153,7 +157,7 @@ pub fn push_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     payload(out);
     let len = (out.len() - at - 4) as u32;
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-    let sum = fnv1a(&out[at + 4..]);
+    let sum = frame_sum(&out[at + 4..]);
     push_u64(out, sum);
 }
 
@@ -288,7 +292,7 @@ pub fn split_frame(buf: &[u8], max_payload: usize) -> Result<Option<(&[u8], usiz
     }
     let Some(sum8) = buf.get(4 + len..12 + len) else { return Ok(None) };
     let payload = &buf[4..4 + len];
-    if fnv1a(payload) != u64::from_le_bytes(sum8.try_into().expect("eight bytes")) {
+    if frame_sum(payload) != u64::from_le_bytes(sum8.try_into().expect("eight bytes")) {
         return Err(FrameError::Corrupt("checksum mismatch".to_string()));
     }
     Ok(Some((payload, 12 + len)))
@@ -520,6 +524,64 @@ mod tests {
         assert!(matches!(err, FrameError::Corrupt(ref w) if w.contains("exceeds")), "{err}");
         let (payload, used) = split_frame(&frame, MAX_REQUEST + 1).unwrap().expect("whole frame");
         assert_eq!((payload, used), (&[7u8; MAX_REQUEST + 1][..], frame.len()));
+    }
+
+    /// `read_raw_frame`'s and `split_frame`'s verdicts on `frame`: both
+    /// must refuse it, and `mismatch` says they must name the sum.
+    fn refused_by_both(frame: &[u8], mismatch: bool, what: &str) {
+        let stream = read_raw_frame(&mut &frame[..]);
+        let split = split_frame(frame, usize::MAX);
+        assert!(matches!(stream, Err(FrameError::Corrupt(_))), "{what}: read_raw_frame took it");
+        assert!(!matches!(split, Ok(Some(_))), "{what}: split_frame took it");
+        if mismatch {
+            for why in [stream.unwrap_err(), split.unwrap_err()] {
+                assert!(matches!(why, FrameError::Corrupt(ref w) if w == "checksum mismatch"), "{what}: {why}");
+            }
+        }
+    }
+
+    /// Every single-byte flip of a frame of each message kind — up to
+    /// three words long where the kind allows, then at every length
+    /// `all_msgs` has — is refused by both readers; a flip past the
+    /// length prefix is a checksum mismatch.
+    #[test]
+    fn every_one_byte_flip_of_every_kind_is_refused_by_both_readers() {
+        let short = [
+            WireMsg::RUniverse { id: 1, src_asns: vec![], dest_asns: vec![] },
+            WireMsg::RPath { id: 3, path: vec![100, 103] },
+            WireMsg::RAlternate { id: 4, deviates: false, splice_at: 0, via: 0, path: vec![] },
+            WireMsg::RErr { id: 9, msg: "busy".to_string() },
+        ];
+        let mut kinds = std::collections::BTreeSet::new();
+        for m in short.into_iter().chain(all_msgs()) {
+            let payload = encode_payload(&m);
+            kinds.insert((payload[0], payload.len() <= 24));
+            let frame = encode_raw_frame(&payload);
+            for at in 0..frame.len() {
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut bad = frame.clone();
+                    bad[at] ^= flip;
+                    refused_by_both(&bad, at >= 4, &format!("{m:?}, byte {at}, flip {flip:#x}"));
+                }
+            }
+        }
+        // Every kind but RStats (57 bytes) has a frame of at most three words.
+        let short_kinds = kinds.iter().filter(|k| k.1).map(|k| k.0).collect::<std::collections::BTreeSet<_>>();
+        assert_eq!(short_kinds.len(), 16);
+        assert!(!short_kinds.contains(&KIND_R_STATS));
+    }
+
+    /// A frame sealed with FNV-1a, as query protocol 1 sealed it, is
+    /// refused by both readers with a checksum mismatch.
+    #[test]
+    fn a_frame_sealed_with_fnv1a_is_a_checksum_mismatch() {
+        for m in all_msgs() {
+            let payload = encode_payload(&m);
+            let mut old = (payload.len() as u32).to_le_bytes().to_vec();
+            old.extend_from_slice(&payload);
+            old.extend_from_slice(&miro_shard::fnv1a(&payload).to_le_bytes());
+            refused_by_both(&old, true, &format!("{m:?}"));
+        }
     }
 
     #[test]

@@ -74,8 +74,9 @@
 //! speed: four `u64` lanes over 32-byte stripes, each word folded in by an
 //! odd multiply (a bijection: a change within one 8-byte word always moves
 //! the sum) and a rotate (so high-bit differences cannot cancel in a lane).
-//! Frames, manifest fingerprints and cache keys keep byte-serial FNV-1a:
-//! they are tens of bytes, where lanes gain nothing.
+//! Wire frames are tens of bytes, where four lanes' finish costs more than
+//! the words, so [`frame_sum`] runs the same step on one lane. Manifest
+//! fingerprints and cache keys keep byte-serial FNV-1a.
 //!
 //! The checksum granularity is the *row* (one destination's cells and
 //! exceptions), not the dispatch block: dispatch blocking is a runtime
@@ -139,6 +140,30 @@ fn step(lane: u64, word: u64) -> u64 {
     (lane ^ word).wrapping_mul(K).rotate_left(31)
 }
 
+/// The final mix of [`checksum`] and [`frame_sum`]: a bijection that
+/// spreads every input bit over the whole word.
+fn avalanche(h: u64) -> u64 {
+    let h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    let h = (h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ h >> 33
+}
+
+/// The wire frames' sum: [`checksum`]'s step on a single lane over the
+/// 8-byte words of `bytes`, the zero-padded tail word and the length,
+/// then the avalanche. Each stage is a bijection of the lane, so any
+/// change confined to one word moves the sum.
+pub fn frame_sum(bytes: &[u8]) -> u64 {
+    let words = bytes.chunks_exact(8);
+    let rest = words.remainder();
+    let mut lane = words.map(le_u64).fold(K, step);
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        lane = step(lane, u64::from_le_bytes(tail));
+    }
+    avalanche(step(lane, bytes.len() as u64))
+}
+
 /// The table checksum of `bytes`; [`Checksum`] computes it streamed.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut sum = Checksum::new();
@@ -189,10 +214,7 @@ impl Checksum {
     pub fn finish(mut self) -> u64 {
         let len = self.len;
         self.update(&[0; 32][..(32 - self.held) % 32]);
-        let h = self.lanes.into_iter().chain([len]).fold(K, step);
-        let h = (h ^ h >> 33).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        let h = (h ^ h >> 33).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ h >> 33
+        avalanche(self.lanes.into_iter().chain([len]).fold(K, step))
     }
 }
 
@@ -1546,6 +1568,46 @@ mod tests {
             0x5d56_0e8e_f34d_bbfe,
         ];
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn frame_sum_is_pinned() {
+        // Pinned: every wire frame of shard protocol 5 and query protocol 2
+        // carries this sum.
+        let ramp = |n: u8| (0..n).collect::<Vec<u8>>();
+        let got = [b"".to_vec(), b"miro".to_vec(), ramp(7), ramp(8), ramp(9), ramp(21), ramp(60)].map(|b| frame_sum(&b));
+        let want = [
+            0x238c_33e7_543f_0d51,
+            0x9313_df3a_177e_98c8,
+            0x5796_130a_9678_4262,
+            0x423f_7dde_ef37_c52b,
+            0xdbff_1886_7fb5_f6f4,
+            0x7b19_912e_2e41_0bec,
+            0x91fd_4ff9_bdd5_88d8,
+        ];
+        assert_eq!(got, want);
+        assert_ne!(frame_sum(b"miro"), crate::fnv1a(b"miro"));
+    }
+
+    /// The frame sum is the step of the table checksum on one lane: a
+    /// change confined to one word, the tail's zero padding or the
+    /// length moves it.
+    #[test]
+    fn every_one_byte_flip_and_length_change_moves_the_frame_sum() {
+        for len in 0..=40 {
+            let bytes = noise(len, 3 * len as u64 + 1);
+            let sum = frame_sum(&bytes);
+            for at in 0..len {
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut bad = bytes.clone();
+                    bad[at] ^= flip;
+                    assert_ne!(frame_sum(&bad), sum, "len {len}, byte {at}, flip {flip:#x}");
+                }
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert_ne!(frame_sum(&longer), sum, "len {len} + a zero byte");
+        }
     }
 
     /// Every single-byte change to an input of up to three stripes is

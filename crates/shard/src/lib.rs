@@ -40,9 +40,10 @@ pub mod worker;
 use miro_topology::gen::DatasetPreset;
 use miro_topology::{NodeId, Topology};
 
-/// 64-bit FNV-1a: the checksum of the wire frames, the resume manifest's
-/// block and destination fingerprints, and the serving plane's cache keys
-/// — short inputs all; table bytes use [`format::checksum`]. Not
+/// 64-bit FNV-1a: the resume manifest's block and destination
+/// fingerprints and the serving plane's cache keys — short inputs all;
+/// table bytes use [`format::checksum`], wire frames
+/// [`format::frame_sum`]. Not
 /// cryptographic — it guards against truncation, bit rot, and torn
 /// writes, which is what a batch service on one machine actually faces.
 pub fn fnv1a(bytes: &[u8]) -> u64 {

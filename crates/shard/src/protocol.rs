@@ -7,7 +7,7 @@
 //! u32  payload length N (kind byte + body)
 //! u8   message kind        ┐
 //! ...  body (N-1 bytes)    ┘ payload
-//! u64  FNV-1a checksum of the payload
+//! u64  frame sum of the payload (format::frame_sum)
 //! ```
 //!
 //! A frame whose checksum does not match, whose kind is unknown, or whose
@@ -18,17 +18,17 @@
 //! [`MAX_FRAME`] so a corrupted length cannot make the reader allocate
 //! gigabytes.
 //!
-//! The framing itself (length prefix + FNV-1a trailer) is message-set
+//! The framing itself (length prefix + frame-sum trailer) is message-set
 //! agnostic and split out as [`encode_raw_frame`] / [`write_raw_frame`] /
 //! [`read_raw_frame`]: the shard [`Msg`] codec here and the route-query
 //! serving protocol in `miro-serve` both speak it, so one fuzz corpus
 //! covers both wire formats' framing.
 
-use crate::fnv1a;
+use crate::format::frame_sum;
 use std::io::{Read, Write};
 
 /// Protocol revision spoken in [`Msg::Hello`]; both sides must agree.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Largest acceptable payload, far above anything either protocol built
 /// on this framing sends.
@@ -53,7 +53,7 @@ pub enum Msg {
     /// the worker writes its blocks' rows into.
     Output { path: String },
     /// Worker → coordinator: the block's rows are in the table file;
-    /// `table` is their checksum table, one little-endian FNV-1a `u64`
+    /// `table` is their checksum table, one little-endian row checksum `u64`
     /// per row (any other length is corrupt).
     BlockResult { block: u32, table: Vec<u8> },
     /// Coordinator → worker: drain and exit.
@@ -91,13 +91,19 @@ const KIND_SHUTDOWN: u8 = 5;
 const KIND_BYE: u8 = 6;
 const KIND_OUTPUT: u8 = 7;
 
-/// Wrap an opaque payload as a frame: `u32` length, the payload, an
-/// FNV-1a trailer. The message-set-agnostic half of the codec.
+/// Wrap an opaque payload as a frame: `u32` length, the payload, a
+/// [`frame_sum`] trailer. The message-set-agnostic half of the codec.
 pub fn encode_raw_frame(payload: &[u8]) -> Vec<u8> {
+    encode_sealed_frame(payload, frame_sum)
+}
+
+/// [`encode_raw_frame`] under another trailer sum: the churn trace file
+/// format keeps the FNV-1a its files were written with.
+pub fn encode_sealed_frame(payload: &[u8], sum: impl Fn(&[u8]) -> u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&sum(payload).to_le_bytes());
     out
 }
 
@@ -108,10 +114,15 @@ pub fn write_raw_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<(
     w.flush()
 }
 
-/// Read one frame's payload, verifying the length cap and the FNV-1a
-/// trailer. Blocks until a full frame (or EOF) arrives. The payload is
+/// Read one frame's payload, verifying the length cap and the
+/// [`frame_sum`] trailer. Blocks until a full frame (or EOF) arrives. The payload is
 /// returned unparsed — message-set decoding is the caller's layer.
 pub fn read_raw_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
+    read_sealed_frame(r, frame_sum)
+}
+
+/// [`read_raw_frame`] under another trailer sum ([`encode_sealed_frame`]).
+pub fn read_sealed_frame<R: Read>(r: &mut R, sum: impl Fn(&[u8]) -> u64) -> Result<Vec<u8>, FrameError> {
     let mut len4 = [0u8; 4];
     read_exact_or(r, &mut len4, true)?;
     let len = u32::from_le_bytes(len4);
@@ -125,7 +136,7 @@ pub fn read_raw_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     read_exact_or(r, &mut payload, false)?;
     let mut sum8 = [0u8; 8];
     read_exact_or(r, &mut sum8, false)?;
-    if fnv1a(&payload) != u64::from_le_bytes(sum8) {
+    if sum(&payload) != u64::from_le_bytes(sum8) {
         return Err(FrameError::Corrupt("checksum mismatch".to_string()));
     }
     Ok(payload)
@@ -262,6 +273,12 @@ mod tests {
         let err = read_frame(&mut &bad[..]).unwrap_err();
         assert!(matches!(err, FrameError::Corrupt(ref w) if w.contains("checksum")), "{err}");
 
+        // The same frame sealed with FNV-1a, as protocol 4 sealed it.
+        let mut old = good[..good.len() - 8].to_vec();
+        old.extend_from_slice(&crate::fnv1a(&good[4..good.len() - 8]).to_le_bytes());
+        let err = read_frame(&mut &old[..]).unwrap_err();
+        assert!(matches!(err, FrameError::Corrupt(ref w) if w == "checksum mismatch"), "{err}");
+
         // Bit flip in the trailing checksum itself.
         let mut bad = good.clone();
         *bad.last_mut().unwrap() ^= 0x80;
@@ -283,7 +300,7 @@ mod tests {
         let mut bad = Vec::new();
         bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bad.extend_from_slice(&payload);
-        bad.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        bad.extend_from_slice(&frame_sum(&payload).to_le_bytes());
         let err = read_frame(&mut &bad[..]).unwrap_err();
         assert!(matches!(err, FrameError::Corrupt(ref w) if w.contains("unknown message kind")), "{err}");
 
@@ -292,7 +309,7 @@ mod tests {
         let mut bad = Vec::new();
         bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bad.extend_from_slice(&payload);
-        bad.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        bad.extend_from_slice(&frame_sum(&payload).to_le_bytes());
         assert!(matches!(read_frame(&mut &bad[..]).unwrap_err(), FrameError::Corrupt(_)));
     }
 }

@@ -18,7 +18,7 @@
 use miro_shard::coordinator::{self, Event, JobSpec, Spawner, WorkerLink};
 use miro_bgp::engine::ScratchPool;
 use miro_shard::format::{solve_rows, Adjacency, Layout, RouteTableSet, TABLE_FORMAT_VERSION};
-use miro_shard::protocol::{read_frame, write_frame, Msg, PROTOCOL_VERSION};
+use miro_shard::protocol::{encode_frame, read_frame, write_frame, Msg, PROTOCOL_VERSION};
 use miro_shard::worker::{self, WorkerConfig};
 use miro_shard::{manifest, sample_dests};
 use miro_topology::{GenParams, NodeId, Rel, Topology, TopologyBuilder};
@@ -113,6 +113,10 @@ enum Behavior {
     Foreign { late: bool },
     /// `Hang`, with the Hello held back 100 ms.
     Late,
+    /// Say a protocol-4 Hello — sealed with FNV-1a as a protocol-4 build
+    /// seals it when `fnv`, else with this build's frame sum — then go
+    /// silent until killed.
+    Protocol4 { fnv: bool },
 }
 
 struct LocalSpawner {
@@ -243,6 +247,18 @@ fn garbage(topo: &Topology, worker: u32, mut input: PipeReader, mut output: Pipe
     }
 }
 
+fn protocol_4(topo: &Topology, worker: u32, fnv: bool, mut input: PipeReader, mut output: PipeWriter) {
+    let Msg::Hello { adjacency, .. } = hello(topo, worker) else { unreachable!() };
+    let mut frame = encode_frame(&Msg::Hello { protocol: 4, worker, adjacency });
+    if fnv {
+        let end = frame.len() - 8;
+        let sum = miro_shard::fnv1a(&frame[4..end]);
+        frame[end..].copy_from_slice(&sum.to_le_bytes());
+    }
+    let _ = output.write_all(&frame);
+    while read_frame(&mut input).is_ok() {}
+}
+
 impl Spawner for LocalSpawner {
     fn spawn(&mut self, worker: u32, events: Sender<Event>) -> Result<Box<dyn WorkerLink>, String> {
         let behavior = self.behaviors.get(self.spawned).copied().unwrap_or(Behavior::Good);
@@ -258,6 +274,7 @@ impl Spawner for LocalSpawner {
                 let _ = worker::run(&topo, &dests, cfg, stdin_r, stdout_w);
             }
             Behavior::Garbage => garbage(&topo, worker, stdin_r, stdout_w),
+            Behavior::Protocol4 { fnv } => protocol_4(&topo, worker, fnv, stdin_r, stdout_w),
             Behavior::Foreign { late } => {
                 std::thread::sleep(Duration::from_millis(if late { 100 } else { 0 }));
                 double(&rewired(&topo), &dests, worker, Behavior::Hang, stdin_r, stdout_w);
@@ -447,6 +464,25 @@ fn garbage_frames_mean_death_not_bad_data() {
     assert!(report.corrupt_events >= 1, "garbage went unnoticed: {report:?}");
     assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker of protocol 4 is buried before it is given any work,
+/// whether its Hello fails this build's frame sum (FNV-1a) or names the
+/// old version under the new sum; its replacement finishes the job.
+#[test]
+fn a_protocol_4_worker_is_buried_and_replaced() {
+    let topo = Arc::new(GenParams::tiny(13).generate());
+    let dests = Arc::new(sample_dests(topo.num_nodes(), 16));
+    let reference = RouteTableSet::from_solves(&topo, &dests, 2).encode();
+    for fnv in [true, false] {
+        let dir = fresh_dir(&format!("protocol4_{fnv}"));
+        let job = spec(&dests, &topo, 4, 1, &dir);
+        let mut spawner = LocalSpawner::new(&topo, &dests, vec![Behavior::Protocol4 { fnv }]);
+        let report = coordinator::run(&job, &mut spawner).expect("job survives an old worker");
+        assert_eq!(report.corrupt_events, 1, "fnv {fnv}: {report:?}");
+        assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Checkpoint/resume: abort mid-job via chaos_stop_after, then resume.

@@ -6,9 +6,11 @@
 //! (dense `u32` node indices, flat adjacency vectors) and constructed
 //! through a validating [`TopologyBuilder`].
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 /// A public Autonomous System number, as carried in BGP AS paths.
 ///
@@ -26,6 +28,48 @@ impl fmt::Debug for AsId {
 impl fmt::Display for AsId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+/// The ASN → node index's hasher: one folded multiply (the 128-bit
+/// product's halves xored) of the key under a seed drawn once per process
+/// from [`RandomState`]. SipHash cost twice as much per lookup, and the
+/// daemon makes two or three lookups a query. The keys an outsider picks
+/// are safe without SipHash: a client's ASN only probes an index built
+/// at start-up, and an ingest file's ASNs are inserted under a seed the
+/// file's author cannot know.
+#[derive(Clone, Copy, Debug)]
+struct AsnHash(u64);
+
+impl Default for AsnHash {
+    fn default() -> AsnHash {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        AsnHash(*SEED.get_or_init(|| RandomState::new().hash_one(0u64)))
+    }
+}
+
+impl BuildHasher for AsnHash {
+    type Hasher = AsnHasher;
+
+    fn build_hasher(&self) -> AsnHasher {
+        AsnHasher(self.0)
+    }
+}
+
+struct AsnHasher(u64);
+
+impl Hasher for AsnHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b.into()));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        let m = u128::from(self.0 ^ u64::from(n)) * 0x5851_f42d_4c95_7f2d;
+        self.0 = m as u64 ^ (m >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -174,7 +218,7 @@ impl std::error::Error for TopologyError {}
 #[derive(Default)]
 pub struct TopologyBuilder {
     asns: Vec<AsId>,
-    index: HashMap<AsId, NodeId>,
+    index: HashMap<AsId, NodeId, AsnHash>,
     // Edges stored once, from the lower NodeId's perspective.
     edges: HashMap<(NodeId, NodeId), Rel>,
     conflict: Option<(AsId, AsId)>,
@@ -418,7 +462,7 @@ impl TopologyBuilder {
 #[derive(Clone, Debug)]
 pub struct Topology {
     asns: Vec<AsId>,
-    index: HashMap<AsId, NodeId>,
+    index: HashMap<AsId, NodeId, AsnHash>,
     offsets: Vec<u32>,
     adj: Vec<(NodeId, Rel)>,
     part: Vec<NodeId>,

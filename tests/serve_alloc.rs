@@ -2,7 +2,9 @@
 //! connection loop runs for every request frame, allocates nothing once
 //! warm, and every frame it writes is byte for byte the frame
 //! `encode_raw_frame(&encode_payload(..))` makes of the owned answer
-//! [`Engine::answer`] gives for the same request.
+//! [`Engine::answer`] gives for the same request. Both hold for the
+//! uncached engine `miro serve` runs and for one behind a
+//! [`ShardedCache`].
 
 use miro_serve::cache::ShardedCache;
 use miro_serve::mmap::MappedTable;
@@ -58,8 +60,9 @@ fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// A solved table written to disk and mapped, as the daemon serves it;
-/// the file is removed on drop.
+/// A solved table written to disk and mapped, as the daemon serves it —
+/// uncached, or behind the cache when `cached`; the file is removed on
+/// drop.
 struct Served {
     path: PathBuf,
     topo: Topology,
@@ -67,12 +70,13 @@ struct Served {
 }
 
 impl Served {
-    fn new(tag: &str, topo: Topology, dests: &[NodeId]) -> Served {
+    fn new(tag: &str, topo: Topology, dests: &[NodeId], cached: bool) -> Served {
         let set = RouteTableSet::from_solves(&topo, dests, 1);
-        let path = std::env::temp_dir().join(format!("miro_tier1_alloc_{tag}_{}.mirt", std::process::id()));
+        let path = std::env::temp_dir().join(format!("miro_tier1_alloc_{tag}_{cached}_{}.mirt", std::process::id()));
         std::fs::write(&path, set.encode()).unwrap();
         let table = MappedTable::open(&path).unwrap();
-        let engine = Engine::new(table, topo.clone(), Some(ShardedCache::new(16, 1024))).unwrap();
+        let cache = cached.then(|| ShardedCache::new(16, 1024));
+        let engine = Engine::new(table, topo.clone(), cache).unwrap();
         Served { path, topo, engine }
     }
 
@@ -179,28 +183,35 @@ fn with_a_stranded_as(topo: &Topology) -> Topology {
 #[test]
 fn a_warm_connection_answers_cold_and_hot_mixes_without_allocating() {
     let topo = with_a_stranded_as(&GenParams::tiny(7).generate());
-    let dests: Vec<NodeId> = topo.nodes().collect();
-    let s = Served::new("mix", topo, &dests);
-    let cold = mix(&s, 1, 10_000, &dests);
+    let all: Vec<NodeId> = topo.nodes().collect();
+    for cached in [false, true] {
+        warm_mixes_allocate_nothing(&Served::new("mix", topo.clone(), &all, cached));
+    }
+}
+
+fn warm_mixes_allocate_nothing(s: &Served) {
+    let cached = s.engine.cache().is_some();
+    let dests: Vec<NodeId> = s.topo.nodes().collect();
+    let cold = mix(s, 1, 10_000, &dests);
     // A dozen nodes, the stranded AS (the last) among them.
     let few: Vec<NodeId> = dests.iter().copied().rev().step_by(17).take(12).collect();
-    let hot = mix(&s, 2, 10_000, &few);
+    let hot = mix(s, 2, 10_000, &few);
 
     let (mut scratch, mut out) = (QueryScratch::new(), Vec::new());
     let mut sink = Vec::with_capacity(4 << 20);
     // Warm-up: every row touched, scratch and reply buffer grown, the
-    // cache filled with the hot keys.
-    for requests in [mix(&s, 3, 40_000, &dests), hot.clone()] {
-        serve_windows(&s, &mut scratch, &requests, &mut out, &mut sink);
+    // cache (if any) filled with the hot keys.
+    for requests in [mix(s, 3, 40_000, &dests), hot.clone()] {
+        serve_windows(s, &mut scratch, &requests, &mut out, &mut sink);
         sink.clear();
     }
 
     for (name, requests) in [("cold", &cold), ("hot", &hot)] {
-        let allocated = serve_windows(&s, &mut scratch, requests, &mut out, &mut sink);
-        assert_eq!(allocated, 0, "{name} mix allocated {allocated} times in 10k queries");
+        let allocated = serve_windows(s, &mut scratch, requests, &mut out, &mut sink);
+        assert_eq!(allocated, 0, "{name} mix (cached: {cached}) allocated {allocated} times in 10k queries");
         let seen = kinds(&sink);
         for kind in ["next-hop", "path", "alternate", "unrouted", "no-alternate"] {
-            assert!(seen.contains(&kind), "{name} mix has no {kind} reply: {seen:?}");
+            assert!(seen.contains(&kind), "{name} mix (cached: {cached}) has no {kind} reply: {seen:?}");
         }
         sink.clear();
     }
@@ -258,8 +269,8 @@ fn unknown(id: u64, src: u32, dest: u32, avoid: Option<u32>, topo: &Topology) ->
 
 /// Every request over `asns` (all pairs, each kind, every third AS
 /// avoided), plus the `RErr` cases, answered twice through
-/// [`answer_frame`] — the second pass from the cache — frame for frame
-/// against the owned encoding.
+/// [`answer_frame`] — the second pass from the cache, if the engine has
+/// one — frame for frame against the owned encoding.
 fn frames_equal_the_owned_encoding(s: &Served, oracle: &Engine<RouteTableSet>, asns: &[u32]) -> usize {
     let ghost = asns.iter().max().unwrap() + 1_000_000;
     let mut requests = Vec::new();
@@ -301,19 +312,21 @@ fn every_reply_frame_is_the_owned_encoding_on_figure_1_1_and_tiny() {
     // Figure 1.1: all six ASes served.
     let (topo, _) = figure_1_1();
     let all: Vec<NodeId> = topo.nodes().collect();
-    let s = Served::new("fig", topo.clone(), &all);
     let oracle = Engine::new(RouteTableSet::from_solves(&topo, &all, 1), topo.clone(), None).unwrap();
-    let asns: Vec<u32> = all.iter().map(|&n| s.asn(n)).collect();
-    frames_equal_the_owned_encoding(&s, &oracle, &asns);
+    let asns: Vec<u32> = all.iter().map(|&n| topo.asn(n).0).collect();
+    for cached in [false, true] {
+        frames_equal_the_owned_encoding(&Served::new("fig", topo.clone(), &all, cached), &oracle, &asns);
+    }
 
     // Tiny: every other node served, so half the destinations have no row.
     let topo = GenParams::tiny(11).generate();
     let served: Vec<NodeId> = topo.nodes().step_by(2).collect();
-    let s = Served::new("tiny", topo.clone(), &served);
     let oracle = Engine::new(RouteTableSet::from_solves(&topo, &served, 1), topo.clone(), None).unwrap();
-    let asns: Vec<u32> = topo.nodes().step_by(7).map(|n| s.asn(n)).collect();
-    let n = frames_equal_the_owned_encoding(&s, &oracle, &asns);
-    assert!(n > 1_000, "{n} requests");
+    let asns: Vec<u32> = topo.nodes().step_by(7).map(|n| topo.asn(n).0).collect();
+    for cached in [false, true] {
+        let n = frames_equal_the_owned_encoding(&Served::new("tiny", topo.clone(), &served, cached), &oracle, &asns);
+        assert!(n > 1_000, "{n} requests");
+    }
 
     // The error cases are all in there: check their texts once.
     let mut scratch = QueryScratch::new();

@@ -6,7 +6,6 @@
 //! full buffer-boundary, abuse and flood suites are in
 //! `crates/serve/tests`, which only `cargo test --workspace` runs.)
 
-use miro_serve::cache::ShardedCache;
 use miro_serve::mmap::MappedTable;
 use miro_serve::query::{Answer, Engine, Query, QueryScratch};
 use miro_serve::server::{ServeReport, Server};
@@ -41,10 +40,11 @@ impl Drop for TableFile {
     }
 }
 
-/// The real serving stack: the table file mapped, a small cache in front.
+/// The real serving stack: the table file mapped and served uncached, as
+/// `miro serve` runs it.
 fn serve(file: &TableFile, topo: Topology) -> (SocketAddr, JoinHandle<ServeReport>) {
     let table = MappedTable::open(&file.0).unwrap();
-    let engine = Engine::new(table, topo, Some(ShardedCache::new(2, 16))).unwrap();
+    let engine = Engine::new(table, topo, None).unwrap();
     let server = Server::bind("127.0.0.1:0", engine).unwrap();
     let addr = server.local_addr().unwrap();
     (addr, std::thread::spawn(move || server.run().unwrap()))
