@@ -14,10 +14,11 @@
 //! clique, transit tiers attached by preferential attachment (which yields
 //! the heavy-tailed degree distribution), and a large stub fringe.
 
-use crate::graph::{AsId, NodeId, Topology, TopologyBuilder};
+use crate::graph::{AsId, AsnHash, NodeId, Topology, TopologyBuilder};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// The four dataset presets of Table 5.1, plus a RouteViews-scale preset.
 ///
@@ -213,16 +214,18 @@ impl GenParams {
         let mut deg = vec![1usize; n]; // +1 smoothing so new nodes are pickable
         let mut pc_links = 0usize;
         let mut peer_links = 0usize;
-        let mut edges: std::collections::HashSet<(usize, usize)> =
-            std::collections::HashSet::new();
+        // Links made so far, keyed by their lower and higher index. Keys
+        // are generator indices, never input, so the set hashes them with
+        // one multiply rather than SipHash.
+        let mut edges: HashSet<u64, AsnHash> = HashSet::default();
+        let key = |x: usize, y: usize| (x.min(y) as u64) << 32 | x.max(y) as u64;
         let add_pc = |b: &mut TopologyBuilder,
                           deg: &mut Vec<usize>,
-                          edges: &mut std::collections::HashSet<(usize, usize)>,
+                          edges: &mut HashSet<u64, AsnHash>,
                           provider: usize,
                           customer: usize|
          -> bool {
-            let key = (provider.min(customer), provider.max(customer));
-            if provider == customer || !edges.insert(key) {
+            if provider == customer || !edges.insert(key(provider, customer)) {
                 return false;
             }
             b.provider_customer(asn_of(provider), asn_of(customer));
@@ -232,12 +235,11 @@ impl GenParams {
         };
         let add_peer = |b: &mut TopologyBuilder,
                             deg: &mut Vec<usize>,
-                            edges: &mut std::collections::HashSet<(usize, usize)>,
+                            edges: &mut HashSet<u64, AsnHash>,
                             x: usize,
                             y: usize|
          -> bool {
-            let key = (x.min(y), x.max(y));
-            if x == y || !edges.insert(key) {
+            if x == y || !edges.insert(key(x, y)) {
                 return false;
             }
             b.peering(asn_of(x), asn_of(y));
@@ -354,8 +356,7 @@ impl GenParams {
             }
             let x = *tier.choose(&mut rng).expect("tier non-empty");
             let y = *tier.choose(&mut rng).expect("tier non-empty");
-            let key = (x.min(y), x.max(y));
-            if x != y && edges.insert(key) {
+            if x != y && edges.insert(key(x, y)) {
                 b.sibling(asn_of(x), asn_of(y));
                 deg[x] += 1;
                 deg[y] += 1;

@@ -6,7 +6,7 @@
 //! (dense `u32` node indices, flat adjacency vectors) and constructed
 //! through a validating [`TopologyBuilder`].
 
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
@@ -37,9 +37,10 @@ impl fmt::Display for AsId {
 /// daemon makes two or three lookups a query. The keys an outsider picks
 /// are safe without SipHash: a client's ASN only probes an index built
 /// at start-up, and an ingest file's ASNs are inserted under a seed the
-/// file's author cannot know.
+/// file's author cannot know. The generator's link set hashes its `u64`
+/// keys the same way.
 #[derive(Clone, Copy, Debug)]
-struct AsnHash(u64);
+pub(crate) struct AsnHash(u64);
 
 impl Default for AsnHash {
     fn default() -> AsnHash {
@@ -56,7 +57,7 @@ impl BuildHasher for AsnHash {
     }
 }
 
-struct AsnHasher(u64);
+pub(crate) struct AsnHasher(u64);
 
 impl Hasher for AsnHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -64,7 +65,11 @@ impl Hasher for AsnHasher {
     }
 
     fn write_u32(&mut self, n: u32) {
-        let m = u128::from(self.0 ^ u64::from(n)) * 0x5851_f42d_4c95_7f2d;
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let m = u128::from(self.0 ^ n) * 0x5851_f42d_4c95_7f2d;
         self.0 = m as u64 ^ (m >> 64) as u64;
     }
 
@@ -130,28 +135,6 @@ impl Rel {
     }
 }
 
-/// What happened to one edge declaration handed to
-/// [`TopologyBuilder::try_link`].
-///
-/// Unlike [`TopologyBuilder::link`], which latches the first problem and
-/// reports it at [`TopologyBuilder::build`] time, `try_link` tells the
-/// caller immediately — the streaming ingest path uses this to count
-/// duplicates, drop self-loops, and abort on conflicts *with the offending
-/// line still in hand*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkOutcome {
-    /// A new edge was recorded.
-    Added,
-    /// The same unordered pair was already declared with the same
-    /// relationship; nothing was recorded.
-    Duplicate,
-    /// The same unordered pair was already declared with a *different*
-    /// relationship; nothing was recorded and the builder is unchanged.
-    Conflict,
-    /// Both endpoints are the same AS; nothing was recorded.
-    SelfLoop,
-}
-
 /// Errors detected while building a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
@@ -169,6 +152,9 @@ pub enum TopologyError {
     /// An AS has more neighbours than a `u16` slot can index
     /// ([`MAX_DEGREE`]).
     DegreeTooHigh(AsId, usize),
+    /// More links were declared than a builder numbers
+    /// ([`MAX_DECLARATIONS`]).
+    TooManyLinks,
 }
 
 impl fmt::Display for TopologyError {
@@ -186,6 +172,9 @@ impl fmt::Display for TopologyError {
             TopologyError::DegreeTooHigh(a, d) => {
                 write!(f, "AS {a} has {d} neighbours, more than the {MAX_DEGREE} a slot indexes")
             }
+            TopologyError::TooManyLinks => {
+                write!(f, "more than {MAX_DECLARATIONS} link declarations")
+            }
         }
     }
 }
@@ -193,6 +182,17 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// Builder that accumulates ASes and annotated links, then validates.
+///
+/// Every link declaration is one 12-byte entry in a `Vec`: the pair as
+/// (lower node id, higher node id), then the declaration's index, the
+/// side it was declared from and the relationship. Nothing is looked up
+/// per link. [`TopologyBuilder::tally`] (which the build calls) sorts the
+/// entries once, so each pair's declarations sit side by side in the
+/// order they were made: the first one is the link, a later one with the
+/// same relationship a duplicate, one with another relationship a
+/// conflict. The sorted order is also every neighbour list's id order, so
+/// the build places the lists and their class partitions by counting,
+/// with no per-list sort.
 ///
 /// Validation enforces: unique AS numbers, known endpoints, no self-loops,
 /// reciprocal relationship consistency, and (optionally) acyclicity of the
@@ -219,12 +219,87 @@ impl std::error::Error for TopologyError {}
 pub struct TopologyBuilder {
     asns: Vec<AsId>,
     index: HashMap<AsId, NodeId, AsnHash>,
-    // Edges stored once, from the lower NodeId's perspective.
-    edges: HashMap<(NodeId, NodeId), Rel>,
-    conflict: Option<(AsId, AsId)>,
+    /// The first AS `declare` was last handed: ingest sources list a
+    /// node's links together, so this saves a probe of `index` a link.
+    recent: Option<(AsId, NodeId)>,
+    /// Link declarations; after a tally, sorted with one entry a link.
+    decls: Vec<Decl>,
+    /// Declarations made, the next one's index.
+    declared: usize,
+    /// How many entries of `decls` the last tally left.
+    tallied: usize,
+    tally: LinkTally,
+    last_conflict: Option<(usize, AsId, AsId)>,
     duplicate: Option<AsId>,
     unknown: Option<AsId>,
     self_loop: Option<AsId>,
+    too_many: bool,
+}
+
+/// The most link declarations one builder numbers.
+pub const MAX_DECLARATIONS: usize = 1 << 29;
+
+/// One link declaration: the pair's lower and higher node id, and `tag`,
+/// which is the declaration's index << 3 | whether it named `hi` first
+/// << 2 | the [`SLOT_ORDER`] class of what `hi` is to `lo`.
+#[derive(Clone, Copy)]
+struct Decl {
+    lo: NodeId,
+    hi: NodeId,
+    tag: u32,
+}
+
+impl Decl {
+    fn index(self) -> usize {
+        (self.tag >> 3) as usize
+    }
+
+    fn named_hi_first(self) -> bool {
+        self.tag & 4 != 0
+    }
+
+    fn class(self) -> usize {
+        (self.tag & 3) as usize
+    }
+}
+
+/// Sort declarations by (`lo`, `hi`) in two counting passes over node
+/// ids — by `hi`, then stably by `lo` — so a pair's declarations keep the
+/// order they sat in: declaration order, as a tally leaves the links it
+/// kept ahead of every later declaration.
+fn radix_sort(decls: &mut [Decl], n: usize) {
+    let mut by_hi = vec![Decl { lo: 0, hi: 0, tag: 0 }; decls.len()];
+    counting_pass(decls, &mut by_hi, n, |d| d.hi);
+    counting_pass(&by_hi, decls, n, |d| d.lo);
+}
+
+fn counting_pass(from: &[Decl], to: &mut [Decl], n: usize, key: impl Fn(Decl) -> NodeId) {
+    let mut at = vec![0u32; n + 1];
+    for &d in from {
+        at[key(d) as usize + 1] += 1;
+    }
+    for i in 0..n {
+        at[i + 1] += at[i];
+    }
+    for &d in from {
+        let k = key(d) as usize;
+        to[at[k] as usize] = d;
+        at[k] += 1;
+    }
+}
+
+/// What [`TopologyBuilder::tally`] found among the link declarations.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LinkTally {
+    /// Distinct links: each unordered pair once.
+    pub links: usize,
+    /// Later declarations of a pair with the relationship it was first
+    /// declared with.
+    pub duplicates: usize,
+    /// The earliest declaration of a pair with a relationship other than
+    /// its first: its index among all declarations (from 0), and its two
+    /// ASes in the order it named them.
+    pub conflict: Option<(usize, AsId, AsId)>,
 }
 
 impl TopologyBuilder {
@@ -232,10 +307,10 @@ impl TopologyBuilder {
         Self::default()
     }
 
-    /// A builder whose edge map has room for `links` links, so a load of
-    /// known size does not rehash it. The map is dropped by `build`.
+    /// A builder with room for `links` link declarations, so a load of
+    /// known size grows nothing.
     pub fn with_capacity(links: usize) -> Self {
-        TopologyBuilder { edges: HashMap::with_capacity(links), ..Self::default() }
+        TopologyBuilder { decls: Vec::with_capacity(links), ..Self::default() }
     }
 
     /// Register an AS. Returns its dense node id.
@@ -259,51 +334,91 @@ impl TopologyBuilder {
     }
 
     /// Declare that `b` is `rel` *to* `a` — e.g. `link(a, b, Rel::Customer)`
-    /// means `b` is a customer of `a`.
+    /// means `b` is a customer of `a`. Both must be registered.
     pub fn link(&mut self, a: AsId, b: AsId, rel: Rel) -> &mut Self {
         if a == b {
             self.self_loop = Some(a);
             return self;
         }
-        let (Some(&ia), Some(&ib)) = (self.index.get(&a), self.index.get(&b)) else {
-            self.unknown = Some(if self.index.contains_key(&a) { b } else { a });
-            return self;
-        };
-        if self.record(ia, ib, rel) == LinkOutcome::Conflict {
-            self.conflict = Some((a, b));
+        match (self.index.get(&a), self.index.get(&b)) {
+            (Some(&ia), Some(&ib)) => self.push(ia, ib, rel),
+            (None, _) => self.unknown = Some(a),
+            (_, None) => self.unknown = Some(b),
         }
         self
     }
 
-    /// Record an edge with one probe of the edge map, which holds each
-    /// edge once, from the lower node id's perspective.
-    fn record(&mut self, ia: NodeId, ib: NodeId, rel: Rel) -> LinkOutcome {
-        let (key, stored) = if ia < ib { ((ia, ib), rel) } else { ((ib, ia), rel.reverse()) };
-        match self.edges.entry(key) {
-            Entry::Occupied(prev) if *prev.get() == stored => LinkOutcome::Duplicate,
-            Entry::Occupied(_) => LinkOutcome::Conflict,
-            Entry::Vacant(slot) => {
-                slot.insert(stored);
-                LinkOutcome::Added
-            }
+    /// [`TopologyBuilder::link`], registering `a` and then `b` if new — the
+    /// entry point for ingest, which numbers ASes in order of first
+    /// appearance. A self-loop is refused as `link` refuses it, and
+    /// registers neither end.
+    pub fn declare(&mut self, a: AsId, b: AsId, rel: Rel) -> &mut Self {
+        if a == b {
+            self.self_loop = Some(a);
+            return self;
         }
+        let ia = match self.recent {
+            Some((asn, id)) if asn == a => id,
+            _ => self.intern_as(a),
+        };
+        self.recent = Some((a, ia));
+        let ib = self.intern_as(b);
+        self.push(ia, ib, rel);
+        self
     }
 
-    /// Declare that `b` is `rel` *to* `a`, interning both endpoints, and
-    /// report what happened instead of latching an error for `build`.
-    ///
-    /// This is the single-pass entry point for streaming ingest: AS numbers
-    /// are remapped to dense node ids as they are first seen, duplicates
-    /// and self-loops are reported (not recorded), and a conflicting
-    /// redeclaration leaves the builder untouched so the caller can attach
-    /// its own source location to the error.
-    pub fn try_link(&mut self, a: AsId, b: AsId, rel: Rel) -> LinkOutcome {
-        if a == b {
-            return LinkOutcome::SelfLoop;
+    fn push(&mut self, ia: NodeId, ib: NodeId, rel: Rel) {
+        if self.declared == MAX_DECLARATIONS {
+            self.too_many = true;
+            return;
         }
-        let ia = self.intern_as(a);
-        let ib = self.intern_as(b);
-        self.record(ia, ib, rel)
+        let (lo, hi, swapped, class) =
+            if ia < ib { (ia, ib, 0, slot_class(rel)) } else { (ib, ia, 1, slot_class(rel.reverse())) };
+        self.decls.push(Decl { lo, hi, tag: (self.declared as u32) << 3 | swapped << 2 | class as u32 });
+        self.declared += 1;
+    }
+
+    /// Sort the declarations and keep each pair's first: count the later
+    /// ones that restate it, and note the earliest (and the latest) that
+    /// contradict it. The build calls this; an ingest path calls it first
+    /// to place a conflict in its input. A second call sorts only if more
+    /// was declared since, and keeps the counts.
+    pub fn tally(&mut self) -> LinkTally {
+        if self.decls.len() != self.tallied {
+            radix_sort(&mut self.decls, self.asns.len());
+            let mut kept = 0usize;
+            for i in 0..self.decls.len() {
+                let d = self.decls[i];
+                match kept.checked_sub(1).map(|k| self.decls[k]) {
+                    Some(first) if (first.lo, first.hi) == (d.lo, d.hi) => {
+                        if first.class() == d.class() {
+                            self.tally.duplicates += 1;
+                        } else {
+                            self.note_conflict(d);
+                        }
+                    }
+                    _ => {
+                        self.decls[kept] = d;
+                        kept += 1;
+                    }
+                }
+            }
+            self.decls.truncate(kept);
+            self.decls.shrink_to_fit();
+            (self.tallied, self.tally.links) = (kept, kept);
+        }
+        self.tally
+    }
+
+    fn note_conflict(&mut self, d: Decl) {
+        let (lo, hi) = (self.asns[d.lo as usize], self.asns[d.hi as usize]);
+        let named = if d.named_hi_first() { (d.index(), hi, lo) } else { (d.index(), lo, hi) };
+        if self.tally.conflict.is_none_or(|c| c.0 > named.0) {
+            self.tally.conflict = Some(named);
+        }
+        if self.last_conflict.is_none_or(|c| c.0 < named.0) {
+            self.last_conflict = Some(named);
+        }
     }
 
     /// Convenience: declare a customer-provider link (`customer` pays
@@ -324,8 +439,9 @@ impl TopologyBuilder {
 
     /// Validate and freeze. `require_hierarchy` additionally checks that the
     /// customer-provider subgraph is a DAG (the standing assumption of the
-    /// Chapter 7 convergence results).
-    pub fn build_checked(self, require_hierarchy: bool) -> Result<Topology, TopologyError> {
+    /// Chapter 7 convergence results). Of several conflicting
+    /// declarations, the latest is named.
+    pub fn build_checked(mut self, require_hierarchy: bool) -> Result<Topology, TopologyError> {
         if let Some(a) = self.duplicate {
             return Err(TopologyError::DuplicateAs(a));
         }
@@ -335,72 +451,71 @@ impl TopologyBuilder {
         if let Some(a) = self.self_loop {
             return Err(TopologyError::SelfLoop(a));
         }
-        if let Some((a, b)) = self.conflict {
+        if self.too_many {
+            return Err(TopologyError::TooManyLinks);
+        }
+        self.tally();
+        if let Some((_, a, b)) = self.last_conflict {
             return Err(TopologyError::ConflictingEdge(a, b));
         }
         let n = self.asns.len();
-        // CSR by counting: degrees, prefix sums, one scatter of every
-        // edge into both endpoints' slices, then each slice sorted by
-        // neighbor id (deterministic regardless of HashMap order).
-        // The same pass marks transit ASes: those with a customer or a
-        // sibling (`rel` is what `ib` is to `ia`).
-        let mut offsets = vec![0u32; n + 1];
+        // Each node's count of neighbours in each class of its slot
+        // order, then their prefix sums: where each partition starts.
+        let mut part_off = vec![0u32; 4 * n + 1];
+        for d in &self.decls {
+            part_off[4 * d.lo as usize + d.class() + 1] += 1;
+            part_off[4 * d.hi as usize + slot_class(SLOT_ORDER[d.class()].reverse()) + 1] += 1;
+        }
+        // A transit AS has a customer or a sibling.
         let mut transit = vec![false; n];
-        for (&(ia, ib), &rel) in &self.edges {
-            offsets[ia as usize + 1] += 1;
-            offsets[ib as usize + 1] += 1;
-            transit[ia as usize] |= matches!(rel, Rel::Customer | Rel::Sibling);
-            transit[ib as usize] |= matches!(rel, Rel::Provider | Rel::Sibling);
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let total = offsets[n] as usize;
-        let mut cursor = offsets.clone();
-        let mut adj = vec![(0, Rel::Customer); total];
-        for (&(ia, ib), &rel) in &self.edges {
-            adj[cursor[ia as usize] as usize] = (ib, rel);
-            cursor[ia as usize] += 1;
-            adj[cursor[ib as usize] as usize] = (ia, rel.reverse());
-            cursor[ib as usize] += 1;
-        }
-        drop(self.edges);
-
-        if let Some(x) = (0..n).find(|&x| offsets[x + 1] - offsets[x] > MAX_DEGREE as u32) {
-            let degree = (offsets[x + 1] - offsets[x]) as usize;
-            return Err(TopologyError::DegreeTooHigh(self.asns[x], degree));
-        }
-
-        // A second copy of the neighbor ids grouped by relationship class
-        // (see `Topology::class_slice`): each node's slot order.
-        let mut part = Vec::with_capacity(total);
-        let mut part_off = Vec::with_capacity(4 * n + 1);
-        part_off.push(0u32);
-        for w in offsets.windows(2) {
-            let list = &mut adj[w[0] as usize..w[1] as usize];
-            list.sort_unstable_by_key(|&(id, _)| id);
-            // Class partitions in the fixed order Provider, Sibling,
-            // Customer, Peer; each keeps the sorted-by-id order of `list`.
-            for class in SLOT_ORDER {
-                part.extend(list.iter().filter(|&&(_, r)| r == class).map(|&(y, _)| y));
-                part_off.push(part.len() as u32);
-            }
-        }
-        // Beside each entry `y` of `x`'s list, `x`'s slot in `y`'s list.
-        // Nodes are visited in id order, so each class partition of `y`
-        // fills in its sorted order.
-        let mut back = vec![0u16; total];
-        let mut cursor = part_off.clone();
         for x in 0..n {
-            for (c, class) in SLOT_ORDER.into_iter().enumerate() {
-                let rc = slot_class(class.reverse());
-                for i in part_off[4 * x + c] as usize..part_off[4 * x + c + 1] as usize {
-                    let y = part[i] as usize;
-                    back[i] = (cursor[4 * y + rc] - part_off[4 * y]) as u16;
-                    cursor[4 * y + rc] += 1;
-                }
+            let count = &part_off[4 * x + 1..4 * x + 5];
+            let degree = count.iter().sum::<u32>() as usize;
+            if degree > MAX_DEGREE {
+                return Err(TopologyError::DegreeTooHigh(self.asns[x], degree));
+            }
+            transit[x] = count[CLASS_SIBLING] + count[CLASS_CUSTOMER] > 0;
+        }
+        for i in 0..4 * n {
+            part_off[i + 1] += part_off[i];
+        }
+        let offsets: Vec<u32> = part_off.iter().step_by(4).copied().collect();
+
+        // The declarations are sorted by (lower id, higher id), so each
+        // node receives its lower neighbours in id order, then its higher
+        // ones: appending builds id-sorted lists.
+        let total = offsets[n] as usize;
+        let mut adj = vec![(0, Rel::Customer); total];
+        let mut cursor = offsets.clone();
+        for d in std::mem::take(&mut self.decls) {
+            let rel = SLOT_ORDER[d.class()];
+            adj[cursor[d.lo as usize] as usize] = (d.hi, rel);
+            cursor[d.lo as usize] += 1;
+            adj[cursor[d.hi as usize] as usize] = (d.lo, rel.reverse());
+            cursor[d.hi as usize] += 1;
+        }
+        drop(cursor);
+
+        // The slot order: each list split by class into its partition,
+        // in id order. Beside each entry `y` of `x`'s list, `x`'s slot in
+        // `y`'s list: nodes are visited in id order, so each partition of
+        // `y` is met in its own order.
+        let mut part = vec![0; total];
+        let mut back = vec![0u16; total];
+        let mut met = part_off.clone();
+        for x in 0..n {
+            let mut next: [u32; 4] = std::array::from_fn(|c| part_off[4 * x + c]);
+            for &(y, rel) in &adj[offsets[x] as usize..offsets[x + 1] as usize] {
+                let i = &mut next[slot_class(rel)];
+                let at = &mut met[4 * y as usize + slot_class(rel.reverse())];
+                part[*i as usize] = y;
+                back[*i as usize] = (*at - part_off[4 * y as usize]) as u16;
+                *i += 1;
+                *at += 1;
             }
         }
+        drop(met);
+
         // Each node's `transit_down` slice: siblings, then the customers
         // that are not sinks, with the same back slots.
         let (mut tdown, mut tdown_back, mut tdown_off) = (Vec::new(), Vec::new(), Vec::with_capacity(n + 1));
@@ -950,23 +1065,32 @@ mod tests {
     }
 
     #[test]
-    fn try_link_reports_outcomes_without_latching() {
+    fn tally_counts_restatements_and_places_the_first_conflict() {
         let mut b = TopologyBuilder::new();
-        assert_eq!(b.try_link(AsId(1), AsId(2), Rel::Customer), LinkOutcome::Added);
-        // Same fact, same side.
-        assert_eq!(b.try_link(AsId(1), AsId(2), Rel::Customer), LinkOutcome::Duplicate);
-        // Same fact, other side (normalized before comparison).
-        assert_eq!(b.try_link(AsId(2), AsId(1), Rel::Provider), LinkOutcome::Duplicate);
-        // Different fact for the same pair.
-        assert_eq!(b.try_link(AsId(1), AsId(2), Rel::Peer), LinkOutcome::Conflict);
-        assert_eq!(b.try_link(AsId(3), AsId(3), Rel::Peer), LinkOutcome::SelfLoop);
-        // None of the above latched an error: the builder still builds,
-        // with only the one recorded edge (and interned endpoints).
+        b.declare(AsId(1), AsId(2), Rel::Customer);
+        assert_eq!(b.tally(), LinkTally { links: 1, duplicates: 0, conflict: None });
+        // The same fact from the same side and from the other; another link.
+        b.declare(AsId(1), AsId(2), Rel::Customer).declare(AsId(2), AsId(1), Rel::Provider);
+        b.declare(AsId(3), AsId(4), Rel::Peer);
+        assert_eq!(b.tally(), LinkTally { links: 2, duplicates: 2, conflict: None });
+        // Declarations 4 and 5 contradict declaration 0: the tally places
+        // the first, as declared; the build names the last.
+        b.declare(AsId(2), AsId(1), Rel::Peer).declare(AsId(1), AsId(2), Rel::Sibling);
+        let want = LinkTally { links: 2, duplicates: 2, conflict: Some((4, AsId(2), AsId(1))) };
+        assert_eq!(b.tally(), want);
+        assert_eq!(b.build().unwrap_err(), TopologyError::ConflictingEdge(AsId(1), AsId(2)));
+    }
+
+    #[test]
+    fn declare_numbers_ases_by_first_appearance_and_refuses_self_loops() {
+        let mut b = TopologyBuilder::new();
+        b.declare(AsId(9), AsId(5), Rel::Customer).declare(AsId(5), AsId(7), Rel::Peer);
         let t = b.build().unwrap();
-        assert_eq!(t.num_edges(), 1);
-        assert_eq!(t.num_nodes(), 2, "self-loop endpoints are not interned");
-        let (a, c) = (t.node(AsId(1)).unwrap(), t.node(AsId(2)).unwrap());
-        assert_eq!(t.rel(a, c), Some(Rel::Customer));
+        assert_eq!([t.asn(0), t.asn(1), t.asn(2)], [AsId(9), AsId(5), AsId(7)]);
+        assert_eq!(t.rel(0, 1), Some(Rel::Customer));
+        let mut b = TopologyBuilder::new();
+        b.declare(AsId(1), AsId(2), Rel::Peer).declare(AsId(3), AsId(3), Rel::Peer);
+        assert_eq!(b.build().unwrap_err(), TopologyError::SelfLoop(AsId(3)));
     }
 
     #[test]
@@ -1051,9 +1175,12 @@ mod tests {
             for n in 0..24 {
                 b.intern_as(AsId(100 + n));
             }
+            let mut seen = std::collections::HashSet::new();
             for (x, y, r) in edges {
                 let rel = [Rel::Customer, Rel::Provider, Rel::Peer, Rel::Sibling][r as usize];
-                b.try_link(AsId(100 + x), AsId(100 + y), rel);
+                if x != y && seen.insert((x.min(y), x.max(y))) {
+                    b.declare(AsId(100 + x), AsId(100 + y), rel);
+                }
             }
             let t = b.build().unwrap();
             let transit = |r: Rel| matches!(r, Rel::Customer | Rel::Sibling);

@@ -18,9 +18,8 @@
 
 pub mod stream;
 
-use crate::graph::{AsId, LinkOutcome, Rel, Topology, TopologyBuilder, TopologyError};
+use crate::graph::{AsId, Rel, Topology, TopologyBuilder, TopologyError};
 use serde::Serialize;
-use std::fmt::Write as _;
 
 /// Errors from parsing the text format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,24 +48,56 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Serialize to the text format. Each link appears once, from the
-/// lower-numbered AS's perspective; lines are sorted, so equal topologies
-/// serialize identically.
+/// lower-numbered AS's perspective; lines are in string order, so equal
+/// topologies serialize identically.
+///
+/// Lines are sorted as numbers, not strings: a line's key is
+/// `text_key` of its first AS, then of its second, then its tag, which
+/// orders the lines as their text would sort.
 pub fn to_text(topo: &Topology) -> String {
-    let mut lines: Vec<String> = Vec::with_capacity(topo.num_edges());
+    let mut keys: Vec<(u64, u64)> = Vec::with_capacity(topo.num_edges());
     for x in topo.nodes() {
+        let ax = topo.asn(x);
         for &(y, rel) in topo.neighbors(x) {
-            let (ax, ay) = (topo.asn(x), topo.asn(y));
+            let ay = topo.asn(y);
             if ax < ay {
-                lines.push(format!("{} {} {}", ax, ay, rel.tag()));
+                keys.push((text_key(ax.0), text_key(ay.0) << 8 | rel.tag() as u64));
             }
         }
     }
-    lines.sort();
-    let mut out = String::new();
-    for l in lines {
-        let _ = writeln!(out, "{l}");
+    keys.sort_unstable();
+    let mut out = String::with_capacity(keys.len() * 16);
+    for (a, c) in keys {
+        push_digits(&mut out, a);
+        out.push(' ');
+        push_digits(&mut out, c >> 8);
+        out.push(' ');
+        out.push(c as u8 as char);
+        out.push('\n');
     }
     out
+}
+
+/// Where `asn`'s decimal text falls in string order: its digits
+/// left-aligned in ten places, then its length — `"12"` sorts before
+/// `"120"` (equal digits, shorter), `"120"` before `"13"`, `"1200000000"`
+/// before `"9"`. Text that follows a number starts with a space, which
+/// sorts below every digit, so a line's order is its first number's key,
+/// then its second's.
+fn text_key(asn: u32) -> u64 {
+    let len = asn.checked_ilog10().unwrap_or(0) + 1;
+    (u64::from(asn) * 10u64.pow(10 - len)) << 4 | u64::from(len)
+}
+
+/// Append the number a [`text_key`] holds.
+fn push_digits(out: &mut String, key: u64) {
+    let mut digits = [b'0'; 10];
+    let mut aligned = key >> 4;
+    for d in digits.iter_mut().rev() {
+        *d = b'0' + (aligned % 10) as u8;
+        aligned /= 10;
+    }
+    out.push_str(std::str::from_utf8(&digits[..(key & 15) as usize]).expect("ASCII digits"));
 }
 
 /// Parse the text format. Blank lines and `#` comments are ignored.
@@ -130,22 +161,34 @@ impl TopologyDoc {
     }
 
     /// Rebuild the topology. Nodes are numbered in order of first
-    /// appearance: isolated ASes, then each link's endpoints in turn.
+    /// appearance: isolated ASes, then each link's endpoints in turn. The
+    /// first bad tag, self-loop or conflicting redeclaration in link order
+    /// is the error.
     pub fn build(&self) -> Result<Topology, ParseError> {
         let mut b = TopologyBuilder::with_capacity(self.links.len());
         for &asn in &self.isolated {
             b.intern_as(AsId(asn));
         }
+        let mut refused = None;
         for &(x, y, tag) in &self.links {
-            let rel = Rel::from_tag(tag).ok_or(ParseError::BadTag(0, tag))?;
-            let invalid = match b.try_link(AsId(x), AsId(y), rel) {
-                LinkOutcome::Added | LinkOutcome::Duplicate => continue,
-                LinkOutcome::SelfLoop => TopologyError::SelfLoop(AsId(x)),
-                LinkOutcome::Conflict => TopologyError::ConflictingEdge(AsId(x), AsId(y)),
+            refused = match Rel::from_tag(tag) {
+                None => Some(ParseError::BadTag(0, tag)),
+                Some(_) if x == y => Some(ParseError::Invalid(TopologyError::SelfLoop(AsId(x)))),
+                Some(rel) => {
+                    b.declare(AsId(x), AsId(y), rel);
+                    continue;
+                }
             };
-            return Err(ParseError::Invalid(invalid));
+            break;
         }
-        b.build().map_err(ParseError::Invalid)
+        // A conflict among the links before the refused one came first.
+        if let Some((_, x, y)) = b.tally().conflict {
+            return Err(ParseError::Invalid(TopologyError::ConflictingEdge(x, y)));
+        }
+        match refused {
+            Some(e) => Err(e),
+            None => b.build().map_err(ParseError::Invalid),
+        }
     }
 }
 

@@ -7,7 +7,8 @@
 //! into a [`TopologyBuilder`] with **zero per-line allocation**: one
 //! reusable byte buffer, field splitting and integer parsing directly on
 //! `&[u8]`, and AS numbers remapped to dense node ids by the builder's
-//! single-pass interner as they are first seen.
+//! interner as they are first seen. Each record becomes one entry in the
+//! builder's declaration list; nothing is looked up per link.
 //!
 //! Two record formats are auto-detected per line:
 //!
@@ -25,9 +26,15 @@
 //! still an error — silently picking one annotation would corrupt every
 //! policy computation downstream.
 //!
-//! Errors carry the 1-based line number and the byte offset of the start
-//! of the offending line, so `dataset.txt:193417` style messages point at
-//! the actual record even in a 30 MB file.
+//! Duplicates and conflicts are found after the read, by the builder's one
+//! sort of the declarations ([`TopologyBuilder::tally`]), which also gives
+//! each conflict's declaration index; a byte a declaration records where
+//! its line started. The error is the one the file reaches first: a read
+//! stops at the first malformed or unreadable line, and a conflict before
+//! it is reported instead of it. Errors carry the 1-based line number and
+//! the byte offset of the start of the offending line, so
+//! `dataset.txt:193417` style messages point at the actual record even in
+//! a 30 MB file.
 //!
 //! The JSON [`IngestCache`] of such a parse is read back the same way:
 //! [`load_cache`] walks the file once with `serde_json`'s tokenizer
@@ -36,7 +43,7 @@
 //! tags and deep nesting.
 
 use super::TopologyDoc;
-use crate::graph::{AsId, LinkOutcome, Rel, Topology, TopologyBuilder, TopologyError};
+use crate::graph::{AsId, Rel, Topology, TopologyBuilder, TopologyError};
 use serde::Serialize;
 use serde_json::{Reader, Step};
 use std::io::BufRead;
@@ -279,20 +286,24 @@ fn read_link(r: &mut Reader) -> Step<(u32, u32, char)> {
 pub fn parse<R: BufRead>(mut reader: R) -> Result<(Topology, ParseStats), ParseError> {
     let mut b = TopologyBuilder::new();
     let mut stats = ParseStats::default();
+    let mut starts = LineStarts::default();
     let mut buf: Vec<u8> = Vec::with_capacity(256);
     let mut offset = 0u64;
     let mut lineno = 0usize;
+    // The first unreadable or malformed line ends the read; a conflict
+    // the build finds before it still comes first.
+    let mut refused = None;
     loop {
         buf.clear();
         let line_start = offset;
-        let n = reader.read_until(b'\n', &mut buf).map_err(|e| ParseError {
-            line: lineno + 1,
-            offset: line_start,
-            kind: ErrorKind::Io(e.to_string()),
-        })?;
-        if n == 0 {
-            break;
-        }
+        let n = match reader.read_until(b'\n', &mut buf) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) => {
+                refused = Some(ParseError { line: lineno + 1, offset: line_start, kind: ErrorKind::Io(e.to_string()) });
+                break;
+            }
+        };
         offset += n as u64;
         lineno += 1;
         stats.lines += 1;
@@ -309,22 +320,29 @@ pub fn parse<R: BufRead>(mut reader: R) -> Result<(Topology, ParseStats), ParseE
             stats.comments += 1;
             continue;
         }
-        let err = |kind| ParseError { line: lineno, offset: line_start, kind };
-        let (a, c, rel) = if line.contains(&b'|') {
-            parse_caida(line).map_err(err)?
-        } else {
-            parse_whitespace(line).map_err(err)?
-        };
-        match b.try_link(AsId(a), AsId(c), rel) {
-            LinkOutcome::Added => stats.edges += 1,
-            LinkOutcome::Duplicate => stats.duplicate_edges += 1,
-            LinkOutcome::SelfLoop => stats.self_loops += 1,
-            LinkOutcome::Conflict => {
-                return Err(err(ErrorKind::ConflictingEdge(AsId(a.min(c)), AsId(a.max(c)))))
+        let record = if line.contains(&b'|') { parse_caida(line) } else { parse_whitespace(line) };
+        match record {
+            Err(kind) => {
+                refused = Some(ParseError { line: lineno, offset: line_start, kind });
+                break;
+            }
+            Ok((a, c, _)) if a == c => stats.self_loops += 1,
+            Ok((a, c, rel)) => {
+                b.declare(AsId(a), AsId(c), rel);
+                starts.push(lineno, line_start);
             }
         }
     }
-    stats.bytes = offset;
+    let tally = b.tally();
+    if let Some((k, a, c)) = tally.conflict {
+        let (line, offset) = starts.get(k);
+        return Err(ParseError { line, offset, kind: ErrorKind::ConflictingEdge(a.min(c), a.max(c)) });
+    }
+    if let Some(e) = refused {
+        return Err(e);
+    }
+    drop(starts);
+    (stats.bytes, stats.edges, stats.duplicate_edges) = (offset, tally.links, tally.duplicates);
     if stats.edges == 0 && stats.self_loops == 0 && stats.duplicate_edges == 0 {
         return Err(ParseError { line: 0, offset, kind: ErrorKind::Empty });
     }
@@ -335,6 +353,39 @@ pub fn parse<R: BufRead>(mut reader: R) -> Result<(Topology, ParseStats), ParseE
     })?;
     stats.nodes = topo.num_nodes();
     Ok((topo, stats))
+}
+
+/// Where each declaration's line starts, at a byte a declaration: the
+/// distance from the previous declaration's start when that was the line
+/// before and under 256 bytes long, else an anchor holding the line
+/// number and offset outright (comments, blanks, self-loops and long
+/// lines between two declarations make one).
+#[derive(Default)]
+struct LineStarts {
+    gaps: Vec<u8>,
+    /// `(declaration, line, offset)`, by declaration.
+    anchors: Vec<(usize, usize, u64)>,
+    last: (usize, u64),
+}
+
+impl LineStarts {
+    fn push(&mut self, line: usize, offset: u64) {
+        let k = self.gaps.len();
+        match u8::try_from(offset - self.last.1) {
+            Ok(gap) if k > 0 && line == self.last.0 + 1 => self.gaps.push(gap),
+            _ => {
+                self.gaps.push(0);
+                self.anchors.push((k, line, offset));
+            }
+        }
+        self.last = (line, offset);
+    }
+
+    /// The line number and offset of declaration `k`.
+    fn get(&self, k: usize) -> (usize, u64) {
+        let (i, line, offset) = self.anchors[self.anchors.partition_point(|a| a.0 <= k) - 1];
+        (line + (k - i), offset + self.gaps[i + 1..=k].iter().map(|&g| u64::from(g)).sum::<u64>())
+    }
 }
 
 /// Convenience wrapper for in-memory text (tests, proptests).

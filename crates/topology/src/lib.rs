@@ -38,5 +38,5 @@ pub mod path;
 pub mod stats;
 
 pub use gen::{DatasetPreset, GenParams};
-pub use graph::{AsId, LinkOutcome, NodeId, Rel, Topology, TopologyBuilder, TopologyError, MAX_DEGREE, SLOT_ORDER};
+pub use graph::{AsId, LinkTally, NodeId, Rel, Topology, TopologyBuilder, TopologyError, MAX_DEGREE, SLOT_ORDER};
 pub use path::{classify_route, is_valley_free, RouteClass};
