@@ -22,7 +22,7 @@ use crate::harness::{Cmd, Flag, Kind};
 use miro_topology::io::stream::{self, IngestCache};
 use miro_topology::io::TopologyDoc;
 use std::fmt::Write as _;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Read};
 
 pub static CMD: Cmd = Cmd {
     name: "ingest",
@@ -40,22 +40,22 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let path = a.positional[0].clone();
     let (out_path, name): (Option<String>, Option<String>) = (a.opt("--out")?, a.opt("--name")?);
 
-    // Sniff the churn-trace magic; everything else goes straight to the
-    // line-oriented streaming parser.
-    let bytes = std::fs::read(&path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
-    let trace_events = if bytes.starts_with(&miro_churn::MAGIC) {
-        Some(
-            miro_churn::Trace::decode(&bytes)
-                .map_err(|e| format!("{path}: {e}"))?,
-        )
+    // Sniff the churn-trace magic in the reader's first buffer: a trace is
+    // read whole, everything else streams through the line-oriented parser.
+    let file = std::fs::File::open(&path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
+    let mut reader = BufReader::new(file);
+    let head = reader.fill_buf().map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    let trace_events = if head.starts_with(&miro_churn::MAGIC) {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+        Some(miro_churn::Trace::decode(&bytes).map_err(|e| format!("{path}: {e}"))?)
     } else {
         None
     };
     let (topo, stats) = match &trace_events {
         Some(trace) => stream::parse(BufReader::new(trace.topo_text.as_bytes()))
             .map_err(|e| format!("{path} (embedded topology): {e}"))?,
-        None => stream::parse(BufReader::new(&bytes[..]))
-            .map_err(|e| format!("{path}: {e}"))?,
+        None => stream::parse(reader).map_err(|e| format!("{path}: {e}"))?,
     };
 
     let census = miro_topology::stats::link_census(&topo);

@@ -1,37 +1,37 @@
 //! `miro serve` — the route-query daemon over a solved table.
 //!
 //! ```text
-//! miro serve table.mirt --preset gao2005 --factor 0.05 --seed 42 \
-//!     --addr 127.0.0.1:0 --port-file serve.port
+//! miro serve table.mirt --addr 127.0.0.1:0 --port-file serve.port
 //! ```
 //!
 //! The table is memory-mapped ([`miro_serve::mmap::MappedTable`]) and
-//! must have been solved over exactly the topology given by
-//! `--preset/--factor/--seed` (or `--cache`) — the same flags
-//! `shard-solve` took: the daemon answers from the topology's ASNs and
-//! business relationships, and refuses one whose neighbour lists,
-//! partition ends or AS numbers are not the ones the table carries.
-//! `--port-file` publishes the bound address (useful with port 0) so
-//! scripts don't have to parse logs.
+//! carries the topology it was solved over, which the daemon rebuilds
+//! ([`miro_shard::format::Adjacency::topology`]) and answers from.
+//! `--preset/--factor/--seed` or `--cache`, the flags `shard-solve`
+//! took, are optional: a topology they name is built beside the open
+//! and refused unless its neighbour lists, partition ends and AS numbers
+//! are the table's. `--port-file` publishes the bound address (useful
+//! with port 0) so scripts don't have to parse logs.
 //!
 //! The daemon answers every query from the table, with no answer cache in
 //! front: a path costs a rank load and a 2-byte cell per hop, less than a
 //! cache probe, and the wire `Stats` cache counters read 0.
 
 use crate::harness::{Cmd, Flag, Kind};
-use crate::shard_cmd::topo_spec;
+use crate::shard_cmd::named_topology;
 use miro_serve::mmap::MappedTable;
 use miro_serve::query::Engine;
 use miro_serve::server::Server;
+use miro_serve::TableSource;
 
 pub static CMD: Cmd = Cmd {
     name: "serve",
     positional: &["table.mirt"],
     flags: &[
-        Flag { name: "--preset", kind: Kind::Str, default: "", help: "topology the table was solved over (default gao2005)" },
+        Flag { name: "--preset", kind: Kind::Str, default: "", help: "check the table was solved over this preset (default gao2005)" },
         Flag { name: "--factor", kind: Kind::F64, default: "", help: "multiple of the preset's node count (default 1)" },
         Flag { name: "--seed", kind: Kind::Num, default: "", help: "generation seed (default 42)" },
-        Flag { name: "--cache", kind: Kind::Str, default: "", help: "a `miro ingest` cache instead of a preset" },
+        Flag { name: "--cache", kind: Kind::Str, default: "", help: "check against a `miro ingest` cache instead of a preset" },
         // 4179: BGP's 179, one plane up.
         Flag { name: "--addr", kind: Kind::Str, default: "127.0.0.1:4179", help: "listen address; port 0 lets the kernel pick" },
         Flag { name: "--port-file", kind: Kind::Str, default: "", help: "publish the bound address here" },
@@ -45,24 +45,25 @@ pub static CMD: Cmd = Cmd {
 pub fn run(args: &[String]) -> Result<String, String> {
     let a = CMD.parse(args)?;
     let path = std::path::Path::new(&a.positional[0]);
-    let spec = topo_spec(&a)?;
+    let spec = named_topology(&a)?;
     let bind: String = a.get("--addr")?;
     let port_file: Option<String> = a.opt("--port-file")?;
-    // The two halves of start-up share nothing: build the topology on a
+    // A named topology shares nothing with the table: build it on a
     // second thread while this one maps and checksums the table. A bad
     // table is still the error reported first.
-    let (table, topo) = std::thread::scope(|scope| {
-        let topo = scope.spawn(|| spec.build());
+    let (table, named) = std::thread::scope(|scope| {
+        let named = spec.map(|spec| scope.spawn(move || spec.build()));
         let table = if a.on("--no-verify-file") {
             MappedTable::open_unverified(path)
         } else {
             MappedTable::open(path)
         };
-        (table, topo.join().expect("topology build panicked"))
+        (table, named.map(|topo| topo.join().expect("topology build panicked")))
     });
-    let (table, topo) = (table?, topo?);
+    let table = table?;
+    let topo = named.unwrap_or_else(|| table.adjacency().topology().map_err(|e| format!("table {path:?}: {e}")))?;
     let bytes = table.file_bytes();
-    let dests = miro_serve::TableSource::dests(&table).len();
+    let dests = table.dests().len();
     let engine = Engine::new(table, topo, None)?;
     let server = Server::bind(bind.as_str(), engine)
         .map_err(|e| format!("cannot bind {bind}: {e}"))?;

@@ -88,6 +88,12 @@ pub fn topo_spec(a: &Args) -> Result<TopoSpec, String> {
     })
 }
 
+/// [`topo_spec`], or `None` when no topology flag is given.
+pub fn named_topology(a: &Args) -> Result<Option<TopoSpec>, String> {
+    let named = ["--preset", "--factor", "--seed", "--cache"].iter().any(|flag| a.on(flag));
+    named.then(|| topo_spec(a)).transpose()
+}
+
 /// A spawner of `shard-worker` copies of this binary over `source`,
 /// spelled with the flags [`WORKER`] parses.
 pub fn worker_spawner(

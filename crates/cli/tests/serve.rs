@@ -2,10 +2,17 @@
 //! subprocess, driven by the real `miro bench-query` client — the same
 //! choreography CI's serve-smoke step runs, pinned here so a broken
 //! handshake, port file, shutdown path, or bench schema fails `cargo
-//! test` before it fails CI.
+//! test` before it fails CI. A daemon given no topology flags serves the
+//! topology its table carries: the same replies as one given the
+//! matching `--cache`, and a refusal, naming the AS node, of sections
+//! that are no topology's.
 
-use miro_shard::format::RouteTableSet;
+use miro_serve::wire::{read_msg, write_msg, WireMsg, QUERY_PROTOCOL_VERSION};
+use miro_shard::format::{checksum, RouteTableSet};
+use miro_shard::protocol::read_raw_frame;
 use miro_shard::{sample_dests, TopoSpec};
+use miro_topology::{NodeId, Topology};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -221,6 +228,136 @@ fn serve_refuses_a_same_size_cache_of_another_topology() {
     let r = bench(&["--addr", &addr, "--conns", "1", "--queries", "200", "--shutdown", "--out", out.to_str().unwrap()]);
     assert!(r.status.success(), "{}", String::from_utf8_lossy(&r.stderr));
     assert!(daemon.wait().expect("daemon exits").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The raw reply frames `addr` sends to 200 queries of every kind toward
+/// the table's destinations, then a shutdown.
+fn replies(addr: &str, topo: &Topology, dests: &[NodeId]) -> Vec<Vec<u8>> {
+    let stream = TcpStream::connect(addr).expect("connect to the daemon");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_msg(&mut &stream, &WireMsg::Hello { protocol: QUERY_PROTOCOL_VERSION }).unwrap();
+    assert!(matches!(read_msg(&mut &stream).unwrap(), WireMsg::Welcome { .. }));
+    let n = topo.num_nodes() as u32;
+    let asn = |x: u32| topo.asn(x).0;
+    let mut out = Vec::new();
+    for k in 0..200u32 {
+        let (id, src, dest, avoid) = (u64::from(k), asn(k * 37 % n), asn(dests[k as usize % dests.len()]), asn((k * 11 + 5) % n));
+        let query = match k % 3 {
+            0 => WireMsg::NextHop { id, src, dest },
+            1 => WireMsg::Path { id, src, dest },
+            _ => WireMsg::Alternate { id, src, dest, avoid },
+        };
+        write_msg(&mut &stream, &query).unwrap();
+        out.push(read_raw_frame(&mut &stream).expect("a reply frame"));
+    }
+    write_msg(&mut &stream, &WireMsg::Shutdown).unwrap();
+    assert_eq!(read_msg(&mut &stream).unwrap(), WireMsg::RBye);
+    out
+}
+
+/// A daemon given no topology flags rebuilds the topology from the table
+/// and answers 200 queries byte for byte as one given the cache the table
+/// was solved over.
+#[test]
+fn a_flagless_daemon_replies_as_one_given_the_matching_cache() {
+    let dir = fresh_dir("flagless");
+    let cache = ingested(&dir, 42);
+    let topo = TopoSpec::Cache { path: cache.to_str().unwrap().into() }.build().unwrap();
+    let dests = sample_dests(topo.num_nodes(), 24);
+    let table = dir.join("table.mirt");
+    std::fs::write(&table, RouteTableSet::from_solves(&topo, &dests, 2).encode()).unwrap();
+    let mut answers = Vec::new();
+    for flags in [&[][..], &["--cache", cache.to_str().unwrap()][..]] {
+        let (mut daemon, addr) = spawn_daemon_over(&dir, &table, flags);
+        answers.push(replies(&addr, &topo, &dests));
+        assert!(daemon.wait().expect("daemon exits").success(), "{flags:?}");
+        std::fs::remove_file(dir.join("serve.port")).unwrap();
+    }
+    assert_eq!(answers[0], answers[1]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `bytes` with `value` written at `at` and the whole-file checksum,
+/// the one that covers the sections, recomputed.
+fn resealed(bytes: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + value.len()].copy_from_slice(value);
+    let end = out.len() - 8;
+    let total = checksum(&out[..end]);
+    out[end..].copy_from_slice(&total.to_le_bytes());
+    out
+}
+
+/// Hand-made sections under a resealed trailer — a list that names a
+/// node that does not list it back, a link whose two ends disagree on
+/// its class, an AS number given twice, partition ends out of order —
+/// are refused by `Adjacency::topology` (the last already when the
+/// sections are parsed) and by a daemon given no topology flags, each
+/// naming the AS node.
+#[test]
+fn a_flagless_daemon_refuses_sections_that_are_no_topology() {
+    let dir = fresh_dir("no_topology");
+    let table = solve_table(&dir);
+    let bytes = std::fs::read(&table).unwrap();
+    let set = RouteTableSet::decode(&bytes).unwrap();
+    let (l, adj) = (set.layout(), set.adjacency());
+    let topo = adj.topology().unwrap();
+    let n = topo.num_nodes() as NodeId;
+    let off = |x: NodeId| u32::from_le_bytes(bytes[l.adjacency_at() + 4 * x as usize..][..4].try_into().unwrap()) as usize;
+    let entry = |x: NodeId, slot: usize| l.adjacency_at() + 4 * (n as usize + 1 + off(x) + slot);
+    let ends = |x: NodeId| l.ends_at() + 6 * x as usize;
+    let ends_of = |x: NodeId| topo.slot_bounds(x)[1..4].iter().map(|&e| e as u16).collect::<Vec<_>>();
+    let u16s = |words: &[u16]| words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+
+    // y lists a lower neighbour x; y's entry becomes a higher node w that
+    // does not list y.
+    let (y, slot) = (0..n - 1)
+        .rev()
+        .find_map(|y| topo.slot_neighbors(y).iter().position(|&x| x < y).map(|slot| (y, slot)))
+        .unwrap();
+    let w = (y + 1..n).rev().find(|&w| topo.rel(y, w).is_none()).unwrap();
+    let asymmetric = resealed(&bytes, entry(y, slot), &w.to_le_bytes());
+    // A transit AS z whose last provider has a lower id: one provider end
+    // less makes that provider a sibling on z's side only.
+    let z = topo
+        .nodes()
+        .find(|&z| {
+            let b = topo.slot_bounds(z);
+            b[1] > 0 && b[1] < b[3] && topo.slot_neighbors(z)[b[1] - 1] < z
+        })
+        .unwrap();
+    let mut class = ends_of(z);
+    class[0] -= 1;
+    let disagreement = resealed(&bytes, ends(z), &u16s(&class));
+    let last = n - 1;
+    let twice = resealed(&bytes, l.asns_at() + 4 * last as usize, &topo.asn(0).0.to_le_bytes());
+    let mut order = ends_of(z);
+    order.swap(0, 2);
+    let out_of_order = resealed(&bytes, ends(z), &u16s(&order));
+
+    let cases = [
+        ("an asymmetric list", asymmetric, format!("AS node {y}'s list")),
+        ("a class disagreement", disagreement, format!("AS node {z}'s list")),
+        ("a repeated AS number", twice, format!("AS node {last} repeats the AS number {} of AS node 0", topo.asn(0).0)),
+        ("ends out of order", out_of_order, format!("partition ends {order:?} of AS node {z}")),
+    ];
+    let path = dir.join("bad.mirt");
+    for (what, bad, names) in cases {
+        let refusal = match RouteTableSet::decode(&bad) {
+            Ok(set) => set.adjacency().topology().err().unwrap_or_else(|| panic!("{what}: a topology")),
+            Err(e) => e,
+        };
+        assert!(refusal.contains(&names), "{what}: {refusal}");
+        std::fs::write(&path, &bad).unwrap();
+        let r = Command::new(env!("CARGO_BIN_EXE_miro"))
+            .args(["serve", path.to_str().unwrap(), "--addr", "127.0.0.1:0", "--quiet"])
+            .output()
+            .expect("spawn miro serve");
+        assert!(!r.status.success(), "{what}: served");
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert!(stderr.contains(&names), "{what}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

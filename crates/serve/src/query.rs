@@ -237,9 +237,9 @@ pub struct Engine<T: TableSource> {
 
 impl<T: TableSource> Engine<T> {
     /// Build an engine. The topology must be the one the table was
-    /// solved over: the node count, and then every neighbour list the
-    /// table carries, must be the topology's, or the error names the
-    /// first AS whose list differs.
+    /// solved over: the node count, and then every neighbour list,
+    /// partition end and AS number the table carries, must be the
+    /// topology's, or the error names the first AS whose sections differ.
     pub fn new(table: T, topo: Topology, cache: Option<ShardedCache>) -> Result<Engine<T>, String> {
         if table.num_nodes() as usize != topo.num_nodes() {
             return Err(format!(

@@ -22,7 +22,8 @@ use miro_bgp::solver::{pack_cell, ESCAPE, NO_SLOT};
 use miro_eval::whole_table::summarize_file;
 use miro_serve::mmap::MappedTable;
 use miro_serve::query::{Answer, Engine, Query, QueryError, QueryScratch};
-use miro_shard::format::{checksum, row_checksum, row_exceptions, Layout, RouteTableSet, CELL_BYTES, EXCEPTION_BYTES};
+use miro_serve::TableSource;
+use miro_shard::format::{checksum, row_checksum, row_exceptions, Adjacency, Layout, RouteTableSet, CELL_BYTES, EXCEPTION_BYTES};
 use miro_shard::sample_dests;
 use miro_topology::gen::GenParams;
 use miro_topology::{AsId, NodeId, Topology, TopologyBuilder};
@@ -263,10 +264,16 @@ fn hostile_partition_ends_are_refused_at_open() {
     let (topo, set) = graph();
     let l = set.layout();
     let x = topo.nodes().find(|&x| topo.degree(x) == 2).unwrap() as usize;
-    for (what, ends) in [("out of order", [2u16, 1]), ("past the degree", [0, 3]), ("both past", [7, 9])] {
+    let cases = [
+        ("a provider end past the sibling end", [2u16, 1, 2]),
+        ("a sibling end past the customer end", [0, 2, 1]),
+        ("past the degree", [0, 0, 3]),
+        ("all past", [7, 8, 9]),
+    ];
+    for (what, ends) in cases {
         let mut bytes = set.encode();
-        let at = l.ends_at() + 4 * x;
-        bytes[at..at + 4].copy_from_slice(&[ends[0].to_le_bytes(), ends[1].to_le_bytes()].concat());
+        let at = l.ends_at() + 6 * x;
+        bytes[at..at + 6].copy_from_slice(&ends.map(u16::to_le_bytes).concat());
         refused_everywhere("ends", what, &resealed(bytes), &format!("partition ends {ends:?} of AS node {x}"));
     }
 }
@@ -307,9 +314,11 @@ fn hostile_exception_entries_are_refused_at_open() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any words in the partition ends, the AS numbers and the exception
-    /// list, resealed: a refused open, or answers that agree between the
-    /// mapped and the decoded table — never a panic.
+    /// Any words in the partition ends (sibling ends included), the AS
+    /// numbers and the exception list, resealed: a refused open, or
+    /// answers that agree between the mapped and the decoded table —
+    /// never a panic; and sections that rebuild a topology are that
+    /// topology's image.
     #[test]
     fn hostile_sections_yield_a_refusal_or_agreeing_answers(
         writes in proptest::collection::vec((0u8..2, any::<u32>(), any::<u32>()), 1..4),
@@ -333,6 +342,9 @@ proptest! {
         let decoded = RouteTableSet::decode(&bytes);
         if let Ok(mapped) = MappedTable::open_unverified(&path) {
             prop_assert!(summary.is_ok(), "{:?}", summary);
+            if let Ok(rebuilt) = mapped.adjacency().topology() {
+                prop_assert_eq!(&Adjacency::of(&rebuilt), mapped.adjacency());
+            }
             let mut scratch = QueryScratch::new();
             // The topology is the table's only while the sections are.
             if let Ok(mapped) = Engine::new(mapped, topo.clone(), None) {

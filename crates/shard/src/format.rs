@@ -14,8 +14,8 @@
 //! solver's pull pass calls. The few sink cells the rule would not derive
 //! — a row set from a masked solve, say — are kept in a table-level
 //! exception list. The neighbour lists, class partitions and AS numbers
-//! the rule reads travel in the file ([`Adjacency`]), so every reader
-//! works without a topology. Layout, all little-endian:
+//! the rule reads, a whole topology, travel in the file ([`Adjacency`]),
+//! so every reader works without one. Layout, all little-endian:
 //!
 //! ```text
 //! 0        magic "MIRT"
@@ -29,7 +29,7 @@
 //! 32       destination ids          u32 × D
 //! 32+4D    adjacency offsets        u32 × (V+1)  (AS x's list is ids[off[x]..off[x+1]])
 //!          neighbour ids            u32 × A      (each list in slot order)
-//!          partition ends           (u16, u16) × V  (each AS's provider end and customer end)
+//!          partition ends           (u16, u16, u16) × V  (each AS's provider, sibling and customer end)
 //!          AS numbers               u32 × V
 //! sums     per-row checksums        u64 × D      (the table checksum of each row's bytes,
 //!                                                 then its exception entries)
@@ -92,7 +92,7 @@ use miro_bgp::solver::{
     ORIGIN_CELL, UNROUTED_CLASS, UNROUTED_HOPS, UNROUTED_NEXT,
 };
 pub use miro_bgp::solver::CELL_BYTES;
-use miro_topology::{NodeId, RouteClass, Topology, MAX_DEGREE};
+use miro_topology::{AsId, NodeId, RouteClass, Topology, TopologyBuilder, MAX_DEGREE, SLOT_ORDER};
 use std::fs::File;
 use std::io;
 use std::ops::Range;
@@ -102,7 +102,7 @@ use std::sync::Mutex;
 /// File magic: "MIRO Route Table".
 pub const TABLE_MAGIC: [u8; 4] = *b"MIRT";
 /// On-disk format version; bump on any layout or encoding change.
-pub const TABLE_FORMAT_VERSION: u32 = 5;
+pub const TABLE_FORMAT_VERSION: u32 = 6;
 /// Bytes of the fixed header: magic, version and the six counts.
 const HEAD: usize = 32;
 /// Bytes of one exception entry: row, AS, cell, wide slot.
@@ -262,6 +262,12 @@ pub fn row_exceptions(exceptions: &[u8], i: usize) -> &[u8] {
     &exceptions[EXCEPTION_BYTES * r.start..EXCEPTION_BYTES * r.end]
 }
 
+/// AS `x`'s provider, sibling and customer end in its slot order.
+fn ends_of(topo: &Topology, x: NodeId) -> [u16; 3] {
+    let b = topo.slot_bounds(x);
+    [b[1], b[2], b[3]].map(|end| end as u16)
+}
+
 /// [`Adjacency`]'s mark of a transit AS.
 const TRANSIT: u8 = 0x80;
 /// A sink's provider end too large for its byte beside the mark.
@@ -277,9 +283,9 @@ const FAR_END: u8 = TRANSIT - 1;
 pub struct Adjacency {
     off: Vec<u32>,
     ids: Vec<NodeId>,
-    /// Per AS, where its provider partition ends and where its customer
-    /// partition ends (its siblings lie between).
-    ends: Vec<[u16; 2]>,
+    /// Per AS, where its provider, sibling and customer partitions end
+    /// (its peers follow).
+    ends: Vec<[u16; 3]>,
     asns: Vec<u32>,
     /// One bit per AS, set for a transit AS.
     transit: Vec<u64>,
@@ -307,15 +313,15 @@ impl Adjacency {
             ids.extend_from_slice(topo.slot_neighbors(x));
             off.push(ids.len() as u32);
         }
-        let ends = topo.nodes().map(|x| topo.slot_bounds(x)).map(|b| [b[1] as u16, b[3] as u16]).collect();
+        let ends = topo.nodes().map(|x| ends_of(topo, x)).collect();
         let asns = topo.nodes().map(|x| topo.asn(x).0).collect();
         Adjacency::index(off, ids, ends, asns)
     }
 
     /// Derive the transit ranks and the wide transit ASes.
-    fn index(off: Vec<u32>, ids: Vec<NodeId>, ends: Vec<[u16; 2]>, asns: Vec<u32>) -> Adjacency {
+    fn index(off: Vec<u32>, ids: Vec<NodeId>, ends: Vec<[u16; 3]>, asns: Vec<u32>) -> Adjacency {
         let mut transit = vec![0u64; ends.len().div_ceil(64)];
-        for (x, _) in ends.iter().enumerate().filter(|(_, e)| e[0] < e[1]) {
+        for (x, _) in ends.iter().enumerate().filter(|(_, e)| e[0] < e[2]) {
             transit[x / 64] |= 1 << (x % 64);
         }
         let rank_base = transit
@@ -340,13 +346,14 @@ impl Adjacency {
     /// AS's partition ends in order and within its list.
     pub fn parse(num_nodes: u32, bytes: &[u8]) -> Result<Adjacency, String> {
         let v = num_nodes as usize;
-        if !bytes.len().is_multiple_of(4) || bytes.len() / 4 <= 3 * v {
+        let fixed = 14 * v + 4; // offsets, partition ends and AS numbers
+        if bytes.len() < fixed || !(bytes.len() - fixed).is_multiple_of(4) {
             return Err(format!("a {}-byte adjacency section cannot list {v} nodes", bytes.len()));
         }
-        let a = bytes.len() / 4 - 3 * v - 1;
+        let a = (bytes.len() - fixed) / 4;
         let (off, rest) = bytes.split_at(4 * (v + 1));
         let (ids, rest) = rest.split_at(4 * a);
-        let (ends, asns) = rest.split_at(4 * v);
+        let (ends, asns) = rest.split_at(6 * v);
         let off: Vec<u32> = le_u32s(off).collect();
         if off[0] != 0 || off[v] as usize != a {
             return Err(format!("adjacency offsets run {}..{}, not 0..{a}", off[0], off[v]));
@@ -358,8 +365,9 @@ impl Adjacency {
         if let Some(i) = ids.iter().position(|&y| y >= num_nodes) {
             return Err(format!("adjacency entry {i} names node {}, past the {v} nodes", ids[i]));
         }
-        let ends: Vec<[u16; 2]> = ends.chunks_exact(4).map(|e| [0, 2].map(|k| u16::from_le_bytes([e[k], e[k + 1]]))).collect();
-        if let Some(x) = (0..v).find(|&x| ends[x][0] > ends[x][1] || usize::from(ends[x][1]) > (off[x + 1] - off[x]) as usize) {
+        let ends: Vec<[u16; 3]> = ends.chunks_exact(6).map(|e| [0, 2, 4].map(|k| u16::from_le_bytes([e[k], e[k + 1]]))).collect();
+        let in_order = |x: usize, [p, s, c]: [u16; 3]| p <= s && s <= c && u32::from(c) <= off[x + 1] - off[x];
+        if let Some(x) = (0..v).find(|&x| !in_order(x, ends[x])) {
             return Err(format!("partition ends {:?} of AS node {x} are not within its list in order", ends[x]));
         }
         Ok(Adjacency::index(off, ids, ends, le_u32s(asns).collect()))
@@ -431,8 +439,8 @@ impl Adjacency {
         (self.off[x as usize + 1] - self.off[x as usize]) as usize
     }
 
-    /// AS `x`'s provider end and customer end in its list.
-    fn ends(&self, x: NodeId) -> [u16; 2] {
+    /// AS `x`'s provider, sibling and customer end in its list.
+    fn ends(&self, x: NodeId) -> [u16; 3] {
         self.ends[x as usize]
     }
 
@@ -444,11 +452,7 @@ impl Adjacency {
     /// `topo`'s (the first past the shorter one when the node counts
     /// differ).
     pub fn first_difference(&self, topo: &Topology) -> Option<NodeId> {
-        let theirs = |x: NodeId| {
-            let b = topo.slot_bounds(x);
-            (topo.slot_neighbors(x), [b[1] as u16, b[3] as u16], topo.asn(x).0)
-        };
-        self.first_difference_by(topo.num_nodes(), theirs)
+        self.first_difference_by(topo.num_nodes(), |x| (topo.slot_neighbors(x), ends_of(topo, x), topo.asn(x).0))
     }
 
     /// [`Adjacency::first_difference`] from another table's sections.
@@ -459,12 +463,38 @@ impl Adjacency {
     fn first_difference_by<'a>(
         &self,
         nodes: usize,
-        theirs: impl Fn(NodeId) -> (&'a [NodeId], [u16; 2], u32),
+        theirs: impl Fn(NodeId) -> (&'a [NodeId], [u16; 3], u32),
     ) -> Option<NodeId> {
         let common = self.num_nodes().min(nodes) as NodeId;
         (0..common)
             .find(|&x| theirs(x) != (self.neighbors(x), self.ends(x), self.asn(x)))
             .or((self.num_nodes() != nodes).then_some(common))
+    }
+
+    /// The topology these sections are the image of: each AS number in
+    /// id order, each link once from its lower end's list, in the class
+    /// its partition there names. Refused, naming the AS node, for a
+    /// repeated AS number or a list the links do not give back.
+    pub fn topology(&self) -> Result<Topology, String> {
+        let mut b = TopologyBuilder::with_capacity(self.entries() / 2);
+        for (x, &asn) in self.asns.iter().enumerate() {
+            let id = b.add_as(AsId(asn));
+            if id as usize != x {
+                return Err(format!("AS node {x} repeats the AS number {asn} of AS node {id}"));
+            }
+        }
+        for x in 0..self.num_nodes() as NodeId {
+            let ends = self.ends(x);
+            for (slot, &y) in self.neighbors(x).iter().enumerate().filter(|&(_, &y)| x < y) {
+                let class = ends.iter().filter(|&&end| usize::from(end) <= slot).count();
+                b.link(AsId(self.asn(x)), AsId(self.asn(y)), SLOT_ORDER[class]);
+            }
+        }
+        let topo = b.build().map_err(|e| format!("the sections are no topology: {e}"))?;
+        match self.first_difference(&topo) {
+            None => Ok(topo),
+            Some(x) => Err(format!("AS node {x}'s list is not the one its links give")),
+        }
     }
 
     /// The next hop at `slot` of AS `x`'s list, for a slot the row's
@@ -725,7 +755,8 @@ impl Layout {
         t.checked_add(w)
             .and_then(|cells| cells.checked_mul(CELL_BYTES)?.checked_mul(d))
             .and_then(|rows| rows.checked_add(d.checked_mul(12)?))
-            .and_then(|n| n.checked_add(v.checked_mul(3)?.checked_add(1)?.checked_add(a)?.checked_mul(4)?))
+            .and_then(|n| n.checked_add(v.checked_mul(2)?.checked_add(1)?.checked_add(a)?.checked_mul(4)?))
+            .and_then(|n| n.checked_add(v.checked_mul(6)?))
             .and_then(|n| n.checked_add(e.checked_mul(EXCEPTION_BYTES)?))
             .and_then(|n| n.checked_add(HEAD + 8))
             .map(|_| Layout { num_nodes, num_dests, entries, transit, wide, exceptions })
@@ -802,7 +833,7 @@ impl Layout {
 
     /// Offset of the AS numbers (the partition ends end here).
     pub fn asns_at(&self) -> usize {
-        self.ends_at() + 4 * self.num_nodes as usize
+        self.ends_at() + 6 * self.num_nodes as usize
     }
 
     /// Offset of the per-row checksum table (the AS numbers end here).
@@ -1184,7 +1215,7 @@ impl RouteTableSet {
 mod tests {
     use super::*;
     use miro_bgp::solver::{RoutingState, MAX_HOPS, UNROUTED_HOPS};
-    use miro_topology::{AsId, GenParams, TopologyBuilder};
+    use miro_topology::GenParams;
 
     /// A table over `adj` and `dests` whose row `i` holds the columns `row(i)`.
     fn table(adj: Adjacency, dests: Vec<NodeId>, row: impl Fn(usize) -> (Vec<u32>, Vec<u16>, Vec<u8>)) -> RouteTableSet {
@@ -1200,7 +1231,7 @@ mod tests {
     /// `v` nodes (an even number) in sibling pairs: every AS transit.
     fn pairs(v: usize) -> Adjacency {
         let ids = (0..v as NodeId).map(|x| x ^ 1).collect();
-        Adjacency::index((0..=v as u32).collect(), ids, vec![[0, 1]; v], (1..=v as u32).collect())
+        Adjacency::index((0..=v as u32).collect(), ids, vec![[0, 1, 1]; v], (1..=v as u32).collect())
     }
 
     fn sample() -> (Topology, RouteTableSet) {
@@ -1497,9 +1528,16 @@ mod tests {
         let mut bad = good.clone();
         bad[4 * 4] = 5; // the last offset
         assert!(Adjacency::parse(4, &bad).unwrap_err().contains("not 0..6"));
-        // Partition ends: the hub's (0, 3) and each leaf's (1, 1).
+        // Partition ends: the hub's (0, 0, 3) and each leaf's (1, 1, 1).
         let ends_at = 4 * (5 + 6);
-        for (what, at, end) in [("out of order", ends_at, 4), ("past the degree", ends_at + 2, 4), ("a leaf's", ends_at + 6, 2)] {
+        let cases = [
+            ("out of order", ends_at, 4),
+            ("a sibling end past the customer end", ends_at + 2, 4),
+            ("past the degree", ends_at + 4, 4),
+            ("a leaf's sibling end before its provider end", ends_at + 8, 0),
+            ("a leaf's", ends_at + 6, 2),
+        ];
+        for (what, at, end) in cases {
             let mut bad = good.clone();
             bad[at..at + 2].copy_from_slice(&(end as u16).to_le_bytes());
             assert!(Adjacency::parse(4, &bad).unwrap_err().contains("partition ends"), "{what}");
@@ -1572,7 +1610,7 @@ mod tests {
 
     #[test]
     fn frame_sum_is_pinned() {
-        // Pinned: every wire frame of shard protocol 5 and query protocol 2
+        // Pinned: every wire frame of shard protocol 6 and query protocol 2
         // carries this sum.
         let ramp = |n: u8| (0..n).collect::<Vec<u8>>();
         let got = [b"".to_vec(), b"miro".to_vec(), ramp(7), ramp(8), ramp(9), ramp(21), ramp(60)].map(|b| frame_sum(&b));

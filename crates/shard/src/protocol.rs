@@ -28,7 +28,7 @@ use crate::format::frame_sum;
 use std::io::{Read, Write};
 
 /// Protocol revision spoken in [`Msg::Hello`]; both sides must agree.
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Largest acceptable payload, far above anything either protocol built
 /// on this framing sends.

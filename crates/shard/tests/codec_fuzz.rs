@@ -205,7 +205,8 @@ proptest! {
 
     /// A Hello's sections are parsed before the coordinator lays anything
     /// out: any words written into a good section parse or are refused,
-    /// never a panic, and what parses writes back to the same bytes.
+    /// never a panic; what parses writes back to the same bytes, and
+    /// rebuilds a topology whose sections they are, or is refused.
     #[test]
     fn hello_sections_parse_or_fail_cleanly(writes in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..6)) {
         let topo = GenParams::tiny(3).generate();
@@ -213,15 +214,19 @@ proptest! {
         Adjacency::of(&topo).write(&mut bytes);
         let ends_at = 4 * (topo.num_nodes() + 1 + 2 * topo.num_edges());
         for &(at, value, in_ends) in &writes {
-            // Half the writes land in the partition ends, where a small
-            // value is likely to parse.
-            let at = if in_ends { ends_at + 2 * (at as usize % (2 * topo.num_nodes())) } else { 2 * (at as usize % (bytes.len() / 2)) };
+            // Half the writes land in the partition ends (provider,
+            // sibling and customer end of each AS), where a small value
+            // is likely to parse.
+            let at = if in_ends { ends_at + 2 * (at as usize % (3 * topo.num_nodes())) } else { 2 * (at as usize % (bytes.len() / 2)) };
             bytes[at..at + 2].copy_from_slice(&((value % 8) as u16).to_le_bytes());
         }
         if let Ok(adj) = Adjacency::parse(topo.num_nodes() as u32, &bytes) {
             let mut back = Vec::new();
             adj.write(&mut back);
             prop_assert_eq!(back, bytes);
+            if let Ok(rebuilt) = adj.topology() {
+                prop_assert_eq!(Adjacency::of(&rebuilt), adj);
+            }
         }
     }
 

@@ -117,6 +117,10 @@ enum Behavior {
     /// seals it when `fnv`, else with this build's frame sum — then go
     /// silent until killed.
     Protocol4 { fnv: bool },
+    /// Say a Hello whose sections carry two partition ends per AS, as a
+    /// protocol-5 build writes them, under the version `stamp`, then go
+    /// silent until killed.
+    Protocol5 { stamp: u32 },
 }
 
 struct LocalSpawner {
@@ -259,6 +263,19 @@ fn protocol_4(topo: &Topology, worker: u32, fnv: bool, mut input: PipeReader, mu
     while read_frame(&mut input).is_ok() {}
 }
 
+fn protocol_5(topo: &Topology, worker: u32, stamp: u32, mut input: PipeReader, mut output: PipeWriter) {
+    let Msg::Hello { mut adjacency, .. } = hello(topo, worker) else { unreachable!() };
+    let v = topo.num_nodes();
+    let tail = adjacency.split_off(4 * (v + 1 + 2 * topo.num_edges()));
+    let (ends, asns) = tail.split_at(6 * v);
+    for e in ends.chunks_exact(6) {
+        adjacency.extend([&e[..2], &e[4..]].concat()); // the sibling end dropped
+    }
+    adjacency.extend_from_slice(asns);
+    let _ = write_frame(&mut output, &Msg::Hello { protocol: stamp, worker, adjacency });
+    while read_frame(&mut input).is_ok() {}
+}
+
 impl Spawner for LocalSpawner {
     fn spawn(&mut self, worker: u32, events: Sender<Event>) -> Result<Box<dyn WorkerLink>, String> {
         let behavior = self.behaviors.get(self.spawned).copied().unwrap_or(Behavior::Good);
@@ -275,6 +292,7 @@ impl Spawner for LocalSpawner {
             }
             Behavior::Garbage => garbage(&topo, worker, stdin_r, stdout_w),
             Behavior::Protocol4 { fnv } => protocol_4(&topo, worker, fnv, stdin_r, stdout_w),
+            Behavior::Protocol5 { stamp } => protocol_5(&topo, worker, stamp, stdin_r, stdout_w),
             Behavior::Foreign { late } => {
                 std::thread::sleep(Duration::from_millis(if late { 100 } else { 0 }));
                 double(&rewired(&topo), &dests, worker, Behavior::Hang, stdin_r, stdout_w);
@@ -480,6 +498,25 @@ fn a_protocol_4_worker_is_buried_and_replaced() {
         let mut spawner = LocalSpawner::new(&topo, &dests, vec![Behavior::Protocol4 { fnv }]);
         let report = coordinator::run(&job, &mut spawner).expect("job survives an old worker");
         assert_eq!(report.corrupt_events, 1, "fnv {fnv}: {report:?}");
+        assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A worker of protocol 5 — two partition ends per AS in its Hello's
+/// sections — is buried before it is given any work, whether it names
+/// its own version or this build's; its replacement finishes the job.
+#[test]
+fn a_protocol_5_worker_is_buried_and_replaced() {
+    let topo = Arc::new(GenParams::tiny(13).generate());
+    let dests = Arc::new(sample_dests(topo.num_nodes(), 16));
+    let reference = RouteTableSet::from_solves(&topo, &dests, 2).encode();
+    for stamp in [5, PROTOCOL_VERSION] {
+        let dir = fresh_dir(&format!("protocol5_{stamp}"));
+        let job = spec(&dests, &topo, 4, 1, &dir);
+        let mut spawner = LocalSpawner::new(&topo, &dests, vec![Behavior::Protocol5 { stamp }]);
+        let report = coordinator::run(&job, &mut spawner).expect("job survives an old worker");
+        assert_eq!(report.corrupt_events, 1, "stamp {stamp}: {report:?}");
         assert_eq!(std::fs::read(&job.out_path).unwrap(), reference);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -119,7 +119,7 @@ fn a_flipped_byte_in_any_layer_of_the_file_is_refused() {
         ("header", 9, None),
         ("destination ids", layout.adjacency_at() - 4 * (d - mid) + 1, None),
         ("adjacency", layout.adjacency_at() + 4 * (mid + 1) + 1, None),
-        ("partition ends", layout.ends_at() + 4 * mid + 1, None),
+        ("partition ends", layout.ends_at() + 6 * mid + 3, None),
         ("AS numbers", layout.asns_at() + 4 * mid + 1, None),
         ("checksum slice", layout.sums_at() + 8 * mid + 5, Some(mid)),
         ("first row", layout.row_at(0) + 2, Some(0)),
@@ -149,9 +149,9 @@ fn a_flipped_byte_in_any_layer_of_the_file_is_refused() {
         }
     }
 
-    // Stale files: a v1, a v2 (7-byte cells), a v3 (4-byte cells) and a
-    // v4 (a cell for every AS) stamp, and a file sealed with FNV-1a as v1
-    // was.
+    // Stale files: a v1, a v2 (7-byte cells), a v3 (4-byte cells), a v4
+    // (a cell for every AS) and a v5 (two partition ends per AS) stamp,
+    // and a file sealed with FNV-1a as v1 was.
     let stamped = |version: u32| {
         let mut stale = bytes.clone();
         stale[4..8].copy_from_slice(&version.to_le_bytes());
@@ -161,9 +161,9 @@ fn a_flipped_byte_in_any_layer_of_the_file_is_refused() {
     let mut fnv_sealed = bytes.clone();
     let end = bytes.len() - 8;
     fnv_sealed[end..].copy_from_slice(&miro_shard::fnv1a(&bytes[..end]).to_le_bytes());
-    assert_eq!(stamped(4).1, "format version 4, but this build reads version 5");
+    assert_eq!(stamped(5).1, "format version 5, but this build reads version 6");
     let fnv = (fnv_sealed, "whole-file checksum mismatch".to_string());
-    for (stale, want) in [stamped(1), stamped(2), stamped(3), stamped(4), fnv] {
+    for (stale, want) in [stamped(1), stamped(2), stamped(3), stamped(4), stamped(5), fnv] {
         assert!(RouteTableSet::decode(&stale).unwrap_err().contains(&want), "decode: {want}");
         std::fs::write(&path, &stale).unwrap();
         let err = MappedTable::open(&path).err().expect("stale file refused");
