@@ -36,7 +36,7 @@ pub use miro_eval::harness;
 use miro_bgp::show;
 use miro_bgp::solver::multi::{LinkEvent, MultiFailState};
 use miro_bgp::solver::{DeltaScratch, SolveScratch};
-use miro_core::export::ExportPolicy;
+use miro_core::export::{ExportPolicy, ResponderConfig};
 use miro_core::negotiate::Constraint;
 use miro_core::node::{Lease, MiroNetwork};
 use miro_core::strategy::avoid_via_multihop_negotiation;
@@ -228,7 +228,7 @@ impl Repl {
                         &st,
                         s,
                         a,
-                        policy,
+                        &ResponderConfig { policy, ..Default::default() },
                         TargetStrategy::OnPath,
                         None,
                     );

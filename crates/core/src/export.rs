@@ -1,4 +1,5 @@
-//! Selective export of alternate routes (section 3.4 / section 5.1).
+//! Selective export of alternate routes (section 3.4 / section 5.1), and
+//! the responder configuration that decides every offer.
 //!
 //! A MIRO responding AS does not dump its whole rib-in on a requester; it
 //! applies policy. The evaluation studies three levels:
@@ -12,6 +13,10 @@
 //!   customer, customer-learned routes to a peer).
 //! * **Flexible** (`/a`): every alternate, relationships ignored — the
 //!   paper's upper bound on exposable diversity.
+//!
+//! [`ResponderConfig::offers`] is the one place that turns a level, a
+//! requester and a price table into offers: the handshake, the avoid-AS
+//! searches and every Chapter 5 experiment call it.
 
 use miro_bgp::route::{CandidateRoute, ExportScope};
 use miro_bgp::solver::RoutingState;
@@ -21,17 +26,19 @@ use miro_topology::{NodeId, Rel, RouteClass};
 ///
 /// ```
 /// use miro_bgp::solver::RoutingState;
-/// use miro_core::export::ExportPolicy;
-/// use miro_topology::{gen::figure_1_1, Rel};
+/// use miro_core::export::{ExportPolicy, ResponderConfig};
+/// use miro_topology::gen::figure_1_1;
 ///
 /// // In Figure 1.1, B selected BEF but also knows the peer route BCF.
-/// let (topo, [_a, b, c, _d, _e, f]) = figure_1_1();
+/// let (topo, [a, b, c, _d, _e, f]) = figure_1_1();
 /// let st = RoutingState::solve(&topo, f);
-/// // Strict export hides it (different class from B's best)...
-/// assert!(ExportPolicy::Strict.offers(&st, b, Rel::Customer).is_empty());
-/// // ...the conventional export policy reveals it to a customer.
-/// let offers = ExportPolicy::RespectExport.offers(&st, b, Rel::Customer);
-/// assert_eq!(offers[0].route.path, vec![c, f]);
+/// let level = |policy| ResponderConfig { policy, ..Default::default() };
+/// // Strict export hides it from B's customer A (different class from
+/// // B's best)...
+/// assert!(level(ExportPolicy::Strict).offers(&st, a, b, false).is_empty());
+/// // ...the conventional export policy reveals it, at the peer price.
+/// let offers = level(ExportPolicy::RespectExport).offers(&st, a, b, false);
+/// assert_eq!((&offers[0].route.path, offers[0].price), (&vec![c, f], 180));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExportPolicy {
@@ -57,32 +64,6 @@ impl ExportPolicy {
     pub const ALL: [ExportPolicy; 3] =
         [ExportPolicy::Strict, ExportPolicy::RespectExport, ExportPolicy::Flexible];
 
-    /// The alternates `responder` would reveal to a requester whose export
-    /// relationship is `toward` (what the requester — or, for non-adjacent
-    /// requesters, the AS the traffic would arrive through — *is to* the
-    /// responder; see DESIGN.md on this documented choice).
-    ///
-    /// The responder's currently-selected route is excluded: the requester
-    /// already sees its effects through the default path. Offers are
-    /// priced by class via [`price_for_class`].
-    pub fn offers(
-        self,
-        st: &RoutingState<'_>,
-        responder: NodeId,
-        toward: Rel,
-    ) -> Vec<Offer> {
-        let Some(best) = st.best(responder) else { return Vec::new() };
-        let best_path = st.path(responder).expect("routed responder has a path");
-        st.candidates(responder)
-            .into_iter()
-            .filter(|c| c.path != best_path && self.reveals(c.class, Some(best.class), toward))
-            .map(|route| {
-                let price = price_for_class(route.class);
-                Offer { route, price }
-            })
-            .collect()
-    }
-
     /// Does this policy reveal a route of `class` to a requester that is
     /// `toward` to the responder, whose own best route is of class `best`?
     /// `/s` keeps to `best`'s class, so a responder with no best route
@@ -94,6 +75,90 @@ impl ExportPolicy {
             ExportPolicy::Strict => best == Some(class) && ExportScope::allows(class, toward),
         }
     }
+}
+
+/// Responder-side configuration: section 6.2.1's negotiation rules and
+/// section 6.2.2's price schedule, the one form every offer is decided
+/// from. `miro_policy::bridge::responder` compiles the dialect's `accept
+/// negotiation` / `negotiation filter` statements into it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ResponderConfig {
+    /// Which alternates to reveal.
+    pub policy: ExportPolicy,
+    /// `when tunnel_number < N` admission gate (section 6.3 example: 1000).
+    pub max_tunnels: usize,
+    /// `accept negotiation from <asn>…`: only these requesters; `None` is
+    /// `from any`.
+    pub allow: Option<Vec<NodeId>>,
+    /// Asking price per route class, indexed as [`RouteClass::ALL`]; `None`
+    /// is not offered (section 6.3's FILTER-1 sells provider routes not at
+    /// all). [`crate::node::MiroNetwork::reprice`] changes it: section
+    /// 6.2.2's economic lifecycle.
+    pub prices: [Option<u32>; 3],
+}
+
+impl Default for ResponderConfig {
+    fn default() -> Self {
+        ResponderConfig {
+            policy: ExportPolicy::RespectExport,
+            max_tunnels: 1000,
+            allow: None,
+            // The Chapter 6 example schedule: customer routes sell for
+            // less than peer routes; provider routes cost the responder
+            // real money, so they are dearest.
+            prices: [Some(120), Some(180), Some(250)],
+        }
+    }
+}
+
+impl ResponderConfig {
+    /// The alternates `responder` reveals to `requester` for `st.dest()`
+    /// under `policy`, toward the requester's [`export_rel_toward`] scope,
+    /// each at its class's price (`None`: not offered). Its current best
+    /// route is excluded: the requester already sees it as its default. A
+    /// `switch` (section 3.3) picks among routes the responder holds for
+    /// its own use, so it takes customer scope, which is sent every class.
+    pub fn offers(
+        &self,
+        st: &RoutingState<'_>,
+        requester: NodeId,
+        responder: NodeId,
+        switch: bool,
+    ) -> Vec<Offer> {
+        let Some(best) = st.best(responder) else { return Vec::new() };
+        let best_path = st.path(responder).expect("routed responder has a path");
+        let toward = if switch { Rel::Customer } else { export_rel_toward(st, requester, responder) };
+        st.candidates(responder)
+            .into_iter()
+            .filter(|c| c.path != best_path && self.policy.reveals(c.class, Some(best.class), toward))
+            .filter_map(|route| Some(Offer { price: self.prices[route.class as usize]?, route }))
+            .collect()
+    }
+}
+
+/// The relationship that governs the responder's export decision toward a
+/// (possibly non-adjacent) requester.
+///
+/// * Adjacent requester: the actual link relationship.
+/// * Requester upstream on its own default path through the responder: the
+///   relationship between the responder and its *upstream neighbor on that
+///   path* — the AS the requester's traffic arrives through. (Documented
+///   modeling choice; the paper leaves this open. See DESIGN.md.)
+/// * Anything else: treated as a peer (a neutral, conservative default).
+pub fn export_rel_toward(st: &RoutingState<'_>, requester: NodeId, responder: NodeId) -> Rel {
+    let topo = st.topology();
+    if let Some(rel) = topo.rel(responder, requester) {
+        return rel; // what the requester is to the responder
+    }
+    if let Some(path) = st.path(requester) {
+        if let Some(pos) = path.iter().position(|&h| h == responder) {
+            let upstream = if pos == 0 { requester } else { path[pos - 1] };
+            if let Some(rel) = topo.rel(responder, upstream) {
+                return rel;
+            }
+        }
+    }
+    Rel::Peer
 }
 
 /// One alternate route offered during negotiation, with the price tag the
@@ -108,17 +173,6 @@ pub struct Offer {
     pub price: u32,
 }
 
-/// Default price schedule, mirroring the Chapter 6 example (customer routes
-/// sell for less than peer routes; provider routes cost the responder real
-/// money, so they are dearest).
-pub fn price_for_class(class: RouteClass) -> u32 {
-    match class {
-        RouteClass::Customer => 120,
-        RouteClass::Peer => 180,
-        RouteClass::Provider => 250,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,15 +180,20 @@ mod tests {
     use miro_topology::gen::figure_1_1;
     use miro_topology::{AsId, TopologyBuilder};
 
+    /// The default config at export level `policy`.
+    fn level(policy: ExportPolicy) -> ResponderConfig {
+        ResponderConfig { policy, ..Default::default() }
+    }
+
     /// In Figure 1.1, B selects BEF (customer) and also knows BCF (peer).
     #[test]
     fn figure_1_1_b_reveals_bcf_under_each_policy() {
-        let (t, [a, b, c, _d, e, f]) = figure_1_1();
+        let (t, [a, b, c, _d, _e, f]) = figure_1_1();
         let st = RoutingState::solve(&t, f);
-        // A is B's customer: toward = Customer.
-        let strict = ExportPolicy::Strict.offers(&st, b, Rel::Customer);
-        let export = ExportPolicy::RespectExport.offers(&st, b, Rel::Customer);
-        let flex = ExportPolicy::Flexible.offers(&st, b, Rel::Customer);
+        // A is B's customer.
+        let strict = level(ExportPolicy::Strict).offers(&st, a, b, false);
+        let export = level(ExportPolicy::RespectExport).offers(&st, a, b, false);
+        let flex = level(ExportPolicy::Flexible).offers(&st, a, b, false);
         // B's best is a customer route (BEF); the alternate BCF is a peer
         // route: strict (same class) hides it, /e and /a reveal it to a
         // customer.
@@ -143,7 +202,6 @@ mod tests {
         assert_eq!(export[0].route.path, vec![c, f]);
         assert_eq!(flex.len(), 1);
         assert_eq!(flex[0].route.path, vec![c, f]);
-        let _ = (a, e);
     }
 
     #[test]
@@ -169,15 +227,18 @@ mod tests {
         let st = RoutingState::solve(&t, n(1));
         // r=4's candidates: via 2 (customer, len 2), via 3 (customer,
         // len 2), via 5 (peer, len 2). Best: via 2 (lower ASN).
-        let offers_e = ExportPolicy::RespectExport.offers(&st, n(4), Rel::Peer);
+        let offers_e = level(ExportPolicy::RespectExport).offers(&st, n(6), n(4), false);
         assert_eq!(offers_e.len(), 1);
         assert_eq!(offers_e[0].route.path, vec![n(3), n(1)]);
-        let offers_a = ExportPolicy::Flexible.offers(&st, n(4), Rel::Peer);
+        let offers_a = level(ExportPolicy::Flexible).offers(&st, n(6), n(4), false);
         assert_eq!(offers_a.len(), 2);
         // Strict: same class (customer) + exportable to peer = via 3 only.
-        let offers_s = ExportPolicy::Strict.offers(&st, n(4), Rel::Peer);
+        let offers_s = level(ExportPolicy::Strict).offers(&st, n(6), n(4), false);
         assert_eq!(offers_s.len(), 1);
         assert_eq!(offers_s[0].route.path, vec![n(3), n(1)]);
+        // A switch takes customer scope: /e then offers the peer route too.
+        let switch_e = level(ExportPolicy::RespectExport).offers(&st, n(6), n(4), true);
+        assert_eq!(switch_e, offers_a);
     }
 
     #[test]
@@ -186,16 +247,16 @@ mod tests {
         for d in t.nodes().step_by(23) {
             let st = RoutingState::solve(&t, d);
             for r in t.nodes().step_by(5) {
-                for toward in [Rel::Customer, Rel::Peer, Rel::Provider, Rel::Sibling] {
-                    let s = ExportPolicy::Strict.offers(&st, r, toward);
-                    let e = ExportPolicy::RespectExport.offers(&st, r, toward);
-                    let a = ExportPolicy::Flexible.offers(&st, r, toward);
-                    assert!(s.len() <= e.len() && e.len() <= a.len());
-                    for o in &s {
-                        assert!(e.contains(o), "strict ⊆ export");
-                    }
-                    for o in &e {
-                        assert!(a.contains(o), "export ⊆ flexible");
+                for q in t.nodes().step_by(7).filter(|&q| q != r) {
+                    for switch in [false, true] {
+                        let [s, e, a] = ExportPolicy::ALL.map(|p| level(p).offers(&st, q, r, switch));
+                        assert!(s.len() <= e.len() && e.len() <= a.len());
+                        for o in &s {
+                            assert!(e.contains(o), "strict ⊆ export");
+                        }
+                        for o in &e {
+                            assert!(a.contains(o), "export ⊆ flexible");
+                        }
                     }
                 }
             }
@@ -209,7 +270,7 @@ mod tests {
         let st = RoutingState::solve(&t, d);
         for r in t.nodes() {
             let Some(best_path) = st.path(r) else { continue };
-            for o in ExportPolicy::Flexible.offers(&st, r, Rel::Customer) {
+            for o in level(ExportPolicy::Flexible).offers(&st, d, r, true) {
                 assert_ne!(o.route.path, best_path);
             }
         }
@@ -221,9 +282,10 @@ mod tests {
         bld.add_as(AsId(1));
         bld.add_as(AsId(2));
         let t = bld.build().unwrap();
-        let st = RoutingState::solve(&t, t.node(AsId(1)).unwrap());
+        let dest = t.node(AsId(1)).unwrap();
+        let st = RoutingState::solve(&t, dest);
         let iso = t.node(AsId(2)).unwrap();
-        assert!(ExportPolicy::Flexible.offers(&st, iso, Rel::Customer).is_empty());
+        assert!(level(ExportPolicy::Flexible).offers(&st, dest, iso, true).is_empty());
     }
 
     #[test]
@@ -237,9 +299,35 @@ mod tests {
     }
 
     #[test]
-    fn prices_follow_class_ordering() {
-        assert!(price_for_class(RouteClass::Customer) < price_for_class(RouteClass::Peer));
-        assert!(price_for_class(RouteClass::Peer) < price_for_class(RouteClass::Provider));
+    fn default_prices_follow_class_ordering() {
+        let [customer, peer, provider] = ResponderConfig::default().prices;
+        assert!(customer.is_some() && customer < peer && peer < provider);
+    }
+
+    /// Each offer carries its class's price from the config; a class
+    /// priced `None` is not offered.
+    #[test]
+    fn offers_are_priced_once_from_the_config() {
+        let (t, [a, b, c, _d, _e, f]) = figure_1_1();
+        let st = RoutingState::solve(&t, f);
+        let mut cfg = ResponderConfig::default();
+        cfg.prices[RouteClass::Peer as usize] = Some(7);
+        let offers = cfg.offers(&st, a, b, false);
+        assert_eq!((&offers[0].route.path, offers[0].price), (&vec![c, f], 7));
+        cfg.prices[RouteClass::Peer as usize] = None;
+        assert!(cfg.offers(&st, a, b, false).is_empty(), "BCF is a peer route");
+    }
+
+    #[test]
+    fn export_rel_adjacent_and_on_path() {
+        let (t, [a, b, c, _d, e, f]) = figure_1_1();
+        let st = RoutingState::solve(&t, f);
+        // A is B's customer (adjacent).
+        assert_eq!(export_rel_toward(&st, a, b), Rel::Customer);
+        // E is on A's path, upstream neighbor is B; B is E's provider.
+        assert_eq!(export_rel_toward(&st, a, e), Rel::Provider);
+        // C is not adjacent to A and not on A's path: conservative peer.
+        assert_eq!(export_rel_toward(&st, a, c), Rel::Peer);
     }
 
     #[test]

@@ -8,15 +8,14 @@
 //! `topology`, the clock and the transcript read the same on either, and a
 //! protocol fix made here reaches both.
 
-use crate::export::Offer;
+use crate::export::{Offer, ResponderConfig};
 use crate::negotiate::{
     admissible, Constraint, Message, NegotiationError, NegotiationId, RejectReason,
 };
-use crate::node::{Lease, ResponderConfig};
-use crate::strategy::export_rel_toward;
+use crate::node::Lease;
 use crate::tunnel::{Tunnel, TunnelId, TunnelManager};
 use miro_bgp::solver::RoutingState;
-use miro_topology::{NodeId, Rel, Topology};
+use miro_topology::{NodeId, Topology};
 
 /// Per-AS responder rules and tunnel tables, the lease ledger, the
 /// negotiation-id allocator, the virtual clock and the message transcript.
@@ -94,8 +93,8 @@ impl<'t> NetState<'t> {
     }
 
     /// Responder-side decision (step 1 → 2): admission control (section
-    /// 6.2.1), then the policy-filtered, class-priced,
-    /// constraint-admissible offer set (section 6.2.2).
+    /// 6.2.1), then the configured offers ([`ResponderConfig::offers`])
+    /// that admit the requester's constraints (section 6.2.2).
     pub(crate) fn responder_offers(
         &self,
         st: &RoutingState<'_>,
@@ -112,17 +111,7 @@ impl<'t> NetState<'t> {
         if self.managers[responder as usize].len() >= cfg.max_tunnels {
             return Err(RejectReason::TunnelLimit);
         }
-        // A switch (section 3.3) is the responder choosing among routes it
-        // holds for its own use, so no export scope applies: customer
-        // scope, since a customer may be sent every class.
-        let toward = if switch { Rel::Customer } else { export_rel_toward(st, requester, responder) };
-        let pool = cfg.policy.offers(st, responder, toward);
-        // The responder's own price per class; a class priced `None` is
-        // not for sale.
-        let priced: Vec<Offer> = (pool.into_iter())
-            .filter_map(|o| Some(Offer { price: cfg.prices[o.route.class as usize]?, ..o }))
-            .collect();
-        let offers = admissible(&priced, constraints);
+        let offers = admissible(&cfg.offers(st, requester, responder, switch), constraints);
         if offers.is_empty() {
             return Err(RejectReason::NoCandidates);
         }

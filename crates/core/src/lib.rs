@@ -10,9 +10,12 @@
 //!   request/offer/accept/establish state machine ([`negotiate`],
 //!   Figure 4.2);
 //! * **selective export**: the responding AS controls which alternates it
-//!   reveals (section 3.4). The three policy levels studied by the
-//!   evaluation - strict `/s`, respect-export `/e`, most-flexible `/a` -
-//!   are [`export::ExportPolicy`];
+//!   reveals, and at what price (section 3.4). The three policy levels
+//!   studied by the evaluation - strict `/s`, respect-export `/e`,
+//!   most-flexible `/a` - are [`export::ExportPolicy`]; one AS's level,
+//!   admission rules and price table are an [`export::ResponderConfig`],
+//!   and [`export::ResponderConfig::offers`] is the one decision of what
+//!   it offers to whom, read by the handshake and every Chapter 5 search;
 //! * **tunnels** bound to negotiated paths in the data plane
 //!   (section 3.5), managed as soft state: each AS's table is a
 //!   [`tunnel::TunnelManager`], keepalives expire there, and the teardown

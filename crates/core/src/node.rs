@@ -13,44 +13,13 @@
 //! once — and is the short reference; [`crate::reliable::ReliableNet`] is
 //! the only message-level state machine and is tested against it.
 
-use crate::export::{price_for_class, ExportPolicy, Offer};
+use crate::export::Offer;
 use crate::handshake::NetState;
 use crate::negotiate::{Constraint, Message, NegotiationError};
 use crate::tunnel::{TeardownReason, TunnelId};
 use miro_bgp::solver::RoutingState;
-use miro_topology::{NodeId, RouteClass, Topology};
+use miro_topology::{NodeId, Topology};
 use std::ops::{Deref, DerefMut};
-
-/// Responder-side configuration: section 6.2.1's negotiation rules and
-/// section 6.2.2's price schedule, the one form both handshake drivers
-/// read. `miro_policy::bridge::responder` compiles the dialect's `accept
-/// negotiation` / `negotiation filter` statements into it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ResponderConfig {
-    /// Which alternates to reveal.
-    pub policy: ExportPolicy,
-    /// `when tunnel_number < N` admission gate (section 6.3 example: 1000).
-    pub max_tunnels: usize,
-    /// `accept negotiation from <asn>…`: only these requesters; `None` is
-    /// `from any`.
-    pub allow: Option<Vec<NodeId>>,
-    /// Asking price per route class, indexed as [`RouteClass::ALL`]; `None`
-    /// is not offered (section 6.3's FILTER-1 sells provider routes not at
-    /// all). [`MiroNetwork::reprice`] changes it: section 6.2.2's economic
-    /// lifecycle.
-    pub prices: [Option<u32>; 3],
-}
-
-impl Default for ResponderConfig {
-    fn default() -> Self {
-        ResponderConfig {
-            policy: ExportPolicy::RespectExport,
-            max_tunnels: 1000,
-            allow: None,
-            prices: RouteClass::ALL.map(|class| Some(price_for_class(class))),
-        }
-    }
-}
 
 /// A live lease in the network ledger: who sold what to whom.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -326,8 +295,10 @@ impl<'t> MiroNetwork<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::{ExportPolicy, ResponderConfig};
     use crate::negotiate::RejectReason;
     use miro_topology::gen::figure_1_1;
+    use miro_topology::RouteClass;
 
     fn setup() -> (miro_topology::Topology, [NodeId; 6]) {
         figure_1_1()
@@ -685,7 +656,6 @@ mod tests {
     #[test]
     fn choose_offer_rechecks_the_requesters_constraints() {
         use miro_bgp::route::CandidateRoute;
-        use miro_topology::RouteClass;
         let offer = |path: Vec<NodeId>, class, price| Offer {
             route: CandidateRoute { path, class },
             price,

@@ -1134,7 +1134,8 @@ impl<'t> ReliableNet<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{MiroNetwork, ResponderConfig};
+    use crate::export::ResponderConfig;
+    use crate::node::MiroNetwork;
     use miro_topology::gen::figure_1_1;
 
     fn setup() -> (Topology, [NodeId; 6]) {

@@ -9,11 +9,11 @@
 //! [`TargetStrategy`] variants, and [`avoid_via_negotiation`] is the
 //! search loop whose success rates and state counts become Tables 5.2/5.3.
 
-use crate::export::{ExportPolicy, Offer};
+use crate::export::{export_rel_toward, Offer, ResponderConfig};
 use crate::negotiate::Constraint;
 use miro_bgp::route::CandidateRoute;
 use miro_bgp::solver::RoutingState;
-use miro_topology::{NodeId, Rel};
+use miro_topology::NodeId;
 
 /// Whom the requesting AS contacts, in order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,35 +99,6 @@ pub fn avoidable_ases(st: &RoutingState<'_>, src: NodeId) -> Vec<NodeId> {
     path
 }
 
-/// The relationship that governs the responder's export decision toward a
-/// (possibly non-adjacent) requester.
-///
-/// * Adjacent requester: the actual link relationship.
-/// * Requester upstream on its own default path through the responder: the
-///   relationship between the responder and its *upstream neighbor on that
-///   path* — the AS the requester's traffic arrives through. (Documented
-///   modeling choice; the paper leaves this open. See DESIGN.md.)
-/// * Anything else: treated as a peer (a neutral, conservative default).
-pub fn export_rel_toward(
-    st: &RoutingState<'_>,
-    requester: NodeId,
-    responder: NodeId,
-) -> Rel {
-    let topo = st.topology();
-    if let Some(rel) = topo.rel(responder, requester) {
-        return rel; // what the requester is to the responder
-    }
-    if let Some(path) = st.path(requester) {
-        if let Some(pos) = path.iter().position(|&h| h == responder) {
-            let upstream = if pos == 0 { requester } else { path[pos - 1] };
-            if let Some(rel) = topo.rel(responder, upstream) {
-                return rel;
-            }
-        }
-    }
-    Rel::Peer
-}
-
 /// Result of one avoid-AS attempt (one (src, dest, avoid) tuple of
 /// section 5.3).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -150,15 +121,15 @@ pub struct AvoidOutcome {
 }
 
 /// Run the avoid-AS search: can `src` reach `st.dest()` while avoiding
-/// `avoid`, under the given responder export policy and targeting
-/// strategy? `enabled`, when given, marks which ASes have deployed MIRO
-/// (the incremental-deployment experiment, section 5.3.3); others cannot
-/// respond.
+/// `avoid`, when every responder answers under `cfg` and `src` contacts
+/// them in `strategy`'s order? `enabled`, when given, marks which ASes
+/// have deployed MIRO (the incremental-deployment experiment, section
+/// 5.3.3); others cannot respond.
 pub fn avoid_via_negotiation(
     st: &RoutingState<'_>,
     src: NodeId,
     avoid: NodeId,
-    policy: ExportPolicy,
+    cfg: &ResponderConfig,
     strategy: TargetStrategy,
     enabled: Option<&[bool]>,
 ) -> AvoidOutcome {
@@ -185,8 +156,7 @@ pub fn avoid_via_negotiation(
                 continue; // not a MIRO speaker; cannot answer a pull request
             }
         }
-        let toward = export_rel_toward(st, src, responder);
-        let offers = policy.offers(st, responder, toward);
+        let offers = cfg.offers(st, src, responder, false);
         contacted += 1;
         received += offers.len();
         let constraint = Constraint::AvoidAs(avoid);
@@ -230,11 +200,11 @@ pub fn avoid_via_multihop_negotiation(
     st: &RoutingState<'_>,
     src: NodeId,
     avoid: NodeId,
-    policy: ExportPolicy,
+    cfg: &ResponderConfig,
     strategy: TargetStrategy,
     enabled: Option<&[bool]>,
 ) -> AvoidOutcome {
-    let direct = avoid_via_negotiation(st, src, avoid, policy, strategy, enabled);
+    let direct = avoid_via_negotiation(st, src, avoid, cfg, strategy, enabled);
     if direct.success {
         return direct;
     }
@@ -251,7 +221,9 @@ pub fn avoid_via_multihop_negotiation(
         // The responder's own candidate set was exhausted by the direct
         // search; it now asks each of its *neighbors* for their
         // MIRO-only alternates (routes the neighbor holds but would never
-        // export over plain BGP because they are not its best).
+        // export over plain BGP because they are not its best). Whether it
+        // may re-offer a spliced route to `src` is its own export decision
+        // toward `src`.
         let rel_src = export_rel_toward(st, src, responder);
         let responder_best = st.best(responder).map(|b| b.class);
         for &(sub, rel_of_sub) in topo.neighbors(responder) {
@@ -263,10 +235,8 @@ pub fn avoid_via_multihop_negotiation(
                     continue;
                 }
             }
-            // What the responder is to the sub-responder governs the
-            // sub-export.
-            let Some(toward) = topo.rel(sub, responder) else { continue };
-            let offers = policy.offers(st, sub, toward);
+            // The responder is the sub-responder's requester.
+            let offers = cfg.offers(st, responder, sub, false);
             contacted += 1;
             received += offers.len();
             let composed_ok = |o: &Offer| {
@@ -276,7 +246,7 @@ pub fn avoid_via_multihop_negotiation(
                     o.route.class,
                     rel_of_sub,
                 );
-                constraint.admits(o) && policy.reveals(class, responder_best, rel_src)
+                constraint.admits(o) && cfg.policy.reveals(class, responder_best, rel_src)
             };
             if let Some(best) = offers
                 .iter()
@@ -307,23 +277,21 @@ pub fn avoid_via_multihop_negotiation(
     }
 }
 
-/// Count the alternate routes available to `src` toward `st.dest()` under
-/// one policy and strategy: its ordinary BGP candidates plus every
-/// alternate each target would export (the Figure 5.2/5.3 metric).
+/// Count the alternate routes available to `src` toward `st.dest()` when
+/// every responder answers under `cfg`: its ordinary BGP candidates plus
+/// every alternate each of `strategy`'s targets would offer (the Figure
+/// 5.2/5.3 metric).
 pub fn count_available_routes(
     st: &RoutingState<'_>,
     src: NodeId,
-    policy: ExportPolicy,
+    cfg: &ResponderConfig,
     strategy: TargetStrategy,
 ) -> usize {
     let base = st.candidates(src).len();
     let extra: usize = strategy
         .targets(st, src, None)
         .into_iter()
-        .map(|r| {
-            let toward = export_rel_toward(st, src, r);
-            policy.offers(st, r, toward).len()
-        })
+        .map(|r| cfg.offers(st, src, r, false).len())
         .sum();
     base + extra
 }
@@ -331,8 +299,14 @@ pub fn count_available_routes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::ExportPolicy;
     use miro_bgp::solver::RoutingState;
     use miro_topology::gen::figure_1_1;
+
+    /// The default config at export level `policy`.
+    fn level(policy: ExportPolicy) -> ResponderConfig {
+        ResponderConfig { policy, ..Default::default() }
+    }
 
     #[test]
     fn figure_1_1_avoid_e_succeeds_via_b() {
@@ -346,7 +320,7 @@ mod tests {
             &st,
             a,
             e,
-            ExportPolicy::RespectExport,
+            &level(ExportPolicy::RespectExport),
             TargetStrategy::OnPath,
             None,
         );
@@ -369,7 +343,7 @@ mod tests {
             &st,
             a,
             e,
-            ExportPolicy::Strict,
+            &level(ExportPolicy::Strict),
             TargetStrategy::OnPath,
             None,
         );
@@ -415,18 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn export_rel_adjacent_and_on_path() {
-        let (t, [a, b, c, _d, e, f]) = figure_1_1();
-        let st = RoutingState::solve(&t, f);
-        // A is B's customer (adjacent).
-        assert_eq!(export_rel_toward(&st, a, b), Rel::Customer);
-        // E is on A's path, upstream neighbor is B; B is E's provider.
-        assert_eq!(export_rel_toward(&st, a, e), Rel::Provider);
-        // C is not adjacent to A and not on A's path: conservative peer.
-        assert_eq!(export_rel_toward(&st, a, c), Rel::Peer);
-    }
-
-    #[test]
     fn incremental_mask_disables_responders() {
         let (t, [a, b, _c, _d, e, f]) = figure_1_1();
         let st = RoutingState::solve(&t, f);
@@ -436,7 +398,7 @@ mod tests {
             &st,
             a,
             e,
-            ExportPolicy::Flexible,
+            &level(ExportPolicy::Flexible),
             TargetStrategy::OnPath,
             Some(&mask),
         );
@@ -455,7 +417,7 @@ mod tests {
             &st,
             b,
             c,
-            ExportPolicy::Strict,
+            &level(ExportPolicy::Strict),
             TargetStrategy::OnPath,
             None,
         );
@@ -495,7 +457,7 @@ mod tests {
         // set crosses E.
         for policy in ExportPolicy::ALL {
             let direct =
-                avoid_via_negotiation(&st, a, e, policy, TargetStrategy::OnPath, None);
+                avoid_via_negotiation(&st, a, e, &level(policy), TargetStrategy::OnPath, None);
             assert!(!direct.success, "{policy:?} direct must fail");
         }
         // Multi-hop succeeds: B asks its customer C, which reveals CGF.
@@ -503,7 +465,7 @@ mod tests {
             &st,
             a,
             e,
-            ExportPolicy::RespectExport,
+            &level(ExportPolicy::RespectExport),
             TargetStrategy::OnPath,
             None,
         );
@@ -519,7 +481,7 @@ mod tests {
             &st,
             a,
             e,
-            ExportPolicy::Strict,
+            &level(ExportPolicy::Strict),
             TargetStrategy::OnPath,
             None,
         );
@@ -542,12 +504,12 @@ mod tests {
             }
             for policy in ExportPolicy::ALL {
                 let direct =
-                    avoid_via_negotiation(&st, src, avoid, policy, TargetStrategy::OnPath, None);
+                    avoid_via_negotiation(&st, src, avoid, &level(policy), TargetStrategy::OnPath, None);
                 let multi = avoid_via_multihop_negotiation(
                     &st,
                     src,
                     avoid,
-                    policy,
+                    &level(policy),
                     TargetStrategy::OnPath,
                     None,
                 );
@@ -571,15 +533,15 @@ mod tests {
             if src == d {
                 continue;
             }
-            let s = count_available_routes(&st, src, ExportPolicy::Strict, TargetStrategy::OnPath);
+            let s = count_available_routes(&st, src, &level(ExportPolicy::Strict), TargetStrategy::OnPath);
             let e = count_available_routes(
                 &st,
                 src,
-                ExportPolicy::RespectExport,
+                &level(ExportPolicy::RespectExport),
                 TargetStrategy::OnPath,
             );
             let a =
-                count_available_routes(&st, src, ExportPolicy::Flexible, TargetStrategy::OnPath);
+                count_available_routes(&st, src, &level(ExportPolicy::Flexible), TargetStrategy::OnPath);
             assert!(s <= e && e <= a, "policy relaxation can only add routes");
         }
     }

@@ -3,15 +3,21 @@
 //! soundness under arbitrary operation sequences.
 
 use miro_bgp::solver::RoutingState;
-use miro_core::export::ExportPolicy;
+use miro_core::export::{ExportPolicy, ResponderConfig};
 use miro_core::strategy::{avoid_via_negotiation, count_available_routes, TargetStrategy};
 use miro_core::tunnel::{TeardownReason, TunnelManager};
-use miro_topology::{GenParams, Rel};
+use miro_topology::GenParams;
 use proptest::prelude::*;
+
+/// The default config at export level `policy`.
+fn level(policy: ExportPolicy) -> ResponderConfig {
+    ResponderConfig { policy, ..Default::default() }
+}
 
 proptest! {
     /// The export lattice /s ⊆ /e ⊆ /a holds for every responder, every
-    /// destination, every requester relationship, on arbitrary seeds.
+    /// destination, a spread of requesters and the switch scope, on
+    /// arbitrary seeds.
     #[test]
     fn export_policies_form_a_lattice(seed in 0u64..150, dsel in 0usize..50) {
         let t = GenParams::tiny(seed).generate();
@@ -19,10 +25,9 @@ proptest! {
         let d = nodes[dsel % nodes.len()];
         let st = RoutingState::solve(&t, d);
         for r in t.nodes().step_by(11) {
-            for toward in [Rel::Customer, Rel::Peer, Rel::Provider, Rel::Sibling] {
-                let s = ExportPolicy::Strict.offers(&st, r, toward);
-                let e = ExportPolicy::RespectExport.offers(&st, r, toward);
-                let a = ExportPolicy::Flexible.offers(&st, r, toward);
+            let asks = t.nodes().step_by(9).filter(|&q| q != r).map(|q| (q, false));
+            for (q, switch) in asks.chain([(d, true)]) {
+                let [s, e, a] = ExportPolicy::ALL.map(|p| level(p).offers(&st, q, r, switch));
                 for o in &s {
                     prop_assert!(e.contains(o));
                 }
@@ -54,7 +59,7 @@ proptest! {
         if avoid == d || avoid == src { return Ok(()); }
         let mut results = Vec::new();
         for policy in ExportPolicy::ALL {
-            let out = avoid_via_negotiation(&st, src, avoid, policy, TargetStrategy::OnPath, None);
+            let out = avoid_via_negotiation(&st, src, avoid, &level(policy), TargetStrategy::OnPath, None);
             if let Some((_, route)) = &out.chosen {
                 prop_assert!(!route.traverses(avoid), "chosen route violates constraint");
             }
@@ -65,7 +70,7 @@ proptest! {
         // Disabling everyone kills negotiated (non-single-path) success.
         let none = vec![false; t.num_nodes()];
         let dead = avoid_via_negotiation(
-            &st, src, avoid, ExportPolicy::Flexible, TargetStrategy::OnPath, Some(&none));
+            &st, src, avoid, &level(ExportPolicy::Flexible), TargetStrategy::OnPath, Some(&none));
         prop_assert_eq!(dead.success, dead.single_path_success);
     }
 
@@ -79,13 +84,13 @@ proptest! {
         let st = RoutingState::solve(&t, d);
         for src in t.nodes().step_by(13) {
             if src == d { continue; }
-            let on = count_available_routes(&st, src, ExportPolicy::Flexible, TargetStrategy::OnPath);
-            let hop = count_available_routes(&st, src, ExportPolicy::Flexible, TargetStrategy::OneHop);
+            let on = count_available_routes(&st, src, &level(ExportPolicy::Flexible), TargetStrategy::OnPath);
+            let hop = count_available_routes(&st, src, &level(ExportPolicy::Flexible), TargetStrategy::OneHop);
             let both = count_available_routes(
-                &st, src, ExportPolicy::Flexible, TargetStrategy::OnPathThenNeighbors);
+                &st, src, &level(ExportPolicy::Flexible), TargetStrategy::OnPathThenNeighbors);
             prop_assert!(both >= on);
             prop_assert!(both >= hop);
-            let s = count_available_routes(&st, src, ExportPolicy::Strict, TargetStrategy::OnPath);
+            let s = count_available_routes(&st, src, &level(ExportPolicy::Strict), TargetStrategy::OnPath);
             prop_assert!(s <= on);
         }
     }

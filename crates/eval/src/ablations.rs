@@ -18,7 +18,7 @@
 use crate::datasets::{Dataset, EvalConfig};
 use crate::driver;
 use miro_bgp::solver::{RoutingState, SolveScratch};
-use miro_core::export::ExportPolicy;
+use miro_core::export::ResponderConfig;
 use miro_core::strategy::{
     avoid_via_multihop_negotiation, avoid_via_negotiation, avoidable_ases, TargetStrategy,
 };
@@ -99,7 +99,7 @@ pub fn architecture_comparison(
                 &st,
                 src,
                 avoid,
-                ExportPolicy::RespectExport,
+                &ResponderConfig::default(),
                 TargetStrategy::OnPath,
                 None,
             )
@@ -111,7 +111,7 @@ pub fn architecture_comparison(
                 &st,
                 src,
                 avoid,
-                ExportPolicy::RespectExport,
+                &ResponderConfig::default(),
                 TargetStrategy::OnPath,
                 None,
             )
@@ -170,7 +170,7 @@ pub fn strategy_comparison(ds: &Dataset, cfg: &EvalConfig) -> Vec<AblationRow> {
                     st,
                     src,
                     avoid,
-                    ExportPolicy::RespectExport,
+                    &ResponderConfig::default(),
                     strat,
                     None,
                 )

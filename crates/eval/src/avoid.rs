@@ -18,9 +18,9 @@
 use crate::datasets::{Dataset, EvalConfig};
 use crate::driver;
 use miro_bgp::engine::WhatIf;
-use miro_core::export::ExportPolicy;
+use miro_core::export::{ExportPolicy, ResponderConfig};
 use miro_core::negotiate::Constraint;
-use miro_core::strategy::{avoidable_ases, export_rel_toward, TargetStrategy};
+use miro_core::strategy::{avoidable_ases, TargetStrategy};
 use miro_topology::NodeId;
 use rand::Rng;
 use serde::Serialize;
@@ -106,14 +106,14 @@ pub fn probe_triple(
         let topo = st.topology();
         let single = st.candidates(src).iter().any(|c| !c.traverses(avoid));
         let source = topo.reachable_avoiding(src, st.dest(), avoid);
+        let levels = ExportPolicy::ALL.map(|policy| ResponderConfig { policy, ..Default::default() });
         let mut responders = Vec::new();
         for responder in TargetStrategy::OnPath.targets(st, src, Some(avoid)) {
-            let toward = export_rel_toward(st, src, responder);
             let constraint = Constraint::AvoidAs(avoid);
             let mut offers = [0u32; 3];
             let mut success = [false; 3];
-            for (i, policy) in ExportPolicy::ALL.iter().enumerate() {
-                let os = policy.offers(st, responder, toward);
+            for (i, cfg) in levels.iter().enumerate() {
+                let os = cfg.offers(st, src, responder, false);
                 offers[i] = os.len() as u32;
                 success[i] = os.iter().any(|o| constraint.admits(o));
             }

@@ -19,8 +19,8 @@ use crate::datasets::{Dataset, EvalConfig};
 use crate::driver;
 use miro_bgp::sim::{GaoRexford, RankPolicy, Sim};
 use miro_bgp::solver::RoutingState;
-use miro_core::export::ExportPolicy;
-use miro_topology::{NodeId, Rel, Topology};
+use miro_core::export::{ExportPolicy, ResponderConfig};
+use miro_topology::{NodeId, Topology};
 use serde::Serialize;
 
 /// `GaoRexford` with one node pinned to a chosen path (the negotiated
@@ -111,6 +111,8 @@ pub fn evaluate_stub(
     cands.sort_by_key(|&x| std::cmp::Reverse(through[x as usize]));
     cands.truncate(power_candidates);
 
+    let levels = [ExportPolicy::Strict, ExportPolicy::Flexible]
+        .map(|policy| ResponderConfig { policy, ..Default::default() });
     let mut best = [[0.0f64; 2]; 2];
     let mut best_power: Option<(NodeId, usize)> = None;
     for &p in &cands {
@@ -119,13 +121,9 @@ pub fn evaluate_stub(
         }
         let Some(p_path) = st.path(p) else { continue };
         let e_old = entry_of(&p_path, p);
-        for (pi, policy) in [ExportPolicy::Strict, ExportPolicy::Flexible]
-            .into_iter()
-            .enumerate()
-        {
-            // The routes p could itself switch to, under no export scope:
-            // customer scope, since a customer may be sent every class.
-            let offers = policy.offers(&st, p, Rel::Customer);
+        for (pi, cfg) in levels.iter().enumerate() {
+            // The stub asks p to switch among the routes it holds.
+            let offers = cfg.offers(&st, d, p, true);
             for offer in offers
                 .iter()
                 .filter(|o| entry_of(&o.route.path, p) != e_old)

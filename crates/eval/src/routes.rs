@@ -5,7 +5,7 @@
 
 use crate::datasets::{Dataset, EvalConfig};
 use crate::driver;
-use miro_core::export::ExportPolicy;
+use miro_core::export::{ExportPolicy, ResponderConfig};
 use miro_core::strategy::{count_available_routes, TargetStrategy};
 use serde::Serialize;
 
@@ -47,6 +47,7 @@ pub struct RoutesResult {
 pub fn fig5_2(ds: &Dataset, cfg: &EvalConfig) -> RoutesResult {
     let dests = driver::sample_dests(&ds.topo, cfg.dest_samples, cfg.seed ^ 0x52);
     let strategies = [TargetStrategy::OneHop, TargetStrategy::OnPath];
+    let levels = ExportPolicy::ALL.map(|policy| ResponderConfig { policy, ..Default::default() });
     // counts[strategy][policy] accumulated across pairs.
     let per_dest = miro_bgp::engine::par_over_dests(&ds.topo, &dests, cfg.threads, |d, st| {
         let mut counts: Vec<Vec<u32>> = vec![Vec::new(); 6];
@@ -55,8 +56,8 @@ pub fn fig5_2(ds: &Dataset, cfg: &EvalConfig) -> RoutesResult {
                 continue;
             }
             for (si, &strat) in strategies.iter().enumerate() {
-                for (pi, &policy) in ExportPolicy::ALL.iter().enumerate() {
-                    let c = count_available_routes(st, src, policy, strat);
+                for (pi, cfg) in levels.iter().enumerate() {
+                    let c = count_available_routes(st, src, cfg, strat);
                     counts[si * 3 + pi].push(c as u32);
                 }
             }

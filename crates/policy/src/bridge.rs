@@ -12,13 +12,15 @@
 //! every fired trigger executes the negotiation through
 //! [`miro_core::node::MiroNetwork`], honoring the configured budget,
 //! avoid set, and target list; [`responder`] compiles the responder's
-//! statements into the [`ResponderConfig`] every negotiation reads.
+//! statements into the [`ResponderConfig`] whose
+//! [`offers`](ResponderConfig::offers) every negotiation reads.
 
 use crate::eval::{PolicyRoute, Trigger};
 use crate::parse::Config;
 use miro_bgp::solver::RoutingState;
 use miro_core::negotiate::{Constraint, NegotiationError};
-use miro_core::node::{MiroNetwork, ResponderConfig};
+use miro_core::export::ResponderConfig;
+use miro_core::node::MiroNetwork;
 use miro_core::tunnel::TunnelId;
 use miro_topology::{AsId, NodeId, RouteClass, Topology};
 

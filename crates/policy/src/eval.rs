@@ -1,7 +1,8 @@
 //! Execution semantics for the parsed configuration: section 6.2's
 //! route-selection rules and the requester's negotiation trigger. The
-//! responder's statements compile into `miro_core`'s `ResponderConfig`
-//! instead ([`crate::bridge::responder`]).
+//! responder's statements compile into
+//! [`miro_core::export::ResponderConfig`] instead
+//! ([`crate::bridge::responder`]).
 
 use crate::parse::{Config, NegotiationDecl, RouteMapClause};
 

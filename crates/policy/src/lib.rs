@@ -19,8 +19,11 @@
 //!   target selection from `match all path`;
 //! * [`bridge`] - both sides onto `miro-core`: fired triggers run as
 //!   negotiations, and the responder's `accept` / `when` / `filter`
-//!   statements compile into the `ResponderConfig` both handshake drivers
-//!   read (admission, tunnel limit, a price or "not offered" per class).
+//!   statements compile into the [`miro_core::export::ResponderConfig`]
+//!   both handshake drivers read (admission, tunnel limit, a price or "not
+//!   offered" per class), whose
+//!   [`offers`](miro_core::export::ResponderConfig::offers) decide every
+//!   offer.
 
 pub mod aspath;
 pub mod bridge;

@@ -13,7 +13,7 @@ use miro_bgp::sim::{GaoRexford, Sim};
 use miro_bgp::solver::RoutingState;
 use miro_bgp::speaker::{pump, PeerConfig, Speaker};
 use miro_bgp::wire::{BgpMessage, PathAttributes, WirePrefix};
-use miro_core::export::ExportPolicy;
+use miro_core::export::ResponderConfig;
 use miro_core::negotiate::{Constraint, Message, NegotiationId};
 use miro_core::strategy::{avoid_via_negotiation, TargetStrategy};
 use miro_dataplane::encap::{decapsulate, encapsulate, EndpointScheme};
@@ -98,9 +98,8 @@ fn main() {
     let st = RoutingState::solve(&topo, dest);
     let src = topo.nodes().filter(|&x| st.path(x).map_or(0, |p| p.len()) >= 3).last().expect("long path exists");
     let avoid = st.path(src).expect("routed")[1];
-    let search = |strategy| {
-        time(|| avoid_via_negotiation(black_box(&st), src, avoid, ExportPolicy::RespectExport, strategy, None))
-    };
+    let cfg = ResponderConfig::default();
+    let search = |strategy| time(|| avoid_via_negotiation(black_box(&st), src, avoid, &cfg, strategy, None));
     row("targeting strategies", "per avoid-AS search", &[
         ("on-path", search(TargetStrategy::OnPath)),
         ("1-hop", search(TargetStrategy::OneHop)),

@@ -8,7 +8,7 @@
 //! ```
 
 use miro_bgp::solver::RoutingState;
-use miro_core::export::ExportPolicy;
+use miro_core::export::{ExportPolicy, ResponderConfig};
 use miro_core::strategy::{avoid_via_negotiation, avoidable_ases, TargetStrategy};
 use miro_topology::gen::DatasetPreset;
 use miro_topology::stats::top_degree_nodes;
@@ -41,7 +41,7 @@ pub fn run(out: &mut String) {
                     &st,
                     src,
                     avoid,
-                    ExportPolicy::RespectExport,
+                    &ResponderConfig::default(),
                     TargetStrategy::OnPath,
                     None,
                 );
@@ -76,7 +76,8 @@ pub fn run(out: &mut String) {
     let single = st.candidates(src).iter().any(|c| !c.traverses(avoid));
     let _ = writeln!(out, "{:<34} {:<9} {:>10} {:>12}", "single-path BGP", single, "-", "-");
     for policy in ExportPolicy::ALL {
-        let o = avoid_via_negotiation(&st, src, avoid, policy, TargetStrategy::OnPath, None);
+        let cfg = ResponderConfig { policy, ..Default::default() };
+        let o = avoid_via_negotiation(&st, src, avoid, &cfg, TargetStrategy::OnPath, None);
         let _ = writeln!(
             out,
             "{:<34} {:<9} {:>10} {:>12}",
@@ -111,7 +112,7 @@ pub fn run(out: &mut String) {
             &st,
             src,
             avoid,
-            ExportPolicy::Flexible,
+            &ResponderConfig { policy: ExportPolicy::Flexible, ..Default::default() },
             TargetStrategy::OnPath,
             Some(&mask),
         );

@@ -7,11 +7,14 @@
 //! ```
 //! use miro_suite::{bgp, core, topology};
 //!
-//! let (topo, [a, _b, _c, _d, _e, f]) = topology::gen::figure_1_1();
+//! let (topo, [a, b, _c, _d, _e, f]) = topology::gen::figure_1_1();
 //! let st = bgp::solver::RoutingState::solve(&topo, f);
-//! let offers = core::export::ExportPolicy::Flexible
-//!     .offers(&st, a, topology::Rel::Customer);
-//! assert!(offers.len() <= st.candidates(a).len());
+//! let flexible = core::export::ResponderConfig {
+//!     policy: core::export::ExportPolicy::Flexible,
+//!     ..Default::default()
+//! };
+//! let offers = flexible.offers(&st, a, b, false);
+//! assert!(offers.len() < st.candidates(b).len());
 //! ```
 
 pub use miro_bgp as bgp;

@@ -4,10 +4,13 @@
 //! (The *unrestricted* configuration is allowed to diverge — that is the
 //! point of the counter-examples — so no assertion is made there.)
 
+use miro_bgp::route::ExportScope;
 use miro_bgp::solver::RoutingState;
-use miro_convergence::{Desire, Guideline, TunnelSim};
+use miro_convergence::gadgets::{fig7_1, fig7_2};
+use miro_convergence::{Desire, Guideline, OfferRule, TunnelSim};
+use miro_core::export::{export_rel_toward, ExportPolicy, ResponderConfig};
 use miro_topology::path::{classify_route, has_duplicates};
-use miro_topology::{GenParams, NodeId, RouteClass};
+use miro_topology::{GenParams, NodeId, RouteClass, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -49,13 +52,9 @@ fn random_desires(
     out
 }
 
-/// Every guideline must converge under three schedules; returns how many
-/// leaf advertisements the converged states made. Only Guideline C makes
-/// any, and each is a route its leaf could install: addressed to a leaf,
-/// through the requester that holds the tunnel, loop-free, and a provider
-/// route there — the class a leaf re-exports to nobody, which is why
-/// Theorem 3 can add them to Guideline B.
-fn run_guideline(seed: u64, guideline: Guideline) -> usize {
+/// The random hierarchy of topology seed `seed`, its twelve desires and
+/// the generator that drew them, to draw on from.
+fn hierarchy(seed: u64) -> (Topology, Vec<Desire>, StdRng) {
     let topo = GenParams {
         name: "conv".into(),
         num_nodes: 90,
@@ -68,6 +67,17 @@ fn run_guideline(seed: u64, guideline: Guideline) -> usize {
     .generate();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC0);
     let desires = random_desires(&topo, &mut rng, 12);
+    (topo, desires, rng)
+}
+
+/// Every guideline must converge under three schedules; returns how many
+/// leaf advertisements the converged states made. Only Guideline C makes
+/// any, and each is a route its leaf could install: addressed to a leaf,
+/// through the requester that holds the tunnel, loop-free, and a provider
+/// route there — the class a leaf re-exports to nobody, which is why
+/// Theorem 3 can add them to Guideline B.
+fn run_guideline(seed: u64, guideline: Guideline) -> usize {
+    let (topo, desires, mut rng) = hierarchy(seed);
     assert!(!desires.is_empty());
     let config = match guideline {
         Guideline::D => {
@@ -174,4 +184,63 @@ fn guideline_e_stable_state_is_schedule_independent() {
             Some(r) => assert_eq!(&state, r, "schedule {sched} reached a different state"),
         }
     }
+}
+
+/// Guidelines D/E's "strict policy" (`OfferRule::SameClassCandidates`)
+/// against Chapter 5's `/s` (`ResponderConfig::offers` under `Strict`),
+/// desire by desire on the Figure 7.1 / 7.2 gadgets and the random
+/// hierarchies above. The rule is read off the simulator itself: alone
+/// under Guideline E (same-class offers, pinned-BGP transport, no gate), a
+/// desire is established exactly when the rule offers its path and the
+/// requester has a BGP route to the responder. `/s` never offers what the
+/// rule refuses, and every desire only the rule offers is the responder's
+/// own best path (which `/s` never offers), a same-class route outside the
+/// requester's export scope, or both. DESIGN.md records the counts and a
+/// worked example.
+#[test]
+fn same_class_candidates_differ_from_strict_offers_only_by_scope_and_best() {
+    assert_eq!(Guideline::E.config().offer, OfferRule::SameClassCandidates);
+    let strict = ResponderConfig { policy: ExportPolicy::Strict, ..Default::default() };
+    let gadgets = [fig7_1(), fig7_2()].map(|(topo, _, desires)| (topo, desires));
+    let hierarchies = (0..6).map(hierarchy).map(|(topo, desires, _)| (topo, desires));
+    // Per desire set: both offer, both refuse, and the rule alone offers
+    // the responder's best path / an out-of-scope route / both.
+    let mut counts = Vec::new();
+    for (topo, desires) in gadgets.into_iter().chain(hierarchies) {
+        let mut n = [0usize; 5];
+        for d in desires {
+            let st = RoutingState::solve(&topo, d.dest);
+            assert!(
+                RoutingState::solve(&topo, d.responder).path(d.requester).is_some(),
+                "{d:?}: the requester reaches the responder"
+            );
+            let mut alone = TunnelSim::new(&topo, Guideline::E.config(), vec![d.clone()]);
+            assert!(alone.run(0, 10).converged());
+            let rule = alone.is_established(0);
+            let offered = (strict.offers(&st, d.requester, d.responder, false).iter())
+                .any(|o| o.route.path == d.wanted);
+            assert!(rule || !offered, "{d:?}: /s offers what the rule refuses");
+            if rule == offered {
+                n[usize::from(!rule)] += 1;
+                continue;
+            }
+            let class = st.candidates(d.responder).into_iter().find(|c| c.path == d.wanted);
+            let class = class.expect("the rule offers a candidate").class;
+            let toward = export_rel_toward(&st, d.requester, d.responder);
+            let best = st.path(d.responder).as_ref() == Some(&d.wanted);
+            match (best, ExportScope::allows(class, toward)) {
+                (true, true) => n[2] += 1,
+                (false, false) => n[3] += 1,
+                (true, false) => n[4] += 1,
+                (false, true) => panic!("{d:?}: an in-scope same-class alternate /s hides"),
+            }
+        }
+        counts.push(n);
+    }
+    // Figure 7.1: each AS wants its peer's provider route, its best and
+    // not exported to a peer. Figure 7.2: D wants its provider B's best,
+    // a peer route, which a customer may be sent.
+    assert_eq!(counts[..2], [[0, 0, 0, 0, 3], [0, 0, 3, 0, 0]]);
+    let total = counts.iter().fold([0; 5], |t, n| std::array::from_fn(|i| t[i] + n[i]));
+    assert_eq!(total, [12, 18, 45, 0, 3], "per set: {counts:?}");
 }

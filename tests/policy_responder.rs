@@ -1,15 +1,17 @@
 //! Section 6.3's responder statements, compiled by
 //! `miro_policy::bridge::responder`, are what both handshake drivers
 //! enforce: the compiled form, the offers it yields against the default
-//! configuration's, and its refusals through `MiroNetwork` and
-//! `ReliableNet` alike.
+//! configuration's (in the handshake and in Chapter 5's route count, which
+//! both ask `ResponderConfig::offers`), and its refusals through
+//! `MiroNetwork` and `ReliableNet` alike.
 
 use miro_bgp::solver::RoutingState;
 use miro_core::chan::FaultConfig;
-use miro_core::export::ExportPolicy;
+use miro_core::export::{ExportPolicy, ResponderConfig};
 use miro_core::negotiate::{Message, NegotiationError, RejectReason};
-use miro_core::node::{MiroNetwork, ResponderConfig};
+use miro_core::node::MiroNetwork;
 use miro_core::reliable::{FailReason, ReliableNet};
+use miro_core::strategy::{count_available_routes, TargetStrategy};
 use miro_policy::{bridge, parse_config};
 use miro_topology::gen::{figure_1_1, GenParams};
 use miro_topology::{RouteClass, Topology};
@@ -57,11 +59,15 @@ fn answer(net: &MiroNetwork<'_>) -> Result<Vec<miro_core::export::Offer>, Reject
 
 /// (b) Every (requester, responder, destination) triple: the compiled
 /// config offers the default config's offers minus provider-class routes,
-/// at the same prices — or `NoCandidates` when none are left.
+/// at the same prices — or `NoCandidates` when none are left. Under either
+/// config the handshake's answer is `ResponderConfig::offers`, and
+/// Figure 5.2's route count under the compiled config is the default
+/// count minus the provider-class offers.
 #[test]
 fn filter_1_offers_are_the_default_offers_without_provider_routes() {
     let tiny = GenParams::tiny(7).generate();
-    let mut dropped = 0;
+    let (mut dropped, mut uncounted) = (0, 0);
+    let default = ResponderConfig::default();
     for (topo, step) in [(figure_1_1().0, 1), (tiny, 7)] {
         let compiled = compile(SECTION_6_3, &topo);
         let (mut default_net, mut filtered_net) =
@@ -73,6 +79,18 @@ fn filter_1_offers_are_the_default_offers_without_provider_routes() {
         for dest in topo.nodes().step_by(step) {
             let st = RoutingState::solve(&topo, dest);
             for requester in topo.nodes().step_by(step) {
+                let provider_offers: usize = (TargetStrategy::OnPath.targets(&st, requester, None))
+                    .into_iter()
+                    .flat_map(|r| default.offers(&st, requester, r, false))
+                    .filter(|o| o.route.class == RouteClass::Provider)
+                    .count();
+                let count = |cfg| count_available_routes(&st, requester, cfg, TargetStrategy::OnPath);
+                assert_eq!(
+                    count(&compiled),
+                    count(&default) - provider_offers,
+                    "{requester} counts routes to {dest}"
+                );
+                uncounted += provider_offers;
                 for responder in topo.nodes().step_by(step) {
                     // A budget of 0 buys nothing, so no lease changes state.
                     let plain = default_net.negotiate(&st, requester, responder, vec![], 0);
@@ -95,6 +113,17 @@ fn filter_1_offers_are_the_default_offers_without_provider_routes() {
                         expected,
                         "{requester} asks {responder} for {dest}"
                     );
+                    for (net, cfg) in [(&default_net, &default), (&filtered_net, &compiled)] {
+                        let direct = cfg.offers(&st, requester, responder, false);
+                        match answer(net) {
+                            Ok(offers) => assert_eq!(offers, direct, "{requester} asks {responder}"),
+                            Err(why) => assert_eq!(
+                                (why, direct.len()),
+                                (RejectReason::NoCandidates, 0),
+                                "{requester} asks {responder} for {dest}"
+                            ),
+                        }
+                    }
                     compared += 1;
                 }
             }
@@ -104,6 +133,7 @@ fn filter_1_offers_are_the_default_offers_without_provider_routes() {
         );
     }
     assert!(dropped > 0, "FILTER-1 took some provider route off sale");
+    assert!(uncounted > 0, "FILTER-1 moved some Figure 5.2 route count");
 }
 
 /// (c) An allow list refuses with `NotAllowed`, `tunnel_number < 1` with
