@@ -81,6 +81,11 @@
 //! ups, see [`multi`]) and `revert` (undo the last `fail` from its log).
 //! [`crate::engine::WhatIf`] is fail-one / look / revert;
 //! [`multi::MultiFailState::apply`] is coalesce / fail / restore.
+//!
+//! A failure only removes offers, so no AS ends one with a better class
+//! than it began it, and an AS's offers to its customers get shorter only
+//! if its own route did: `fail` bounds its three scans by that, keyed on
+//! each cone node's logged route. A restoration keeps the full scans.
 
 use crate::route::{CandidateRoute, ExportScope};
 use miro_topology::{NodeId, Rel, RouteClass, Topology, SLOT_ORDER};
@@ -293,6 +298,14 @@ const NO_VIA: u32 = u32::MAX;
 struct Entry {
     cell: u16,
     slot: u16,
+}
+
+impl Entry {
+    /// The logged route's class, if it had one.
+    #[inline]
+    fn class(self) -> Option<RouteClass> {
+        route_class_from_code((self.cell >> CLASS_SHIFT & 3) as u8)
+    }
 }
 
 /// Logged in place of a previous assignment for a node that had none when
@@ -1149,7 +1162,8 @@ impl RoutingState<'_> {
     /// Fail `links` (validated keys, none failed yet): retire the routing
     /// subtrees hanging off them as one union cone, re-drain the three
     /// sweeps inside it against the intact boundary, then relax the
-    /// provider-class improvement wave. Every change is logged to
+    /// provider-class improvement wave, each scanning only what a failure
+    /// can change (module docs). Every change is logged to
     /// `scratch` ([`DeltaScratch::changed`] counts them), so until the
     /// scratch or the state is used again [`RoutingState::revert`] can
     /// undo the failure. Returns how many cone nodes lost reachability.
@@ -1188,7 +1202,7 @@ impl RoutingState<'_> {
             return 0;
         }
         self.retire::<false>(scratch);
-        let disconnected = self.redrain(scratch);
+        let disconnected = self.redrain::<false>(scratch);
         self.improve_wave(scratch);
         disconnected
     }
@@ -1216,13 +1230,16 @@ impl RoutingState<'_> {
     /// every node left outside still holds a route whose whole chain is
     /// outside too.
     ///
-    /// Failures retire only routed nodes (`ABSORB_UNROUTED = false`).
-    /// Restorations may root a retirement at an unrouted node and also
-    /// pull in every unrouted neighbor of a retired node, transitively:
-    /// those have nothing to lose, and with them inside, a re-drain that
-    /// hands a retired node a route it can now export never spills past
-    /// the log.
-    fn retire<const ABSORB_UNROUTED: bool>(&mut self, scratch: &mut DeltaScratch) {
+    /// A failure (`RESTORE = false`) retires only routed nodes, and a
+    /// node whose logged route is peer- or provider-class exported it to
+    /// its siblings and customers alone, so only those can route through
+    /// it: its walk scans [`Topology::down_offers`], not every slot.
+    /// A restoration may root a retirement at an unrouted node and also
+    /// pulls in every unrouted neighbor of a retired node, transitively,
+    /// so it scans every slot: those neighbours have nothing to lose, and
+    /// with them inside, a re-drain that hands a retired node a route it
+    /// can now export never spills past the log.
+    fn retire<const RESTORE: bool>(&mut self, scratch: &mut DeltaScratch) {
         for i in 0..scratch.roots.len() {
             let root = scratch.roots[i];
             scratch.log(root, self.t.entry(root));
@@ -1231,15 +1248,18 @@ impl RoutingState<'_> {
         scratch.roots.clear();
         let mut head = 0;
         while head < scratch.undo.len() {
-            let (x, _) = scratch.undo[head];
+            let (x, old) = scratch.undo[head];
             head += 1;
             // `v` routes through `x` iff its slot is `x`'s slot in its list.
-            let (vs, backs) = self.topo.slot_offers(x);
+            let (vs, backs) = match RESTORE || old.class() == Some(RouteClass::Customer) {
+                true => self.topo.slot_offers(x),
+                false => self.topo.down_offers(x),
+            };
             for (&v, &back) in vs.iter().zip(backs) {
                 if self.t.via(v) == u32::from(back) {
                     scratch.log(v, self.t.entry(v));
                     self.t.unset(v);
-                } else if ABSORB_UNROUTED && !self.t.routed(v) {
+                } else if RESTORE && !self.t.routed(v) {
                     scratch.log(v, WAS_UNROUTED); // no-op for one already retired
                 }
             }
@@ -1251,9 +1271,23 @@ impl RoutingState<'_> {
     /// exactly what the full run would deliver into the retired set. Cone
     /// nodes re-routed by an earlier delta sweep offer with their updated
     /// assignment.
-    fn boundary_seeds(&self, cone: &[(NodeId, Entry)], class: RouteClass, out: &mut Vec<Seed>) {
+    ///
+    /// A failure (`RESTORE = false`) skips every cone node whose logged
+    /// route is of a worse class than `class`: it ends the failure with no
+    /// better class than it began it, so no offer of this sweep reaches
+    /// it. Sweep 1 scans the nodes that held customer routes, sweep 2
+    /// those that held customer or peer routes, sweep 3 all of them.
+    fn boundary_seeds<const RESTORE: bool>(
+        &self,
+        cone: &[(NodeId, Entry)],
+        class: RouteClass,
+        out: &mut Vec<Seed>,
+    ) {
         out.clear();
-        for &(v, _) in cone.iter().filter(|&&(v, _)| !self.t.routed(v)) {
+        let open = |&&(v, old): &&(NodeId, Entry)| {
+            !self.t.routed(v) && (RESTORE || old.class().is_some_and(|held| held <= class))
+        };
+        for &(v, _) in cone.iter().filter(open) {
             let (us, bounds) = (self.topo.slot_neighbors(v), self.topo.slot_bounds(v));
             // Only the partitions whose neighbours can offer in this sweep.
             for (c, rel) in SLOT_ORDER.into_iter().enumerate().filter(|&(_, rel)| can_offer(class, rel)) {
@@ -1276,8 +1310,9 @@ impl RoutingState<'_> {
     /// boundary; each sweep is seeded with its boundary offers, deferred
     /// to their level, so winners and tie-breaks come out bit-for-bit
     /// identical. Re-settled nodes land in `scratch.inner.routed`;
-    /// returns how many retired nodes stayed unrouted.
-    fn redrain(&mut self, scratch: &mut DeltaScratch) -> usize {
+    /// returns how many retired nodes stayed unrouted. `RESTORE` passes
+    /// on to `boundary_seeds`.
+    fn redrain<const RESTORE: bool>(&mut self, scratch: &mut DeltaScratch) -> usize {
         let DeltaScratch { undo, inner, seeds, .. } = scratch;
         inner.size(self.topo.num_nodes());
         let sweeps = [
@@ -1286,7 +1321,7 @@ impl RoutingState<'_> {
             (RouteClass::Provider, Edges::Down),
         ];
         for (class, edges) in sweeps {
-            self.boundary_seeds(undo, class, seeds);
+            self.boundary_seeds::<RESTORE>(undo, class, seeds);
             let mut at = 0;
             let first = seeds.first().map(|s| s.0);
             self.sweep(inner)
@@ -1296,7 +1331,8 @@ impl RoutingState<'_> {
     }
 
     /// Relax provider-class improvements down customer/sibling links,
-    /// starting from the re-settled cone nodes (`scratch.inner.routed`).
+    /// starting from the re-settled cone nodes whose routes got shorter
+    /// (a failure's log, read against the table).
     ///
     /// Losing a link can *shorten* routes outside the cone: a cone node
     /// demoted across sweeps (e.g. peer-class via the dead link to a
@@ -1306,10 +1342,18 @@ impl RoutingState<'_> {
     /// customer-class levels are plain BFS distances over a shrinking
     /// edge set, and peer-class levels derive from them — so the wave is
     /// exactly a level-synchronous relaxation of provider-class routes
-    /// down customer and sibling links, seeded by every re-settled cone
-    /// node and propagated from every node whose route got strictly
-    /// shorter. The argument only uses that the edge set *shrank*, so it
-    /// holds verbatim for a batch of simultaneous failures.
+    /// down customer and sibling links, propagated from every node whose
+    /// route got strictly shorter. The argument only uses that the edge
+    /// set *shrank*, so it holds verbatim for a batch of simultaneous
+    /// failures.
+    ///
+    /// Seeds are the deliveries the base solve did not already make as
+    /// well: the re-drain weighed every offer into the cone, and outside
+    /// it each node held a route no worse than its neighbours' pre-failure
+    /// offers. A re-settled `v` offers its customers provider class
+    /// whatever it holds, and its siblings its own class, which never
+    /// improves; so only a `v` whose route got shorter seeds, and to its
+    /// siblings only if its old route was provider class.
     fn improve_wave(&mut self, scratch: &mut DeltaScratch) {
         let DeltaScratch { undo, logged, logged_gen, inner, seeds, .. } = scratch;
         // A node can take a sweep-3 offer landing at `lvl` only if it
@@ -1320,15 +1364,15 @@ impl RoutingState<'_> {
             cell >> CLASS_SHIFT & 3 == provider && cell >> HOPS_SHIFT >= lvl
         };
 
-        // Seeds: the sweep-3 deliveries of every re-settled cone node — to
-        // its customers at any class, to its siblings when provider-class.
-        // Deliveries identical to the base solve's lose to the incumbent
-        // at settle time, so seeding them is safe.
+        // Seeds: the sweep-3 deliveries the base solve did not make as well.
         seeds.clear();
-        for &v in inner.routed.iter() {
-            let (cell, len) = (self.t.cells[v as usize], self.t.hops(v));
-            let provider_held = u32::from(cell >> CLASS_SHIFT & 3) == provider;
+        for &(v, old) in undo.iter() {
+            let len = self.t.hops(v);
+            if !self.t.routed(v) || len >= u32::from(old.cell >> HOPS_SHIFT) {
+                continue;
+            }
             let (xs, backs) = self.topo.down_offers(v);
+            let provider_held = old.class() == Some(RouteClass::Provider);
             let from = if provider_held { 0 } else { self.topo.sibling_neighbors(v).len() };
             for (&x, &back) in xs[from..].iter().zip(&backs[from..]) {
                 if !self.is_failed(v, x) && eligible(&self.t, x, len + 1) {
@@ -2111,6 +2155,32 @@ mod tests {
         let st = RoutingState::solve(&t, n(1));
         assert_eq!(route(&st, 3), Some((Provider, 2, 2)), "the route crosses the sibling link");
         assert_is_reference(&st, &reference::solve(&t, n(1)));
+    }
+
+    /// A provider route that a failure shortens must reach the sibling of
+    /// the AS that holds it, though that AS held provider class before.
+    #[test]
+    fn the_improvement_wave_crosses_a_sibling_link() {
+        use RouteClass::*;
+        // Destination 1: 2 and 3 climb above it; 4 peers with 3 (peer@3)
+        // and buys transit from 1; 5 is 4's customer and 6's sibling; 6
+        // also hangs three provider hops below 1 through 7, 8, 9.
+        let pc = [(2, 1), (3, 2), (1, 4), (4, 5), (1, 7), (7, 8), (8, 9), (9, 6)];
+        let t = drawn(&pc, &[(4, 3)], &[(5, 6)]);
+        let n = |asn: u32| t.node(AsId(asn)).unwrap();
+        let mut delta = DeltaScratch::new();
+        let mut wi = WhatIf::new(RoutingState::solve(&t, n(1)), &mut delta);
+        assert_eq!(route(wi.base(), 4), Some((Peer, 3, 3)));
+        assert_eq!(route(wi.base(), 5), Some((Provider, 4, 4)));
+        assert_eq!(route(wi.base(), 6), Some((Provider, 4, 9)));
+        wi.without_link(n(4), n(3), |failed| {
+            // 4 falls back to provider@1, so 5 gets provider@2, which 6,
+            // outside the cone, takes over its sibling link.
+            assert_eq!(route(failed, 5), Some((Provider, 2, 4)));
+            assert_eq!(route(failed, 6), Some((Provider, 3, 5)));
+            assert_eq!(failed.recomputed(), 3);
+            assert_is_reference(failed, &reference::solve_without_link(&t, n(1), n(4), n(3)));
+        });
     }
 
     #[test]

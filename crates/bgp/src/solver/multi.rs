@@ -273,7 +273,7 @@ impl RoutingState<'_> {
                 stats.full_resolve = true;
                 break;
             }
-            self.redrain(scratch);
+            self.redrain::<true>(scratch);
             // Inside the retired set the drain left every node with its
             // best offer. Outside it, a node's own route still stands, so
             // only a re-settled node whose offers changed can unsettle a

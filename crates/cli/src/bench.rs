@@ -15,7 +15,7 @@
 //!   baseline, and may be stride-sampled — comparisons against it are
 //!   per-destination-normalized and labeled `heap_sampled`).
 //!
-//! The bucket engine runs [`REPS`] times per entry in the `--threads`
+//! The bucket engine runs three times per entry in the `--threads`
 //! list (default `1,2,4,8,16`), producing one thread-scaling row each:
 //! `threads`, the fastest wall `ms` (also `min_ms`), `median_ms`,
 //! `spread`, `speedup_vs_1t`, and parallel `efficiency`

@@ -19,7 +19,7 @@
 //!
 //! Each stream is timed through [`Engine::forward_burst`] at every
 //! `--batch` size and through the packet-at-a-time [`Engine::forward_one`]
-//! baseline (reported as `batch: 1, baseline: true`), [`REPS`] times per
+//! baseline (reported as `batch: 1, baseline: true`), five times per
 //! row: `ms` is the fastest repetition, `median_ms` the median and
 //! `spread` (slowest − fastest) / median. A per-packet
 //! checksum of every verdict (next hops, tunnel ids, output lengths) must

@@ -17,7 +17,7 @@
 //! Each round spawns `--conns` client connections; every connection
 //! issues its share of `--queries` serially (request → response, like a
 //! real resolver), drawing Zipf-skewed (src, dest) pairs and a fixed
-//! 60/30/10 next-hop/path/alternate mix. Every `--conns` row is [`REPS`]
+//! 60/30/10 next-hop/path/alternate mix. Every `--conns` row is three
 //! rounds of the same stream: `wall_ms`/`qps` are the fastest round,
 //! `median_wall_ms`/`median_qps` the median and `spread` (slowest −
 //! fastest) / median. Latency is measured per query and merged across

@@ -1,9 +1,9 @@
 //! Burst-mode forwarding engine: batched parse / lookup / classify /
 //! encap at packets-per-second scale.
 //!
-//! The single-packet primitives in [`ipv4`](crate::ipv4),
+//! The single-packet primitives in [`ipv4`],
 //! [`lpm`](crate::lpm), [`classifier`](crate::classifier) and
-//! [`encap`](crate::encap) are correct but pay their full cost per packet:
+//! [`encap`] are correct but pay their full cost per packet:
 //! a trie descent per destination, a rule scan plus split hash per packet,
 //! and a fresh `BytesMut` per encapsulation. MIRO's deployment story
 //! (section 4.2 encapsulation, section 3.5 traffic splitting) pays these

@@ -6,7 +6,7 @@
 //! *slot* (its index in the AS's neighbour list), business-class code,
 //! and AS-hop count, packed into one cell by [`miro_bgp::solver`]'s cell
 //! codec (re-exported here as [`CELL_BYTES`]; the sentinels and class
-//! codes are its `UNROUTED_*`/[`route_class_code`](miro_bgp::solver::route_class_code)
+//! codes are its `UNROUTED_*`/[`route_class_code`]
 //! contract). A *sink* (no customer, no sibling) passes no route on, so
 //! its route is a function of its neighbours' routes: a row stores no
 //! cell for it, and every reader derives it with
@@ -64,11 +64,9 @@
 //! [`Checksum`] and a file on disk is read by [`TableReader`]: the shard
 //! worker and coordinator, `miro-serve`'s mmap reader and `miro-eval
 //! whole-table` all go through them. The cell's field widths bound what
-//! a table holds: routes of at most
-//! [`MAX_HOPS`](miro_bgp::solver::MAX_HOPS) hops, which the solver
-//! refuses to exceed, and ASes of at most
-//! [`MAX_DEGREE`](miro_topology::MAX_DEGREE) neighbours, which the
-//! topology refuses to exceed.
+//! a table holds: routes of at most [`MAX_HOPS`] hops, which the solver
+//! refuses to exceed, and ASes of at most [`MAX_DEGREE`] neighbours,
+//! which the topology refuses to exceed.
 //!
 //! Table bytes are hashed on several passes, so the checksum runs at memory
 //! speed: four `u64` lanes over 32-byte stripes, each word folded in by an
@@ -342,7 +340,7 @@ impl Adjacency {
 
     /// Parse the sections over `num_nodes` nodes: offsets from 0 up to
     /// the number of ids that follow them, no list longer than
-    /// [`MAX_DEGREE`](miro_topology::MAX_DEGREE), every id a node, each
+    /// [`MAX_DEGREE`], every id a node, each
     /// AS's partition ends in order and within its list.
     pub fn parse(num_nodes: u32, bytes: &[u8]) -> Result<Adjacency, String> {
         let v = num_nodes as usize;
