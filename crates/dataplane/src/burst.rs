@@ -301,11 +301,6 @@ impl Engine {
         self.local
     }
 
-    /// Installed tunnels, ascending by id.
-    pub fn tunnel_specs(&self) -> impl Iterator<Item = &TunnelSpec> {
-        self.tunnels.iter().map(|t| &t.spec)
-    }
-
     /// The LPM trie: `forward_one` looks up here, and the burst path's
     /// [`table`](Self::table) is compiled from it.
     pub fn lpm(&self) -> &PrefixTrie<u32> {

@@ -19,9 +19,7 @@ use crate::datasets::{Dataset, EvalConfig};
 use crate::driver;
 use miro_bgp::solver::{RoutingState, SolveScratch};
 use miro_core::export::ResponderConfig;
-use miro_core::strategy::{
-    avoid_via_multihop_negotiation, avoid_via_negotiation, avoidable_ases, TargetStrategy,
-};
+use miro_core::strategy::{avoid_via_multihop_negotiation, avoid_via_negotiation, TargetStrategy};
 use miro_topology::stats::top_degree_nodes;
 use miro_topology::NodeId;
 use serde::Serialize;
@@ -76,14 +74,8 @@ pub fn architecture_comparison(
     let mut scratch = SolveScratch::new();
     for &d in &dests {
         let st = RoutingState::solve_into(&ds.topo, d, &mut scratch);
-        let mut rng = driver::rng_for(cfg.seed, d, 0xAB1);
-        for src in driver::sample_srcs(&ds.topo, d, cfg.src_samples / 2, cfg.seed ^ 0xAB2) {
-            let eligible = avoidable_ases(&st, src);
-            if eligible.is_empty() {
-                continue;
-            }
-            use rand::Rng;
-            let avoid = eligible[rng.gen_range(0..eligible.len())];
+        let rng = driver::rng_for(cfg.seed, d, 0xAB1);
+        for (src, avoid) in driver::avoid_triples(&st, cfg.src_samples / 2, cfg.seed ^ 0xAB2, rng) {
             total += 1;
             if st.candidates(src).iter().any(|c| !c.traverses(avoid)) {
                 counts[0] += 1;
@@ -154,16 +146,10 @@ pub fn strategy_comparison(ds: &Dataset, cfg: &EvalConfig) -> Vec<AblationRow> {
         TargetStrategy::OnPathThenNeighbors,
     ];
     let results = miro_bgp::engine::par_over_dests(&ds.topo, &dests, cfg.threads, |d, st| {
-        let mut rng = driver::rng_for(cfg.seed, d, 0xCD1);
+        let rng = driver::rng_for(cfg.seed, d, 0xCD1);
         let mut counts = [0usize; 3];
         let mut total = 0usize;
-        for src in driver::sample_srcs(&ds.topo, d, cfg.src_samples / 2, cfg.seed ^ 0xCD2) {
-            let eligible = avoidable_ases(st, src);
-            if eligible.is_empty() {
-                continue;
-            }
-            use rand::Rng;
-            let avoid = eligible[rng.gen_range(0..eligible.len())];
+        for (src, avoid) in driver::avoid_triples(st, cfg.src_samples / 2, cfg.seed ^ 0xCD2, rng) {
             total += 1;
             for (i, &strat) in strategies.iter().enumerate() {
                 if avoid_via_negotiation(

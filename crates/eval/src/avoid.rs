@@ -20,9 +20,8 @@ use crate::driver;
 use miro_bgp::engine::WhatIf;
 use miro_core::export::{ExportPolicy, ResponderConfig};
 use miro_core::negotiate::Constraint;
-use miro_core::strategy::{avoidable_ases, TargetStrategy};
+use miro_core::strategy::TargetStrategy;
 use miro_topology::NodeId;
-use rand::Rng;
 use serde::Serialize;
 
 /// Everything a deployment mask could need to know about one triple: the
@@ -155,17 +154,9 @@ pub fn probe_triple(
 pub fn sample_probes(ds: &Dataset, cfg: &EvalConfig) -> Vec<TripleProbe> {
     let dests = driver::sample_dests(&ds.topo, cfg.dest_samples, cfg.seed);
     let per_dest = miro_bgp::engine::par_over_dests_whatif(&ds.topo, &dests, cfg.threads, |d, wi| {
-        let mut rng = driver::rng_for(cfg.seed, d, 0x5_301);
-        let mut out = Vec::new();
-        for src in driver::sample_srcs(&ds.topo, d, cfg.src_samples, cfg.seed ^ 0xabc) {
-            let eligible = avoidable_ases(wi.base(), src);
-            if eligible.is_empty() {
-                continue; // no intermediate AS to avoid
-            }
-            let avoid = eligible[rng.gen_range(0..eligible.len())];
-            out.push(probe_triple(wi, src, avoid));
-        }
-        out
+        let rng = driver::rng_for(cfg.seed, d, 0x5_301);
+        let triples = driver::avoid_triples(wi.base(), cfg.src_samples, cfg.seed ^ 0xabc, rng);
+        triples.into_iter().map(|(src, avoid)| probe_triple(wi, src, avoid)).collect::<Vec<_>>()
     });
     per_dest.into_iter().flatten().collect()
 }

@@ -5,6 +5,8 @@
 //! ([`miro_bgp::engine::par_over_dests`] shards them over scoped
 //! threads), then evaluate many sources against it.
 
+use miro_bgp::solver::RoutingState;
+use miro_core::strategy::avoidable_ases;
 use miro_topology::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -33,13 +35,22 @@ pub fn rng_for(seed: u64, dest: NodeId, salt: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ (dest as u64).wrapping_mul(0x0100_0000_01b3) ^ salt)
 }
 
-/// Uniform random element (seeded) — tiny convenience used by samplers.
-pub fn pick<'a, T>(rng: &mut StdRng, slice: &'a [T]) -> Option<&'a T> {
-    if slice.is_empty() {
-        None
-    } else {
-        Some(&slice[rng.gen_range(0..slice.len())])
-    }
+/// Section 5.3's avoid-AS sample toward `st.dest()`: `n` sources drawn
+/// with `src_seed`, each paired with one of its [`avoidable_ases`] drawn
+/// from `rng`, as `(src, avoid)`; a source with none is skipped.
+pub fn avoid_triples(
+    st: &RoutingState<'_>,
+    n: usize,
+    src_seed: u64,
+    mut rng: StdRng,
+) -> Vec<(NodeId, NodeId)> {
+    sample_srcs(st.topology(), st.dest(), n, src_seed)
+        .into_iter()
+        .filter_map(|src| {
+            let eligible = avoidable_ases(st, src);
+            (!eligible.is_empty()).then(|| (src, eligible[rng.gen_range(0..eligible.len())]))
+        })
+        .collect()
 }
 
 #[cfg(test)]

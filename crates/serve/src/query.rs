@@ -9,28 +9,29 @@
 //!   chain is finite in a well-formed table (rows are routing trees); a
 //!   hop budget of `num_nodes` turns a corrupt table's cycle into a
 //!   clean per-query error.
-//! * **alternate avoiding AS X** — the MIRO §2 question, answered from
+//! * **alternate avoiding AS X** — the MIRO §3.3 question, answered from
 //!   precomputed state. If the default path already avoids X, it *is*
 //!   the answer. Otherwise the engine walks the default path's prefix
 //!   (the ASes before the first occurrence of X — exactly the on-path
 //!   ASes a MIRO source would negotiate with, in contact order) and
-//!   looks for the first neighbor `n` of an on-path AS `v` such that
+//!   takes the first neighbor `n` of an on-path AS `v`, in
+//!   path-then-adjacency order, such that
 //!
-//!   1. `n`'s installed route toward the destination avoids X,
-//!   2. `n` would actually export that route to `v` under the
+//!   1. `n` would export its installed route to `v` under the
 //!      Gao-Rexford export rule ([`ExportScope::allows`], using the
 //!      class byte stored in the table), and
-//!   3. the splice `src → … → v → n → … → dest` is loop-free.
+//!   2. `n`'s installed route toward the destination avoids X.
 //!
-//!   The first `(v, n)` in path-then-adjacency order wins, so answers
-//!   are deterministic for a given table + topology. This is the
-//!   serving-plane analogue of the offline negotiation experiments in
-//!   `miro-eval::avoid`: those enumerate full candidate sets per
-//!   responder; the serving plane answers from installed routes only,
-//!   which is what a precomputed-alternates daemon can promise in
-//!   microseconds. Tail-avoidance is memoized per query in a
-//!   generation-stamped [`QueryScratch`], so the worst case is O(V)
-//!   once, not per candidate.
+//!   That is Chapter 5's on-path negotiation under the `/a` export
+//!   level (every alternate a responder holds, relationships ignored —
+//!   the paper's upper bound): `v`'s candidates are exactly its
+//!   neighbors' exported routes, so an answer exists iff
+//!   `miro_eval::avoid::probe_triple`'s `/a` success bit is set, `v` is
+//!   the first responder in contact order (the source itself first)
+//!   that succeeds, and the tail is one of `v`'s offers.
+//!   `tests/served_alternate.rs` pins all three. Tail-avoidance is
+//!   memoized per query in a generation-stamped [`QueryScratch`], so the
+//!   worst case is O(V) once, not per candidate.
 //!
 //! [`Engine::reply`] is the allocation-free core the daemon calls: a `Copy`
 //! [`Reply`] head, the path left in [`QueryScratch::path`].
@@ -168,9 +169,6 @@ pub struct QueryScratch {
     /// Tail-avoidance memo: `tail_ok[x]` is valid iff `tail_stamp[x] == gen`.
     tail_stamp: Vec<u32>,
     tail_ok: Vec<bool>,
-    /// Splice-prefix membership: `on_prefix[x] == gen` iff `x` is on the
-    /// default path's kept prefix.
-    on_prefix: Vec<u32>,
     /// Chase buffer for tail walks.
     walk: Vec<NodeId>,
     /// The last [`Engine::reply`]'s path.
@@ -191,11 +189,9 @@ impl QueryScratch {
         if self.tail_stamp.len() < nodes {
             self.tail_stamp.resize(nodes, 0);
             self.tail_ok.resize(nodes, false);
-            self.on_prefix.resize(nodes, 0);
         }
         if self.gen == u32::MAX {
             self.tail_stamp.iter_mut().for_each(|s| *s = 0);
-            self.on_prefix.iter_mut().for_each(|s| *s = 0);
             self.gen = 0;
         }
         self.gen += 1;
@@ -442,6 +438,14 @@ impl<T: TableSource> Engine<T> {
 
     /// The alternate-path search described in the module docs; the
     /// answer's path is left in `scratch.path`.
+    ///
+    /// The splice needs no loop check, whatever the rows hold. The kept
+    /// prefix `path[0..=vi]` is the chase of the same next-hop function
+    /// the tail walks, and every prefix AS's chase reaches `avoid`; so a
+    /// tail that entered the prefix would reach `avoid` too, and
+    /// [`tail_avoids`](Self::tail_avoids) answering `true` means it never
+    /// does. (The same argument makes Chapter 5's unchecked splice of an
+    /// on-path responder's avoiding offer loop-free.)
     fn alternate(
         &self,
         src: NodeId,
@@ -472,11 +476,7 @@ impl<T: TableSource> Engine<T> {
         // the MIRO source's negotiation order.
         for vi in 0..offender {
             let v = scratch.path[vi];
-            scratch.on_prefix[v as usize] = gen;
             for &(n, rel) in self.topo.neighbors(v) {
-                if n == avoid || scratch.on_prefix[n as usize] == gen {
-                    continue;
-                }
                 // Would n export its installed route to v at all? Any
                 // route to a customer or sibling, only a customer route
                 // to a provider or peer — so only then is its class read.
@@ -488,24 +488,16 @@ impl<T: TableSource> Engine<T> {
                 if !self.tail_avoids(&r, n, dest, avoid, scratch, gen)? {
                     continue;
                 }
-                // Loop check: the tail must not re-enter the kept prefix.
-                scratch.walk.clear();
-                let mut at = n;
-                let looped = loop {
-                    scratch.walk.push(at);
-                    if at == dest {
-                        break false;
-                    }
-                    at = r.next(at as usize);
-                    if scratch.on_prefix[at as usize] == gen {
-                        break true;
-                    }
-                };
-                if looped {
-                    continue;
-                }
+                // `tail_avoids` walked this tail to `dest` in range, so
+                // the chase ends, and by the argument above it never
+                // re-enters the kept prefix.
                 scratch.path.truncate(vi + 1);
-                scratch.path.extend_from_slice(&scratch.walk);
+                let mut at = n;
+                scratch.path.push(at);
+                while at != dest {
+                    at = r.next(at as usize);
+                    scratch.path.push(at);
+                }
                 return Ok(Reply::Alternate { via: Some((v, n)) });
             }
         }

@@ -44,18 +44,6 @@ impl RouteClass {
             RouteClass::Provider => 80,
         }
     }
-
-    /// Inverse of [`RouteClass::local_pref`] banding: classify an arbitrary
-    /// local-preference value back into a class.
-    pub fn from_local_pref(lp: u32) -> RouteClass {
-        if lp >= 400 {
-            RouteClass::Customer
-        } else if lp >= 200 {
-            RouteClass::Peer
-        } else {
-            RouteClass::Provider
-        }
-    }
 }
 
 /// Classify the route `path` as held by `holder`, where `path[0]` is the
@@ -272,9 +260,6 @@ mod tests {
         assert!(RouteClass::Customer < RouteClass::Peer);
         assert!(RouteClass::Peer < RouteClass::Provider);
         assert!(RouteClass::Customer.local_pref() > RouteClass::Peer.local_pref());
-        for c in [RouteClass::Customer, RouteClass::Peer, RouteClass::Provider] {
-            assert_eq!(RouteClass::from_local_pref(c.local_pref()), c);
-        }
     }
 
     #[test]

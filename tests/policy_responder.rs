@@ -3,18 +3,21 @@
 //! enforce: the compiled form, the offers it yields against the default
 //! configuration's (in the handshake and in Chapter 5's route count, which
 //! both ask `ResponderConfig::offers`), and its refusals through
-//! `MiroNetwork` and `ReliableNet` alike.
+//! `MiroNetwork` and `ReliableNet` alike. Then what `offers` leaves out:
+//! the responder's best path, which the requester already holds.
 
+use miro_bgp::route::ExportScope;
 use miro_bgp::solver::RoutingState;
 use miro_core::chan::FaultConfig;
-use miro_core::export::{ExportPolicy, ResponderConfig};
+use miro_core::export::{export_rel_toward, ExportPolicy, ResponderConfig};
 use miro_core::negotiate::{Message, NegotiationError, RejectReason};
 use miro_core::node::MiroNetwork;
 use miro_core::reliable::{FailReason, ReliableNet};
 use miro_core::strategy::{count_available_routes, TargetStrategy};
+use miro_eval::datasets::{Dataset, EvalConfig};
 use miro_policy::{bridge, parse_config};
-use miro_topology::gen::{figure_1_1, GenParams};
-use miro_topology::{RouteClass, Topology};
+use miro_topology::gen::{figure_1_1, DatasetPreset, GenParams};
+use miro_topology::{NodeId, RouteClass, Topology};
 
 /// Section 6.3's responding AS, with FILTER-1's thresholds in the
 /// local-preference bands of section 2.2.2.
@@ -204,5 +207,79 @@ fn no_accept_statement_refuses_everyone() {
             Err(NegotiationError::Rejected(RejectReason::NotAllowed)),
             "AS{requester}"
         );
+    }
+}
+
+/// (e) `ResponderConfig::offers` drops the responder's best path because
+/// the requester already holds it. On a Gao 2005 stride, whenever a level
+/// would reveal that best path toward the requester, the requester holds
+/// it as a candidate or as its own default path's suffix, or the path
+/// runs through the requester — for on-path and 1-hop responders under
+/// every level, except 1-hop `/a`, which reveals routes BGP's export rule
+/// withheld from the requester.
+#[test]
+fn dropped_best_path_is_one_the_requester_already_holds() {
+    let topo = Dataset::build(DatasetPreset::Gao2005, &EvalConfig::default()).topo;
+    // Per (strategy, level): bests revealed, and of those, held and
+    // looping through the requester; the rest the requester lacks.
+    let strategies = [TargetStrategy::OnPath, TargetStrategy::OneHop];
+    let mut counts = [[(0usize, 0usize, 0usize); 3]; 2];
+    for dest in topo.nodes().step_by(17) {
+        let st = RoutingState::solve(&topo, dest);
+        for requester in topo.nodes().step_by(5).filter(|&r| r != dest) {
+            let candidates = st.candidates(requester);
+            let default = st.path(requester).unwrap_or_default();
+            for (s, strategy) in strategies.into_iter().enumerate() {
+                for responder in strategy.targets(&st, requester, None) {
+                    let (Some(best), Some(path)) = (st.best(responder), st.path(responder)) else {
+                        continue;
+                    };
+                    let toward = export_rel_toward(&st, requester, responder);
+                    let via: Vec<NodeId> =
+                        std::iter::once(responder).chain(path.iter().copied()).collect();
+                    let held = candidates.iter().any(|c| c.path == via)
+                        || default
+                            .iter()
+                            .position(|&x| x == responder)
+                            .is_some_and(|i| default[i + 1..] == path[..]);
+                    let loops = path.contains(&requester);
+                    for (l, policy) in ExportPolicy::ALL.into_iter().enumerate() {
+                        // Every level reveals a route of the best's own
+                        // class wherever the export rule allows it; `/a`
+                        // reveals it everywhere.
+                        if policy == ExportPolicy::Flexible
+                            || ExportScope::allows(best.class, toward)
+                        {
+                            let c = &mut counts[s][l];
+                            c.0 += 1;
+                            c.1 += usize::from(held);
+                            c.2 += usize::from(!held && loops);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for (s, strategy) in strategies.into_iter().enumerate() {
+        for (l, policy) in ExportPolicy::ALL.into_iter().enumerate() {
+            let (revealed, held, loops) = counts[s][l];
+            let lacks = revealed - held - loops;
+            let strategy = strategy.label();
+            println!(
+                "{strategy} {}: {revealed} bests revealed, {held} held, {loops} through the requester, {lacks} lacking",
+                policy.label()
+            );
+            if (strategy, policy) == ("1-hop", ExportPolicy::Flexible) {
+                assert!(lacks > 0, "1-hop /a reveals bests the requester was never sent");
+            } else {
+                assert_eq!(
+                    lacks,
+                    0,
+                    "{strategy} {} reveals a best the requester lacks",
+                    policy.label()
+                );
+                assert!(revealed > 0);
+            }
+        }
     }
 }
